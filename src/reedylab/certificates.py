@@ -5,8 +5,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .errors import CandidateSpaceExceeded, SizeBudget
-
 PASS = "pass"
 FAIL = "fail"
 SKIPPED = "skipped"
@@ -37,18 +35,8 @@ class Certificate:
     def passed(self) -> bool:
         return all(c.status == PASS for c in self.checks)
 
-    @property
-    def failed(self) -> bool:
-        return any(c.status == FAIL for c in self.checks)
-
     def add(self, check: Check) -> None:
         self.checks.append(check)
-
-    def extend(self, other: "Certificate", prefix: str = "") -> None:
-        for c in other.checks:
-            self.checks.append(
-                Check(prefix + c.id, c.status, c.count, c.witness)
-            )
 
     def to_json(self) -> dict:
         return {
@@ -78,13 +66,6 @@ class Certificate:
         return "\n".join(lines)
 
 
-def check_from(id: str, fn) -> Check:
-    """Run fn() -> (ok: bool, count: int, witness) and wrap the outcome.
-
-    Budget overruns surface as skipped checks, never silent truncation.
-    """
-    try:
-        ok, count, witness = fn()
-    except (SizeBudget, CandidateSpaceExceeded) as exc:
-        return Check(id, SKIPPED, 0, str(exc))
+def verdict(id: str, ok, count: int, witness=None) -> Check:
+    """A passing or failing check; the witness is kept only on failure."""
     return Check(id, PASS if ok else FAIL, count, None if ok else witness)

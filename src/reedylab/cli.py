@@ -7,7 +7,7 @@ import argparse
 import json
 import sys
 
-from .errors import ReedyLabError, UnknownSuite
+from .errors import InvalidInput, ReedyLabError, UnknownSuite
 from .suites import SUITES, SuiteConfig, run_suite
 
 EXIT_PASS = 0
@@ -26,7 +26,6 @@ def _add_suite_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--format", type=str, choices=("json", "markdown"), default="json"
     )
-    p.add_argument("--jobs", type=int, default=1)
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -49,18 +48,29 @@ def _config_from(args, suite: str) -> SuiteConfig:
         corpus_count=args.corpus_count,
         out=args.out,
         fmt=args.format,
-        jobs=args.jobs,
     )
     if args.budget is not None:
         kwargs["budget"] = args.budget
     return SuiteConfig(**kwargs)
 
 
+def _at_least(low: int, **flags) -> None:
+    for name, value in flags.items():
+        if value is not None and value < low:
+            raise InvalidInput(f"--{name} must be at least {low}, got {value}")
+
+
+def _exit_code(*certs) -> int:
+    """0 when every check of every certificate passed, else 1 (a failed or
+    a skipped check)."""
+    return EXIT_PASS if all(c.passed for c in certs) else EXIT_FAIL
+
+
 def _run_one(cfg: SuiteConfig) -> int:
     cert = run_suite(cfg)
     text = cert.markdown() if cfg.fmt == "markdown" else cert.json_text()
     _emit(text, cfg.out)
-    return EXIT_PASS if cert.passed else EXIT_FAIL
+    return _exit_code(cert)
 
 
 def main(argv=None) -> int:
@@ -110,20 +120,15 @@ def main(argv=None) -> int:
         if args.command in SUITES:
             return _run_one(_config_from(args, args.command))
         if args.command == "all":
-            worst = EXIT_PASS
-            outputs = []
-            for name in SUITES:
-                cfg = _config_from(args, name)
-                cfg.out = None
-                cert = run_suite(cfg)
-                outputs.append(
-                    cert.markdown() if args.format == "markdown" else cert.json_text()
-                )
-                if not cert.passed:
-                    worst = EXIT_FAIL
-            joiner = "\n" if args.format == "markdown" else "\n"
-            _emit(joiner.join(outputs), args.out)
-            return worst
+            certs = [run_suite(_config_from(args, name)) for name in SUITES]
+            _emit(
+                "\n".join(
+                    c.markdown() if args.format == "markdown" else c.json_text()
+                    for c in certs
+                ),
+                args.out,
+            )
+            return _exit_code(*certs)
         if args.command == "export-dot":
             from .dot import export_dot_json
 
@@ -148,6 +153,7 @@ def _cube_command(args) -> int:
     if args.cube_command == "homcount":
         from .cubes import cube_hom_count
 
+        _at_least(0, m=args.m, n=args.n)
         formula, enumerated = cube_hom_count(args.m, args.n)
         _emit(
             json.dumps(
@@ -166,6 +172,7 @@ def _cube_command(args) -> int:
     if args.cube_command == "triangulate":
         from .cubes import cube, triangulate
 
+        _at_least(0, n=args.n, dim=args.dim)
         dim = args.dim if args.dim is not None else args.n
         tri = triangulate(cube(args.n), dim)
         _emit(json.dumps(tri.to_json(), indent=2, sort_keys=True), args.out)
@@ -183,10 +190,11 @@ def _obstruct_command(args) -> int:
         certs = [verify_u_image(), certify_no_reedy_factorization_of_u()]
         text = "\n".join(c.json_text() for c in certs)
         _emit(text, None)
-        return EXIT_PASS if all(c.passed for c in certs) else EXIT_FAIL
+        return _exit_code(*certs)
     if args.obstruct_command == "crown":
         from .obstruction import enumerate_crown_maps, winding
 
+        _at_least(3, m=args.m, n=args.n)
         maps = enumerate_crown_maps(args.m, args.n)
         hist: dict[int, int] = {}
         for f in maps:
@@ -211,7 +219,7 @@ def _obstruct_command(args) -> int:
 
         cert = certify_sieve_chain_nonstabilization(args.n)
         _emit(cert.json_text(), None)
-        return EXIT_PASS if cert.passed else EXIT_FAIL
+        return _exit_code(cert)
     raise UnknownSuite(args.obstruct_command)
 
 

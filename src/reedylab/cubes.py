@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .certificates import Certificate, Check, PASS, FAIL
+from .certificates import Certificate, verdict
 from .errors import NotDistributive, NotIdempotent, SizeBudget
 from .semilattice import (
     DEFAULT_CANDIDATE_BUDGET,
@@ -150,9 +150,9 @@ def retract_of_cube(
     underlying set: the retraction is the free extension of the identity
     assignment, the section is found by lifting the identity through it.
     """
-    verdict = is_distributive_lattice(A)
-    if not verdict:
-        raise NotDistributive(f"retract-of-cube needs distributivity ({verdict.reason})")
+    dist = is_distributive_lattice(A)
+    if not dist:
+        raise NotDistributive(f"retract-of-cube needs distributivity ({dist.reason})")
     n = A.size
     if n > max_dim:
         raise SizeBudget(f"cube dimension {n} exceeds cap {max_dim}")
@@ -190,9 +190,9 @@ def certify_idempotent_completion(
                 bad = {"dim": n, "map": list(f.map)}
                 break
         cert.add(
-            Check(
+            verdict(
                 f"idempotents-split-distributively-dim-{n}",
-                PASS if bad is None else FAIL,
+                bad is None,
                 len(idems),
                 bad,
             )
@@ -210,7 +210,7 @@ def certify_idempotent_completion(
         ok = r.cod.size == 3 and are_isomorphic(r.cod, chain(3))
         return ok, 1, None if ok else {"split-size": r.cod.size}
 
-    cert.add(Check("one-connection-idempotent-splits-through-chain3", *_run(connection_example)))
+    cert.add(verdict("one-connection-idempotent-splits-through-chain3", *connection_example()))
 
     def retracts():
         count = 0
@@ -223,13 +223,8 @@ def certify_idempotent_completion(
                 return False, count, {"size": A.size}
         return True, count, None
 
-    cert.add(Check("distributive-classes-are-cube-retracts", *_run(retracts)))
+    cert.add(verdict("distributive-classes-are-cube-retracts", *retracts()))
     return cert
-
-
-def _run(fn):
-    ok, count, witness = fn()
-    return (PASS if ok else FAIL, count, witness)
 
 
 # ---------------------------------------------------------------------------

@@ -11,13 +11,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .certificates import Certificate, Check, FAIL, PASS
+from .certificates import Certificate, verdict
 from .errors import SizeBudget
 from .reedy import LoweringPushoutSquare, lowering_pushout
 from .semilattice import (
     DEFAULT_CANDIDATE_BUDGET,
     FiniteSemilattice,
     SLatMorphism,
+    UnionFind,
     adjoin_bottom,
     enumerate_homs,
     free_on_generators,
@@ -97,37 +98,19 @@ def hom_preserves_lowering_pushout(
     idx0 = {f.map: i for i, f in enumerate(homs_0)}
     idx1 = {f.map: i for i, f in enumerate(homs_1)}
     n0, n1 = len(homs_0), len(homs_1)
-    parent = list(range(n0 + n1))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x, y):
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[max(rx, ry)] = min(rx, ry)
-
+    uf = UnionFind(range(n0 + n1))
     for h in homs_d:
-        union(idx0[h.then(square.e0).map], n0 + idx1[h.then(square.e1).map])
+        uf.union(idx0[h.then(square.e0).map], n0 + idx1[h.then(square.e1).map])
     # comparison into Hom(A, carrier)
-    value = {}
-    for i, f in enumerate(homs_0):
-        value[i] = f.then(square.f0).map
-    for j, g in enumerate(homs_1):
-        value[n0 + j] = g.then(square.f1).map
-    image = {}
-    for x in range(n0 + n1):
-        r = find(x)
-        if r in image and image[r] != value[x]:
+    value = [f.then(square.f0).map for f in homs_0]
+    value += [g.then(square.f1).map for g in homs_1]
+    hit = []
+    for cls in uf.classes():
+        if len({value[x] for x in cls}) != 1:
             # ill-defined means the square of homs failed to commute
             return False, {"reason": "comparison-ill-defined"}
-        image[r] = value[x]
-    classes = {find(x) for x in range(n0 + n1)}
-    hit = list(image[r] for r in classes)
-    if len(set(hit)) != len(classes):
+        hit.append(value[cls[0]])
+    if len(set(hit)) != len(hit):
         dup = [m for m in hit if hit.count(m) > 1][0]
         return False, {"reason": "not-injective", "element": list(dup)}
     missing = [f.map for f in homs_p if f.map not in set(hit)]
@@ -177,13 +160,6 @@ def in_elegant_core(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PrincipalSieve:
-    """The sieve of everything factoring through a fixed generator."""
-
-    generator: SLatMorphism
-
-
 def sieve_degree(f: SLatMorphism) -> int:
     """Degree of the middle object of the (surjective, mono) factorization."""
     return len(f.image())
@@ -229,8 +205,7 @@ def certify_sieve_monotonicity(
                         }
         return True, n, None
 
-    ok, n, w = monotone()
-    cert.add(Check("sieve-inclusion-weakly-monotone", PASS if ok else FAIL, n, w))
+    cert.add(verdict("sieve-inclusion-weakly-monotone", *monotone()))
 
     def strictness():
         n = 0
@@ -248,8 +223,7 @@ def certify_sieve_monotonicity(
                         }
         return True, n, None
 
-    ok, n, w = strictness()
-    cert.add(Check("equal-degree-inclusion-is-equality", PASS if ok else FAIL, n, w))
+    cert.add(verdict("equal-degree-inclusion-is-equality", *strictness()))
     return cert
 
 

@@ -46,3 +46,7 @@ class NotDistributive(ReedyLabError):
 
 class UnknownSuite(ReedyLabError):
     """Requested certification suite is not registered."""
+
+
+class InvalidInput(ReedyLabError):
+    """A configuration or command-line value is out of range."""

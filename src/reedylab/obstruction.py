@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .certificates import Certificate, Check, FAIL, PASS
+from .certificates import Certificate, verdict
 from .cubes import cube, degeneracy, face
 from .errors import SizeBudget
 from .semilattice import (
@@ -61,23 +61,15 @@ def verify_u_image() -> Certificate:
     u = map_u()
     surj, mono = image_factorize(u)
     img = surj.cod
-    cert.add(
-        Check(
-            "image-has-five-elements",
-            PASS if img.size == 5 else FAIL,
-            8,
-            None if img.size == 5 else {"size": img.size},
-        )
-    )
+    cert.add(verdict("image-has-five-elements", img.size == 5, 8, {"size": img.size}))
     iso = are_isomorphic(img, diamond(3))
-    cert.add(Check("image-is-the-diamond", PASS if iso else FAIL, 1))
-    verdict = is_distributive_lattice(img)
+    cert.add(verdict("image-is-the-diamond", iso, 1))
     cert.add(
-        Check(
+        verdict(
             "image-not-distributive",
-            PASS if not verdict else FAIL,
+            not is_distributive_lattice(img),
             img.size**3,
-            None if not verdict else "unexpectedly distributive",
+            "unexpectedly distributive",
         )
     )
     return cert
@@ -132,11 +124,11 @@ def certify_no_reedy_factorization_of_u(
             distributive.append(S)
     ok = distributive == [tuple(range(8))]
     cert.add(
-        Check(
+        verdict(
             "only-distributive-superset-is-the-cube",
-            PASS if ok else FAIL,
+            ok,
             len(subsets),
-            None if ok else {"subsets": distributive},
+            {"subsets": distributive},
         )
     )
 
@@ -162,11 +154,11 @@ def certify_no_reedy_factorization_of_u(
             found.append((len(S), e.is_iso if D.size == 8 else False, D.size))
     ok = all(size == 8 for (_, _, size) in found) and found
     cert.add(
-        Check(
+        verdict(
             "all-injective-factorizations-pass-through-the-cube",
-            PASS if ok else FAIL,
+            ok,
             count,
-            None if ok else {"middles": sorted({s for (_, _, s) in found})},
+            {"middles": sorted({s for (_, _, s) in found})},
         )
     )
 
@@ -176,23 +168,18 @@ def certify_no_reedy_factorization_of_u(
     top = t.then(s1)
     square_ok = u.then(t).map == top.then(d1).map
     cert.add(
-        Check(
-            "t-square-commutes",
-            PASS if square_ok else FAIL,
-            8,
-            None if square_ok else {"lhs": list(u.then(t).map)},
-        )
+        verdict("t-square-commutes", square_ok, 8, {"lhs": list(u.then(t).map)})
     )
     interval = d1.dom
     diagonals = [
         j for j in enumerate_homs(C3, interval, budget) if j.then(d1).map == t.map
     ]
     cert.add(
-        Check(
+        verdict(
             "t-square-has-no-diagonal",
-            PASS if not diagonals else FAIL,
+            not diagonals,
             len(enumerate_homs(C3, interval, budget)),
-            None if not diagonals else {"diagonal": list(diagonals[0].map)},
+            diagonals and {"diagonal": list(diagonals[0].map)},
         )
     )
 
@@ -200,11 +187,11 @@ def certify_no_reedy_factorization_of_u(
     surj, _ = image_factorize(uu)
     ok = surj.cod.size == 2
     cert.add(
-        Check(
+        verdict(
             "u-squared-factors-through-the-interval",
-            PASS if ok else FAIL,
+            ok,
             8,
-            None if ok else {"image-size": surj.cod.size},
+            {"image-size": surj.cod.size},
         )
     )
     return cert
@@ -397,8 +384,7 @@ def certify_wind_properties(budget: int = DEFAULT_CANDIDATE_BUDGET) -> Certifica
                     return False, n_cases, {"m": a, "n": b, "values": list(f.values)}
         return True, n_cases, None
 
-    ok, n, w = short_to_long()
-    cert.add(Check("short-into-long-winds-zero", PASS if ok else FAIL, n, w))
+    cert.add(verdict("short-into-long-winds-zero", *short_to_long()))
 
     def multiplicative():
         # winding is the sum of forced fence steps over the cyclic edges,
@@ -437,8 +423,7 @@ def certify_wind_properties(budget: int = DEFAULT_CANDIDATE_BUDGET) -> Certifica
                         }
         return True, n_cases, None
 
-    ok, n, w = multiplicative()
-    cert.add(Check("winding-multiplicative", PASS if ok else FAIL, n, w))
+    cert.add(verdict("winding-multiplicative", *multiplicative()))
 
     def symmetry_winds():
         n_cases = 0
@@ -456,8 +441,7 @@ def certify_wind_properties(budget: int = DEFAULT_CANDIDATE_BUDGET) -> Certifica
                     return False, n_cases, {"reflection": a}
         return True, n_cases, None
 
-    ok, n, w = symmetry_winds()
-    cert.add(Check("rotations-wind-one-reflections-minus-one", PASS if ok else FAIL, n, w))
+    cert.add(verdict("rotations-wind-one-reflections-minus-one", *symmetry_winds()))
 
     def fold_winds():
         f1 = fold_map(6, 3)
@@ -473,8 +457,7 @@ def certify_wind_properties(budget: int = DEFAULT_CANDIDATE_BUDGET) -> Certifica
             "w(fold 12->3)": winding(composite),
         }
 
-    ok, n, w = fold_winds()
-    cert.add(Check("fold-windings", PASS if ok else FAIL, n, w))
+    cert.add(verdict("fold-windings", *fold_winds()))
 
     def semifunctor():
         n_cases = 0
@@ -506,8 +489,7 @@ def certify_wind_properties(budget: int = DEFAULT_CANDIDATE_BUDGET) -> Certifica
                 return False, n_cases, {"n": n0, "reason": "identity iff n=3"}
         return True, n_cases, None
 
-    ok, n, w = semifunctor()
-    cert.add(Check("extension-semifunctor", PASS if ok else FAIL, n, w))
+    cert.add(verdict("extension-semifunctor", *semifunctor()))
     return cert
 
 
@@ -581,7 +563,7 @@ def verify_extension_pullback(f: CrownMap) -> Certificate:
     ext = crown_extension(f)
 
     commute = all(ext.values[cm[i]] == cn[f.values[i]] for i in range(2 * m))
-    cert.add(Check("square-commutes", PASS if commute else FAIL, 2 * m))
+    cert.add(verdict("square-commutes", commute, 2 * m))
 
     cn_set = set(cn)
     cm_set = set(cm)
@@ -590,14 +572,7 @@ def verify_extension_pullback(f: CrownMap) -> Certificate:
         for v in range(1 << m)
         if ext.values[v] in cn_set and v not in cm_set
     ]
-    cert.add(
-        Check(
-            "pullback-exhaustive",
-            PASS if not bad else FAIL,
-            1 << m,
-            None if not bad else {"point": bad[0]},
-        )
-    )
+    cert.add(verdict("pullback-exhaustive", not bad, 1 << m, bad and {"point": bad[0]}))
     return cert
 
 
@@ -632,10 +607,10 @@ def certify_sieve_chain_nonstabilization(
         ok = lhs.values == rhs.values
         return ok, 1 << dim, None if ok else {"stage": a_name}
 
-    ok, cnt, w = stage("f2 = f1 . fold", f2, fold_2n_n, f1, 2 * n)
-    cert.add(Check("chain-inclusion-stage-1", PASS if ok else FAIL, cnt, w))
-    ok, cnt, w = stage("f4 = fold . f2", f4, fold_4n_2n, f2, 4 * n)
-    cert.add(Check("chain-inclusion-stage-2", PASS if ok else FAIL, cnt, w))
+    stage1 = stage("f2 = f1 . fold", f2, fold_2n_n, f1, 2 * n)
+    cert.add(verdict("chain-inclusion-stage-1", *stage1))
+    stage2 = stage("f4 = fold . f2", f4, fold_4n_2n, f2, 4 * n)
+    cert.add(verdict("chain-inclusion-stage-2", *stage2))
 
     # no monotone g: [1]^n -> [1]^2n with ext(f2) o g = ext(f1)
     ext_f2 = crown_extension(f2)
@@ -670,22 +645,22 @@ def certify_sieve_chain_nonstabilization(
 
     rec(0)
     cert.add(
-        Check(
+        verdict(
             "no-section-of-extended-fold",
-            PASS if found is None else FAIL,
+            found is None,
             examined,
-            None if found is None else {"g": list(found)},
+            found and {"g": list(found)},
         )
     )
 
     maps = enumerate_crown_maps(n, 2 * n)
     bad = [f for f in maps if winding(f) != 0]
     cert.add(
-        Check(
+        verdict(
             "all-crown-maps-into-double-wind-zero",
-            PASS if not bad else FAIL,
+            not bad,
             len(maps),
-            None if not bad else {"values": list(bad[0].values)},
+            bad and {"values": list(bad[0].values)},
         )
     )
     return cert

@@ -12,31 +12,9 @@ import itertools
 import random
 from dataclasses import dataclass
 
-from .certificates import Certificate, Check, FAIL, PASS
+from .certificates import Certificate, verdict
 from .reedy import FinCategory, LoweringPushoutSquare, MorphRef, ReedyData
-
-
-class UnionFind:
-    def __init__(self, keys):
-        self.parent = {k: k for k in keys}
-
-    def find(self, x):
-        p = self.parent
-        while p[x] != x:
-            p[x] = p[p[x]]
-            x = p[x]
-        return x
-
-    def union(self, x, y):
-        rx, ry = self.find(x), self.find(y)
-        if rx != ry:
-            self.parent[max(rx, ry)] = min(rx, ry)
-
-    def classes(self) -> list[list]:
-        buckets: dict = {}
-        for k in self.parent:
-            buckets.setdefault(self.find(k), []).append(k)
-        return [sorted(buckets[r]) for r in sorted(buckets)]
+from .semilattice import UnionFind
 
 
 @dataclass
@@ -176,12 +154,8 @@ def autquo(
         for g in range(Y.levels[s]):
             for h in H:
                 uf.union(g, cat.compose((s, r, g), h)[2])
-        classes = uf.classes()
+        classes, mapping = uf.partition()
         orbits_at.append(classes)
-        mapping = {}
-        for ci, cls in enumerate(classes):
-            for g in cls:
-                mapping[g] = ci
         orbit_of.append(mapping)
     levels = tuple(len(orbits_at[s]) for s in range(n_obj))
     actions = {}
@@ -231,16 +205,7 @@ def finite_colimit(diagram: SetDiagram) -> tuple[list[list], dict]:
     for src, dst, fn in diagram.edges:
         for i in range(diagram.nodes[src]):
             uf.union((src, i), (dst, fn[i]))
-    classes = uf.classes()
-    leg = {}
-    for ci, cls in enumerate(classes):
-        for key in cls:
-            leg[key] = ci
-    return classes, leg
-
-
-def covariant_diagram_of(cat: FinCategory, levels, actions) -> "CovariantDiagram":
-    return CovariantDiagram(cat, tuple(levels), dict(actions))
+    return uf.partition()
 
 
 @dataclass
@@ -296,12 +261,7 @@ def weighted_colimit(
             w1 = W.act(f, w2)
             for x in range(F.levels[a]):
                 uf.union((a, w1, x), (b, w2, F.actions[f][x]))
-    classes = uf.classes()
-    leg = {}
-    for ci, cls in enumerate(classes):
-        for key in cls:
-            leg[key] = ci
-    return classes, leg
+    return uf.partition()
 
 
 # ---------------------------------------------------------------------------
@@ -361,11 +321,7 @@ def latching_object(X: FinPresheaf, r: int, data: ReedyData) -> LatchingData:
             fe = cat.compose(e, f)
             for x2 in range(X.levels[f[1]]):
                 uf.union((fe, x2), (e, X.act(f, x2)))
-    classes = uf.classes()
-    node_class = {}
-    for ci, cls in enumerate(classes):
-        for key in cls:
-            node_class[key] = ci
+    classes, node_class = uf.partition()
     latch = []
     for cls in classes:
         values = {X.act(e, x) for (e, x) in cls}
@@ -399,11 +355,7 @@ def latching_object_via_weights(
             assert gf in wset, "degree can only drop under postcomposition"
             for x2 in range(X.levels[g[1]]):
                 uf.union((gf, x2), (f, X.act(g, x2)))
-    classes = uf.classes()
-    node_class = {}
-    for ci, cls in enumerate(classes):
-        for key in cls:
-            node_class[key] = ci
+    classes, node_class = uf.partition()
     latch = []
     for cls in classes:
         values = {X.act(f, x) for (f, x) in cls}
@@ -456,11 +408,7 @@ def relative_latching_map(
         for (e2, x2) in cls:
             assert LY.node_class[(e2, m.components[e2[1]][x2])] == y_class
         uf.union(("x", LX.latch[ci]), ("y", y_class))
-    classes = uf.classes()
-    node_class = {}
-    for ci, cls in enumerate(classes):
-        for key in cls:
-            node_class[key] = ci
+    classes, node_class = uf.partition()
     values = []
     for cls in classes:
         vals = set()
@@ -697,11 +645,7 @@ def verify_cell_square(
                         tg = cat.compose((s, r, g), th)[2]
                         for x2 in range(X.levels[r2]):
                             ur.union((r2, tg, x2), (r, g, X.act(th, x2)))
-        ur_classes = ur.classes()
-        ur_class_of = {}
-        for ci, cls in enumerate(ur_classes):
-            for k in cls:
-                ur_class_of[k] = ci
+        ur_classes, ur_class_of = ur.partition()
 
         # upper-left corner: pushout of the boundary-weighted latching data
         low_weight = {
@@ -742,11 +686,7 @@ def verify_cell_square(
             for g in low_weight[r]:
                 for c in range(len(L[r].classes)):
                     ul.union(("yo", r, g, c), ("bd", r, g, L[r].latch[c]))
-        ul_classes = ul.classes()
-        ul_class_of = {}
-        for ci, cls in enumerate(ul_classes):
-            for k in cls:
-                ul_class_of[k] = ci
+        ul_classes, ul_class_of = ul.partition()
 
         # the four maps of the square, elementwise
         def ul_to_sk(node):
@@ -912,9 +852,9 @@ def certify_reflects_degeneracy_lemma(
             witness = {"case": n_total - 1}
             break
     cert.add(
-        Check(
+        verdict(
             "reflecting-injections-into-mono-are-reedy-mono",
-            PASS if witness is None else FAIL,
+            witness is None,
             n_applicable,
             witness,
         )
@@ -987,11 +927,7 @@ def quotient_presheaf(
     class_of = []
     levels = []
     for r in range(len(cat.objects)):
-        classes = ufs[r].classes()
-        mapping = {}
-        for ci, cls in enumerate(classes):
-            for x in cls:
-                mapping[x] = ci
+        classes, mapping = ufs[r].partition()
         class_of.append(mapping)
         levels.append(len(classes))
     actions = {}

@@ -12,12 +12,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .certificates import FAIL, PASS, Certificate, Check
+from .certificates import Certificate, verdict
 from .errors import NotSurjective, SizeBudget
 from .semilattice import (
     DEFAULT_CANDIDATE_BUDGET,
     FiniteSemilattice,
     SLatMorphism,
+    UnionFind,
     all_semilattices_upto,
     canonical_form,
     enumerate_homs,
@@ -216,31 +217,13 @@ def lowering_pushout(e0: SLatMorphism, e1: SLatMorphism) -> LoweringPushoutSquar
     assert e0.dom.join == e1.dom.join
     A, B0, B1 = e0.dom, e0.cod, e1.cod
     n0, n1 = B0.size, B1.size
-    parent = list(range(n0 + n1))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x, y):
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[max(rx, ry)] = min(rx, ry)
-
+    uf = UnionFind(range(n0 + n1))
     for a in range(A.size):
-        union(e0.map[a], n0 + e1.map[a])
-    roots = sorted({find(x) for x in range(n0 + n1)})
-    pos = {r: i for i, r in enumerate(roots)}
-    cls = [pos[find(x)] for x in range(n0 + n1)]
-    k = len(roots)
-    members0: list[list[int]] = [[] for _ in range(k)]
-    members1: list[list[int]] = [[] for _ in range(k)]
-    for x in range(n0):
-        members0[cls[x]].append(x)
-    for y in range(n1):
-        members1[cls[n0 + y]].append(y)
+        uf.union(e0.map[a], n0 + e1.map[a])
+    classes, cls = uf.partition()
+    k = len(classes)
+    members0 = [[x for x in c if x < n0] for c in classes]
+    members1 = [[x - n0 for x in c if x >= n0] for c in classes]
     assert all(members0[i] and members1[i] for i in range(k)), (
         "surjective legs reach every class"
     )
@@ -431,7 +414,7 @@ def certify_reedy_axioms(cat: FinCategory, data: ReedyData) -> Certificate:
                     return False, n, {"f": f, "g": g}
         return True, n, None
 
-    cert.add(Check("classes-closed-under-composition", *_status(closed_classes())))
+    cert.add(verdict("classes-closed-under-composition", *closed_classes()))
 
     def isos_in_both():
         n = 0
@@ -444,7 +427,7 @@ def certify_reedy_axioms(cat: FinCategory, data: ReedyData) -> Certificate:
                 return False, n, {"f": f}
         return True, n, None
 
-    cert.add(Check("lowering-and-raising-iff-iso", *_status(isos_in_both())))
+    cert.add(verdict("lowering-and-raising-iff-iso", *isos_in_both()))
 
     def degrees():
         n = 0
@@ -464,7 +447,7 @@ def certify_reedy_axioms(cat: FinCategory, data: ReedyData) -> Certificate:
                     return False, n, {"f": f}
         return True, n, None
 
-    cert.add(Check("degree-monotonicity", *_status(degrees())))
+    cert.add(verdict("degree-monotonicity", *degrees()))
 
     def factor_exists_unique():
         n = 0
@@ -489,7 +472,7 @@ def certify_reedy_axioms(cat: FinCategory, data: ReedyData) -> Certificate:
                     }
         return True, n, None
 
-    cert.add(Check("factorization-unique-up-to-unique-iso", *_status(factor_exists_unique())))
+    cert.add(verdict("factorization-unique-up-to-unique-iso", *factor_exists_unique()))
 
     def orthogonal_lifting():
         n = 0
@@ -524,7 +507,7 @@ def certify_reedy_axioms(cat: FinCategory, data: ReedyData) -> Certificate:
                             }
         return True, n, None
 
-    cert.add(Check("orthogonal-lifting-unique", *_status(orthogonal_lifting())))
+    cert.add(verdict("orthogonal-lifting-unique", *orthogonal_lifting()))
 
     def free_action():
         n = 0
@@ -540,7 +523,7 @@ def certify_reedy_axioms(cat: FinCategory, data: ReedyData) -> Certificate:
                     return False, n, {"e": e, "theta": th}
         return True, n, None
 
-    cert.add(Check("isos-act-freely-on-lowering", *_status(free_action())))
+    cert.add(verdict("isos-act-freely-on-lowering", *free_action()))
     return cert
 
 
@@ -564,7 +547,7 @@ def certify_cancellation(cat: FinCategory, data: ReedyData) -> Certificate:
                     return False, n, {"f": f, "g": g}
         return True, n, None
 
-    cert.add(Check("composite-class-cancellation", *_status(cancel())))
+    cert.add(verdict("composite-class-cancellation", *cancel()))
 
     def split_classes():
         n = 0
@@ -594,7 +577,7 @@ def certify_cancellation(cat: FinCategory, data: ReedyData) -> Certificate:
                     return False, n, {"split-mono": f}
         return True, n, None
 
-    cert.add(Check("split-epi-lowering-split-mono-raising", *_status(split_classes())))
+    cert.add(verdict("split-epi-lowering-split-mono-raising", *split_classes()))
     return cert
 
 
@@ -616,7 +599,7 @@ def certify_pre_elegance(
                 return False, n, {"span": sq.refs[:2]}
         return True, n, None
 
-    cert.add(Check("lowering-pushout-closure", *_status(closure())))
+    cert.add(verdict("lowering-pushout-closure", *closure()))
 
     def epis():
         n = 0
@@ -634,7 +617,7 @@ def certify_pre_elegance(
                             return False, n, {"e": e, "g": i, "h": j}
         return True, n, None
 
-    cert.add(Check("lowering-maps-are-epi", *_status(epis())))
+    cert.add(verdict("lowering-maps-are-epi", *epis()))
 
     def set_vs_congruence():
         n = 0
@@ -657,7 +640,7 @@ def certify_pre_elegance(
                 return False, n, {"span": sq.refs[:2] if sq.refs else None}
         return True, n, None
 
-    cert.add(Check("set-pushout-matches-congruence-quotient", *_status(set_vs_congruence())))
+    cert.add(verdict("set-pushout-matches-congruence-quotient", *set_vs_congruence()))
 
     def universal():
         n = 0
@@ -670,10 +653,6 @@ def certify_pre_elegance(
                 return False, n, witness
         return True, n, None
 
-    cert.add(Check("pushout-universal-property", *_status(universal())))
+    cert.add(verdict("pushout-universal-property", *universal()))
     return cert
 
-
-def _status(result: tuple[bool, int, object]) -> tuple[str, int, object]:
-    ok, count, witness = result
-    return (PASS if ok else FAIL, count, witness)

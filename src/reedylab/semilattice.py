@@ -24,6 +24,40 @@ JoinTable = tuple[tuple[int, ...], ...]
 DEFAULT_CANDIDATE_BUDGET = 10**7
 
 
+class UnionFind:
+    """Disjoint sets over comparable keys; a class's root is its least key."""
+
+    def __init__(self, keys):
+        self.parent = {k: k for k in keys}
+
+    def find(self, x):
+        p = self.parent
+        while p[x] != x:
+            p[x] = p[p[x]]
+            x = p[x]
+        return x
+
+    def union(self, x, y) -> bool:
+        """Merge the classes of x and y; True when they were distinct."""
+        rx, ry = self.find(x), self.find(y)
+        if rx == ry:
+            return False
+        self.parent[max(rx, ry)] = min(rx, ry)
+        return True
+
+    def classes(self) -> list[list]:
+        """The classes as sorted key lists, ordered by root."""
+        buckets: dict = {}
+        for k in self.parent:
+            buckets.setdefault(self.find(k), []).append(k)
+        return [sorted(buckets[r]) for r in sorted(buckets)]
+
+    def partition(self) -> tuple[list[list], dict]:
+        """classes() and the index of each key's class in that list."""
+        classes = self.classes()
+        return classes, {k: i for i, cls in enumerate(classes) for k in cls}
+
+
 @dataclass(frozen=True)
 class FiniteSemilattice:
     """A finite set with an associative, commutative, idempotent join."""
@@ -34,9 +68,6 @@ class FiniteSemilattice:
     @property
     def size(self) -> int:
         return len(self.join)
-
-    def join_of(self, x: int, y: int) -> int:
-        return self.join[x][y]
 
     def join_all(self, xs) -> int:
         """Join of a nonempty iterable of elements."""
@@ -635,10 +666,6 @@ def enumerate_surjections(A, B, budget=DEFAULT_CANDIDATE_BUDGET):
     return [f for f in enumerate_homs(A, B, budget) if f.is_surjective]
 
 
-def enumerate_injections(A, B, budget=DEFAULT_CANDIDATE_BUDGET):
-    return [f for f in enumerate_homs(A, B, budget) if f.is_injective]
-
-
 def lift_through_surjection(
     A: FiniteSemilattice,
     e: SLatMorphism,
@@ -749,42 +776,21 @@ def quotient_by_pairs(A: FiniteSemilattice, pairs) -> SLatMorphism:
     containing the given pairs (union-find plus join saturation).
     """
     n = A.size
-    parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x, y):
-        rx, ry = find(x), find(y)
-        if rx == ry:
-            return False
-        if ry < rx:
-            rx, ry = ry, rx
-        parent[ry] = rx
-        return True
-
+    uf = UnionFind(range(n))
     for x, y in pairs:
-        union(x, y)
+        uf.union(x, y)
     changed = True
     while changed:
         changed = False
         for x in range(n):
             for y in range(n):
-                if find(x) == find(y):
+                if uf.find(x) == uf.find(y):
                     for z in range(n):
-                        if union(A.join[x][z], A.join[y][z]):
+                        if uf.union(A.join[x][z], A.join[y][z]):
                             changed = True
-    roots = sorted({find(x) for x in range(n)})
-    pos = {r: i for i, r in enumerate(roots)}
-    cls = [pos[find(x)] for x in range(n)]
-    k = len(roots)
+    members, cls = uf.partition()
+    k = len(members)
     table = [[None] * k for _ in range(k)]
-    members: list[list[int]] = [[] for _ in range(k)]
-    for x in range(n):
-        members[cls[x]].append(x)
     for i in range(k):
         for j in range(k):
             results = {cls[A.join[x][y]] for x in members[i] for y in members[j]}
@@ -794,7 +800,7 @@ def quotient_by_pairs(A: FiniteSemilattice, pairs) -> SLatMorphism:
         "{" + ",".join(A.label(x) for x in members[i]) + "}" for i in range(k)
     )
     Q = validate_semilattice(table, labels)
-    return SLatMorphism(A, Q, tuple(cls))
+    return SLatMorphism(A, Q, tuple(cls[x] for x in range(n)))
 
 
 # ---------------------------------------------------------------------------

@@ -10,18 +10,22 @@ from __future__ import annotations
 import math
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
-from .certificates import Certificate, Check, FAIL, PASS, SKIPPED
-from .errors import CandidateSpaceExceeded, SizeBudget, UnknownSuite
+from .certificates import Certificate, Check, SKIPPED, verdict
+from .errors import CandidateSpaceExceeded, InvalidInput, SizeBudget, UnknownSuite
 
 DEFAULT_BUDGET = 10**7
 
 
 def _env_budget() -> int:
     raw = os.environ.get("REEDYLAB_BUDGET")
-    return int(raw) if raw else DEFAULT_BUDGET
+    if not raw:
+        return DEFAULT_BUDGET
+    try:
+        return int(raw)
+    except ValueError:
+        raise InvalidInput(f"REEDYLAB_BUDGET must be an integer, got {raw!r}") from None
 
 
 @dataclass
@@ -35,13 +39,19 @@ class SuiteConfig:
     corpus_count: int = 200
     out: str | None = None
     fmt: str = "json"
-    jobs: int = 1
 
     def __post_init__(self):
-        assert self.cube_dim >= 0
-        assert self.budget > 0 and self.free_cap > 0
-        assert self.fmt in ("json", "markdown")
-        assert self.jobs >= 1
+        for name, value, low in (
+            ("max_size", self.max_size, 1),
+            ("cube_dim", self.cube_dim, 0),
+            ("free_cap", self.free_cap, 1),
+            ("budget", self.budget, 1),
+            ("corpus_count", self.corpus_count, 0),
+        ):
+            if value is not None and value < low:
+                raise InvalidInput(f"{name} must be at least {low}, got {value}")
+        if self.fmt not in ("json", "markdown"):
+            raise InvalidInput(f"format must be json or markdown, got {self.fmt!r}")
 
     def echo(self) -> dict:
         return {
@@ -55,30 +65,12 @@ class SuiteConfig:
         }
 
 
-def _run_checks(tasks, jobs: int) -> list[Check]:
-    """Run (id, thunk) tasks, each returning a list of Checks; merge in
-    submission order regardless of completion order."""
-
-    def guard(task):
-        cid, thunk = task
-        try:
-            return thunk()
-        except (SizeBudget, CandidateSpaceExceeded) as exc:
-            return [Check(cid, SKIPPED, 0, str(exc))]
-
-    if jobs <= 1:
-        results = [guard(t) for t in tasks]
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(guard, tasks))
-    out: list[Check] = []
-    for chunk in results:
-        out.extend(chunk)
-    return out
-
-
-def _bool_check(cid: str, ok: bool, count: int, witness=None) -> Check:
-    return Check(cid, PASS if ok else FAIL, count, None if ok else witness)
+def _guard(cid: str, thunk) -> list[Check]:
+    """thunk(), or one skipped check when it overruns a budget or size cap."""
+    try:
+        return thunk()
+    except (SizeBudget, CandidateSpaceExceeded) as exc:
+        return [Check(cid, SKIPPED, 0, str(exc))]
 
 
 # ---------------------------------------------------------------------------
@@ -97,7 +89,7 @@ def _suite_hom_counts(cfg: SuiteConfig) -> list:
             def thunk(m=m, n=n):
                 formula, enumerated = cube_hom_count(m, n)
                 checks = [
-                    _bool_check(
+                    verdict(
                         f"formula-matches-enumeration-{m}-{n}",
                         formula == enumerated,
                         enumerated,
@@ -107,7 +99,7 @@ def _suite_hom_counts(cfg: SuiteConfig) -> list:
                 A, B = cube(m), cube(n)
                 pruned = backtrack_homs(A, B)
                 checks.append(
-                    _bool_check(
+                    verdict(
                         f"elementwise-backtracking-agrees-{m}-{n}",
                         pruned == [f.map for f in enumerate_homs(A, B, cfg.budget)],
                         len(pruned),
@@ -116,7 +108,7 @@ def _suite_hom_counts(cfg: SuiteConfig) -> list:
                 if B.size**A.size <= 10**6:
                     literal = all_functions_homs(A, B)
                     checks.append(
-                        _bool_check(
+                        verdict(
                             f"literal-filtration-agrees-{m}-{n}",
                             [f.map for f in literal] == pruned,
                             len(literal),
@@ -132,7 +124,7 @@ def _suite_hom_counts(cfg: SuiteConfig) -> list:
         for n, want in expected.items():
             got = len(dedekind_homs(n, 1, cfg.budget))
             checks.append(
-                _bool_check(
+                verdict(
                     f"monotone-count-into-interval-{n}",
                     got == want,
                     got,
@@ -210,7 +202,7 @@ def _suite_elegant_core(cfg: SuiteConfig) -> list:
             )
             verdicts.append((A, closed, retract, hom_ok))
         checks = [
-            _bool_check(
+            verdict(
                 "triple-agreement-all-classes",
                 all(c == r == h for (_, c, r, h) in verdicts),
                 len(verdicts),
@@ -220,7 +212,7 @@ def _suite_elegant_core(cfg: SuiteConfig) -> list:
                     if not (c == r == h)
                 ],
             ),
-            _bool_check("at-least-nine-classes", len(verdicts) >= 9, len(verdicts)),
+            verdict("at-least-nine-classes", len(verdicts) >= 9, len(verdicts)),
         ]
         tripod = atoms_with_top(3)
         fails = [
@@ -229,7 +221,7 @@ def _suite_elegant_core(cfg: SuiteConfig) -> list:
             if A.size == 4 and are_isomorphic(A, tripod)
         ]
         checks.append(
-            _bool_check(
+            verdict(
                 "tripod-class-fails-all-three",
                 fails == [(False, False, False)],
                 1,
@@ -244,7 +236,7 @@ def _suite_elegant_core(cfg: SuiteConfig) -> list:
             ]
             oks.append(match == [(True, True, True)])
         checks.append(
-            _bool_check("cubes-and-chains-pass-all-three", all(oks), len(good), oks)
+            verdict("cubes-and-chains-pass-all-three", all(oks), len(good), oks)
         )
         return checks
 
@@ -276,7 +268,7 @@ def _suite_relative_elegance(cfg: SuiteConfig) -> list:
                     bad = {"square": sq.refs, "witness": witness}
                     break
             return [
-                _bool_check(
+                verdict(
                     f"hom-preserves-all-lowering-pushouts-{name}",
                     bad is None,
                     count,
@@ -325,6 +317,19 @@ def _suite_presheaf_ez(cfg: SuiteConfig) -> list:
 
     def run():
         (cat2, data2, squares2, exhaustive), (cat3, data3, squares3, seeded) = _corpus(cfg)
+        free2 = next(
+            (
+                i
+                for i, O in enumerate(cat3.objects)
+                if O.size == 3 and len(cat3.isos(i, i)) == 2
+            ),
+            None,
+        )
+        if free2 is None:
+            raise SizeBudget(
+                "presheaf-ez needs max_size >= 3: the representable latching "
+                "check runs at the free semilattice on two generators (size 3)"
+            )
         checks = []
         verdicts = set()
 
@@ -336,14 +341,14 @@ def _suite_presheaf_ez(cfg: SuiteConfig) -> list:
                 if not (a == b == c):
                     bad = {"index": i, "levels": list(X.levels), "triple": [a, b, c]}
                     break
-            return _bool_check(
+            return verdict(
                 f"triple-criteria-agree-{tag}", bad is None, len(corpus), bad
             )
 
         checks.append(sweep("exhaustive-size2", exhaustive, data2, squares2))
         checks.append(sweep("seeded-size3", seeded, data3, squares3))
         checks.append(
-            _bool_check(
+            verdict(
                 "both-verdicts-occur-in-corpus",
                 verdicts == {True, False},
                 len(exhaustive) + len(seeded),
@@ -378,19 +383,14 @@ def _suite_presheaf_ez(cfg: SuiteConfig) -> list:
             if bad:
                 break
         checks.append(
-            _bool_check("latching-two-routes-agree", bad is None, count, bad)
+            verdict("latching-two-routes-agree", bad is None, count, bad)
         )
 
         # representable latching at the free two-generator object
-        free2 = next(
-            i
-            for i, O in enumerate(cat3.objects)
-            if O.size == 3 and len(cat3.isos(i, i)) == 2
-        )
         yo = representable(cat3, free2)
         L = latching_object(yo, free2, data3)
         checks.append(
-            _bool_check(
+            verdict(
                 "representable-latching-size-and-injectivity",
                 len(L.classes) == 7 and L.injective,
                 len(L.classes),
@@ -409,7 +409,7 @@ def _suite_presheaf_ez(cfg: SuiteConfig) -> list:
                 if not is_reedy_mono(Q, data3):
                     bad = {"object": r, "subgroup": len(H)}
         checks.append(
-            _bool_check("autquos-reedy-monomorphic", bad is None, count, bad)
+            verdict("autquos-reedy-monomorphic", bad is None, count, bad)
         )
 
         # the false branch, demonstrated over a base containing a
@@ -417,7 +417,7 @@ def _suite_presheaf_ez(cfg: SuiteConfig) -> list:
         cat5, data5, squares5, X = non_reedy_mono_example()
         a, b, c = _triple(X, data5, squares5)
         checks.append(
-            _bool_check(
+            verdict(
                 "non-mono-witness-all-three-criteria-false",
                 (a, b, c) == (False, False, False),
                 1,
@@ -458,37 +458,44 @@ def _suite_cell_presentation(cfg: SuiteConfig) -> list:
             ("exhaustive-size2", exhaustive, data2),
             ("seeded-size3", seeded, data3),
         ):
-            bad = None
-            squares_count = 0
-            chain_count = 0
+            # each check stops at its own first failure
+            square_bad = chain_bad = None
+            squares_count = chain_count = 0
             for i, X in enumerate(corpus):
                 if not is_reedy_mono(X, data):
                     continue
-                ok, sizes = skeleton_chain_report(X, data)
-                chain_count += 1
-                if not ok:
-                    bad = {"index": i, "reason": "skeleton-chain", "sizes": sizes}
-                    break
+                if chain_bad is None:
+                    ok, sizes = skeleton_chain_report(X, data)
+                    chain_count += 1
+                    if not ok:
+                        chain_bad = {"index": i, "sizes": sizes}
                 for n in sorted(set(data.degree)):
+                    if square_bad is not None:
+                        break
                     rep = verify_cell_square(X, n, data)
                     squares_count += 1
                     if not (rep.commutes and rep.is_pushout and rep.cell_mono):
-                        bad = {
+                        square_bad = {
                             "index": i,
                             "degree": n,
                             "report": [rep.commutes, rep.is_pushout, rep.cell_mono],
                         }
-                        break
-                if bad:
+                if square_bad and chain_bad:
                     break
             checks.append(
-                _bool_check(
-                    f"cell-squares-certify-{tag}", bad is None, squares_count, bad
+                verdict(
+                    f"cell-squares-certify-{tag}",
+                    square_bad is None,
+                    squares_count,
+                    square_bad,
                 )
             )
             checks.append(
-                _bool_check(
-                    f"skeleton-chain-unions-{tag}", bad is None, chain_count, bad
+                verdict(
+                    f"skeleton-chain-unions-{tag}",
+                    chain_bad is None,
+                    chain_count,
+                    chain_bad,
                 )
             )
 
@@ -505,7 +512,7 @@ def _suite_cell_presentation(cfg: SuiteConfig) -> list:
         }
         mono_fail_degrees = {n for n, r in reports.items() if not r.cell_mono}
         checks.append(
-            _bool_check(
+            verdict(
                 "non-mono-witness-commutation-still-holds",
                 commute_ok,
                 len(reports),
@@ -513,7 +520,7 @@ def _suite_cell_presentation(cfg: SuiteConfig) -> list:
             )
         )
         checks.append(
-            _bool_check(
+            verdict(
                 "non-mono-witness-cell-maps-fail-at-latching-degrees",
                 latch_fail_degrees <= mono_fail_degrees and bool(latch_fail_degrees),
                 len(reports),
@@ -524,7 +531,7 @@ def _suite_cell_presentation(cfg: SuiteConfig) -> list:
             )
         )
         checks.append(
-            _bool_check(
+            verdict(
                 "non-mono-witness-pushout-or-mono-fails",
                 any(
                     not (r.is_pushout and r.cell_mono) for r in reports.values()
@@ -572,7 +579,7 @@ def _suite_triangulation(cfg: SuiteConfig) -> list:
             tri = triangulate(C, dim)
             nondeg = len(tri.nondegenerate(n))
             checks.append(
-                _bool_check(
+                verdict(
                     f"nondegenerate-top-cells-{n}",
                     nondeg == math.factorial(n),
                     nondeg,
@@ -587,7 +594,7 @@ def _suite_triangulation(cfg: SuiteConfig) -> list:
             )
             ok = simplicial_isomorphic(tri, prod, bij)
             checks.append(
-                _bool_check(
+                verdict(
                     f"levelwise-product-comparison-{n}",
                     ok,
                     sum(tri.level_sizes()),
@@ -601,7 +608,7 @@ def _suite_triangulation(cfg: SuiteConfig) -> list:
             for k in range(1, 5)
         )
         checks.append(
-            _bool_check("chain-monotone-equals-join-preserving", agree, 4 * dim)
+            verdict("chain-monotone-equals-join-preserving", agree, 4 * dim)
         )
         return checks
 
@@ -648,11 +655,11 @@ def _suite_crown_winding(cfg: SuiteConfig) -> list:
         for n in (3, 4):
             w = winding(identity_crown(n))
             checks.append(
-                _bool_check(f"identity-winds-one-{n}", w == 1, 1, {"got": w})
+                verdict(f"identity-winds-one-{n}", w == 1, 1, {"got": w})
             )
             wf = winding(fold_map(2 * n, n))
             checks.append(
-                _bool_check(f"fold-winds-two-{n}", wf == 2, 1, {"got": wf})
+                verdict(f"fold-winds-two-{n}", wf == 2, 1, {"got": wf})
             )
         return checks
 
@@ -707,8 +714,14 @@ def run_suite(cfg: SuiteConfig) -> Certificate:
             f"unknown suite {cfg.suite!r}; known: {', '.join(sorted(SUITES))}"
         )
     start = time.perf_counter()
-    tasks = SUITES[cfg.suite](cfg)
-    checks = _run_checks(tasks, cfg.jobs)
+
+    def run_tasks():
+        # a suite factory may overrun while building its inputs, so it is
+        # guarded as a whole, and each of its tasks on its own
+        tasks = SUITES[cfg.suite](cfg)
+        return [check for cid, thunk in tasks for check in _guard(cid, thunk)]
+
+    checks = _guard(cfg.suite, run_tasks)
     cert = Certificate(cfg.suite, checks, cfg.echo())
     cert.duration = time.perf_counter() - start
     return cert

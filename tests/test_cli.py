@@ -1,4 +1,9 @@
+import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -118,15 +123,91 @@ def test_budget_overrun_becomes_skipped(monkeypatch):
     assert all(c.status in ("pass", "skipped") for c in cert.checks)
 
 
-def test_jobs_flag_is_deterministic():
-    a = run_suite(SuiteConfig(suite="hom-counts", jobs=1)).json_text(False)
-    b = run_suite(SuiteConfig(suite="hom-counts", jobs=4)).json_text(False)
-    assert a == b
-
-
 def test_budget_env_override(monkeypatch):
     monkeypatch.setenv("REEDYLAB_BUDGET", "12345")
     cfg = SuiteConfig(suite="hom-counts")
     assert cfg.budget == 12345
     monkeypatch.delenv("REEDYLAB_BUDGET")
     assert SuiteConfig(suite="hom-counts").budget == 10**7
+
+
+@pytest.mark.parametrize(
+    "raw, message",
+    [("abc", "REEDYLAB_BUDGET must be an integer"), ("0", "budget must be at least 1")],
+)
+def test_bad_budget_env_exits_two(raw, message, monkeypatch, capsys):
+    monkeypatch.setenv("REEDYLAB_BUDGET", raw)
+    assert main(["sieve-chain"]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_factory_overrun_becomes_one_skipped_check(capsys):
+    # the truncated category is built by the suite factory, before any task
+    assert main(["reedy-axioms", "--budget", "10"]) == 1
+    blob = json.loads(capsys.readouterr().out)
+    assert [(c["id"], c["status"]) for c in blob["checks"]] == [
+        ("reedy-axioms", "skipped")
+    ]
+    assert "exceed budget 10" in blob["checks"][0]["witness"]
+
+
+@pytest.mark.parametrize("size", [1, 2])
+def test_presheaf_ez_below_size_three_is_skipped(size, capsys):
+    assert main(["presheaf-ez", "--max-size", str(size), "--corpus-count", "5"]) == 1
+    blob = json.loads(capsys.readouterr().out)
+    assert [(c["id"], c["status"]) for c in blob["checks"]] == [
+        ("presheaf-ez", "skipped")
+    ]
+    assert "max_size >= 3" in blob["checks"][0]["witness"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["hom-counts", "--cube-dim", "-1"],
+        ["hom-counts", "--max-size", "0"],
+        ["hom-counts", "--budget", "0"],
+        ["presheaf-ez", "--corpus-count", "-1"],
+        ["cube", "homcount", "--m", "-1", "--n", "1"],
+        ["cube", "triangulate", "--n", "1", "--dim", "-1"],
+        ["obstruct", "crown", "--m", "0", "--n", "3"],
+    ],
+)
+def test_out_of_range_input_exits_two(argv, capsys):
+    assert main(argv) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("error: ")
+
+
+def test_config_validation_survives_optimized_mode():
+    code = (
+        "from reedylab.errors import InvalidInput\n"
+        "from reedylab.suites import SuiteConfig\n"
+        "try:\n"
+        "    SuiteConfig(suite='hom-counts', budget=0)\n"
+        "except InvalidInput:\n"
+        "    raise SystemExit(0)\n"
+        "raise SystemExit(1)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    assert subprocess.run([sys.executable, "-O", "-c", code], env=env).returncode == 0
+
+
+def test_cell_square_failure_is_not_a_skeleton_chain_failure(monkeypatch):
+    import reedylab.presheaf as presheaf
+
+    real = presheaf.verify_cell_square
+
+    def failing_at_degree_two(X, n, data):
+        rep = real(X, n, data)
+        return dataclasses.replace(rep, cell_mono=False) if n == 2 else rep
+
+    monkeypatch.setattr(presheaf, "verify_cell_square", failing_at_degree_two)
+    cert = run_suite(SuiteConfig(suite="cell-presentation", corpus_count=5))
+    checks = {c.id: c for c in cert.checks}
+    for tag in ("exhaustive-size2", "seeded-size3"):
+        square = checks[f"cell-squares-certify-{tag}"]
+        assert square.status == "fail" and square.witness["degree"] == 2
+        chain = checks[f"skeleton-chain-unions-{tag}"]
+        assert chain.status == "pass" and chain.witness is None

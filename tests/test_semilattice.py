@@ -7,6 +7,7 @@ from reedylab.semilattice import (
     FinPoset,
     FiniteSemilattice,
     SLatMorphism,
+    UnionFind,
     adjoin_bottom,
     all_functions_homs,
     all_semilattices_upto,
@@ -531,3 +532,34 @@ def test_json_roundtrip():
 def test_covers_of_square():
     P = cube2()
     assert set(P.covers) == {(0, 1), (0, 2), (1, 3), (2, 3)}
+
+
+def test_union_find_reports_merges():
+    uf = UnionFind(range(4))
+    assert uf.union(2, 3) is True
+    assert uf.union(3, 2) is False
+    assert uf.union(0, 3) is True
+    assert uf.union(2, 0) is False
+    assert uf.find(3) == uf.find(2) == uf.find(0)
+
+
+def test_union_find_root_is_least_key_and_classes_sorted_by_root():
+    uf = UnionFind([5, 1, 4, 3, 2, 0])
+    uf.union(5, 4)
+    uf.union(4, 3)
+    uf.union(2, 1)
+    assert [uf.find(k) for k in (5, 4, 3, 2, 1, 0)] == [3, 3, 3, 1, 1, 0]
+    assert uf.classes() == [[0], [1, 2], [3, 4, 5]]
+    classes, index = uf.partition()
+    assert classes == uf.classes()
+    assert index == {0: 0, 1: 1, 2: 1, 3: 2, 4: 2, 5: 2}
+
+
+def test_union_find_tuple_keys():
+    keys = [(r, x) for r in (1, 0) for x in range(2)]
+    uf = UnionFind(keys)
+    assert uf.union((1, 1), (0, 1))
+    assert uf.union((1, 0), (1, 1))
+    assert not uf.union((0, 1), (1, 0))
+    assert uf.find((1, 0)) == (0, 1)
+    assert uf.classes() == [[(0, 0)], [(0, 1), (1, 0), (1, 1)]]
