@@ -121,19 +121,20 @@ def main(argv=None) -> int:
             return _run_one(_config_from(args, args.command))
         if args.command == "all":
             certs = [run_suite(_config_from(args, name)) for name in SUITES]
-            _emit(
-                "\n".join(
-                    c.markdown() if args.format == "markdown" else c.json_text()
-                    for c in certs
-                ),
-                args.out,
-            )
+            if args.format == "markdown":
+                text = "\n".join(c.markdown() for c in certs)
+            else:
+                text = json.dumps([c.to_json() for c in certs], indent=2, sort_keys=True)
+            _emit(text, args.out)
             return _exit_code(*certs)
         if args.command == "export-dot":
             from .dot import export_dot_json
 
-            with open(args.input) as fh:
-                data = json.load(fh)
+            try:
+                with open(args.input) as fh:
+                    data = json.load(fh)
+            except (OSError, ValueError) as exc:
+                raise InvalidInput(f"cannot read {args.input}: {exc}") from exc
             _emit(export_dot_json(data), args.out)
             return EXIT_PASS
         if args.command == "cube":
@@ -141,9 +142,6 @@ def main(argv=None) -> int:
         if args.command == "obstruct":
             return _obstruct_command(args)
         raise UnknownSuite(args.command)
-    except UnknownSuite as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except ReedyLabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

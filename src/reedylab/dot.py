@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from .errors import InvalidInput
 from .obstruction import CrownPoset
 from .reedy import FinCategory
 from .semilattice import FiniteSemilattice
@@ -50,15 +51,15 @@ def export_dot(obj, name: str | None = None) -> str:
     raise TypeError(f"no DOT export for {type(obj).__name__}")
 
 
-def export_dot_json(data: dict) -> str:
+def export_dot_json(data) -> str:
     """Dispatch on the JSON shape: semilattice, crown, or category."""
+    if not isinstance(data, dict):
+        data = {}
     if "crown" in data:
         return crown_dot(CrownPoset(int(data["crown"])))
     if "join" in data:
         return semilattice_dot(FiniteSemilattice.from_json(data))
     if "objects" in data:
         objs = [FiniteSemilattice.from_json(o) for o in data["objects"]]
-        from .reedy import FinCategory as FC
-
-        return category_dot(FC.from_objects(objs))
-    raise ValueError("unrecognized input: expected semilattice, crown, or category JSON")
+        return category_dot(FinCategory.from_objects(objs))
+    raise InvalidInput("unrecognized input: expected semilattice, crown, or category JSON")

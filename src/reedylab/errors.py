@@ -8,10 +8,13 @@ class ReedyLabError(Exception):
 
 
 class ViolatedLaw(ReedyLabError):
-    """A join table fails one of the semilattice laws.
+    """A join table, a morphism or a composition table breaks a law.
 
-    `law` is one of 'square', 'range', 'commutativity', 'associativity',
-    'idempotence'; `witness` is the offending index tuple.
+    `law` is 'square', 'range', 'commutativity', 'associativity' or
+    'idempotence' for a join table; 'join-preservation' for a morphism;
+    'duplicate-morphisms', 'unit' or 'associativity' for the composition
+    table of a category.  `witness` is the offending index or morphism
+    tuple.
     """
 
     def __init__(self, law: str, witness: tuple):

@@ -269,24 +269,12 @@ def weighted_colimit(
 # ---------------------------------------------------------------------------
 
 
-def strictly_lowering_out_of(cat: FinCategory, data: ReedyData, r: int):
-    out = []
-    for s in range(len(cat.objects)):
-        if data.degree[s] >= data.degree[r]:
-            continue
-        for k, f in enumerate(cat.homs[(r, s)]):
-            if f.is_surjective:
-                out.append((r, s, k))
-    return out
+def strictly_lowering_out_of(data: ReedyData, r: int):
+    return [e for e in data.lowering_out[r] if data.degree[e[1]] < data.degree[r]]
 
 
-def lowering_out_of(cat: FinCategory, data: ReedyData, r: int):
-    out = []
-    for s in range(len(cat.objects)):
-        for k, f in enumerate(cat.homs[(r, s)]):
-            if f.is_surjective:
-                out.append((r, s, k))
-    return out
+def lowering_out_of(data: ReedyData, r: int):
+    return data.lowering_out[r]
 
 
 def morphism_degree(cat: FinCategory, ref: MorphRef) -> int:
@@ -312,12 +300,12 @@ def latching_object(X: FinPresheaf, r: int, data: ReedyData) -> LatchingData:
     modulo (f e, x) ~ (e, x f) over lowering f, with the latching map
     sending a class to the restriction x e."""
     cat = X.base
-    lows = strictly_lowering_out_of(cat, data, r)
+    lows = strictly_lowering_out_of(data, r)
     keys = [(e, x) for e in lows for x in range(X.levels[e[1]])]
     uf = UnionFind(keys)
     for e in lows:
         s = e[1]
-        for f in lowering_out_of(cat, data, s):
+        for f in lowering_out_of(data, s):
             fe = cat.compose(e, f)
             for x2 in range(X.levels[f[1]]):
                 uf.union((fe, x2), (e, X.act(f, x2)))
@@ -443,7 +431,7 @@ def is_reedy_mono_morphism(m: PresheafMorphism, data: ReedyData) -> bool:
 
 
 def is_nondegenerate(X: FinPresheaf, r: int, x: int, data: ReedyData) -> bool:
-    for e in strictly_lowering_out_of(X.base, data, r):
+    for e in strictly_lowering_out_of(data, r):
         if any(X.act(e, y) == x for y in range(X.levels[e[1]])):
             return False
     return True
@@ -452,7 +440,7 @@ def is_nondegenerate(X: FinPresheaf, r: int, x: int, data: ReedyData) -> bool:
 def ez_decompositions(X: FinPresheaf, r: int, x: int, data: ReedyData):
     """All pairs (lowering e out of r, nondegenerate y) with y.e = x."""
     out = []
-    for e in lowering_out_of(X.base, data, r):
+    for e in lowering_out_of(data, r):
         for y in range(X.levels[e[1]]):
             if X.act(e, y) == x and is_nondegenerate(X, e[1], y, data):
                 out.append((e, y))
@@ -463,7 +451,7 @@ def ez_decompose(X: FinPresheaf, r: int, x: int, data: ReedyData):
     """A decomposition of minimal intermediate degree, plus that degree."""
     best = None
     for e in sorted(
-        lowering_out_of(X.base, data, r), key=lambda e: (data.degree[e[1]], e)
+        lowering_out_of(data, r), key=lambda e: (data.degree[e[1]], e)
     ):
         if best is not None and data.degree[e[1]] > best[2]:
             break
@@ -815,7 +803,7 @@ def reflects_degeneracy(m: PresheafMorphism, data: ReedyData) -> bool:
     cat = X.base
     for r in range(len(cat.objects)):
         for x in range(X.levels[r]):
-            for e in strictly_lowering_out_of(cat, data, r):
+            for e in strictly_lowering_out_of(data, r):
                 s = e[1]
                 hit_y = any(
                     Y.act(e, y) == m.components[r][x] for y in range(Y.levels[s])
@@ -1095,7 +1083,7 @@ def _some_spans(cat: FinCategory, data: ReedyData, limit: int = 6):
     """A few strictly lowering spans, preferring distinct legs."""
     out = []
     for r in range(len(cat.objects) - 1, -1, -1):
-        lows = strictly_lowering_out_of(cat, data, r)
+        lows = strictly_lowering_out_of(data, r)
         for i, e0 in enumerate(lows):
             for e1 in lows[i:]:
                 out.append((e0, e1))

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .certificates import Certificate, verdict
-from .errors import NotSurjective, SizeBudget
+from .errors import NotSurjective, SizeBudget, ViolatedLaw
 from .semilattice import (
     DEFAULT_CANDIDATE_BUDGET,
     FiniteSemilattice,
@@ -84,13 +84,18 @@ class FinCategory:
         return None
 
     def validate(self) -> None:
-        """Exhaustive associativity and unit checks."""
+        """Exhaustive duplicate, unit and associativity checks of the
+        composition table; raises ViolatedLaw on the first failure."""
         for (a, b), fs in self.homs.items():
-            assert len({f.map for f in fs}) == len(fs), "duplicate morphisms"
-            for k, f in enumerate(fs):
+            if len({f.map for f in fs}) != len(fs):
+                raise ViolatedLaw("duplicate-morphisms", (a, b))
+            for k in range(len(fs)):
                 ref = (a, b, k)
-                assert self.compose(self.identities[a], ref) == ref
-                assert self.compose(ref, self.identities[b]) == ref
+                if (
+                    self.compose(self.identities[a], ref) != ref
+                    or self.compose(ref, self.identities[b]) != ref
+                ):
+                    raise ViolatedLaw("unit", ref)
         for f in self.morphisms():
             for g in self.morphisms():
                 if f[1] != g[0]:
@@ -100,37 +105,40 @@ class FinCategory:
                     if g[1] != h[0]:
                         continue
                     hg = self.compose(g, h)
-                    assert self.compose(gf, h) == self.compose(f, hg)
+                    if self.compose(gf, h) != self.compose(f, hg):
+                        raise ViolatedLaw("associativity", (f, g, h))
 
     @staticmethod
     def from_objects(
         objects, budget: int = DEFAULT_CANDIDATE_BUDGET
     ) -> "FinCategory":
+        """Full subcategory on the objects.  Each composite map is looked up
+        among the enumerated maps of its hom-set, which replaces
+        re-validating it: a composite that is not among them fails the
+        build with a KeyError."""
         objects = tuple(objects)
         homs: dict[tuple[int, int], list[SLatMorphism]] = {}
         for a, A in enumerate(objects):
             for b, B in enumerate(objects):
                 homs[(a, b)] = enumerate_homs(A, B, budget)
-        index = {
-            key: {f.map: k for k, f in enumerate(fs)} for key, fs in homs.items()
-        }
         composition: dict[tuple[MorphRef, MorphRef], MorphRef] = {}
+        cat = FinCategory(objects, homs, composition, ())
+        index = cat._index
         for (a, b), fs in homs.items():
             for c in range(len(objects)):
-                gs = homs[(b, c)]
+                into = index[(a, c)]
+                gs = [g.map.__getitem__ for g in homs[(b, c)]]
                 for i, f in enumerate(fs):
                     for j, g in enumerate(gs):
-                        comp = f.then(g)
                         composition[((a, b, i), (b, c, j))] = (
                             a,
                             c,
-                            index[(a, c)][comp.map],
+                            into[tuple(map(g, f.map))],
                         )
-        identities = tuple(
+        cat.identities = tuple(
             (a, a, index[(a, a)][tuple(range(A.size))])
             for a, A in enumerate(objects)
         )
-        cat = FinCategory(objects, homs, composition, identities)
         return cat
 
     def to_json(self) -> dict:
@@ -166,6 +174,15 @@ class ReedyData:
             lowering[ref] = f.is_surjective
             raising[ref] = f.is_injective
         return ReedyData(degree, lowering, raising)
+
+    @cached_property
+    def lowering_out(self) -> tuple[tuple[MorphRef, ...], ...]:
+        """The lowering maps out of each object, in morphism order."""
+        out: list[list[MorphRef]] = [[] for _ in self.degree]
+        for ref in sorted(self.lowering):
+            if self.lowering[ref]:
+                out[ref[0]].append(ref)
+        return tuple(map(tuple, out))
 
 
 @dataclass
@@ -270,33 +287,30 @@ def pushout_via_congruence(e0: SLatMorphism, e1: SLatMorphism) -> SLatMorphism:
 
 
 def verify_pushout_universal(
-    square: LoweringPushoutSquare,
-    test_objects,
-    budget: int = DEFAULT_CANDIDATE_BUDGET,
+    cat: FinCategory, square: LoweringPushoutSquare
 ) -> tuple[bool, int, object]:
-    """Exhaustively test the universal property against all cocones into
-    the given objects: each commuting cocone factors uniquely."""
+    """Exhaustively test the universal property of a category-resident
+    square against all cocones into the category's objects: each
+    commuting cocone factors uniquely.  Composites come from the table."""
+    e0, e1, f0, f1 = square.refs
     count = 0
-    for C in test_objects:
-        h0s = enumerate_homs(square.e0.cod, C, budget)
-        h1s = enumerate_homs(square.e1.cod, C, budget)
-        hps = enumerate_homs(square.carrier, C, budget)
-        for g0 in h0s:
-            left = square.e0.then(g0).map
-            for g1 in h1s:
-                if square.e1.then(g1).map != left:
+    for c in range(len(cat.objects)):
+        g0s, g1s, hs = (
+            [(s, c, k) for k in range(len(cat.hom(s, c)))]
+            for s in (e0[1], e1[1], f0[1])
+        )
+        through = [(cat.compose(f0, h), cat.compose(f1, h)) for h in hs]
+        for g0 in g0s:
+            left = cat.compose(e0, g0)
+            for g1 in g1s:
+                if cat.compose(e1, g1) != left:
                     continue
                 count += 1
-                mediating = [
-                    h
-                    for h in hps
-                    if square.f0.then(h).map == g0.map
-                    and square.f1.then(h).map == g1.map
-                ]
-                if len(mediating) != 1:
+                mediating = through.count((g0, g1))
+                if mediating != 1:
                     return False, count, {
-                        "cocone": [list(g0.map), list(g1.map)],
-                        "mediating": len(mediating),
+                        "cocone": [list(cat.mor(g0).map), list(cat.mor(g1).map)],
+                        "mediating": mediating,
                     }
     return True, count, None
 
@@ -311,9 +325,7 @@ def reedy_category_on(
     data = ReedyData.of_category(cat)
     squares: list[LoweringPushoutSquare] = []
     for a in range(len(cat.objects)):
-        surjs = [
-            ref for ref in cat.morphisms() if ref[0] == a and data.lowering[ref]
-        ]
+        surjs = data.lowering_out[a]
         for i, r0 in enumerate(surjs):
             for r1 in surjs[i:]:
                 square = lowering_pushout(cat.mor(r0), cat.mor(r1))
@@ -585,7 +597,6 @@ def certify_pre_elegance(
     cat: FinCategory,
     data: ReedyData,
     squares: list[LoweringPushoutSquare],
-    budget: int = DEFAULT_CANDIDATE_BUDGET,
 ) -> Certificate:
     """Closure under lowering pushouts, lowering maps epi, the set-level
     and congruence-quotient pushouts agreeing, and bounded universality."""
@@ -645,9 +656,7 @@ def certify_pre_elegance(
     def universal():
         n = 0
         for sq in squares:
-            ok, cocones, witness = verify_pushout_universal(
-                sq, cat.objects, budget
-            )
+            ok, cocones, witness = verify_pushout_universal(cat, sq)
             n += cocones
             if not ok:
                 return False, n, witness

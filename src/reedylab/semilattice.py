@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from .errors import (
     CandidateSpaceExceeded,
@@ -538,20 +538,14 @@ def enumerate_homs(
     so candidates are assigned only there (for a cube this specializes to
     the free parametrization: a bottom image plus generator images above
     it).  Each extension is verified against the full join table, which
-    makes the enumeration exact for arbitrary A.
+    makes the enumeration exact for arbitrary A.  The 1024 most recent
+    hom-sets are cached; every call returns a fresh list.
     """
-    key = (A, B, budget)
-    cached = _HOM_CACHE.get(key)
-    if cached is None:
-        cached = _enumerate_homs_uncached(A, B, budget)
-        _HOM_CACHE[key] = cached
-    return list(cached)
+    return list(_enumerate_homs_cached(A, B, budget))
 
 
-_HOM_CACHE: dict = {}
-
-
-def _enumerate_homs_uncached(
+@lru_cache(maxsize=1024)
+def _enumerate_homs_cached(
     A: FiniteSemilattice,
     B: FiniteSemilattice,
     budget: int,

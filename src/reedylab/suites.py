@@ -165,10 +165,7 @@ def _suite_pre_elegance(cfg: SuiteConfig) -> list:
     return [
         ("axioms", lambda: certify_reedy_axioms(cat, data).checks),
         ("cancellation", lambda: certify_cancellation(cat, data).checks),
-        (
-            "pre-elegance",
-            lambda: certify_pre_elegance(cat, data, squares, cfg.budget).checks,
-        ),
+        ("pre-elegance", lambda: certify_pre_elegance(cat, data, squares).checks),
     ]
 
 

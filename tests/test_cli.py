@@ -95,6 +95,32 @@ def test_cli_export_dot(tmp_path, capsys):
     assert text.count("->") == 8
 
 
+@pytest.mark.parametrize(
+    "content",
+    [None, "{not json", json.dumps({"unknown": 1}), json.dumps([1, 2])],
+    ids=["missing-file", "malformed-json", "unknown-shape", "not-an-object"],
+)
+def test_cli_export_dot_bad_input_exits_two(content, tmp_path, capsys):
+    src = tmp_path / "input.json"
+    if content is not None:
+        src.write_text(content)
+    assert main(["export-dot", "--input", str(src)]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("error: ")
+
+
+def test_cli_all_json_is_one_array(monkeypatch, capsys):
+    import reedylab.cli as cli
+
+    fast = ("sieve-chain", "obstruction-u")
+    monkeypatch.setattr(cli, "SUITES", {name: SUITES[name] for name in fast})
+    assert main(["all"]) == 0
+    blob = json.loads(capsys.readouterr().out)
+    assert [cert["suite"] for cert in blob] == list(fast)
+    assert all(c["status"] == "pass" for cert in blob for c in cert["checks"])
+
+
 def test_dot_shapes_directly():
     assert semilattice_dot(terminal()).count("->") == 0
     P, _, _ = product(interval(), interval())

@@ -1,6 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
-from reedylab.errors import NotSurjective, SizeBudget
+from reedylab.errors import NotSurjective, SizeBudget, ViolatedLaw
 from reedylab.obstruction import map_t, map_u
 from reedylab.reedy import (
     ReedyData,
@@ -106,7 +111,7 @@ def test_pushout_requires_surjections():
 def test_pushout_universal_property(trunc3):
     cat, data, squares = trunc3
     for sq in squares[:10]:
-        ok, count, witness = verify_pushout_universal(sq, cat.objects)
+        ok, count, witness = verify_pushout_universal(cat, sq)
         assert ok, witness
 
 
@@ -230,3 +235,75 @@ def test_category_json_roundtrip(trunc3):
     blob = cat.to_json()
     assert len(blob["objects"]) == 4
     assert blob["homs"]["1:1"] == [[0, 0], [0, 1], [1, 1]]
+
+
+def _status(cert, check_id):
+    return next(c.status for c in cert.checks if c.id == check_id)
+
+
+def _hom_refs(cat, a, b):
+    return [(a, b, k) for k in range(len(cat.hom(a, b)))]
+
+
+def test_validate_raises_on_corrupted_unit():
+    cat, data, squares = truncated_semilattice_category(3)
+    ref = (1, 1, 0)
+    assert not cat.is_identity(ref)
+    cat.composition[(cat.identities[1], ref)] = cat.identities[1]
+    with pytest.raises(ViolatedLaw) as err:
+        cat.validate()
+    assert err.value.law == "unit"
+
+
+def test_validate_survives_optimized_mode():
+    code = (
+        "from reedylab.errors import ViolatedLaw\n"
+        "from reedylab.reedy import truncated_semilattice_category\n"
+        "cat, _, _ = truncated_semilattice_category(3)\n"
+        "cat.composition[(cat.identities[1], (1, 1, 0))] = cat.identities[1]\n"
+        "try:\n"
+        "    cat.validate()\n"
+        "except ViolatedLaw:\n"
+        "    raise SystemExit(0)\n"
+        "raise SystemExit(1)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    assert subprocess.run([sys.executable, "-O", "-c", code], env=env).returncode == 0
+
+
+def test_pushout_universal_property_reads_the_table():
+    cat, data, squares = truncated_semilattice_category(3)
+    cert = certify_pre_elegance(cat, data, squares)
+    assert _status(cert, "pushout-universal-property") == "pass"
+    # a square with two composites to tell apart and a second map g1
+    # next to f1 in Hom(b1, p)
+    e0, e1, f0, f1 = next(
+        sq.refs
+        for sq in squares
+        if (sq.refs[0], sq.refs[2]) != (sq.refs[1], sq.refs[3])
+        and len(cat.hom(sq.refs[1][1], sq.refs[3][1])) > 1
+    )
+    g1 = next(g for g in _hom_refs(cat, e1[1], f1[1]) if g != f1)
+    # e0 then f0 now equals e1 then g1, so (f0, g1) looks like a cocone
+    # with no mediating map
+    cat.composition[(e0, f0)] = cat.compose(e1, g1)
+    assert cat.compose(e0, f0) != cat.compose(e1, f1)
+    cert = certify_pre_elegance(cat, data, squares)
+    assert _status(cert, "pushout-universal-property") == "fail"
+
+
+def test_closed_classes_reads_the_table():
+    cat, data, squares = truncated_semilattice_category(3)
+    f, g = next(
+        (f, g)
+        for f in cat.morphisms()
+        for g in data.lowering_out[f[1]]
+        if data.lowering[f]
+        and any(not data.lowering[h] for h in _hom_refs(cat, f[0], g[1]))
+    )
+    cat.composition[(f, g)] = next(
+        h for h in _hom_refs(cat, f[0], g[1]) if not data.lowering[h]
+    )
+    cert = certify_reedy_axioms(cat, data)
+    assert _status(cert, "classes-closed-under-composition") == "fail"
+
