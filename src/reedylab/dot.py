@@ -34,9 +34,10 @@ def category_dot(cat: FinCategory, name: str = "category") -> str:
     lines = [f'digraph "{name}" {{']
     for i, O in enumerate(cat.objects):
         lines.append(f'  n{i} [label="#{i} (size {O.size})"];')
-    for (a, b), fs in sorted(cat.homs.items()):
-        if fs:
-            lines.append(f'  n{a} -> n{b} [label="{len(fs)}"];')
+    for a in range(len(cat.objects)):
+        for b in range(len(cat.objects)):
+            if fs := cat.hom(a, b):
+                lines.append(f'  n{a} -> n{b} [label="{len(fs)}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -52,14 +53,22 @@ def export_dot(obj, name: str | None = None) -> str:
 
 
 def export_dot_json(data) -> str:
-    """Dispatch on the JSON shape: semilattice, crown, or category."""
+    """Dispatch on the JSON shape: semilattice, crown, or category.  A bad
+    field value raises InvalidInput."""
     if not isinstance(data, dict):
         data = {}
     if "crown" in data:
-        return crown_dot(CrownPoset(int(data["crown"])))
-    if "join" in data:
-        return semilattice_dot(FiniteSemilattice.from_json(data))
+        n = data["crown"]
+        if not isinstance(n, int) or n < 3:
+            raise InvalidInput(f"crown must be an integer >= 3, got {n!r}")
+        return crown_dot(CrownPoset(n))
+    try:
+        if "join" in data:
+            return semilattice_dot(FiniteSemilattice.from_json(data))
+        if "objects" in data:
+            objs = [FiniteSemilattice.from_json(o) for o in data["objects"]]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InvalidInput(f"bad semilattice JSON: {exc!r}") from exc
     if "objects" in data:
-        objs = [FiniteSemilattice.from_json(o) for o in data["objects"]]
         return category_dot(FinCategory.from_objects(objs))
     raise InvalidInput("unrecognized input: expected semilattice, crown, or category JSON")

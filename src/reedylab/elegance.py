@@ -98,12 +98,16 @@ def hom_preserves_lowering_pushout(
     idx0 = {f.map: i for i, f in enumerate(homs_0)}
     idx1 = {f.map: i for i, f in enumerate(homs_1)}
     n0, n1 = len(homs_0), len(homs_1)
+
+    def after(g: SLatMorphism, fs: list[SLatMorphism]) -> list[tuple[int, ...]]:
+        """The maps of g after each f, without building the morphisms."""
+        return [tuple(map(g.map.__getitem__, f.map)) for f in fs]
+
     uf = UnionFind(range(n0 + n1))
-    for h in homs_d:
-        uf.union(idx0[h.then(square.e0).map], n0 + idx1[h.then(square.e1).map])
+    for h0, h1 in zip(after(square.e0, homs_d), after(square.e1, homs_d)):
+        uf.union(idx0[h0], n0 + idx1[h1])
     # comparison into Hom(A, carrier)
-    value = [f.then(square.f0).map for f in homs_0]
-    value += [g.then(square.f1).map for g in homs_1]
+    value = after(square.f0, homs_0) + after(square.f1, homs_1)
     hit = []
     for cls in uf.classes():
         if len({value[x] for x in cls}) != 1:

@@ -11,10 +11,13 @@ class ViolatedLaw(ReedyLabError):
     """A join table, a morphism or a composition table breaks a law.
 
     `law` is 'square', 'range', 'commutativity', 'associativity' or
-    'idempotence' for a join table; 'join-preservation' for a morphism;
-    'duplicate-morphisms', 'unit' or 'associativity' for the composition
-    table of a category.  `witness` is the offending index or morphism
-    tuple.
+    'idempotence' for a join table; 'length', 'range' or
+    'join-preservation' for a morphism; 'duplicate-morphisms', 'unit' or
+    'associativity' for the composition table of a category;
+    'missing-action', 'length', 'range', 'unit' or 'functoriality' for a
+    presheaf or covariant diagram; 'base', 'length', 'range' or
+    'naturality' for a presheaf morphism.  `witness` is the offending
+    index or morphism tuple.
     """
 
     def __init__(self, law: str, witness: tuple):

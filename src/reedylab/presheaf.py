@@ -13,6 +13,7 @@ import random
 from dataclasses import dataclass
 
 from .certificates import Certificate, verdict
+from .errors import ViolatedLaw
 from .reedy import FinCategory, LoweringPushoutSquare, MorphRef, ReedyData
 from .semilattice import UnionFind
 
@@ -38,24 +39,27 @@ class FinPresheaf:
         return sum(self.levels)
 
     def validate(self) -> None:
-        cat = self.base
+        """Raise ViolatedLaw unless the actions form a functor."""
+        cat, levels, actions = self.base, self.levels, self.actions
+        if len(levels) != len(cat.objects):
+            raise ViolatedLaw("length", ())
         for ref in cat.morphisms():
             a, b, _ = ref
-            act = self.actions[ref]
-            assert len(act) == self.levels[b]
-            assert all(0 <= v < self.levels[a] for v in act)
-        for a, _ in enumerate(cat.objects):
-            assert self.actions[cat.identities[a]] == tuple(range(self.levels[a]))
-        for f in cat.morphisms():
-            for g in cat.morphisms():
-                if f[1] != g[0]:
-                    continue
-                gf = cat.compose(f, g)
-                for x in range(self.levels[g[1]]):
-                    assert (
-                        self.actions[f][self.actions[g][x]]
-                        == self.actions[gf][x]
-                    ), (f, g, x)
+            if ref not in actions:
+                raise ViolatedLaw("missing-action", ref)
+            act = actions[ref]
+            if len(act) != levels[b]:
+                raise ViolatedLaw("length", ref)
+            if not all(isinstance(v, int) and 0 <= v < levels[a] for v in act):
+                raise ViolatedLaw("range", ref)
+        for a, ident in enumerate(cat.identities):
+            if actions[ident] != tuple(range(levels[a])):
+                raise ViolatedLaw("unit", ident)
+        for f, g, gf in cat.composable():
+            act_f, act_g, act_gf = actions[f], actions[g], actions[gf]
+            for x in range(levels[g[1]]):
+                if act_f[act_g[x]] != act_gf[x]:
+                    raise ViolatedLaw("functoriality", (f, g, x))
 
     def to_json(self) -> dict:
         return {
@@ -85,18 +89,23 @@ class PresheafMorphism:
     components: tuple[tuple[int, ...], ...]
 
     def validate(self) -> None:
-        assert self.dom.base is self.cod.base
-        cat = self.dom.base
-        for r in range(len(cat.objects)):
-            assert len(self.components[r]) == self.dom.levels[r]
-            assert all(0 <= v < self.cod.levels[r] for v in self.components[r])
-        for f in cat.morphisms():
+        """Raise ViolatedLaw unless the components form a natural
+        transformation between presheaves on one base."""
+        X, Y, comps = self.dom, self.cod, self.components
+        if X.base is not Y.base:
+            raise ViolatedLaw("base", ())
+        if len(comps) != len(X.levels):
+            raise ViolatedLaw("length", ())
+        for r, comp in enumerate(comps):
+            if len(comp) != X.levels[r]:
+                raise ViolatedLaw("length", (r,))
+            if not all(0 <= v < Y.levels[r] for v in comp):
+                raise ViolatedLaw("range", (r,))
+        for f in X.base.morphisms():
             a, b, _ = f
-            for x in range(self.dom.levels[b]):
-                assert (
-                    self.components[a][self.dom.act(f, x)]
-                    == self.cod.act(f, self.components[b][x])
-                ), (f, x)
+            for x in range(X.levels[b]):
+                if comps[a][X.act(f, x)] != Y.act(f, comps[b][x]):
+                    raise ViolatedLaw("naturality", (f, x))
 
     @property
     def is_levelwise_injective(self) -> bool:
@@ -112,15 +121,12 @@ class PresheafMorphism:
 
 def representable(cat: FinCategory, r: int) -> FinPresheaf:
     """yo(r): level at s is Hom(s, r), acting by precomposition."""
-    levels = tuple(len(cat.homs[(s, r)]) for s in range(len(cat.objects)))
-    actions = {}
-    for f in cat.morphisms():
-        a, b, _ = f
-        actions[f] = tuple(
-            cat.compose(f, (b, r, g))[2] for g in range(levels[b])
-        )
-    X = FinPresheaf(cat, levels, actions)
-    return X
+    levels = tuple(len(cat.hom(s, r)) for s in range(len(cat.objects)))
+    actions = {
+        f: tuple(cat.compose(f, g)[2] for g in cat.refs(f[1], r))
+        for f in cat.morphisms()
+    }
+    return FinPresheaf(cat, levels, actions)
 
 
 def subgroup_closure_ok(cat: FinCategory, r: int, H: list[MorphRef]) -> bool:
@@ -218,21 +224,23 @@ class CovariantDiagram:
     actions: dict[MorphRef, tuple[int, ...]]
 
     def validate(self) -> None:
-        cat = self.base
-        for a in range(len(cat.objects)):
-            assert self.actions[cat.identities[a]] == tuple(range(self.levels[a]))
+        """Raise ViolatedLaw unless the actions form a functor."""
+        cat, levels, actions = self.base, self.levels, self.actions
         for f in cat.morphisms():
             a, b, _ = f
-            assert len(self.actions[f]) == self.levels[a]
-            for g in cat.morphisms():
-                if f[1] != g[0]:
-                    continue
-                gf = cat.compose(f, g)
-                for x in range(self.levels[a]):
-                    assert (
-                        self.actions[g][self.actions[f][x]]
-                        == self.actions[gf][x]
-                    )
+            if f not in actions:
+                raise ViolatedLaw("missing-action", f)
+            if len(actions[f]) != levels[a]:
+                raise ViolatedLaw("length", f)
+            if not all(0 <= v < levels[b] for v in actions[f]):
+                raise ViolatedLaw("range", f)
+        for a, ident in enumerate(cat.identities):
+            if actions[ident] != tuple(range(levels[a])):
+                raise ViolatedLaw("unit", ident)
+        for f, g, gf in cat.composable():
+            for x in range(levels[f[0]]):
+                if actions[g][actions[f][x]] != actions[gf][x]:
+                    raise ViolatedLaw("functoriality", (f, g, x))
 
 
 def weighted_colimit(
@@ -326,19 +334,12 @@ def latching_object_via_weights(
     deg(r) (not only lowering ones) and glue along every morphism."""
     cat = X.base
     n = data.degree[r]
-    weight = [
-        f
-        for f in cat.morphisms()
-        if f[0] == r and morphism_degree(cat, f) < n
-    ]
+    weight = [f for f in cat.out_of(r) if morphism_degree(cat, f) < n]
     keys = [(f, x) for f in weight for x in range(X.levels[f[1]])]
     uf = UnionFind(keys)
     wset = set(weight)
     for f in weight:
-        s = f[1]
-        for g in cat.morphisms():
-            if g[0] != s:
-                continue
+        for g in cat.out_of(f[1]):
             gf = cat.compose(f, g)
             assert gf in wset, "degree can only drop under postcomposition"
             for x2 in range(X.levels[g[1]]):
@@ -539,13 +540,12 @@ def sub_presheaf_closure(X: FinPresheaf, seeds) -> tuple[FinPresheaf, PresheafMo
     while changed:
         changed = False
         for (b, x) in list(S):
-            for f in cat.morphisms():
-                if f[1] != b:
-                    continue
-                key = (f[0], X.act(f, x))
-                if key not in S:
-                    S.add(key)
-                    changed = True
+            for a in range(len(cat.objects)):
+                for f in cat.refs(a, b):
+                    key = (a, X.act(f, x))
+                    if key not in S:
+                        S.add(key)
+                        changed = True
     keep = [[] for _ in cat.objects]
     for (r, x) in S:
         keep[r].append(x)
@@ -620,76 +620,66 @@ def verify_cell_square(
     details = []
     for s in range(len(cat.objects)):
         # upper-right corner: all maps into degree-n objects, X elements
-        ur_keys = []
-        for r in objs_n:
-            for g in range(len(cat.homs[(s, r)])):
-                for x in range(X.levels[r]):
-                    ur_keys.append((r, g, x))
+        ur_keys = [
+            (g, x)
+            for r in objs_n
+            for g in cat.refs(s, r)
+            for x in range(X.levels[r])
+        ]
         ur = UnionFind(ur_keys)
         for r in objs_n:
             for r2 in objs_n:
                 for th in cat.isos(r, r2):
-                    for g in range(len(cat.homs[(s, r)])):
-                        tg = cat.compose((s, r, g), th)[2]
+                    for g in cat.refs(s, r):
+                        tg = cat.compose(g, th)
                         for x2 in range(X.levels[r2]):
-                            ur.union((r2, tg, x2), (r, g, X.act(th, x2)))
+                            ur.union((tg, x2), (g, X.act(th, x2)))
         ur_classes, ur_class_of = ur.partition()
 
         # upper-left corner: pushout of the boundary-weighted latching data
         low_weight = {
-            r: [
-                g
-                for g in range(len(cat.homs[(s, r)]))
-                if morphism_degree(cat, (s, r, g)) < n
-            ]
+            r: [g for g in cat.refs(s, r) if morphism_degree(cat, g) < n]
             for r in objs_n
         }
         ul_keys = []
         for r in objs_n:
-            for g in range(len(cat.homs[(s, r)])):
+            for g in cat.refs(s, r):
                 for c in range(len(L[r].classes)):
-                    ul_keys.append(("yo", r, g, c))
+                    ul_keys.append(("yo", g, c))
             for g in low_weight[r]:
                 for x in range(X.levels[r]):
-                    ul_keys.append(("bd", r, g, x))
+                    ul_keys.append(("bd", g, x))
         ul = UnionFind(ul_keys)
         for r in objs_n:
             for r2 in objs_n:
                 for th in cat.isos(r, r2):
                     th_on_latch = _iso_on_latching(cat, X, th, L[r], L[r2])
-                    for g in range(len(cat.homs[(s, r)])):
-                        tg = cat.compose((s, r, g), th)[2]
+                    for g in cat.refs(s, r):
+                        tg = cat.compose(g, th)
                         for c2 in range(len(L[r2].classes)):
-                            ul.union(
-                                ("yo", r2, tg, c2), ("yo", r, g, th_on_latch[c2])
-                            )
+                            ul.union(("yo", tg, c2), ("yo", g, th_on_latch[c2]))
                     for g in low_weight[r]:
-                        tg = cat.compose((s, r, g), th)[2]
+                        tg = cat.compose(g, th)
                         for x2 in range(X.levels[r2]):
-                            ul.union(
-                                ("bd", r2, tg, x2), ("bd", r, g, X.act(th, x2))
-                            )
+                            ul.union(("bd", tg, x2), ("bd", g, X.act(th, x2)))
         # glue the two weighted pieces along the boundary-weighted latching
         for r in objs_n:
             for g in low_weight[r]:
                 for c in range(len(L[r].classes)):
-                    ul.union(("yo", r, g, c), ("bd", r, g, L[r].latch[c]))
+                    ul.union(("yo", g, c), ("bd", g, L[r].latch[c]))
         ul_classes, ul_class_of = ul.partition()
 
-        # the four maps of the square, elementwise
+        # the four maps of the square, elementwise; a "yo" node names a
+        # latching class of the codomain of g, a "bd" node an element
+        def element(node):
+            kind, g, v = node
+            return (g, L[g[1]].latch[v] if kind == "yo" else v)
+
         def ul_to_sk(node):
-            if node[0] == "yo":
-                _, r, g, c = node
-                return X.act((s, r, g), L[r].latch[c])
-            _, r, g, x = node
-            return X.act((s, r, g), x)
+            return X.act(*element(node))
 
         def ul_to_ur(node):
-            if node[0] == "yo":
-                _, r, g, c = node
-                return ur_class_of[(r, g, L[r].latch[c])]
-            _, r, g, x = node
-            return ur_class_of[(r, g, x)]
+            return ur_class_of[element(node)]
 
         skn_set = set(skn_incl.components[s])
         sknext_set = list(sknext_incl.components[s])
@@ -712,7 +702,7 @@ def verify_cell_square(
 
         ur_sknext = []
         for ci, cls in enumerate(ur_classes):
-            vals = {X.act((s, r, g), x) for (r, g, x) in cls}
+            vals = {X.act(g, x) for (g, x) in cls}
             if len(vals) != 1:
                 commutes = False
                 details.append({"level": s, "reason": "right-map-ill-defined"})
@@ -954,9 +944,9 @@ def span_pushout_of_representables(
     pairs = []
     for s in range(len(cat.objects)):
         offset = Y0.levels[s]
-        for f in range(len(cat.homs[(s, a)])):
-            i0 = cat.compose((s, a, f), e0)[2]
-            i1 = cat.compose((s, a, f), e1)[2]
+        for f in cat.refs(s, a):
+            i0 = cat.compose(f, e0)[2]
+            i1 = cat.compose(f, e1)[2]
             pairs.append((s, i0, offset + i1))
     Q, _ = quotient_presheaf(X, pairs)
     return Q
@@ -1013,22 +1003,12 @@ def enumerate_presheaves(cat: FinCategory, max_level: int):
             for f, act in zip(non_id, combo):
                 actions[f] = act
             X = FinPresheaf(cat, levels, actions)
-            if _functorial(X):
-                out.append(X)
-    return out
-
-
-def _functorial(X: FinPresheaf) -> bool:
-    cat = X.base
-    for f in cat.morphisms():
-        for g in cat.morphisms():
-            if f[1] != g[0]:
+            try:
+                X.validate()
+            except ViolatedLaw:
                 continue
-            gf = cat.compose(f, g)
-            for x in range(X.levels[g[1]]):
-                if X.actions[f][X.actions[g][x]] != X.actions[gf][x]:
-                    return False
-    return True
+            out.append(X)
+    return out
 
 
 def seeded_corpus(

@@ -9,6 +9,7 @@ well-definedness is asserted, which is itself one of the certified facts.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -52,10 +53,25 @@ class FinCategory:
         """g after f; f: a -> b, g: b -> c."""
         return self.composition[(f, g)]
 
+    def refs(self, a: int, b: int) -> tuple[MorphRef, ...]:
+        """The MorphRefs of Hom(a, b), in hom order."""
+        return self._refs[(a, b)]
+
+    def out_of(self, a: int) -> tuple[MorphRef, ...]:
+        """The MorphRefs with domain a, in morphism order."""
+        return self._out[a]
+
     def morphisms(self):
-        for (a, b), fs in sorted(self.homs.items()):
-            for k in range(len(fs)):
-                yield (a, b, k)
+        for refs in self._out:
+            yield from refs
+
+    def composable(self):
+        """(f, g, g after f) for every composable pair: f in morphism
+        order, g in morphism order among the maps out of f's codomain."""
+        table, out = self.composition, self._out
+        for f in self.morphisms():
+            for g in out[f[1]]:
+                yield f, g, table[(f, g)]
 
     def find(self, a: int, b: int, f: SLatMorphism) -> MorphRef:
         k = self._index[(a, b)][f.map]
@@ -68,13 +84,25 @@ class FinCategory:
             for key, fs in self.homs.items()
         }
 
+    @cached_property
+    def _refs(self) -> dict[tuple[int, int], tuple[MorphRef, ...]]:
+        return {
+            (a, b): tuple((a, b, k) for k in range(len(fs)))
+            for (a, b), fs in self.homs.items()
+        }
+
+    @cached_property
+    def _out(self) -> tuple[tuple[MorphRef, ...], ...]:
+        out: list[list[MorphRef]] = [[] for _ in self.objects]
+        for key in sorted(self._refs):
+            out[key[0]].extend(self._refs[key])
+        return tuple(map(tuple, out))
+
     def is_identity(self, ref: MorphRef) -> bool:
         return ref == self.identities[ref[0]]
 
     def isos(self, a: int, b: int) -> list[MorphRef]:
-        return [
-            (a, b, k) for k, f in enumerate(self.homs[(a, b)]) if f.is_iso
-        ]
+        return [r for r, f in zip(self.refs(a, b), self.hom(a, b)) if f.is_iso]
 
     def object_of(self, A: FiniteSemilattice) -> int | None:
         cf = canonical_form(A)
@@ -89,24 +117,16 @@ class FinCategory:
         for (a, b), fs in self.homs.items():
             if len({f.map for f in fs}) != len(fs):
                 raise ViolatedLaw("duplicate-morphisms", (a, b))
-            for k in range(len(fs)):
-                ref = (a, b, k)
+            for ref in self.refs(a, b):
                 if (
                     self.compose(self.identities[a], ref) != ref
                     or self.compose(ref, self.identities[b]) != ref
                 ):
                     raise ViolatedLaw("unit", ref)
-        for f in self.morphisms():
-            for g in self.morphisms():
-                if f[1] != g[0]:
-                    continue
-                gf = self.compose(f, g)
-                for h in self.morphisms():
-                    if g[1] != h[0]:
-                        continue
-                    hg = self.compose(g, h)
-                    if self.compose(gf, h) != self.compose(f, hg):
-                        raise ViolatedLaw("associativity", (f, g, h))
+        for f, g, gf in self.composable():
+            for h in self.out_of(g[1]):
+                if self.compose(gf, h) != self.compose(f, self.compose(g, h)):
+                    raise ViolatedLaw("associativity", (f, g, h))
 
     @staticmethod
     def from_objects(
@@ -295,10 +315,7 @@ def verify_pushout_universal(
     e0, e1, f0, f1 = square.refs
     count = 0
     for c in range(len(cat.objects)):
-        g0s, g1s, hs = (
-            [(s, c, k) for k in range(len(cat.hom(s, c)))]
-            for s in (e0[1], e1[1], f0[1])
-        )
+        g0s, g1s, hs = (cat.refs(s, c) for s in (e0[1], e1[1], f0[1]))
         through = [(cat.compose(f0, h), cat.compose(f1, h)) for h in hs]
         for g0 in g0s:
             left = cat.compose(e0, g0)
@@ -392,19 +409,12 @@ def quotient_closure(
 def _factorizations(cat: FinCategory, data: ReedyData, ref: MorphRef):
     """All (lowering, raising) factorizations of ref through category objects."""
     a, b, _ = ref
-    out = []
-    for c in range(len(cat.objects)):
-        for i in range(len(cat.homs[(a, c)])):
-            e = (a, c, i)
-            if not data.lowering[e]:
-                continue
-            for j in range(len(cat.homs[(c, b)])):
-                m = (c, b, j)
-                if not data.raising[m]:
-                    continue
-                if cat.compose(e, m) == ref:
-                    out.append((e, m))
-    return out
+    return [
+        (e, m)
+        for e in data.lowering_out[a]
+        for m in cat.refs(e[1], b)
+        if data.raising[m] and cat.compose(e, m) == ref
+    ]
 
 
 def certify_reedy_axioms(cat: FinCategory, data: ReedyData) -> Certificate:
@@ -414,16 +424,12 @@ def certify_reedy_axioms(cat: FinCategory, data: ReedyData) -> Certificate:
 
     def closed_classes():
         n = 0
-        for f in morphs:
-            for g in morphs:
-                if f[1] != g[0]:
-                    continue
-                n += 1
-                gf = cat.compose(f, g)
-                if data.lowering[f] and data.lowering[g] and not data.lowering[gf]:
-                    return False, n, {"f": f, "g": g}
-                if data.raising[f] and data.raising[g] and not data.raising[gf]:
-                    return False, n, {"f": f, "g": g}
+        for f, g, gf in cat.composable():
+            n += 1
+            if data.lowering[f] and data.lowering[g] and not data.lowering[gf]:
+                return False, n, {"f": f, "g": g}
+            if data.raising[f] and data.raising[g] and not data.raising[gf]:
+                return False, n, {"f": f, "g": g}
         return True, n, None
 
     cert.add(verdict("classes-closed-under-composition", *closed_classes()))
@@ -495,19 +501,16 @@ def certify_reedy_axioms(cat: FinCategory, data: ReedyData) -> Certificate:
                 if not data.raising[m]:
                     continue
                 # squares u: dom(e) -> dom(m), v: cod(e) -> cod(m), m u = v e
-                for iu in range(len(cat.homs[(e[0], m[0])])):
-                    u = (e[0], m[0], iu)
+                for u in cat.refs(e[0], m[0]):
                     um = cat.compose(u, m)
-                    for iv in range(len(cat.homs[(e[1], m[1])])):
-                        v = (e[1], m[1], iv)
+                    for v in cat.refs(e[1], m[1]):
                         if cat.compose(e, v) != um:
                             continue
                         n += 1
                         diagonals = [
-                            (e[1], m[0], iw)
-                            for iw in range(len(cat.homs[(e[1], m[0])]))
-                            if cat.compose(e, (e[1], m[0], iw)) == u
-                            and cat.compose((e[1], m[0], iw), m) == v
+                            w
+                            for w in cat.refs(e[1], m[0])
+                            if cat.compose(e, w) == u and cat.compose(w, m) == v
                         ]
                         if len(diagonals) != 1:
                             return False, n, {
@@ -543,45 +546,32 @@ def certify_cancellation(cat: FinCategory, data: ReedyData) -> Certificate:
     """gf lowering forces g lowering; gf raising forces f raising; split
     epis are lowering and split monos raising.  All composable pairs."""
     cert = Certificate("cancellation")
-    morphs = list(cat.morphisms())
 
     def cancel():
         n = 0
-        for f in morphs:
-            for g in morphs:
-                if f[1] != g[0]:
-                    continue
-                n += 1
-                gf = cat.compose(f, g)
-                if data.lowering[gf] and not data.lowering[g]:
-                    return False, n, {"f": f, "g": g}
-                if data.raising[gf] and not data.raising[f]:
-                    return False, n, {"f": f, "g": g}
+        for f, g, gf in cat.composable():
+            n += 1
+            if data.lowering[gf] and not data.lowering[g]:
+                return False, n, {"f": f, "g": g}
+            if data.raising[gf] and not data.raising[f]:
+                return False, n, {"f": f, "g": g}
         return True, n, None
 
     cert.add(verdict("composite-class-cancellation", *cancel()))
 
     def split_classes():
         n = 0
-        for f in morphs:
+        for f in cat.morphisms():
             a, b, _ = f
             sections = [
-                s
-                for s in (
-                    (b, a, i) for i in range(len(cat.homs[(b, a)]))
-                )
-                if cat.compose(s, f) == cat.identities[b]
+                s for s in cat.refs(b, a) if cat.compose(s, f) == cat.identities[b]
             ]
             if sections:
                 n += 1
                 if not data.lowering[f]:
                     return False, n, {"split-epi": f}
             retractions = [
-                r
-                for r in (
-                    (b, a, i) for i in range(len(cat.homs[(b, a)]))
-                )
-                if cat.compose(f, r) == cat.identities[a]
+                r for r in cat.refs(b, a) if cat.compose(f, r) == cat.identities[a]
             ]
             if retractions:
                 n += 1
@@ -617,15 +607,11 @@ def certify_pre_elegance(
         for e in cat.morphisms():
             if not data.lowering[e]:
                 continue
-            a, b, _ = e
             for c in range(len(cat.objects)):
-                for i in range(len(cat.homs[(b, c)])):
-                    for j in range(len(cat.homs[(b, c)])):
-                        if i >= j:
-                            continue
-                        n += 1
-                        if cat.compose(e, (b, c, i)) == cat.compose(e, (b, c, j)):
-                            return False, n, {"e": e, "g": i, "h": j}
+                for g, h in itertools.combinations(cat.refs(e[1], c), 2):
+                    n += 1
+                    if cat.compose(e, g) == cat.compose(e, h):
+                        return False, n, {"e": e, "g": g[2], "h": h[2]}
         return True, n, None
 
     cert.add(verdict("lowering-maps-are-epi", *epis()))

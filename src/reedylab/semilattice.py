@@ -209,9 +209,12 @@ class SLatMorphism:
 
     def __post_init__(self):
         object.__setattr__(self, "map", tuple(self.map))
-        assert len(self.map) == self.dom.size
+        if len(self.map) != self.dom.size:
+            raise ViolatedLaw("length", (len(self.map),))
+        for x, v in enumerate(self.map):
+            if not 0 <= v < self.cod.size:
+                raise ViolatedLaw("range", (x,))
         for x in range(self.dom.size):
-            assert 0 <= self.map[x] < self.cod.size
             for y in range(x, self.dom.size):
                 j = self.map[self.dom.join[x][y]]
                 if j != self.cod.join[self.map[x]][self.map[y]]:
@@ -265,11 +268,6 @@ class SLatMorphism:
             FiniteSemilattice.from_json(data["cod"]),
             tuple(data["map"]),
         )
-
-
-def compose(g: SLatMorphism, f: SLatMorphism) -> SLatMorphism:
-    """g after f."""
-    return f.then(g)
 
 
 @dataclass(frozen=True)

@@ -97,8 +97,26 @@ def test_cli_export_dot(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "content",
-    [None, "{not json", json.dumps({"unknown": 1}), json.dumps([1, 2])],
-    ids=["missing-file", "malformed-json", "unknown-shape", "not-an-object"],
+    [
+        None,
+        "{not json",
+        json.dumps({"unknown": 1}),
+        json.dumps([1, 2]),
+        json.dumps({"crown": "x"}),
+        json.dumps({"crown": 1}),
+        json.dumps({"join": 5}),
+        json.dumps({"join": [[0, 1], [1, 1]], "labels": 3}),
+    ],
+    ids=[
+        "missing-file",
+        "malformed-json",
+        "unknown-shape",
+        "not-an-object",
+        "crown-not-an-integer",
+        "crown-too-small",
+        "join-not-a-table",
+        "labels-not-a-list",
+    ],
 )
 def test_cli_export_dot_bad_input_exits_two(content, tmp_path, capsys):
     src = tmp_path / "input.json"

@@ -1,4 +1,8 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -37,6 +41,7 @@ from reedylab.presheaf import (
     verify_cell_square,
     weighted_colimit,
 )
+from reedylab.errors import ViolatedLaw
 from reedylab.reedy import reedy_factor, truncated_semilattice_category
 
 
@@ -71,6 +76,61 @@ def test_representable_levels_and_functoriality(trunc3):
     yo.validate()
     assert yo.levels == tuple(len(cat.homs[(s, V)]) for s in range(4))
     assert yo.levels[V] == 9
+
+
+def _corrupt_one_action(X):
+    """X with one value of one non-identity action moved, still in range."""
+    cat = X.base
+    f = next(
+        f for f in cat.morphisms() if not cat.is_identity(f) and X.levels[f[0]] >= 2
+    )
+    act = list(X.actions[f])
+    act[0] = (act[0] + 1) % X.levels[f[0]]
+    return FinPresheaf(cat, X.levels, {**X.actions, f: tuple(act)})
+
+
+def test_validate_rejects_corrupted_action(trunc3):
+    cat, data, squares = trunc3
+    bad = _corrupt_one_action(representable(cat, free_pair_object(cat)))
+    with pytest.raises(ViolatedLaw) as err:
+        bad.validate()
+    assert err.value.law == "functoriality"
+    with pytest.raises(ViolatedLaw) as err:
+        FinPresheaf.from_json(cat, bad.to_json())
+    assert err.value.law == "functoriality"
+
+
+def test_from_json_rejects_corrupted_action_in_optimized_mode():
+    code = (
+        "from reedylab.errors import ViolatedLaw\n"
+        "from reedylab.presheaf import FinPresheaf, representable\n"
+        "from reedylab.reedy import truncated_semilattice_category\n"
+        "from test_presheaf import _corrupt_one_action, free_pair_object\n"
+        "cat, _, _ = truncated_semilattice_category(3)\n"
+        "yo = representable(cat, free_pair_object(cat))\n"
+        "blob = _corrupt_one_action(yo).to_json()\n"
+        "try:\n"
+        "    FinPresheaf.from_json(cat, blob)\n"
+        "except ViolatedLaw:\n"
+        "    raise SystemExit(0)\n"
+        "raise SystemExit(1)\n"
+    )
+    here = Path(__file__).resolve().parent
+    paths = [str(here.parent / "src"), str(here)]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+    assert subprocess.run([sys.executable, "-O", "-c", code], env=env).returncode == 0
+
+
+def test_morphism_validate_rejects_corrupted_component(trunc3):
+    cat, data, squares = trunc3
+    V = free_pair_object(cat)
+    yo = representable(cat, V)
+    components = [list(range(n)) for n in yo.levels]
+    components[V][:2] = [1, 0]
+    m = PresheafMorphism(yo, yo, tuple(map(tuple, components)))
+    with pytest.raises(ViolatedLaw) as err:
+        m.validate()
+    assert err.value.law == "naturality"
 
 
 def test_autquo_orbits(trunc3):

@@ -177,6 +177,20 @@ def test_cancellation_vacuous_case(trunc3):
     assert count == 0
 
 
+def test_walking_interface_matches_filtered_scans(trunc3):
+    # the all-pairs and endpoint scans the walking interface replaced
+    cat, data, squares = trunc3
+    morphs = list(cat.morphisms())
+    assert list(cat.composable()) == [
+        (f, g, cat.compose(f, g)) for f in morphs for g in morphs if f[1] == g[0]
+    ]
+    for a in range(len(cat.objects)):
+        assert cat.out_of(a) == tuple(f for f in morphs if f[0] == a)
+        for b in range(len(cat.objects)):
+            assert cat.refs(a, b) == tuple(f for f in morphs if f[:2] == (a, b))
+            assert [cat.mor(f) for f in cat.refs(a, b)] == cat.hom(a, b)
+
+
 def test_all_morphisms_classified(trunc3):
     cat, data, squares = trunc3
     for ref in cat.morphisms():

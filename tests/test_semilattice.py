@@ -1,4 +1,8 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -74,6 +78,32 @@ def test_join_preservation_checked():
     I = interval()
     with pytest.raises(ViolatedLaw):
         SLatMorphism(cube2(), I, (0, 1, 1, 0))
+
+
+def test_morphism_rejects_bad_length_and_range():
+    I = interval()
+    with pytest.raises(ViolatedLaw) as exc:
+        SLatMorphism(I, I, (0, 1, 1))
+    assert exc.value.law == "length"
+    with pytest.raises(ViolatedLaw) as exc:
+        SLatMorphism(I, I, (0, 2))
+    assert exc.value.law == "range"
+
+
+def test_morphism_checks_survive_optimized_mode():
+    code = (
+        "from reedylab.errors import ViolatedLaw\n"
+        "from reedylab.semilattice import SLatMorphism, interval\n"
+        "laws = []\n"
+        "for bad in ((0, 1, 1), (0, 2)):\n"
+        "    try:\n"
+        "        SLatMorphism(interval(), interval(), bad)\n"
+        "    except ViolatedLaw as exc:\n"
+        "        laws.append(exc.law)\n"
+        "raise SystemExit(laws != ['length', 'range'])\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    assert subprocess.run([sys.executable, "-O", "-c", code], env=env).returncode == 0
 
 
 # ---------------------------------------------------------------------------
