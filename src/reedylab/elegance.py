@@ -9,8 +9,6 @@ of lowering pushouts).  The three are certified to agree at desk scale.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .certificates import Certificate, verdict
 from .errors import SizeBudget
 from .reedy import LoweringPushoutSquare, lowering_pushout
@@ -20,6 +18,7 @@ from .semilattice import (
     SLatMorphism,
     UnionFind,
     adjoin_bottom,
+    descend,
     enumerate_homs,
     free_on_generators,
     is_distributive_lattice,
@@ -108,12 +107,10 @@ def hom_preserves_lowering_pushout(
         uf.union(idx0[h0], n0 + idx1[h1])
     # comparison into Hom(A, carrier)
     value = after(square.f0, homs_0) + after(square.f1, homs_1)
-    hit = []
-    for cls in uf.classes():
-        if len({value[x] for x in cls}) != 1:
-            # ill-defined means the square of homs failed to commute
-            return False, {"reason": "comparison-ill-defined"}
-        hit.append(value[cls[0]])
+    hit, bad = descend(uf.classes(), value.__getitem__)
+    if bad:
+        # ill-defined means the square of homs failed to commute
+        return False, {"reason": "comparison-ill-defined"}
     if len(set(hit)) != len(hit):
         dup = [m for m in hit if hit.count(m) > 1][0]
         return False, {"reason": "not-injective", "element": list(dup)}
@@ -123,40 +120,16 @@ def hom_preserves_lowering_pushout(
     return True, None
 
 
-@dataclass
-class ElegantCoreVerdict:
-    subject: FiniteSemilattice
-    closed_form: bool
-    witness: LoweringPushoutSquare | None = None
-    retract_data: tuple[SLatMorphism, SLatMorphism] | None = None
+def in_elegant_core(A: FiniteSemilattice) -> bool:
+    """Core membership by the closed form: the bottom extension is a
+    distributive lattice.
 
-    def __bool__(self) -> bool:
-        return self.closed_form
-
-
-def in_elegant_core(
-    A: FiniteSemilattice,
-    budget: int = DEFAULT_CANDIDATE_BUDGET,
-    max_free_size: int = 2**12,
-) -> ElegantCoreVerdict:
-    """Core membership: the bottom extension is a distributive lattice.
-
-    On success the retract presentation through the free algebra is
-    produced constructively; on failure the codiagonal pushout of the
-    counit is returned as a pushout that Hom(A, -) fails to preserve
-    (equivalent to the identity having no lift, hence decisive).
+    The constructive witness (a retract of the free algebra,
+    `is_perfectly_presentable`) and the hom-functor test (preservation of
+    the codiagonal pushout of the counit) are separate routes; the
+    elegant-core suite certifies that all three agree.
     """
-    B, _ = adjoin_bottom(A)
-    closed = bool(is_distributive_lattice(B))
-    eps = counit_from_free(A, max_free_size)
-    if closed:
-        ok, data = is_perfectly_presentable(A, budget, max_free_size)
-        assert ok, "closed form promises a section of the counit"
-        return ElegantCoreVerdict(A, True, retract_data=data)
-    square = codiagonal_square(eps)
-    preserved, _ = hom_preserves_lowering_pushout(A, square, budget)
-    assert not preserved, "non-core objects fail on the codiagonal square"
-    return ElegantCoreVerdict(A, False, witness=square)
+    return bool(is_distributive_lattice(adjoin_bottom(A)[0]))
 
 
 # ---------------------------------------------------------------------------

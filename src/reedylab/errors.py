@@ -18,6 +18,19 @@ class ViolatedLaw(ReedyLabError):
     presheaf or covariant diagram; 'base', 'length', 'range' or
     'naturality' for a presheaf morphism.  `witness` is the offending
     index or morphism tuple.
+
+    Certified facts that the constructions rely on raise it too:
+    'well-definedness' when a map induced on a quotient is not constant on
+    a class (latching and relative latching maps, automorphism and
+    presheaf quotients, the join of a lowering pushout or a semilattice
+    quotient); 'degree-drop' when postcomposition raises a map's degree;
+    'ez-existence' when an element has no EZ decomposition;
+    'sub-presheaf-closure' when a kept subset is not closed under the
+    action; 'skeleton-landing' when a leg of a cell square leaves its
+    skeleton; 'pushout-closure' when a lowering pushout leaves the object
+    set; 'forced-lift-step' and 'closed-lift' when a composite crown map
+    does not lift step by step to the fence.  A suite reports any of
+    them as one failed check whose witness is {"law", "witness"}.
     """
 
     def __init__(self, law: str, witness: tuple):

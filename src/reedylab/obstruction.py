@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .certificates import Certificate, verdict
 from .cubes import cube, degeneracy, face
-from .errors import SizeBudget
+from .errors import SizeBudget, ViolatedLaw
 from .semilattice import (
     DEFAULT_CANDIDATE_BUDGET,
     FiniteSemilattice,
@@ -410,9 +410,11 @@ def certify_wind_properties(budget: int = DEFAULT_CANDIDATE_BUDGET) -> Certifica
                     gv = np.array(g.values, dtype=np.int64)
                     comp = gv[vf]
                     steps = D[comp, np.roll(comp, -1, axis=1)]
-                    assert (steps != 99).all(), "composite lift step not forced"
+                    if (steps == 99).any():
+                        raise ViolatedLaw("forced-lift-step", tuple(g.values))
                     tot = steps.sum(axis=1)
-                    assert (tot % size_c == 0).all()
+                    if (tot % size_c).any():
+                        raise ViolatedLaw("closed-lift", tuple(g.values))
                     n_cases += len(fs)
                     bad = np.nonzero(tot // size_c != winding(g) * wf)[0]
                     if bad.size:

@@ -13,9 +13,9 @@ import random
 from dataclasses import dataclass
 
 from .certificates import Certificate, verdict
-from .errors import ViolatedLaw
+from .errors import InvalidInput, ViolatedLaw
 from .reedy import FinCategory, LoweringPushoutSquare, MorphRef, ReedyData
-from .semilattice import UnionFind
+from .semilattice import UnionFind, descend
 
 
 @dataclass
@@ -75,7 +75,12 @@ class FinPresheaf:
     def from_json(cat: FinCategory, data: dict) -> "FinPresheaf":
         actions = {}
         for key, act in data["actions"].items():
-            a, b, k = map(int, key.split(":"))
+            try:
+                a, b, k = map(int, key.split(":"))
+            except ValueError:
+                raise InvalidInput(
+                    f"action key {key!r} is not three integers a:b:k"
+                ) from None
             actions[(a, b, k)] = tuple(act)
         X = FinPresheaf(cat, tuple(data["levels"]), actions)
         X.validate()
@@ -167,14 +172,10 @@ def autquo(
     actions = {}
     for f in cat.morphisms():
         a, b, _ = f
-        act = []
-        for ci in range(levels[b]):
-            rep = orbits_at[b][ci][0]
-            act.append(orbit_of[a][Y.act(f, rep)])
-        # well-definedness across the orbit
-        for ci in range(levels[b]):
-            for g in orbits_at[b][ci]:
-                assert orbit_of[a][Y.act(f, g)] == act[ci]
+        act_f, orbit_a = Y.actions[f], orbit_of[a]
+        act, bad = descend(orbits_at[b], lambda g: orbit_a[act_f[g]])
+        if bad:
+            raise ViolatedLaw("well-definedness", (f, bad[0]))
         actions[f] = tuple(act)
     Q = FinPresheaf(cat, levels, actions)
     proj = PresheafMorphism(
@@ -317,14 +318,7 @@ def latching_object(X: FinPresheaf, r: int, data: ReedyData) -> LatchingData:
             fe = cat.compose(e, f)
             for x2 in range(X.levels[f[1]]):
                 uf.union((fe, x2), (e, X.act(f, x2)))
-    classes, node_class = uf.partition()
-    latch = []
-    for cls in classes:
-        values = {X.act(e, x) for (e, x) in cls}
-        assert len(values) == 1, "latching map ill-defined on a class"
-        latch.append(values.pop())
-    injective = len(set(latch)) == len(latch)
-    return LatchingData(classes, node_class, latch, injective)
+    return _latching_data(X, r, uf)
 
 
 def latching_object_via_weights(
@@ -341,15 +335,20 @@ def latching_object_via_weights(
     for f in weight:
         for g in cat.out_of(f[1]):
             gf = cat.compose(f, g)
-            assert gf in wset, "degree can only drop under postcomposition"
+            if gf not in wset:
+                raise ViolatedLaw("degree-drop", (f, g))
             for x2 in range(X.levels[g[1]]):
                 uf.union((gf, x2), (f, X.act(g, x2)))
+    return _latching_data(X, r, uf)
+
+
+def _latching_data(X: FinPresheaf, r: int, uf: UnionFind) -> LatchingData:
+    """The latching classes of (f, x) nodes and the map x.f out of them."""
     classes, node_class = uf.partition()
-    latch = []
-    for cls in classes:
-        values = {X.act(f, x) for (f, x) in cls}
-        assert len(values) == 1, "latching map ill-defined on a class"
-        latch.append(values.pop())
+    acts = X.actions
+    latch, bad = descend(classes, lambda node: acts[node[0]][node[1]])
+    if bad:
+        raise ViolatedLaw("well-definedness", (r, classes[bad[0]][0]))
     injective = len(set(latch)) == len(latch)
     return LatchingData(classes, node_class, latch, injective)
 
@@ -362,17 +361,11 @@ def latching_routes_agree(
     B = latching_object_via_weights(X, r, data)
     if len(A.classes) != len(B.classes):
         return False, A, B
-    mapping = {}
-    for ci, cls in enumerate(A.classes):
-        targets = {B.node_class[key] for key in cls}
-        if len(targets) != 1:
-            return False, A, B
-        mapping[ci] = targets.pop()
-    if len(set(mapping.values())) != len(B.classes):
+    mapping, bad = descend(A.classes, B.node_class.__getitem__)
+    if bad or len(set(mapping)) != len(B.classes):
         return False, A, B
-    for ci, cj in mapping.items():
-        if A.latch[ci] != B.latch[cj]:
-            return False, A, B
+    if any(A.latch[ci] != B.latch[cj] for ci, cj in enumerate(mapping)):
+        return False, A, B
     return True, A, B
 
 
@@ -389,25 +382,23 @@ def relative_latching_map(
     keys = [("x", i) for i in range(X.levels[r])] + [
         ("y", c) for c in range(len(LY.classes))
     ]
+    comps = m.components
+    # L_r m: every representative of an X-class lands in one Y-class
+    y_class, bad = descend(
+        LX.classes, lambda node: LY.node_class[(node[0], comps[node[0][1]][node[1]])]
+    )
+    if bad:
+        raise ViolatedLaw("well-definedness", (r, LX.classes[bad[0]][0]))
     uf = UnionFind(keys)
-    for ci, cls in enumerate(LX.classes):
-        e, x = cls[0]
-        y_class = LY.node_class[(e, m.components[e[1]][x])]
-        # all representatives land in the same Y-class
-        for (e2, x2) in cls:
-            assert LY.node_class[(e2, m.components[e2[1]][x2])] == y_class
-        uf.union(("x", LX.latch[ci]), ("y", y_class))
+    for ci, yc in enumerate(y_class):
+        uf.union(("x", LX.latch[ci]), ("y", yc))
     classes, node_class = uf.partition()
-    values = []
-    for cls in classes:
-        vals = set()
-        for kind, v in cls:
-            if kind == "x":
-                vals.add(m.components[r][v])
-            else:
-                vals.add(LY.latch[v])
-        assert len(vals) == 1, "relative latching map ill-defined"
-        values.append(vals.pop())
+    values, bad = descend(
+        classes,
+        lambda node: comps[r][node[1]] if node[0] == "x" else LY.latch[node[1]],
+    )
+    if bad:
+        raise ViolatedLaw("well-definedness", (r, classes[bad[0]][0]))
     injective = len(set(values)) == len(values)
     return classes, node_class, values, injective
 
@@ -462,7 +453,8 @@ def ez_decompose(X: FinPresheaf, r: int, x: int, data: ReedyData):
                 break
         if best is not None:
             break
-    assert best is not None, "every element admits an EZ decomposition"
+    if best is None:
+        raise ViolatedLaw("ez-existence", (r, x))
     return best
 
 
@@ -521,7 +513,8 @@ def _sub_presheaf(X: FinPresheaf, keep: list[list[int]]):
         act = []
         for x in sorted(index[b]):
             v = X.act(f, x)
-            assert v in index[a], "subset not closed under the action"
+            if v not in index[a]:
+                raise ViolatedLaw("sub-presheaf-closure", (f, x))
             act.append(index[a][v])
         actions[f] = tuple(act)
     S = FinPresheaf(cat, levels, actions)
@@ -609,7 +602,7 @@ def verify_cell_square(
     square onto the skeleta commutes, is a pushout of sets, and has an
     injective cell map whenever X is Reedy monomorphic.
     """
-    cat = X.base
+    cat, acts = X.base, X.actions
     objs_n = [r for r in range(len(cat.objects)) if data.degree[r] == n]
     L = {r: latching_object(X, r, data) for r in objs_n}
     skn, skn_incl = skeleton(X, n, data)
@@ -682,33 +675,22 @@ def verify_cell_square(
             return ur_class_of[element(node)]
 
         skn_set = set(skn_incl.components[s])
-        sknext_set = list(sknext_incl.components[s])
-        sknext_pos = {x: i for i, x in enumerate(sknext_set)}
+        sknext_set = set(sknext_incl.components[s])
 
-        ul_sk = []
-        ul_ur = []
-        for ci, cls in enumerate(ul_classes):
-            sk_vals = {ul_to_sk(node) for node in cls}
-            ur_vals = {ul_to_ur(node) for node in cls}
-            if len(sk_vals) != 1 or len(ur_vals) != 1:
-                commutes = False
-                details.append({"level": s, "reason": "left-map-ill-defined"})
-                sk_vals = {sorted(sk_vals)[0]}
-                ur_vals = {sorted(ur_vals)[0]}
-            v = sk_vals.pop()
-            assert v in skn_set, "left leg must land in the n-skeleton"
-            ul_sk.append(v)
-            ul_ur.append(ur_vals.pop())
+        ul_sk, sk_bad = descend(ul_classes, ul_to_sk)
+        ul_ur, ur_bad = descend(ul_classes, ul_to_ur)
+        for _ in set(sk_bad) | set(ur_bad):
+            commutes = False
+            details.append({"level": s, "reason": "left-map-ill-defined"})
+        if not skn_set.issuperset(ul_sk):
+            raise ViolatedLaw("skeleton-landing", (n, s, "left"))
 
-        ur_sknext = []
-        for ci, cls in enumerate(ur_classes):
-            vals = {X.act(g, x) for (g, x) in cls}
-            if len(vals) != 1:
-                commutes = False
-                details.append({"level": s, "reason": "right-map-ill-defined"})
-            v = sorted(vals)[0]
-            assert v in sknext_pos, "right leg must land in the next skeleton"
-            ur_sknext.append(v)
+        ur_sknext, bad = descend(ur_classes, lambda node: acts[node[0]][node[1]])
+        for _ in bad:
+            commutes = False
+            details.append({"level": s, "reason": "right-map-ill-defined"})
+        if not sknext_set.issuperset(ur_sknext):
+            raise ViolatedLaw("skeleton-landing", (n, s, "right"))
 
         # (a) commutation
         for ci in range(len(ul_classes)):
@@ -723,25 +705,16 @@ def verify_cell_square(
         po = UnionFind(keys)
         for ci in range(len(ul_classes)):
             po.union(("sk", ul_sk[ci]), ("ur", ul_ur[ci]))
-        po_classes = po.classes()
-        value = {}
-        ok = True
-        for cls in po_classes:
-            vals = set()
-            for kind, v in cls:
-                vals.add(v if kind == "sk" else ur_sknext[v])
-            if len(vals) != 1:
-                ok = False
-                break
-            value[cls[0]] = vals.pop()
-        if not ok:
+        vals, bad = descend(
+            po.classes(),
+            lambda node: node[1] if node[0] == "sk" else ur_sknext[node[1]],
+        )
+        if bad:
             is_pushout = False
             details.append({"level": s, "reason": "pushout-map-ill-defined"})
-        else:
-            vals = [value[cls[0]] for cls in po_classes]
-            if len(set(vals)) != len(vals) or set(vals) != set(sknext_set):
-                is_pushout = False
-                details.append({"level": s, "reason": "not-a-pushout"})
+        elif len(set(vals)) != len(vals) or set(vals) != sknext_set:
+            is_pushout = False
+            details.append({"level": s, "reason": "not-a-pushout"})
 
         # (c) cell map injectivity
         if len(set(ul_ur)) != len(ul_classes):
@@ -902,23 +875,17 @@ def quotient_presheaf(
                         changed = True
                 else:
                     roots[rb] = va
-    class_of = []
-    levels = []
-    for r in range(len(cat.objects)):
-        classes, mapping = ufs[r].partition()
-        class_of.append(mapping)
-        levels.append(len(classes))
+    classes_at, class_of = zip(*(uf.partition() for uf in ufs))
+    levels = tuple(map(len, classes_at))
     actions = {}
     for f in cat.morphisms():
         a, b, _ = f
-        act = [None] * levels[b]
-        for x in range(X.levels[b]):
-            ci = class_of[b][x]
-            v = class_of[a][X.act(f, x)]
-            assert act[ci] is None or act[ci] == v, "congruence not closed"
-            act[ci] = v
+        act_f, class_a = X.actions[f], class_of[a]
+        act, bad = descend(classes_at[b], lambda x: class_a[act_f[x]])
+        if bad:
+            raise ViolatedLaw("well-definedness", (f, bad[0]))
         actions[f] = tuple(act)
-    Q = FinPresheaf(cat, tuple(levels), actions)
+    Q = FinPresheaf(cat, levels, actions)
     proj = PresheafMorphism(
         X,
         Q,

@@ -4,7 +4,8 @@ Builds explicit truncated categories (one object per isomorphism class up
 to a size cap, full hom lists, composition tables) and certifies the Reedy
 axioms, the cancellation laws, and pre-elegance on them exhaustively.
 Lowering pushouts are computed set-first; the induced join's
-well-definedness is asserted, which is itself one of the certified facts.
+well-definedness, itself one of the certified facts, is checked on every
+pushout and raises ViolatedLaw when it fails.
 """
 
 from __future__ import annotations
@@ -22,9 +23,9 @@ from .semilattice import (
     UnionFind,
     all_semilattices_upto,
     canonical_form,
+    descend,
     enumerate_homs,
     find_isomorphism,
-    image_factorize,
     quotient_by_pairs,
     validate_semilattice,
 )
@@ -236,18 +237,13 @@ def degree(A: FiniteSemilattice) -> int:
     return A.size
 
 
-def reedy_factor(f: SLatMorphism) -> tuple[SLatMorphism, SLatMorphism]:
-    """Factor into a surjective lowering part and an injective raising part."""
-    return image_factorize(f)
-
-
 def lowering_pushout(e0: SLatMorphism, e1: SLatMorphism) -> LoweringPushoutSquare:
     """Pushout of a span of surjections, computed on underlying sets.
 
     The carrier is the set pushout of the legs; the join is induced from
-    same-leg representatives and its well-definedness is asserted (this is
-    exactly the fact that forgetting to sets preserves surjective
-    pushouts).
+    same-leg representatives.  That it is well defined is exactly the fact
+    that forgetting to sets preserves surjective pushouts; a class pair on
+    which it is not raises ViolatedLaw('well-definedness', (i, j)).
     """
     if not e0.is_surjective or not e1.is_surjective:
         raise NotSurjective("lowering pushout needs surjective legs")
@@ -264,19 +260,17 @@ def lowering_pushout(e0: SLatMorphism, e1: SLatMorphism) -> LoweringPushoutSquar
     assert all(members0[i] and members1[i] for i in range(k)), (
         "surjective legs reach every class"
     )
-    table = [[0] * k for _ in range(k)]
-    for i in range(k):
-        for j in range(k):
-            results = {
-                cls[B0.join[x][y]] for x in members0[i] for y in members0[j]
-            }
-            results |= {
-                cls[n0 + B1.join[u][v]]
-                for u in members1[i]
-                for v in members1[j]
-            }
-            assert len(results) == 1, "set pushout does not carry the join"
-            table[i][j] = results.pop()
+    # per class pair (i, j), the joins of its same-leg members as union keys
+    joins = [
+        [B0.join[x][y] for x in members0[i] for y in members0[j]]
+        + [n0 + B1.join[u][v] for u in members1[i] for v in members1[j]]
+        for i in range(k)
+        for j in range(k)
+    ]
+    flat, bad = descend(joins, cls.__getitem__)
+    if bad:
+        raise ViolatedLaw("well-definedness", divmod(bad[0], k))
+    table = [flat[i * k : (i + 1) * k] for i in range(k)]
     labels = tuple(
         "{"
         + ",".join(
@@ -347,7 +341,8 @@ def reedy_category_on(
             for r1 in surjs[i:]:
                 square = lowering_pushout(cat.mor(r0), cat.mor(r1))
                 p = cat.object_of(square.carrier)
-                assert p is not None, "pushout escaped the object set"
+                if p is None:
+                    raise ViolatedLaw("pushout-closure", (r0, r1))
                 iso = find_isomorphism(square.carrier, cat.objects[p])
                 f0 = square.f0.then(iso)
                 f1 = square.f1.then(iso)
@@ -624,16 +619,12 @@ def certify_pre_elegance(
             if proj.cod.size != sq.carrier.size:
                 return False, n, {"span": sq.refs[:2] if sq.refs else None}
             # the two quotients agree as quotients of the apex
-            through = {}
-            ok = True
+            kernel = [[] for _ in range(proj.cod.size)]
             for a in range(sq.apex.size):
-                left = sq.f0.map[sq.e0.map[a]]
-                right = proj.map[a]
-                if right in through and through[right] != left:
-                    ok = False
-                    break
-                through[right] = left
-            if not ok or len(set(through.values())) != sq.carrier.size:
+                kernel[proj.map[a]].append(a)
+            left = [sq.f0.map[b] for b in sq.e0.map]
+            through, bad = descend(kernel, left.__getitem__)
+            if bad or len(set(through)) != sq.carrier.size:
                 return False, n, {"span": sq.refs[:2] if sq.refs else None}
         return True, n, None
 

@@ -58,6 +58,20 @@ class UnionFind:
         return classes, {k: i for i, cls in enumerate(classes) for k in cls}
 
 
+def descend(classes, value) -> tuple[list, list[int]]:
+    """Push `value` down to a quotient: values[i] is the least value it
+    takes on classes[i], and bad lists, in class order, the indices of the
+    classes on which it is not constant (where the induced map is
+    ill-defined)."""
+    values, bad = [], []
+    for i, cls in enumerate(classes):
+        seen = set(map(value, cls))
+        values.append(min(seen))
+        if len(seen) != 1:
+            bad.append(i)
+    return values, bad
+
+
 @dataclass(frozen=True)
 class FiniteSemilattice:
     """A finite set with an associative, commutative, idempotent join."""
@@ -782,12 +796,12 @@ def quotient_by_pairs(A: FiniteSemilattice, pairs) -> SLatMorphism:
                             changed = True
     members, cls = uf.partition()
     k = len(members)
-    table = [[None] * k for _ in range(k)]
-    for i in range(k):
-        for j in range(k):
-            results = {cls[A.join[x][y]] for x in members[i] for y in members[j]}
-            assert len(results) == 1, "saturation left join ill-defined"
-            table[i][j] = results.pop()
+    # the joins of the members of classes i and j must share one class
+    joins = [[A.join[x][y] for x in mi for y in mj] for mi in members for mj in members]
+    flat, bad = descend(joins, cls.__getitem__)
+    if bad:
+        raise ViolatedLaw("well-definedness", divmod(bad[0], k))
+    table = [flat[i * k : (i + 1) * k] for i in range(k)]
     labels = tuple(
         "{" + ",".join(A.label(x) for x in members[i]) + "}" for i in range(k)
     )

@@ -12,8 +12,14 @@ import os
 import time
 from dataclasses import dataclass, field
 
-from .certificates import Certificate, Check, SKIPPED, verdict
-from .errors import CandidateSpaceExceeded, InvalidInput, SizeBudget, UnknownSuite
+from .certificates import FAIL, SKIPPED, Certificate, Check, verdict
+from .errors import (
+    CandidateSpaceExceeded,
+    InvalidInput,
+    SizeBudget,
+    UnknownSuite,
+    ViolatedLaw,
+)
 
 DEFAULT_BUDGET = 10**7
 
@@ -66,11 +72,14 @@ class SuiteConfig:
 
 
 def _guard(cid: str, thunk) -> list[Check]:
-    """thunk(), or one skipped check when it overruns a budget or size cap."""
+    """thunk(), or one skipped check when it overruns a budget or size cap,
+    or one failed check naming the law when a certified fact breaks."""
     try:
         return thunk()
     except (SizeBudget, CandidateSpaceExceeded) as exc:
         return [Check(cid, SKIPPED, 0, str(exc))]
+    except ViolatedLaw as exc:
+        return [Check(cid, FAIL, 0, {"law": exc.law, "witness": exc.witness})]
 
 
 # ---------------------------------------------------------------------------
@@ -192,7 +201,7 @@ def _suite_elegant_core(cfg: SuiteConfig) -> list:
         classes = all_semilattices_upto(N)
         verdicts = []
         for A in classes:
-            closed = in_elegant_core(A, cfg.budget, cfg.free_cap).closed_form
+            closed = in_elegant_core(A)
             retract = is_perfectly_presentable(A, cfg.budget, cfg.free_cap)[0]
             hom_ok, _ = hom_preserves_lowering_pushout(
                 A, codiagonal_square(counit_from_free(A, cfg.free_cap)), cfg.budget
@@ -286,7 +295,11 @@ def _corpus(cfg: SuiteConfig):
     N = cfg.max_size if cfg.max_size is not None else 3
     cat3, data3, squares3 = truncated_semilattice_category(N, cfg.budget)
     seeded = seeded_corpus(cat3, data3, cfg.seed, cfg.corpus_count)
-    return (cat2, data2, squares2, exhaustive), (cat3, data3, squares3, seeded)
+    return (
+        (cat2, data2, squares2, exhaustive),
+        (cat3, data3, squares3, seeded),
+        f"seeded-size{N}",
+    )
 
 
 def _triple(X, data, squares):
@@ -313,7 +326,9 @@ def _suite_presheaf_ez(cfg: SuiteConfig) -> list:
     )
 
     def run():
-        (cat2, data2, squares2, exhaustive), (cat3, data3, squares3, seeded) = _corpus(cfg)
+        (cat2, data2, squares2, exhaustive), (cat3, data3, squares3, seeded), seeded_tag = (
+            _corpus(cfg)
+        )
         free2 = next(
             (
                 i
@@ -343,7 +358,7 @@ def _suite_presheaf_ez(cfg: SuiteConfig) -> list:
             )
 
         checks.append(sweep("exhaustive-size2", exhaustive, data2, squares2))
-        checks.append(sweep("seeded-size3", seeded, data3, squares3))
+        checks.append(sweep(seeded_tag, seeded, data3, squares3))
         checks.append(
             verdict(
                 "both-verdicts-occur-in-corpus",
@@ -449,11 +464,13 @@ def _suite_cell_presentation(cfg: SuiteConfig) -> list:
     )
 
     def run():
-        (cat2, data2, squares2, exhaustive), (cat3, data3, squares3, seeded) = _corpus(cfg)
+        (cat2, data2, squares2, exhaustive), (cat3, data3, squares3, seeded), seeded_tag = (
+            _corpus(cfg)
+        )
         checks = []
         for tag, corpus, data in (
             ("exhaustive-size2", exhaustive, data2),
-            ("seeded-size3", seeded, data3),
+            (seeded_tag, seeded, data3),
         ):
             # each check stops at its own first failure
             square_bad = chain_bad = None

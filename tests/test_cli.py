@@ -255,3 +255,95 @@ def test_cell_square_failure_is_not_a_skeleton_chain_failure(monkeypatch):
         assert square.status == "fail" and square.witness["degree"] == 2
         chain = checks[f"skeleton-chain-unions-{tag}"]
         assert chain.status == "pass" and chain.witness is None
+
+
+# ---------------------------------------------------------------------------
+# a broken certified fact is one failed check naming its law
+# ---------------------------------------------------------------------------
+
+
+def _law_failure(cert, cid, law):
+    (check,) = [c for c in cert.checks if c.id == cid]
+    assert check.status == "fail" and check.witness["law"] == law
+    assert "witness" in check.witness
+    json.dumps(check.witness)
+    assert not cert.passed
+
+
+def test_ill_defined_latching_map_is_a_failed_check(monkeypatch):
+    import reedylab.presheaf as presheaf
+
+    def corrupted_corpus(cat, data, seed, count):
+        # one value of one action moved: the presheaf is no longer a
+        # functor, so its latching map is ill-defined on some class
+        yo = presheaf.representable(cat, len(cat.objects) - 1)
+        f = next(
+            f for f in cat.morphisms() if not cat.is_identity(f) and yo.levels[f[0]] >= 2
+        )
+        act = list(yo.actions[f])
+        act[0] = (act[0] + 1) % yo.levels[f[0]]
+        return [presheaf.FinPresheaf(cat, yo.levels, {**yo.actions, f: tuple(act)})]
+
+    monkeypatch.setattr(presheaf, "seeded_corpus", corrupted_corpus)
+    cert = run_suite(SuiteConfig(suite="presheaf-ez"))
+    _law_failure(cert, "presheaf-ez", "well-definedness")
+
+
+def test_ill_defined_lowering_pushout_join_is_a_failed_check(monkeypatch):
+    import reedylab.reedy as reedy
+
+    real = reedy.descend
+
+    # the induced join is well defined on every span of surjections, so
+    # the class check is made to report every class pair
+    def every_class_bad(classes, value):
+        return real(classes, value)[0], list(range(len(classes)))
+
+    monkeypatch.setattr(reedy, "descend", every_class_bad)
+    cert = run_suite(SuiteConfig(suite="reedy-axioms"))
+    _law_failure(cert, "reedy-axioms", "well-definedness")
+    assert cert.checks[0].witness["witness"] == (0, 0)
+
+
+def test_missing_ez_decomposition_is_a_failed_check(monkeypatch):
+    import reedylab.presheaf as presheaf
+
+    monkeypatch.setattr(presheaf, "is_nondegenerate", lambda X, r, x, data: False)
+    cert = run_suite(SuiteConfig(suite="cell-presentation", corpus_count=0))
+    _law_failure(cert, "cell-presentation", "ez-existence")
+
+
+def test_unforced_composite_lift_step_is_a_failed_check(monkeypatch):
+    import reedylab.obstruction as obstruction
+
+    real = obstruction.enumerate_crown_maps
+
+    def with_a_non_monotone_map(m, n, cap=6):
+        maps = real(m, n, cap)
+        if (m, n) == (3, 3):
+            ident = obstruction.identity_crown(3)
+            maps.append(obstruction.CrownMap(3, 3, (0, 2, 0, 2, 0, 2), ident.lift))
+        return maps
+
+    monkeypatch.setattr(obstruction, "enumerate_crown_maps", with_a_non_monotone_map)
+    cert = run_suite(SuiteConfig(suite="crown-winding"))
+    _law_failure(cert, "wind-properties", "forced-lift-step")
+
+
+def test_seeded_corpus_label_follows_max_size(monkeypatch):
+    import reedylab.presheaf as presheaf
+
+    monkeypatch.setattr(
+        presheaf, "seeded_corpus", lambda cat, data, seed, count: [presheaf.representable(cat, 0)]
+    )
+    ids = {
+        c.id
+        for suite in ("presheaf-ez", "cell-presentation")
+        for c in run_suite(SuiteConfig(suite=suite, max_size=4)).checks
+    }
+    assert {
+        "triple-criteria-agree-seeded-size4",
+        "cell-squares-certify-seeded-size4",
+        "skeleton-chain-unions-seeded-size4",
+    } <= ids
+    assert not any("seeded-size3" in cid for cid in ids)

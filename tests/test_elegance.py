@@ -38,19 +38,20 @@ def test_counit_is_join_of_generators():
 
 def test_core_membership_positive():
     for A in (terminal(), interval(), chain(3), cube(2)):
-        v = in_elegant_core(A)
-        assert v.closed_form and v.retract_data is not None
-        section, retraction = v.retract_data
+        assert in_elegant_core(A)
+        ok, data = is_perfectly_presentable(A)
+        assert ok
+        section, retraction = data
         assert section.then(retraction).map == tuple(range(A.size))
 
 
 def test_core_membership_negative_with_witness():
     tripod = atoms_with_top(3)
-    v = in_elegant_core(tripod)
-    assert not v.closed_form and v.witness is not None
-    B = v.witness
-    ok, witness = hom_preserves_lowering_pushout(tripod, B)
-    assert not ok
+    assert not in_elegant_core(tripod)
+    assert is_perfectly_presentable(tripod) == (False, None)
+    square = codiagonal_square(counit_from_free(tripod))
+    ok, witness = hom_preserves_lowering_pushout(tripod, square)
+    assert not ok and witness is not None
     # the bottom extension is the diamond
     from reedylab.semilattice import adjoin_bottom
 
@@ -69,7 +70,7 @@ def test_perfectly_presentable_examples():
 
 def test_triple_agreement_all_classes_size_4():
     for A in all_semilattices_upto(4):
-        closed = in_elegant_core(A).closed_form
+        closed = in_elegant_core(A)
         retract = is_perfectly_presentable(A)[0]
         hom_ok, _ = hom_preserves_lowering_pushout(
             A, codiagonal_square(counit_from_free(A))

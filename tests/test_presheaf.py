@@ -41,8 +41,9 @@ from reedylab.presheaf import (
     verify_cell_square,
     weighted_colimit,
 )
-from reedylab.errors import ViolatedLaw
-from reedylab.reedy import reedy_factor, truncated_semilattice_category
+from reedylab.errors import InvalidInput, ViolatedLaw
+from reedylab.reedy import truncated_semilattice_category
+from reedylab.semilattice import image_factorize
 
 
 @pytest.fixture(scope="module")
@@ -113,6 +114,37 @@ def test_from_json_rejects_corrupted_action_in_optimized_mode():
         "    FinPresheaf.from_json(cat, blob)\n"
         "except ViolatedLaw:\n"
         "    raise SystemExit(0)\n"
+        "raise SystemExit(1)\n"
+    )
+    here = Path(__file__).resolve().parent
+    paths = [str(here.parent / "src"), str(here)]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+    assert subprocess.run([sys.executable, "-O", "-c", code], env=env).returncode == 0
+
+
+@pytest.mark.parametrize("key", ["0:1", "a:b:c"])
+def test_from_json_rejects_malformed_action_key(trunc2, key):
+    cat, data, squares = trunc2
+    blob = representable(cat, 1).to_json()
+    blob["actions"][key] = [0]
+    with pytest.raises(InvalidInput) as err:
+        FinPresheaf.from_json(cat, blob)
+    assert repr(key) in str(err.value)
+
+
+def test_ill_defined_latching_map_raises_in_optimized_mode():
+    code = (
+        "from reedylab.errors import ViolatedLaw\n"
+        "from reedylab.presheaf import latching_object_via_weights, representable\n"
+        "from reedylab.reedy import truncated_semilattice_category\n"
+        "from test_presheaf import _corrupt_one_action, free_pair_object\n"
+        "cat, data, _ = truncated_semilattice_category(3)\n"
+        "V = free_pair_object(cat)\n"
+        "bad = _corrupt_one_action(representable(cat, V))\n"
+        "try:\n"
+        "    latching_object_via_weights(bad, V, data)\n"
+        "except ViolatedLaw as exc:\n"
+        "    raise SystemExit(exc.law != 'well-definedness')\n"
         "raise SystemExit(1)\n"
     )
     here = Path(__file__).resolve().parent
@@ -274,7 +306,7 @@ def test_representable_ez_is_reedy_factorization(trunc3):
     for s in range(4):
         for k, f in enumerate(cat.homs[(s, V)]):
             e, y, deg = ez_decompose(yo, s, k, data)
-            surj, mono = reedy_factor(f)
+            surj, mono = image_factorize(f)
             assert deg == surj.cod.size == len(f.image())
 
 

@@ -16,7 +16,6 @@ from reedylab.reedy import (
     lowering_pushout,
     pushout_via_congruence,
     quotient_closure,
-    reedy_factor,
     truncated_semilattice_category,
     verify_pushout_universal,
 )
@@ -28,6 +27,7 @@ from reedylab.semilattice import (
     chain,
     diamond,
     enumerate_surjections,
+    image_factorize,
     interval,
     pinched_tripod_cover,
     product,
@@ -47,17 +47,18 @@ def test_degree_is_cardinality():
 
 
 def test_reedy_factor_examples():
+    # the Reedy factorization is the image factorization
     # injective maps factor as (iso, self)
     incl = SLatMorphism(interval(), chain(3), (0, 2))
-    low, high = reedy_factor(incl)
+    low, high = image_factorize(incl)
     assert low.is_iso and high.is_injective
     # the surjection t is its own lowering part
     t = map_t()
-    low, high = reedy_factor(t)
+    low, high = image_factorize(t)
     assert low.map == t.map and high.map == (0, 1, 2)
     # u factors through the diamond
     u = map_u()
-    low, high = reedy_factor(u)
+    low, high = image_factorize(u)
     assert are_isomorphic(low.cod, diamond(3))
     assert high.is_injective and low.is_surjective
 

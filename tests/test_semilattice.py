@@ -20,6 +20,7 @@ from reedylab.semilattice import (
     backtrack_homs,
     canonical_form,
     chain,
+    descend,
     diamond,
     enumerate_homs,
     enumerate_semilattices,
@@ -593,3 +594,13 @@ def test_union_find_tuple_keys():
     assert not uf.union((0, 1), (1, 0))
     assert uf.find((1, 0)) == (0, 1)
     assert uf.classes() == [[(0, 0)], [(0, 1), (1, 0), (1, 1)]]
+
+
+def test_descend_least_value_and_bad_classes_in_order():
+    classes = [[0, 1], [2], [3, 4, 5], [6, 7]]
+    value = {0: 9, 1: 9, 2: 4, 3: 7, 4: 2, 5: 7, 6: 1, 7: 0}.__getitem__
+    values, bad = descend(classes, value)
+    assert values == [9, 4, 2, 0]
+    assert bad == [2, 3]
+    assert descend(classes[:2], value) == ([9, 4], [])
+    assert descend([], value) == ([], [])
