@@ -1,10 +1,8 @@
 """Cube and simplex categories as concrete finite semilattices and posets.
 
 Cubes [1]^n are materialized as 2^n-element semilattices (bitmask indices,
-join = bitwise or) only for small n; CubeHom is the compact free
-parametrization of their morphisms used when tables would be wasteful.
-The Dedekind side (all monotone maps between cubes as posets) shares the
-bitmask representation.
+join = bitwise or) only for small n.  The Dedekind side (all monotone maps
+between cubes as posets) shares the bitmask representation.
 """
 
 from __future__ import annotations
@@ -49,63 +47,6 @@ def cube_vertex(bits) -> int:
 
 def vertex_bits(v: int, n: int) -> tuple[int, ...]:
     return tuple((v >> i) & 1 for i in range(n))
-
-
-@dataclass(frozen=True)
-class CubeHom:
-    """A morphism [1]^m -> [1]^n in free form: bottom image plus one image
-    per generator, each above the bottom.  Encodes exactly one
-    join-preserving map; counting and composing never materialize tables.
-    """
-
-    m: int
-    n: int
-    bottom: int
-    gens: tuple[int, ...]
-
-    def __post_init__(self):
-        assert len(self.gens) == self.m
-        assert 0 <= self.bottom < (1 << self.n)
-        for g in self.gens:
-            assert g | self.bottom == g, "generator images sit above the bottom"
-
-    def apply(self, v: int) -> int:
-        out = self.bottom
-        for i in range(self.m):
-            if (v >> i) & 1:
-                out |= self.gens[i]
-        return out
-
-    def compose(self, other: "CubeHom") -> "CubeHom":
-        """other after self."""
-        assert self.n == other.m
-        return CubeHom(
-            self.m,
-            other.n,
-            other.apply(self.bottom),
-            tuple(other.apply(g) for g in self.gens),
-        )
-
-    def decode(self) -> SLatMorphism:
-        dom, cod = cube(self.m), cube(self.n)
-        return SLatMorphism(dom, cod, tuple(self.apply(v) for v in range(1 << self.m)))
-
-    @staticmethod
-    def encode(f: SLatMorphism) -> "CubeHom":
-        m = f.dom.size.bit_length() - 1
-        n = f.cod.size.bit_length() - 1
-        assert f.dom.size == 1 << m and f.cod.size == 1 << n
-        return CubeHom(m, n, f.map[0], tuple(f.map[1 << i] for i in range(m)))
-
-
-def enumerate_cube_homs(m: int, n: int):
-    """All CubeHoms [1]^m -> [1]^n via the free parametrization."""
-    out = []
-    for bottom in range(1 << n):
-        ups = [v for v in range(1 << n) if v | bottom == v]
-        for gens in itertools.product(ups, repeat=m):
-            out.append(CubeHom(m, n, bottom, gens))
-    return out
 
 
 def cube_hom_count(m: int, n: int) -> tuple[int, int]:
@@ -230,19 +171,6 @@ def certify_idempotent_completion(
 # ---------------------------------------------------------------------------
 # simplices
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SimplexObject:
-    """The n-simplex as the (n+1)-chain semilattice."""
-
-    n: int
-    carrier: FiniteSemilattice
-
-
-def simplex(n: int) -> SimplexObject:
-    assert n >= 0
-    return SimplexObject(n, chain(n + 1))
 
 
 def face(i: int, n: int) -> SLatMorphism:

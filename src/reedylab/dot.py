@@ -42,16 +42,6 @@ def category_dot(cat: FinCategory, name: str = "category") -> str:
     return "\n".join(lines) + "\n"
 
 
-def export_dot(obj, name: str | None = None) -> str:
-    if isinstance(obj, FiniteSemilattice):
-        return semilattice_dot(obj, name or "semilattice")
-    if isinstance(obj, CrownPoset):
-        return crown_dot(obj, name or "crown")
-    if isinstance(obj, FinCategory):
-        return category_dot(obj, name or "category")
-    raise TypeError(f"no DOT export for {type(obj).__name__}")
-
-
 def export_dot_json(data) -> str:
     """Dispatch on the JSON shape: semilattice, crown, or category.  A bad
     field value raises InvalidInput."""

@@ -1,5 +1,4 @@
-"""Elegant-core membership, projectivity lifts, sieve degrees, and the
-interval contraction.
+"""Elegant-core membership and projectivity lifts.
 
 Core membership has a closed form (the bottom extension is distributive),
 a constructive witness (a retract presentation through the free algebra
@@ -9,7 +8,6 @@ of lowering pushouts).  The three are certified to agree at desk scale.
 
 from __future__ import annotations
 
-from .certificates import Certificate, verdict
 from .errors import SizeBudget
 from .reedy import LoweringPushoutSquare, lowering_pushout
 from .semilattice import (
@@ -23,7 +21,6 @@ from .semilattice import (
     free_on_generators,
     is_distributive_lattice,
     lift_through_surjection,
-    product,
 )
 
 
@@ -131,103 +128,3 @@ def in_elegant_core(A: FiniteSemilattice) -> bool:
     """
     return bool(is_distributive_lattice(adjoin_bottom(A)[0]))
 
-
-# ---------------------------------------------------------------------------
-# principal sieves
-# ---------------------------------------------------------------------------
-
-
-def sieve_degree(f: SLatMorphism) -> int:
-    """Degree of the middle object of the (surjective, mono) factorization."""
-    return len(f.image())
-
-
-def principal_sieve_leq(
-    f_small: SLatMorphism,
-    f_big: SLatMorphism,
-    budget: int = DEFAULT_CANDIDATE_BUDGET,
-) -> bool:
-    """Whether the sieve of f_small is contained in the sieve of f_big,
-    decided by a single factorization search over enumerated homs."""
-    assert f_small.cod.join == f_big.cod.join
-    for g in enumerate_homs(f_small.dom, f_big.dom, budget):
-        if g.then(f_big).map == f_small.map:
-            return True
-    return False
-
-
-def certify_sieve_monotonicity(
-    codomain: FiniteSemilattice,
-    sources: list[FiniteSemilattice],
-    budget: int = DEFAULT_CANDIDATE_BUDGET,
-) -> Certificate:
-    """Sieve inclusion weakly increases factorization degree, and equal
-    degrees plus inclusion force equal sieves.  Exhaustive over all pairs
-    of maps from the given sources into the codomain."""
-    cert = Certificate("sieve-monotonicity")
-    maps = []
-    for S in sources:
-        maps.extend(enumerate_homs(S, codomain, budget))
-
-    def monotone():
-        n = 0
-        for f in maps:
-            for g in maps:
-                if principal_sieve_leq(f, g, budget):
-                    n += 1
-                    if sieve_degree(f) > sieve_degree(g):
-                        return False, n, {
-                            "small": list(f.map),
-                            "big": list(g.map),
-                        }
-        return True, n, None
-
-    cert.add(verdict("sieve-inclusion-weakly-monotone", *monotone()))
-
-    def strictness():
-        n = 0
-        for f in maps:
-            for g in maps:
-                if (
-                    principal_sieve_leq(f, g, budget)
-                    and sieve_degree(f) == sieve_degree(g)
-                ):
-                    n += 1
-                    if not principal_sieve_leq(g, f, budget):
-                        return False, n, {
-                            "small": list(f.map),
-                            "big": list(g.map),
-                        }
-        return True, n, None
-
-    cert.add(verdict("equal-degree-inclusion-is-equality", *strictness()))
-    return cert
-
-
-# ---------------------------------------------------------------------------
-# interval contraction
-# ---------------------------------------------------------------------------
-
-
-def contraction_square(A: FiniteSemilattice, g: SLatMorphism) -> bool:
-    """The contraction [1] x A -> A (identity at 0, top at 1) commutes
-    with any automorphism acting on the A factor."""
-    assert g.dom.join == A.join and g.cod.join == A.join and g.is_iso
-    from .semilattice import interval
-
-    P, p0, p1 = product(interval(), A)
-    up = SLatMorphism(
-        P,
-        A,
-        tuple(
-            A.top if p0.map[x] == 1 else p1.map[x] for x in range(P.size)
-        ),
-    )
-    one_times_g = SLatMorphism(
-        P,
-        P,
-        tuple(
-            p0.map[x] * A.size + g.map[p1.map[x]] for x in range(P.size)
-        ),
-    )
-    return one_times_g.then(up).map == up.then(g).map

@@ -15,15 +15,18 @@ class ViolatedLaw(ReedyLabError):
     'join-preservation' for a morphism; 'duplicate-morphisms', 'unit' or
     'associativity' for the composition table of a category;
     'missing-action', 'length', 'range', 'unit' or 'functoriality' for a
-    presheaf or covariant diagram; 'base', 'length', 'range' or
-    'naturality' for a presheaf morphism.  `witness` is the offending
-    index or morphism tuple.
+    presheaf; 'base', 'length', 'range' or 'naturality' for a presheaf
+    morphism; 'square-shape' (legs that do not meet) or
+    'square-commutativity' for a lowering pushout square; 'span-apex' for
+    a span whose two legs leave different apexes.  `witness` is the
+    offending index or morphism tuple.
 
     Certified facts that the constructions rely on raise it too:
     'well-definedness' when a map induced on a quotient is not constant on
-    a class (latching and relative latching maps, automorphism and
-    presheaf quotients, the join of a lowering pushout or a semilattice
-    quotient); 'degree-drop' when postcomposition raises a map's degree;
+    a class (latching maps, automorphism and presheaf quotients, the join
+    of a lowering pushout or a semilattice quotient); 'pushout-leg-reach'
+    when a class of a lowering pushout misses one of its surjective legs;
+    'degree-drop' when postcomposition raises a map's degree;
     'ez-existence' when an element has no EZ decomposition;
     'sub-presheaf-closure' when a kept subset is not closed under the
     action; 'skeleton-landing' when a leg of a cell square leaves its

@@ -227,10 +227,6 @@ class CrownPoset:
         return ((i - 1) % self.size, (i + 1) % self.size)
 
 
-def crown(n: int) -> CrownPoset:
-    return CrownPoset(n)
-
-
 @dataclass(frozen=True)
 class CrownMap:
     """A monotone map between crowns with a chosen integer lift.

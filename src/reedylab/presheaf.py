@@ -1,9 +1,9 @@
 """Finite presheaves over a finite Reedy category.
 
 Carries the cellular machinery: EZ decompositions, latching objects by
-two independent routes, relative latching maps, Reedy-monomorphism
-predicates three ways, skeleta, cell pushout squares, and weighted/finite
-colimits.  Everything is elementwise and exhaustively checkable.
+two independent routes, Reedy-monomorphism predicates three ways, skeleta
+and cell pushout squares.  Everything is elementwise and exhaustively
+checkable.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ import itertools
 import random
 from dataclasses import dataclass
 
-from .certificates import Certificate, verdict
 from .errors import InvalidInput, ViolatedLaw
 from .reedy import FinCategory, LoweringPushoutSquare, MorphRef, ReedyData
 from .semilattice import UnionFind, descend
@@ -73,16 +72,28 @@ class FinPresheaf:
 
     @staticmethod
     def from_json(cat: FinCategory, data: dict) -> "FinPresheaf":
+        """Read the JSON form; a malformed document raises InvalidInput."""
+        if not isinstance(data, dict):
+            raise InvalidInput("presheaf JSON is not an object")
+        levels, acts = data.get("levels"), data.get("actions")
+        if not isinstance(levels, (list, tuple)) or not all(
+            isinstance(n, int) for n in levels
+        ):
+            raise InvalidInput(f"presheaf levels {levels!r} are not a list of integers")
+        if not isinstance(acts, dict):
+            raise InvalidInput(f"presheaf actions {acts!r} are not an object")
         actions = {}
-        for key, act in data["actions"].items():
+        for key, act in acts.items():
             try:
                 a, b, k = map(int, key.split(":"))
             except ValueError:
                 raise InvalidInput(
                     f"action key {key!r} is not three integers a:b:k"
                 ) from None
+            if not isinstance(act, (list, tuple)):
+                raise InvalidInput(f"action {key!r} is not a list")
             actions[(a, b, k)] = tuple(act)
-        X = FinPresheaf(cat, tuple(data["levels"]), actions)
+        X = FinPresheaf(cat, tuple(levels), actions)
         X.validate()
         return X
 
@@ -111,12 +122,6 @@ class PresheafMorphism:
             for x in range(X.levels[b]):
                 if comps[a][X.act(f, x)] != Y.act(f, comps[b][x]):
                     raise ViolatedLaw("naturality", (f, x))
-
-    @property
-    def is_levelwise_injective(self) -> bool:
-        return all(
-            len(set(c)) == len(c) for c in self.components
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -183,94 +188,6 @@ def autquo(
     )
     proj.validate()
     return Q, proj
-
-
-# ---------------------------------------------------------------------------
-# colimits
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class SetDiagram:
-    """A finite diagram of finite sets: nodes carry sizes, edges carry
-    functions src -> dst."""
-
-    nodes: dict
-    edges: list  # (src_key, dst_key, tuple mapping)
-
-
-def finite_colimit(diagram: SetDiagram) -> tuple[list[list], dict]:
-    """Colimit as the zigzag quotient of the disjoint union.
-
-    Returns (classes, leg) where classes lists the colimit's elements as
-    sorted lists of (node_key, index) pairs and leg maps such pairs to
-    their class index."""
-    keys = [
-        (k, i) for k, n in sorted(diagram.nodes.items()) for i in range(n)
-    ]
-    uf = UnionFind(keys)
-    for src, dst, fn in diagram.edges:
-        for i in range(diagram.nodes[src]):
-            uf.union((src, i), (dst, fn[i]))
-    return uf.partition()
-
-
-@dataclass
-class CovariantDiagram:
-    """Covariant finite-set diagram on a FinCategory: for f: a -> b the
-    action maps F_a to F_b."""
-
-    base: FinCategory
-    levels: tuple[int, ...]
-    actions: dict[MorphRef, tuple[int, ...]]
-
-    def validate(self) -> None:
-        """Raise ViolatedLaw unless the actions form a functor."""
-        cat, levels, actions = self.base, self.levels, self.actions
-        for f in cat.morphisms():
-            a, b, _ = f
-            if f not in actions:
-                raise ViolatedLaw("missing-action", f)
-            if len(actions[f]) != levels[a]:
-                raise ViolatedLaw("length", f)
-            if not all(0 <= v < levels[b] for v in actions[f]):
-                raise ViolatedLaw("range", f)
-        for a, ident in enumerate(cat.identities):
-            if actions[ident] != tuple(range(levels[a])):
-                raise ViolatedLaw("unit", ident)
-        for f, g, gf in cat.composable():
-            for x in range(levels[f[0]]):
-                if actions[g][actions[f][x]] != actions[gf][x]:
-                    raise ViolatedLaw("functoriality", (f, g, x))
-
-
-def weighted_colimit(
-    W: FinPresheaf, F: CovariantDiagram
-) -> tuple[list[list], dict]:
-    """Colimit of F over the category of elements of the weight W.
-
-    Nodes are triples (object, weight element, diagram element); the edge
-    relation glues along every morphism of the base."""
-    assert W.base is F.base
-    cat = W.base
-    nodes = {}
-    for a in range(len(cat.objects)):
-        nodes[a] = (W.levels[a], F.levels[a])
-    keys = [
-        (a, w, x)
-        for a in range(len(cat.objects))
-        for w in range(W.levels[a])
-        for x in range(F.levels[a])
-    ]
-    uf = UnionFind(keys)
-    for f in cat.morphisms():
-        a, b, _ = f
-        # f: a -> b sends (a, W(f)(w'), x) to (b, w', F(f)(x))
-        for w2 in range(W.levels[b]):
-            w1 = W.act(f, w2)
-            for x in range(F.levels[a]):
-                uf.union((a, w1, x), (b, w2, F.actions[f][x]))
-    return uf.partition()
 
 
 # ---------------------------------------------------------------------------
@@ -369,51 +286,10 @@ def latching_routes_agree(
     return True, A, B
 
 
-def relative_latching_map(
-    m: PresheafMorphism, r: int, data: ReedyData
-) -> tuple[list[list], dict, list[int], bool]:
-    """Pushout X_r + (L_r Y over L_r X), with its map to Y_r.
-
-    Returns (classes, node_class, values, injective); nodes are ('x', i)
-    for i in X_r and ('y', c) for latching classes of Y at r."""
-    X, Y = m.dom, m.cod
-    LX = latching_object(X, r, data)
-    LY = latching_object(Y, r, data)
-    keys = [("x", i) for i in range(X.levels[r])] + [
-        ("y", c) for c in range(len(LY.classes))
-    ]
-    comps = m.components
-    # L_r m: every representative of an X-class lands in one Y-class
-    y_class, bad = descend(
-        LX.classes, lambda node: LY.node_class[(node[0], comps[node[0][1]][node[1]])]
-    )
-    if bad:
-        raise ViolatedLaw("well-definedness", (r, LX.classes[bad[0]][0]))
-    uf = UnionFind(keys)
-    for ci, yc in enumerate(y_class):
-        uf.union(("x", LX.latch[ci]), ("y", yc))
-    classes, node_class = uf.partition()
-    values, bad = descend(
-        classes,
-        lambda node: comps[r][node[1]] if node[0] == "x" else LY.latch[node[1]],
-    )
-    if bad:
-        raise ViolatedLaw("well-definedness", (r, classes[bad[0]][0]))
-    injective = len(set(values)) == len(values)
-    return classes, node_class, values, injective
-
-
 def is_reedy_mono(X: FinPresheaf, data: ReedyData) -> bool:
     return all(
         latching_object(X, r, data).injective
         for r in range(len(X.base.objects))
-    )
-
-
-def is_reedy_mono_morphism(m: PresheafMorphism, data: ReedyData) -> bool:
-    return all(
-        relative_latching_map(m, r, data)[3]
-        for r in range(len(m.dom.base.objects))
     )
 
 
@@ -525,26 +401,6 @@ def _sub_presheaf(X: FinPresheaf, keep: list[list[int]]):
     return S, incl
 
 
-def sub_presheaf_closure(X: FinPresheaf, seeds) -> tuple[FinPresheaf, PresheafMorphism]:
-    """Smallest sub-presheaf containing the seed elements."""
-    cat = X.base
-    S = set(seeds)
-    changed = True
-    while changed:
-        changed = False
-        for (b, x) in list(S):
-            for a in range(len(cat.objects)):
-                for f in cat.refs(a, b):
-                    key = (a, X.act(f, x))
-                    if key not in S:
-                        S.add(key)
-                        changed = True
-    keep = [[] for _ in cat.objects]
-    for (r, x) in S:
-        keep[r].append(x)
-    return _sub_presheaf(X, keep)
-
-
 # ---------------------------------------------------------------------------
 # pushouts to pullbacks
 # ---------------------------------------------------------------------------
@@ -555,9 +411,9 @@ def maps_lowering_pushouts_to_pullbacks(
 ):
     """X applied to each base square must yield a pullback of sets."""
     for sq in squares:
-        assert sq.refs is not None, "need category-resident squares"
+        if sq.refs is None:
+            raise InvalidInput("pushouts-to-pullbacks needs category-resident squares")
         e0, e1, f0, f1 = sq.refs
-        a = e0[0]
         b0, b1, p = e0[1], e1[1], f0[1]
         fibre = [
             (y0, y1)
@@ -565,15 +421,8 @@ def maps_lowering_pushouts_to_pullbacks(
             for y1 in range(X.levels[b1])
             if X.act(e0, y0) == X.act(e1, y1)
         ]
-        comparison = {}
-        ok = True
-        for z in range(X.levels[p]):
-            pair = (X.act(f0, z), X.act(f1, z))
-            if pair in comparison.values():
-                ok = False  # not injective
-                break
-            comparison[z] = pair
-        if not ok or set(comparison.values()) != set(fibre):
+        pairs = [(X.act(f0, z), X.act(f1, z)) for z in range(X.levels[p])]
+        if len(set(pairs)) != len(pairs) or set(pairs) != set(fibre):
             return False, sq.refs
     return True, None
 
@@ -755,65 +604,6 @@ def skeleton_chain_report(X: FinPresheaf, data: ReedyData):
 
 
 # ---------------------------------------------------------------------------
-# degeneracy reflection
-# ---------------------------------------------------------------------------
-
-
-def reflects_degeneracy(m: PresheafMorphism, data: ReedyData) -> bool:
-    """Whenever the image of x factors through a strictly lowering map,
-    x itself does."""
-    X, Y = m.dom, m.cod
-    cat = X.base
-    for r in range(len(cat.objects)):
-        for x in range(X.levels[r]):
-            for e in strictly_lowering_out_of(data, r):
-                s = e[1]
-                hit_y = any(
-                    Y.act(e, y) == m.components[r][x] for y in range(Y.levels[s])
-                )
-                if hit_y:
-                    hit_x = any(
-                        X.act(e, x2) == x for x2 in range(X.levels[s])
-                    )
-                    if not hit_x:
-                        return False
-    return True
-
-
-def certify_reflects_degeneracy_lemma(
-    cases: list[PresheafMorphism], data: ReedyData
-) -> Certificate:
-    """For injective m into a Reedy monomorphic Y: if m reflects
-    degeneracy then m is a Reedy monomorphism.  Runs over the provided
-    sample and counts the non-vacuous instances."""
-    cert = Certificate("reflects-degeneracy")
-    n_applicable = 0
-    n_total = 0
-    witness = None
-    for m in cases:
-        n_total += 1
-        if not m.is_levelwise_injective:
-            continue
-        if not is_reedy_mono(m.cod, data):
-            continue
-        if not reflects_degeneracy(m, data):
-            continue
-        n_applicable += 1
-        if not is_reedy_mono_morphism(m, data):
-            witness = {"case": n_total - 1}
-            break
-    cert.add(
-        verdict(
-            "reflecting-injections-into-mono-are-reedy-mono",
-            witness is None,
-            n_applicable,
-            witness,
-        )
-    )
-    return cert
-
-
-# ---------------------------------------------------------------------------
 # presheaf constructions for the corpus
 # ---------------------------------------------------------------------------
 
@@ -934,7 +724,7 @@ def non_reedy_mono_example() -> tuple[FinCategory, ReedyData, list, FinPresheaf]
     cover produces an element with two non-isomorphic EZ decompositions.
     """
     from .reedy import quotient_closure, reedy_category_on
-    from .semilattice import pinched_tripod_cover, terminal
+    from .semilattice import pinched_tripod_cover
 
     A5, e = pinched_tripod_cover()
     objects = quotient_closure([A5])

@@ -217,11 +217,14 @@ class LoweringPushoutSquare:
     refs: tuple[MorphRef, MorphRef, MorphRef, MorphRef] | None = None
 
     def __post_init__(self):
-        assert self.e0.dom.join == self.e1.dom.join
-        assert self.f0.dom.join == self.e0.cod.join
-        assert self.f1.dom.join == self.e1.cod.join
-        assert self.f0.cod.join == self.f1.cod.join
-        assert self.e0.then(self.f0).map == self.e1.then(self.f1).map
+        e0, e1, f0, f1 = self.e0, self.e1, self.f0, self.f1
+        shared = ((e0.dom, e1.dom), (e0.cod, f0.dom), (e1.cod, f1.dom), (f0.cod, f1.cod))
+        for k, (A, B) in enumerate(shared):
+            if A.join != B.join:
+                raise ViolatedLaw("square-shape", (k,))
+        for x, (v0, v1) in enumerate(zip(e0.map, e1.map)):
+            if f0.map[v0] != f1.map[v1]:
+                raise ViolatedLaw("square-commutativity", (x,))
 
     @property
     def apex(self) -> FiniteSemilattice:
@@ -247,7 +250,8 @@ def lowering_pushout(e0: SLatMorphism, e1: SLatMorphism) -> LoweringPushoutSquar
     """
     if not e0.is_surjective or not e1.is_surjective:
         raise NotSurjective("lowering pushout needs surjective legs")
-    assert e0.dom.join == e1.dom.join
+    if e0.dom.join != e1.dom.join:
+        raise ViolatedLaw("span-apex", ())
     A, B0, B1 = e0.dom, e0.cod, e1.cod
     n0, n1 = B0.size, B1.size
     uf = UnionFind(range(n0 + n1))
@@ -257,9 +261,9 @@ def lowering_pushout(e0: SLatMorphism, e1: SLatMorphism) -> LoweringPushoutSquar
     k = len(classes)
     members0 = [[x for x in c if x < n0] for c in classes]
     members1 = [[x - n0 for x in c if x >= n0] for c in classes]
-    assert all(members0[i] and members1[i] for i in range(k)), (
-        "surjective legs reach every class"
-    )
+    for i in range(k):
+        if not (members0[i] and members1[i]):
+            raise ViolatedLaw("pushout-leg-reach", (i,))
     # per class pair (i, j), the joins of its same-leg members as union keys
     joins = [
         [B0.join[x][y] for x in members0[i] for y in members0[j]]

@@ -307,10 +307,6 @@ class FinPoset:
                         assert self.leq[x][z], "transitivity"
 
     @staticmethod
-    def discrete(n: int) -> "FinPoset":
-        return FinPoset(tuple(tuple(i == j for j in range(n)) for i in range(n)))
-
-    @staticmethod
     def chain(n: int) -> "FinPoset":
         return FinPoset(tuple(tuple(i <= j for j in range(n)) for i in range(n)))
 
@@ -318,20 +314,6 @@ class FinPoset:
     def of_semilattice(A: FiniteSemilattice) -> "FinPoset":
         n = A.size
         return FinPoset(tuple(tuple(A.leq(i, j) for j in range(n)) for i in range(n)))
-
-    def adjoin_bottom(self) -> "FinPoset":
-        """The cone 1*P: fresh bottom (index 0) below everything."""
-        n = self.size
-        rows = [tuple([True] * (n + 1))]
-        for i in range(n):
-            rows.append(tuple([False] + [self.leq[i][j] for j in range(n)]))
-        return FinPoset(tuple(rows))
-
-    def down_closure(self, xs) -> frozenset[int]:
-        out = set()
-        for x in xs:
-            out.update(y for y in range(self.size) if self.leq[y][x])
-        return frozenset(out)
 
 
 def monotone_maps(P: FinPoset, Q: FinPoset, budget: int = DEFAULT_CANDIDATE_BUDGET):
@@ -367,10 +349,6 @@ def monotone_maps(P: FinPoset, Q: FinPoset, budget: int = DEFAULT_CANDIDATE_BUDG
 # ---------------------------------------------------------------------------
 # standard semilattices
 # ---------------------------------------------------------------------------
-
-
-def terminal() -> FiniteSemilattice:
-    return validate_semilattice([[0]], ("*",))
 
 
 def chain(n: int) -> FiniteSemilattice:
@@ -505,32 +483,6 @@ def free_on_generators(
     labels = tuple("{" + ",".join(map(str, sorted(s))) + "}" for s in subsets)
     F = validate_semilattice(table, labels)
     unit = tuple(index[frozenset([i])] for i in range(k))
-    return F, unit
-
-
-def free_on_poset(
-    P: FinPoset, max_size: int = 2**12
-) -> tuple[FiniteSemilattice, tuple[int, ...]]:
-    """Free semilattice on a poset: nonempty finitely-generated down-sets.
-
-    The unit sends p to its principal down-set; joins are unions.  Monotone
-    maps out of P extend uniquely along the unit (see tests for the brute
-    force verification).
-    """
-    n = P.size
-    assert n >= 1
-    if 2**n - 1 > max_size:
-        raise SizeBudget(f"{2**n - 1} candidate down-sets")
-    downs = set()
-    for r in range(1, n + 1):
-        for s in itertools.combinations(range(n), r):
-            downs.add(P.down_closure(s))
-    elems = sorted(downs, key=lambda s: (len(s), tuple(sorted(s))))
-    index = {s: i for i, s in enumerate(elems)}
-    table = [[index[s | t] for t in elems] for s in elems]
-    labels = tuple("{" + ",".join(map(str, sorted(s))) + "}" for s in elems)
-    F = validate_semilattice(table, labels)
-    unit = tuple(index[P.down_closure([p])] for p in range(n))
     return F, unit
 
 

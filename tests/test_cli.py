@@ -8,9 +8,9 @@ from pathlib import Path
 import pytest
 
 from reedylab.cli import main
-from reedylab.dot import crown_dot, export_dot, semilattice_dot
-from reedylab.obstruction import crown
-from reedylab.semilattice import interval, product, terminal
+from reedylab.dot import crown_dot, semilattice_dot
+from reedylab.obstruction import CrownPoset
+from reedylab.semilattice import chain, interval, product
 from reedylab.suites import SUITES, SuiteConfig, run_suite
 
 
@@ -140,11 +140,11 @@ def test_cli_all_json_is_one_array(monkeypatch, capsys):
 
 
 def test_dot_shapes_directly():
-    assert semilattice_dot(terminal()).count("->") == 0
+    assert semilattice_dot(chain(1)).count("->") == 0
     P, _, _ = product(interval(), interval())
-    dot = export_dot(P)
+    dot = semilattice_dot(P)
     assert dot.count("->") == 4
-    assert crown_dot(crown(4)).count("->") == 8
+    assert crown_dot(CrownPoset(4)).count("->") == 8
 
 
 def test_suite_output_file(tmp_path):

@@ -1,15 +1,11 @@
 from reedylab.cubes import cube
 from reedylab.elegance import (
     codiagonal_square,
-    contraction_square,
     counit_from_free,
     hom_preserves_lowering_pushout,
     in_elegant_core,
     is_perfectly_presentable,
-    principal_sieve_leq,
     projective_lift,
-    sieve_degree,
-    certify_sieve_monotonicity,
 )
 from reedylab.obstruction import map_t
 from reedylab.reedy import lowering_pushout, truncated_semilattice_category
@@ -24,7 +20,6 @@ from reedylab.semilattice import (
     enumerate_surjections,
     interval,
     product,
-    terminal,
 )
 
 
@@ -37,7 +32,7 @@ def test_counit_is_join_of_generators():
 
 
 def test_core_membership_positive():
-    for A in (terminal(), interval(), chain(3), cube(2)):
+    for A in (chain(1), interval(), chain(3), cube(2)):
         assert in_elegant_core(A)
         ok, data = is_perfectly_presentable(A)
         assert ok
@@ -81,7 +76,7 @@ def test_triple_agreement_all_classes_size_4():
 def test_hom_preservation_examples():
     P, p0, p1 = product(interval(), interval())
     sq = lowering_pushout(p0, p1)
-    assert hom_preserves_lowering_pushout(terminal(), sq)[0]
+    assert hom_preserves_lowering_pushout(chain(1), sq)[0]
     assert hom_preserves_lowering_pushout(interval(), sq)[0]
     assert hom_preserves_lowering_pushout(cube(3), sq)[0]
 
@@ -127,35 +122,3 @@ def test_projective_lift_failure():
     eps = counit_from_free(tripod)
     assert projective_lift(tripod, eps, SLatMorphism.identity(tripod)) is None
 
-
-def test_sieve_degree_and_inclusion():
-    P, _, _ = product(interval(), interval())
-    idP = SLatMorphism.identity(P)
-    assert sieve_degree(idP) == 4
-    point = enumerate_homs(terminal(), P)[0]  # constant at the bottom
-    assert sieve_degree(point) == 1
-    assert principal_sieve_leq(point, idP)
-    assert not principal_sieve_leq(idP, point)
-    ax0 = SLatMorphism(interval(), P, (0, 2))
-    ax1 = SLatMorphism(interval(), P, (0, 1))
-    assert sieve_degree(ax0) == sieve_degree(ax1) == 2
-    assert not principal_sieve_leq(ax0, ax1)
-    assert not principal_sieve_leq(ax1, ax0)
-
-
-def test_sieve_monotonicity_certificates():
-    sources1 = [terminal(), interval()]
-    cert = certify_sieve_monotonicity(interval(), sources1)
-    assert cert.passed
-    P, _, _ = product(interval(), interval())
-    cert = certify_sieve_monotonicity(P, [terminal(), interval(), P])
-    assert cert.passed
-
-
-def test_contraction_square():
-    P, _, _ = product(interval(), interval())
-    swap = SLatMorphism(P, P, (0, 2, 1, 3))
-    assert contraction_square(P, swap)
-    V = atoms_with_top(2)
-    assert contraction_square(V, SLatMorphism.identity(V))
-    assert contraction_square(V, SLatMorphism(V, V, (1, 0, 2)))

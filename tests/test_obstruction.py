@@ -8,7 +8,6 @@ from reedylab.obstruction import (
     certify_wind_properties,
     compose_crown,
     compose_extensions,
-    crown,
     crown_embedding,
     crown_extension,
     crown_map,
@@ -84,7 +83,7 @@ def test_t_is_surjective_join_preserving():
 
 
 def test_crown_poset_structure():
-    C4 = crown(4)
+    C4 = CrownPoset(4)
     assert C4.size == 8
     assert set(C4.upper_covers(0)) == {7, 1}
     assert set(C4.upper_covers(6)) == {5, 7}

@@ -31,7 +31,6 @@ from reedylab.semilattice import (
     interval,
     pinched_tripod_cover,
     product,
-    terminal,
 )
 
 
@@ -41,7 +40,7 @@ def trunc3():
 
 
 def test_degree_is_cardinality():
-    assert degree(terminal()) == 1
+    assert degree(chain(1)) == 1
     assert degree(cube(3)) == 8
     assert degree(diamond(3)) == 5
 
@@ -281,6 +280,33 @@ def test_validate_survives_optimized_mode():
         "except ViolatedLaw:\n"
         "    raise SystemExit(0)\n"
         "raise SystemExit(1)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    assert subprocess.run([sys.executable, "-O", "-c", code], env=env).returncode == 0
+
+
+def test_bad_lowering_square_raises_in_optimized_mode():
+    # a square that does not commute, one whose legs do not meet, and a
+    # span whose legs leave different apexes
+    code = (
+        "from reedylab.errors import ViolatedLaw\n"
+        "from reedylab.reedy import LoweringPushoutSquare, lowering_pushout\n"
+        "from reedylab.semilattice import SLatMorphism, chain, interval\n"
+        "I, C = interval(), chain(3)\n"
+        "ident, top = SLatMorphism.identity(I), SLatMorphism(I, I, (1, 1))\n"
+        "collapse = SLatMorphism(C, I, (0, 1, 1))\n"
+        "laws = []\n"
+        "for build in (\n"
+        "    lambda: LoweringPushoutSquare(ident, ident, ident, top),\n"
+        "    lambda: LoweringPushoutSquare(ident, collapse, ident, ident),\n"
+        "    lambda: lowering_pushout(ident, collapse),\n"
+        "):\n"
+        "    try:\n"
+        "        build()\n"
+        "    except ViolatedLaw as exc:\n"
+        "        laws.append(exc.law)\n"
+        "ok = laws == ['square-commutativity', 'square-shape', 'span-apex']\n"
+        "raise SystemExit(0 if ok else f'laws raised: {laws}')\n"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
     assert subprocess.run([sys.executable, "-O", "-c", code], env=env).returncode == 0

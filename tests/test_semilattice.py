@@ -8,7 +8,6 @@ import pytest
 
 from reedylab.errors import CandidateSpaceExceeded, EmptyCarrier, SizeBudget, ViolatedLaw
 from reedylab.semilattice import (
-    FinPoset,
     FiniteSemilattice,
     SLatMorphism,
     UnionFind,
@@ -27,16 +26,13 @@ from reedylab.semilattice import (
     enumerate_surjections,
     find_isomorphism,
     free_on_generators,
-    free_on_poset,
     image_factorize,
     interval,
     is_distributive_lattice,
     lift_through_surjection,
-    monotone_maps,
     pinched_tripod_cover,
     product,
     quotient_by_pairs,
-    terminal,
     validate_semilattice,
 )
 
@@ -221,7 +217,7 @@ def test_product_is_componentwise():
     P, p0, p1 = product(interval(), interval())
     assert P.size == 4
     assert p0.is_surjective and p1.is_surjective
-    one = terminal()
+    one = chain(1)
     Q, q0, q1 = product(one, chain(3))
     assert are_isomorphic(Q, chain(3))
     C, _, _ = product(P, interval())
@@ -261,41 +257,8 @@ def test_free_adjunction_bijection():
             assert len(enumerate_homs(F, B)) == B.size**k
 
 
-def test_free_on_poset_cubes_and_chains():
-    P1 = FinPoset.discrete(1).adjoin_bottom()
-    F, unit = free_on_poset(P1)
-    assert are_isomorphic(F, interval())
-    assert F.bottom == unit[0]
-    P2 = FinPoset.discrete(2).adjoin_bottom()
-    F2, _ = free_on_poset(P2)
-    assert are_isomorphic(F2, cube2())
-    C, _ = free_on_poset(FinPoset.chain(3))
-    assert are_isomorphic(C, chain(3))
-
-
-def test_free_on_poset_universal_property():
-    # brute force: every monotone map extends uniquely along the unit
-    posets = [
-        FinPoset.chain(3),
-        FinPoset.discrete(2).adjoin_bottom(),
-        FinPoset.of_semilattice(atoms_with_top(2)),
-    ]
-    targets = all_semilattices_upto(3)
-    for P in posets:
-        F, unit = free_on_poset(P)
-        for A in targets:
-            Q = FinPoset.of_semilattice(A)
-            for vals in monotone_maps(P, Q):
-                extensions = [
-                    h
-                    for h in enumerate_homs(F, A)
-                    if all(h.map[unit[p]] == vals[p] for p in range(P.size))
-                ]
-                assert len(extensions) == 1
-
-
 def test_adjoin_bottom():
-    B, incl = adjoin_bottom(terminal())
+    B, incl = adjoin_bottom(chain(1))
     assert are_isomorphic(B, interval())
     B2, _ = adjoin_bottom(atoms_with_top(2))
     assert are_isomorphic(B2, cube2())
