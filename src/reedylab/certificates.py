@@ -35,9 +35,6 @@ class Certificate:
     def passed(self) -> bool:
         return all(c.status == PASS for c in self.checks)
 
-    def add(self, check: Check) -> None:
-        self.checks.append(check)
-
     def to_json(self) -> dict:
         return {
             "suite": self.suite,
@@ -69,3 +66,15 @@ class Certificate:
 def verdict(id: str, ok, count: int, witness=None) -> Check:
     """A passing or failing check; the witness is kept only on failure."""
     return Check(id, PASS if ok else FAIL, count, None if ok else witness)
+
+
+def scan(id: str, witnesses) -> Check:
+    """One check over a sequence of cases, each given as None when it
+    passes or as its witness when it fails.  Stops at the first failure;
+    the count is the number of cases examined, that failure included."""
+    count = 0
+    for witness in witnesses:
+        count += 1
+        if witness is not None:
+            return Check(id, FAIL, count, witness)
+    return Check(id, PASS, count)

@@ -107,12 +107,9 @@ def main(argv=None) -> int:
 
     ob = sub.add_parser("obstruct", help="obstruction certificates")
     ob_sub = ob.add_subparsers(dest="obstruct_command", required=True)
-    ob_sub.add_parser("u")
     cr = ob_sub.add_parser("crown")
     cr.add_argument("--m", type=int, required=True)
     cr.add_argument("--n", type=int, required=True)
-    sc = ob_sub.add_parser("sieve-chain")
-    sc.add_argument("--n", type=int, default=3)
 
     args = parser.parse_args(argv)
 
@@ -179,16 +176,6 @@ def _cube_command(args) -> int:
 
 
 def _obstruct_command(args) -> int:
-    if args.obstruct_command == "u":
-        from .obstruction import (
-            certify_no_reedy_factorization_of_u,
-            verify_u_image,
-        )
-
-        certs = [verify_u_image(), certify_no_reedy_factorization_of_u()]
-        text = "\n".join(c.json_text() for c in certs)
-        _emit(text, None)
-        return _exit_code(*certs)
     if args.obstruct_command == "crown":
         from .obstruction import enumerate_crown_maps, winding
 
@@ -212,12 +199,6 @@ def _obstruct_command(args) -> int:
             None,
         )
         return EXIT_PASS
-    if args.obstruct_command == "sieve-chain":
-        from .obstruction import certify_sieve_chain_nonstabilization
-
-        cert = certify_sieve_chain_nonstabilization(args.n)
-        _emit(cert.json_text(), None)
-        return _exit_code(cert)
     raise UnknownSuite(args.obstruct_command)
 
 

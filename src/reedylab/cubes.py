@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .certificates import Certificate, verdict
+from .certificates import Check, scan, verdict
 from .errors import NotDistributive, NotIdempotent, SizeBudget
 from .semilattice import (
     DEFAULT_CANDIDATE_BUDGET,
@@ -115,29 +115,19 @@ def certify_idempotent_completion(
     dim_cap: int = 3,
     size_cap: int = 4,
     budget: int = DEFAULT_CANDIDATE_BUDGET,
-) -> Certificate:
+) -> list[Check]:
     """Idempotents on cubes split with distributive fixed-point objects;
     distributive classes are retracts of cubes; and the one-connection
     idempotent (x,y) -> (x, x or y) splits through the 3-chain."""
-    cert = Certificate("idempotent-completion")
-    for n in range(0, dim_cap + 1):
+
+    def split_distributively(n):
         C = cube(n)
-        endos = enumerate_homs(C, C, budget)
-        idems = [f for f in endos if f.then(f).map == f.map]
-        bad = None
-        for f in idems:
-            r, s = split_idempotent(f)
-            if not is_distributive_lattice(r.cod):
-                bad = {"dim": n, "map": list(f.map)}
-                break
-        cert.add(
-            verdict(
-                f"idempotents-split-distributively-dim-{n}",
-                bad is None,
-                len(idems),
-                bad,
-            )
-        )
+        for f in enumerate_homs(C, C, budget):
+            if f.then(f).map != f.map:
+                continue
+            r, _ = split_idempotent(f)
+            ok = is_distributive_lattice(r.cod)
+            yield None if ok else {"dim": n, "map": list(f.map)}
 
     def connection_example():
         from .semilattice import are_isomorphic
@@ -149,23 +139,28 @@ def certify_idempotent_completion(
         )
         r, s = split_idempotent(f)
         ok = r.cod.size == 3 and are_isomorphic(r.cod, chain(3))
-        return ok, 1, None if ok else {"split-size": r.cod.size}
-
-    cert.add(verdict("one-connection-idempotent-splits-through-chain3", *connection_example()))
+        return verdict(
+            "one-connection-idempotent-splits-through-chain3",
+            ok,
+            1,
+            {"split-size": r.cod.size},
+        )
 
     def retracts():
-        count = 0
         for A in all_semilattices_upto(size_cap):
             if not is_distributive_lattice(A):
                 continue
-            count += 1
             s, r = retract_of_cube(A, max_dim=max(size_cap, 4), budget=budget)
-            if s.then(r).map != tuple(range(A.size)):
-                return False, count, {"size": A.size}
-        return True, count, None
+            yield None if s.then(r).map == tuple(range(A.size)) else {"size": A.size}
 
-    cert.add(verdict("distributive-classes-are-cube-retracts", *retracts()))
-    return cert
+    return [
+        *(
+            scan(f"idempotents-split-distributively-dim-{n}", split_distributively(n))
+            for n in range(0, dim_cap + 1)
+        ),
+        connection_example(),
+        scan("distributive-classes-are-cube-retracts", retracts()),
+    ]
 
 
 # ---------------------------------------------------------------------------

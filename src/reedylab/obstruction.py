@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .certificates import Certificate, verdict
+from .certificates import Check, scan, verdict
 from .cubes import cube, degeneracy, face
 from .errors import SizeBudget, ViolatedLaw
 from .semilattice import (
@@ -55,24 +55,20 @@ def map_t() -> SLatMorphism:
     return SLatMorphism(C, chain(3), tuple(t(v) for v in range(8)))
 
 
-def verify_u_image() -> Certificate:
+def verify_u_image() -> list[Check]:
     """The image of u is the five-element diamond, hence non-distributive."""
-    cert = Certificate("u-image")
-    u = map_u()
-    surj, mono = image_factorize(u)
+    surj, mono = image_factorize(map_u())
     img = surj.cod
-    cert.add(verdict("image-has-five-elements", img.size == 5, 8, {"size": img.size}))
-    iso = are_isomorphic(img, diamond(3))
-    cert.add(verdict("image-is-the-diamond", iso, 1))
-    cert.add(
+    return [
+        verdict("image-has-five-elements", img.size == 5, 8, {"size": img.size}),
+        verdict("image-is-the-diamond", are_isomorphic(img, diamond(3)), 1),
         verdict(
             "image-not-distributive",
             not is_distributive_lattice(img),
             img.size**3,
             "unexpectedly distributive",
-        )
-    )
-    return cert
+        ),
+    ]
 
 
 def join_closed_subsets_containing(A: FiniteSemilattice, seed: set[int]):
@@ -99,7 +95,7 @@ def sub_semilattice(A: FiniteSemilattice, elems) -> tuple[FiniteSemilattice, SLa
 
 def certify_no_reedy_factorization_of_u(
     budget: int = DEFAULT_CANDIDATE_BUDGET,
-) -> Certificate:
+) -> list[Check]:
     """Three exhaustive sub-checks blocking a Reedy factorization of u
     inside the distributive-lattice completion of the cube category.
 
@@ -111,7 +107,7 @@ def certify_no_reedy_factorization_of_u(
     map, because a commuting square against the raising face [1] -> [2]
     admits no diagonal.
     """
-    cert = Certificate("u-factorization")
+    checks = []
     u = map_u()
     C3 = u.dom
     img = set(u.image())
@@ -123,7 +119,7 @@ def certify_no_reedy_factorization_of_u(
         if is_distributive_lattice(sub):
             distributive.append(S)
     ok = distributive == [tuple(range(8))]
-    cert.add(
+    checks.append(
         verdict(
             "only-distributive-superset-is-the-cube",
             ok,
@@ -153,7 +149,7 @@ def certify_no_reedy_factorization_of_u(
             assert e.then(m).map == u.map
             found.append((len(S), e.is_iso if D.size == 8 else False, D.size))
     ok = all(size == 8 for (_, _, size) in found) and found
-    cert.add(
+    checks.append(
         verdict(
             "all-injective-factorizations-pass-through-the-cube",
             ok,
@@ -167,14 +163,14 @@ def certify_no_reedy_factorization_of_u(
     d1 = face(1, 2)  # [1] -> [2]
     top = t.then(s1)
     square_ok = u.then(t).map == top.then(d1).map
-    cert.add(
+    checks.append(
         verdict("t-square-commutes", square_ok, 8, {"lhs": list(u.then(t).map)})
     )
     interval = d1.dom
     diagonals = [
         j for j in enumerate_homs(C3, interval, budget) if j.then(d1).map == t.map
     ]
-    cert.add(
+    checks.append(
         verdict(
             "t-square-has-no-diagonal",
             not diagonals,
@@ -186,7 +182,7 @@ def certify_no_reedy_factorization_of_u(
     uu = u.then(u)
     surj, _ = image_factorize(uu)
     ok = surj.cod.size == 2
-    cert.add(
+    checks.append(
         verdict(
             "u-squared-factors-through-the-interval",
             ok,
@@ -194,7 +190,7 @@ def certify_no_reedy_factorization_of_u(
             {"image-size": surj.cod.size},
         )
     )
-    return cert
+    return checks
 
 
 # ---------------------------------------------------------------------------
@@ -366,21 +362,14 @@ def enumerate_crown_maps(m: int, n: int, cap: int = 6) -> list[CrownMap]:
     return out
 
 
-def certify_wind_properties(budget: int = DEFAULT_CANDIDATE_BUDGET) -> Certificate:
+def certify_wind_properties() -> list[Check]:
     """Short crowns cannot wind around longer ones; winding is
     multiplicative; the cube extension is a semifunctor."""
-    cert = Certificate("crown-winding")
 
     def short_to_long():
-        n_cases = 0
         for (a, b) in [(3, 4), (3, 5), (4, 5), (3, 6)]:
             for f in enumerate_crown_maps(a, b):
-                n_cases += 1
-                if winding(f) != 0:
-                    return False, n_cases, {"m": a, "n": b, "values": list(f.values)}
-        return True, n_cases, None
-
-    cert.add(verdict("short-into-long-winds-zero", *short_to_long()))
+                yield {"m": a, "n": b, "values": list(f.values)} if winding(f) else None
 
     def multiplicative():
         # winding is the sum of forced fence steps over the cyclic edges,
@@ -421,25 +410,17 @@ def certify_wind_properties(budget: int = DEFAULT_CANDIDATE_BUDGET) -> Certifica
                         }
         return True, n_cases, None
 
-    cert.add(verdict("winding-multiplicative", *multiplicative()))
-
     def symmetry_winds():
-        n_cases = 0
         for n0 in (3, 4):
             maps = {f.values for f in enumerate_crown_maps(n0, n0)}
             for k in range(0, 2 * n0, 2):
                 r = rotation(n0, k)
-                n_cases += 1
-                if winding(r) != 1 or r.values not in maps:
-                    return False, n_cases, {"rotation": k}
+                ok = winding(r) == 1 and r.values in maps
+                yield None if ok else {"rotation": k}
             for a in range(0, 2 * n0, 2):
                 r = reflection(n0, a)
-                n_cases += 1
-                if winding(r) != -1 or r.values not in maps:
-                    return False, n_cases, {"reflection": a}
-        return True, n_cases, None
-
-    cert.add(verdict("rotations-wind-one-reflections-minus-one", *symmetry_winds()))
+                ok = winding(r) == -1 and r.values in maps
+                yield None if ok else {"reflection": a}
 
     def fold_winds():
         f1 = fold_map(6, 3)
@@ -450,15 +431,12 @@ def certify_wind_properties(budget: int = DEFAULT_CANDIDATE_BUDGET) -> Certifica
             and winding(fold_map(8, 4)) == 2
             and winding(composite) == 4
         )
-        return ok, 3, None if ok else {
+        return ok, 3, {
             "w(fold 6->3)": winding(f1),
             "w(fold 12->3)": winding(composite),
         }
 
-    cert.add(verdict("fold-windings", *fold_winds()))
-
     def semifunctor():
-        n_cases = 0
         samples = [
             (fold_map(12, 6), fold_map(6, 3)),
             (fold_map(6, 3), identity_crown(3)),
@@ -467,28 +445,30 @@ def certify_wind_properties(budget: int = DEFAULT_CANDIDATE_BUDGET) -> Certifica
             (fold_map(8, 4), reflection(4, 0)),
         ]
         for f, g in samples:
-            n_cases += 1
             lhs = crown_extension(compose_crown(f, g))
             rhs = compose_extensions(crown_extension(f), crown_extension(g))
-            if lhs.values != rhs.values:
-                return False, n_cases, {"f": list(f.values), "g": list(g.values)}
+            ok = lhs.values == rhs.values
+            yield None if ok else {"f": list(f.values), "g": list(g.values)}
         for n0 in (3, 4):
-            n_cases += 1
             bar_id = crown_extension(identity_crown(n0))
-            idem = tuple(bar_id.values[v] for v in bar_id.values)
-            if idem != bar_id.values:
-                return False, n_cases, {"n": n0, "reason": "not idempotent"}
             fixed = {v for v in range(1 << n0) if bar_id.values[v] == v}
-            expected = set(crown_embedding(n0)) | {0, (1 << n0) - 1}
-            if fixed != expected:
-                return False, n_cases, {"n": n0, "reason": "fixed points"}
-            is_id = bar_id.values == tuple(range(1 << n0))
-            if is_id != (n0 == 3):
-                return False, n_cases, {"n": n0, "reason": "identity iff n=3"}
-        return True, n_cases, None
+            if tuple(bar_id.values[v] for v in bar_id.values) != bar_id.values:
+                reason = "not idempotent"
+            elif fixed != set(crown_embedding(n0)) | {0, (1 << n0) - 1}:
+                reason = "fixed points"
+            elif (bar_id.values == tuple(range(1 << n0))) != (n0 == 3):
+                reason = "identity iff n=3"
+            else:
+                reason = None
+            yield None if reason is None else {"n": n0, "reason": reason}
 
-    cert.add(verdict("extension-semifunctor", *semifunctor()))
-    return cert
+    return [
+        scan("short-into-long-winds-zero", short_to_long()),
+        verdict("winding-multiplicative", *multiplicative()),
+        scan("rotations-wind-one-reflections-minus-one", symmetry_winds()),
+        verdict("fold-windings", *fold_winds()),
+        scan("extension-semifunctor", semifunctor()),
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -552,17 +532,14 @@ def compose_extensions(f: MonotoneCubeMap, g: MonotoneCubeMap) -> MonotoneCubeMa
     return MonotoneCubeMap(f.m, g.n, tuple(g.values[v] for v in f.values))
 
 
-def verify_extension_pullback(f: CrownMap) -> Certificate:
+def verify_extension_pullback(f: CrownMap) -> list[Check]:
     """The extension square is a pullback: the only cube points mapping
     into the embedded target crown are the embedded source crown points."""
-    cert = Certificate("extension-pullback")
     m, n = f.m, f.n
     cm, cn = crown_embedding(m), crown_embedding(n)
     ext = crown_extension(f)
 
     commute = all(ext.values[cm[i]] == cn[f.values[i]] for i in range(2 * m))
-    cert.add(verdict("square-commutes", commute, 2 * m))
-
     cn_set = set(cn)
     cm_set = set(cm)
     bad = [
@@ -570,8 +547,10 @@ def verify_extension_pullback(f: CrownMap) -> Certificate:
         for v in range(1 << m)
         if ext.values[v] in cn_set and v not in cm_set
     ]
-    cert.add(verdict("pullback-exhaustive", not bad, 1 << m, bad and {"point": bad[0]}))
-    return cert
+    return [
+        verdict("square-commutes", commute, 2 * m),
+        verdict("pullback-exhaustive", not bad, 1 << m, bad and {"point": bad[0]}),
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -579,36 +558,28 @@ def verify_extension_pullback(f: CrownMap) -> Certificate:
 # ---------------------------------------------------------------------------
 
 
-def certify_sieve_chain_nonstabilization(
-    n: int = 3, budget: int = DEFAULT_CANDIDATE_BUDGET
-) -> Certificate:
+def certify_sieve_chain_nonstabilization() -> list[Check]:
     """The principal sieves generated by the extended folds strictly
-    descend: stage-wise composite identities give the inclusions, and an
-    exhaustive fibre-pruned search plus the winding obstruction rule out
-    a map splitting the first inclusion.
+    descend (at n = 3): stage-wise composite identities give the
+    inclusions, and an exhaustive fibre-pruned search plus the winding
+    obstruction rule out a map splitting the first inclusion.
     """
-    if n != 3:
-        raise SizeBudget("sieve chain is certified at n=3 only")
-    cert = Certificate("sieve-chain")
-
+    n = 3
     f1 = identity_crown(n)
     fold_2n_n = fold_map(2 * n, n)
     fold_4n_2n = fold_map(4 * n, 2 * n)
     f2 = fold_2n_n
     f4 = compose_crown(fold_4n_2n, fold_2n_n)
 
-    def stage(a_name, composite, left, right, dim):
-        if dim > 13:
-            raise SizeBudget("pointwise stage check capped at 2^13 points")
+    def stage(cid, a_name, composite, left, right, dim):
         lhs = crown_extension(composite)
         rhs = compose_extensions(crown_extension(left), crown_extension(right))
-        ok = lhs.values == rhs.values
-        return ok, 1 << dim, None if ok else {"stage": a_name}
+        return verdict(cid, lhs.values == rhs.values, 1 << dim, {"stage": a_name})
 
-    stage1 = stage("f2 = f1 . fold", f2, fold_2n_n, f1, 2 * n)
-    cert.add(verdict("chain-inclusion-stage-1", *stage1))
-    stage2 = stage("f4 = fold . f2", f4, fold_4n_2n, f2, 4 * n)
-    cert.add(verdict("chain-inclusion-stage-2", *stage2))
+    checks = [
+        stage("chain-inclusion-stage-1", "f2 = f1 . fold", f2, fold_2n_n, f1, 2 * n),
+        stage("chain-inclusion-stage-2", "f4 = fold . f2", f4, fold_4n_2n, f2, 4 * n),
+    ]
 
     # no monotone g: [1]^n -> [1]^2n with ext(f2) o g = ext(f1)
     ext_f2 = crown_extension(f2)
@@ -642,23 +613,20 @@ def certify_sieve_chain_nonstabilization(
                 vals.pop()
 
     rec(0)
-    cert.add(
+
+    maps = enumerate_crown_maps(n, 2 * n)
+    bad = [f for f in maps if winding(f) != 0]
+    return checks + [
         verdict(
             "no-section-of-extended-fold",
             found is None,
             examined,
             found and {"g": list(found)},
-        )
-    )
-
-    maps = enumerate_crown_maps(n, 2 * n)
-    bad = [f for f in maps if winding(f) != 0]
-    cert.add(
+        ),
         verdict(
             "all-crown-maps-into-double-wind-zero",
             not bad,
             len(maps),
             bad and {"values": list(bad[0].values)},
-        )
-    )
-    return cert
+        ),
+    ]

@@ -60,43 +60,6 @@ class FinPresheaf:
                 if act_f[act_g[x]] != act_gf[x]:
                     raise ViolatedLaw("functoriality", (f, g, x))
 
-    def to_json(self) -> dict:
-        return {
-            "base": "category",
-            "levels": list(self.levels),
-            "actions": {
-                f"{a}:{b}:{k}": list(act)
-                for (a, b, k), act in sorted(self.actions.items())
-            },
-        }
-
-    @staticmethod
-    def from_json(cat: FinCategory, data: dict) -> "FinPresheaf":
-        """Read the JSON form; a malformed document raises InvalidInput."""
-        if not isinstance(data, dict):
-            raise InvalidInput("presheaf JSON is not an object")
-        levels, acts = data.get("levels"), data.get("actions")
-        if not isinstance(levels, (list, tuple)) or not all(
-            isinstance(n, int) for n in levels
-        ):
-            raise InvalidInput(f"presheaf levels {levels!r} are not a list of integers")
-        if not isinstance(acts, dict):
-            raise InvalidInput(f"presheaf actions {acts!r} are not an object")
-        actions = {}
-        for key, act in acts.items():
-            try:
-                a, b, k = map(int, key.split(":"))
-            except ValueError:
-                raise InvalidInput(
-                    f"action key {key!r} is not three integers a:b:k"
-                ) from None
-            if not isinstance(act, (list, tuple)):
-                raise InvalidInput(f"action {key!r} is not a list")
-            actions[(a, b, k)] = tuple(act)
-        X = FinPresheaf(cat, tuple(levels), actions)
-        X.validate()
-        return X
-
 
 @dataclass
 class PresheafMorphism:

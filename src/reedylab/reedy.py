@@ -14,7 +14,7 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
-from .certificates import Certificate, verdict
+from .certificates import Check, scan
 from .errors import NotSurjective, SizeBudget, ViolatedLaw
 from .semilattice import (
     DEFAULT_CANDIDATE_BUDGET,
@@ -162,20 +162,6 @@ class FinCategory:
         )
         return cat
 
-    def to_json(self) -> dict:
-        return {
-            "objects": [O.to_json() for O in self.objects],
-            "homs": {
-                f"{a}:{b}": [list(f.map) for f in fs]
-                for (a, b), fs in sorted(self.homs.items())
-            },
-            "composition": {
-                f"{f[0]}:{f[1]}:{f[2]}|{g[0]}:{g[1]}:{g[2]}": list(h)
-                for (f, g), h in sorted(self.composition.items())
-            },
-            "identities": [list(i) for i in self.identities],
-        }
-
 
 @dataclass
 class ReedyData:
@@ -233,11 +219,6 @@ class LoweringPushoutSquare:
     @property
     def carrier(self) -> FiniteSemilattice:
         return self.f0.cod
-
-
-def degree(A: FiniteSemilattice) -> int:
-    """Reedy degree: cardinality."""
-    return A.size
 
 
 def lowering_pushout(e0: SLatMorphism, e1: SLatMorphism) -> LoweringPushoutSquare:
@@ -304,14 +285,13 @@ def pushout_via_congruence(e0: SLatMorphism, e1: SLatMorphism) -> SLatMorphism:
     return quotient_by_pairs(A, pairs)
 
 
-def verify_pushout_universal(
-    cat: FinCategory, square: LoweringPushoutSquare
-) -> tuple[bool, int, object]:
+def verify_pushout_universal(cat: FinCategory, square: LoweringPushoutSquare) -> list:
     """Exhaustively test the universal property of a category-resident
-    square against all cocones into the category's objects: each
-    commuting cocone factors uniquely.  Composites come from the table."""
+    square against all cocones into the category's objects: one entry per
+    commuting cocone, None when it factors uniquely and a witness when it
+    does not.  Composites come from the table."""
     e0, e1, f0, f1 = square.refs
-    count = 0
+    witnesses = []
     for c in range(len(cat.objects)):
         g0s, g1s, hs = (cat.refs(s, c) for s in (e0[1], e1[1], f0[1]))
         through = [(cat.compose(f0, h), cat.compose(f1, h)) for h in hs]
@@ -320,14 +300,14 @@ def verify_pushout_universal(
             for g1 in g1s:
                 if cat.compose(e1, g1) != left:
                     continue
-                count += 1
                 mediating = through.count((g0, g1))
-                if mediating != 1:
-                    return False, count, {
+                witnesses.append(
+                    None if mediating == 1 else {
                         "cocone": [list(cat.mor(g0).map), list(cat.mor(g1).map)],
                         "mediating": mediating,
                     }
-    return True, count, None
+                )
+    return witnesses
 
 
 def reedy_category_on(
@@ -416,65 +396,46 @@ def _factorizations(cat: FinCategory, data: ReedyData, ref: MorphRef):
     ]
 
 
-def certify_reedy_axioms(cat: FinCategory, data: ReedyData) -> Certificate:
+def certify_reedy_axioms(cat: FinCategory, data: ReedyData) -> list[Check]:
     """Orthogonal factorization system plus degree axioms, exhaustively."""
-    cert = Certificate("reedy-axioms")
     morphs = list(cat.morphisms())
+    lowering, raising, degree = data.lowering, data.raising, data.degree
 
     def closed_classes():
-        n = 0
         for f, g, gf in cat.composable():
-            n += 1
-            if data.lowering[f] and data.lowering[g] and not data.lowering[gf]:
-                return False, n, {"f": f, "g": g}
-            if data.raising[f] and data.raising[g] and not data.raising[gf]:
-                return False, n, {"f": f, "g": g}
-        return True, n, None
-
-    cert.add(verdict("classes-closed-under-composition", *closed_classes()))
+            bad = (lowering[f] and lowering[g] and not lowering[gf]) or (
+                raising[f] and raising[g] and not raising[gf]
+            )
+            yield {"f": f, "g": g} if bad else None
 
     def isos_in_both():
-        n = 0
+        # the cases are the isos, and any non-iso in both classes
         for f in morphs:
-            if cat.mor(f).is_iso:
-                n += 1
-                if not (data.lowering[f] and data.raising[f]):
-                    return False, n, {"f": f}
-            elif data.lowering[f] and data.raising[f]:
-                return False, n, {"f": f}
-        return True, n, None
-
-    cert.add(verdict("lowering-and-raising-iff-iso", *isos_in_both()))
+            both = lowering[f] and raising[f]
+            iso = cat.mor(f).is_iso
+            if iso or both:
+                yield None if iso and both else {"f": f}
 
     def degrees():
-        n = 0
         for f in morphs:
             a, b, _ = f
-            m = cat.mor(f)
-            n += 1
-            if data.lowering[f]:
-                if data.degree[a] < data.degree[b]:
-                    return False, n, {"f": f}
-                if data.degree[a] == data.degree[b] and not m.is_iso:
-                    return False, n, {"f": f}
-            if data.raising[f]:
-                if data.degree[a] > data.degree[b]:
-                    return False, n, {"f": f}
-                if data.degree[a] == data.degree[b] and not m.is_iso:
-                    return False, n, {"f": f}
-        return True, n, None
-
-    cert.add(verdict("degree-monotonicity", *degrees()))
+            drop = degree[a] - degree[b]
+            bad = (
+                (lowering[f] and drop < 0)
+                or (raising[f] and drop > 0)
+                or ((lowering[f] or raising[f]) and drop == 0 and not cat.mor(f).is_iso)
+            )
+            yield {"f": f} if bad else None
 
     def factor_exists_unique():
-        n = 0
         for f in morphs:
-            n += 1
             facts = _factorizations(cat, data, f)
             if not facts:
-                return False, n, {"f": f, "reason": "no factorization"}
+                yield {"f": f, "reason": "no factorization"}
+                continue
             # uniqueness up to unique isomorphism against the canonical one
             e0, m0 = facts[0]
+            witness = None
             for e, m in facts:
                 linking = [
                     th
@@ -482,22 +443,16 @@ def certify_reedy_axioms(cat: FinCategory, data: ReedyData) -> Certificate:
                     if cat.compose(e0, th) == e and cat.compose(th, m) == m0
                 ]
                 if len(linking) != 1:
-                    return False, n, {
-                        "f": f,
-                        "fact": [e, m],
-                        "linking-isos": len(linking),
-                    }
-        return True, n, None
-
-    cert.add(verdict("factorization-unique-up-to-unique-iso", *factor_exists_unique()))
+                    witness = {"f": f, "fact": [e, m], "linking-isos": len(linking)}
+                    break
+            yield witness
 
     def orthogonal_lifting():
-        n = 0
         for e in morphs:
-            if not data.lowering[e]:
+            if not lowering[e]:
                 continue
             for m in morphs:
-                if not data.raising[m]:
+                if not raising[m]:
                     continue
                 # squares u: dom(e) -> dom(m), v: cod(e) -> cod(m), m u = v e
                 for u in cat.refs(e[0], m[0]):
@@ -505,144 +460,107 @@ def certify_reedy_axioms(cat: FinCategory, data: ReedyData) -> Certificate:
                     for v in cat.refs(e[1], m[1]):
                         if cat.compose(e, v) != um:
                             continue
-                        n += 1
                         diagonals = [
                             w
                             for w in cat.refs(e[1], m[0])
                             if cat.compose(e, w) == u and cat.compose(w, m) == v
                         ]
-                        if len(diagonals) != 1:
-                            return False, n, {
-                                "e": e,
-                                "m": m,
-                                "u": u,
-                                "v": v,
-                                "diagonals": len(diagonals),
-                            }
-        return True, n, None
-
-    cert.add(verdict("orthogonal-lifting-unique", *orthogonal_lifting()))
+                        yield None if len(diagonals) == 1 else {
+                            "e": e,
+                            "m": m,
+                            "u": u,
+                            "v": v,
+                            "diagonals": len(diagonals),
+                        }
 
     def free_action():
-        n = 0
         for e in morphs:
-            if not data.lowering[e]:
+            if not lowering[e]:
                 continue
             b = e[1]
             for th in cat.isos(b, b):
-                if cat.is_identity(th):
-                    continue
-                n += 1
-                if cat.compose(e, th) == e:
-                    return False, n, {"e": e, "theta": th}
-        return True, n, None
+                if not cat.is_identity(th):
+                    yield {"e": e, "theta": th} if cat.compose(e, th) == e else None
 
-    cert.add(verdict("isos-act-freely-on-lowering", *free_action()))
-    return cert
+    return [
+        scan("classes-closed-under-composition", closed_classes()),
+        scan("lowering-and-raising-iff-iso", isos_in_both()),
+        scan("degree-monotonicity", degrees()),
+        scan("factorization-unique-up-to-unique-iso", factor_exists_unique()),
+        scan("orthogonal-lifting-unique", orthogonal_lifting()),
+        scan("isos-act-freely-on-lowering", free_action()),
+    ]
 
 
-def certify_cancellation(cat: FinCategory, data: ReedyData) -> Certificate:
+def certify_cancellation(cat: FinCategory, data: ReedyData) -> list[Check]:
     """gf lowering forces g lowering; gf raising forces f raising; split
     epis are lowering and split monos raising.  All composable pairs."""
-    cert = Certificate("cancellation")
 
     def cancel():
-        n = 0
         for f, g, gf in cat.composable():
-            n += 1
-            if data.lowering[gf] and not data.lowering[g]:
-                return False, n, {"f": f, "g": g}
-            if data.raising[gf] and not data.raising[f]:
-                return False, n, {"f": f, "g": g}
-        return True, n, None
-
-    cert.add(verdict("composite-class-cancellation", *cancel()))
+            bad = (data.lowering[gf] and not data.lowering[g]) or (
+                data.raising[gf] and not data.raising[f]
+            )
+            yield {"f": f, "g": g} if bad else None
 
     def split_classes():
-        n = 0
         for f in cat.morphisms():
             a, b, _ = f
-            sections = [
-                s for s in cat.refs(b, a) if cat.compose(s, f) == cat.identities[b]
-            ]
-            if sections:
-                n += 1
-                if not data.lowering[f]:
-                    return False, n, {"split-epi": f}
-            retractions = [
-                r for r in cat.refs(b, a) if cat.compose(f, r) == cat.identities[a]
-            ]
-            if retractions:
-                n += 1
-                if not data.raising[f]:
-                    return False, n, {"split-mono": f}
-        return True, n, None
+            back = cat.refs(b, a)
+            if any(cat.compose(s, f) == cat.identities[b] for s in back):
+                yield None if data.lowering[f] else {"split-epi": f}
+            if any(cat.compose(f, r) == cat.identities[a] for r in back):
+                yield None if data.raising[f] else {"split-mono": f}
 
-    cert.add(verdict("split-epi-lowering-split-mono-raising", *split_classes()))
-    return cert
+    return [
+        scan("composite-class-cancellation", cancel()),
+        scan("split-epi-lowering-split-mono-raising", split_classes()),
+    ]
 
 
 def certify_pre_elegance(
     cat: FinCategory,
     data: ReedyData,
     squares: list[LoweringPushoutSquare],
-) -> Certificate:
+) -> list[Check]:
     """Closure under lowering pushouts, lowering maps epi, the set-level
     and congruence-quotient pushouts agreeing, and bounded universality."""
-    cert = Certificate("pre-elegance")
-
-    def closure():
-        n = 0
-        for sq in squares:
-            n += 1
-            if cat.object_of(sq.carrier) is None:
-                return False, n, {"span": sq.refs[:2]}
-        return True, n, None
-
-    cert.add(verdict("lowering-pushout-closure", *closure()))
 
     def epis():
-        n = 0
         for e in cat.morphisms():
             if not data.lowering[e]:
                 continue
             for c in range(len(cat.objects)):
                 for g, h in itertools.combinations(cat.refs(e[1], c), 2):
-                    n += 1
-                    if cat.compose(e, g) == cat.compose(e, h):
-                        return False, n, {"e": e, "g": g[2], "h": h[2]}
-        return True, n, None
+                    same = cat.compose(e, g) == cat.compose(e, h)
+                    yield {"e": e, "g": g[2], "h": h[2]} if same else None
 
-    cert.add(verdict("lowering-maps-are-epi", *epis()))
+    def closure():
+        for sq in squares:
+            closed = cat.object_of(sq.carrier) is not None
+            yield None if closed else {"span": sq.refs[:2]}
 
     def set_vs_congruence():
-        n = 0
         for sq in squares:
-            n += 1
             proj = pushout_via_congruence(sq.e0, sq.e1)
-            if proj.cod.size != sq.carrier.size:
-                return False, n, {"span": sq.refs[:2] if sq.refs else None}
-            # the two quotients agree as quotients of the apex
-            kernel = [[] for _ in range(proj.cod.size)]
-            for a in range(sq.apex.size):
-                kernel[proj.map[a]].append(a)
-            left = [sq.f0.map[b] for b in sq.e0.map]
-            through, bad = descend(kernel, left.__getitem__)
-            if bad or len(set(through)) != sq.carrier.size:
-                return False, n, {"span": sq.refs[:2] if sq.refs else None}
-        return True, n, None
-
-    cert.add(verdict("set-pushout-matches-congruence-quotient", *set_vs_congruence()))
+            agree = proj.cod.size == sq.carrier.size
+            if agree:
+                # the two quotients agree as quotients of the apex
+                kernel = [[] for _ in range(proj.cod.size)]
+                for a in range(sq.apex.size):
+                    kernel[proj.map[a]].append(a)
+                left = [sq.f0.map[b] for b in sq.e0.map]
+                through, bad = descend(kernel, left.__getitem__)
+                agree = not bad and len(set(through)) == sq.carrier.size
+            yield None if agree else {"span": sq.refs[:2] if sq.refs else None}
 
     def universal():
-        n = 0
         for sq in squares:
-            ok, cocones, witness = verify_pushout_universal(cat, sq)
-            n += cocones
-            if not ok:
-                return False, n, witness
-        return True, n, None
+            yield from verify_pushout_universal(cat, sq)
 
-    cert.add(verdict("pushout-universal-property", *universal()))
-    return cert
-
+    return [
+        scan("lowering-pushout-closure", closure()),
+        scan("lowering-maps-are-epi", epis()),
+        scan("set-pushout-matches-congruence-quotient", set_vs_congruence()),
+        scan("pushout-universal-property", universal()),
+    ]

@@ -168,12 +168,6 @@ class FiniteSemilattice:
             labels = tuple(self.labels[perm[i]] for i in range(self.size))
         return FiniteSemilattice(table, labels)
 
-    def to_json(self) -> dict:
-        out = {"size": self.size, "join": [list(row) for row in self.join]}
-        if self.labels is not None:
-            out["labels"] = list(self.labels)
-        return out
-
     @staticmethod
     def from_json(data: dict) -> "FiniteSemilattice":
         labels = tuple(data["labels"]) if "labels" in data else None
@@ -267,21 +261,6 @@ class SLatMorphism:
     @staticmethod
     def identity(A: FiniteSemilattice) -> "SLatMorphism":
         return SLatMorphism(A, A, tuple(range(A.size)))
-
-    def to_json(self) -> dict:
-        return {
-            "dom": self.dom.to_json(),
-            "cod": self.cod.to_json(),
-            "map": list(self.map),
-        }
-
-    @staticmethod
-    def from_json(data: dict) -> "SLatMorphism":
-        return SLatMorphism(
-            FiniteSemilattice.from_json(data["dom"]),
-            FiniteSemilattice.from_json(data["cod"]),
-            tuple(data["map"]),
-        )
 
 
 @dataclass(frozen=True)
@@ -415,34 +394,6 @@ def pinched_tripod_cover() -> tuple[FiniteSemilattice, "SLatMorphism"]:
 # ---------------------------------------------------------------------------
 # constructions
 # ---------------------------------------------------------------------------
-
-
-def product(
-    A: FiniteSemilattice, B: FiniteSemilattice, max_size: int = 64
-) -> tuple[FiniteSemilattice, SLatMorphism, SLatMorphism]:
-    """Componentwise product with its two projections."""
-    if A.size * B.size > max_size:
-        raise SizeBudget(f"product size {A.size * B.size} exceeds {max_size}")
-    n, m = A.size, B.size
-
-    def idx(i, j):
-        return i * m + j
-
-    table = [[0] * (n * m) for _ in range(n * m)]
-    for i1 in range(n):
-        for j1 in range(m):
-            for i2 in range(n):
-                for j2 in range(m):
-                    table[idx(i1, j1)][idx(i2, j2)] = idx(
-                        A.join[i1][i2], B.join[j1][j2]
-                    )
-    labels = tuple(
-        f"({A.label(i)},{B.label(j)})" for i in range(n) for j in range(m)
-    )
-    P = validate_semilattice(table, labels)
-    p0 = SLatMorphism(P, A, tuple(i for i in range(n) for _ in range(m)))
-    p1 = SLatMorphism(P, B, tuple(j for _ in range(n) for j in range(m)))
-    return P, p0, p1
 
 
 def adjoin_bottom(A: FiniteSemilattice) -> tuple[FiniteSemilattice, SLatMorphism]:

@@ -1,18 +1,17 @@
 """Registered certification suites and their configuration.
 
-Each suite assembles module-level certificates plus its own checks into a
-single deterministic Certificate.  Budget overruns become skipped checks;
-nothing is silently truncated.
+Each suite assembles the checks of module-level certifiers plus its own
+into a single deterministic Certificate, which only run_suite builds.
+Budget overruns become skipped checks; nothing is silently truncated.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .certificates import FAIL, SKIPPED, Certificate, Check, verdict
+from .certificates import FAIL, SKIPPED, Certificate, Check, scan, verdict
 from .errors import (
     CandidateSpaceExceeded,
     InvalidInput,
@@ -20,27 +19,20 @@ from .errors import (
     UnknownSuite,
     ViolatedLaw,
 )
+from .semilattice import DEFAULT_CANDIDATE_BUDGET
 
-DEFAULT_BUDGET = 10**7
-
-
-def _env_budget() -> int:
-    raw = os.environ.get("REEDYLAB_BUDGET")
-    if not raw:
-        return DEFAULT_BUDGET
-    try:
-        return int(raw)
-    except ValueError:
-        raise InvalidInput(f"REEDYLAB_BUDGET must be an integer, got {raw!r}") from None
+# the ceiling of --cube-dim: the cube suites are sized for cubes of
+# dimension at most 3
+MAX_CUBE_DIM = 3
 
 
 @dataclass
 class SuiteConfig:
     suite: str
     max_size: int | None = None
-    cube_dim: int = 3
+    cube_dim: int = MAX_CUBE_DIM
     free_cap: int = 2**12
-    budget: int = field(default_factory=_env_budget)
+    budget: int = DEFAULT_CANDIDATE_BUDGET
     seed: int = 0
     corpus_count: int = 200
     out: str | None = None
@@ -56,6 +48,10 @@ class SuiteConfig:
         ):
             if value is not None and value < low:
                 raise InvalidInput(f"{name} must be at least {low}, got {value}")
+        if self.cube_dim > MAX_CUBE_DIM:
+            raise InvalidInput(
+                f"cube_dim must be at most {MAX_CUBE_DIM}, got {self.cube_dim}"
+            )
         if self.fmt not in ("json", "markdown"):
             raise InvalidInput(f"format must be json or markdown, got {self.fmt!r}")
 
@@ -92,9 +88,8 @@ def _suite_hom_counts(cfg: SuiteConfig) -> list:
     from .semilattice import all_functions_homs, backtrack_homs, enumerate_homs
 
     tasks = []
-    dim = min(cfg.cube_dim, 3)
-    for m in range(1, dim + 1):
-        for n in range(1, dim + 1):
+    for m in range(1, cfg.cube_dim + 1):
+        for n in range(1, cfg.cube_dim + 1):
             def thunk(m=m, n=n):
                 formula, enumerated = cube_hom_count(m, n)
                 checks = [
@@ -158,8 +153,8 @@ def _suite_reedy_axioms(cfg: SuiteConfig) -> list:
 
     cat, data, squares = _truncation(cfg, 3)
     return [
-        ("axioms", lambda: certify_reedy_axioms(cat, data).checks),
-        ("cancellation", lambda: certify_cancellation(cat, data).checks),
+        ("axioms", lambda: certify_reedy_axioms(cat, data)),
+        ("cancellation", lambda: certify_cancellation(cat, data)),
     ]
 
 
@@ -172,9 +167,9 @@ def _suite_pre_elegance(cfg: SuiteConfig) -> list:
 
     cat, data, squares = _truncation(cfg, 3)
     return [
-        ("axioms", lambda: certify_reedy_axioms(cat, data).checks),
-        ("cancellation", lambda: certify_cancellation(cat, data).checks),
-        ("pre-elegance", lambda: certify_pre_elegance(cat, data, squares).checks),
+        ("axioms", lambda: certify_reedy_axioms(cat, data)),
+        ("cancellation", lambda: certify_cancellation(cat, data)),
+        ("pre-elegance", lambda: certify_pre_elegance(cat, data, squares)),
     ]
 
 
@@ -257,7 +252,7 @@ def _suite_relative_elegance(cfg: SuiteConfig) -> list:
     N = cfg.max_size if cfg.max_size is not None else 4
     cat, data, squares = _truncation(cfg, N)
     sources = []
-    for m in range(0, min(cfg.cube_dim, 3) + 1):
+    for m in range(0, cfg.cube_dim + 1):
         sources.append((f"cube-{m}", cube(m)))
     for n in range(1, 4):
         sources.append((f"chain-{n}", chain(n + 1)))
@@ -265,22 +260,12 @@ def _suite_relative_elegance(cfg: SuiteConfig) -> list:
     tasks = []
     for name, A in sources:
         def thunk(A=A, name=name):
-            bad = None
-            count = 0
-            for sq in squares:
-                count += 1
-                ok, witness = hom_preserves_lowering_pushout(A, sq, cfg.budget)
-                if not ok:
-                    bad = {"square": sq.refs, "witness": witness}
-                    break
-            return [
-                verdict(
-                    f"hom-preserves-all-lowering-pushouts-{name}",
-                    bad is None,
-                    count,
-                    bad,
-                )
-            ]
+            def witnesses():
+                for sq in squares:
+                    ok, witness = hom_preserves_lowering_pushout(A, sq, cfg.budget)
+                    yield None if ok else {"square": sq.refs, "witness": witness}
+
+            return [scan(f"hom-preserves-all-lowering-pushouts-{name}", witnesses())]
 
         tasks.append((name, thunk))
     return tasks
@@ -345,20 +330,34 @@ def _suite_presheaf_ez(cfg: SuiteConfig) -> list:
         checks = []
         verdicts = set()
 
-        def sweep(tag, corpus, data, squares):
-            bad = None
+        def sweep(corpus, data, squares):
             for i, X in enumerate(corpus):
                 a, b, c = _triple(X, data, squares)
                 verdicts.add(a)
-                if not (a == b == c):
-                    bad = {"index": i, "levels": list(X.levels), "triple": [a, b, c]}
-                    break
-            return verdict(
-                f"triple-criteria-agree-{tag}", bad is None, len(corpus), bad
-            )
+                witness = {"index": i, "levels": list(X.levels), "triple": [a, b, c]}
+                yield None if a == b == c else witness
 
-        checks.append(sweep("exhaustive-size2", exhaustive, data2, squares2))
-        checks.append(sweep(seeded_tag, seeded, data3, squares3))
+        def routes():
+            for corpus, data in ((exhaustive, data2), (seeded, data3)):
+                for X in corpus:
+                    for r in range(len(X.base.objects)):
+                        ok, _, _ = latching_routes_agree(X, r, data)
+                        yield None if ok else {"levels": list(X.levels), "object": r}
+
+        def autquos():
+            for r in range(len(cat3.objects)):
+                for H in _subgroups(cat3, r, cat3.isos(r, r)):
+                    Q, _ = autquo(cat3, r, H)
+                    ok = is_reedy_mono(Q, data3)
+                    yield None if ok else {"object": r, "subgroup": len(H)}
+
+        for tag, corpus, data, squares in (
+            ("exhaustive-size2", exhaustive, data2, squares2),
+            (seeded_tag, seeded, data3, squares3),
+        ):
+            checks.append(
+                scan(f"triple-criteria-agree-{tag}", sweep(corpus, data, squares))
+            )
         checks.append(
             verdict(
                 "both-verdicts-occur-in-corpus",
@@ -380,23 +379,7 @@ def _suite_presheaf_ez(cfg: SuiteConfig) -> list:
         )
 
         # two latching routes agree everywhere on the corpus
-        bad = None
-        count = 0
-        for corpus, data in ((exhaustive, data2), (seeded, data3)):
-            for X in corpus:
-                for r in range(len(X.base.objects)):
-                    count += 1
-                    ok, _, _ = latching_routes_agree(X, r, data)
-                    if not ok:
-                        bad = {"levels": list(X.levels), "object": r}
-                        break
-                if bad:
-                    break
-            if bad:
-                break
-        checks.append(
-            verdict("latching-two-routes-agree", bad is None, count, bad)
-        )
+        checks.append(scan("latching-two-routes-agree", routes()))
 
         # representable latching at the free two-generator object
         yo = representable(cat3, free2)
@@ -411,18 +394,7 @@ def _suite_presheaf_ez(cfg: SuiteConfig) -> list:
         )
 
         # automorphism quotients are Reedy monomorphic
-        count = 0
-        bad = None
-        for r in range(len(cat3.objects)):
-            auts = cat3.isos(r, r)
-            for H in _subgroups(cat3, r, auts):
-                Q, _ = autquo(cat3, r, H)
-                count += 1
-                if not is_reedy_mono(Q, data3):
-                    bad = {"object": r, "subgroup": len(H)}
-        checks.append(
-            verdict("autquos-reedy-monomorphic", bad is None, count, bad)
-        )
+        checks.append(scan("autquos-reedy-monomorphic", autquos()))
 
         # the false branch, demonstrated over a base containing a
         # non-projective object with its minimal cover
@@ -467,50 +439,29 @@ def _suite_cell_presentation(cfg: SuiteConfig) -> list:
         (cat2, data2, squares2, exhaustive), (cat3, data3, squares3, seeded), seeded_tag = (
             _corpus(cfg)
         )
+
+        def cell_squares(monos, data):
+            for i, X in monos:
+                for n in sorted(set(data.degree)):
+                    rep = verify_cell_square(X, n, data)
+                    report = [rep.commutes, rep.is_pushout, rep.cell_mono]
+                    witness = {"index": i, "degree": n, "report": report}
+                    yield None if all(report) else witness
+
+        def skeleton_chains(monos, data):
+            for i, X in monos:
+                ok, sizes = skeleton_chain_report(X, data)
+                yield None if ok else {"index": i, "sizes": sizes}
+
         checks = []
         for tag, corpus, data in (
             ("exhaustive-size2", exhaustive, data2),
             (seeded_tag, seeded, data3),
         ):
-            # each check stops at its own first failure
-            square_bad = chain_bad = None
-            squares_count = chain_count = 0
-            for i, X in enumerate(corpus):
-                if not is_reedy_mono(X, data):
-                    continue
-                if chain_bad is None:
-                    ok, sizes = skeleton_chain_report(X, data)
-                    chain_count += 1
-                    if not ok:
-                        chain_bad = {"index": i, "sizes": sizes}
-                for n in sorted(set(data.degree)):
-                    if square_bad is not None:
-                        break
-                    rep = verify_cell_square(X, n, data)
-                    squares_count += 1
-                    if not (rep.commutes and rep.is_pushout and rep.cell_mono):
-                        square_bad = {
-                            "index": i,
-                            "degree": n,
-                            "report": [rep.commutes, rep.is_pushout, rep.cell_mono],
-                        }
-                if square_bad and chain_bad:
-                    break
+            monos = [(i, X) for i, X in enumerate(corpus) if is_reedy_mono(X, data)]
+            checks.append(scan(f"cell-squares-certify-{tag}", cell_squares(monos, data)))
             checks.append(
-                verdict(
-                    f"cell-squares-certify-{tag}",
-                    square_bad is None,
-                    squares_count,
-                    square_bad,
-                )
-            )
-            checks.append(
-                verdict(
-                    f"skeleton-chain-unions-{tag}",
-                    chain_bad is None,
-                    chain_count,
-                    chain_bad,
-                )
+                scan(f"skeleton-chain-unions-{tag}", skeleton_chains(monos, data))
             )
 
         # expected failure pattern on the non-mono witness
@@ -566,9 +517,7 @@ def _suite_idempotent_completion(cfg: SuiteConfig) -> list:
     return [
         (
             "idempotent-completion",
-            lambda: certify_idempotent_completion(
-                min(cfg.cube_dim, 3), N, cfg.budget
-            ).checks,
+            lambda: certify_idempotent_completion(cfg.cube_dim, N, cfg.budget),
         )
     ]
 
@@ -586,7 +535,7 @@ def _suite_triangulation(cfg: SuiteConfig) -> list:
 
     def run():
         checks = []
-        dim = min(cfg.cube_dim, 3)
+        dim = cfg.cube_dim
         tri1 = triangulate(interval(), dim)
         for n in range(1, dim + 1):
             C = cube(n)
@@ -647,10 +596,10 @@ def _suite_obstruction_u(cfg: SuiteConfig) -> list:
     from .obstruction import certify_no_reedy_factorization_of_u, verify_u_image
 
     return [
-        ("u-image", lambda: verify_u_image().checks),
+        ("u-image", verify_u_image),
         (
             "u-factorization",
-            lambda: certify_no_reedy_factorization_of_u(cfg.budget).checks,
+            lambda: certify_no_reedy_factorization_of_u(cfg.budget),
         ),
     ]
 
@@ -683,14 +632,13 @@ def _suite_crown_winding(cfg: SuiteConfig) -> list:
             ("fold-6-3", fold_map(6, 3)),
             ("identity-3", identity_crown(3)),
         ):
-            cert = verify_extension_pullback(f)
-            for c in cert.checks:
+            for c in verify_extension_pullback(f):
                 checks.append(Check(f"{c.id}-{tag}", c.status, c.count, c.witness))
         return checks
 
     return [
         ("winding-basics", basics),
-        ("wind-properties", lambda: certify_wind_properties(cfg.budget).checks),
+        ("wind-properties", certify_wind_properties),
         ("extension-pullbacks", pullbacks),
     ]
 
@@ -698,12 +646,7 @@ def _suite_crown_winding(cfg: SuiteConfig) -> list:
 def _suite_sieve_chain(cfg: SuiteConfig) -> list:
     from .obstruction import certify_sieve_chain_nonstabilization
 
-    return [
-        (
-            "sieve-chain",
-            lambda: certify_sieve_chain_nonstabilization(3, cfg.budget).checks,
-        )
-    ]
+    return [("sieve-chain", certify_sieve_chain_nonstabilization)]
 
 
 SUITES = {

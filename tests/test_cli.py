@@ -8,9 +8,10 @@ from pathlib import Path
 import pytest
 
 from reedylab.cli import main
+from reedylab.cubes import cube
 from reedylab.dot import crown_dot, semilattice_dot
 from reedylab.obstruction import CrownPoset
-from reedylab.semilattice import chain, interval, product
+from reedylab.semilattice import chain
 from reedylab.suites import SUITES, SuiteConfig, run_suite
 
 
@@ -76,14 +77,11 @@ def test_cli_cube_and_obstruct(capsys):
     assert main(["obstruct", "crown", "--m", "3", "--n", "4"]) == 0
     blob = json.loads(capsys.readouterr().out)
     assert blob["count"] == 304 and blob["windings"] == {"0": 304}
-    assert main(["obstruct", "sieve-chain", "--n", "3"]) == 0
-    capsys.readouterr()
 
 
 def test_cli_export_dot(tmp_path, capsys):
-    P, _, _ = product(interval(), interval())
     src = tmp_path / "square.json"
-    src.write_text(json.dumps(P.to_json()))
+    src.write_text(json.dumps({"join": [list(row) for row in cube(2).join]}))
     assert main(["export-dot", "--input", str(src)]) == 0
     out = capsys.readouterr().out
     assert out.count("->") == 4 and out.count("label=") == 4
@@ -141,8 +139,7 @@ def test_cli_all_json_is_one_array(monkeypatch, capsys):
 
 def test_dot_shapes_directly():
     assert semilattice_dot(chain(1)).count("->") == 0
-    P, _, _ = product(interval(), interval())
-    dot = semilattice_dot(P)
+    dot = semilattice_dot(cube(2))
     assert dot.count("->") == 4
     assert crown_dot(CrownPoset(4)).count("->") == 8
 
@@ -165,24 +162,6 @@ def test_budget_overrun_becomes_skipped(monkeypatch):
     # the exhaustive steps run under explicit small caps; a microscopic
     # budget must surface as skips or passes, never a crash
     assert all(c.status in ("pass", "skipped") for c in cert.checks)
-
-
-def test_budget_env_override(monkeypatch):
-    monkeypatch.setenv("REEDYLAB_BUDGET", "12345")
-    cfg = SuiteConfig(suite="hom-counts")
-    assert cfg.budget == 12345
-    monkeypatch.delenv("REEDYLAB_BUDGET")
-    assert SuiteConfig(suite="hom-counts").budget == 10**7
-
-
-@pytest.mark.parametrize(
-    "raw, message",
-    [("abc", "REEDYLAB_BUDGET must be an integer"), ("0", "budget must be at least 1")],
-)
-def test_bad_budget_env_exits_two(raw, message, monkeypatch, capsys):
-    monkeypatch.setenv("REEDYLAB_BUDGET", raw)
-    assert main(["sieve-chain"]) == 2
-    assert message in capsys.readouterr().err
 
 
 def test_factory_overrun_becomes_one_skipped_check(capsys):
@@ -215,6 +194,7 @@ def test_presheaf_ez_below_size_three_is_skipped(size, capsys):
         ["cube", "homcount", "--m", "-1", "--n", "1"],
         ["cube", "triangulate", "--n", "1", "--dim", "-1"],
         ["obstruct", "crown", "--m", "0", "--n", "3"],
+        ["hom-counts", "--cube-dim", "4"],
     ],
 )
 def test_out_of_range_input_exits_two(argv, capsys):
@@ -255,6 +235,36 @@ def test_cell_square_failure_is_not_a_skeleton_chain_failure(monkeypatch):
         assert square.status == "fail" and square.witness["degree"] == 2
         chain = checks[f"skeleton-chain-unions-{tag}"]
         assert chain.status == "pass" and chain.witness is None
+
+
+def test_autquo_failure_reports_the_first_failing_subgroup(monkeypatch):
+    import reedylab.presheaf as presheaf
+
+    real_autquo, real_mono = presheaf.autquo, presheaf.is_reedy_mono
+    made = []  # (quotient, object, subgroup order), one per autquo call
+
+    def recording_autquo(cat, r, H):
+        Q, proj = real_autquo(cat, r, H)
+        made.append((Q, r, len(H)))
+        return Q, proj
+
+    def failing_from_the_second_autquo(X, data):
+        if any(X is Q for Q, _, _ in made[1:]):
+            return False
+        return real_mono(X, data)
+
+    # a corpus without automorphism quotients, so every autquo call is
+    # one case of the check
+    monkeypatch.setattr(
+        presheaf, "seeded_corpus", lambda cat, data, seed, count: [presheaf.representable(cat, 0)]
+    )
+    monkeypatch.setattr(presheaf, "autquo", recording_autquo)
+    monkeypatch.setattr(presheaf, "is_reedy_mono", failing_from_the_second_autquo)
+    cert = run_suite(SuiteConfig(suite="presheaf-ez"))
+    (check,) = [c for c in cert.checks if c.id == "autquos-reedy-monomorphic"]
+    _, r, order = made[1]
+    assert (check.status, check.count) == ("fail", 2)
+    assert check.witness == {"object": r, "subgroup": order}
 
 
 # ---------------------------------------------------------------------------

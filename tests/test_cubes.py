@@ -110,9 +110,9 @@ def test_retract_of_cube():
 
 
 def test_certify_idempotent_completion():
-    cert = certify_idempotent_completion(3, 4)
-    assert cert.passed
-    by_id = {c.id: c for c in cert.checks}
+    checks = certify_idempotent_completion(3, 4)
+    assert [c for c in checks if c.status != "pass"] == []
+    by_id = {c.id: c for c in checks}
     assert by_id["idempotents-split-distributively-dim-3"].count == 163
     assert by_id["distributive-classes-are-cube-retracts"].count == 5
 

@@ -19,7 +19,6 @@ from reedylab.semilattice import (
     enumerate_homs,
     enumerate_surjections,
     interval,
-    product,
 )
 
 
@@ -74,7 +73,8 @@ def test_triple_agreement_all_classes_size_4():
 
 
 def test_hom_preservation_examples():
-    P, p0, p1 = product(interval(), interval())
+    C, I = cube(2), interval()
+    p0, p1 = (SLatMorphism(C, I, tuple((v >> i) & 1 for v in range(4))) for i in (0, 1))
     sq = lowering_pushout(p0, p1)
     assert hom_preserves_lowering_pushout(chain(1), sq)[0]
     assert hom_preserves_lowering_pushout(interval(), sq)[0]

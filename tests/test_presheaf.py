@@ -88,22 +88,18 @@ def test_validate_rejects_corrupted_action(trunc3):
     with pytest.raises(ViolatedLaw) as err:
         bad.validate()
     assert err.value.law == "functoriality"
-    with pytest.raises(ViolatedLaw) as err:
-        FinPresheaf.from_json(cat, bad.to_json())
-    assert err.value.law == "functoriality"
 
 
-def test_from_json_rejects_corrupted_action_in_optimized_mode():
+def test_validate_rejects_corrupted_action_in_optimized_mode():
     code = (
         "from reedylab.errors import ViolatedLaw\n"
-        "from reedylab.presheaf import FinPresheaf, representable\n"
+        "from reedylab.presheaf import representable\n"
         "from reedylab.reedy import truncated_semilattice_category\n"
         "from test_presheaf import _corrupt_one_action, free_pair_object\n"
         "cat, _, _ = truncated_semilattice_category(3)\n"
         "yo = representable(cat, free_pair_object(cat))\n"
-        "blob = _corrupt_one_action(yo).to_json()\n"
         "try:\n"
-        "    FinPresheaf.from_json(cat, blob)\n"
+        "    _corrupt_one_action(yo).validate()\n"
         "except ViolatedLaw:\n"
         "    raise SystemExit(0)\n"
         "raise SystemExit(1)\n"
@@ -112,35 +108,6 @@ def test_from_json_rejects_corrupted_action_in_optimized_mode():
     paths = [str(here.parent / "src"), str(here)]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
     assert subprocess.run([sys.executable, "-O", "-c", code], env=env).returncode == 0
-
-
-def _put(value, *path):
-    """A document edit that sets blob[path[0]][path[1]]... to value."""
-    def edit(blob):
-        for key in path[:-1]:
-            blob = blob[key]
-        blob[path[-1]] = value
-    return edit
-
-
-@pytest.mark.parametrize(
-    "edit, fragment",
-    [
-        pytest.param(_put([0], "actions", "0:1"), "'0:1'", id="0:1"),
-        pytest.param(_put([0], "actions", "a:b:c"), "'a:b:c'", id="a:b:c"),
-        pytest.param(lambda blob: blob.pop("levels"), "levels", id="no-levels"),
-        pytest.param(_put(5, "actions", "0:0:0"), "'0:0:0'", id="action-not-a-list"),
-        pytest.param(_put([[0]], "actions"), "actions", id="actions-a-list"),
-        pytest.param(_put(5, "levels"), "levels", id="levels-not-a-list"),
-    ],
-)
-def test_from_json_rejects_malformed_action_key(trunc2, edit, fragment):
-    cat, data, squares = trunc2
-    blob = representable(cat, 1).to_json()
-    edit(blob)
-    with pytest.raises(InvalidInput) as err:
-        FinPresheaf.from_json(cat, blob)
-    assert fragment in str(err.value)
 
 
 def test_ill_defined_latching_map_raises_in_optimized_mode():
@@ -440,12 +407,3 @@ def test_span_pushout_of_representables(trunc3):
     sq = squares[-1]
     X = span_pushout_of_representables(cat, sq.refs[0], sq.refs[1])
     X.validate()
-
-
-def test_presheaf_json_roundtrip(trunc3):
-    cat, data, squares = trunc3
-    V = free_pair_object(cat)
-    yo = representable(cat, V)
-    blob = yo.to_json()
-    back = FinPresheaf.from_json(cat, blob)
-    assert back.levels == yo.levels and back.actions == yo.actions

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from reedylab.cubes import cube
 from reedylab.errors import CandidateSpaceExceeded, EmptyCarrier, SizeBudget, ViolatedLaw
 from reedylab.semilattice import (
     FiniteSemilattice,
@@ -31,15 +32,9 @@ from reedylab.semilattice import (
     is_distributive_lattice,
     lift_through_surjection,
     pinched_tripod_cover,
-    product,
     quotient_by_pairs,
     validate_semilattice,
 )
-
-
-def cube2():
-    P, _, _ = product(interval(), interval())
-    return P
 
 
 # ---------------------------------------------------------------------------
@@ -74,7 +69,7 @@ def test_validate_rejects_broken_tables():
 def test_join_preservation_checked():
     I = interval()
     with pytest.raises(ViolatedLaw):
-        SLatMorphism(cube2(), I, (0, 1, 1, 0))
+        SLatMorphism(cube(2), I, (0, 1, 1, 0))
 
 
 def test_morphism_rejects_bad_length_and_range():
@@ -116,7 +111,7 @@ def test_interval_endomorphisms_against_brute_force():
 
 
 def test_square_to_interval_against_brute_force():
-    P = cube2()
+    P = cube(2)
     oracle = all_functions_homs(P, interval())
     assert len(oracle) == 5
     got = enumerate_homs(P, interval())
@@ -130,7 +125,7 @@ def test_free_domain_hom_counts():
 
 
 def test_enumeration_matches_brute_force_on_all_small_pairs():
-    objs = all_semilattices_upto(3) + [cube2(), atoms_with_top(3)]
+    objs = all_semilattices_upto(3) + [cube(2), atoms_with_top(3)]
     for A in objs:
         for B in objs:
             if B.size**A.size > 10**6:
@@ -213,19 +208,6 @@ def test_factorization_functorially_stable():
 # ---------------------------------------------------------------------------
 
 
-def test_product_is_componentwise():
-    P, p0, p1 = product(interval(), interval())
-    assert P.size == 4
-    assert p0.is_surjective and p1.is_surjective
-    one = chain(1)
-    Q, q0, q1 = product(one, chain(3))
-    assert are_isomorphic(Q, chain(3))
-    C, _, _ = product(P, interval())
-    assert C.size == 8
-    with pytest.raises(SizeBudget):
-        product(C, C, max_size=32)
-
-
 def test_free_on_generators():
     F1, u1 = free_on_generators(1)
     assert F1.size == 1
@@ -261,7 +243,7 @@ def test_adjoin_bottom():
     B, incl = adjoin_bottom(chain(1))
     assert are_isomorphic(B, interval())
     B2, _ = adjoin_bottom(atoms_with_top(2))
-    assert are_isomorphic(B2, cube2())
+    assert are_isomorphic(B2, cube(2))
     B3, _ = adjoin_bottom(atoms_with_top(3))
     assert are_isomorphic(B3, diamond(3))
     assert incl.is_injective
@@ -274,7 +256,7 @@ def test_adjoin_bottom():
 
 def test_distributivity_verdicts():
     assert is_distributive_lattice(interval())
-    assert is_distributive_lattice(cube2())
+    assert is_distributive_lattice(cube(2))
     m3 = is_distributive_lattice(diamond(3))
     assert not m3 and m3.reason == "violation"
     x, y, z = m3.witness
@@ -339,7 +321,7 @@ def test_quotient_square_by_incomparable_pair():
     # identifying the two middle elements of the square forces their
     # joins with each other in as well: the congruence absorbs the top,
     # leaving the two-element chain (cross-checked by partition scan)
-    P = cube2()
+    P = cube(2)
     q = quotient_by_pairs(P, [(1, 2)])
     oracle = brute_force_smallest_congruence(P, [(1, 2)])
     assert sorted(len(b) for b in oracle) == [1, 3]
@@ -349,7 +331,7 @@ def test_quotient_square_by_incomparable_pair():
 
 def test_quotient_matches_partition_oracle_on_samples():
     rnd = random.Random(3)
-    for A in [cube2(), chain(4), atoms_with_top(3), diamond(3)]:
+    for A in [cube(2), chain(4), atoms_with_top(3), diamond(3)]:
         for _ in range(4):
             i, j = rnd.randrange(A.size), rnd.randrange(A.size)
             q = quotient_by_pairs(A, [(i, j)])
@@ -364,7 +346,7 @@ def test_quotient_matches_partition_oracle_on_samples():
 
 def test_canonical_form_invariant_under_relabeling():
     rnd = random.Random(0)
-    for A in [diamond(3), chain(4), cube2(), atoms_with_top(3)]:
+    for A in [diamond(3), chain(4), cube(2), atoms_with_top(3)]:
         perm = list(range(A.size))
         rnd.shuffle(perm)
         B = A.relabel(tuple(perm))
@@ -376,8 +358,8 @@ def test_non_isomorphic_pairs():
     assert not are_isomorphic(chain(3), atoms_with_top(2))
     assert find_isomorphism(chain(3), atoms_with_top(2)) is None
     B, _ = adjoin_bottom(atoms_with_top(2))
-    assert are_isomorphic(B, cube2())
-    iso = find_isomorphism(B, cube2())
+    assert are_isomorphic(B, cube(2))
+    iso = find_isomorphism(B, cube(2))
     assert iso is not None and iso.is_iso
 
 
@@ -516,15 +498,13 @@ def test_pinched_cover_is_the_minimal_nonsplit_cover():
 
 def test_json_roundtrip():
     A = diamond(3)
-    B = FiniteSemilattice.from_json(A.to_json())
+    blob = {"join": [list(row) for row in A.join], "labels": list(A.labels)}
+    B = FiniteSemilattice.from_json(blob)
     assert A.join == B.join and A.labels == B.labels
-    f = enumerate_homs(A, interval())[0]
-    g = SLatMorphism.from_json(f.to_json())
-    assert g.map == f.map
 
 
 def test_covers_of_square():
-    P = cube2()
+    P = cube(2)
     assert set(P.covers) == {(0, 1), (0, 2), (1, 3), (2, 3)}
 
 
