@@ -13,7 +13,9 @@ class ViolatedLaw(ReedyLabError):
     `law` is 'square', 'range', 'commutativity', 'associativity' or
     'idempotence' for a join table; 'length', 'range' or
     'join-preservation' for a morphism; 'duplicate-morphisms', 'unit' or
-    'associativity' for the composition table of a category;
+    'associativity' for the composition table of a category, and
+    'composition-closure' when a composite is not among the enumerated
+    maps of its hom-set;
     'missing-action', 'length', 'range', 'unit' or 'functoriality' for a
     presheaf; 'base', 'length', 'range' or 'naturality' for a presheaf
     morphism; 'square-shape' (legs that do not meet) or

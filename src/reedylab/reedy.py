@@ -36,11 +36,20 @@ MorphRef = tuple[int, int, int]
 
 @dataclass
 class FinCategory:
-    """An explicit finite category of semilattices with composition tables."""
+    """An explicit finite category of semilattices with a dense integer
+    composition table.
+
+    Every morphism has an id, its position in morphism order ((a, b, k)
+    lexicographic), so the maps out of one object have consecutive ids.
+    composition[(a, b)] is an int32 array with a row per map of Hom(a, b)
+    and a column per map out of b, in morphism order: entry [i, j] is the
+    id of the j-th map out of b after (a, b, i).  The blocks in (a, b)
+    order, each read row by row, are the order of composable().
+    """
 
     objects: tuple[FiniteSemilattice, ...]
     homs: dict[tuple[int, int], list[SLatMorphism]]
-    composition: dict[tuple[MorphRef, MorphRef], MorphRef]
+    composition: dict[tuple[int, int], "numpy.ndarray"]
     identities: tuple[MorphRef, ...]
 
     def hom(self, a: int, b: int) -> list[SLatMorphism]:
@@ -52,7 +61,9 @@ class FinCategory:
 
     def compose(self, f: MorphRef, g: MorphRef) -> MorphRef:
         """g after f; f: a -> b, g: b -> c."""
-        return self.composition[(f, g)]
+        a, b, i = f
+        _, c, j = g
+        return self._by_id[self._rows[a][b][i][self._column[b][c] + j]]
 
     def refs(self, a: int, b: int) -> tuple[MorphRef, ...]:
         """The MorphRefs of Hom(a, b), in hom order."""
@@ -63,16 +74,17 @@ class FinCategory:
         return self._out[a]
 
     def morphisms(self):
-        for refs in self._out:
-            yield from refs
+        return iter(self._by_id)
 
     def composable(self):
         """(f, g, g after f) for every composable pair: f in morphism
         order, g in morphism order among the maps out of f's codomain."""
-        table, out = self.composition, self._out
-        for f in self.morphisms():
-            for g in out[f[1]]:
-                yield f, g, table[(f, g)]
+        by_id = self._by_id
+        for (a, b), block in self.composition.items():
+            out = self._out[b]
+            for f, row in zip(self._refs[(a, b)], block.tolist()):
+                for g, h in zip(out, row):
+                    yield f, g, by_id[h]
 
     def find(self, a: int, b: int, f: SLatMorphism) -> MorphRef:
         k = self._index[(a, b)][f.map]
@@ -86,18 +98,53 @@ class FinCategory:
         }
 
     @cached_property
+    def _first(self) -> tuple[tuple[int, ...], ...]:
+        """_first[a][b] is the id of (a, b, 0); _first[a][n] is one past
+        the last map out of a."""
+        n, k, out = len(self.objects), 0, []
+        for a in range(n):
+            row = []
+            for b in range(n):
+                row.append(k)
+                k += len(self.homs[(a, b)])
+            out.append((*row, k))
+        return tuple(out)
+
+    @cached_property
+    def _column(self) -> tuple[tuple[int, ...], ...]:
+        """_column[b][c] is the column of (b, c, 0) among the maps out of b."""
+        return tuple(tuple(k - row[0] for k in row) for row in self._first)
+
+    @cached_property
+    def _by_id(self) -> tuple[MorphRef, ...]:
+        return tuple(
+            (a, b, k)
+            for a in range(len(self.objects))
+            for b in range(len(self.objects))
+            for k in range(len(self.homs[(a, b)]))
+        )
+
+    @cached_property
     def _refs(self) -> dict[tuple[int, int], tuple[MorphRef, ...]]:
+        n = len(self.objects)
         return {
-            (a, b): tuple((a, b, k) for k in range(len(fs)))
-            for (a, b), fs in self.homs.items()
+            (a, b): self._by_id[self._first[a][b] : self._first[a][b + 1]]
+            for a in range(n)
+            for b in range(n)
         }
 
     @cached_property
     def _out(self) -> tuple[tuple[MorphRef, ...], ...]:
-        out: list[list[MorphRef]] = [[] for _ in self.objects]
-        for key in sorted(self._refs):
-            out[key[0]].extend(self._refs[key])
-        return tuple(map(tuple, out))
+        return tuple(self._by_id[row[0] : row[-1]] for row in self._first)
+
+    @cached_property
+    def _rows(self) -> list[list[list[memoryview]]]:
+        """The table's rows as memoryviews, which index to plain ints."""
+        n = len(self.objects)
+        return [
+            [list(map(memoryview, self.composition[(a, b)])) for b in range(n)]
+            for a in range(n)
+        ]
 
     def is_identity(self, ref: MorphRef) -> bool:
         return ref == self.identities[ref[0]]
@@ -115,52 +162,52 @@ class FinCategory:
     def validate(self) -> None:
         """Exhaustive duplicate, unit and associativity checks of the
         composition table; raises ViolatedLaw on the first failure."""
-        for (a, b), fs in self.homs.items():
-            if len({f.map for f in fs}) != len(fs):
-                raise ViolatedLaw("duplicate-morphisms", (a, b))
-            for ref in self.refs(a, b):
-                if (
-                    self.compose(self.identities[a], ref) != ref
-                    or self.compose(ref, self.identities[b]) != ref
-                ):
-                    raise ViolatedLaw("unit", ref)
-        for f, g, gf in self.composable():
-            for h in self.out_of(g[1]):
-                if self.compose(gf, h) != self.compose(f, self.compose(g, h)):
-                    raise ViolatedLaw("associativity", (f, g, h))
+        from .kernel import check_laws
+
+        check_laws(self)
 
     @staticmethod
     def from_objects(
         objects, budget: int = DEFAULT_CANDIDATE_BUDGET
     ) -> "FinCategory":
-        """Full subcategory on the objects.  Each composite map is looked up
-        among the enumerated maps of its hom-set, which replaces
-        re-validating it: a composite that is not among them fails the
-        build with a KeyError."""
+        """Full subcategory on the objects.  Raises SizeBudget before the
+        table is filled when the composable pairs exceed the budget."""
+        from .kernel import fill_composition
+
         objects = tuple(objects)
-        homs: dict[tuple[int, int], list[SLatMorphism]] = {}
-        for a, A in enumerate(objects):
-            for b, B in enumerate(objects):
-                homs[(a, b)] = enumerate_homs(A, B, budget)
-        composition: dict[tuple[MorphRef, MorphRef], MorphRef] = {}
-        cat = FinCategory(objects, homs, composition, ())
+        cat = FinCategory(objects, _hom_sets(objects, budget), {}, ())
+        fill_composition(cat)
         index = cat._index
-        for (a, b), fs in homs.items():
-            for c in range(len(objects)):
-                into = index[(a, c)]
-                gs = [g.map.__getitem__ for g in homs[(b, c)]]
-                for i, f in enumerate(fs):
-                    for j, g in enumerate(gs):
-                        composition[((a, b, i), (b, c, j))] = (
-                            a,
-                            c,
-                            into[tuple(map(g, f.map))],
-                        )
         cat.identities = tuple(
             (a, a, index[(a, a)][tuple(range(A.size))])
             for a, A in enumerate(objects)
         )
         return cat
+
+
+def _hom_sets(objects, budget: int) -> dict[tuple[int, int], list[SLatMorphism]]:
+    """Every hom-set, in (a, b) order.  Raises SizeBudget as soon as the
+    composable pairs among the hom-sets enumerated so far exceed the
+    budget; their count only grows, so the rest is never enumerated."""
+    n = len(objects)
+    homs: dict[tuple[int, int], list[SLatMorphism]] = {}
+    into, out = [0] * n, [0] * n  # maps enumerated so far into / out of each object
+    pairs = 0
+    for a, A in enumerate(objects):
+        for b, B in enumerate(objects):
+            homs[(a, b)] = enumerate_homs(A, B, budget)
+            k = len(homs[(a, b)])
+            # new pairs: (a, b) then a known map out of b, a known map into
+            # a then (a, b), and (a, b) with itself when a == b
+            pairs += k * (out[b] + into[a] + (k if a == b else 0))
+            out[a] += k
+            into[b] += k
+            if pairs > budget:
+                raise SizeBudget(
+                    f"{pairs} composable pairs in the first {len(homs)} of "
+                    f"{n * n} hom-sets exceed budget {budget}"
+                )
+    return homs
 
 
 @dataclass
@@ -315,7 +362,8 @@ def reedy_category_on(
 ) -> tuple[FinCategory, ReedyData, list[LoweringPushoutSquare]]:
     """Full subcategory on the given semilattices, with Reedy data and
     every lowering pushout square whose carrier lands back among the
-    objects (one per unordered span of surjections)."""
+    objects (one per unordered span of surjections).  Raises SizeBudget
+    when the composable pairs exceed the budget."""
     cat = FinCategory.from_objects(objects, budget)
     data = ReedyData.of_category(cat)
     squares: list[LoweringPushoutSquare] = []
@@ -345,10 +393,9 @@ def truncated_semilattice_category(
     One object per isomorphism class, full homs, composition table, the
     size/surjective/injective Reedy data, and every lowering pushout
     square among the objects (the pushout carrier never outgrows the
-    span, so closure is automatic).
+    span, so closure is automatic).  Raises SizeBudget when the
+    composable pairs exceed the budget (N >= 5 at the default budget).
     """
-    if N > 5:
-        raise SizeBudget("truncated category capped at N=5")
     return reedy_category_on(all_semilattices_upto(N), budget)
 
 
@@ -398,15 +445,14 @@ def _factorizations(cat: FinCategory, data: ReedyData, ref: MorphRef):
 
 def certify_reedy_axioms(cat: FinCategory, data: ReedyData) -> list[Check]:
     """Orthogonal factorization system plus degree axioms, exhaustively."""
+    from .kernel import class_array, orthogonal_lifting, scan_composable
+
     morphs = list(cat.morphisms())
     lowering, raising, degree = data.lowering, data.raising, data.degree
+    low, high = class_array(cat, lowering), class_array(cat, raising)
 
-    def closed_classes():
-        for f, g, gf in cat.composable():
-            bad = (lowering[f] and lowering[g] and not lowering[gf]) or (
-                raising[f] and raising[g] and not raising[gf]
-            )
-            yield {"f": f, "g": g} if bad else None
+    def closed_classes(f, g, gf):
+        return (low[f] & low[g] & ~low[gf]) | (high[f] & high[g] & ~high[gf])
 
     def isos_in_both():
         # the cases are the isos, and any non-iso in both classes
@@ -447,32 +493,6 @@ def certify_reedy_axioms(cat: FinCategory, data: ReedyData) -> list[Check]:
                     break
             yield witness
 
-    def orthogonal_lifting():
-        for e in morphs:
-            if not lowering[e]:
-                continue
-            for m in morphs:
-                if not raising[m]:
-                    continue
-                # squares u: dom(e) -> dom(m), v: cod(e) -> cod(m), m u = v e
-                for u in cat.refs(e[0], m[0]):
-                    um = cat.compose(u, m)
-                    for v in cat.refs(e[1], m[1]):
-                        if cat.compose(e, v) != um:
-                            continue
-                        diagonals = [
-                            w
-                            for w in cat.refs(e[1], m[0])
-                            if cat.compose(e, w) == u and cat.compose(w, m) == v
-                        ]
-                        yield None if len(diagonals) == 1 else {
-                            "e": e,
-                            "m": m,
-                            "u": u,
-                            "v": v,
-                            "diagonals": len(diagonals),
-                        }
-
     def free_action():
         for e in morphs:
             if not lowering[e]:
@@ -483,11 +503,11 @@ def certify_reedy_axioms(cat: FinCategory, data: ReedyData) -> list[Check]:
                     yield {"e": e, "theta": th} if cat.compose(e, th) == e else None
 
     return [
-        scan("classes-closed-under-composition", closed_classes()),
+        scan_composable("classes-closed-under-composition", cat, closed_classes),
         scan("lowering-and-raising-iff-iso", isos_in_both()),
         scan("degree-monotonicity", degrees()),
         scan("factorization-unique-up-to-unique-iso", factor_exists_unique()),
-        scan("orthogonal-lifting-unique", orthogonal_lifting()),
+        orthogonal_lifting(cat, low, high),
         scan("isos-act-freely-on-lowering", free_action()),
     ]
 
@@ -496,12 +516,12 @@ def certify_cancellation(cat: FinCategory, data: ReedyData) -> list[Check]:
     """gf lowering forces g lowering; gf raising forces f raising; split
     epis are lowering and split monos raising.  All composable pairs."""
 
-    def cancel():
-        for f, g, gf in cat.composable():
-            bad = (data.lowering[gf] and not data.lowering[g]) or (
-                data.raising[gf] and not data.raising[f]
-            )
-            yield {"f": f, "g": g} if bad else None
+    from .kernel import class_array, scan_composable
+
+    low, high = class_array(cat, data.lowering), class_array(cat, data.raising)
+
+    def cancel(f, g, gf):
+        return (low[gf] & ~low[g]) | (high[gf] & ~high[f])
 
     def split_classes():
         for f in cat.morphisms():
@@ -513,7 +533,7 @@ def certify_cancellation(cat: FinCategory, data: ReedyData) -> list[Check]:
                 yield None if data.raising[f] else {"split-mono": f}
 
     return [
-        scan("composite-class-cancellation", cancel()),
+        scan_composable("composite-class-cancellation", cat, cancel),
         scan("split-epi-lowering-split-mono-raising", split_classes()),
     ]
 

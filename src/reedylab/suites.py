@@ -328,12 +328,12 @@ def _suite_presheaf_ez(cfg: SuiteConfig) -> list:
                 "check runs at the free semilattice on two generators (size 3)"
             )
         checks = []
-        verdicts = set()
+        verdicts = []  # one per presheaf the triple sweeps reached
 
         def sweep(corpus, data, squares):
             for i, X in enumerate(corpus):
                 a, b, c = _triple(X, data, squares)
-                verdicts.add(a)
+                verdicts.append(a)
                 witness = {"index": i, "levels": list(X.levels), "triple": [a, b, c]}
                 yield None if a == b == c else witness
 
@@ -361,10 +361,10 @@ def _suite_presheaf_ez(cfg: SuiteConfig) -> list:
         checks.append(
             verdict(
                 "both-verdicts-occur-in-corpus",
-                verdicts == {True, False},
-                len(exhaustive) + len(seeded),
+                set(verdicts) == {True, False},
+                len(verdicts),
                 {
-                    "verdicts-seen": sorted(map(str, verdicts)),
+                    "verdicts-seen": sorted(map(str, set(verdicts))),
                     "note": (
                         "truncations at size <= 4 are elegant (every object "
                         "of size <= 3 is perfectly presentable; the size-4 "

@@ -174,6 +174,17 @@ def test_factory_overrun_becomes_one_skipped_check(capsys):
     assert "exceed budget 10" in blob["checks"][0]["witness"]
 
 
+def test_oversized_truncation_is_skipped_by_its_pair_count(capsys):
+    # every hom-set of the size-4 truncation has at most 4^4 candidates,
+    # but its 147,097 composable pairs exceed the budget
+    assert main(["reedy-axioms", "--max-size", "4", "--budget", "100000"]) == 1
+    blob = json.loads(capsys.readouterr().out)
+    assert [(c["id"], c["status"]) for c in blob["checks"]] == [
+        ("reedy-axioms", "skipped")
+    ]
+    assert "composable pairs" in blob["checks"][0]["witness"]
+
+
 @pytest.mark.parametrize("size", [1, 2])
 def test_presheaf_ez_below_size_three_is_skipped(size, capsys):
     assert main(["presheaf-ez", "--max-size", str(size), "--corpus-count", "5"]) == 1
@@ -321,6 +332,18 @@ def test_missing_ez_decomposition_is_a_failed_check(monkeypatch):
     monkeypatch.setattr(presheaf, "is_nondegenerate", lambda X, r, x, data: False)
     cert = run_suite(SuiteConfig(suite="cell-presentation", corpus_count=0))
     _law_failure(cert, "cell-presentation", "ez-existence")
+
+
+def test_verdict_coverage_counts_the_presheaves_reached(monkeypatch):
+    import reedylab.presheaf as presheaf
+
+    # the EZ criterion disagrees on every presheaf, so each triple sweep
+    # stops at index 0 and only two verdicts are gathered
+    monkeypatch.setattr(presheaf, "has_unique_ez", lambda X, data: (None, None))
+    cert = run_suite(SuiteConfig(suite="presheaf-ez", corpus_count=5))
+    check = next(c for c in cert.checks if c.id == "both-verdicts-occur-in-corpus")
+    assert (check.status, check.count) == ("fail", 2)
+    assert check.witness["verdicts-seen"] == ["True"]
 
 
 def test_unforced_composite_lift_step_is_a_failed_check(monkeypatch):

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from reedylab.certificates import scan
 from reedylab.errors import NotSurjective, SizeBudget, ViolatedLaw
 from reedylab.obstruction import map_t, map_u
 from reedylab.reedy import (
@@ -249,11 +250,17 @@ def _hom_refs(cat, a, b):
     return [(a, b, k) for k in range(len(cat.hom(a, b)))]
 
 
+def _set_composite(cat, f, g, h):
+    """Overwrite the table entry for g after f with h."""
+    ids = list(cat.morphisms())
+    cat.composition[f[:2]][f[2], cat.out_of(g[0]).index(g)] = ids.index(h)
+
+
 def test_validate_raises_on_corrupted_unit():
     cat, data, squares = truncated_semilattice_category(3)
     ref = (1, 1, 0)
     assert not cat.is_identity(ref)
-    cat.composition[(cat.identities[1], ref)] = cat.identities[1]
+    _set_composite(cat, cat.identities[1], ref, cat.identities[1])
     with pytest.raises(ViolatedLaw) as err:
         cat.validate()
     assert err.value.law == "unit"
@@ -264,7 +271,9 @@ def test_validate_survives_optimized_mode():
         "from reedylab.errors import ViolatedLaw\n"
         "from reedylab.reedy import truncated_semilattice_category\n"
         "cat, _, _ = truncated_semilattice_category(3)\n"
-        "cat.composition[(cat.identities[1], (1, 1, 0))] = cat.identities[1]\n"
+        "i = cat.identities[1]\n"
+        "ids = list(cat.morphisms())\n"
+        "cat.composition[(1, 1)][i[2], cat.out_of(1).index((1, 1, 0))] = ids.index(i)\n"
         "try:\n"
         "    cat.validate()\n"
         "except ViolatedLaw:\n"
@@ -317,7 +326,7 @@ def test_pushout_universal_property_reads_the_table():
     g1 = next(g for g in _hom_refs(cat, e1[1], f1[1]) if g != f1)
     # e0 then f0 now equals e1 then g1, so (f0, g1) looks like a cocone
     # with no mediating map
-    cat.composition[(e0, f0)] = cat.compose(e1, g1)
+    _set_composite(cat, e0, f0, cat.compose(e1, g1))
     assert cat.compose(e0, f0) != cat.compose(e1, f1)
     checks = certify_pre_elegance(cat, data, squares)
     assert _status(checks, "pushout-universal-property") == "fail"
@@ -332,9 +341,146 @@ def test_closed_classes_reads_the_table():
         if data.lowering[f]
         and any(not data.lowering[h] for h in _hom_refs(cat, f[0], g[1]))
     )
-    cat.composition[(f, g)] = next(
-        h for h in _hom_refs(cat, f[0], g[1]) if not data.lowering[h]
+    _set_composite(
+        cat, f, g, next(h for h in _hom_refs(cat, f[0], g[1]) if not data.lowering[h])
     )
     checks = certify_reedy_axioms(cat, data)
     assert _status(checks, "classes-closed-under-composition") == "fail"
 
+
+def _walk_validate(cat):
+    """The law and witness of the first failure of the Python walk that
+    FinCategory.validate vectorizes, or None."""
+    for (a, b), fs in cat.homs.items():
+        if len({f.map for f in fs}) != len(fs):
+            return "duplicate-morphisms", (a, b)
+        for ref in cat.refs(a, b):
+            if (
+                cat.compose(cat.identities[a], ref) != ref
+                or cat.compose(ref, cat.identities[b]) != ref
+            ):
+                return "unit", ref
+    for f, g, gf in cat.composable():
+        for h in cat.out_of(g[1]):
+            if cat.compose(gf, h) != cat.compose(f, cat.compose(g, h)):
+                return "associativity", (f, g, h)
+    return None
+
+
+def test_validate_size_4_finds_the_first_broken_associativity():
+    cat, data, squares = truncated_semilattice_category(4)
+    cat.validate()
+    # a composite out of the terminal object, early in the walk, moved to
+    # another map of its hom-set; the unit entries stay intact
+    f, g = next(
+        (f, g)
+        for f in cat.morphisms()
+        if f[0] == 0 and not cat.is_identity(f)
+        for g in cat.out_of(f[1])
+        if not cat.is_identity(g) and len(cat.hom(0, g[1])) > 1
+    )
+    gf = cat.compose(f, g)
+    _set_composite(cat, f, g, next(h for h in _hom_refs(cat, 0, g[1]) if h != gf))
+    with pytest.raises(ViolatedLaw) as err:
+        cat.validate()
+    assert err.value.law == "associativity"
+    assert (err.value.law, err.value.witness) == _walk_validate(cat)
+
+
+def test_missing_composite_fails_the_build(monkeypatch):
+    import reedylab.reedy as reedy
+
+    real = reedy.enumerate_homs
+
+    # the constant map at the bottom of the interval is the composite of
+    # the interval's collapse with the terminal object's bottom point
+    def without_the_bottom_constant(A, B, budget):
+        fs = real(A, B, budget)
+        return [f for f in fs if not (A.size == B.size == 2 and f.map == (0, 0))]
+
+    monkeypatch.setattr(reedy, "enumerate_homs", without_the_bottom_constant)
+    with pytest.raises(ViolatedLaw) as err:
+        truncated_semilattice_category(2)
+    assert err.value.law == "composition-closure"
+
+
+def _walk_lifting(cat, data):
+    """The Python walk over commuting squares that the block scan of
+    orthogonal-lifting-unique replaced."""
+    morphs = list(cat.morphisms())
+    for e in morphs:
+        if not data.lowering[e]:
+            continue
+        for m in morphs:
+            if not data.raising[m]:
+                continue
+            for u in cat.refs(e[0], m[0]):
+                um = cat.compose(u, m)
+                for v in cat.refs(e[1], m[1]):
+                    if cat.compose(e, v) != um:
+                        continue
+                    diagonals = [
+                        w
+                        for w in cat.refs(e[1], m[0])
+                        if cat.compose(e, w) == u and cat.compose(w, m) == v
+                    ]
+                    yield None if len(diagonals) == 1 else {
+                        "e": e,
+                        "m": m,
+                        "u": u,
+                        "v": v,
+                        "diagonals": len(diagonals),
+                    }
+
+
+def _walk_pair_checks(cat, data):
+    """The Python walks that the block scans of
+    classes-closed-under-composition, orthogonal-lifting-unique and
+    composite-class-cancellation replaced."""
+    low, high = data.lowering, data.raising
+    closed = (
+        {"f": f, "g": g}
+        if (low[f] and low[g] and not low[gf]) or (high[f] and high[g] and not high[gf])
+        else None
+        for f, g, gf in cat.composable()
+    )
+    cancel = (
+        {"f": f, "g": g} if (low[gf] and not low[g]) or (high[gf] and not high[f]) else None
+        for f, g, gf in cat.composable()
+    )
+    return [
+        scan("classes-closed-under-composition", closed),
+        scan("orthogonal-lifting-unique", _walk_lifting(cat, data)),
+        scan("composite-class-cancellation", cancel),
+    ]
+
+
+def test_block_scans_match_the_walks_on_corrupted_tables():
+    import random
+
+    cat, data, squares = truncated_semilattice_category(3)
+    clean = {key: block.copy() for key, block in cat.composition.items()}
+    low, high = data.lowering, data.raising
+    pairs = [(f, g) for f, g, _ in cat.composable()]
+    # the pairs whose composite the closure check constrains
+    closed = [(f, g) for f, g in pairs if (low[f] and low[g]) or (high[f] and high[g])]
+    rng = random.Random(0)
+    statuses = []
+    for _ in range(30):
+        for key, block in clean.items():
+            cat.composition[key][...] = block
+        for f, g in rng.sample(pairs, 2) + rng.sample(closed, 2):
+            _set_composite(cat, f, g, rng.choice(_hom_refs(cat, f[0], g[1])))
+        scans = [
+            c
+            for c in certify_reedy_axioms(cat, data) + certify_cancellation(cat, data)
+            if c.id in (
+                "classes-closed-under-composition",
+                "orthogonal-lifting-unique",
+                "composite-class-cancellation",
+            )
+        ]
+        assert scans == _walk_pair_checks(cat, data)
+        statuses.append(tuple(c.status for c in scans))
+    # each check fails on some tables and passes on others
+    assert all({s[k] for s in statuses} == {"pass", "fail"} for k in range(3))
