@@ -322,6 +322,7 @@ def triangulation_product_bijections(
     tri_product: TruncatedSimplicialSet,
     tri_whole: TruncatedSimplicialSet,
     projections: list[SLatMorphism],
+    budget: int = DEFAULT_CANDIDATE_BUDGET,
 ):
     """Bijections level m: maps into a product correspond to tuples of
     maps into the factors, by postcomposition with the projections."""
@@ -329,7 +330,7 @@ def triangulation_product_bijections(
     for m in range(tri_whole.maxdim + 1):
         # index maps into each factor at this level
         part_levels = [
-            {f.map: k for k, f in enumerate(enumerate_homs(chain(m + 1), A))}
+            {f.map: k for k, f in enumerate(enumerate_homs(chain(m + 1), A, budget))}
             for A in A_parts
         ]
         prod_index = {t: k for k, t in enumerate(tri_product.levels[m])}
@@ -383,12 +384,14 @@ def dedekind_homs(m: int, n: int, budget: int = DEFAULT_CANDIDATE_BUDGET):
     return monotone_cube_maps(m, n, budget)
 
 
-def monotone_maps_agree_with_homs(A: FiniteSemilattice, k: int) -> bool:
+def monotone_maps_agree_with_homs(
+    A: FiniteSemilattice, k: int, budget: int = DEFAULT_CANDIDATE_BUDGET
+) -> bool:
     """Certified sub-fact: out of a chain, monotone equals join-preserving."""
     P = FinPoset.chain(k)
     Q = FinPoset.of_semilattice(A)
     from .semilattice import monotone_maps
 
-    mono = set(monotone_maps(P, Q))
-    homs = {f.map for f in enumerate_homs(chain(k), A)}
+    mono = set(monotone_maps(P, Q, budget))
+    homs = {f.map for f in enumerate_homs(chain(k), A, budget)}
     return mono == homs

@@ -4,8 +4,7 @@ from __future__ import annotations
 
 from .errors import InvalidInput
 from .obstruction import CrownPoset
-from .reedy import FinCategory
-from .semilattice import FiniteSemilattice
+from .semilattice import FiniteSemilattice, enumerate_homs
 
 
 def semilattice_dot(A: FiniteSemilattice, name: str = "semilattice") -> str:
@@ -29,15 +28,16 @@ def crown_dot(C: CrownPoset, name: str = "crown") -> str:
     return "\n".join(lines) + "\n"
 
 
-def category_dot(cat: FinCategory, name: str = "category") -> str:
-    """Objects as nodes, edges labeled by hom-set cardinality."""
+def category_dot(objects: list[FiniteSemilattice], name: str = "category") -> str:
+    """The full subcategory on the objects: objects as nodes, edges
+    labeled by hom-set cardinality."""
     lines = [f'digraph "{name}" {{']
-    for i, O in enumerate(cat.objects):
+    for i, O in enumerate(objects):
         lines.append(f'  n{i} [label="#{i} (size {O.size})"];')
-    for a in range(len(cat.objects)):
-        for b in range(len(cat.objects)):
-            if fs := cat.hom(a, b):
-                lines.append(f'  n{a} -> n{b} [label="{len(fs)}"];')
+    for a, A in enumerate(objects):
+        for b, B in enumerate(objects):
+            if k := len(enumerate_homs(A, B)):
+                lines.append(f'  n{a} -> n{b} [label="{k}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -60,5 +60,5 @@ def export_dot_json(data) -> str:
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidInput(f"bad semilattice JSON: {exc!r}") from exc
     if "objects" in data:
-        return category_dot(FinCategory.from_objects(objs))
+        return category_dot(objs)
     raise InvalidInput("unrecognized input: expected semilattice, crown, or category JSON")

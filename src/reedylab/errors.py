@@ -30,8 +30,9 @@ class ViolatedLaw(ReedyLabError):
     when a class of a lowering pushout misses one of its surjective legs;
     'degree-drop' when postcomposition raises a map's degree;
     'ez-existence' when an element has no EZ decomposition;
-    'sub-presheaf-closure' when a kept subset is not closed under the
-    action; 'skeleton-landing' when a leg of a cell square leaves its
+    'sub-presheaf-closure' when a restriction raises an element's EZ
+    degree, so that some skeleton is not a sub-presheaf;
+    'skeleton-landing' when a leg of a cell square leaves its
     skeleton; 'pushout-closure' when a lowering pushout leaves the object
     set; 'forced-lift-step' and 'closed-lift' when a composite crown map
     does not lift step by step to the fence.  A suite reports any of

@@ -1,9 +1,16 @@
 """Finite presheaves over a finite Reedy category.
 
-Carries the cellular machinery: EZ decompositions, latching objects by
-two independent routes, Reedy-monomorphism predicates three ways, skeleta
-and cell pushout squares.  Everything is elementwise and exhaustively
-checkable.
+Carries the cellular machinery: latching objects by two independent
+routes, Reedy-monomorphism predicates three ways, EZ decompositions,
+skeleta and cell pushout squares.  Everything is elementwise and
+exhaustively checkable.
+
+A presheaf's EZ data is one table, computed once: every element's EZ
+decompositions, and from them its EZ degree.  The skeleton sk_n is then
+the set of elements of degree below n, a filter on the degrees rather
+than a presheaf of its own; that each skeleton is a sub-presheaf is
+checked once per presheaf, as the fact that no restriction raises a
+degree.
 """
 
 from __future__ import annotations
@@ -28,11 +35,6 @@ class FinPresheaf:
 
     def act(self, f: MorphRef, x: int) -> int:
         return self.actions[f][x]
-
-    def elements(self):
-        for r, n in enumerate(self.levels):
-            for x in range(n):
-                yield (r, x)
 
     def total_size(self) -> int:
         return sum(self.levels)
@@ -262,50 +264,50 @@ def is_reedy_mono(X: FinPresheaf, data: ReedyData) -> bool:
 
 
 def is_nondegenerate(X: FinPresheaf, r: int, x: int, data: ReedyData) -> bool:
-    for e in strictly_lowering_out_of(data, r):
-        if any(X.act(e, y) == x for y in range(X.levels[e[1]])):
-            return False
-    return True
+    return not any(x in X.actions[e] for e in strictly_lowering_out_of(data, r))
 
 
-def ez_decompositions(X: FinPresheaf, r: int, x: int, data: ReedyData):
-    """All pairs (lowering e out of r, nondegenerate y) with y.e = x."""
-    out = []
-    for e in lowering_out_of(data, r):
-        for y in range(X.levels[e[1]]):
-            if X.act(e, y) == x and is_nondegenerate(X, e[1], y, data):
-                out.append((e, y))
-    return out
+def ez_decompositions(X: FinPresheaf, data: ReedyData) -> list[list[list]]:
+    """The EZ table of X: entry [r][x] lists the pairs (lowering e out of
+    r, nondegenerate y) with y.e = x, in morphism order of e, then y."""
+    nondeg = [
+        [is_nondegenerate(X, s, y, data) for y in range(n)]
+        for s, n in enumerate(X.levels)
+    ]
+    table = [[[] for _ in range(n)] for n in X.levels]
+    for r, decs in enumerate(table):
+        for e in lowering_out_of(data, r):
+            nd = nondeg[e[1]]
+            for y, x in enumerate(X.actions[e]):
+                if nd[y]:
+                    decs[x].append((e, y))
+    return table
 
 
-def ez_decompose(X: FinPresheaf, r: int, x: int, data: ReedyData):
-    """A decomposition of minimal intermediate degree, plus that degree."""
-    best = None
-    for e in sorted(
-        lowering_out_of(data, r), key=lambda e: (data.degree[e[1]], e)
-    ):
-        if best is not None and data.degree[e[1]] > best[2]:
-            break
-        for y in range(X.levels[e[1]]):
-            if X.act(e, y) == x and is_nondegenerate(X, e[1], y, data):
-                best = (e, y, data.degree[e[1]])
-                break
-        if best is not None:
-            break
-    if best is None:
-        raise ViolatedLaw("ez-existence", (r, x))
-    return best
+def ez_degrees(X: FinPresheaf, data: ReedyData) -> list[list[int]]:
+    """Entry [r][x] is the EZ degree of x in X_r: the least degree of the
+    middle object of its EZ decompositions.
 
-
-def ez_degree(X: FinPresheaf, r: int, x: int, data: ReedyData) -> int:
-    return ez_decompose(X, r, x, data)[2]
+    Raises ViolatedLaw 'ez-existence' at the first element without a
+    decomposition, and 'sub-presheaf-closure' when a restriction raises
+    an element's degree, which is when some skeleton is not a
+    sub-presheaf."""
+    degrees = []
+    for r, level in enumerate(ez_decompositions(X, data)):
+        for x, decs in enumerate(level):
+            if not decs:
+                raise ViolatedLaw("ez-existence", (r, x))
+        degrees.append([min(data.degree[e[1]] for e, _ in decs) for decs in level])
+    for f in X.base.morphisms():
+        a, b, _ = f
+        for x, v in enumerate(X.actions[f]):
+            if degrees[a][v] > degrees[b][x]:
+                raise ViolatedLaw("sub-presheaf-closure", (f, x))
+    return degrees
 
 
 def ez_isomorphic(
-    X: FinPresheaf,
-    d0: tuple[MorphRef, int],
-    d1: tuple[MorphRef, int],
-    data: ReedyData,
+    X: FinPresheaf, d0: tuple[MorphRef, int], d1: tuple[MorphRef, int]
 ) -> bool:
     """Two decompositions match when an isomorphism links them."""
     cat = X.base
@@ -319,49 +321,18 @@ def ez_isomorphic(
 def has_unique_ez(X: FinPresheaf, data: ReedyData):
     """True when all EZ decompositions of every element are isomorphic;
     otherwise (False, witness pair)."""
-    for (r, x) in X.elements():
-        decs = ez_decompositions(X, r, x, data)
-        for i in range(len(decs)):
-            for j in range(i + 1, len(decs)):
-                if not ez_isomorphic(X, decs[i], decs[j], data):
-                    return False, ((r, x), decs[i], decs[j])
+    for r, level in enumerate(ez_decompositions(X, data)):
+        for x, decs in enumerate(level):
+            for d0, d1 in itertools.combinations(decs, 2):
+                if not ez_isomorphic(X, d0, d1):
+                    return False, ((r, x), d0, d1)
     return True, None
 
 
-def skeleton(
-    X: FinPresheaf, n: int, data: ReedyData
-) -> tuple[FinPresheaf, PresheafMorphism]:
-    """Sub-presheaf of elements of EZ degree strictly below n."""
-    cat = X.base
-    keep = [
-        [x for x in range(X.levels[r]) if ez_degree(X, r, x, data) < n]
-        for r in range(len(cat.objects))
-    ]
-    return _sub_presheaf(X, keep)
-
-
-def _sub_presheaf(X: FinPresheaf, keep: list[list[int]]):
-    cat = X.base
-    index = [
-        {x: i for i, x in enumerate(sorted(set(k)))} for k in keep
-    ]
-    levels = tuple(len(ix) for ix in index)
-    actions = {}
-    for f in cat.morphisms():
-        a, b, _ = f
-        act = []
-        for x in sorted(index[b]):
-            v = X.act(f, x)
-            if v not in index[a]:
-                raise ViolatedLaw("sub-presheaf-closure", (f, x))
-            act.append(index[a][v])
-        actions[f] = tuple(act)
-    S = FinPresheaf(cat, levels, actions)
-    incl = PresheafMorphism(
-        S, X, tuple(tuple(sorted(ix)) for ix in index)
-    )
-    incl.validate()
-    return S, incl
+def skeleton(degrees: list[list[int]], n: int) -> tuple[tuple[int, ...], ...]:
+    """The elements of sk_n at each object: those of EZ degree below n,
+    in increasing order."""
+    return tuple(tuple(x for x, d in enumerate(level) if d < n) for level in degrees)
 
 
 # ---------------------------------------------------------------------------
@@ -405,9 +376,9 @@ class CellSquareReport:
 
 
 def verify_cell_square(
-    X: FinPresheaf, n: int, data: ReedyData
+    X: FinPresheaf, n: int, data: ReedyData, degrees: list[list[int]]
 ) -> CellSquareReport:
-    """Certify the degree-n cell attachment.
+    """Certify the degree-n cell attachment, given the EZ degrees of X.
 
     Builds the two weighted-colimit corners over the groupoid of degree-n
     objects, the cell map between them, and checks levelwise that the
@@ -417,8 +388,7 @@ def verify_cell_square(
     cat, acts = X.base, X.actions
     objs_n = [r for r in range(len(cat.objects)) if data.degree[r] == n]
     L = {r: latching_object(X, r, data) for r in objs_n}
-    skn, skn_incl = skeleton(X, n, data)
-    sknext, sknext_incl = skeleton(X, n + 1, data)
+    skn, sknext = skeleton(degrees, n), skeleton(degrees, n + 1)
     commutes = True
     is_pushout = True
     cell_mono = True
@@ -458,7 +428,7 @@ def verify_cell_square(
         for r in objs_n:
             for r2 in objs_n:
                 for th in cat.isos(r, r2):
-                    th_on_latch = _iso_on_latching(cat, X, th, L[r], L[r2])
+                    th_on_latch = _iso_on_latching(cat, th, L[r], L[r2])
                     for g in cat.refs(s, r):
                         tg = cat.compose(g, th)
                         for c2 in range(len(L[r2].classes)):
@@ -486,8 +456,7 @@ def verify_cell_square(
         def ul_to_ur(node):
             return ur_class_of[element(node)]
 
-        skn_set = set(skn_incl.components[s])
-        sknext_set = set(sknext_incl.components[s])
+        skn_set, sknext_set = set(skn[s]), set(sknext[s])
 
         ul_sk, sk_bad = descend(ul_classes, ul_to_sk)
         ul_ur, ur_bad = descend(ul_classes, ul_to_ur)
@@ -511,7 +480,7 @@ def verify_cell_square(
                 details.append({"level": s, "class": ci, "reason": "square"})
 
         # (b) pushout: sk_{n+1} at s is the set pushout of the span
-        keys = [("sk", x) for x in skn_incl.components[s]] + [
+        keys = [("sk", x) for x in skn[s]] + [
             ("ur", ci) for ci in range(len(ur_classes))
         ]
         po = UnionFind(keys)
@@ -536,7 +505,7 @@ def verify_cell_square(
     return CellSquareReport(n, commutes, is_pushout, cell_mono, details or None)
 
 
-def _iso_on_latching(cat, X, th: MorphRef, Lr: LatchingData, Lr2: LatchingData):
+def _iso_on_latching(cat, th: MorphRef, Lr: LatchingData, Lr2: LatchingData):
     """Map latching classes along precomposition with an iso r -> r2."""
     out = []
     for c2 in range(len(Lr2.classes)):
@@ -546,24 +515,17 @@ def _iso_on_latching(cat, X, th: MorphRef, Lr: LatchingData, Lr2: LatchingData):
     return out
 
 
-def skeleton_chain_report(X: FinPresheaf, data: ReedyData):
-    """sk^0 is empty, skeleta grow, and the chain unions to X."""
+def skeleton_chain_report(
+    X: FinPresheaf, data: ReedyData, degrees: list[list[int]]
+):
+    """sk^0 is empty and the chain of skeleta unions to X, given the EZ
+    degrees of X.  The skeleta grow by construction, each keeping the
+    elements below a larger degree."""
     maxdeg = max(data.degree) if data.degree else 0
-    sizes = []
-    prev = None
-    ok = True
-    for n in range(maxdeg + 2):
-        skn, incl = skeleton(X, n, data)
-        cur = [set(c) for c in incl.components]
-        sizes.append(skn.total_size())
-        if prev is not None and any(not p <= c for p, c in zip(prev, cur)):
-            ok = False
-        prev = cur
-    if sizes and sizes[0] != 0:
-        ok = False
-    if sizes and sizes[-1] != X.total_size():
-        ok = False
-    return ok, sizes
+    sizes = [
+        sum(map(len, skeleton(degrees, n))) for n in range(maxdeg + 2)
+    ]
+    return sizes[0] == 0 and sizes[-1] == X.total_size(), sizes
 
 
 # ---------------------------------------------------------------------------

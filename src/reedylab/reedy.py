@@ -153,11 +153,15 @@ class FinCategory:
         return [r for r, f in zip(self.refs(a, b), self.hom(a, b)) if f.is_iso]
 
     def object_of(self, A: FiniteSemilattice) -> int | None:
-        cf = canonical_form(A)
+        return self._by_canonical_form.get(canonical_form(A))
+
+    @cached_property
+    def _by_canonical_form(self) -> dict:
+        """Object index by canonical form; the first object of a class wins."""
+        index: dict = {}
         for i, O in enumerate(self.objects):
-            if O.size == A.size and canonical_form(O) == cf:
-                return i
-        return None
+            index.setdefault(canonical_form(O), i)
+        return index
 
     def validate(self) -> None:
         """Exhaustive duplicate, unit and associativity checks of the

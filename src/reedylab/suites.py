@@ -428,6 +428,7 @@ def _subgroups(cat, r, auts):
 
 def _suite_cell_presentation(cfg: SuiteConfig) -> list:
     from .presheaf import (
+        ez_degrees,
         is_reedy_mono,
         latching_object,
         non_reedy_mono_example,
@@ -441,16 +442,16 @@ def _suite_cell_presentation(cfg: SuiteConfig) -> list:
         )
 
         def cell_squares(monos, data):
-            for i, X in monos:
+            for i, X, degrees in monos:
                 for n in sorted(set(data.degree)):
-                    rep = verify_cell_square(X, n, data)
+                    rep = verify_cell_square(X, n, data, degrees)
                     report = [rep.commutes, rep.is_pushout, rep.cell_mono]
                     witness = {"index": i, "degree": n, "report": report}
                     yield None if all(report) else witness
 
         def skeleton_chains(monos, data):
-            for i, X in monos:
-                ok, sizes = skeleton_chain_report(X, data)
+            for i, X, degrees in monos:
+                ok, sizes = skeleton_chain_report(X, data, degrees)
                 yield None if ok else {"index": i, "sizes": sizes}
 
         checks = []
@@ -458,7 +459,11 @@ def _suite_cell_presentation(cfg: SuiteConfig) -> list:
             ("exhaustive-size2", exhaustive, data2),
             (seeded_tag, seeded, data3),
         ):
-            monos = [(i, X) for i, X in enumerate(corpus) if is_reedy_mono(X, data)]
+            monos = [
+                (i, X, ez_degrees(X, data))
+                for i, X in enumerate(corpus)
+                if is_reedy_mono(X, data)
+            ]
             checks.append(scan(f"cell-squares-certify-{tag}", cell_squares(monos, data)))
             checks.append(
                 scan(f"skeleton-chain-unions-{tag}", skeleton_chains(monos, data))
@@ -466,8 +471,10 @@ def _suite_cell_presentation(cfg: SuiteConfig) -> list:
 
         # expected failure pattern on the non-mono witness
         cat5, data5, squares5, X = non_reedy_mono_example()
+        degrees = ez_degrees(X, data5)
         reports = {
-            n: verify_cell_square(X, n, data5) for n in sorted(set(data5.degree))
+            n: verify_cell_square(X, n, data5, degrees)
+            for n in sorted(set(data5.degree))
         }
         commute_ok = all(r.commutes for r in reports.values())
         latch_fail_degrees = {
@@ -536,10 +543,10 @@ def _suite_triangulation(cfg: SuiteConfig) -> list:
     def run():
         checks = []
         dim = cfg.cube_dim
-        tri1 = triangulate(interval(), dim)
+        tri1 = triangulate(interval(), dim, cfg.budget)
         for n in range(1, dim + 1):
             C = cube(n)
-            tri = triangulate(C, dim)
+            tri = triangulate(C, dim, cfg.budget)
             nondeg = len(tri.nondegenerate(n))
             checks.append(
                 verdict(
@@ -553,7 +560,7 @@ def _suite_triangulation(cfg: SuiteConfig) -> list:
             prod = product_simplicial([tri1] * n)
             projs = _cube_projections(n)
             bij = triangulation_product_bijections(
-                [interval()] * n, prod, tri, projs
+                [interval()] * n, prod, tri, projs, cfg.budget
             )
             ok = simplicial_isomorphic(tri, prod, bij)
             checks.append(
@@ -566,7 +573,7 @@ def _suite_triangulation(cfg: SuiteConfig) -> list:
             )
         # out of a chain, monotone equals join-preserving
         agree = all(
-            monotone_maps_agree_with_homs(cube(n), k)
+            monotone_maps_agree_with_homs(cube(n), k, cfg.budget)
             for n in range(1, dim + 1)
             for k in range(1, 5)
         )

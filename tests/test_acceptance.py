@@ -11,10 +11,13 @@ treats a False verdict there as a fault.
 """
 
 import json
+from pathlib import Path
 
 import pytest
 
 from reedylab.suites import SUITES, SuiteConfig, run_suite
+
+GOLDEN = Path(__file__).with_name("golden_certificates.json")
 
 
 @pytest.fixture(scope="module")
@@ -187,3 +190,33 @@ def test_criterion_14_determinism(certs):
     ok = not mismatches
     _line(14, "byte-identical certificates on re-run", ok)
     assert ok, mismatches
+
+
+def test_certificates_match_golden(certs):
+    """Every certificate at default flags, without its duration, is
+    byte-identical to the one recorded in golden_certificates.json.
+
+    A change that alters a certificate on purpose regenerates the file
+    from the root of the repository and says in CHANGES.md which checks
+    changed and why:
+
+        PYTHONPATH=src python - <<'EOF'
+        import json
+        from reedylab.suites import SUITES, SuiteConfig, run_suite
+        golden = {
+            name: json.loads(run_suite(SuiteConfig(suite=name)).json_text(False))
+            for name in SUITES
+        }
+        with open("tests/golden_certificates.json", "w") as fh:
+            json.dump(golden, fh, indent=2, sort_keys=True)
+            fh.write("\\n")
+        EOF
+    """
+    golden = json.loads(GOLDEN.read_text())
+    assert sorted(golden) == sorted(certs)
+    changed = [
+        name
+        for name, cert in certs.items()
+        if json.dumps(golden[name], indent=2, sort_keys=True) != cert.json_text(False)
+    ]
+    assert changed == [], changed

@@ -11,7 +11,7 @@ from reedylab.cli import main
 from reedylab.cubes import cube
 from reedylab.dot import crown_dot, semilattice_dot
 from reedylab.obstruction import CrownPoset
-from reedylab.semilattice import chain
+from reedylab.semilattice import all_semilattices_upto, chain
 from reedylab.suites import SUITES, SuiteConfig, run_suite
 
 
@@ -93,6 +93,37 @@ def test_cli_export_dot(tmp_path, capsys):
     assert text.count("->") == 8
 
 
+def _category_document(path, objects):
+    path.write_text(json.dumps({"objects": [{"join": [list(r) for r in A.join]} for A in objects]}))
+    return str(path)
+
+
+def test_cli_export_category_dot(tmp_path, capsys):
+    src = _category_document(tmp_path / "category.json", [chain(1), chain(2)])
+    assert main(["export-dot", "--input", src]) == 0
+    assert capsys.readouterr().out == (
+        'digraph "category" {\n'
+        '  n0 [label="#0 (size 1)"];\n'
+        '  n1 [label="#1 (size 2)"];\n'
+        '  n0 -> n0 [label="1"];\n'
+        '  n0 -> n1 [label="2"];\n'
+        '  n1 -> n0 [label="1"];\n'
+        '  n1 -> n1 [label="3"];\n'
+        "}\n"
+    )
+
+
+def test_cli_export_category_dot_needs_only_hom_set_sizes(tmp_path, capsys):
+    # the 24 classes of size <= 5 have 10,049,264 composable pairs among
+    # their first 407 hom-sets, more than the default budget, but the DOT
+    # reads only the sizes of the 576 hom-sets
+    objects = all_semilattices_upto(5)
+    assert len(objects) == 24
+    src = _category_document(tmp_path / "five.json", objects)
+    assert main(["export-dot", "--input", src]) == 0
+    assert capsys.readouterr().out.count("->") == 576
+
+
 @pytest.mark.parametrize(
     "content",
     [
@@ -155,6 +186,17 @@ def test_certificates_echo_config():
     cert = run_suite(SuiteConfig(suite="sieve-chain", seed=5))
     assert cert.config["seed"] == 5
     assert cert.config["suite"] == "sieve-chain"
+
+
+def test_triangulation_honors_the_budget(capsys):
+    # the maps from the 4-element chain into the square have 4^3
+    # generator assignments
+    assert main(["triangulation", "--budget", "20"]) == 1
+    blob = json.loads(capsys.readouterr().out)
+    assert [(c["id"], c["status"]) for c in blob["checks"]] == [
+        ("triangulation", "skipped")
+    ]
+    assert "exceed budget 20" in blob["checks"][0]["witness"]
 
 
 def test_budget_overrun_becomes_skipped(monkeypatch):
@@ -234,8 +276,8 @@ def test_cell_square_failure_is_not_a_skeleton_chain_failure(monkeypatch):
 
     real = presheaf.verify_cell_square
 
-    def failing_at_degree_two(X, n, data):
-        rep = real(X, n, data)
+    def failing_at_degree_two(X, n, data, degrees):
+        rep = real(X, n, data, degrees)
         return dataclasses.replace(rep, cell_mono=False) if n == 2 else rep
 
     monkeypatch.setattr(presheaf, "verify_cell_square", failing_at_degree_two)

@@ -58,3 +58,38 @@ def test_every_definition_has_a_caller_in_src():
         and f"{path.stem}.{qualname}" not in ENTRY_POINTS
     ]
     assert unused == [], f"definitions with no caller in src/: {unused}"
+
+
+def _unread_parameters(tree: ast.Module):
+    """(function, parameter) for each parameter of a def or lambda that
+    its body, nested functions included, never reads.  `self` and the
+    parameter of the `_suite_*` factories, which run_suite calls with a
+    config, are left out."""
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+    for node in ast.walk(tree):
+        if not isinstance(node, functions):
+            continue
+        name = getattr(node, "name", "<lambda>")
+        if name.startswith("_suite_"):
+            continue
+        args = node.args
+        params = [*args.posonlyargs, *args.args, args.vararg, *args.kwonlyargs, args.kwarg]
+        body = node.body if isinstance(node.body, list) else [node.body]
+        read = {
+            n.id
+            for stmt in body
+            for n in ast.walk(stmt)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+        }
+        for p in params:
+            if p is not None and p.arg != "self" and p.arg not in read:
+                yield name, p.arg
+
+
+def test_every_parameter_is_read():
+    unread = [
+        f"{path.stem}.{name}({param})"
+        for path in sorted(SRC.glob("*.py"))
+        for name, param in _unread_parameters(ast.parse(path.read_text()))
+    ]
+    assert unread == [], f"parameters that no body reads: {unread}"

@@ -14,7 +14,8 @@ from reedylab.presheaf import (
     coproduct_presheaf,
     empty_presheaf,
     enumerate_presheaves,
-    ez_decompose,
+    ez_decompositions,
+    ez_degrees,
     has_unique_ez,
     is_nondegenerate,
     is_reedy_mono,
@@ -233,27 +234,27 @@ def test_nondegenerate_elements_decompose_trivially(trunc3):
         k for k, f in enumerate(cat.homs[(V, V)]) if f.map == (0, 1, 2)
     )
     assert is_nondegenerate(yo, V, idx, data)
-    e, y, deg = ez_decompose(yo, V, idx, data)
-    assert cat.is_identity(e) or cat.mor(e).is_iso
-    assert deg == 3
+    decs = ez_decompositions(yo, data)[V][idx]
+    assert decs and all(cat.mor(e).is_iso for e, _ in decs)
+    assert ez_degrees(yo, data)[V][idx] == 3
 
 
 def test_representable_ez_is_reedy_factorization(trunc3):
     cat, data, squares = trunc3
     V = free_pair_object(cat)
     yo = representable(cat, V)
+    degrees = ez_degrees(yo, data)
     for s in range(4):
         for k, f in enumerate(cat.homs[(s, V)]):
-            e, y, deg = ez_decompose(yo, s, k, data)
             surj, mono = image_factorize(f)
-            assert deg == surj.cod.size == len(f.image())
+            assert degrees[s][k] == surj.cod.size == len(f.image())
 
 
 def test_terminal_presheaf_collapses(trunc2):
     cat, data, squares = trunc2
     T = terminal_presheaf(cat)
-    e, y, deg = ez_decompose(T, 1, 0, data)
-    assert deg == 1 and e[1] == 0
+    assert ez_decompositions(T, data)[1][0] == [(cat.refs(1, 0)[0], 0)]
+    assert ez_degrees(T, data)[1][0] == 1
     assert is_reedy_mono(T, data)
 
 
@@ -300,35 +301,59 @@ def test_skeleton_chain_of_representable(trunc3):
     cat, data, squares = trunc3
     V = free_pair_object(cat)
     yo = representable(cat, V)
-    sk2, incl2 = skeleton(yo, 2, data)
-    assert sk2.levels[V] == 3  # the three constants
-    sk3, incl3 = skeleton(yo, 3, data)
-    assert sk3.levels[V] == 7  # the non-injective endomorphisms
-    ok, sizes = skeleton_chain_report(yo, data)
+    degrees = ez_degrees(yo, data)
+    assert len(skeleton(degrees, 2)[V]) == 3  # the three constants
+    assert len(skeleton(degrees, 3)[V]) == 7  # the non-injective endomorphisms
+    ok, sizes = skeleton_chain_report(yo, data, degrees)
     assert ok and sizes[0] == 0 and sizes[-1] == yo.total_size()
 
 
 def test_skeleton_zero_and_one_are_empty(trunc3):
     cat, data, squares = trunc3
-    yo = representable(cat, 1)
+    degrees = ez_degrees(representable(cat, 1), data)
     for n in (0, 1):
-        skn, _ = skeleton(yo, n, data)
-        assert skn.total_size() == 0
+        assert skeleton(degrees, n) == ((),) * len(cat.objects)
+
+
+def test_restriction_raising_an_ez_degree_breaks_closure(trunc3, monkeypatch):
+    import reedylab.presheaf as presheaf
+
+    cat, data, squares = trunc3
+    V = free_pair_object(cat)
+    yo = representable(cat, V)
+    ident = cat.identities[V][2]
+    const = next(k for k, f in enumerate(cat.homs[(V, V)]) if len(f.image()) == 1)
+    real = presheaf.ez_decompositions
+
+    def identity_of_degree_one(X, data):
+        # the identity takes the decompositions of a constant, so its
+        # restriction along a map into V with more than one value in its
+        # image raises its degree
+        table = real(X, data)
+        table[V][ident] = table[V][const]
+        return table
+
+    monkeypatch.setattr(presheaf, "ez_decompositions", identity_of_degree_one)
+    with pytest.raises(ViolatedLaw) as exc:
+        ez_degrees(yo, data)
+    assert exc.value.law == "sub-presheaf-closure"
+    assert exc.value.witness[1] == ident
 
 
 def test_cell_squares_on_representable(trunc3):
     cat, data, squares = trunc3
     V = free_pair_object(cat)
     yo = representable(cat, V)
+    degrees = ez_degrees(yo, data)
     for n in (1, 2, 3):
-        rep = verify_cell_square(yo, n, data)
+        rep = verify_cell_square(yo, n, data, degrees)
         assert rep.commutes and rep.is_pushout and rep.cell_mono
 
 
 def test_cell_square_with_empty_degree_part(trunc3):
     cat, data, squares = trunc3
     E = empty_presheaf(cat)
-    rep = verify_cell_square(E, 3, data)
+    rep = verify_cell_square(E, 3, data, ez_degrees(E, data))
     assert rep.commutes and rep.is_pushout and rep.cell_mono
 
 
@@ -337,7 +362,10 @@ def test_cell_square_failure_pattern_on_witness():
     # the degree of the latching failure; the pushout property fails where
     # EZ uniqueness breaks across degrees
     cat, data, squares, X = non_reedy_mono_example()
-    reports = {n: verify_cell_square(X, n, data) for n in sorted(set(data.degree))}
+    degrees = ez_degrees(X, data)
+    reports = {
+        n: verify_cell_square(X, n, data, degrees) for n in sorted(set(data.degree))
+    }
     assert all(r.commutes for r in reports.values())
     latch_fail = {
         data.degree[r]
@@ -348,7 +376,7 @@ def test_cell_square_failure_pattern_on_witness():
     assert not reports[5].cell_mono
     assert not reports[4].is_pushout
     assert reports[1].is_pushout and reports[2].is_pushout and reports[3].is_pushout
-    ok, sizes = skeleton_chain_report(X, data)
+    ok, sizes = skeleton_chain_report(X, data, degrees)
     assert ok  # the chain still unions to X
 
 
