@@ -63,18 +63,27 @@ class Certificate:
         return "\n".join(lines)
 
 
-def verdict(id: str, ok, count: int, witness=None) -> Check:
-    """A passing or failing check; the witness is kept only on failure."""
+# the witness of a check that would pass over zero cases
+NO_CASES = "no cases examined"
+
+
+def verdict(id: str, ok, count: int, witness=None, *, may_be_empty: bool = False) -> Check:
+    """A passing or failing check; the witness is kept only on failure.
+    A check over zero cases fails with witness NO_CASES, since it showed
+    nothing, unless may_be_empty says its case set is empty by design."""
+    if ok and count == 0 and not may_be_empty:
+        return Check(id, FAIL, 0, NO_CASES)
     return Check(id, PASS if ok else FAIL, count, None if ok else witness)
 
 
-def scan(id: str, witnesses) -> Check:
+def scan(id: str, witnesses, *, may_be_empty: bool = False) -> Check:
     """One check over a sequence of cases, each given as None when it
     passes or as its witness when it fails.  Stops at the first failure;
-    the count is the number of cases examined, that failure included."""
+    the count is the number of cases examined, that failure included.
+    Zero cases fail as in verdict."""
     count = 0
     for witness in witnesses:
         count += 1
         if witness is not None:
             return Check(id, FAIL, count, witness)
-    return Check(id, PASS, count)
+    return verdict(id, True, count, may_be_empty=may_be_empty)

@@ -11,7 +11,7 @@ import itertools
 from dataclasses import dataclass
 
 from .certificates import Check, scan, verdict
-from .errors import NotDistributive, NotIdempotent, SizeBudget
+from .errors import InvalidInput, NotDistributive, NotIdempotent, SizeBudget
 from .semilattice import (
     DEFAULT_CANDIDATE_BUDGET,
     FinPoset,
@@ -170,7 +170,8 @@ def certify_idempotent_completion(
 
 def face(i: int, n: int) -> SLatMorphism:
     """The injection [n-1] -> [n] skipping the element i."""
-    assert n >= 1 and 0 <= i <= n
+    if not (n >= 1 and 0 <= i <= n):
+        raise InvalidInput(f"face needs n >= 1 and 0 <= i <= n, got i={i}, n={n}")
     return SLatMorphism(
         chain(n), chain(n + 1), tuple(j if j < i else j + 1 for j in range(n))
     )
@@ -178,7 +179,8 @@ def face(i: int, n: int) -> SLatMorphism:
 
 def degeneracy(i: int, n: int) -> SLatMorphism:
     """The surjection [n+1] -> [n] identifying the elements i and i+1."""
-    assert n >= 0 and 0 <= i <= n
+    if not (n >= 0 and 0 <= i <= n):
+        raise InvalidInput(f"degeneracy needs n >= 0 and 0 <= i <= n, got i={i}, n={n}")
     return SLatMorphism(
         chain(n + 2), chain(n + 1), tuple(j if j <= i else j - 1 for j in range(n + 2))
     )

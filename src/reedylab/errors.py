@@ -11,9 +11,11 @@ class ViolatedLaw(ReedyLabError):
     """A join table, a morphism or a composition table breaks a law.
 
     `law` is 'square', 'range', 'commutativity', 'associativity' or
-    'idempotence' for a join table; 'length', 'range' or
-    'join-preservation' for a morphism; 'duplicate-morphisms', 'unit' or
-    'associativity' for the composition table of a category, and
+    'idempotence' for a join table; 'square', 'reflexivity',
+    'antisymmetry' or 'transitivity' for the order matrix of a poset;
+    'length', 'range' or 'join-preservation' for a morphism;
+    'duplicate-morphisms', 'unit' or 'associativity' for the composition
+    table of a category, and
     'composition-closure' when a composite is not among the enumerated
     maps of its hom-set;
     'missing-action', 'length', 'range', 'unit' or 'functoriality' for a

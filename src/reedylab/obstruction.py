@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .certificates import Check, scan, verdict
 from .cubes import cube, degeneracy, face
-from .errors import SizeBudget, ViolatedLaw
+from .errors import InvalidInput, SizeBudget, ViolatedLaw
 from .semilattice import (
     DEFAULT_CANDIDATE_BUDGET,
     FiniteSemilattice,
@@ -205,7 +205,8 @@ class CrownPoset:
     n: int
 
     def __post_init__(self):
-        assert self.n >= 3
+        if self.n < 3:
+            raise InvalidInput(f"a crown needs n >= 3, got {self.n}")
 
     @property
     def size(self) -> int:

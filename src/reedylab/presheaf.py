@@ -18,6 +18,9 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
+from functools import cached_property
+
+import numpy as np
 
 from .errors import InvalidInput, ViolatedLaw
 from .reedy import FinCategory, LoweringPushoutSquare, MorphRef, ReedyData
@@ -35,6 +38,17 @@ class FinPresheaf:
 
     def act(self, f: MorphRef, x: int) -> int:
         return self.actions[f][x]
+
+    @cached_property
+    def flat(self) -> "FlatActions":
+        """The actions as one int array in morphism-id order, derived
+        from `actions` on first use."""
+        acts = [self.actions[f] for f in self.base.morphisms()]
+        start = _segments(np.array(list(map(len, acts)), np.int64))[0]
+        # the smallest unsigned type that holds every element index
+        dtype = np.min_scalar_type(max(self.levels, default=0))
+        values = np.fromiter(itertools.chain.from_iterable(acts), dtype, start[-1])
+        return FlatActions(np.array(self.levels, np.int64), values, start)
 
     def total_size(self) -> int:
         return sum(self.levels)
@@ -61,6 +75,16 @@ class FinPresheaf:
             for x in range(levels[g[1]]):
                 if act_f[act_g[x]] != act_gf[x]:
                     raise ViolatedLaw("functoriality", (f, g, x))
+
+
+@dataclass
+class FlatActions:
+    """A presheaf's actions as one array, in morphism-id order: the action
+    of the morphism with id i is values[start[i] : start[i + 1]]."""
+
+    levels: np.ndarray
+    values: np.ndarray
+    start: np.ndarray
 
 
 @dataclass
@@ -124,8 +148,10 @@ def autquo(
     cat: FinCategory, r: int, H: list[MorphRef]
 ) -> tuple[FinPresheaf, PresheafMorphism]:
     """Quotient of yo(r) by post-composition with a subgroup of Aut(r);
-    returns the quotient and the projection from the representable."""
-    assert subgroup_closure_ok(cat, r, H)
+    returns the quotient and the projection from the representable.
+    Raises InvalidInput unless H is a subgroup of Aut(r)."""
+    if not subgroup_closure_ok(cat, r, H):
+        raise InvalidInput(f"not a subgroup of the automorphisms of object {r}: {H}")
     Y = representable(cat, r)
     n_obj = len(cat.objects)
     orbit_of: list[dict[int, int]] = []
@@ -168,11 +194,6 @@ def lowering_out_of(data: ReedyData, r: int):
     return data.lowering_out[r]
 
 
-def morphism_degree(cat: FinCategory, ref: MorphRef) -> int:
-    """Degree of the middle object of the (surjective, mono) factorization."""
-    return len(cat.mor(ref).image())
-
-
 # ---------------------------------------------------------------------------
 # latching machinery
 # ---------------------------------------------------------------------------
@@ -200,32 +221,6 @@ def latching_object(X: FinPresheaf, r: int, data: ReedyData) -> LatchingData:
             fe = cat.compose(e, f)
             for x2 in range(X.levels[f[1]]):
                 uf.union((fe, x2), (e, X.act(f, x2)))
-    return _latching_data(X, r, uf)
-
-
-def latching_object_via_weights(
-    X: FinPresheaf, r: int, data: ReedyData
-) -> LatchingData:
-    """Independent route: weight by all maps out of r of degree below
-    deg(r) (not only lowering ones) and glue along every morphism."""
-    cat = X.base
-    n = data.degree[r]
-    weight = [f for f in cat.out_of(r) if morphism_degree(cat, f) < n]
-    keys = [(f, x) for f in weight for x in range(X.levels[f[1]])]
-    uf = UnionFind(keys)
-    wset = set(weight)
-    for f in weight:
-        for g in cat.out_of(f[1]):
-            gf = cat.compose(f, g)
-            if gf not in wset:
-                raise ViolatedLaw("degree-drop", (f, g))
-            for x2 in range(X.levels[g[1]]):
-                uf.union((gf, x2), (f, X.act(g, x2)))
-    return _latching_data(X, r, uf)
-
-
-def _latching_data(X: FinPresheaf, r: int, uf: UnionFind) -> LatchingData:
-    """The latching classes of (f, x) nodes and the map x.f out of them."""
     classes, node_class = uf.partition()
     acts = X.actions
     latch, bad = descend(classes, lambda node: acts[node[0]][node[1]])
@@ -235,16 +230,144 @@ def _latching_data(X: FinPresheaf, r: int, uf: UnionFind) -> LatchingData:
     return LatchingData(classes, node_class, latch, injective)
 
 
+@dataclass
+class WeightedLatching:
+    """The latching object by weights, on integer node keys.
+
+    first_node[p] is the node of (f, 0) when the p-th map f out of r is in
+    the weight, and -1 otherwise; the node of (f, x) is first_node[p] + x,
+    so nodes sort as the pairs do.  node_class[v] is the class of node v,
+    the classes ordered by their least node."""
+
+    column: tuple[int, ...]  # column[b]: the position of (r, b, 0) out of r
+    first_node: list[int]
+    node_class: np.ndarray
+    latch: list[int]  # class -> element of X_r
+    injective: bool
+
+    def class_of(self, key: tuple[MorphRef, int]) -> int:
+        (_, b, k), x = key
+        return int(self.node_class[self.first_node[self.column[b] + k] + x])
+
+
+def latching_object_via_weights(
+    X: FinPresheaf, r: int, data: ReedyData
+) -> WeightedLatching:
+    """Independent route: weight by all maps out of r of degree below
+    deg(r) (not only lowering ones) and glue along every morphism,
+    (g f, x) ~ (f, x g).
+
+    The gluing of the weight maps into b is one gather from the rows of
+    composition[(r, b)] and the actions of the maps out of b.  Raises
+    ViolatedLaw 'degree-drop' at the first (f, g) of the walk (f in the
+    weight, then g out of its codomain, in morphism order) whose
+    composite leaves the weight."""
+    cat, A = X.base, X.flat
+    first, by_id = cat._first, cat._by_id
+    lo = first[r][0]
+    in_weight = cat.image_size[lo : first[r][-1]] < data.degree[r]
+    weight = np.flatnonzero(in_weight)  # positions out of r
+    start, owner, index = _segments(A.levels[cat.codomain[weight + lo]])
+    first_node = np.full(len(in_weight), -1, np.int32)
+    first_node[weight] = start[:-1]
+    label = np.arange(start[-1], dtype=np.int32)
+    for b in range(len(cat.objects)):
+        fs = np.flatnonzero(in_weight[first[r][b] - lo : first[r][b + 1] - lo])
+        if not len(fs):
+            continue
+        gf = cat.composition[(r, b)][fs] - lo  # row per f, column per g out of b
+        outside = ~in_weight[gf]
+        if outside.any():
+            i, j = divmod(int(outside.argmax()), gf.shape[1])
+            raise ViolatedLaw("degree-drop", (by_id[first[r][b] + fs[i]], cat.out_of(b)[j]))
+        # the actions of the maps g out of b, end to end: entry p sends x2[p]
+        # along its g[p]
+        _, g, x2 = _segments(A.levels[cat.codomain[first[b][0] : first[b][-1]]])
+        y = A.values[A.start[first[b][0]] : A.start[first[b][-1]]]
+        f_node = first_node[fs + first[r][b] - lo][:, None]
+        label = _join(label, first_node[gf[:, g]] + x2, f_node + y)
+    roots, node_class = _classes(label)
+    # the latching map: the value x.f on the class of each node (f, x)
+    values = A.values[A.start[weight + lo][owner] + index]
+    latch, bad = _class_values(roots, node_class, values)
+    if bad.any():
+        root = roots[bad.argmax()]
+        f = by_id[lo + weight[owner[root]]]
+        raise ViolatedLaw("well-definedness", (r, (f, int(index[root]))))
+    injective = len(_distinct(latch)) == len(latch)
+    return WeightedLatching(
+        cat._column[r], first_node.tolist(), node_class, latch.tolist(), injective
+    )
+
+
+def _segments(sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Number the items of consecutive segments of the given sizes: the
+    first item of each segment (and the total, last), and each item's
+    segment and position in it."""
+    start = np.zeros(len(sizes) + 1, np.int32)
+    np.cumsum(sizes, out=start[1:])
+    owner = np.repeat(np.arange(len(sizes), dtype=np.int32), sizes)
+    return start, owner, np.arange(start[-1], dtype=np.int32) - start[owner]
+
+
+def _join(label: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Merge the classes of u[i] and v[i], for equally shaped node arrays,
+    into a labelling of each node by the least node of its class.
+
+    Minimum-label propagation: each round hooks the larger label of an
+    edge's ends onto the smaller, then jumps pointers until every label
+    is its own.  An edge whose ends share a label keeps sharing one, so
+    each round keeps only the edges still apart."""
+    u, v = u.ravel(), v.ravel()
+    while True:
+        lu, lv = label[u], label[v]
+        apart = lu != lv
+        if not apart.any():
+            return label
+        u, v, lu, lv = u[apart], v[apart], lu[apart], lv[apart]
+        np.minimum.at(label, np.maximum(lu, lv), np.minimum(lu, lv))
+        while True:
+            up = label[label]
+            if (up == label).all():
+                break
+            label = up
+
+
+def _distinct(a: np.ndarray) -> np.ndarray:
+    """The distinct values of a, in increasing order.  np.unique would do,
+    but it imports numpy.ma, about a megabyte."""
+    a = np.sort(a)
+    return a[np.concatenate([a[1:] != a[:-1], [True]])] if len(a) else a
+
+
+def _classes(label: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The classes of a labelling by least connected node: their least
+    nodes in increasing order, and the class of each node."""
+    is_root = label == np.arange(len(label))
+    return np.flatnonzero(is_root), (np.cumsum(is_root, dtype=np.int32) - 1)[label]
+
+
+def _class_values(roots: np.ndarray, node_class: np.ndarray, values: np.ndarray):
+    """A map pushed down to classes, as semilattice.descend does: the
+    least value on each class, and whether the values differ on it."""
+    least = values[roots]
+    off = np.flatnonzero(values != least[node_class])
+    bad = np.zeros(len(roots), bool)
+    bad[node_class[off]] = True
+    np.minimum.at(least, node_class[off], values[off])
+    return least, bad
+
+
 def latching_routes_agree(
     X: FinPresheaf, r: int, data: ReedyData
-) -> tuple[bool, LatchingData, LatchingData]:
+) -> tuple[bool, LatchingData, WeightedLatching]:
     """Natural bijection over X_r between the two latching computations."""
     A = latching_object(X, r, data)
     B = latching_object_via_weights(X, r, data)
-    if len(A.classes) != len(B.classes):
+    if len(A.classes) != len(B.latch):
         return False, A, B
-    mapping, bad = descend(A.classes, B.node_class.__getitem__)
-    if bad or len(set(mapping)) != len(B.classes):
+    mapping, bad = descend(A.classes, B.class_of)
+    if bad or len(set(mapping)) != len(B.latch):
         return False, A, B
     if any(A.latch[ci] != B.latch[cj] for ci, cj in enumerate(mapping)):
         return False, A, B
@@ -384,125 +507,162 @@ def verify_cell_square(
     objects, the cell map between them, and checks levelwise that the
     square onto the skeleta commutes, is a pushout of sets, and has an
     injective cell map whenever X is Reedy monomorphic.
+
+    Every level s is done at once, on integer node keys ordered as the
+    level's pairs are: level first, then (in the upper-left corner) the
+    boundary nodes (g, x) before the representable nodes (g, c), then g
+    in morphism order, then x or c.  A class is named by its least node,
+    and classes are numbered in that order, within each level.
     """
-    cat, acts = X.base, X.actions
-    objs_n = [r for r in range(len(cat.objects)) if data.degree[r] == n]
+    cat, A = X.base, X.flat
+    n_obj, first, column = len(cat.objects), cat._first, cat._column
+    dom, cod = cat.domain, cat.codomain
+    objs_n = [r for r in range(n_obj) if data.degree[r] == n]
     L = {r: latching_object(X, r, data) for r in objs_n}
-    skn, sknext = skeleton(degrees, n), skeleton(degrees, n + 1)
-    commutes = True
-    is_pushout = True
-    cell_mono = True
-    details = []
-    for s in range(len(cat.objects)):
-        # upper-right corner: all maps into degree-n objects, X elements
-        ur_keys = [
-            (g, x)
-            for r in objs_n
-            for g in cat.refs(s, r)
-            for x in range(X.levels[r])
-        ]
-        ur = UnionFind(ur_keys)
-        for r in objs_n:
-            for r2 in objs_n:
-                for th in cat.isos(r, r2):
-                    for g in cat.refs(s, r):
-                        tg = cat.compose(g, th)
-                        for x2 in range(X.levels[r2]):
-                            ur.union((tg, x2), (g, X.act(th, x2)))
-        ur_classes, ur_class_of = ur.partition()
+    n_classes = np.zeros(n_obj, np.int64)
+    n_classes[objs_n] = [len(L[r].latch) for r in objs_n]
+    latch_start = _segments(n_classes)[0]
+    latch = np.array([v for r in objs_n for v in L[r].latch], np.int32)
 
-        # upper-left corner: pushout of the boundary-weighted latching data
-        low_weight = {
-            r: [g for g in cat.refs(s, r) if morphism_degree(cat, g) < n]
-            for r in objs_n
-        }
-        ul_keys = []
-        for r in objs_n:
-            for g in cat.refs(s, r):
-                for c in range(len(L[r].classes)):
-                    ul_keys.append(("yo", g, c))
-            for g in low_weight[r]:
-                for x in range(X.levels[r]):
-                    ul_keys.append(("bd", g, x))
-        ul = UnionFind(ul_keys)
-        for r in objs_n:
-            for r2 in objs_n:
-                for th in cat.isos(r, r2):
-                    th_on_latch = _iso_on_latching(cat, th, L[r], L[r2])
-                    for g in cat.refs(s, r):
-                        tg = cat.compose(g, th)
-                        for c2 in range(len(L[r2].classes)):
-                            ul.union(("yo", tg, c2), ("yo", g, th_on_latch[c2]))
-                    for g in low_weight[r]:
-                        tg = cat.compose(g, th)
-                        for x2 in range(X.levels[r2]):
-                            ul.union(("bd", tg, x2), ("bd", g, X.act(th, x2)))
+    # upper-right corner: node ur[g] + x is (g, x), for g into a degree-n
+    # object and x in X there; ur_value is its image x.g in X
+    in_n = np.zeros(n_obj, bool)
+    in_n[objs_n] = True
+    G = np.flatnonzero(in_n[cod])
+    ur_start, owner, ur_x = _segments(A.levels[cod[G]])
+    ur_g = G[owner]
+    ur_value = A.values[A.start[ur_g] + ur_x]
+    ur = np.full(len(cod), -1, np.int32)
+    ur[G] = ur_start[:-1]
+    del owner, ur_x  # node-sized arrays are freed before the joins
+
+    # upper-left corner: boundary nodes bd[g] + x for g of degree below n,
+    # representable nodes yo[g] + c for the latching classes c at cod g;
+    # ul_elem is the upper-right node (g, x), or (g, latch of c), each names
+    low = G[cat.image_size[G] < n]
+    seg_g = np.concatenate([low, G])
+    seg_yo = np.arange(len(seg_g)) >= len(low)
+    order = np.argsort(dom[seg_g] * 2 + seg_yo, kind="stable")
+    sizes = np.where(seg_yo, n_classes[cod[seg_g]], A.levels[cod[seg_g]])
+    starts, owner, ul_elem = _segments(sizes[order])
+    seg_first = np.empty(len(seg_g), np.int32)
+    seg_first[order] = starts[:-1]
+    bd = np.full(len(cod), -1, np.int32)
+    bd[low] = seg_first[: len(low)]
+    yo = np.full(len(cod), -1, np.int32)
+    yo[G] = seg_first[len(low) :]
+    on_yo = seg_yo[order][owner]
+    ul_g = seg_g[order][owner]
+    ul_elem[on_yo] = latch[latch_start[cod[ul_g[on_yo]]] + ul_elem[on_yo]]
+    ul_elem += ur[ul_g]
+    del owner, on_yo, ul_g
+
+    ur_label = np.arange(len(ur_value), dtype=np.int32)
+    ul_label = np.arange(len(ul_elem), dtype=np.int32)
+    for r in objs_n:
+        # the maps g into r, in morphism order, and their composites with
+        # the isomorphisms th out of r
+        isos = [(r2, th) for r2 in objs_n for th in cat.isos(r, r2)]
+        cols = [column[r][r2] + th[2] for r2, th in isos]
+        into = np.flatnonzero(cod == r)
+        then = np.vstack([cat.composition[(s, r)][:, cols] for s in range(n_obj)])
+        g_low = cat.image_size[into] < n
+        for k, (r2, th) in enumerate(isos):
+            tg = then[:, k]
+            t = first[r][r2] + th[2]
+            y = A.values[A.start[t] : A.start[t + 1]]
+            x2 = np.arange(len(y), dtype=np.int32)
+            ur_label = _join(ur_label, ur[tg][:, None] + x2, ur[into][:, None] + y)
+            ul_label = _join(
+                ul_label, bd[tg[g_low]][:, None] + x2, bd[into[g_low]][:, None] + y
+            )
+            moved = np.array(_iso_on_latching(cat, th, L[r], L[r2]), np.int32)
+            c2 = np.arange(len(moved), dtype=np.int32)
+            ul_label = _join(ul_label, yo[tg][:, None] + c2, yo[into][:, None] + moved)
         # glue the two weighted pieces along the boundary-weighted latching
-        for r in objs_n:
-            for g in low_weight[r]:
-                for c in range(len(L[r].classes)):
-                    ul.union(("yo", g, c), ("bd", g, L[r].latch[c]))
-        ul_classes, ul_class_of = ul.partition()
-
-        # the four maps of the square, elementwise; a "yo" node names a
-        # latching class of the codomain of g, a "bd" node an element
-        def element(node):
-            kind, g, v = node
-            return (g, L[g[1]].latch[v] if kind == "yo" else v)
-
-        def ul_to_sk(node):
-            return X.act(*element(node))
-
-        def ul_to_ur(node):
-            return ur_class_of[element(node)]
-
-        skn_set, sknext_set = set(skn[s]), set(sknext[s])
-
-        ul_sk, sk_bad = descend(ul_classes, ul_to_sk)
-        ul_ur, ur_bad = descend(ul_classes, ul_to_ur)
-        for _ in set(sk_bad) | set(ur_bad):
-            commutes = False
-            details.append({"level": s, "reason": "left-map-ill-defined"})
-        if not skn_set.issuperset(ul_sk):
-            raise ViolatedLaw("skeleton-landing", (n, s, "left"))
-
-        ur_sknext, bad = descend(ur_classes, lambda node: acts[node[0]][node[1]])
-        for _ in bad:
-            commutes = False
-            details.append({"level": s, "reason": "right-map-ill-defined"})
-        if not sknext_set.issuperset(ur_sknext):
-            raise ViolatedLaw("skeleton-landing", (n, s, "right"))
-
-        # (a) commutation
-        for ci in range(len(ul_classes)):
-            if ur_sknext[ul_ur[ci]] != ul_sk[ci]:
-                commutes = False
-                details.append({"level": s, "class": ci, "reason": "square"})
-
-        # (b) pushout: sk_{n+1} at s is the set pushout of the span
-        keys = [("sk", x) for x in skn[s]] + [
-            ("ur", ci) for ci in range(len(ur_classes))
-        ]
-        po = UnionFind(keys)
-        for ci in range(len(ul_classes)):
-            po.union(("sk", ul_sk[ci]), ("ur", ul_ur[ci]))
-        vals, bad = descend(
-            po.classes(),
-            lambda node: node[1] if node[0] == "sk" else ur_sknext[node[1]],
+        g = into[g_low]
+        c = np.arange(n_classes[r], dtype=np.int32)
+        ul_label = _join(
+            ul_label, yo[g][:, None] + c, bd[g][:, None] + latch[latch_start[r] + c]
         )
-        if bad:
-            is_pushout = False
+
+    ur_roots, ur_class = _classes(ur_label)
+    ul_roots, ul_class = _classes(ul_label)
+    del ur_label, ul_label
+    ur_level, ul_level = dom[ur_g[ur_roots]], dom[ur_g[ul_elem[ul_roots]]]
+
+    # the four maps of the square on classes, and where they are ill defined
+    ur_sknext, right_bad = _class_values(ur_roots, ur_class, ur_value)
+    ul_sk, sk_bad = _class_values(ul_roots, ul_class, ur_value[ul_elem])
+    ul_ur, ur_bad = _class_values(ul_roots, ul_class, ur_class[ul_elem])
+    square = ur_sknext[ul_ur] != ul_sk
+
+    # sk_{n+1} is the set pushout of sk_n and the upper-right classes along
+    # the upper-left ones that land in sk_n (one that does not raises
+    # below): the nodes are the elements of sk_n, all levels end to end,
+    # then the upper-right classes
+    x_start, x_level, x_local = _segments(A.levels)
+    x_degree = np.fromiter(itertools.chain.from_iterable(degrees), np.int64, len(x_level))
+    in_sk = x_degree < n
+    sk_node = np.cumsum(in_sk) - 1
+    n_sk = int(in_sk.sum())
+    ul_x = x_start[ul_level] + ul_sk
+    lands = in_sk[ul_x]
+    po_roots, po_class = _classes(
+        _join(np.arange(n_sk + len(ur_roots)), sk_node[ul_x[lands]], n_sk + ul_ur[lands])
+    )
+    po_values, po_bad = _class_values(
+        po_roots, po_class, np.concatenate([x_local[in_sk], ur_sknext])
+    )
+    po_level = np.concatenate([x_level[in_sk], ur_level])[po_roots]
+
+    def per_level(levels):
+        return np.bincount(levels, minlength=n_obj)
+
+    left_ill = per_level(ul_level[sk_bad | ur_bad])
+    left_off = per_level(ul_level[~lands])
+    right_ill = per_level(ur_level[right_bad])
+    right_off = per_level(ur_level[x_degree[x_start[ur_level] + ur_sknext] > n])
+    pushout_ill = per_level(po_level[po_bad])
+    # a pushout when the classes take distinct values, which fill sk_{n+1}
+    distinct = _distinct(po_level * len(x_level) + po_values) // max(len(x_level), 1)
+    pushout_off = (per_level(po_level) != per_level(distinct)) | (
+        per_level(distinct) != per_level(x_level[x_degree <= n])
+    )
+    mono_off = per_level(ul_level) != per_level(ur_level[_distinct(ul_ur)])
+    if not (
+        left_ill.any() or left_off.any() or right_ill.any() or right_off.any()
+        or square.any() or pushout_ill.any() or pushout_off.any() or mono_off.any()
+    ):
+        return CellSquareReport(n, True, True, True, None)
+
+    details = []
+    class_start = np.searchsorted(ul_level, np.arange(n_obj + 1))
+    for s in range(n_obj):
+        details += [{"level": s, "reason": "left-map-ill-defined"} for _ in range(left_ill[s])]
+        if left_off[s]:
+            raise ViolatedLaw("skeleton-landing", (n, s, "left"))
+        details += [{"level": s, "reason": "right-map-ill-defined"} for _ in range(right_ill[s])]
+        if right_off[s]:
+            raise ViolatedLaw("skeleton-landing", (n, s, "right"))
+        details.extend(
+            {"level": s, "class": int(ci), "reason": "square"}
+            for ci in np.flatnonzero(square[class_start[s] : class_start[s + 1]])
+        )
+        if pushout_ill[s]:
             details.append({"level": s, "reason": "pushout-map-ill-defined"})
-        elif len(set(vals)) != len(vals) or set(vals) != sknext_set:
-            is_pushout = False
+        elif pushout_off[s]:
             details.append({"level": s, "reason": "not-a-pushout"})
-
-        # (c) cell map injectivity
-        if len(set(ul_ur)) != len(ul_classes):
-            cell_mono = False
+        if mono_off[s]:
             details.append({"level": s, "reason": "cell-map-not-injective"})
-
-    return CellSquareReport(n, commutes, is_pushout, cell_mono, details or None)
+    reasons = {d["reason"] for d in details}
+    return CellSquareReport(
+        n,
+        not reasons & {"left-map-ill-defined", "right-map-ill-defined", "square"},
+        not reasons & {"pushout-map-ill-defined", "not-a-pushout"},
+        "cell-map-not-injective" not in reasons,
+        details or None,
+    )
 
 
 def _iso_on_latching(cat, th: MorphRef, Lr: LatchingData, Lr2: LatchingData):
@@ -546,7 +706,8 @@ def terminal_presheaf(cat: FinCategory) -> FinPresheaf:
 
 
 def coproduct_presheaf(parts: list[FinPresheaf]) -> FinPresheaf:
-    assert parts
+    if not parts:
+        raise InvalidInput("a coproduct of presheaves needs at least one part")
     cat = parts[0].base
     levels = tuple(
         sum(p.levels[r] for p in parts) for r in range(len(cat.objects))
@@ -617,8 +778,10 @@ def span_pushout_of_representables(
     cat: FinCategory, e0: MorphRef, e1: MorphRef
 ) -> FinPresheaf:
     """Levelwise pushout yo(B0) + yo(B1) over yo(A) for a span out of A;
-    the two copies are glued along all composites with the span legs."""
-    assert e0[0] == e1[0]
+    the two copies are glued along all composites with the span legs.
+    Raises ViolatedLaw 'span-apex' when the legs leave different objects."""
+    if e0[0] != e1[0]:
+        raise ViolatedLaw("span-apex", (e0, e1))
     a = e0[0]
     b0, b1 = e0[1], e1[1]
     Y0, Y1 = representable(cat, b0), representable(cat, b1)

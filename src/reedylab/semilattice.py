@@ -274,16 +274,21 @@ class FinPoset:
         return len(self.leq)
 
     def __post_init__(self):
+        """Raise ViolatedLaw 'square', 'reflexivity', 'antisymmetry' or
+        'transitivity' at the first failure."""
         n = self.size
         for x in range(n):
-            assert len(self.leq[x]) == n
-            assert self.leq[x][x], "reflexivity"
+            if len(self.leq[x]) != n:
+                raise ViolatedLaw("square", (x,))
+        for x in range(n):
+            if not self.leq[x][x]:
+                raise ViolatedLaw("reflexivity", (x,))
             for y in range(n):
-                if x != y and self.leq[x][y]:
-                    assert not self.leq[y][x], "antisymmetry"
+                if x != y and self.leq[x][y] and self.leq[y][x]:
+                    raise ViolatedLaw("antisymmetry", (x, y))
                 for z in range(n):
-                    if self.leq[x][y] and self.leq[y][z]:
-                        assert self.leq[x][z], "transitivity"
+                    if self.leq[x][y] and self.leq[y][z] and not self.leq[x][z]:
+                        raise ViolatedLaw("transitivity", (x, y, z))
 
     @staticmethod
     def chain(n: int) -> "FinPoset":

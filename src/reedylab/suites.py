@@ -578,7 +578,9 @@ def _suite_triangulation(cfg: SuiteConfig) -> list:
             for k in range(1, 5)
         )
         checks.append(
-            verdict("chain-monotone-equals-join-preserving", agree, 4 * dim)
+            verdict(
+                "chain-monotone-equals-join-preserving", agree, 4 * dim, may_be_empty=dim == 0
+            )
         )
         return checks
 

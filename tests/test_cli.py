@@ -271,6 +271,19 @@ def test_config_validation_survives_optimized_mode():
     assert subprocess.run([sys.executable, "-O", "-c", code], env=env).returncode == 0
 
 
+def test_importing_the_cli_loads_neither_numpy_nor_the_presheaf_layer():
+    # the benchmark's setup_s is the time of this import
+    code = (
+        "import sys\n"
+        "import reedylab.cli\n"
+        "loaded = {'numpy', 'reedylab.kernel', 'reedylab.presheaf'} & set(sys.modules)\n"
+        "raise SystemExit(sorted(loaded) or 0)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+
+
 def test_cell_square_failure_is_not_a_skeleton_chain_failure(monkeypatch):
     import reedylab.presheaf as presheaf
 

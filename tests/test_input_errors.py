@@ -1,0 +1,100 @@
+"""Input that can come from outside raises a typed error, also under
+python -O, which strips assert statements."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+TRUNC3 = (
+    "from reedylab.reedy import truncated_semilattice_category\n"
+    "cat, data, squares = truncated_semilattice_category(3)\n"
+)
+
+# (name, set-up and call, expected error, expected law or None)
+CASES = [
+    (
+        "autquo-non-subgroup",
+        TRUNC3
+        + "from reedylab.presheaf import autquo\n"
+        + "V = next(i for i in range(4) if len(cat.isos(i, i)) == 2)\n"
+        + "autquo(cat, V, [th for th in cat.isos(V, V) if not cat.is_identity(th)])\n",
+        "InvalidInput",
+        None,
+    ),
+    (
+        "empty-coproduct",
+        "from reedylab.presheaf import coproduct_presheaf\ncoproduct_presheaf([])\n",
+        "InvalidInput",
+        None,
+    ),
+    (
+        "span-legs-from-different-objects",
+        TRUNC3
+        + "from reedylab.presheaf import span_pushout_of_representables\n"
+        + "span_pushout_of_representables(cat, cat.identities[0], cat.identities[1])\n",
+        "ViolatedLaw",
+        "span-apex",
+    ),
+    (
+        "crown-below-three",
+        "from reedylab.obstruction import CrownPoset\nCrownPoset(2)\n",
+        "InvalidInput",
+        None,
+    ),
+    (
+        "poset-not-square",
+        "from reedylab.semilattice import FinPoset\nFinPoset(((True, True), (True,)))\n",
+        "ViolatedLaw",
+        "square",
+    ),
+    (
+        "poset-not-reflexive",
+        "from reedylab.semilattice import FinPoset\nFinPoset(((True, True), (False, False)))\n",
+        "ViolatedLaw",
+        "reflexivity",
+    ),
+    (
+        "poset-not-antisymmetric",
+        "from reedylab.semilattice import FinPoset\nFinPoset(((True, True), (True, True)))\n",
+        "ViolatedLaw",
+        "antisymmetry",
+    ),
+    (
+        "poset-not-transitive",
+        "from reedylab.semilattice import FinPoset\n"
+        "FinPoset(((True, True, False), (False, True, True), (False, False, True)))\n",
+        "ViolatedLaw",
+        "transitivity",
+    ),
+    (
+        "face-out-of-range",
+        "from reedylab.cubes import face\nface(3, 2)\n",
+        "InvalidInput",
+        None,
+    ),
+    (
+        "degeneracy-out-of-range",
+        "from reedylab.cubes import degeneracy\ndegeneracy(0, -1)\n",
+        "InvalidInput",
+        None,
+    ),
+]
+
+
+@pytest.mark.parametrize("call, error, law", [c[1:] for c in CASES], ids=[c[0] for c in CASES])
+def test_bad_input_raises_a_typed_error_in_optimized_mode(call, error, law):
+    code = (
+        "from reedylab.errors import InvalidInput, ViolatedLaw\n"
+        "try:\n"
+        + "".join(f"    {line}\n" for line in call.splitlines())
+        + f"except {error} as exc:\n"
+        f"    raise SystemExit(getattr(exc, 'law', None) != {law!r})\n"
+        "raise SystemExit(1)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    assert subprocess.run([sys.executable, "-O", "-c", code], env=env).returncode == 0

@@ -1,6 +1,6 @@
 import pytest
 
-from reedylab.errors import SizeBudget
+from reedylab.errors import InvalidInput, SizeBudget
 from reedylab.obstruction import (
     CrownPoset,
     certify_no_reedy_factorization_of_u,
@@ -91,7 +91,7 @@ def test_crown_poset_structure():
     assert set(C4.upper_covers(6)) == {5, 7}
     assert C4.leq(0, 1) and not C4.leq(1, 0)
     assert not C4.leq(0, 3)
-    with pytest.raises(AssertionError):
+    with pytest.raises(InvalidInput):
         CrownPoset(2)
 
 

@@ -217,8 +217,9 @@ def test_via_weights_uses_more_generators(trunc3):
     yo = representable(cat, V)
     A = latching_object(yo, V, data)
     B = latching_object_via_weights(yo, V, data)
-    assert len(A.classes) == len(B.classes)
-    assert sum(len(c) for c in B.classes) > sum(len(c) for c in A.classes)
+    assert len(A.classes) == len(B.latch)
+    # one node per (weight map, element)
+    assert len(B.node_class) > sum(len(c) for c in A.classes)
 
 
 # ---------------------------------------------------------------------------

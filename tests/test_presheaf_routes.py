@@ -1,0 +1,135 @@
+"""The numpy routes of the presheaf layer against their tuple-keyed
+references in presheaf_reference: latching by weights class by class, and
+cell squares report by report, on the corpora the suites certify, on the
+non-mono witness, and on corrupted inputs drawn by hypothesis."""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import presheaf_reference as reference
+from reedylab.errors import ViolatedLaw
+from reedylab.presheaf import (
+    FinPresheaf,
+    enumerate_presheaves,
+    ez_degrees,
+    latching_object_via_weights,
+    non_reedy_mono_example,
+    seeded_corpus,
+    verify_cell_square,
+)
+from reedylab.reedy import truncated_semilattice_category
+
+
+@pytest.fixture(scope="module")
+def corpora():
+    cat2, data2, _ = truncated_semilattice_category(2)
+    cat3, data3, _ = truncated_semilattice_category(3)
+    _, data5, _, X = non_reedy_mono_example()
+    return {
+        "exhaustive-size2": (enumerate_presheaves(cat2, 2), data2),
+        "seeded-size3": (seeded_corpus(cat3, data3, 0, 200), data3),
+        "non-mono-witness": ([X], data5),
+    }
+
+
+def weighted_classes(X, r, W):
+    """The classes of a WeightedLatching as (MorphRef, x) member lists,
+    in class order and, within a class, in node order."""
+    classes = [[] for _ in W.latch]
+    for p, f in enumerate(X.base.out_of(r)):
+        if W.first_node[p] >= 0:
+            for x in range(X.levels[f[1]]):
+                classes[W.node_class[W.first_node[p] + x]].append((f, x))
+    return classes
+
+
+def outcome(fn, *args):
+    """The result of fn, or the law and witness of the ViolatedLaw it raises."""
+    try:
+        return fn(*args)
+    except ViolatedLaw as exc:
+        return ("violated", exc.law, exc.witness)
+
+
+def same_latching(X, r, data):
+    W = outcome(latching_object_via_weights, X, r, data)
+    R = outcome(reference.latching_object_via_weights, X, r, data)
+    if isinstance(R, tuple):
+        return W == R
+    return (weighted_classes(X, r, W), W.latch, W.injective) == (
+        R.classes,
+        R.latch,
+        R.injective,
+    )
+
+
+def same_cell_squares(X, data, degrees):
+    return all(
+        outcome(verify_cell_square, X, n, data, degrees)
+        == outcome(reference.verify_cell_square, X, n, data, degrees)
+        for n in sorted(set(data.degree))
+    )
+
+
+@pytest.mark.parametrize("name", ["exhaustive-size2", "seeded-size3", "non-mono-witness"])
+def test_latching_by_weights_matches_the_reference(corpora, name):
+    corpus, data = corpora[name]
+    for X in corpus:
+        for r in range(len(X.base.objects)):
+            assert same_latching(X, r, data)
+
+
+@pytest.mark.parametrize("name", ["exhaustive-size2", "seeded-size3", "non-mono-witness"])
+def test_cell_squares_match_the_reference(corpora, name):
+    corpus, data = corpora[name]
+    reports = 0
+    for X in corpus:
+        degrees = ez_degrees(X, data)
+        assert same_cell_squares(X, data, degrees)
+        reports += len(set(data.degree))
+    assert reports
+
+
+def test_the_witness_has_failed_squares(corpora):
+    # so that the comparison above covers details, not only None
+    (X,), data = corpora["non-mono-witness"]
+    degrees = ez_degrees(X, data)
+    reasons = {
+        d["reason"]
+        for n in sorted(set(data.degree))
+        for d in verify_cell_square(X, n, data, degrees).details or ()
+    }
+    assert reasons == {"not-a-pushout", "cell-map-not-injective"}
+
+
+@settings(
+    max_examples=80,
+    deadline=None,
+    derandomize=True,
+    database=None,
+)
+@given(seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_routes_match_the_reference_on_corrupted_presheaves(corpora, seed, data):
+    """A random presheaf of seeded_corpus, with one action value and one
+    EZ degree possibly moved, so the ill-defined maps, the failed squares
+    and the skeleton-landing laws are compared as well."""
+    base, reedy = corpora["seeded-size3"]
+    cat = base[0].base
+    X = data.draw(st.sampled_from(seeded_corpus(cat, reedy, seed, 3)[-3:]))
+    degrees = [list(level) for level in ez_degrees(X, reedy)]
+    movable = [f for f in cat.morphisms() if X.levels[f[0]] >= 2 and X.levels[f[1]]]
+    if movable and data.draw(st.booleans()):
+        f = data.draw(st.sampled_from(movable))
+        act = list(X.actions[f])
+        act[data.draw(st.integers(0, len(act) - 1))] = data.draw(
+            st.integers(0, X.levels[f[0]] - 1)
+        )
+        X = FinPresheaf(cat, X.levels, {**X.actions, f: tuple(act)})
+    if X.total_size() and data.draw(st.booleans()):
+        s = data.draw(st.sampled_from([s for s, n in enumerate(X.levels) if n]))
+        x = data.draw(st.integers(0, X.levels[s] - 1))
+        degrees[s][x] = data.draw(st.integers(1, max(reedy.degree) + 1))
+    for r in range(len(cat.objects)):
+        assert same_latching(X, r, reedy)
+    assert same_cell_squares(X, reedy, degrees)
