@@ -99,10 +99,11 @@ def class_array(cat, members: dict) -> np.ndarray:
 
 
 def scan_composable(id: str, cat, bad) -> Check:
-    """scan(id, ...) over cat.composable(), with witness {"f": f, "g": g},
-    one (a, b) block at a time: bad(f, g, gf) takes the ids of Hom(a, b)
-    as a column, those of the maps out of b as a row and the block of
-    composite ids, and gives the block's failures as booleans."""
+    """scan(id, ...) over the composable pairs (f, g) in the table's walk
+    order, with witness {"f": f, "g": g}, one (a, b) block at a time:
+    bad(f, g, gf) takes the ids of Hom(a, b) as a column, those of the
+    maps out of b as a row and the block of composite ids, and gives the
+    block's failures as booleans."""
     first, count = cat._first, 0
     for (a, b), block in cat.composition.items():
         f = np.arange(first[a][b], first[a][b + 1])[:, None]

@@ -5,6 +5,9 @@ routes, Reedy-monomorphism predicates three ways, EZ decompositions,
 skeleta and cell pushout squares.  Everything is elementwise and
 exhaustively checkable.
 
+A presheaf is its levels and one int array of every action, end to end
+in morphism-id order; the constructors build that array by gathers.
+
 A presheaf's EZ data is one table, computed once: every element's EZ
 decompositions, and from them its EZ degree.  The skeleton sk_n is then
 the set of elements of degree below n, a filter on the degrees rather
@@ -17,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -27,64 +31,66 @@ from .reedy import FinCategory, LoweringPushoutSquare, MorphRef, ReedyData
 from .semilattice import UnionFind, descend
 
 
-@dataclass
+@dataclass(eq=False)
 class FinPresheaf:
     """Contravariant finite-set-valued functor: for f: a -> b the action
-    maps X_b into X_a."""
+    maps X_b into X_a.
+
+    values holds every action end to end, in morphism-id order: the action
+    of the map with id i is values[start[i] : start[i + 1]], whose entry x
+    is the restriction of x in X_b along the map, an element of X_a."""
 
     base: FinCategory
     levels: tuple[int, ...]
-    actions: dict[MorphRef, tuple[int, ...]]
-
-    def act(self, f: MorphRef, x: int) -> int:
-        return self.actions[f][x]
+    values: np.ndarray
 
     @cached_property
-    def flat(self) -> "FlatActions":
-        """The actions as one int array in morphism-id order, derived
-        from `actions` on first use."""
-        acts = [self.actions[f] for f in self.base.morphisms()]
-        start = _segments(np.array(list(map(len, acts)), np.int64))[0]
-        # the smallest unsigned type that holds every element index
-        dtype = np.min_scalar_type(max(self.levels, default=0))
-        values = np.fromiter(itertools.chain.from_iterable(acts), dtype, start[-1])
-        return FlatActions(np.array(self.levels, np.int64), values, start)
+    def start(self) -> np.ndarray:
+        return _layout(self.base, self.levels)[0]
+
+    def action(self, f: MorphRef) -> np.ndarray:
+        """The action of f, a view of values."""
+        i = self.base._first[f[0]][f[1]] + f[2]
+        return self.values[self.start[i] : self.start[i + 1]]
 
     def total_size(self) -> int:
         return sum(self.levels)
 
     def validate(self) -> None:
-        """Raise ViolatedLaw unless the actions form a functor."""
-        cat, levels, actions = self.base, self.levels, self.actions
+        """Raise ViolatedLaw unless the values form a functor."""
+        cat, levels, values = self.base, np.array(self.levels, np.int64), np.asarray(self.values)
+        first, by_id = cat._first, cat._by_id
         if len(levels) != len(cat.objects):
             raise ViolatedLaw("length", ())
-        for ref in cat.morphisms():
-            a, b, _ = ref
-            if ref not in actions:
-                raise ViolatedLaw("missing-action", ref)
-            act = actions[ref]
-            if len(act) != levels[b]:
-                raise ViolatedLaw("length", ref)
-            if not all(isinstance(v, int) and 0 <= v < levels[a] for v in act):
-                raise ViolatedLaw("range", ref)
-        for a, ident in enumerate(cat.identities):
-            if actions[ident] != tuple(range(levels[a])):
-                raise ViolatedLaw("unit", ident)
-        for f, g, gf in cat.composable():
-            act_f, act_g, act_gf = actions[f], actions[g], actions[gf]
-            for x in range(levels[g[1]]):
-                if act_f[act_g[x]] != act_gf[x]:
-                    raise ViolatedLaw("functoriality", (f, g, x))
+        start, owner, x = _layout(cat, levels)
+        if values.shape != (start[-1],):
+            raise ViolatedLaw("length", (values.shape, int(start[-1])))
+        if values.dtype.kind not in "iu":
+            raise ViolatedLaw("range", ())
+        bad = (values < 0) | (values >= levels[cat.domain][owner])
+        if bad.any():
+            raise ViolatedLaw("range", by_id[owner[bad.argmax()]])
+        is_unit = np.zeros(len(by_id), bool)
+        is_unit[[first[a][a] + k for a, (_, _, k) in enumerate(cat.identities)]] = True
+        bad = is_unit[owner] & (values != x)
+        if bad.any():
+            raise ViolatedLaw("unit", by_id[owner[bad.argmax()]])
+        # per block (a, b): x.g restricted along f against x.(g f), for f
+        # in Hom(a, b) and the entries (g, x) of the maps out of b
+        for (a, b), block in cat.composition.items():
+            out = slice(start[first[b][0]], start[first[b][-1]])
+            g, x2, y = owner[out], x[out], values[out]
+            fs = np.arange(first[a][b], first[a][b + 1])
+            bad = values[start[fs][:, None] + y] != values[start[block[:, g - first[b][0]]] + x2]
+            if bad.any():
+                i, p = divmod(int(bad.argmax()), bad.shape[1])
+                raise ViolatedLaw("functoriality", (by_id[fs[i]], by_id[g[p]], int(x2[p])))
 
 
-@dataclass
-class FlatActions:
-    """A presheaf's actions as one array, in morphism-id order: the action
-    of the morphism with id i is values[start[i] : start[i + 1]]."""
-
-    levels: np.ndarray
-    values: np.ndarray
-    start: np.ndarray
+def _layout(cat: FinCategory, levels) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """For values over the given levels: the start of each map's action,
+    and for each position the id of its map and its element x."""
+    return _segments(np.asarray(levels, np.int64)[cat.codomain])
 
 
 @dataclass
@@ -97,20 +103,29 @@ class PresheafMorphism:
         """Raise ViolatedLaw unless the components form a natural
         transformation between presheaves on one base."""
         X, Y, comps = self.dom, self.cod, self.components
-        if X.base is not Y.base:
+        cat = X.base
+        if Y.base is not cat:
             raise ViolatedLaw("base", ())
         if len(comps) != len(X.levels):
             raise ViolatedLaw("length", ())
         for r, comp in enumerate(comps):
             if len(comp) != X.levels[r]:
                 raise ViolatedLaw("length", (r,))
-            if not all(0 <= v < Y.levels[r] for v in comp):
-                raise ViolatedLaw("range", (r,))
-        for f in X.base.morphisms():
-            a, b, _ = f
-            for x in range(X.levels[b]):
-                if comps[a][X.act(f, x)] != Y.act(f, comps[b][x]):
-                    raise ViolatedLaw("naturality", (f, x))
+        x_start, level, _ = _segments(np.array(X.levels, np.int64))
+        comp = np.fromiter(itertools.chain.from_iterable(comps), np.int64, x_start[-1])
+        bad = (comp < 0) | (comp >= np.array(Y.levels, np.int64)[level])
+        if bad.any():
+            raise ViolatedLaw("range", (int(level[bad.argmax()]),))
+        comp = comp.astype(np.int32)  # halves the entry-sized gathers below
+        # at each entry (f, x) of X: the component at x.f, against the
+        # component at x restricted along f in Y
+        _, owner, x = _layout(cat, X.levels)
+        bad = comp[x_start[cat.domain][owner] + X.values] != Y.values[
+            Y.start[owner] + comp[x_start[cat.codomain][owner] + x]
+        ]
+        if bad.any():
+            p = bad.argmax()
+            raise ViolatedLaw("naturality", (cat._by_id[owner[p]], int(x[p])))
 
 
 # ---------------------------------------------------------------------------
@@ -119,13 +134,16 @@ class PresheafMorphism:
 
 
 def representable(cat: FinCategory, r: int) -> FinPresheaf:
-    """yo(r): level at s is Hom(s, r), acting by precomposition."""
-    levels = tuple(len(cat.hom(s, r)) for s in range(len(cat.objects)))
-    actions = {
-        f: tuple(cat.compose(f, g)[2] for g in cat.refs(f[1], r))
-        for f in cat.morphisms()
-    }
-    return FinPresheaf(cat, levels, actions)
+    """yo(r): level at s is Hom(s, r), acting by precomposition.  The
+    actions of the maps in Hom(s, b) are the rows of composition[(s, b)],
+    read at the columns of Hom(b, r)."""
+    n, first, column = len(cat.objects), cat._first, cat._column
+    values = np.concatenate([
+        (cat.composition[(s, b)][:, column[b][r] : column[b][r + 1]] - first[s][r]).ravel()
+        for s in range(n)
+        for b in range(n)
+    ])
+    return FinPresheaf(cat, tuple(first[s][r + 1] - first[s][r] for s in range(n)), values)
 
 
 def subgroup_closure_ok(cat: FinCategory, r: int, H: list[MorphRef]) -> bool:
@@ -152,33 +170,13 @@ def autquo(
     Raises InvalidInput unless H is a subgroup of Aut(r)."""
     if not subgroup_closure_ok(cat, r, H):
         raise InvalidInput(f"not a subgroup of the automorphisms of object {r}: {H}")
-    Y = representable(cat, r)
-    n_obj = len(cat.objects)
-    orbit_of: list[dict[int, int]] = []
-    orbits_at: list[list[list[int]]] = []
-    for s in range(n_obj):
-        uf = UnionFind(range(Y.levels[s]))
-        for g in range(Y.levels[s]):
-            for h in H:
-                uf.union(g, cat.compose((s, r, g), h)[2])
-        classes, mapping = uf.partition()
-        orbits_at.append(classes)
-        orbit_of.append(mapping)
-    levels = tuple(len(orbits_at[s]) for s in range(n_obj))
-    actions = {}
-    for f in cat.morphisms():
-        a, b, _ = f
-        act_f, orbit_a = Y.actions[f], orbit_of[a]
-        act, bad = descend(orbits_at[b], lambda g: orbit_a[act_f[g]])
-        if bad:
-            raise ViolatedLaw("well-definedness", (f, bad[0]))
-        actions[f] = tuple(act)
-    Q = FinPresheaf(cat, levels, actions)
-    proj = PresheafMorphism(
-        Y, Q, tuple(tuple(orbit_of[s][g] for g in range(Y.levels[s])) for s in range(n_obj))
-    )
-    proj.validate()
-    return Q, proj
+    orbits = [
+        (s, g, cat.compose((s, r, g), h)[2])
+        for s in range(len(cat.objects))
+        for g in range(len(cat.hom(s, r)))
+        for h in H
+    ]
+    return quotient_presheaf(representable(cat, r), orbits)
 
 
 # ---------------------------------------------------------------------------
@@ -188,10 +186,6 @@ def autquo(
 
 def strictly_lowering_out_of(data: ReedyData, r: int):
     return [e for e in data.lowering_out[r] if data.degree[e[1]] < data.degree[r]]
-
-
-def lowering_out_of(data: ReedyData, r: int):
-    return data.lowering_out[r]
 
 
 # ---------------------------------------------------------------------------
@@ -216,13 +210,12 @@ def latching_object(X: FinPresheaf, r: int, data: ReedyData) -> LatchingData:
     keys = [(e, x) for e in lows for x in range(X.levels[e[1]])]
     uf = UnionFind(keys)
     for e in lows:
-        s = e[1]
-        for f in lowering_out_of(data, s):
+        for f in data.lowering_out[e[1]]:
             fe = cat.compose(e, f)
-            for x2 in range(X.levels[f[1]]):
-                uf.union((fe, x2), (e, X.act(f, x2)))
+            for x2, y in enumerate(X.action(f).tolist()):
+                uf.union((fe, x2), (e, y))
     classes, node_class = uf.partition()
-    acts = X.actions
+    acts = {e: X.action(e).tolist() for e in lows}
     latch, bad = descend(classes, lambda node: acts[node[0]][node[1]])
     if bad:
         raise ViolatedLaw("well-definedness", (r, classes[bad[0]][0]))
@@ -262,15 +255,15 @@ def latching_object_via_weights(
     ViolatedLaw 'degree-drop' at the first (f, g) of the walk (f in the
     weight, then g out of its codomain, in morphism order) whose
     composite leaves the weight."""
-    cat, A = X.base, X.flat
+    cat, levels, values, start = X.base, np.array(X.levels, np.int64), X.values, X.start
     first, by_id = cat._first, cat._by_id
     lo = first[r][0]
     in_weight = cat.image_size[lo : first[r][-1]] < data.degree[r]
     weight = np.flatnonzero(in_weight)  # positions out of r
-    start, owner, index = _segments(A.levels[cat.codomain[weight + lo]])
+    node_start, owner, index = _segments(levels[cat.codomain[weight + lo]])
     first_node = np.full(len(in_weight), -1, np.int32)
-    first_node[weight] = start[:-1]
-    label = np.arange(start[-1], dtype=np.int32)
+    first_node[weight] = node_start[:-1]
+    label = np.arange(node_start[-1], dtype=np.int32)
     for b in range(len(cat.objects)):
         fs = np.flatnonzero(in_weight[first[r][b] - lo : first[r][b + 1] - lo])
         if not len(fs):
@@ -282,14 +275,13 @@ def latching_object_via_weights(
             raise ViolatedLaw("degree-drop", (by_id[first[r][b] + fs[i]], cat.out_of(b)[j]))
         # the actions of the maps g out of b, end to end: entry p sends x2[p]
         # along its g[p]
-        _, g, x2 = _segments(A.levels[cat.codomain[first[b][0] : first[b][-1]]])
-        y = A.values[A.start[first[b][0]] : A.start[first[b][-1]]]
+        _, g, x2 = _segments(levels[cat.codomain[first[b][0] : first[b][-1]]])
+        y = values[start[first[b][0]] : start[first[b][-1]]]
         f_node = first_node[fs + first[r][b] - lo][:, None]
         label = _join(label, first_node[gf[:, g]] + x2, f_node + y)
     roots, node_class = _classes(label)
     # the latching map: the value x.f on the class of each node (f, x)
-    values = A.values[A.start[weight + lo][owner] + index]
-    latch, bad = _class_values(roots, node_class, values)
+    latch, bad = _class_values(roots, node_class, values[start[weight + lo][owner] + index])
     if bad.any():
         root = roots[bad.argmax()]
         f = by_id[lo + weight[owner[root]]]
@@ -386,24 +378,26 @@ def is_reedy_mono(X: FinPresheaf, data: ReedyData) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def is_nondegenerate(X: FinPresheaf, r: int, x: int, data: ReedyData) -> bool:
-    return not any(x in X.actions[e] for e in strictly_lowering_out_of(data, r))
+def nondegenerate(X: FinPresheaf, data: ReedyData) -> list[np.ndarray]:
+    """The nondegenerate elements of each level, as a mask: those outside
+    the image of every strictly lowering map out of it."""
+    masks = [np.ones(n, bool) for n in X.levels]
+    for r, mask in enumerate(masks):
+        for e in strictly_lowering_out_of(data, r):
+            mask[X.action(e)] = False
+    return masks
 
 
 def ez_decompositions(X: FinPresheaf, data: ReedyData) -> list[list[list]]:
     """The EZ table of X: entry [r][x] lists the pairs (lowering e out of
     r, nondegenerate y) with y.e = x, in morphism order of e, then y."""
-    nondeg = [
-        [is_nondegenerate(X, s, y, data) for y in range(n)]
-        for s, n in enumerate(X.levels)
-    ]
+    nondeg = [np.flatnonzero(mask) for mask in nondegenerate(X, data)]
     table = [[[] for _ in range(n)] for n in X.levels]
     for r, decs in enumerate(table):
-        for e in lowering_out_of(data, r):
-            nd = nondeg[e[1]]
-            for y, x in enumerate(X.actions[e]):
-                if nd[y]:
-                    decs[x].append((e, y))
+        for e in data.lowering_out[r]:
+            ys = nondeg[e[1]]
+            for y, x in zip(ys.tolist(), X.action(e)[ys].tolist()):
+                decs[x].append((e, y))
     return table
 
 
@@ -421,11 +415,17 @@ def ez_degrees(X: FinPresheaf, data: ReedyData) -> list[list[int]]:
             if not decs:
                 raise ViolatedLaw("ez-existence", (r, x))
         degrees.append([min(data.degree[e[1]] for e, _ in decs) for decs in level])
-    for f in X.base.morphisms():
-        a, b, _ = f
-        for x, v in enumerate(X.actions[f]):
-            if degrees[a][v] > degrees[b][x]:
-                raise ViolatedLaw("sub-presheaf-closure", (f, x))
+    cat = X.base
+    x_start = _segments(np.array(X.levels, np.int64))[0]
+    degree = np.fromiter(itertools.chain.from_iterable(degrees), np.int64, x_start[-1])
+    _, owner, x = _layout(cat, X.levels)
+    raised = (
+        degree[x_start[cat.domain][owner] + X.values]
+        > degree[x_start[cat.codomain][owner] + x]
+    )
+    if raised.any():
+        p = raised.argmax()
+        raise ViolatedLaw("sub-presheaf-closure", (cat._by_id[owner[p]], int(x[p])))
     return degrees
 
 
@@ -436,7 +436,7 @@ def ez_isomorphic(
     cat = X.base
     (e0, y0), (e1, y1) = d0, d1
     for th in cat.isos(e0[1], e1[1]):
-        if cat.compose(e0, th) == e1 and X.act(th, y1) == y0:
+        if cat.compose(e0, th) == e1 and X.action(th)[y1] == y0:
             return True
     return False
 
@@ -466,20 +466,20 @@ def skeleton(degrees: list[list[int]], n: int) -> tuple[tuple[int, ...], ...]:
 def maps_lowering_pushouts_to_pullbacks(
     X: FinPresheaf, squares: list[LoweringPushoutSquare]
 ):
-    """X applied to each base square must yield a pullback of sets."""
+    """X applied to each base square must yield a pullback of sets: z
+    goes to (z.f0, z.f1) one to one and onto the fibre, the pairs (y0, y1)
+    with y0.e0 = y1.e1.  The fibre's size is a sum over the common
+    restrictions, so it is counted, not listed."""
     for sq in squares:
         if sq.refs is None:
             raise InvalidInput("pushouts-to-pullbacks needs category-resident squares")
-        e0, e1, f0, f1 = sq.refs
-        b0, b1, p = e0[1], e1[1], f0[1]
-        fibre = [
-            (y0, y1)
-            for y0 in range(X.levels[b0])
-            for y1 in range(X.levels[b1])
-            if X.act(e0, y0) == X.act(e1, y1)
-        ]
-        pairs = [(X.act(f0, z), X.act(f1, z)) for z in range(X.levels[p])]
-        if len(set(pairs)) != len(pairs) or set(pairs) != set(fibre):
+        e0, e1, f0, f1 = (X.action(f).tolist() for f in sq.refs)
+        pairs = set(zip(f0, f1))
+        over = Counter(e1)
+        if not (
+            len(pairs) == len(f0) == sum(over[v] for v in e0)
+            and all(e0[y0] == e1[y1] for y0, y1 in pairs)
+        ):
             return False, sq.refs
     return True, None
 
@@ -514,7 +514,7 @@ def verify_cell_square(
     in morphism order, then x or c.  A class is named by its least node,
     and classes are numbered in that order, within each level.
     """
-    cat, A = X.base, X.flat
+    cat, levels, values, start = X.base, np.array(X.levels, np.int64), X.values, X.start
     n_obj, first, column = len(cat.objects), cat._first, cat._column
     dom, cod = cat.domain, cat.codomain
     objs_n = [r for r in range(n_obj) if data.degree[r] == n]
@@ -529,9 +529,9 @@ def verify_cell_square(
     in_n = np.zeros(n_obj, bool)
     in_n[objs_n] = True
     G = np.flatnonzero(in_n[cod])
-    ur_start, owner, ur_x = _segments(A.levels[cod[G]])
+    ur_start, owner, ur_x = _segments(levels[cod[G]])
     ur_g = G[owner]
-    ur_value = A.values[A.start[ur_g] + ur_x]
+    ur_value = values[start[ur_g] + ur_x]
     ur = np.full(len(cod), -1, np.int32)
     ur[G] = ur_start[:-1]
     del owner, ur_x  # node-sized arrays are freed before the joins
@@ -543,7 +543,7 @@ def verify_cell_square(
     seg_g = np.concatenate([low, G])
     seg_yo = np.arange(len(seg_g)) >= len(low)
     order = np.argsort(dom[seg_g] * 2 + seg_yo, kind="stable")
-    sizes = np.where(seg_yo, n_classes[cod[seg_g]], A.levels[cod[seg_g]])
+    sizes = np.where(seg_yo, n_classes[cod[seg_g]], levels[cod[seg_g]])
     starts, owner, ul_elem = _segments(sizes[order])
     seg_first = np.empty(len(seg_g), np.int32)
     seg_first[order] = starts[:-1]
@@ -570,7 +570,7 @@ def verify_cell_square(
         for k, (r2, th) in enumerate(isos):
             tg = then[:, k]
             t = first[r][r2] + th[2]
-            y = A.values[A.start[t] : A.start[t + 1]]
+            y = values[start[t] : start[t + 1]]
             x2 = np.arange(len(y), dtype=np.int32)
             ur_label = _join(ur_label, ur[tg][:, None] + x2, ur[into][:, None] + y)
             ul_label = _join(
@@ -601,7 +601,7 @@ def verify_cell_square(
     # the upper-left ones that land in sk_n (one that does not raises
     # below): the nodes are the elements of sk_n, all levels end to end,
     # then the upper-right classes
-    x_start, x_level, x_local = _segments(A.levels)
+    x_start, x_level, x_local = _segments(levels)
     x_degree = np.fromiter(itertools.chain.from_iterable(degrees), np.int64, len(x_level))
     in_sk = x_degree < n
     sk_node = np.cumsum(in_sk) - 1
@@ -694,82 +694,67 @@ def skeleton_chain_report(
 
 
 def empty_presheaf(cat: FinCategory) -> FinPresheaf:
-    levels = tuple(0 for _ in cat.objects)
-    actions = {f: tuple() for f in cat.morphisms()}
-    return FinPresheaf(cat, levels, actions)
+    return FinPresheaf(cat, (0,) * len(cat.objects), np.zeros(0, np.int32))
 
 
 def terminal_presheaf(cat: FinCategory) -> FinPresheaf:
-    levels = tuple(1 for _ in cat.objects)
-    actions = {f: (0,) for f in cat.morphisms()}
-    return FinPresheaf(cat, levels, actions)
+    return FinPresheaf(cat, (1,) * len(cat.objects), np.zeros(len(cat.domain), np.int32))
 
 
 def coproduct_presheaf(parts: list[FinPresheaf]) -> FinPresheaf:
+    """The levelwise disjoint union, the parts in order: at each object a
+    part's elements follow those of the parts before it."""
     if not parts:
         raise InvalidInput("a coproduct of presheaves needs at least one part")
     cat = parts[0].base
-    levels = tuple(
-        sum(p.levels[r] for p in parts) for r in range(len(cat.objects))
+    offsets = np.cumsum(
+        [(0,) * len(cat.objects), *(p.levels for p in parts)], axis=0, dtype=np.int32
     )
-    offsets = []
-    acc = [0] * len(cat.objects)
-    for p in parts:
-        offsets.append(tuple(acc))
-        acc = [a + p.levels[r] for r, a in enumerate(acc)]
-    actions = {}
-    for f in cat.morphisms():
-        a, b, _ = f
-        act = []
-        for pi, p in enumerate(parts):
-            act.extend(offsets[pi][a] + v for v in p.actions[f])
-        actions[f] = tuple(act)
-    return FinPresheaf(cat, levels, actions)
+    start = _layout(cat, offsets[-1])[0]
+    values = np.empty(start[-1], np.int32)
+    for part, offset in zip(parts, offsets):
+        _, owner, x = _layout(cat, part.levels)
+        at = (start[:-1] + offset[cat.codomain])[owner] + x
+        values[at] = part.values + offset[cat.domain][owner]
+    return FinPresheaf(cat, tuple(offsets[-1].tolist()), values)
 
 
 def quotient_presheaf(
     X: FinPresheaf, pairs
 ) -> tuple[FinPresheaf, PresheafMorphism]:
     """Quotient by the presheaf congruence generated by the given pairs
-    ((object, i, j) triples), closing under every restriction."""
+    ((object, i, j) triples), closing under every restriction.
+
+    The elements of X are numbered level by level, and each is labelled
+    by the least element of its class.  The congruence is the equivalence
+    generated by the pairs, then by the restrictions of each element and
+    the least of its class along every map.  That is closed already: the
+    restriction along h of a pair restricted along f is the pair
+    restricted along f h, as X is a functor.  Classes are numbered within
+    each level in the order of their least elements."""
     cat = X.base
-    ufs = [UnionFind(range(X.levels[r])) for r in range(len(cat.objects))]
-    for (r, i, j) in pairs:
-        ufs[r].union(i, j)
-    changed = True
-    while changed:
-        changed = False
-        for f in cat.morphisms():
-            a, b, _ = f
-            roots = {}
-            for x in range(X.levels[b]):
-                rb = ufs[b].find(x)
-                va = ufs[a].find(X.act(f, x))
-                if rb in roots:
-                    if ufs[a].find(roots[rb]) != va:
-                        ufs[a].union(roots[rb], va)
-                        changed = True
-                else:
-                    roots[rb] = va
-    classes_at, class_of = zip(*(uf.partition() for uf in ufs))
-    levels = tuple(map(len, classes_at))
-    actions = {}
-    for f in cat.morphisms():
-        a, b, _ = f
-        act_f, class_a = X.actions[f], class_of[a]
-        act, bad = descend(classes_at[b], lambda x: class_a[act_f[x]])
-        if bad:
-            raise ViolatedLaw("well-definedness", (f, bad[0]))
-        actions[f] = tuple(act)
-    Q = FinPresheaf(cat, levels, actions)
-    proj = PresheafMorphism(
-        X,
-        Q,
-        tuple(
-            tuple(class_of[r][x] for x in range(X.levels[r]))
-            for r in range(len(cat.objects))
-        ),
-    )
+    x_start, level, _ = _segments(np.array(X.levels, np.int64))
+    _, owner, x = _layout(cat, X.levels)
+    # each entry of the values as two elements: v, which its map
+    # restricts, and the restriction u
+    v = x_start[cat.codomain][owner] + x
+    u = x_start[cat.domain][owner] + X.values
+    del owner, x  # entry-sized arrays are freed before the joins
+    r, i, j = np.asarray(pairs, np.int64).reshape(-1, 3).T
+    label = _join(np.arange(x_start[-1], dtype=np.int32), x_start[r] + i, x_start[r] + j)
+    # the entry of the least element of v's class is label[v] - v entries on
+    label = _join(label, u, u[np.arange(len(u)) + label[v] - v])
+    roots, node_class = _classes(label)
+    class_start = np.searchsorted(roots, x_start)
+    local = (node_class - class_start[level]).astype(np.int32)
+    # the action on a class is the action on its least element, and the
+    # entries of least elements are in the order of the quotient's entries
+    least = label[v] == v
+    Q = FinPresheaf(cat, tuple(np.diff(class_start).tolist()), local[u[least]])
+    del u, v, least
+    local = local.tolist()
+    components = tuple(tuple(local[x_start[s] : x_start[s + 1]]) for s in range(len(X.levels)))
+    proj = PresheafMorphism(X, Q, components)
     proj.validate()
     return Q, proj
 
@@ -842,12 +827,10 @@ def enumerate_presheaves(cat: FinCategory, max_level: int):
                 list(itertools.product(range(levels[a]), repeat=levels[b]))
             )
         for combo in itertools.product(*spaces):
-            actions = {
-                cat.identities[a]: tuple(range(levels[a])) for a in range(n_obj)
-            }
-            for f, act in zip(non_id, combo):
-                actions[f] = act
-            X = FinPresheaf(cat, levels, actions)
+            acts = dict(zip(non_id, combo))
+            # an identity acts as the identity
+            values = [v for f in cat.morphisms() for v in acts.get(f, range(levels[f[0]]))]
+            X = FinPresheaf(cat, levels, np.array(values, np.int32))
             try:
                 X.validate()
             except ViolatedLaw:

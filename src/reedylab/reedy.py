@@ -44,7 +44,9 @@ class FinCategory:
     composition[(a, b)] is an int32 array with a row per map of Hom(a, b)
     and a column per map out of b, in morphism order: entry [i, j] is the
     id of the j-th map out of b after (a, b, i).  The blocks in (a, b)
-    order, each read row by row, are the order of composable().
+    order, each read row by row, walk the composable pairs (f, g): f in
+    morphism order, then g in morphism order among the maps out of f's
+    codomain.
     """
 
     objects: tuple[FiniteSemilattice, ...]
@@ -75,16 +77,6 @@ class FinCategory:
 
     def morphisms(self):
         return iter(self._by_id)
-
-    def composable(self):
-        """(f, g, g after f) for every composable pair: f in morphism
-        order, g in morphism order among the maps out of f's codomain."""
-        by_id = self._by_id
-        for (a, b), block in self.composition.items():
-            out = self._out[b]
-            for f, row in zip(self._refs[(a, b)], block.tolist()):
-                for g, h in zip(out, row):
-                    yield f, g, by_id[h]
 
     def find(self, a: int, b: int, f: SLatMorphism) -> MorphRef:
         k = self._index[(a, b)][f.map]

@@ -3,13 +3,159 @@
 These are the union-find bodies that `latching_object_via_weights` and
 `verify_cell_square` had before they moved to integer node keys.  A node
 is a (MorphRef, x) tuple and every gluing is one `UnionFind.union` call.
+
+The presheaf constructors are here too, as they were when a presheaf
+stored its actions as a dict from MorphRef to tuple: `representable`,
+`coproduct_presheaf`, `quotient_presheaf` and `autquo` build and return
+`DictPresheaf`s, and the two quotients return the projection's components
+with them.
+
 They live here only so that the tests can compare the two routes, class
-by class and report by report.
+by class, report by report and action by action.
 """
 
-from reedylab.errors import ViolatedLaw
-from reedylab.presheaf import CellSquareReport, LatchingData, latching_object, skeleton
+from dataclasses import dataclass
+
+from reedylab.errors import InvalidInput, ViolatedLaw
+from reedylab.presheaf import (
+    CellSquareReport,
+    FinPresheaf,
+    LatchingData,
+    latching_object,
+    skeleton,
+    subgroup_closure_ok,
+)
 from reedylab.semilattice import UnionFind, descend
+
+
+def actions(X):
+    """The actions of a FinPresheaf, as a dict from MorphRef to tuple."""
+    return {f: tuple(X.action(f).tolist()) for f in X.base.morphisms()}
+
+
+def with_value(X, f, x, value):
+    """X with the value of the action of f at x set to value."""
+    Y = FinPresheaf(X.base, X.levels, X.values.copy())
+    Y.action(f)[x] = value
+    return Y
+
+
+@dataclass
+class DictPresheaf:
+    base: object
+    levels: tuple
+    actions: dict
+
+    def act(self, f, x):
+        return self.actions[f][x]
+
+
+def as_dict(X):
+    return DictPresheaf(X.base, X.levels, actions(X))
+
+
+def representable(cat, r):
+    """yo(r): level at s is Hom(s, r), acting by precomposition."""
+    levels = tuple(len(cat.hom(s, r)) for s in range(len(cat.objects)))
+    acts = {
+        f: tuple(cat.compose(f, g)[2] for g in cat.refs(f[1], r))
+        for f in cat.morphisms()
+    }
+    return DictPresheaf(cat, levels, acts)
+
+
+def autquo(cat, r, H):
+    """Quotient of yo(r) by post-composition with a subgroup of Aut(r),
+    orbit by orbit, and the projection's components."""
+    if not subgroup_closure_ok(cat, r, H):
+        raise InvalidInput(f"not a subgroup of the automorphisms of object {r}: {H}")
+    Y = representable(cat, r)
+    n_obj = len(cat.objects)
+    orbit_of = []
+    orbits_at = []
+    for s in range(n_obj):
+        uf = UnionFind(range(Y.levels[s]))
+        for g in range(Y.levels[s]):
+            for h in H:
+                uf.union(g, cat.compose((s, r, g), h)[2])
+        classes, mapping = uf.partition()
+        orbits_at.append(classes)
+        orbit_of.append(mapping)
+    levels = tuple(len(orbits_at[s]) for s in range(n_obj))
+    acts = {}
+    for f in cat.morphisms():
+        a, b, _ = f
+        act_f, orbit_a = Y.actions[f], orbit_of[a]
+        act, bad = descend(orbits_at[b], lambda g: orbit_a[act_f[g]])
+        if bad:
+            raise ViolatedLaw("well-definedness", (f, bad[0]))
+        acts[f] = tuple(act)
+    components = tuple(
+        tuple(orbit_of[s][g] for g in range(Y.levels[s])) for s in range(n_obj)
+    )
+    return DictPresheaf(cat, levels, acts), components
+
+
+def coproduct_presheaf(parts):
+    if not parts:
+        raise InvalidInput("a coproduct of presheaves needs at least one part")
+    cat = parts[0].base
+    levels = tuple(
+        sum(p.levels[r] for p in parts) for r in range(len(cat.objects))
+    )
+    offsets = []
+    acc = [0] * len(cat.objects)
+    for p in parts:
+        offsets.append(tuple(acc))
+        acc = [a + p.levels[r] for r, a in enumerate(acc)]
+    acts = {}
+    for f in cat.morphisms():
+        a, b, _ = f
+        act = []
+        for pi, p in enumerate(parts):
+            act.extend(offsets[pi][a] + v for v in p.actions[f])
+        acts[f] = tuple(act)
+    return DictPresheaf(cat, levels, acts)
+
+
+def quotient_presheaf(X, pairs):
+    """Quotient by the congruence generated by the pairs, closed by
+    rescanning every morphism until nothing merges, and the projection's
+    components."""
+    cat = X.base
+    ufs = [UnionFind(range(X.levels[r])) for r in range(len(cat.objects))]
+    for (r, i, j) in pairs:
+        ufs[r].union(i, j)
+    changed = True
+    while changed:
+        changed = False
+        for f in cat.morphisms():
+            a, b, _ = f
+            roots = {}
+            for x in range(X.levels[b]):
+                rb = ufs[b].find(x)
+                va = ufs[a].find(X.act(f, x))
+                if rb in roots:
+                    if ufs[a].find(roots[rb]) != va:
+                        ufs[a].union(roots[rb], va)
+                        changed = True
+                else:
+                    roots[rb] = va
+    classes_at, class_of = zip(*(uf.partition() for uf in ufs))
+    levels = tuple(map(len, classes_at))
+    acts = {}
+    for f in cat.morphisms():
+        a, b, _ = f
+        act_f, class_a = X.actions[f], class_of[a]
+        act, bad = descend(classes_at[b], lambda x: class_a[act_f[x]])
+        if bad:
+            raise ViolatedLaw("well-definedness", (f, bad[0]))
+        acts[f] = tuple(act)
+    components = tuple(
+        tuple(class_of[r][x] for x in range(X.levels[r]))
+        for r in range(len(cat.objects))
+    )
+    return DictPresheaf(cat, levels, acts), components
 
 
 def morphism_degree(cat, ref):
@@ -20,7 +166,7 @@ def morphism_degree(cat, ref):
 def latching_data(X, r, uf):
     """The latching classes of (f, x) nodes and the map x.f out of them."""
     classes, node_class = uf.partition()
-    acts = X.actions
+    acts = actions(X)
     latch, bad = descend(classes, lambda node: acts[node[0]][node[1]])
     if bad:
         raise ViolatedLaw("well-definedness", (r, classes[bad[0]][0]))
@@ -36,6 +182,7 @@ def latching_object_via_weights(X, r, data):
     weight = [f for f in cat.out_of(r) if morphism_degree(cat, f) < n]
     keys = [(f, x) for f in weight for x in range(X.levels[f[1]])]
     uf = UnionFind(keys)
+    acts = actions(X)
     wset = set(weight)
     for f in weight:
         for g in cat.out_of(f[1]):
@@ -43,7 +190,7 @@ def latching_object_via_weights(X, r, data):
             if gf not in wset:
                 raise ViolatedLaw("degree-drop", (f, g))
             for x2 in range(X.levels[g[1]]):
-                uf.union((gf, x2), (f, X.act(g, x2)))
+                uf.union((gf, x2), (f, acts[g][x2]))
     return latching_data(X, r, uf)
 
 
@@ -60,7 +207,7 @@ def iso_on_latching(cat, th, Lr, Lr2):
 def verify_cell_square(X, n, data, degrees):
     """The degree-n cell square, level by level on (MorphRef, x) and
     ("yo" | "bd", MorphRef, v) keys."""
-    cat, acts = X.base, X.actions
+    cat, acts = X.base, actions(X)
     objs_n = [r for r in range(len(cat.objects)) if data.degree[r] == n]
     L = {r: latching_object(X, r, data) for r in objs_n}
     skn, sknext = skeleton(degrees, n), skeleton(degrees, n + 1)
@@ -83,7 +230,7 @@ def verify_cell_square(X, n, data, degrees):
                     for g in cat.refs(s, r):
                         tg = cat.compose(g, th)
                         for x2 in range(X.levels[r2]):
-                            ur.union((tg, x2), (g, X.act(th, x2)))
+                            ur.union((tg, x2), (g, acts[th][x2]))
         ur_classes, ur_class_of = ur.partition()
 
         # upper-left corner: pushout of the boundary-weighted latching data
@@ -111,7 +258,7 @@ def verify_cell_square(X, n, data, degrees):
                     for g in low_weight[r]:
                         tg = cat.compose(g, th)
                         for x2 in range(X.levels[r2]):
-                            ul.union(("bd", tg, x2), ("bd", g, X.act(th, x2)))
+                            ul.union(("bd", tg, x2), ("bd", g, acts[th][x2]))
         # glue the two weighted pieces along the boundary-weighted latching
         for r in objs_n:
             for g in low_weight[r]:
@@ -126,7 +273,8 @@ def verify_cell_square(X, n, data, degrees):
             return (g, L[g[1]].latch[v] if kind == "yo" else v)
 
         def ul_to_sk(node):
-            return X.act(*element(node))
+            g, x = element(node)
+            return acts[g][x]
 
         def ul_to_ur(node):
             return ur_class_of[element(node)]

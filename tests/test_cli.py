@@ -347,6 +347,8 @@ def _law_failure(cert, cid, law):
 
 
 def test_ill_defined_latching_map_is_a_failed_check(monkeypatch):
+    from presheaf_reference import with_value
+
     import reedylab.presheaf as presheaf
 
     def corrupted_corpus(cat, data, seed, count):
@@ -356,9 +358,7 @@ def test_ill_defined_latching_map_is_a_failed_check(monkeypatch):
         f = next(
             f for f in cat.morphisms() if not cat.is_identity(f) and yo.levels[f[0]] >= 2
         )
-        act = list(yo.actions[f])
-        act[0] = (act[0] + 1) % yo.levels[f[0]]
-        return [presheaf.FinPresheaf(cat, yo.levels, {**yo.actions, f: tuple(act)})]
+        return [with_value(yo, f, 0, (yo.action(f)[0] + 1) % yo.levels[f[0]])]
 
     monkeypatch.setattr(presheaf, "seeded_corpus", corrupted_corpus)
     cert = run_suite(SuiteConfig(suite="presheaf-ez"))
@@ -382,9 +382,13 @@ def test_ill_defined_lowering_pushout_join_is_a_failed_check(monkeypatch):
 
 
 def test_missing_ez_decomposition_is_a_failed_check(monkeypatch):
+    import numpy as np
+
     import reedylab.presheaf as presheaf
 
-    monkeypatch.setattr(presheaf, "is_nondegenerate", lambda X, r, x, data: False)
+    monkeypatch.setattr(
+        presheaf, "nondegenerate", lambda X, data: [np.zeros(n, bool) for n in X.levels]
+    )
     cert = run_suite(SuiteConfig(suite="cell-presentation", corpus_count=0))
     _law_failure(cert, "cell-presentation", "ez-existence")
 

@@ -41,6 +41,26 @@ CASES = [
         "span-apex",
     ),
     (
+        "presheaf-values-of-wrong-length",
+        TRUNC3
+        + "from reedylab.presheaf import FinPresheaf, representable\n"
+        + "yo = representable(cat, 1)\n"
+        + "FinPresheaf(cat, yo.levels, yo.values[:-1]).validate()\n",
+        "ViolatedLaw",
+        "length",
+    ),
+    (
+        "presheaf-value-out-of-range",
+        TRUNC3
+        + "from reedylab.presheaf import FinPresheaf, representable\n"
+        + "yo = representable(cat, 1)\n"
+        + "values = yo.values.copy()\n"
+        + "values[-1] = yo.levels[-1]\n"
+        + "FinPresheaf(cat, yo.levels, values).validate()\n",
+        "ViolatedLaw",
+        "range",
+    ),
+    (
         "crown-below-three",
         "from reedylab.obstruction import CrownPoset\nCrownPoset(2)\n",
         "InvalidInput",

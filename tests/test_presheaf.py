@@ -7,8 +7,8 @@ from pathlib import Path
 
 import pytest
 
+from presheaf_reference import with_value
 from reedylab.presheaf import (
-    FinPresheaf,
     PresheafMorphism,
     autquo,
     coproduct_presheaf,
@@ -17,13 +17,13 @@ from reedylab.presheaf import (
     ez_decompositions,
     ez_degrees,
     has_unique_ez,
-    is_nondegenerate,
     is_reedy_mono,
     latching_object,
     latching_object_via_weights,
     latching_routes_agree,
     maps_lowering_pushouts_to_pullbacks,
     non_reedy_mono_example,
+    nondegenerate,
     quotient_presheaf,
     representable,
     seeded_corpus,
@@ -78,9 +78,7 @@ def _corrupt_one_action(X):
     f = next(
         f for f in cat.morphisms() if not cat.is_identity(f) and X.levels[f[0]] >= 2
     )
-    act = list(X.actions[f])
-    act[0] = (act[0] + 1) % X.levels[f[0]]
-    return FinPresheaf(cat, X.levels, {**X.actions, f: tuple(act)})
+    return with_value(X, f, 0, (X.action(f)[0] + 1) % X.levels[f[0]])
 
 
 def test_validate_rejects_corrupted_action(trunc3):
@@ -234,7 +232,7 @@ def test_nondegenerate_elements_decompose_trivially(trunc3):
     idx = next(
         k for k, f in enumerate(cat.homs[(V, V)]) if f.map == (0, 1, 2)
     )
-    assert is_nondegenerate(yo, V, idx, data)
+    assert nondegenerate(yo, data)[V][idx]
     decs = ez_decompositions(yo, data)[V][idx]
     assert decs and all(cat.mor(e).is_iso for e, _ in decs)
     assert ez_degrees(yo, data)[V][idx] == 3

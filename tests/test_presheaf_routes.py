@@ -1,13 +1,17 @@
 """The numpy routes of the presheaf layer against their tuple-keyed
-references in presheaf_reference: latching by weights class by class, and
-cell squares report by report, on the corpora the suites certify, on the
-non-mono witness, and on corrupted inputs drawn by hypothesis."""
+references in presheaf_reference: latching by weights class by class,
+cell squares report by report, and the constructors action by action, on
+the corpora the suites certify, on the non-mono witness, and on corrupted
+inputs drawn by hypothesis."""
+
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import presheaf_reference as reference
+import reedylab.presheaf as presheaf
 from reedylab.errors import ViolatedLaw
 from reedylab.presheaf import (
     FinPresheaf,
@@ -19,6 +23,7 @@ from reedylab.presheaf import (
     verify_cell_square,
 )
 from reedylab.reedy import truncated_semilattice_category
+from reedylab.suites import _subgroups
 
 
 @pytest.fixture(scope="module")
@@ -121,11 +126,8 @@ def test_routes_match_the_reference_on_corrupted_presheaves(corpora, seed, data)
     movable = [f for f in cat.morphisms() if X.levels[f[0]] >= 2 and X.levels[f[1]]]
     if movable and data.draw(st.booleans()):
         f = data.draw(st.sampled_from(movable))
-        act = list(X.actions[f])
-        act[data.draw(st.integers(0, len(act) - 1))] = data.draw(
-            st.integers(0, X.levels[f[0]] - 1)
-        )
-        X = FinPresheaf(cat, X.levels, {**X.actions, f: tuple(act)})
+        value = data.draw(st.integers(0, X.levels[f[0]] - 1))
+        X = reference.with_value(X, f, data.draw(st.integers(0, X.levels[f[1]] - 1)), value)
     if X.total_size() and data.draw(st.booleans()):
         s = data.draw(st.sampled_from([s for s, n in enumerate(X.levels) if n]))
         x = data.draw(st.integers(0, X.levels[s] - 1))
@@ -133,3 +135,80 @@ def test_routes_match_the_reference_on_corrupted_presheaves(corpora, seed, data)
     for r in range(len(cat.objects)):
         assert same_latching(X, r, reedy)
     assert same_cell_squares(X, reedy, degrees)
+
+
+CONSTRUCTORS = ("representable", "coproduct_presheaf", "quotient_presheaf", "autquo")
+
+
+def _as_reference_argument(arg):
+    if isinstance(arg, FinPresheaf):
+        return reference.as_dict(arg)
+    if isinstance(arg, list):
+        return [_as_reference_argument(a) for a in arg]
+    return arg
+
+
+def _same_construction(result, expected):
+    """Levels, every action by MorphRef and, for a quotient, the
+    projection's components."""
+    if isinstance(result, tuple):
+        (Q, proj), (R, components) = result, expected
+        return _same_construction(Q, R) and proj.components == components
+    return (result.levels, reference.actions(result)) == (expected.levels, expected.actions)
+
+
+@pytest.fixture
+def checked_constructors(monkeypatch):
+    """Each of the four constructors, wherever the presheaf layer calls it,
+    also built by its reference; returns the calls per constructor and the
+    calls whose results differ."""
+    calls, differ = Counter(), []
+    for name in CONSTRUCTORS:
+
+        def both(*args, name=name, real=getattr(presheaf, name), ref=getattr(reference, name)):
+            result = real(*args)
+            calls[name] += 1
+            if not _same_construction(result, ref(*map(_as_reference_argument, args))):
+                differ.append((name, args))
+            return result
+
+        monkeypatch.setattr(presheaf, name, both)
+    return calls, differ
+
+
+@pytest.mark.parametrize(
+    "name", ["exhaustive-size2", "seeded-size3", "autquo-subgroups", "non-mono-witness"]
+)
+def test_constructors_match_the_reference(checked_constructors, name):
+    calls, differ = checked_constructors
+    if name == "exhaustive-size2":
+        # the corpus is enumerated, not constructed: each presheaf is
+        # doubled and its two copies glued at their first elements
+        cat, _, _ = truncated_semilattice_category(2)
+        for r in range(len(cat.objects)):
+            presheaf.representable(cat, r)
+        for X in enumerate_presheaves(cat, 2):
+            glue = [(r, 0, n) for r, n in enumerate(X.levels) if n]
+            presheaf.quotient_presheaf(presheaf.coproduct_presheaf([X, X]), glue)
+    elif name == "seeded-size3":
+        cat, data, _ = truncated_semilattice_category(3)
+        for seed in range(3):
+            presheaf.seeded_corpus(cat, data, seed, 200)
+    elif name == "autquo-subgroups":
+        subgroups = 0
+        for N in (3, 4):
+            cat, _, _ = truncated_semilattice_category(N)
+            for r in range(len(cat.objects)):
+                for H in _subgroups(cat, r, cat.isos(r, r)):
+                    presheaf.autquo(cat, r, H)
+                    subgroups += 1
+        assert subgroups == 22
+    else:
+        non_reedy_mono_example()
+    expected = {
+        "exhaustive-size2": set(CONSTRUCTORS) - {"autquo"},
+        "autquo-subgroups": {"representable", "quotient_presheaf", "autquo"},
+        "non-mono-witness": set(CONSTRUCTORS) - {"autquo"},
+    }.get(name, set(CONSTRUCTORS))
+    assert set(calls) == expected
+    assert differ == []

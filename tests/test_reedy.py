@@ -175,11 +175,20 @@ def test_cancellation_vacuous_case(trunc3):
     assert count == 0
 
 
+def composable(cat):
+    """(f, g, g after f) for every composable pair, read from the
+    composition table block by block and row by row."""
+    for (a, b), block in cat.composition.items():
+        for f, row in zip(cat.refs(a, b), block.tolist()):
+            for g, h in zip(cat.out_of(b), row):
+                yield f, g, cat._by_id[h]
+
+
 def test_walking_interface_matches_filtered_scans(trunc3):
     # the all-pairs and endpoint scans the walking interface replaced
     cat, data, squares = trunc3
     morphs = list(cat.morphisms())
-    assert list(cat.composable()) == [
+    assert list(composable(cat)) == [
         (f, g, cat.compose(f, g)) for f in morphs for g in morphs if f[1] == g[0]
     ]
     for a in range(len(cat.objects)):
@@ -360,7 +369,7 @@ def _walk_validate(cat):
                 or cat.compose(ref, cat.identities[b]) != ref
             ):
                 return "unit", ref
-    for f, g, gf in cat.composable():
+    for f, g, gf in composable(cat):
         for h in cat.out_of(g[1]):
             if cat.compose(gf, h) != cat.compose(f, cat.compose(g, h)):
                 return "associativity", (f, g, h)
@@ -442,11 +451,11 @@ def _walk_pair_checks(cat, data):
         {"f": f, "g": g}
         if (low[f] and low[g] and not low[gf]) or (high[f] and high[g] and not high[gf])
         else None
-        for f, g, gf in cat.composable()
+        for f, g, gf in composable(cat)
     )
     cancel = (
         {"f": f, "g": g} if (low[gf] and not low[g]) or (high[gf] and not high[f]) else None
-        for f, g, gf in cat.composable()
+        for f, g, gf in composable(cat)
     )
     return [
         scan("classes-closed-under-composition", closed),
@@ -461,7 +470,7 @@ def test_block_scans_match_the_walks_on_corrupted_tables():
     cat, data, squares = truncated_semilattice_category(3)
     clean = {key: block.copy() for key, block in cat.composition.items()}
     low, high = data.lowering, data.raising
-    pairs = [(f, g) for f, g, _ in cat.composable()]
+    pairs = [(f, g) for f, g, _ in composable(cat)]
     # the pairs whose composite the closure check constrains
     closed = [(f, g) for f, g in pairs if (low[f] and low[g]) or (high[f] and high[g])]
     rng = random.Random(0)
