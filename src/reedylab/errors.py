@@ -13,17 +13,17 @@ class ViolatedLaw(ReedyLabError):
     `law` is 'square', 'range', 'commutativity', 'associativity' or
     'idempotence' for a join table; 'square', 'reflexivity',
     'antisymmetry' or 'transitivity' for the order matrix of a poset;
-    'length', 'range' or 'join-preservation' for a morphism;
-    'duplicate-morphisms', 'unit' or 'associativity' for the composition
-    table of a category, and
-    'composition-closure' when a composite is not among the enumerated
-    maps of its hom-set;
-    'missing-action', 'length', 'range', 'unit' or 'functoriality' for a
-    presheaf; 'base', 'length', 'range' or 'naturality' for a presheaf
-    morphism; 'square-shape' (legs that do not meet) or
-    'square-commutativity' for a lowering pushout square; 'span-apex' for
-    a span whose two legs leave different apexes.  `witness` is the
-    offending index or morphism tuple.
+    'length', 'range' or 'join-preservation' for a morphism,
+    'composability' for composing two maps that do not meet and
+    'invertibility' for inverting a map that is not an iso;
+    'composition-closure' when a composite in a category is not among the
+    enumerated maps of its hom-set;
+    'length', 'range', 'unit' or 'functoriality' for a presheaf; 'base',
+    'length', 'range' or 'naturality' for a presheaf morphism;
+    'square-shape' (legs that do not meet) or 'square-commutativity' for a
+    lowering pushout square; 'span-apex' for a span whose two legs leave
+    different apexes; 'length', 'range' or 'monotonicity' for a crown
+    map.  `witness` is the offending index or morphism tuple.
 
     Certified facts that the constructions rely on raise it too:
     'well-definedness' when a map induced on a quotient is not constant on

@@ -1,8 +1,8 @@
 """The numpy side of FinCategory's dense composition table.
 
-The build, the law checks and the certificate scans that run one block
-of morphism ids at a time.  reedylab.reedy imports this module only
-inside the functions that need it, so importing reedylab stays numpy-free.
+The build and the certificate scans that run one block of morphism ids
+at a time.  reedylab.reedy imports this module only inside the
+functions that need it, so importing reedylab stays numpy-free.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ def fill_composition(cat) -> None:
     (f, g)).
     """
     objects, homs, n = cat.objects, cat.homs, len(cat.objects)
-    first, column = cat._first, cat._column
     dtype = np.min_scalar_type(max((O.size for O in objects), default=0))
     sizes = np.array([O.size for O in objects], np.int64)
     # the maps out of each object in morphism order, one row each, and the
@@ -37,7 +36,7 @@ def fill_composition(cat) -> None:
         np.array([f.map for b in range(n) for f in homs[(a, b)]], dtype).reshape(-1, A.size)
         for a, A in enumerate(objects)
     ]
-    cod = [np.repeat(np.arange(n), np.diff(row)) for row in first]
+    cod = [cat.codomain[ids.start : ids.stop] for ids in map(cat.out_of, range(n))]
     for a, A in enumerate(objects):
         gens = list(A.irreducibles)
         # weights[k, c] = |c|^k; the codes of Hom(a, c) start at start[c]
@@ -49,53 +48,17 @@ def fill_composition(cat) -> None:
             return (values * weights[:, cods]).sum(-2) + start[cods]
 
         lookup = np.full(start[-1], -1, np.int32)
-        lookup[codes(out[a][:, gens].T, cod[a])] = np.arange(first[a][0], first[a][n])
+        ids = cat.out_of(a)
+        lookup[codes(out[a][:, gens].T, cod[a])] = np.arange(ids.start, ids.stop)
         for b in range(n):
-            F = out[a][column[a][b] : column[a][b + 1]]
+            F = out[a][cat.columns(a, b)]
             composite = out[b].T[F]  # [i, x, j]: the j-th map out of b at F[i, x]
             block = lookup[codes(composite[:, gens], cod[b])]
             if (block < 0).any():
                 i, j = divmod(int(block.argmin()), block.shape[1])
-                raise ViolatedLaw("composition-closure", ((a, b, i), cat.out_of(b)[j]))
+                witness = (cat.ref(cat.refs(a, b)[i]), cat.ref(cat.out_of(b)[j]))
+                raise ViolatedLaw("composition-closure", witness)
             cat.composition[(a, b)] = block
-
-
-def check_laws(cat) -> None:
-    """FinCategory.validate: raises ViolatedLaw at the first failure of the
-    walk over hom-sets (duplicates, then units, per hom-set) and then over
-    composable triples (f, g, h), checking one block of ids at a time."""
-    n, first, column, table = len(cat.objects), cat._first, cat._column, cat.composition
-    for a in range(n):
-        for b in range(n):
-            fs = cat.homs[(a, b)]
-            if len({f.map for f in fs}) != len(fs):
-                raise ViolatedLaw("duplicate-morphisms", (a, b))
-            ids = np.arange(first[a][b], first[a][b + 1])
-            bad = (table[(a, a)][cat.identities[a][2], ids - first[a][0]] != ids) | (
-                table[(a, b)][:, column[b][b] + cat.identities[b][2]] != ids
-            )
-            if bad.any():
-                raise ViolatedLaw("unit", cat._by_id[ids[bad.argmax()]])
-    for a in range(n):
-        for b in range(n):
-            block = table[(a, b)]
-            first_bad = None
-            for c in range(n):
-                # f in Hom(a, b), g in Hom(b, c), h out of c
-                gf = block[:, column[b][c] : column[b][c + 1]]
-                bad = table[(a, c)][gf - first[a][c]] != block[:, table[(b, c)] - first[b][0]]
-                if bad.any():
-                    i, j, k = np.unravel_index(bad.argmax(), bad.shape)
-                    key = (int(i), c, int(j), int(k))
-                    first_bad = key if first_bad is None else min(first_bad, key)
-            if first_bad is not None:
-                i, c, j, k = first_bad
-                raise ViolatedLaw("associativity", ((a, b, i), (b, c, j), cat.out_of(c)[k]))
-
-
-def class_array(cat, members: dict) -> np.ndarray:
-    """A morphism classification as a boolean array indexed by id."""
-    return np.fromiter(map(members.__getitem__, cat.morphisms()), bool)
 
 
 def scan_composable(id: str, cat, bad) -> Check:
@@ -104,15 +67,14 @@ def scan_composable(id: str, cat, bad) -> Check:
     bad(f, g, gf) takes the ids of Hom(a, b) as a column, those of the
     maps out of b as a row and the block of composite ids, and gives the
     block's failures as booleans."""
-    first, count = cat._first, 0
+    count = 0
     for (a, b), block in cat.composition.items():
-        f = np.arange(first[a][b], first[a][b + 1])[:, None]
-        g = np.arange(first[b][0], first[b][-1])
-        failed = bad(f, g, block)
+        fs, gs = cat.refs(a, b), cat.out_of(b)
+        failed = bad(np.arange(fs.start, fs.stop)[:, None], np.arange(gs.start, gs.stop), block)
         if failed.any():
             k = int(failed.argmax())
             i, j = divmod(k, block.shape[1])
-            witness = {"f": cat._by_id[f[i, 0]], "g": cat._by_id[g[j]]}
+            witness = {"f": cat.ref(fs[i]), "g": cat.ref(gs[j])}
             return Check(id, FAIL, count + k + 1, witness)
         count += block.size
     return Check(id, PASS, count)
@@ -124,11 +86,16 @@ def orthogonal_lifting(cat, low: np.ndarray, high: np.ndarray) -> Check:
     order); a square fails unless exactly one diagonal w has w e = u and
     m w = v.  Computed one (a, b, c, d) block at a time, for e: a -> b,
     m: c -> d, u: a -> c, v: b -> d and w: b -> c."""
-    n, first, column, table = len(cat.objects), cat._first, cat._column, cat.composition
+    n, table = len(cat.objects), cat.composition
 
     def members(of, a, b):
         """The positions in Hom(a, b) of the maps in a class."""
-        return np.flatnonzero(of[first[a][b] : first[a][b + 1]])
+        ids = cat.refs(a, b)
+        return np.flatnonzero(of[ids.start : ids.stop])
+
+    def position(a, b, ids):
+        """Ids of maps in Hom(a, b) as positions in it."""
+        return ids - cat.refs(a, b).start
 
     count = 0
     for a in range(n):
@@ -144,11 +111,11 @@ def orthogonal_lifting(cat, low: np.ndarray, high: np.ndarray) -> Check:
                     ms = members(high, c, d)
                     if not len(ms):
                         continue
-                    # composites as positions in their hom-sets
-                    um = table[(a, c)][:, column[c][d] + ms] - first[a][d]
-                    ev = table[(a, b)][es, column[b][d] : column[b][d + 1]] - first[a][d]
-                    ew = table[(a, b)][es, column[b][c] : column[b][c + 1]] - first[a][c]
-                    wm = table[(b, c)][:, column[c][d] + ms] - first[b][d]
+                    m_cols = cat.columns(c, d).start + ms
+                    um = position(a, d, table[(a, c)][:, m_cols])
+                    ev = position(a, d, table[(a, b)][es, cat.columns(b, d)])
+                    ew = position(a, c, table[(a, b)][es, cat.columns(b, c)])
+                    wm = position(b, d, table[(b, c)][:, m_cols])
                     shape = (len(es), len(ms), len(um), ev.shape[1])
                     commutes = (um.T[None, :, :, None] == ev[:, None, None, :]).ravel()
                     # diagonals[e, m, u, v] counts the w with (w e, m w) = (u, v)
@@ -172,12 +139,11 @@ def orthogonal_lifting(cat, low: np.ndarray, high: np.ndarray) -> Check:
             at = bisect.bisect_right(starts, col) - 1
             c, d, ms, shape, diagonals = blocks[at]
             j, u, v = np.unravel_index(col - starts[at], shape[1:])
-            by_id = cat._by_id
             witness = {
-                "e": by_id[first[a][b] + es[i]],
-                "m": by_id[first[c][d] + ms[j]],
-                "u": by_id[first[a][c] + u],
-                "v": by_id[first[b][d] + v],
+                "e": cat.ref(cat.refs(a, b)[es[i]]),
+                "m": cat.ref(cat.refs(c, d)[ms[j]]),
+                "u": cat.ref(cat.refs(a, c)[u]),
+                "v": cat.ref(cat.refs(b, d)[v]),
                 "diagonals": int(diagonals[i, j, u, v]),
             }
             return Check("orthogonal-lifting-unique", FAIL, count, witness)

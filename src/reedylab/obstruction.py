@@ -267,16 +267,20 @@ def _lift_values(m: int, n: int, values, base: int) -> tuple[int, ...]:
 
 
 def crown_map(m: int, n: int, values) -> CrownMap:
-    """Validate monotonicity and compute the lift (base point in [0, 2n))."""
+    """Validate monotonicity and compute the lift (base point in [0, 2n)).
+    Raises ViolatedLaw 'length', 'range' or 'monotonicity' (at a cover
+    i <= j that the values reverse)."""
     values = tuple(values)
     Cm, Cn = CrownPoset(m), CrownPoset(n)
-    assert len(values) == Cm.size
-    assert all(0 <= v < Cn.size for v in values)
+    if len(values) != Cm.size:
+        raise ViolatedLaw("length", (len(values), Cm.size))
+    for i, v in enumerate(values):
+        if not 0 <= v < Cn.size:
+            raise ViolatedLaw("range", (i,))
     for i in range(0, Cm.size, 2):
         for j in Cm.upper_covers(i):
-            assert Cn.leq(values[i], values[j]), (
-                f"not monotone at {i} <= {j}"
-            )
+            if not Cn.leq(values[i], values[j]):
+                raise ViolatedLaw("monotonicity", (i, j))
     lift = _lift_values(m, n, values, values[0] % (2 * n))
     # base-point independence: shifting the base shifts the whole lift
     other = _lift_values(m, n, values, values[0] % (2 * n) + 2 * n)

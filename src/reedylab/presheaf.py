@@ -27,7 +27,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InvalidInput, ViolatedLaw
-from .reedy import FinCategory, LoweringPushoutSquare, MorphRef, ReedyData
+from .reedy import FinCategory, LoweringPushoutSquare, ReedyData
 from .semilattice import UnionFind, descend
 
 
@@ -48,10 +48,9 @@ class FinPresheaf:
     def start(self) -> np.ndarray:
         return _layout(self.base, self.levels)[0]
 
-    def action(self, f: MorphRef) -> np.ndarray:
-        """The action of f, a view of values."""
-        i = self.base._first[f[0]][f[1]] + f[2]
-        return self.values[self.start[i] : self.start[i + 1]]
+    def action(self, f: int) -> np.ndarray:
+        """The action of the map with id f, a view of values."""
+        return self.values[self.start[f] : self.start[f + 1]]
 
     def total_size(self) -> int:
         return sum(self.levels)
@@ -59,7 +58,6 @@ class FinPresheaf:
     def validate(self) -> None:
         """Raise ViolatedLaw unless the values form a functor."""
         cat, levels, values = self.base, np.array(self.levels, np.int64), np.asarray(self.values)
-        first, by_id = cat._first, cat._by_id
         if len(levels) != len(cat.objects):
             raise ViolatedLaw("length", ())
         start, owner, x = _layout(cat, levels)
@@ -69,22 +67,33 @@ class FinPresheaf:
             raise ViolatedLaw("range", ())
         bad = (values < 0) | (values >= levels[cat.domain][owner])
         if bad.any():
-            raise ViolatedLaw("range", by_id[owner[bad.argmax()]])
-        is_unit = np.zeros(len(by_id), bool)
-        is_unit[[first[a][a] + k for a, (_, _, k) in enumerate(cat.identities)]] = True
+            raise ViolatedLaw("range", cat.ref(owner[bad.argmax()]))
+        is_unit = np.zeros(len(cat.domain), bool)
+        is_unit[list(cat.identities)] = True
         bad = is_unit[owner] & (values != x)
         if bad.any():
-            raise ViolatedLaw("unit", by_id[owner[bad.argmax()]])
-        # per block (a, b): x.g restricted along f against x.(g f), for f
-        # in Hom(a, b) and the entries (g, x) of the maps out of b
-        for (a, b), block in cat.composition.items():
-            out = slice(start[first[b][0]], start[first[b][-1]])
-            g, x2, y = owner[out], x[out], values[out]
-            fs = np.arange(first[a][b], first[a][b + 1])
-            bad = values[start[fs][:, None] + y] != values[start[block[:, g - first[b][0]]] + x2]
+            raise ViolatedLaw("unit", cat.ref(owner[bad.argmax()]))
+        for fs, g, x2, bad in _functoriality(cat, levels, values[None]):
             if bad.any():
-                i, p = divmod(int(bad.argmax()), bad.shape[1])
-                raise ViolatedLaw("functoriality", (by_id[fs[i]], by_id[g[p]], int(x2[p])))
+                i, p = divmod(int(bad.argmax()), bad.shape[2])
+                raise ViolatedLaw("functoriality", (cat.ref(fs[i]), cat.ref(g[p]), int(x2[p])))
+
+
+def _functoriality(cat: FinCategory, levels, values: np.ndarray):
+    """Functoriality of candidate values over the given levels, one
+    candidate per row of values, checked one composition block (a, b) at
+    a time: x.g restricted along f against x.(g f), for f in Hom(a, b) and
+    the entries (g, x) of the maps out of b.  Yields, per block in order,
+    the ids f, the entries' maps g and elements x, and where they differ,
+    of shape (candidates, f, entry)."""
+    start, owner, x = _layout(cat, levels)
+    for (a, b), block in cat.composition.items():
+        gs, fs = cat.out_of(b), cat.refs(a, b)
+        out = slice(start[gs.start], start[gs.stop])
+        g, x2, y = owner[out], x[out], values[:, out]
+        fs = np.arange(fs.start, fs.stop)
+        restricted = np.take_along_axis(values[:, None], start[fs][:, None] + y[:, None], 2)
+        yield fs, g, x2, restricted != values[:, start[block[:, g - gs.start]] + x2]
 
 
 def _layout(cat: FinCategory, levels) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -125,7 +134,7 @@ class PresheafMorphism:
         ]
         if bad.any():
             p = bad.argmax()
-            raise ViolatedLaw("naturality", (cat._by_id[owner[p]], int(x[p])))
+            raise ViolatedLaw("naturality", (cat.ref(owner[p]), int(x[p])))
 
 
 # ---------------------------------------------------------------------------
@@ -137,45 +146,43 @@ def representable(cat: FinCategory, r: int) -> FinPresheaf:
     """yo(r): level at s is Hom(s, r), acting by precomposition.  The
     actions of the maps in Hom(s, b) are the rows of composition[(s, b)],
     read at the columns of Hom(b, r)."""
-    n, first, column = len(cat.objects), cat._first, cat._column
+    n = len(cat.objects)
     values = np.concatenate([
-        (cat.composition[(s, b)][:, column[b][r] : column[b][r + 1]] - first[s][r]).ravel()
+        (cat.composition[(s, b)][:, cat.columns(b, r)] - cat.refs(s, r).start).ravel()
         for s in range(n)
         for b in range(n)
     ])
-    return FinPresheaf(cat, tuple(first[s][r + 1] - first[s][r] for s in range(n)), values)
+    return FinPresheaf(cat, tuple(len(cat.refs(s, r)) for s in range(n)), values)
 
 
-def subgroup_closure_ok(cat: FinCategory, r: int, H: list[MorphRef]) -> bool:
-    refs = set(H)
-    if cat.identities[r] not in refs:
+def subgroup_closure_ok(cat: FinCategory, r: int, H: list[int]) -> bool:
+    group = set(H)
+    if cat.identities[r] not in group:
         return False
-    for h in refs:
-        if not cat.mor(h).is_iso or h[0] != r or h[1] != r:
+    for h in group:
+        if not cat.mor(h).is_iso or cat.dom(h) != r or cat.cod(h) != r:
             return False
-        inv = cat.find(r, r, cat.mor(h).inverse())
-        if inv not in refs:
+        if cat.find(r, r, cat.mor(h).inverse()) not in group:
             return False
-        for k in refs:
-            if cat.compose(h, k) not in refs:
+        for k in group:
+            if cat.compose(h, k) not in group:
                 return False
     return True
 
 
 def autquo(
-    cat: FinCategory, r: int, H: list[MorphRef]
+    cat: FinCategory, r: int, H: list[int]
 ) -> tuple[FinPresheaf, PresheafMorphism]:
     """Quotient of yo(r) by post-composition with a subgroup of Aut(r);
     returns the quotient and the projection from the representable.
     Raises InvalidInput unless H is a subgroup of Aut(r)."""
     if not subgroup_closure_ok(cat, r, H):
+        H = [cat.ref(h) for h in H]
         raise InvalidInput(f"not a subgroup of the automorphisms of object {r}: {H}")
-    orbits = [
-        (s, g, cat.compose((s, r, g), h)[2])
-        for s in range(len(cat.objects))
-        for g in range(len(cat.hom(s, r)))
-        for h in H
-    ]
+    orbits = []
+    for s in range(len(cat.objects)):
+        gs = cat.refs(s, r)
+        orbits += [(s, g - gs.start, cat.compose(g, h) - gs.start) for g in gs for h in H]
     return quotient_presheaf(representable(cat, r), orbits)
 
 
@@ -184,8 +191,8 @@ def autquo(
 # ---------------------------------------------------------------------------
 
 
-def strictly_lowering_out_of(data: ReedyData, r: int):
-    return [e for e in data.lowering_out[r] if data.degree[e[1]] < data.degree[r]]
+def strictly_lowering_out_of(cat: FinCategory, data: ReedyData, r: int) -> list[int]:
+    return [e for e in data.lowering_out[r] if data.degree[cat.cod(e)] < data.degree[r]]
 
 
 # ---------------------------------------------------------------------------
@@ -206,11 +213,11 @@ def latching_object(X: FinPresheaf, r: int, data: ReedyData) -> LatchingData:
     modulo (f e, x) ~ (e, x f) over lowering f, with the latching map
     sending a class to the restriction x e."""
     cat = X.base
-    lows = strictly_lowering_out_of(data, r)
-    keys = [(e, x) for e in lows for x in range(X.levels[e[1]])]
+    lows = strictly_lowering_out_of(cat, data, r)
+    keys = [(e, x) for e in lows for x in range(X.levels[cat.cod(e)])]
     uf = UnionFind(keys)
     for e in lows:
-        for f in data.lowering_out[e[1]]:
+        for f in data.lowering_out[cat.cod(e)]:
             fe = cat.compose(e, f)
             for x2, y in enumerate(X.action(f).tolist()):
                 uf.union((fe, x2), (e, y))
@@ -218,7 +225,8 @@ def latching_object(X: FinPresheaf, r: int, data: ReedyData) -> LatchingData:
     acts = {e: X.action(e).tolist() for e in lows}
     latch, bad = descend(classes, lambda node: acts[node[0]][node[1]])
     if bad:
-        raise ViolatedLaw("well-definedness", (r, classes[bad[0]][0]))
+        e, x = classes[bad[0]][0]
+        raise ViolatedLaw("well-definedness", (r, (cat.ref(e), x)))
     injective = len(set(latch)) == len(latch)
     return LatchingData(classes, node_class, latch, injective)
 
@@ -227,20 +235,21 @@ def latching_object(X: FinPresheaf, r: int, data: ReedyData) -> LatchingData:
 class WeightedLatching:
     """The latching object by weights, on integer node keys.
 
-    first_node[p] is the node of (f, 0) when the p-th map f out of r is in
-    the weight, and -1 otherwise; the node of (f, x) is first_node[p] + x,
-    so nodes sort as the pairs do.  node_class[v] is the class of node v,
-    the classes ordered by their least node."""
+    first_node[p] is the node of (f, 0) when the p-th map f out of r (the
+    map with id lo + p) is in the weight, and -1 otherwise; the node of
+    (f, x) is first_node[p] + x, so nodes sort as the pairs do.
+    node_class[v] is the class of node v, the classes ordered by their
+    least node."""
 
-    column: tuple[int, ...]  # column[b]: the position of (r, b, 0) out of r
+    lo: int  # the id of the first map out of r
     first_node: list[int]
     node_class: np.ndarray
     latch: list[int]  # class -> element of X_r
     injective: bool
 
-    def class_of(self, key: tuple[MorphRef, int]) -> int:
-        (_, b, k), x = key
-        return int(self.node_class[self.first_node[self.column[b] + k] + x])
+    def class_of(self, key: tuple[int, int]) -> int:
+        f, x = key
+        return int(self.node_class[self.first_node[f - self.lo] + x])
 
 
 def latching_object_via_weights(
@@ -256,40 +265,39 @@ def latching_object_via_weights(
     weight, then g out of its codomain, in morphism order) whose
     composite leaves the weight."""
     cat, levels, values, start = X.base, np.array(X.levels, np.int64), X.values, X.start
-    first, by_id = cat._first, cat._by_id
-    lo = first[r][0]
-    in_weight = cat.image_size[lo : first[r][-1]] < data.degree[r]
+    out = cat.out_of(r)
+    lo = out.start
+    in_weight = cat.image_size[lo : out.stop] < data.degree[r]
     weight = np.flatnonzero(in_weight)  # positions out of r
     node_start, owner, index = _segments(levels[cat.codomain[weight + lo]])
     first_node = np.full(len(in_weight), -1, np.int32)
     first_node[weight] = node_start[:-1]
     label = np.arange(node_start[-1], dtype=np.int32)
     for b in range(len(cat.objects)):
-        fs = np.flatnonzero(in_weight[first[r][b] - lo : first[r][b + 1] - lo])
+        cols, gs = cat.columns(r, b), cat.out_of(b)
+        fs = np.flatnonzero(in_weight[cols])
         if not len(fs):
             continue
         gf = cat.composition[(r, b)][fs] - lo  # row per f, column per g out of b
         outside = ~in_weight[gf]
         if outside.any():
             i, j = divmod(int(outside.argmax()), gf.shape[1])
-            raise ViolatedLaw("degree-drop", (by_id[first[r][b] + fs[i]], cat.out_of(b)[j]))
+            raise ViolatedLaw("degree-drop", (cat.ref(lo + cols.start + fs[i]), cat.ref(gs[j])))
         # the actions of the maps g out of b, end to end: entry p sends x2[p]
         # along its g[p]
-        _, g, x2 = _segments(levels[cat.codomain[first[b][0] : first[b][-1]]])
-        y = values[start[first[b][0]] : start[first[b][-1]]]
-        f_node = first_node[fs + first[r][b] - lo][:, None]
+        _, g, x2 = _segments(levels[cat.codomain[gs.start : gs.stop]])
+        y = values[start[gs.start] : start[gs.stop]]
+        f_node = first_node[fs + cols.start][:, None]
         label = _join(label, first_node[gf[:, g]] + x2, f_node + y)
     roots, node_class = _classes(label)
     # the latching map: the value x.f on the class of each node (f, x)
     latch, bad = _class_values(roots, node_class, values[start[weight + lo][owner] + index])
     if bad.any():
         root = roots[bad.argmax()]
-        f = by_id[lo + weight[owner[root]]]
+        f = cat.ref(lo + weight[owner[root]])
         raise ViolatedLaw("well-definedness", (r, (f, int(index[root]))))
     injective = len(_distinct(latch)) == len(latch)
-    return WeightedLatching(
-        cat._column[r], first_node.tolist(), node_class, latch.tolist(), injective
-    )
+    return WeightedLatching(lo, first_node.tolist(), node_class, latch.tolist(), injective)
 
 
 def _segments(sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -383,7 +391,7 @@ def nondegenerate(X: FinPresheaf, data: ReedyData) -> list[np.ndarray]:
     the image of every strictly lowering map out of it."""
     masks = [np.ones(n, bool) for n in X.levels]
     for r, mask in enumerate(masks):
-        for e in strictly_lowering_out_of(data, r):
+        for e in strictly_lowering_out_of(X.base, data, r):
             mask[X.action(e)] = False
     return masks
 
@@ -395,7 +403,7 @@ def ez_decompositions(X: FinPresheaf, data: ReedyData) -> list[list[list]]:
     table = [[[] for _ in range(n)] for n in X.levels]
     for r, decs in enumerate(table):
         for e in data.lowering_out[r]:
-            ys = nondeg[e[1]]
+            ys = nondeg[X.base.cod(e)]
             for y, x in zip(ys.tolist(), X.action(e)[ys].tolist()):
                 decs[x].append((e, y))
     return table
@@ -409,13 +417,12 @@ def ez_degrees(X: FinPresheaf, data: ReedyData) -> list[list[int]]:
     decomposition, and 'sub-presheaf-closure' when a restriction raises
     an element's degree, which is when some skeleton is not a
     sub-presheaf."""
-    degrees = []
+    cat, degrees = X.base, []
     for r, level in enumerate(ez_decompositions(X, data)):
         for x, decs in enumerate(level):
             if not decs:
                 raise ViolatedLaw("ez-existence", (r, x))
-        degrees.append([min(data.degree[e[1]] for e, _ in decs) for decs in level])
-    cat = X.base
+        degrees.append([min(data.degree[cat.cod(e)] for e, _ in decs) for decs in level])
     x_start = _segments(np.array(X.levels, np.int64))[0]
     degree = np.fromiter(itertools.chain.from_iterable(degrees), np.int64, x_start[-1])
     _, owner, x = _layout(cat, X.levels)
@@ -425,17 +432,15 @@ def ez_degrees(X: FinPresheaf, data: ReedyData) -> list[list[int]]:
     )
     if raised.any():
         p = raised.argmax()
-        raise ViolatedLaw("sub-presheaf-closure", (cat._by_id[owner[p]], int(x[p])))
+        raise ViolatedLaw("sub-presheaf-closure", (cat.ref(owner[p]), int(x[p])))
     return degrees
 
 
-def ez_isomorphic(
-    X: FinPresheaf, d0: tuple[MorphRef, int], d1: tuple[MorphRef, int]
-) -> bool:
+def ez_isomorphic(X: FinPresheaf, d0: tuple[int, int], d1: tuple[int, int]) -> bool:
     """Two decompositions match when an isomorphism links them."""
     cat = X.base
     (e0, y0), (e1, y1) = d0, d1
-    for th in cat.isos(e0[1], e1[1]):
+    for th in cat.isos(cat.cod(e0), cat.cod(e1)):
         if cat.compose(e0, th) == e1 and X.action(th)[y1] == y0:
             return True
     return False
@@ -515,8 +520,7 @@ def verify_cell_square(
     and classes are numbered in that order, within each level.
     """
     cat, levels, values, start = X.base, np.array(X.levels, np.int64), X.values, X.start
-    n_obj, first, column = len(cat.objects), cat._first, cat._column
-    dom, cod = cat.domain, cat.codomain
+    n_obj, dom, cod = len(cat.objects), cat.domain, cat.codomain
     objs_n = [r for r in range(n_obj) if data.degree[r] == n]
     L = {r: latching_object(X, r, data) for r in objs_n}
     n_classes = np.zeros(n_obj, np.int64)
@@ -563,14 +567,13 @@ def verify_cell_square(
         # the maps g into r, in morphism order, and their composites with
         # the isomorphisms th out of r
         isos = [(r2, th) for r2 in objs_n for th in cat.isos(r, r2)]
-        cols = [column[r][r2] + th[2] for r2, th in isos]
+        cols = [th - cat.out_of(r).start for _, th in isos]
         into = np.flatnonzero(cod == r)
         then = np.vstack([cat.composition[(s, r)][:, cols] for s in range(n_obj)])
         g_low = cat.image_size[into] < n
         for k, (r2, th) in enumerate(isos):
             tg = then[:, k]
-            t = first[r][r2] + th[2]
-            y = values[start[t] : start[t + 1]]
+            y = values[start[th] : start[th + 1]]
             x2 = np.arange(len(y), dtype=np.int32)
             ur_label = _join(ur_label, ur[tg][:, None] + x2, ur[into][:, None] + y)
             ul_label = _join(
@@ -665,7 +668,7 @@ def verify_cell_square(
     )
 
 
-def _iso_on_latching(cat, th: MorphRef, Lr: LatchingData, Lr2: LatchingData):
+def _iso_on_latching(cat, th: int, Lr: LatchingData, Lr2: LatchingData):
     """Map latching classes along precomposition with an iso r -> r2."""
     out = []
     for c2 in range(len(Lr2.classes)):
@@ -759,25 +762,22 @@ def quotient_presheaf(
     return Q, proj
 
 
-def span_pushout_of_representables(
-    cat: FinCategory, e0: MorphRef, e1: MorphRef
-) -> FinPresheaf:
+def span_pushout_of_representables(cat: FinCategory, e0: int, e1: int) -> FinPresheaf:
     """Levelwise pushout yo(B0) + yo(B1) over yo(A) for a span out of A;
     the two copies are glued along all composites with the span legs.
     Raises ViolatedLaw 'span-apex' when the legs leave different objects."""
-    if e0[0] != e1[0]:
-        raise ViolatedLaw("span-apex", (e0, e1))
-    a = e0[0]
-    b0, b1 = e0[1], e1[1]
+    a = cat.dom(e0)
+    if cat.dom(e1) != a:
+        raise ViolatedLaw("span-apex", (cat.ref(e0), cat.ref(e1)))
+    b0, b1 = cat.cod(e0), cat.cod(e1)
     Y0, Y1 = representable(cat, b0), representable(cat, b1)
     X = coproduct_presheaf([Y0, Y1])
     pairs = []
     for s in range(len(cat.objects)):
-        offset = Y0.levels[s]
+        # Y1's elements follow Y0's at each level of the coproduct
+        lo0, lo1 = cat.refs(s, b0).start, cat.refs(s, b1).start - Y0.levels[s]
         for f in cat.refs(s, a):
-            i0 = cat.compose(f, e0)[2]
-            i1 = cat.compose(f, e1)[2]
-            pairs.append((s, i0, offset + i1))
+            pairs.append((s, cat.compose(f, e0) - lo0, cat.compose(f, e1) - lo1))
     Q, _ = quotient_presheaf(X, pairs)
     return Q
 
@@ -815,27 +815,29 @@ def non_reedy_mono_example() -> tuple[FinCategory, ReedyData, list, FinPresheaf]
 
 def enumerate_presheaves(cat: FinCategory, max_level: int):
     """Exhaustive functor enumeration; practical only for very small
-    categories such as the size-2 truncation."""
-    n_obj = len(cat.objects)
-    non_id = [f for f in cat.morphisms() if not cat.is_identity(f)]
-    out = []
-    for levels in itertools.product(range(max_level + 1), repeat=n_obj):
-        spaces = []
-        for f in non_id:
-            a, b, _ = f
-            spaces.append(
-                list(itertools.product(range(levels[a]), repeat=levels[b]))
-            )
-        for combo in itertools.product(*spaces):
-            acts = dict(zip(non_id, combo))
-            # an identity acts as the identity
-            values = [v for f in cat.morphisms() for v in acts.get(f, range(levels[f[0]]))]
-            X = FinPresheaf(cat, levels, np.array(values, np.int32))
-            try:
-                X.validate()
-            except ViolatedLaw:
-                continue
-            out.append(X)
+    categories such as the size-2 truncation.  The candidates of one
+    levels tuple, every assignment of the actions of the maps that are
+    not identities, are one array with a row each, and their
+    functoriality is checked all at once."""
+    free = np.ones(len(cat.domain), bool)
+    free[list(cat.identities)] = False
+    maps, out = np.flatnonzero(free).tolist(), []
+    for levels in itertools.product(range(max_level + 1), repeat=len(cat.objects)):
+        _, owner, x = _layout(cat, levels)
+        spaces = [
+            itertools.product(range(levels[cat.dom(f)]), repeat=levels[cat.cod(f)]) for f in maps
+        ]
+        combos = list(itertools.product(*spaces))
+        # an identity acts as the identity
+        values = np.tile(x.astype(np.int32), (len(combos), 1))
+        entries = free[owner]
+        shape = (len(combos), int(entries.sum()))
+        flat = itertools.chain.from_iterable(itertools.chain.from_iterable(combos))
+        values[:, entries] = np.fromiter(flat, np.int32, shape[0] * shape[1]).reshape(shape)
+        ok = np.ones(len(combos), bool)
+        for _, _, _, bad in _functoriality(cat, levels, values):
+            ok &= ~bad.any((1, 2))
+        out += [FinPresheaf(cat, levels, row) for row in values[ok]]
     return out
 
 
@@ -891,7 +893,7 @@ def _some_spans(cat: FinCategory, data: ReedyData, limit: int = 6):
     """A few strictly lowering spans, preferring distinct legs."""
     out = []
     for r in range(len(cat.objects) - 1, -1, -1):
-        lows = strictly_lowering_out_of(data, r)
+        lows = strictly_lowering_out_of(cat, data, r)
         for i, e0 in enumerate(lows):
             for e1 in lows[i:]:
                 out.append((e0, e1))

@@ -30,7 +30,7 @@ from .semilattice import (
     validate_semilattice,
 )
 
-# A morphism reference inside a FinCategory: (dom index, cod index, hom index)
+# A morphism reference, as witnesses print it: (dom index, cod index, hom index)
 MorphRef = tuple[int, int, int]
 
 
@@ -39,48 +39,62 @@ class FinCategory:
     """An explicit finite category of semilattices with a dense integer
     composition table.
 
-    Every morphism has an id, its position in morphism order ((a, b, k)
-    lexicographic), so the maps out of one object have consecutive ids.
+    Inside the library a morphism is its id, its position in morphism
+    order ((a, b, k) lexicographic, for the k-th map of Hom(a, b)), so the
+    maps of one hom-set, and those out of one object, have consecutive ids.
+    ref(f) gives the (a, b, k) MorphRef that witnesses print.
     composition[(a, b)] is an int32 array with a row per map of Hom(a, b)
     and a column per map out of b, in morphism order: entry [i, j] is the
-    id of the j-th map out of b after (a, b, i).  The blocks in (a, b)
-    order, each read row by row, walk the composable pairs (f, g): f in
-    morphism order, then g in morphism order among the maps out of f's
-    codomain.
+    id of the j-th map out of b after the i-th map of Hom(a, b).  The
+    blocks in (a, b) order, each read row by row, walk the composable
+    pairs (f, g): f in morphism order, then g in morphism order among the
+    maps out of f's codomain.
     """
 
     objects: tuple[FiniteSemilattice, ...]
     homs: dict[tuple[int, int], list[SLatMorphism]]
     composition: dict[tuple[int, int], "numpy.ndarray"]
-    identities: tuple[MorphRef, ...]
+    identities: tuple[int, ...]
 
     def hom(self, a: int, b: int) -> list[SLatMorphism]:
         return self.homs[(a, b)]
 
-    def mor(self, ref: MorphRef) -> SLatMorphism:
-        a, b, k = ref
+    def mor(self, f: int) -> SLatMorphism:
+        a, b, k = self._by_id[f]
         return self.homs[(a, b)][k]
 
-    def compose(self, f: MorphRef, g: MorphRef) -> MorphRef:
+    def ref(self, f: int) -> MorphRef:
+        return self._by_id[f]
+
+    def dom(self, f: int) -> int:
+        return self._by_id[f][0]
+
+    def cod(self, f: int) -> int:
+        return self._by_id[f][1]
+
+    def compose(self, f: int, g: int) -> int:
         """g after f; f: a -> b, g: b -> c."""
-        a, b, i = f
-        _, c, j = g
-        return self._by_id[self._rows[a][b][i][self._column[b][c] + j]]
+        return self._rows[f][self._column[g]]
 
-    def refs(self, a: int, b: int) -> tuple[MorphRef, ...]:
-        """The MorphRefs of Hom(a, b), in hom order."""
-        return self._refs[(a, b)]
+    def refs(self, a: int, b: int) -> range:
+        """The ids of Hom(a, b), in hom order."""
+        return range(self._first[a][b], self._first[a][b + 1])
 
-    def out_of(self, a: int) -> tuple[MorphRef, ...]:
-        """The MorphRefs with domain a, in morphism order."""
-        return self._out[a]
+    def out_of(self, a: int) -> range:
+        """The ids of the maps with domain a, in morphism order."""
+        return range(self._first[a][0], self._first[a][-1])
 
-    def morphisms(self):
-        return iter(self._by_id)
+    def columns(self, b: int, c: int) -> slice:
+        """The columns of Hom(b, c) in the blocks composition[(a, b)]: the
+        positions of its maps among the maps out of b."""
+        row = self._first[b]
+        return slice(row[c] - row[0], row[c + 1] - row[0])
 
-    def find(self, a: int, b: int, f: SLatMorphism) -> MorphRef:
-        k = self._index[(a, b)][f.map]
-        return (a, b, k)
+    def morphisms(self) -> range:
+        return range(len(self._by_id))
+
+    def find(self, a: int, b: int, f: SLatMorphism) -> int:
+        return self._first[a][b] + self._index[(a, b)][f.map]
 
     @cached_property
     def _index(self) -> dict:
@@ -91,8 +105,8 @@ class FinCategory:
 
     @cached_property
     def _first(self) -> tuple[tuple[int, ...], ...]:
-        """_first[a][b] is the id of (a, b, 0); _first[a][n] is one past
-        the last map out of a."""
+        """_first[a][b] is the id of the first map of Hom(a, b); _first[a][n]
+        is one past the last map out of a."""
         n, k, out = len(self.objects), 0, []
         for a in range(n):
             row = []
@@ -101,11 +115,6 @@ class FinCategory:
                 k += len(self.homs[(a, b)])
             out.append((*row, k))
         return tuple(out)
-
-    @cached_property
-    def _column(self) -> tuple[tuple[int, ...], ...]:
-        """_column[b][c] is the column of (b, c, 0) among the maps out of b."""
-        return tuple(tuple(k - row[0] for k in row) for row in self._first)
 
     @cached_property
     def _by_id(self) -> tuple[MorphRef, ...]:
@@ -117,26 +126,17 @@ class FinCategory:
         )
 
     @cached_property
-    def _refs(self) -> dict[tuple[int, int], tuple[MorphRef, ...]]:
-        n = len(self.objects)
-        return {
-            (a, b): self._by_id[self._first[a][b] : self._first[a][b + 1]]
-            for a in range(n)
-            for b in range(n)
-        }
+    def _column(self) -> tuple[int, ...]:
+        """The column of each map, by id: its position among the maps out
+        of its domain."""
+        return tuple(f - self._first[a][0] for f, (a, _, _) in enumerate(self._by_id))
 
     @cached_property
-    def _out(self) -> tuple[tuple[MorphRef, ...], ...]:
-        return tuple(self._by_id[row[0] : row[-1]] for row in self._first)
-
-    @cached_property
-    def _rows(self) -> list[list[list[memoryview]]]:
-        """The table's rows as memoryviews, which index to plain ints."""
+    def _rows(self) -> list[memoryview]:
+        """The table's rows by id, as memoryviews, which index to plain ints."""
         n = len(self.objects)
-        return [
-            [list(map(memoryview, self.composition[(a, b)])) for b in range(n)]
-            for a in range(n)
-        ]
+        blocks = (self.composition[(a, b)] for a in range(n) for b in range(n))
+        return [memoryview(row) for block in blocks for row in block]
 
     # id-indexed arrays for the presheaf layer's numpy routes
 
@@ -160,13 +160,13 @@ class FinCategory:
         middle object of its (surjective, mono) factorization."""
         import numpy as np
 
-        return np.array([len(set(self.mor(f).map)) for f in self._by_id], np.int64)
+        return np.array([len(set(self.mor(f).map)) for f in self.morphisms()], np.int64)
 
-    def is_identity(self, ref: MorphRef) -> bool:
-        return ref == self.identities[ref[0]]
+    def is_identity(self, f: int) -> bool:
+        return f == self.identities[self.dom(f)]
 
-    def isos(self, a: int, b: int) -> list[MorphRef]:
-        return [r for r, f in zip(self.refs(a, b), self.hom(a, b)) if f.is_iso]
+    def isos(self, a: int, b: int) -> list[int]:
+        return [f for f, m in zip(self.refs(a, b), self.hom(a, b)) if m.is_iso]
 
     def object_of(self, A: FiniteSemilattice) -> int | None:
         return self._by_canonical_form.get(canonical_form(A))
@@ -179,13 +179,6 @@ class FinCategory:
             index.setdefault(canonical_form(O), i)
         return index
 
-    def validate(self) -> None:
-        """Exhaustive duplicate, unit and associativity checks of the
-        composition table; raises ViolatedLaw on the first failure."""
-        from .kernel import check_laws
-
-        check_laws(self)
-
     @staticmethod
     def from_objects(
         objects, budget: int = DEFAULT_CANDIDATE_BUDGET
@@ -197,9 +190,8 @@ class FinCategory:
         objects = tuple(objects)
         cat = FinCategory(objects, _hom_sets(objects, budget), {}, ())
         fill_composition(cat)
-        index = cat._index
         cat.identities = tuple(
-            (a, a, index[(a, a)][tuple(range(A.size))])
+            cat.refs(a, a).start + cat._index[(a, a)][tuple(range(A.size))]
             for a, A in enumerate(objects)
         )
         return cat
@@ -230,33 +222,30 @@ def _hom_sets(objects, budget: int) -> dict[tuple[int, int], list[SLatMorphism]]
     return homs
 
 
-@dataclass
+@dataclass(eq=False)
 class ReedyData:
-    """Degrees plus the lowering/raising classification of every morphism."""
+    """Degrees plus the lowering/raising classification of every morphism:
+    boolean arrays by id, and the ids of the lowering maps out of each
+    object, in morphism order."""
 
     degree: tuple[int, ...]
-    lowering: dict[MorphRef, bool]
-    raising: dict[MorphRef, bool]
+    lowering: "numpy.ndarray"
+    raising: "numpy.ndarray"
+    lowering_out: tuple[tuple[int, ...], ...]
 
     @staticmethod
     def of_category(cat: FinCategory) -> "ReedyData":
-        degree = tuple(O.size for O in cat.objects)
-        lowering = {}
-        raising = {}
-        for ref in cat.morphisms():
-            f = cat.mor(ref)
-            lowering[ref] = f.is_surjective
-            raising[ref] = f.is_injective
-        return ReedyData(degree, lowering, raising)
+        """A map is surjective when its image is as large as its codomain,
+        and injective when it is as large as its domain."""
+        import numpy as np
 
-    @cached_property
-    def lowering_out(self) -> tuple[tuple[MorphRef, ...], ...]:
-        """The lowering maps out of each object, in morphism order."""
-        out: list[list[MorphRef]] = [[] for _ in self.degree]
-        for ref in sorted(self.lowering):
-            if self.lowering[ref]:
-                out[ref[0]].append(ref)
-        return tuple(map(tuple, out))
+        degree = tuple(O.size for O in cat.objects)
+        size = np.array(degree, np.int64)
+        lowering = cat.image_size == size[cat.codomain]
+        raising = cat.image_size == size[cat.domain]
+        low = lowering.tolist()
+        lowering_out = tuple(tuple(f for f in cat.out_of(a) if low[f]) for a in range(len(degree)))
+        return ReedyData(degree, lowering, raising, lowering_out)
 
 
 @dataclass
@@ -267,7 +256,7 @@ class LoweringPushoutSquare:
     e1: SLatMorphism
     f0: SLatMorphism
     f1: SLatMorphism
-    refs: tuple[MorphRef, MorphRef, MorphRef, MorphRef] | None = None
+    refs: tuple[int, int, int, int] | None = None  # the ids of e0, e1, f0, f1
 
     def __post_init__(self):
         e0, e1, f0, f1 = self.e0, self.e1, self.f0, self.f1
@@ -360,7 +349,7 @@ def verify_pushout_universal(cat: FinCategory, square: LoweringPushoutSquare) ->
     e0, e1, f0, f1 = square.refs
     witnesses = []
     for c in range(len(cat.objects)):
-        g0s, g1s, hs = (cat.refs(s, c) for s in (e0[1], e1[1], f0[1]))
+        g0s, g1s, hs = (cat.refs(cat.cod(s), c) for s in (e0, e1, f0))
         through = [(cat.compose(f0, h), cat.compose(f1, h)) for h in hs]
         for g0 in g0s:
             left = cat.compose(e0, g0)
@@ -394,11 +383,11 @@ def reedy_category_on(
                 square = lowering_pushout(cat.mor(r0), cat.mor(r1))
                 p = cat.object_of(square.carrier)
                 if p is None:
-                    raise ViolatedLaw("pushout-closure", (r0, r1))
+                    raise ViolatedLaw("pushout-closure", (cat.ref(r0), cat.ref(r1)))
                 iso = find_isomorphism(square.carrier, cat.objects[p])
                 f0 = square.f0.then(iso)
                 f1 = square.f1.then(iso)
-                refs = (r0, r1, cat.find(r0[1], p, f0), cat.find(r1[1], p, f1))
+                refs = (r0, r1, cat.find(cat.cod(r0), p, f0), cat.find(cat.cod(r1), p, f1))
                 squares.append(
                     LoweringPushoutSquare(cat.mor(r0), cat.mor(r1), f0, f1, refs)
                 )
@@ -452,24 +441,24 @@ def quotient_closure(
 # ---------------------------------------------------------------------------
 
 
-def _factorizations(cat: FinCategory, data: ReedyData, ref: MorphRef):
-    """All (lowering, raising) factorizations of ref through category objects."""
-    a, b, _ = ref
+def _factorizations(cat: FinCategory, data: ReedyData, raising: list, f: int):
+    """All (lowering, raising) factorizations of f through category objects,
+    given the raising classification as a list by id."""
     return [
         (e, m)
-        for e in data.lowering_out[a]
-        for m in cat.refs(e[1], b)
-        if data.raising[m] and cat.compose(e, m) == ref
+        for e in data.lowering_out[cat.dom(f)]
+        for m in cat.refs(cat.cod(e), cat.cod(f))
+        if raising[m] and cat.compose(e, m) == f
     ]
 
 
 def certify_reedy_axioms(cat: FinCategory, data: ReedyData) -> list[Check]:
     """Orthogonal factorization system plus degree axioms, exhaustively."""
-    from .kernel import class_array, orthogonal_lifting, scan_composable
+    from .kernel import orthogonal_lifting, scan_composable
 
-    morphs = list(cat.morphisms())
-    lowering, raising, degree = data.lowering, data.raising, data.degree
-    low, high = class_array(cat, lowering), class_array(cat, raising)
+    morphs, degree, ref = cat.morphisms(), data.degree, cat.ref
+    low, high = data.lowering, data.raising
+    lowering, raising = low.tolist(), high.tolist()
 
     def closed_classes(f, g, gf):
         return (low[f] & low[g] & ~low[gf]) | (high[f] & high[g] & ~high[gf])
@@ -480,24 +469,23 @@ def certify_reedy_axioms(cat: FinCategory, data: ReedyData) -> list[Check]:
             both = lowering[f] and raising[f]
             iso = cat.mor(f).is_iso
             if iso or both:
-                yield None if iso and both else {"f": f}
+                yield None if iso and both else {"f": ref(f)}
 
     def degrees():
         for f in morphs:
-            a, b, _ = f
-            drop = degree[a] - degree[b]
+            drop = degree[cat.dom(f)] - degree[cat.cod(f)]
             bad = (
                 (lowering[f] and drop < 0)
                 or (raising[f] and drop > 0)
                 or ((lowering[f] or raising[f]) and drop == 0 and not cat.mor(f).is_iso)
             )
-            yield {"f": f} if bad else None
+            yield {"f": ref(f)} if bad else None
 
     def factor_exists_unique():
         for f in morphs:
-            facts = _factorizations(cat, data, f)
+            facts = _factorizations(cat, data, raising, f)
             if not facts:
-                yield {"f": f, "reason": "no factorization"}
+                yield {"f": ref(f), "reason": "no factorization"}
                 continue
             # uniqueness up to unique isomorphism against the canonical one
             e0, m0 = facts[0]
@@ -505,11 +493,11 @@ def certify_reedy_axioms(cat: FinCategory, data: ReedyData) -> list[Check]:
             for e, m in facts:
                 linking = [
                     th
-                    for th in cat.isos(e0[1], e[1])
+                    for th in cat.isos(cat.cod(e0), cat.cod(e))
                     if cat.compose(e0, th) == e and cat.compose(th, m) == m0
                 ]
                 if len(linking) != 1:
-                    witness = {"f": f, "fact": [e, m], "linking-isos": len(linking)}
+                    witness = {"f": ref(f), "fact": [ref(e), ref(m)], "linking-isos": len(linking)}
                     break
             yield witness
 
@@ -517,10 +505,10 @@ def certify_reedy_axioms(cat: FinCategory, data: ReedyData) -> list[Check]:
         for e in morphs:
             if not lowering[e]:
                 continue
-            b = e[1]
+            b = cat.cod(e)
             for th in cat.isos(b, b):
                 if not cat.is_identity(th):
-                    yield {"e": e, "theta": th} if cat.compose(e, th) == e else None
+                    yield {"e": ref(e), "theta": ref(th)} if cat.compose(e, th) == e else None
 
     return [
         scan_composable("classes-closed-under-composition", cat, closed_classes),
@@ -541,21 +529,22 @@ def certify_cancellation(cat: FinCategory, data: ReedyData) -> list[Check]:
     """gf lowering forces g lowering; gf raising forces f raising; split
     epis are lowering and split monos raising.  All composable pairs."""
 
-    from .kernel import class_array, scan_composable
+    from .kernel import scan_composable
 
-    low, high = class_array(cat, data.lowering), class_array(cat, data.raising)
+    low, high = data.lowering, data.raising
+    lowering, raising = low.tolist(), high.tolist()
 
     def cancel(f, g, gf):
         return (low[gf] & ~low[g]) | (high[gf] & ~high[f])
 
     def split_classes():
         for f in cat.morphisms():
-            a, b, _ = f
+            a, b = cat.dom(f), cat.cod(f)
             back = cat.refs(b, a)
             if any(cat.compose(s, f) == cat.identities[b] for s in back):
-                yield None if data.lowering[f] else {"split-epi": f}
+                yield None if lowering[f] else {"split-epi": cat.ref(f)}
             if any(cat.compose(f, r) == cat.identities[a] for r in back):
-                yield None if data.raising[f] else {"split-mono": f}
+                yield None if raising[f] else {"split-mono": cat.ref(f)}
 
     return [
         scan_composable("composite-class-cancellation", cat, cancel),
@@ -571,19 +560,21 @@ def certify_pre_elegance(
     """Closure under lowering pushouts, lowering maps epi, the set-level
     and congruence-quotient pushouts agreeing, and bounded universality."""
 
+    def span(sq):
+        return (cat.ref(sq.refs[0]), cat.ref(sq.refs[1]))
+
     def epis():
-        for e in cat.morphisms():
-            if not data.lowering[e]:
-                continue
+        for e in itertools.chain.from_iterable(data.lowering_out):
             for c in range(len(cat.objects)):
-                for g, h in itertools.combinations(cat.refs(e[1], c), 2):
+                gs = cat.refs(cat.cod(e), c)
+                for g, h in itertools.combinations(gs, 2):
                     same = cat.compose(e, g) == cat.compose(e, h)
-                    yield {"e": e, "g": g[2], "h": h[2]} if same else None
+                    yield {"e": cat.ref(e), "g": g - gs.start, "h": h - gs.start} if same else None
 
     def closure():
         for sq in squares:
             closed = cat.object_of(sq.carrier) is not None
-            yield None if closed else {"span": sq.refs[:2]}
+            yield None if closed else {"span": span(sq)}
 
     def set_vs_congruence():
         for sq in squares:
@@ -597,7 +588,7 @@ def certify_pre_elegance(
                 left = [sq.f0.map[b] for b in sq.e0.map]
                 through, bad = descend(kernel, left.__getitem__)
                 agree = not bad and len(set(through)) == sq.carrier.size
-            yield None if agree else {"span": sq.refs[:2] if sq.refs else None}
+            yield None if agree else {"span": span(sq) if sq.refs else None}
 
     def universal():
         for sq in squares:

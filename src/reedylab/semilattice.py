@@ -232,8 +232,10 @@ class SLatMorphism:
         return self.map[x]
 
     def then(self, other: "SLatMorphism") -> "SLatMorphism":
-        """other composed after self (self first)."""
-        assert self.cod.join == other.dom.join
+        """other composed after self (self first).  Raises ViolatedLaw
+        'composability' unless self's codomain is other's domain."""
+        if self.cod.join != other.dom.join:
+            raise ViolatedLaw("composability", (self.cod.size, other.dom.size))
         return SLatMorphism(self.dom, other.cod, tuple(other.map[v] for v in self.map))
 
     @property
@@ -252,7 +254,9 @@ class SLatMorphism:
         return tuple(sorted(set(self.map)))
 
     def inverse(self) -> "SLatMorphism":
-        assert self.is_iso
+        """Raises ViolatedLaw 'invertibility' unless self is an iso."""
+        if not self.is_iso:
+            raise ViolatedLaw("invertibility", self.map)
         inv = [0] * self.cod.size
         for x, v in enumerate(self.map):
             inv[v] = x

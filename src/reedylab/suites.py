@@ -263,7 +263,8 @@ def _suite_relative_elegance(cfg: SuiteConfig) -> list:
             def witnesses():
                 for sq in squares:
                     ok, witness = hom_preserves_lowering_pushout(A, sq, cfg.budget)
-                    yield None if ok else {"square": sq.refs, "witness": witness}
+                    square = tuple(map(cat.ref, sq.refs))
+                    yield None if ok else {"square": square, "witness": witness}
 
             return [scan(f"hom-preserves-all-lowering-pushouts-{name}", witnesses())]
 

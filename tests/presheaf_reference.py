@@ -2,10 +2,11 @@
 
 These are the union-find bodies that `latching_object_via_weights` and
 `verify_cell_square` had before they moved to integer node keys.  A node
-is a (MorphRef, x) tuple and every gluing is one `UnionFind.union` call.
+is a (morphism id, x) tuple and every gluing is one `UnionFind.union`
+call.
 
 The presheaf constructors are here too, as they were when a presheaf
-stored its actions as a dict from MorphRef to tuple: `representable`,
+stored its actions as a dict from morphism to tuple: `representable`,
 `coproduct_presheaf`, `quotient_presheaf` and `autquo` build and return
 `DictPresheaf`s, and the two quotients return the projection's components
 with them.
@@ -29,7 +30,7 @@ from reedylab.semilattice import UnionFind, descend
 
 
 def actions(X):
-    """The actions of a FinPresheaf, as a dict from MorphRef to tuple."""
+    """The actions of a FinPresheaf, as a dict from morphism id to tuple."""
     return {f: tuple(X.action(f).tolist()) for f in X.base.morphisms()}
 
 
@@ -58,7 +59,9 @@ def representable(cat, r):
     """yo(r): level at s is Hom(s, r), acting by precomposition."""
     levels = tuple(len(cat.hom(s, r)) for s in range(len(cat.objects)))
     acts = {
-        f: tuple(cat.compose(f, g)[2] for g in cat.refs(f[1], r))
+        f: tuple(
+            cat.compose(f, g) - cat.refs(cat.dom(f), r).start for g in cat.refs(cat.cod(f), r)
+        )
         for f in cat.morphisms()
     }
     return DictPresheaf(cat, levels, acts)
@@ -68,6 +71,7 @@ def autquo(cat, r, H):
     """Quotient of yo(r) by post-composition with a subgroup of Aut(r),
     orbit by orbit, and the projection's components."""
     if not subgroup_closure_ok(cat, r, H):
+        H = [cat.ref(h) for h in H]
         raise InvalidInput(f"not a subgroup of the automorphisms of object {r}: {H}")
     Y = representable(cat, r)
     n_obj = len(cat.objects)
@@ -75,20 +79,21 @@ def autquo(cat, r, H):
     orbits_at = []
     for s in range(n_obj):
         uf = UnionFind(range(Y.levels[s]))
-        for g in range(Y.levels[s]):
+        gs = cat.refs(s, r)
+        for g in gs:
             for h in H:
-                uf.union(g, cat.compose((s, r, g), h)[2])
+                uf.union(g - gs.start, cat.compose(g, h) - gs.start)
         classes, mapping = uf.partition()
         orbits_at.append(classes)
         orbit_of.append(mapping)
     levels = tuple(len(orbits_at[s]) for s in range(n_obj))
     acts = {}
     for f in cat.morphisms():
-        a, b, _ = f
+        a, b, _ = cat.ref(f)
         act_f, orbit_a = Y.actions[f], orbit_of[a]
         act, bad = descend(orbits_at[b], lambda g: orbit_a[act_f[g]])
         if bad:
-            raise ViolatedLaw("well-definedness", (f, bad[0]))
+            raise ViolatedLaw("well-definedness", (cat.ref(f), bad[0]))
         acts[f] = tuple(act)
     components = tuple(
         tuple(orbit_of[s][g] for g in range(Y.levels[s])) for s in range(n_obj)
@@ -110,7 +115,7 @@ def coproduct_presheaf(parts):
         acc = [a + p.levels[r] for r, a in enumerate(acc)]
     acts = {}
     for f in cat.morphisms():
-        a, b, _ = f
+        a = cat.dom(f)
         act = []
         for pi, p in enumerate(parts):
             act.extend(offsets[pi][a] + v for v in p.actions[f])
@@ -130,7 +135,7 @@ def quotient_presheaf(X, pairs):
     while changed:
         changed = False
         for f in cat.morphisms():
-            a, b, _ = f
+            a, b, _ = cat.ref(f)
             roots = {}
             for x in range(X.levels[b]):
                 rb = ufs[b].find(x)
@@ -145,11 +150,11 @@ def quotient_presheaf(X, pairs):
     levels = tuple(map(len, classes_at))
     acts = {}
     for f in cat.morphisms():
-        a, b, _ = f
+        a, b, _ = cat.ref(f)
         act_f, class_a = X.actions[f], class_of[a]
         act, bad = descend(classes_at[b], lambda x: class_a[act_f[x]])
         if bad:
-            raise ViolatedLaw("well-definedness", (f, bad[0]))
+            raise ViolatedLaw("well-definedness", (cat.ref(f), bad[0]))
         acts[f] = tuple(act)
     components = tuple(
         tuple(class_of[r][x] for x in range(X.levels[r]))
@@ -158,9 +163,9 @@ def quotient_presheaf(X, pairs):
     return DictPresheaf(cat, levels, acts), components
 
 
-def morphism_degree(cat, ref):
+def morphism_degree(cat, f):
     """Degree of the middle object of the (surjective, mono) factorization."""
-    return len(cat.mor(ref).image())
+    return len(cat.mor(f).image())
 
 
 def latching_data(X, r, uf):
@@ -169,7 +174,8 @@ def latching_data(X, r, uf):
     acts = actions(X)
     latch, bad = descend(classes, lambda node: acts[node[0]][node[1]])
     if bad:
-        raise ViolatedLaw("well-definedness", (r, classes[bad[0]][0]))
+        f, x = classes[bad[0]][0]
+        raise ViolatedLaw("well-definedness", (r, (X.base.ref(f), x)))
     injective = len(set(latch)) == len(latch)
     return LatchingData(classes, node_class, latch, injective)
 
@@ -180,16 +186,16 @@ def latching_object_via_weights(X, r, data):
     cat = X.base
     n = data.degree[r]
     weight = [f for f in cat.out_of(r) if morphism_degree(cat, f) < n]
-    keys = [(f, x) for f in weight for x in range(X.levels[f[1]])]
+    keys = [(f, x) for f in weight for x in range(X.levels[cat.cod(f)])]
     uf = UnionFind(keys)
     acts = actions(X)
     wset = set(weight)
     for f in weight:
-        for g in cat.out_of(f[1]):
+        for g in cat.out_of(cat.cod(f)):
             gf = cat.compose(f, g)
             if gf not in wset:
-                raise ViolatedLaw("degree-drop", (f, g))
-            for x2 in range(X.levels[g[1]]):
+                raise ViolatedLaw("degree-drop", (cat.ref(f), cat.ref(g)))
+            for x2 in range(X.levels[cat.cod(g)]):
                 uf.union((gf, x2), (f, acts[g][x2]))
     return latching_data(X, r, uf)
 
@@ -205,8 +211,8 @@ def iso_on_latching(cat, th, Lr, Lr2):
 
 
 def verify_cell_square(X, n, data, degrees):
-    """The degree-n cell square, level by level on (MorphRef, x) and
-    ("yo" | "bd", MorphRef, v) keys."""
+    """The degree-n cell square, level by level on (id, x) and
+    ("yo" | "bd", id, v) keys."""
     cat, acts = X.base, actions(X)
     objs_n = [r for r in range(len(cat.objects)) if data.degree[r] == n]
     L = {r: latching_object(X, r, data) for r in objs_n}
@@ -270,7 +276,7 @@ def verify_cell_square(X, n, data, degrees):
         # latching class of the codomain of g, a "bd" node an element
         def element(node):
             kind, g, v = node
-            return (g, L[g[1]].latch[v] if kind == "yo" else v)
+            return (g, L[cat.cod(g)].latch[v] if kind == "yo" else v)
 
         def ul_to_sk(node):
             g, x = element(node)

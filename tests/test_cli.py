@@ -356,9 +356,9 @@ def test_ill_defined_latching_map_is_a_failed_check(monkeypatch):
         # functor, so its latching map is ill-defined on some class
         yo = presheaf.representable(cat, len(cat.objects) - 1)
         f = next(
-            f for f in cat.morphisms() if not cat.is_identity(f) and yo.levels[f[0]] >= 2
+            f for f in cat.morphisms() if not cat.is_identity(f) and yo.levels[cat.dom(f)] >= 2
         )
-        return [with_value(yo, f, 0, (yo.action(f)[0] + 1) % yo.levels[f[0]])]
+        return [with_value(yo, f, 0, (yo.action(f)[0] + 1) % yo.levels[cat.dom(f)])]
 
     monkeypatch.setattr(presheaf, "seeded_corpus", corrupted_corpus)
     cert = run_suite(SuiteConfig(suite="presheaf-ez"))

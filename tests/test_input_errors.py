@@ -92,6 +92,38 @@ CASES = [
         "transitivity",
     ),
     (
+        "morphisms-that-do-not-compose",
+        "from reedylab.semilattice import SLatMorphism, chain, interval\n"
+        "SLatMorphism.identity(interval()).then(SLatMorphism.identity(chain(3)))\n",
+        "ViolatedLaw",
+        "composability",
+    ),
+    (
+        "inverse-of-a-non-iso",
+        "from reedylab.semilattice import SLatMorphism, chain, interval\n"
+        "SLatMorphism(chain(3), interval(), (0, 1, 1)).inverse()\n",
+        "ViolatedLaw",
+        "invertibility",
+    ),
+    (
+        "crown-map-of-wrong-length",
+        "from reedylab.obstruction import crown_map\ncrown_map(3, 3, range(5))\n",
+        "ViolatedLaw",
+        "length",
+    ),
+    (
+        "crown-map-out-of-range",
+        "from reedylab.obstruction import crown_map\ncrown_map(3, 3, (0, 1, 2, 3, 4, 6))\n",
+        "ViolatedLaw",
+        "range",
+    ),
+    (
+        "crown-map-not-monotone",
+        "from reedylab.obstruction import crown_map\ncrown_map(3, 3, (1, 0, 2, 3, 4, 5))\n",
+        "ViolatedLaw",
+        "monotonicity",
+    ),
+    (
         "face-out-of-range",
         "from reedylab.cubes import face\nface(3, 2)\n",
         "InvalidInput",

@@ -93,3 +93,16 @@ def test_every_parameter_is_read():
         for name, param in _unread_parameters(ast.parse(path.read_text()))
     ]
     assert unread == [], f"parameters that no body reads: {unread}"
+
+
+# FinCategory's private layout, and the tuple key that only witnesses use
+LAYOUT_NAMES = {"_first", "_column", "_by_id", "_rows", "MorphRef"}
+
+
+def test_category_layout_stays_in_reedy():
+    leaks = {
+        path.stem: sorted(LAYOUT_NAMES & set(_uses(path.read_text())[0]))
+        for path in sorted(SRC.glob("*.py"))
+        if path.stem != "reedy"
+    }
+    assert {stem: names for stem, names in leaks.items() if names} == {}

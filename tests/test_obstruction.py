@@ -1,6 +1,6 @@
 import pytest
 
-from reedylab.errors import InvalidInput, SizeBudget
+from reedylab.errors import InvalidInput, SizeBudget, ViolatedLaw
 from reedylab.obstruction import (
     CrownPoset,
     certify_no_reedy_factorization_of_u,
@@ -96,8 +96,9 @@ def test_crown_poset_structure():
 
 
 def test_crown_map_validation():
-    with pytest.raises(AssertionError):
+    with pytest.raises(ViolatedLaw) as err:
         crown_map(3, 3, (0, 3, 2, 1, 4, 5))  # 0 <= 1 broken: 0 -> 0, 1 -> 3
+    assert (err.value.law, err.value.witness) == ("monotonicity", (0, 1))
 
 
 def test_winding_examples():

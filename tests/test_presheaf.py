@@ -76,9 +76,9 @@ def _corrupt_one_action(X):
     """X with one value of one non-identity action moved, still in range."""
     cat = X.base
     f = next(
-        f for f in cat.morphisms() if not cat.is_identity(f) and X.levels[f[0]] >= 2
+        f for f in cat.morphisms() if not cat.is_identity(f) and X.levels[cat.dom(f)] >= 2
     )
-    return with_value(X, f, 0, (X.action(f)[0] + 1) % X.levels[f[0]])
+    return with_value(X, f, 0, (X.action(f)[0] + 1) % X.levels[cat.dom(f)])
 
 
 def test_validate_rejects_corrupted_action(trunc3):
@@ -320,7 +320,7 @@ def test_restriction_raising_an_ez_degree_breaks_closure(trunc3, monkeypatch):
     cat, data, squares = trunc3
     V = free_pair_object(cat)
     yo = representable(cat, V)
-    ident = cat.identities[V][2]
+    ident = cat.identities[V] - cat.refs(V, V).start
     const = next(k for k, f in enumerate(cat.homs[(V, V)]) if len(f.image()) == 1)
     real = presheaf.ez_decompositions
 

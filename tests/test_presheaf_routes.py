@@ -39,12 +39,12 @@ def corpora():
 
 
 def weighted_classes(X, r, W):
-    """The classes of a WeightedLatching as (MorphRef, x) member lists,
+    """The classes of a WeightedLatching as (id, x) member lists,
     in class order and, within a class, in node order."""
     classes = [[] for _ in W.latch]
     for p, f in enumerate(X.base.out_of(r)):
         if W.first_node[p] >= 0:
-            for x in range(X.levels[f[1]]):
+            for x in range(X.levels[X.base.cod(f)]):
                 classes[W.node_class[W.first_node[p] + x]].append((f, x))
     return classes
 
@@ -123,11 +123,13 @@ def test_routes_match_the_reference_on_corrupted_presheaves(corpora, seed, data)
     cat = base[0].base
     X = data.draw(st.sampled_from(seeded_corpus(cat, reedy, seed, 3)[-3:]))
     degrees = [list(level) for level in ez_degrees(X, reedy)]
-    movable = [f for f in cat.morphisms() if X.levels[f[0]] >= 2 and X.levels[f[1]]]
+    movable = [
+        f for f in cat.morphisms() if X.levels[cat.dom(f)] >= 2 and X.levels[cat.cod(f)]
+    ]
     if movable and data.draw(st.booleans()):
         f = data.draw(st.sampled_from(movable))
-        value = data.draw(st.integers(0, X.levels[f[0]] - 1))
-        X = reference.with_value(X, f, data.draw(st.integers(0, X.levels[f[1]] - 1)), value)
+        value = data.draw(st.integers(0, X.levels[cat.dom(f)] - 1))
+        X = reference.with_value(X, f, data.draw(st.integers(0, X.levels[cat.cod(f)] - 1)), value)
     if X.total_size() and data.draw(st.booleans()):
         s = data.draw(st.sampled_from([s for s, n in enumerate(X.levels) if n]))
         x = data.draw(st.integers(0, X.levels[s] - 1))
@@ -149,7 +151,7 @@ def _as_reference_argument(arg):
 
 
 def _same_construction(result, expected):
-    """Levels, every action by MorphRef and, for a quotient, the
+    """Levels, every action by morphism id and, for a quotient, the
     projection's components."""
     if isinstance(result, tuple):
         (Q, proj), (R, components) = result, expected

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import subprocess
 import sys
@@ -9,7 +10,6 @@ from reedylab.certificates import scan
 from reedylab.errors import NotSurjective, SizeBudget, ViolatedLaw
 from reedylab.obstruction import map_t, map_u
 from reedylab.reedy import (
-    ReedyData,
     certify_cancellation,
     certify_pre_elegance,
     certify_reedy_axioms,
@@ -63,7 +63,6 @@ def test_reedy_factor_examples():
 def test_truncated_category_shapes(trunc3):
     cat, data, squares = trunc3
     assert [O.size for O in cat.objects] == [1, 2, 3, 3]
-    cat.validate()
     assert len(cat.homs[(1, 1)]) == 3
     # one of the size-3 objects is the free one with a swap automorphism
     auts = {i: len(cat.isos(i, i)) for i in (2, 3)}
@@ -139,7 +138,7 @@ def test_certificates_all_pass_n3(trunc3):
 
 def test_constant_degree_fails_axioms():
     cat, data, squares = truncated_semilattice_category(2)
-    broken = ReedyData((0, 0), dict(data.lowering), dict(data.raising))
+    broken = dataclasses.replace(data, degree=(0, 0))
     failed = {c.id for c in certify_reedy_axioms(cat, broken) if c.status == "fail"}
     assert "degree-monotonicity" in failed
 
@@ -153,7 +152,7 @@ def test_free_action_on_lowering_witnessed(trunc3):
     surjs = [
         ref
         for ref in cat.morphisms()
-        if ref[0] == free_obj and ref[1] == 1 and data.lowering[ref]
+        if cat.dom(ref) == free_obj and cat.cod(ref) == 1 and data.lowering[ref]
     ]
     assert len(surjs) == 2
     # the swap automorphism exchanges the two collapses, fixing neither
@@ -167,7 +166,7 @@ def test_cancellation_vacuous_case(trunc3):
     count = 0
     for f in cat.morphisms():
         for g in cat.morphisms():
-            if f[1] != g[0]:
+            if cat.cod(f) != cat.dom(g):
                 continue
             gf = cat.compose(f, g)
             if data.lowering[gf] and data.raising[g] and not data.lowering[g]:
@@ -181,7 +180,7 @@ def composable(cat):
     for (a, b), block in cat.composition.items():
         for f, row in zip(cat.refs(a, b), block.tolist()):
             for g, h in zip(cat.out_of(b), row):
-                yield f, g, cat._by_id[h]
+                yield f, g, h
 
 
 def test_walking_interface_matches_filtered_scans(trunc3):
@@ -189,13 +188,15 @@ def test_walking_interface_matches_filtered_scans(trunc3):
     cat, data, squares = trunc3
     morphs = list(cat.morphisms())
     assert list(composable(cat)) == [
-        (f, g, cat.compose(f, g)) for f in morphs for g in morphs if f[1] == g[0]
+        (f, g, cat.compose(f, g)) for f in morphs for g in morphs if cat.cod(f) == cat.dom(g)
     ]
     for a in range(len(cat.objects)):
-        assert cat.out_of(a) == tuple(f for f in morphs if f[0] == a)
+        assert tuple(cat.out_of(a)) == tuple(f for f in morphs if cat.dom(f) == a)
         for b in range(len(cat.objects)):
-            assert cat.refs(a, b) == tuple(f for f in morphs if f[:2] == (a, b))
+            ends = (a, b)
+            assert tuple(cat.refs(a, b)) == tuple(f for f in morphs if cat.ref(f)[:2] == ends)
             assert [cat.mor(f) for f in cat.refs(a, b)] == cat.hom(a, b)
+            assert [cat.ref(f)[2] for f in cat.refs(a, b)] == list(range(len(cat.hom(a, b))))
 
 
 def test_all_morphisms_classified(trunc3):
@@ -210,15 +211,13 @@ def test_factorization_unique_up_to_unique_iso_size_4():
     isos_cache = {}
     checked = 0
     for ref in cat.morphisms():
-        a, b, _ = ref
+        a, b = cat.dom(ref), cat.cod(ref)
         canonical = None
         for c in range(len(cat.objects)):
-            for i in range(len(cat.homs[(a, c)])):
-                e = (a, c, i)
+            for e in cat.refs(a, c):
                 if not data.lowering[e]:
                     continue
-                for j in range(len(cat.homs[(c, b)])):
-                    m = (c, b, j)
+                for m in cat.refs(c, b):
                     if not data.raising[m] or cat.compose(e, m) != ref:
                         continue
                     if canonical is None:
@@ -227,7 +226,7 @@ def test_factorization_unique_up_to_unique_iso_size_4():
                     e0, m0 = canonical
                     linking = [
                         th
-                        for th in cat.isos(e0[1], c)
+                        for th in cat.isos(cat.cod(e0), c)
                         if cat.compose(e0, th) == e and cat.compose(th, m) == m0
                     ]
                     assert len(linking) == 1, (ref, canonical, (e, m))
@@ -255,42 +254,10 @@ def _status(checks, check_id):
     return next(c.status for c in checks if c.id == check_id)
 
 
-def _hom_refs(cat, a, b):
-    return [(a, b, k) for k in range(len(cat.hom(a, b)))]
-
-
 def _set_composite(cat, f, g, h):
     """Overwrite the table entry for g after f with h."""
-    ids = list(cat.morphisms())
-    cat.composition[f[:2]][f[2], cat.out_of(g[0]).index(g)] = ids.index(h)
-
-
-def test_validate_raises_on_corrupted_unit():
-    cat, data, squares = truncated_semilattice_category(3)
-    ref = (1, 1, 0)
-    assert not cat.is_identity(ref)
-    _set_composite(cat, cat.identities[1], ref, cat.identities[1])
-    with pytest.raises(ViolatedLaw) as err:
-        cat.validate()
-    assert err.value.law == "unit"
-
-
-def test_validate_survives_optimized_mode():
-    code = (
-        "from reedylab.errors import ViolatedLaw\n"
-        "from reedylab.reedy import truncated_semilattice_category\n"
-        "cat, _, _ = truncated_semilattice_category(3)\n"
-        "i = cat.identities[1]\n"
-        "ids = list(cat.morphisms())\n"
-        "cat.composition[(1, 1)][i[2], cat.out_of(1).index((1, 1, 0))] = ids.index(i)\n"
-        "try:\n"
-        "    cat.validate()\n"
-        "except ViolatedLaw:\n"
-        "    raise SystemExit(0)\n"
-        "raise SystemExit(1)\n"
-    )
-    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
-    assert subprocess.run([sys.executable, "-O", "-c", code], env=env).returncode == 0
+    a, b, i = cat.ref(f)
+    cat.composition[(a, b)][i, cat.out_of(b).index(g)] = h
 
 
 def test_bad_lowering_square_raises_in_optimized_mode():
@@ -330,9 +297,9 @@ def test_pushout_universal_property_reads_the_table():
         sq.refs
         for sq in squares
         if (sq.refs[0], sq.refs[2]) != (sq.refs[1], sq.refs[3])
-        and len(cat.hom(sq.refs[1][1], sq.refs[3][1])) > 1
+        and len(cat.refs(cat.cod(sq.refs[1]), cat.cod(sq.refs[3]))) > 1
     )
-    g1 = next(g for g in _hom_refs(cat, e1[1], f1[1]) if g != f1)
+    g1 = next(g for g in cat.refs(cat.cod(e1), cat.cod(f1)) if g != f1)
     # e0 then f0 now equals e1 then g1, so (f0, g1) looks like a cocone
     # with no mediating map
     _set_composite(cat, e0, f0, cat.compose(e1, g1))
@@ -346,20 +313,20 @@ def test_closed_classes_reads_the_table():
     f, g = next(
         (f, g)
         for f in cat.morphisms()
-        for g in data.lowering_out[f[1]]
+        for g in data.lowering_out[cat.cod(f)]
         if data.lowering[f]
-        and any(not data.lowering[h] for h in _hom_refs(cat, f[0], g[1]))
+        and any(not data.lowering[h] for h in cat.refs(cat.dom(f), cat.cod(g)))
     )
     _set_composite(
-        cat, f, g, next(h for h in _hom_refs(cat, f[0], g[1]) if not data.lowering[h])
+        cat, f, g, next(h for h in cat.refs(cat.dom(f), cat.cod(g)) if not data.lowering[h])
     )
     checks = certify_reedy_axioms(cat, data)
     assert _status(checks, "classes-closed-under-composition") == "fail"
 
 
 def _walk_validate(cat):
-    """The law and witness of the first failure of the Python walk that
-    FinCategory.validate vectorizes, or None."""
+    """The law and witness of the first failure of a walk over the hom-sets
+    and the composable triples: duplicate maps, units, associativity."""
     for (a, b), fs in cat.homs.items():
         if len({f.map for f in fs}) != len(fs):
             return "duplicate-morphisms", (a, b)
@@ -370,30 +337,15 @@ def _walk_validate(cat):
             ):
                 return "unit", ref
     for f, g, gf in composable(cat):
-        for h in cat.out_of(g[1]):
+        for h in cat.out_of(cat.cod(g)):
             if cat.compose(gf, h) != cat.compose(f, cat.compose(g, h)):
                 return "associativity", (f, g, h)
     return None
 
 
-def test_validate_size_4_finds_the_first_broken_associativity():
-    cat, data, squares = truncated_semilattice_category(4)
-    cat.validate()
-    # a composite out of the terminal object, early in the walk, moved to
-    # another map of its hom-set; the unit entries stay intact
-    f, g = next(
-        (f, g)
-        for f in cat.morphisms()
-        if f[0] == 0 and not cat.is_identity(f)
-        for g in cat.out_of(f[1])
-        if not cat.is_identity(g) and len(cat.hom(0, g[1])) > 1
-    )
-    gf = cat.compose(f, g)
-    _set_composite(cat, f, g, next(h for h in _hom_refs(cat, 0, g[1]) if h != gf))
-    with pytest.raises(ViolatedLaw) as err:
-        cat.validate()
-    assert err.value.law == "associativity"
-    assert (err.value.law, err.value.witness) == _walk_validate(cat)
+def test_size_3_table_passes_the_law_walk():
+    cat, data, squares = truncated_semilattice_category(3)
+    assert _walk_validate(cat) is None
 
 
 def test_missing_composite_fails_the_build(monkeypatch):
@@ -423,21 +375,21 @@ def _walk_lifting(cat, data):
         for m in morphs:
             if not data.raising[m]:
                 continue
-            for u in cat.refs(e[0], m[0]):
+            for u in cat.refs(cat.dom(e), cat.dom(m)):
                 um = cat.compose(u, m)
-                for v in cat.refs(e[1], m[1]):
+                for v in cat.refs(cat.cod(e), cat.cod(m)):
                     if cat.compose(e, v) != um:
                         continue
                     diagonals = [
                         w
-                        for w in cat.refs(e[1], m[0])
+                        for w in cat.refs(cat.cod(e), cat.dom(m))
                         if cat.compose(e, w) == u and cat.compose(w, m) == v
                     ]
                     yield None if len(diagonals) == 1 else {
-                        "e": e,
-                        "m": m,
-                        "u": u,
-                        "v": v,
+                        "e": cat.ref(e),
+                        "m": cat.ref(m),
+                        "u": cat.ref(u),
+                        "v": cat.ref(v),
                         "diagonals": len(diagonals),
                     }
 
@@ -448,13 +400,15 @@ def _walk_pair_checks(cat, data):
     composite-class-cancellation replaced."""
     low, high = data.lowering, data.raising
     closed = (
-        {"f": f, "g": g}
+        {"f": cat.ref(f), "g": cat.ref(g)}
         if (low[f] and low[g] and not low[gf]) or (high[f] and high[g] and not high[gf])
         else None
         for f, g, gf in composable(cat)
     )
     cancel = (
-        {"f": f, "g": g} if (low[gf] and not low[g]) or (high[gf] and not high[f]) else None
+        {"f": cat.ref(f), "g": cat.ref(g)}
+        if (low[gf] and not low[g]) or (high[gf] and not high[f])
+        else None
         for f, g, gf in composable(cat)
     )
     return [
@@ -479,7 +433,7 @@ def test_block_scans_match_the_walks_on_corrupted_tables():
         for key, block in clean.items():
             cat.composition[key][...] = block
         for f, g in rng.sample(pairs, 2) + rng.sample(closed, 2):
-            _set_composite(cat, f, g, rng.choice(_hom_refs(cat, f[0], g[1])))
+            _set_composite(cat, f, g, rng.choice(cat.refs(cat.dom(f), cat.cod(g))))
         scans = [
             c
             for c in certify_reedy_axioms(cat, data) + certify_cancellation(cat, data)
@@ -493,3 +447,59 @@ def test_block_scans_match_the_walks_on_corrupted_tables():
         statuses.append(tuple(c.status for c in scans))
     # each check fails on some tables and passes on others
     assert all({s[k] for s in statuses} == {"pass", "fail"} for k in range(3))
+
+
+# One table entry of the size-3 truncation overwritten, as (block, row,
+# column, new id), and the three block scans' (status, count, witness)
+# after it, as the tuple-keyed walks first gave them.
+CORRUPTED_TABLE_SCANS = [
+    (
+        ((0, 0), 0, 1, 2),
+        {
+            "classes-closed-under-composition": ("pass", 1399, None),
+            "orthogonal-lifting-unique": (
+                "fail",
+                2,
+                {"e": (0, 0, 0), "m": (0, 1, 0), "u": (0, 0, 0), "v": (0, 1, 0), "diagonals": 0},
+            ),
+            "composite-class-cancellation": ("pass", 1399, None),
+        },
+    ),
+    (
+        ((1, 0), 0, 1, 11),
+        {
+            "classes-closed-under-composition": ("pass", 1399, None),
+            "orthogonal-lifting-unique": (
+                "fail",
+                42,
+                {"e": (1, 0, 0), "m": (1, 2, 1), "u": (1, 1, 0), "v": (0, 2, 0), "diagonals": 0},
+            ),
+            "composite-class-cancellation": ("fail", 176, {"f": (1, 0, 0), "g": (0, 1, 0)}),
+        },
+    ),
+    (
+        ((1, 1), 1, 2, 10),
+        {
+            "classes-closed-under-composition": ("fail", 201, {"f": (1, 1, 1), "g": (1, 1, 1)}),
+            "orthogonal-lifting-unique": (
+                "fail",
+                41,
+                {"e": (1, 0, 0), "m": (1, 1, 1), "u": (1, 1, 1), "v": (0, 1, 0), "diagonals": 0},
+            ),
+            "composite-class-cancellation": ("pass", 1399, None),
+        },
+    ),
+]
+
+
+@pytest.mark.parametrize("entry, expected", CORRUPTED_TABLE_SCANS)
+def test_block_scan_witnesses_on_a_corrupted_table(entry, expected):
+    cat, data, squares = truncated_semilattice_category(3)
+    key, i, j, h = entry
+    cat.composition[key][i, j] = h
+    scans = {
+        c.id: (c.status, c.count, c.witness)
+        for c in certify_reedy_axioms(cat, data) + certify_cancellation(cat, data)
+        if c.id in expected
+    }
+    assert scans == expected
