@@ -23,7 +23,8 @@ class ViolatedLaw(ReedyLabError):
     'square-shape' (legs that do not meet) or 'square-commutativity' for a
     lowering pushout square; 'span-apex' for a span whose two legs leave
     different apexes; 'length', 'range' or 'monotonicity' for a crown
-    map.  `witness` is the offending index or morphism tuple.
+    map, and 'length' or 'monotonicity' for a monotone map of cubes.
+    `witness` is the offending index or morphism tuple.
 
     Certified facts that the constructions rely on raise it too:
     'well-definedness' when a map induced on a quotient is not constant on
@@ -36,9 +37,15 @@ class ViolatedLaw(ReedyLabError):
     degree, so that some skeleton is not a sub-presheaf;
     'skeleton-landing' when a leg of a cell square leaves its
     skeleton; 'pushout-closure' when a lowering pushout leaves the object
-    set; 'forced-lift-step' and 'closed-lift' when a composite crown map
-    does not lift step by step to the fence.  A suite reports any of
-    them as one failed check whose witness is {"law", "witness"}.
+    set; 'forced-lift-step' and 'closed-lift' when a crown map or a
+    composite of crown maps does not lift step by step to the fence;
+    'base-point-independence' when moving a crown map's base point by a
+    turn does not move its whole lift by that turn; 'closed-window' when
+    the ends of a lift differ by a non-multiple of the turn, so that
+    its winding is not an integer; 'embedding-injectivity' when the
+    embedding of a crown into a cube identifies two vertices.  A suite
+    reports any of them as one failed check whose witness is {"law",
+    "witness"}.
     """
 
     def __init__(self, law: str, witness: tuple):

@@ -220,7 +220,8 @@ class CrownPoset:
         return False
 
     def upper_covers(self, i: int) -> tuple[int, int]:
-        assert i % 2 == 0
+        if i % 2:
+            raise InvalidInput(f"only even crown vertices have upper covers, got {i}")
         return ((i - 1) % self.size, (i + 1) % self.size)
 
 
@@ -261,7 +262,8 @@ def _lift_values(m: int, n: int, values, base: int) -> tuple[int, ...]:
         candidates = [
             c for c in (prev - 1, prev, prev + 1) if c % size_n == target
         ]
-        assert len(candidates) == 1, "fence lift step is forced"
+        if len(candidates) != 1:
+            raise ViolatedLaw("forced-lift-step", (i,))
         lift.append(candidates[0])
     return tuple(lift)
 
@@ -269,7 +271,9 @@ def _lift_values(m: int, n: int, values, base: int) -> tuple[int, ...]:
 def crown_map(m: int, n: int, values) -> CrownMap:
     """Validate monotonicity and compute the lift (base point in [0, 2n)).
     Raises ViolatedLaw 'length', 'range' or 'monotonicity' (at a cover
-    i <= j that the values reverse)."""
+    i <= j that the values reverse); 'forced-lift-step',
+    'base-point-independence' or 'closed-window' if the lift of a
+    monotone map is not what the fence guarantees."""
     values = tuple(values)
     Cm, Cn = CrownPoset(m), CrownPoset(n)
     if len(values) != Cm.size:
@@ -284,14 +288,17 @@ def crown_map(m: int, n: int, values) -> CrownMap:
     lift = _lift_values(m, n, values, values[0] % (2 * n))
     # base-point independence: shifting the base shifts the whole lift
     other = _lift_values(m, n, values, values[0] % (2 * n) + 2 * n)
-    assert all(b - a == 2 * n for a, b in zip(lift, other))
-    assert (lift[-1] - lift[0]) % (2 * n) == 0, "window endpoints agree mod 2n"
+    if any(b - a != 2 * n for a, b in zip(lift, other)):
+        raise ViolatedLaw("base-point-independence", values)
+    if (lift[-1] - lift[0]) % (2 * n):
+        raise ViolatedLaw("closed-window", values)
     return CrownMap(m, n, values, lift)
 
 
 def winding(f: CrownMap) -> int:
     delta = f.lift[-1] - f.lift[0]
-    assert delta % (2 * f.n) == 0
+    if delta % (2 * f.n):
+        raise ViolatedLaw("closed-window", f.values)
     return delta // (2 * f.n)
 
 
@@ -302,25 +309,29 @@ def identity_crown(n: int) -> CrownMap:
 def fold_map(m: int, n: int) -> CrownMap:
     """The reduction C_m -> C_n induced by the identity on the fence;
     needs n to divide m, and has winding m/n."""
-    assert m % n == 0
+    if m % n:
+        raise InvalidInput(f"a fold C_{m} -> C_{n} needs n to divide m")
     return crown_map(m, n, tuple(i % (2 * n) for i in range(2 * m)))
 
 
 def rotation(n: int, k: int) -> CrownMap:
     """Rotation by an even offset k."""
-    assert k % 2 == 0
+    if k % 2:
+        raise InvalidInput(f"a crown rotation needs an even offset, got {k}")
     return crown_map(n, n, tuple((i + k) % (2 * n) for i in range(2 * n)))
 
 
 def reflection(n: int, axis: int = 0) -> CrownMap:
     """Reflection about an even vertex."""
-    assert axis % 2 == 0
+    if axis % 2:
+        raise InvalidInput(f"a crown reflection needs an even axis, got {axis}")
     return crown_map(n, n, tuple((axis - i) % (2 * n) for i in range(2 * n)))
 
 
 def compose_crown(f: CrownMap, g: CrownMap) -> CrownMap:
     """g after f."""
-    assert f.n == g.m
+    if f.n != g.m:
+        raise InvalidInput(f"cannot compose C_{f.m} -> C_{f.n} with C_{g.m} -> C_{g.n}")
     return crown_map(f.m, g.n, tuple(g.values[v] for v in f.values))
 
 
@@ -371,53 +382,79 @@ def certify_wind_properties() -> list[Check]:
     """Short crowns cannot wind around longer ones; winding is
     multiplicative; the cube extension is a semifunctor."""
 
+    pool = {
+        (m, n): enumerate_crown_maps(m, n)
+        for (m, n) in [(3, 3), (3, 4), (4, 3), (4, 4), (3, 5), (4, 5), (3, 6)]
+    }
+
     def short_to_long():
         for (a, b) in [(3, 4), (3, 5), (4, 5), (3, 6)]:
-            for f in enumerate_crown_maps(a, b):
+            for f in pool[(a, b)]:
                 yield {"m": a, "n": b, "values": list(f.values)} if winding(f) else None
 
     def multiplicative():
-        # winding is the sum of forced fence steps over the cyclic edges,
-        # so composite windings vectorize as a table lookup
-        import numpy as np
-
+        # The composite g.f winds step(g(f(i)), g(f(i+1))) summed over i,
+        # divided by 2c. A stay edge of f adds 0, an edge k -> k+1 adds
+        # g's step s_g(k) on that edge and k+1 -> k adds -s_g(k), so the
+        # sum is the net flow of f over each edge of C_b weighted by s_g,
+        # plus g's steps on f's other edges, which only a non-monotone f
+        # has. Maps f with the same flow, other edges and winding share
+        # one sum per g, and every pair is still charged.
         sizes = [3, 4]
         n_cases = 0
-        pool = {
-            (a, b): enumerate_crown_maps(a, b) for a in sizes for b in sizes
-        }
-        for (a, b), fs in pool.items():
-            vf = np.array([f.values for f in fs], dtype=np.int64)
-            wf = np.array([winding(f) for f in fs], dtype=np.int64)
-            for c in sizes:
-                gs = pool[(b, c)]
-                size_c = 2 * c
-                D = np.full((size_c, size_c), 99, dtype=np.int64)
-                for x in range(size_c):
-                    for d in (-1, 0, 1):
-                        D[x][(x + d) % size_c] = d
-                for g in gs:
-                    gv = np.array(g.values, dtype=np.int64)
-                    comp = gv[vf]
-                    steps = D[comp, np.roll(comp, -1, axis=1)]
-                    if (steps == 99).any():
-                        raise ViolatedLaw("forced-lift-step", tuple(g.values))
-                    tot = steps.sum(axis=1)
-                    if (tot % size_c).any():
-                        raise ViolatedLaw("closed-lift", tuple(g.values))
-                    n_cases += len(fs)
-                    bad = np.nonzero(tot // size_c != winding(g) * wf)[0]
-                    if bad.size:
-                        i = int(bad[0])
-                        return False, n_cases, {
-                            "f": list(fs[i].values),
-                            "g": list(g.values),
-                        }
+        for a in sizes:
+            for b in sizes:
+                fs = pool[(a, b)]
+                size_b = 2 * b
+                groups: dict[tuple, int] = {}  # (flow, other, winding) -> first f
+                used: set[tuple[int, int]] = set()  # edges some f moves along
+                for i, f in enumerate(fs):
+                    flow = [0] * size_b
+                    other = []
+                    for x, y in zip(f.values, f.values[1:] + f.values[:1]):
+                        d = (y - x) % size_b
+                        if d == 1:
+                            flow[x] += 1
+                        elif d == size_b - 1:
+                            flow[y] -= 1
+                        elif d:
+                            other.append((x, y))
+                        if d:
+                            used.add((x, y))
+                    groups.setdefault((tuple(flow), tuple(sorted(other)), winding(f)), i)
+                for c in sizes:
+                    size_c = 2 * c
+                    step = {(x, (x + d) % size_c): d for x in range(size_c) for d in (-1, 0, 1)}
+                    for g in pool[(b, c)]:
+                        gv = g.values
+                        if any((gv[x], gv[y]) not in step for x, y in used):
+                            raise ViolatedLaw("forced-lift-step", tuple(gv))
+                        # an edge that no f crosses has flow 0 in every group
+                        s = [step.get((gv[k], gv[(k + 1) % size_b]), 0) for k in range(size_b)]
+                        totals = [
+                            sum(w * t for w, t in zip(flow, s))
+                            + sum(step[gv[x], gv[y]] for x, y in other)
+                            for flow, other, _ in groups
+                        ]
+                        if any(tot % size_c for tot in totals):
+                            raise ViolatedLaw("closed-lift", tuple(gv))
+                        n_cases += len(fs)
+                        wg = winding(g)
+                        bad = [
+                            first
+                            for ((_, _, wf), first), tot in zip(groups.items(), totals)
+                            if tot // size_c != wg * wf
+                        ]
+                        if bad:
+                            return False, n_cases, {
+                                "f": list(fs[bad[0]].values),
+                                "g": list(gv),
+                            }
         return True, n_cases, None
 
     def symmetry_winds():
         for n0 in (3, 4):
-            maps = {f.values for f in enumerate_crown_maps(n0, n0)}
+            maps = {f.values for f in pool[(n0, n0)]}
             for k in range(0, 2 * n0, 2):
                 r = rotation(n0, k)
                 ok = winding(r) == 1 and r.values in maps
@@ -490,19 +527,22 @@ class MonotoneCubeMap:
     values: tuple[int, ...]
 
     def __post_init__(self):
-        assert len(self.values) == 1 << self.m
+        if len(self.values) != 1 << self.m:
+            raise ViolatedLaw("length", (len(self.values), 1 << self.m))
         for v in range(1 << self.m):
             for i in range(self.m):
                 w = v | (1 << i)
                 if w != v:
                     a, b = self.values[v], self.values[w]
-                    assert a | b == b, "not monotone"
+                    if a | b != b:
+                        raise ViolatedLaw("monotonicity", (v, w))
 
 
 def crown_embedding(n: int) -> tuple[int, ...]:
     """The embedding of the 2n-crown into the n-cube: even vertex 2k maps
     to the k-th unit, odd vertex 2k+1 to the join of units k and k+1."""
-    assert n >= 3
+    if n < 3:
+        raise InvalidInput(f"a crown needs n >= 3, got {n}")
     out = []
     for i in range(2 * n):
         k = i // 2
@@ -510,7 +550,8 @@ def crown_embedding(n: int) -> tuple[int, ...]:
             out.append(1 << k)
         else:
             out.append((1 << k) | (1 << ((k + 1) % n)))
-    assert len(set(out)) == 2 * n
+    if len(set(out)) != 2 * n:
+        raise ViolatedLaw("embedding-injectivity", (n,))
     return tuple(out)
 
 
@@ -533,7 +574,8 @@ def crown_extension(f: CrownMap) -> MonotoneCubeMap:
 
 
 def compose_extensions(f: MonotoneCubeMap, g: MonotoneCubeMap) -> MonotoneCubeMap:
-    assert f.n == g.m
+    if f.n != g.m:
+        raise InvalidInput(f"cannot compose [1]^{f.m} -> [1]^{f.n} with [1]^{g.m} -> [1]^{g.n}")
     return MonotoneCubeMap(f.m, g.n, tuple(g.values[v] for v in f.values))
 
 

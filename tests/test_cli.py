@@ -284,6 +284,30 @@ def test_importing_the_cli_loads_neither_numpy_nor_the_presheaf_layer():
     assert result.returncode == 0, result.stderr
 
 
+def test_cube_and_obstruction_suites_run_without_numpy():
+    # these suites build no truncated category, so nothing they run needs
+    # numpy, and the cubes-obstructions workload's peak memory stays low
+    suites = [
+        "hom-counts",
+        "obstruction-u",
+        "crown-winding",
+        "sieve-chain",
+        "idempotent-completion",
+        "triangulation",
+        "elegant-core",
+    ]
+    code = (
+        "import os, sys\n"
+        "from reedylab.cli import main\n"
+        f"codes = [main([name, '--out', os.devnull]) for name in {suites!r}]\n"
+        "loaded = {'numpy', 'reedylab.kernel', 'reedylab.presheaf'} & set(sys.modules)\n"
+        "raise SystemExit(sorted(loaded) or any(codes))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+
+
 def test_cell_square_failure_is_not_a_skeleton_chain_failure(monkeypatch):
     import reedylab.presheaf as presheaf
 

@@ -124,6 +124,76 @@ CASES = [
         "monotonicity",
     ),
     (
+        "odd-crown-vertex-has-no-upper-covers",
+        "from reedylab.obstruction import CrownPoset\nCrownPoset(3).upper_covers(1)\n",
+        "InvalidInput",
+        None,
+    ),
+    (
+        "fold-between-crowns-that-do-not-divide",
+        "from reedylab.obstruction import fold_map\nfold_map(5, 3)\n",
+        "InvalidInput",
+        None,
+    ),
+    (
+        "crown-rotation-by-odd-offset",
+        "from reedylab.obstruction import rotation\nrotation(3, 1)\n",
+        "InvalidInput",
+        None,
+    ),
+    (
+        "crown-reflection-about-odd-axis",
+        "from reedylab.obstruction import reflection\nreflection(3, 1)\n",
+        "InvalidInput",
+        None,
+    ),
+    (
+        "crown-maps-that-do-not-compose",
+        "from reedylab.obstruction import compose_crown, identity_crown\n"
+        "compose_crown(identity_crown(3), identity_crown(4))\n",
+        "InvalidInput",
+        None,
+    ),
+    (
+        "cube-extensions-that-do-not-compose",
+        "from reedylab.obstruction import compose_extensions, crown_extension, identity_crown\n"
+        "compose_extensions(crown_extension(identity_crown(3)), crown_extension(identity_crown(4)))\n",
+        "InvalidInput",
+        None,
+    ),
+    (
+        "crown-embedding-below-three",
+        "from reedylab.obstruction import crown_embedding\ncrown_embedding(2)\n",
+        "InvalidInput",
+        None,
+    ),
+    (
+        "crown-lift-step-not-forced",
+        "from reedylab.obstruction import _lift_values\n"
+        "_lift_values(3, 3, (0, 2, 0, 2, 0, 2), 0)\n",
+        "ViolatedLaw",
+        "forced-lift-step",
+    ),
+    (
+        "crown-lift-window-not-closed",
+        "from reedylab.obstruction import CrownMap, winding\n"
+        "winding(CrownMap(3, 3, tuple(range(6)), (0, 1, 2, 3, 4, 5, 7)))\n",
+        "ViolatedLaw",
+        "closed-window",
+    ),
+    (
+        "cube-map-of-wrong-length",
+        "from reedylab.obstruction import MonotoneCubeMap\nMonotoneCubeMap(1, 1, (0,))\n",
+        "ViolatedLaw",
+        "length",
+    ),
+    (
+        "cube-map-not-monotone",
+        "from reedylab.obstruction import MonotoneCubeMap\nMonotoneCubeMap(1, 1, (1, 0))\n",
+        "ViolatedLaw",
+        "monotonicity",
+    ),
+    (
         "face-out-of-range",
         "from reedylab.cubes import face\nface(3, 2)\n",
         "InvalidInput",

@@ -1,7 +1,11 @@
+import random
+
 import pytest
 
+from reedylab.certificates import verdict
 from reedylab.errors import InvalidInput, SizeBudget, ViolatedLaw
 from reedylab.obstruction import (
+    CrownMap,
     CrownPoset,
     certify_no_reedy_factorization_of_u,
     certify_sieve_chain_nonstabilization,
@@ -150,11 +154,125 @@ def test_wind_properties_certificate():
 
 
 def test_multiplicativity_pure_python_crosscheck():
-    # validates the vectorized route on the smallest block
+    # compose_crown relifts each composite from its values, so this checks
+    # multiplicativity without the step sums of winding-multiplicative
     fs = enumerate_crown_maps(3, 3)
     for f in fs[:40]:
         for g in fs[:40]:
             assert winding(compose_crown(f, g)) == winding(g) * winding(f)
+
+
+def _numpy_multiplicative(pool):
+    """The reference for winding-multiplicative: a numpy walk over every
+    (g, f) pair that looks up each composite's steps and, for each g,
+    checks in order for an unforced step, an unclosed lift and a wrong
+    winding."""
+    import numpy as np
+
+    sizes = [3, 4]
+    n_cases = 0
+    for (a, b), fs in pool.items():
+        vf = np.array([f.values for f in fs], dtype=np.int64)
+        wf = np.array([winding(f) for f in fs], dtype=np.int64)
+        for c in sizes:
+            gs = pool[(b, c)]
+            size_c = 2 * c
+            D = np.full((size_c, size_c), 99, dtype=np.int64)
+            for x in range(size_c):
+                for d in (-1, 0, 1):
+                    D[x][(x + d) % size_c] = d
+            for g in gs:
+                gv = np.array(g.values, dtype=np.int64)
+                comp = gv[vf]
+                steps = D[comp, np.roll(comp, -1, axis=1)]
+                if (steps == 99).any():
+                    raise ViolatedLaw("forced-lift-step", tuple(g.values))
+                tot = steps.sum(axis=1)
+                if (tot % size_c).any():
+                    raise ViolatedLaw("closed-lift", tuple(g.values))
+                n_cases += len(fs)
+                bad = np.nonzero(tot // size_c != winding(g) * wf)[0]
+                if bad.size:
+                    i = int(bad[0])
+                    return False, n_cases, {
+                        "f": list(fs[i].values),
+                        "g": list(g.values),
+                    }
+    return True, n_cases, None
+
+
+def _outcome(run):
+    try:
+        check = run()
+    except ViolatedLaw as exc:
+        return exc.law, exc.witness
+    return check.status, check.count, check.witness
+
+
+@pytest.fixture(scope="module")
+def crown_pool():
+    pairs = [(3, 3), (3, 4), (4, 3), (4, 4), (3, 5), (4, 5), (3, 6)]
+    return {pair: enumerate_crown_maps(*pair) for pair in pairs}
+
+
+def _corrupt(pool, kind, seed):
+    """A copy of the pool with one map of the composed hom-sets broken.
+    A map of (3, 3) is first composed as f, one of the other three sets
+    as g, and either is given one or two new values that break
+    monotonicity; the lift shift moves the base point, the wrong winding
+    shifts the lift's tail by one turn."""
+    rng = random.Random(seed)
+    pool = {pair: list(maps) for pair, maps in pool.items()}
+    pairs = {"non-monotone-f": [(3, 3)], "non-monotone-g": [(3, 4), (4, 3), (4, 4)]}
+    maps = pool[rng.choice(pairs.get(kind, [(3, 3), (3, 4), (4, 3), (4, 4)]))]
+    i = rng.randrange(len(maps))
+    f = maps[i]
+    turn = 2 * f.n * rng.choice((-1, 1))
+    if kind in ("non-monotone-f", "non-monotone-g"):
+        while True:
+            values = list(f.values)
+            for j in rng.sample(range(len(values)), rng.randint(1, 2)):
+                values[j] = rng.randrange(2 * f.n)
+            try:
+                crown_map(f.m, f.n, values)
+            except ViolatedLaw:
+                break
+        maps[i] = CrownMap(f.m, f.n, tuple(values), f.lift)
+    elif kind == "lift-shift":
+        maps[i] = CrownMap(f.m, f.n, f.values, tuple(x + turn for x in f.lift))
+    else:
+        j = rng.randrange(1, len(f.lift))
+        lift = f.lift[:j] + tuple(x + turn for x in f.lift[j:])
+        maps[i] = CrownMap(f.m, f.n, f.values, lift)
+    return pool
+
+
+@pytest.mark.parametrize(
+    "kind, seed",
+    [("none", 0)]
+    + [
+        (kind, seed)
+        for kind in ("non-monotone-f", "non-monotone-g", "lift-shift", "wrong-winding")
+        for seed in range(3)
+    ],
+)
+def test_winding_multiplicative_matches_the_per_pair_walk(monkeypatch, crown_pool, kind, seed):
+    import reedylab.obstruction as obstruction
+
+    pool = crown_pool if kind == "none" else _corrupt(crown_pool, kind, seed)
+    monkeypatch.setattr(
+        obstruction, "enumerate_crown_maps", lambda m, n, cap=6: list(pool[(m, n)])
+    )
+    composed = {(a, b): pool[(a, b)] for a in (3, 4) for b in (3, 4)}
+    expected = _outcome(
+        lambda: verdict("winding-multiplicative", *_numpy_multiplicative(composed))
+    )
+    got = _outcome(
+        lambda: next(c for c in certify_wind_properties() if c.id == "winding-multiplicative")
+    )
+    assert got == expected
+    if kind == "none":
+        assert got == ("pass", 5956932, None)
 
 
 # ---------------------------------------------------------------------------
