@@ -11,11 +11,12 @@ import itertools
 from dataclasses import dataclass
 
 from .certificates import Check, scan, verdict
-from .errors import InvalidInput, NotDistributive, NotIdempotent, SizeBudget
+from .errors import InvalidInput, NotDistributive, NotIdempotent, SizeBudget, ViolatedLaw
 from .semilattice import (
     DEFAULT_CANDIDATE_BUDGET,
     FinPoset,
     FiniteSemilattice,
+    MonotoneAssignments,
     SLatMorphism,
     all_semilattices_upto,
     chain,
@@ -66,8 +67,11 @@ def cube_hom_count(m: int, n: int) -> tuple[int, int]:
 
 
 def split_idempotent(f: SLatMorphism) -> tuple[SLatMorphism, SLatMorphism]:
-    """Split f = section o retraction through its fixed-point subalgebra."""
-    assert f.dom.join == f.cod.join
+    """Split f = section o retraction through its fixed-point subalgebra.
+    Raises InvalidInput unless f is an endomap, and ViolatedLaw 'splitting'
+    if the pair does not compose to the identity and to f."""
+    if f.dom.join != f.cod.join:
+        raise InvalidInput("only an endomap can be an idempotent to split")
     if f.then(f).map != f.map:
         raise NotIdempotent("f is not idempotent")
     A = f.dom
@@ -77,8 +81,10 @@ def split_idempotent(f: SLatMorphism) -> tuple[SLatMorphism, SLatMorphism]:
     B = validate_semilattice(table, tuple(A.label(v) for v in fixed))
     retraction = SLatMorphism(A, B, tuple(pos[f.map[x]] for x in range(A.size)))
     section = SLatMorphism(B, A, fixed)
-    assert section.then(retraction).map == tuple(range(B.size))
-    assert retraction.then(section).map == f.map
+    if section.then(retraction).map != tuple(range(B.size)):
+        raise ViolatedLaw("splitting", section.map)
+    if retraction.then(section).map != f.map:
+        raise ViolatedLaw("splitting", f.map)
     return retraction, section
 
 
@@ -90,6 +96,8 @@ def retract_of_cube(
     """Exhibit a distributive lattice as a retract of the cube on its
     underlying set: the retraction is the free extension of the identity
     assignment, the section is found by lifting the identity through it.
+    Raises ViolatedLaw 'surjectivity', 'lift-existence' or 'splitting' if
+    that presentation is not a retract.
     """
     dist = is_distributive_lattice(A)
     if not dist:
@@ -104,10 +112,14 @@ def retract_of_cube(
         elems = [i for i in range(n) if (v >> i) & 1]
         retr_map.append(A.join_all(elems) if elems else bot)
     retraction = SLatMorphism(C, A, tuple(retr_map))
-    assert retraction.is_surjective
+    if not retraction.is_surjective:
+        raise ViolatedLaw("surjectivity", retraction.map)
     section = lift_through_surjection(A, retraction, SLatMorphism.identity(A), budget)
-    assert section is not None, "distributive lattices lift against surjections"
-    assert section.then(retraction).map == tuple(range(A.size))
+    # distributive lattices lift against surjections
+    if section is None:
+        raise ViolatedLaw("lift-existence", retraction.map)
+    if section.then(retraction).map != tuple(range(A.size)):
+        raise ViolatedLaw("splitting", section.map)
     return section, retraction
 
 
@@ -351,39 +363,23 @@ def triangulation_product_bijections(
 # ---------------------------------------------------------------------------
 
 
-def monotone_cube_maps(
-    m: int, n: int, budget: int = DEFAULT_CANDIDATE_BUDGET
-) -> list[tuple[int, ...]]:
-    """All monotone maps [1]^m -> [1]^n between cubes as posets, by
-    backtracking over vertices in mask order with cover-based pruning."""
-    size = 1 << m
-    if (1 << n) ** min(size, 8) > budget and m > 3:
-        raise SizeBudget(f"monotone map space for ({m},{n}) exceeds budget")
-    out: list[tuple[int, ...]] = []
-    vals: list[int] = []
-
-    def leq(a: int, b: int) -> bool:
-        return a | b == b
-
-    def rec(v: int):
-        if v == size:
-            out.append(tuple(vals))
-            return
-        preds = [v & ~(1 << i) for i in range(m) if (v >> i) & 1]
-        for w in range(1 << n):
-            if all(leq(vals[p], w) for p in preds):
-                vals.append(w)
-                rec(v + 1)
-                vals.pop()
-
-    rec(0)
-    return out
+def monotone_cube_search(m: int, n: int, candidates) -> MonotoneAssignments:
+    """The search for monotone maps [1]^m -> [1]^n on bitmasks that send
+    vertex v into candidates[v]: in mask order, each vertex goes above
+    the values of its lower covers."""
+    size = 1 << n
+    leq = tuple(tuple(a | b == b for b in range(size)) for a in range(size))
+    covers = [[v & ~(1 << i) for i in range(m) if (v >> i) & 1] for v in range(1 << m)]
+    return MonotoneAssignments(leq, covers, [()] * (1 << m), candidates)
 
 
 def dedekind_homs(m: int, n: int, budget: int = DEFAULT_CANDIDATE_BUDGET):
-    """Monotone poset maps [1]^m -> [1]^n; for n = 1 the counts follow the
-    Dedekind number sequence."""
-    return monotone_cube_maps(m, n, budget)
+    """Monotone poset maps [1]^m -> [1]^n, lexicographic on vertex values;
+    for n = 1 the counts follow the Dedekind number sequence."""
+    size = 1 << m
+    if (1 << n) ** min(size, 8) > budget and m > 3:
+        raise SizeBudget(f"monotone map space for ({m},{n}) exceeds budget")
+    return list(monotone_cube_search(m, n, [range(1 << n)] * size))
 
 
 def monotone_maps_agree_with_homs(

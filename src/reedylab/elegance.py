@@ -8,7 +8,7 @@ of lowering pushouts).  The three are certified to agree at desk scale.
 
 from __future__ import annotations
 
-from .errors import SizeBudget
+from .errors import NotSurjective, SizeBudget, ViolatedLaw
 from .reedy import LoweringPushoutSquare, lowering_pushout
 from .semilattice import (
     DEFAULT_CANDIDATE_BUDGET,
@@ -28,7 +28,8 @@ def counit_from_free(
     A: FiniteSemilattice, max_free_size: int = 2**12
 ) -> SLatMorphism:
     """The surjection from the free semilattice on A's underlying set,
-    sending a nonempty subset to its join."""
+    sending a nonempty subset to its join; ViolatedLaw 'surjectivity' if
+    it misses an element."""
     if 2**A.size - 1 > max_free_size:
         raise SizeBudget(f"free algebra on {A.size} elements exceeds cap")
     F, unit = free_on_generators(A.size, max_free_size)
@@ -39,7 +40,8 @@ def counit_from_free(
         gens = [gen_of[u] for u in gen_of if F.leq(u, s)]
         values.append(A.join_all(gens))
     eps = SLatMorphism(F, A, tuple(values))
-    assert eps.is_surjective
+    if not eps.is_surjective:
+        raise ViolatedLaw("surjectivity", eps.map)
     return eps
 
 
@@ -49,8 +51,10 @@ def projective_lift(
     f: SLatMorphism,
     budget: int = DEFAULT_CANDIDATE_BUDGET,
 ) -> SLatMorphism | None:
-    """A morphism h with e o h = f, or None after an exhausted search."""
-    assert e.is_surjective
+    """A morphism h with e o h = f, or None after an exhausted search.
+    Raises NotSurjective unless e is a surjection."""
+    if not e.is_surjective:
+        raise NotSurjective("a projective lift needs a surjection to lift through")
     return lift_through_surjection(A, e, f, budget)
 
 

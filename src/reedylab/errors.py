@@ -43,7 +43,16 @@ class ViolatedLaw(ReedyLabError):
     turn does not move its whole lift by that turn; 'closed-window' when
     the ends of a lift differ by a non-multiple of the turn, so that
     its winding is not an integer; 'embedding-injectivity' when the
-    embedding of a crown into a cube identifies two vertices.  A suite
+    embedding of a crown into a cube identifies two vertices; 'top' when
+    a validated join table has an element outside the join of all;
+    'surjectivity' when the pinched tripod cover, the counit from a free
+    semilattice or a cube retraction misses an element; 'bijectivity'
+    when a found isomorphism is not a bijection; 'splitting' when a split
+    idempotent or a cube retract does not compose back to the identity or
+    to the idempotent; 'lift-existence' when the identity of a
+    distributive lattice does not lift through its cube retraction;
+    'factorization' when a factorization of the 3-cube endomap u through
+    a distributive middle does not compose back to u.  A suite
     reports any of them as one failed check whose witness is {"law",
     "witness"}.
     """

@@ -13,11 +13,12 @@ import itertools
 from dataclasses import dataclass
 
 from .certificates import Check, scan, verdict
-from .cubes import cube, degeneracy, face
+from .cubes import cube, degeneracy, face, monotone_cube_search
 from .errors import InvalidInput, SizeBudget, ViolatedLaw
 from .semilattice import (
     DEFAULT_CANDIDATE_BUDGET,
     FiniteSemilattice,
+    MonotoneAssignments,
     SLatMorphism,
     are_isomorphic,
     chain,
@@ -146,7 +147,8 @@ def certify_no_reedy_factorization_of_u(
                 continue
             e_map = tuple(m_image[u.map[v]] for v in range(8))
             e = SLatMorphism(C3, D, e_map)
-            assert e.then(m).map == u.map
+            if e.then(m).map != u.map:
+                raise ViolatedLaw("factorization", e.map)
             found.append((len(S), e.is_iso if D.size == 8 else False, D.size))
     ok = all(size == 8 for (_, _, size) in found) and found
     checks.append(
@@ -336,46 +338,16 @@ def compose_crown(f: CrownMap, g: CrownMap) -> CrownMap:
 
 
 def enumerate_crown_maps(m: int, n: int, cap: int = 6) -> list[CrownMap]:
-    """All monotone maps C_m -> C_n by cyclic backtracking."""
+    """All monotone maps C_m -> C_n, lexicographic on values, each lifted
+    from the base point values[0]."""
     if m > cap or n > cap:
         raise SizeBudget(f"crown enumeration capped at {cap}")
     Cm, Cn = CrownPoset(m), CrownPoset(n)
-    size_m, size_n = Cm.size, Cn.size
-    out = []
-    vals: list[int] = []
-
-    def ok_at(i: int) -> bool:
-        v = vals[i]
-        if i % 2 == 0:
-            return True
-        # odd positions must sit above their assigned even neighbours
-        lo = i - 1
-        if not Cn.leq(vals[lo], v):
-            return False
-        if i == size_m - 1 and not Cn.leq(vals[0], v):
-            return False
-        return True
-
-    def even_ok(i: int) -> bool:
-        # an even position must sit below its already-assigned neighbours
-        v = vals[i]
-        if i > 0 and not Cn.leq(v, vals[i - 1]):
-            return False
-        return True
-
-    def rec(i: int):
-        if i == size_m:
-            out.append(crown_map(m, n, tuple(vals)))
-            return
-        for v in range(size_n):
-            vals.append(v)
-            good = ok_at(i) if i % 2 == 1 else even_ok(i)
-            if good:
-                rec(i + 1)
-            vals.pop()
-
-    rec(0)
-    return out
+    leq = [[Cn.leq(a, b) for b in range(Cn.size)] for a in range(Cn.size)]
+    below = [[j for j in range(k) if Cm.leq(j, k)] for k in range(Cm.size)]
+    above = [[j for j in range(k) if Cm.leq(k, j)] for k in range(Cm.size)]
+    search = MonotoneAssignments(leq, below, above, [range(Cn.size)] * Cm.size)
+    return [CrownMap(m, n, vals, _lift_values(m, n, vals, vals[0])) for vals in search]
 
 
 def certify_wind_properties() -> list[Check]:
@@ -631,35 +603,13 @@ def certify_sieve_chain_nonstabilization() -> list[Check]:
     # no monotone g: [1]^n -> [1]^2n with ext(f2) o g = ext(f1)
     ext_f2 = crown_extension(f2)
     ext_f1 = crown_extension(f1)
-    size_dom = 1 << n
-    fibres = []
-    for v in range(size_dom):
-        target = ext_f1.values[v]
-        fibres.append([w for w in range(1 << (2 * n)) if ext_f2.values[w] == target])
-    examined = 0
-    found = None
-    vals: list[int] = []
-
-    def leq(a, b):
-        return a | b == b
-
-    def rec(v: int):
-        nonlocal examined, found
-        if found is not None:
-            return
-        if v == size_dom:
-            examined += 1
-            found = tuple(vals)
-            return
-        preds = [v & ~(1 << i) for i in range(n) if (v >> i) & 1]
-        for wv in fibres[v]:
-            if all(leq(vals[p], wv) for p in preds):
-                vals.append(wv)
-                examined += 1
-                rec(v + 1)
-                vals.pop()
-
-    rec(0)
+    fibres = [
+        [w for w in range(1 << (2 * n)) if ext_f2.values[w] == target]
+        for target in ext_f1.values
+    ]
+    search = monotone_cube_search(n, 2 * n, fibres)
+    found = next(iter(search), None)
+    examined = search.nodes
 
     maps = enumerate_crown_maps(n, 2 * n)
     bad = [f for f in maps if winding(f) != 0]

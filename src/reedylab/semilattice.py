@@ -15,6 +15,7 @@ from functools import cached_property, lru_cache
 from .errors import (
     CandidateSpaceExceeded,
     EmptyCarrier,
+    InvalidInput,
     SizeBudget,
     ViolatedLaw,
 )
@@ -95,6 +96,11 @@ class FiniteSemilattice:
         return self.join[x][y] == y
 
     @cached_property
+    def order(self) -> tuple[tuple[bool, ...], ...]:
+        """The order matrix: order[x][y] is leq(x, y)."""
+        return tuple(tuple(row[y] == y for y in range(self.size)) for row in self.join)
+
+    @cached_property
     def top(self) -> int:
         return self.join_all(range(self.size))
 
@@ -113,8 +119,10 @@ class FiniteSemilattice:
         return tuple(y for y in range(self.size) if self.leq(y, x))
 
     def meet_of(self, x: int, y: int) -> int:
-        """Meet as the join of all common lower bounds; needs a bottom."""
-        assert self.bottom is not None, "meets are defined only with a bottom"
+        """Meet as the join of all common lower bounds; raises InvalidInput
+        without a bottom."""
+        if self.bottom is None:
+            raise InvalidInput("meets are defined only with a bottom")
         lows = [z for z in range(self.size) if self.leq(z, x) and self.leq(z, y)]
         return self.join_all(lows)
 
@@ -178,7 +186,8 @@ def validate_semilattice(table, labels=None) -> FiniteSemilattice:
     """Check the semilattice laws and return the validated value.
 
     Raises ViolatedLaw with the offending witness, or EmptyCarrier for an
-    empty table.  A top element always exists afterwards (join of all).
+    empty table.  A top element always exists afterwards (join of all);
+    ViolatedLaw 'top' certifies it.
     """
     rows = tuple(tuple(row) for row in table)
     n = len(rows)
@@ -203,7 +212,9 @@ def validate_semilattice(table, labels=None) -> FiniteSemilattice:
                     raise ViolatedLaw("associativity", (x, y, z))
     lab = tuple(labels) if labels is not None else None
     A = FiniteSemilattice(rows, lab)
-    assert all(A.leq(x, A.top) for x in range(n))
+    for x in range(n):
+        if not A.leq(x, A.top):
+            raise ViolatedLaw("top", (x,))
     return A
 
 
@@ -300,38 +311,59 @@ class FinPoset:
 
     @staticmethod
     def of_semilattice(A: FiniteSemilattice) -> "FinPoset":
-        n = A.size
-        return FinPoset(tuple(tuple(A.leq(i, j) for j in range(n)) for i in range(n)))
+        return FinPoset(A.order)
+
+
+class MonotoneAssignments:
+    """The one backtracking search behind every enumeration of maps.
+
+    Iterating yields, as tuples in lexicographic candidate order, every
+    assignment of vals[k] from candidates[k] such that vals[j] <= vals[k]
+    for each j in below[k] and vals[k] <= vals[j] for each j in above[k],
+    read from the order matrix leq; every such j is below k, since values
+    are assigned in index order.  `nodes` counts the partial assignments
+    accepted, full ones included, over every iteration so far.
+    """
+
+    def __init__(self, leq, below, above, candidates):
+        self.leq = leq
+        self.below = below
+        self.above = above
+        self.candidates = candidates
+        self.nodes = 0
+
+    def __iter__(self):
+        leq, below, above, candidates = self.leq, self.below, self.above, self.candidates
+        n = len(candidates)
+        vals = [0] * n
+
+        def rec(k: int):
+            if k == n:
+                yield tuple(vals)
+                return
+            ok = candidates[k]
+            for j in below[k]:
+                row = leq[vals[j]]
+                ok = [v for v in ok if row[v]]
+            for j in above[k]:
+                u = vals[j]
+                ok = [v for v in ok if leq[v][u]]
+            for v in ok:
+                self.nodes += 1
+                vals[k] = v
+                yield from rec(k + 1)
+
+        return rec(0)
 
 
 def monotone_maps(P: FinPoset, Q: FinPoset, budget: int = DEFAULT_CANDIDATE_BUDGET):
-    """All monotone maps P -> Q, lexicographic, by backtracking."""
+    """All monotone maps P -> Q, lexicographic."""
     n, m = P.size, Q.size
     if m**n > budget:
         raise CandidateSpaceExceeded(f"{m}^{n} monotone-map candidates")
-    out: list[tuple[int, ...]] = []
-    vals: list[int] = []
-
-    def extend(k: int):
-        if k == n:
-            out.append(tuple(vals))
-            return
-        for v in range(m):
-            ok = True
-            for j in range(k):
-                if P.leq[j][k] and not Q.leq[vals[j]][v]:
-                    ok = False
-                    break
-                if P.leq[k][j] and not Q.leq[v][vals[j]]:
-                    ok = False
-                    break
-            if ok:
-                vals.append(v)
-                extend(k + 1)
-                vals.pop()
-
-    extend(0)
-    return out
+    below = [[j for j in range(k) if P.leq[j][k]] for k in range(n)]
+    above = [[j for j in range(k) if P.leq[k][j]] for k in range(n)]
+    return list(MonotoneAssignments(Q.leq, below, above, [range(m)] * n))
 
 
 # ---------------------------------------------------------------------------
@@ -341,7 +373,8 @@ def monotone_maps(P: FinPoset, Q: FinPoset, budget: int = DEFAULT_CANDIDATE_BUDG
 
 def chain(n: int) -> FiniteSemilattice:
     """The n-element chain 0 < 1 < ... < n-1 with join = max."""
-    assert n >= 1
+    if n < 1:
+        raise InvalidInput(f"a chain needs n >= 1, got {n}")
     table = [[max(i, j) for j in range(n)] for i in range(n)]
     return validate_semilattice(table, tuple(str(i) for i in range(n)))
 
@@ -356,7 +389,8 @@ def atoms_with_top(k: int) -> FiniteSemilattice:
     k=2 is the free semilattice on two generators; k=3 is the four-element
     tripod whose bottom extension is the diamond.
     """
-    assert k >= 2
+    if k < 2:
+        raise InvalidInput(f"atoms with a top need k >= 2, got {k}")
     n = k + 1
     top = k
     table = [[top] * n for _ in range(n)]
@@ -396,7 +430,8 @@ def pinched_tripod_cover() -> tuple[FiniteSemilattice, "SLatMorphism"]:
             table[x][y] = least[0]
     A = validate_semilattice(table, ("a", "b", "c", "t", "t2"))
     e = SLatMorphism(A, atoms_with_top(3), (0, 1, 2, 3, 3))
-    assert e.is_surjective
+    if not e.is_surjective:
+        raise ViolatedLaw("surjectivity", e.map)
     return A, e
 
 
@@ -428,7 +463,8 @@ def free_on_generators(
 
     Returns the algebra and the unit (index of {i} for each generator i).
     """
-    assert k >= 1
+    if k < 1:
+        raise InvalidInput(f"a free semilattice needs k >= 1 generators, got {k}")
     if 2**k - 1 > max_size:
         raise SizeBudget(f"free semilattice has {2**k - 1} elements")
     subsets = sorted(
@@ -474,48 +510,37 @@ def _enumerate_homs_cached(
     B: FiniteSemilattice,
     budget: int,
 ) -> tuple[SLatMorphism, ...]:
-    gens = sorted(A.irreducibles, key=lambda g: (len(A.down_set(g)), g))
+    gens = _generators(A)
     if B.size ** len(gens) > budget:
         raise CandidateSpaceExceeded(
             f"{B.size}^{len(gens)} generator assignments exceed budget {budget}"
         )
-    gens_below = [
-        [g for g in gens if A.leq(g, x)] for x in range(A.size)
-    ]
-    out: list[SLatMorphism] = []
-    assign: dict[int, int] = {}
+    homs = _generator_homs(A, B, [range(B.size)] * len(gens))
+    return tuple(sorted(homs, key=lambda f: f.map))
 
-    def extend_and_check() -> SLatMorphism | None:
-        m = []
-        for x in range(A.size):
-            m.append(B.join_all(assign[g] for g in gens_below[x]))
-        for x in range(A.size):
-            for y in range(x, A.size):
-                if m[A.join[x][y]] != B.join[m[x]][m[y]]:
-                    return None
-        return SLatMorphism(A, B, tuple(m))
 
-    def rec(k: int):
-        if k == len(gens):
-            f = extend_and_check()
-            if f is not None:
-                out.append(f)
-            return
-        g = gens[k]
-        for v in range(B.size):
-            ok = True
-            for g2 in gens[:k]:
-                if A.leq(g2, g) and not B.leq(assign[g2], v):
-                    ok = False
-                    break
-            if ok:
-                assign[g] = v
-                rec(k + 1)
-                del assign[g]
+def _generators(A: FiniteSemilattice) -> list[int]:
+    """The join-irreducibles of A, each after every irreducible below it."""
+    return sorted(A.irreducibles, key=lambda g: (len(A.down_set(g)), g))
 
-    rec(0)
-    out.sort(key=lambda f: f.map)
-    return tuple(out)
+
+def _generator_homs(A: FiniteSemilattice, B: FiniteSemilattice, candidates):
+    """The morphisms A -> B whose value on the k-th of `_generators(A)` is
+    drawn from candidates[k], in generator order: each monotone assignment
+    is extended by joins and kept when the SLatMorphism constructor finds
+    that the extension preserves joins."""
+    gens = _generators(A)
+    below = [[j for j in range(k) if A.leq(gens[j], g)] for k, g in enumerate(gens)]
+    gens_below = [[k for k, g in enumerate(gens) if A.leq(g, x)] for x in range(A.size)]
+    for vals in MonotoneAssignments(B.order, below, [()] * len(gens), candidates):
+        m = tuple(B.join_all(vals[k] for k in ks) for ks in gens_below)
+        try:
+            f = SLatMorphism(A, B, m)
+        except ViolatedLaw as exc:
+            if exc.law != "join-preservation":
+                raise
+        else:
+            yield f
 
 
 def all_functions_homs(
@@ -595,49 +620,21 @@ def lift_through_surjection(
     Search assigns candidate values only on the join-irreducibles of A and
     only inside the e-fibre of the required value, then verifies that the
     join extension is a morphism; the composite equation then holds
-    automatically.
+    automatically.  Raises InvalidInput unless e and f share a codomain.
     """
-    assert e.cod.join == f.cod.join
-    gens = sorted(A.irreducibles, key=lambda g: (len(A.down_set(g)), g))
-    fibres = {
-        g: [v for v in range(e.dom.size) if e.map[v] == f.map[g]] for g in gens
-    }
+    if e.cod.join != f.cod.join:
+        raise InvalidInput("a lift needs e and f to share a codomain")
+    gens = _generators(A)
+    fibres = [[v for v in range(e.dom.size) if e.map[v] == f.map[g]] for g in gens]
     space = 1
-    for g in gens:
-        space *= max(1, len(fibres[g]))
+    for fibre in fibres:
+        space *= max(1, len(fibre))
         if space > budget:
             raise CandidateSpaceExceeded("lift search exceeds budget")
-    gens_below = [[g for g in gens if A.leq(g, x)] for x in range(A.size)]
-    assign: dict[int, int] = {}
-    R = e.dom
-
-    def rec(k: int) -> SLatMorphism | None:
-        if k == len(gens):
-            m = tuple(
-                R.join_all(assign[g] for g in gens_below[x]) for x in range(A.size)
-            )
-            for x in range(A.size):
-                for y in range(x, A.size):
-                    if m[A.join[x][y]] != R.join[m[x]][m[y]]:
-                        return None
-            h = SLatMorphism(A, R, m)
-            if h.then(e).map == f.map:
-                return h
-            return None
-        g = gens[k]
-        for v in fibres[g]:
-            if any(
-                A.leq(g2, g) and not R.leq(assign[g2], v) for g2 in gens[:k]
-            ):
-                continue
-            assign[g] = v
-            h = rec(k + 1)
-            del assign[g]
-            if h is not None:
-                return h
-        return None
-
-    return rec(0)
+    for h in _generator_homs(A, e.dom, fibres):
+        if h.then(e).map == f.map:
+            return h
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -866,7 +863,8 @@ def find_isomorphism(
     if m is None:
         return None
     f = SLatMorphism(A, B, m)
-    assert f.is_iso
+    if not f.is_iso:
+        raise ViolatedLaw("bijectivity", m)
     return f
 
 
@@ -880,7 +878,8 @@ def enumerate_semilattices(n: int, cap: int = 6) -> list[FiniteSemilattice]:
     """
     if n > cap:
         raise SizeBudget(f"semilattice enumeration capped at size {cap}")
-    assert n >= 1
+    if n < 1:
+        raise InvalidInput(f"semilattices need n >= 1 elements, got {n}")
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     seen: dict[JoinTable, FiniteSemilattice] = {}
     for bits in itertools.product((False, True), repeat=len(pairs)):

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import pytest
@@ -253,6 +254,21 @@ def test_dedekind_counts():
     assert len(dedekind_homs(3, 1)) == 20
     for n in (1, 2, 3):
         assert len(dedekind_homs(0, n)) == 1 << n
+
+
+def test_dedekind_homs_match_a_monotone_filter_in_order():
+    # the reference filters every function, in lexicographic order, by
+    # the order of the cube posets on bitmasks
+    for m in range(4):
+        for n in range(1, 3):
+            size = 1 << m
+            pairs = [(v, w) for v in range(size) for w in range(size) if v | w == w]
+            literal = [
+                f
+                for f in itertools.product(range(1 << n), repeat=size)
+                if all(f[v] | f[w] == f[w] for v, w in pairs)
+            ]
+            assert dedekind_homs(m, n) == literal, (m, n)
 
 
 def test_dedekind_contains_non_join_preserving():

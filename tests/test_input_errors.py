@@ -194,6 +194,62 @@ CASES = [
         "monotonicity",
     ),
     (
+        "chain-of-no-elements",
+        "from reedylab.semilattice import chain\nchain(0)\n",
+        "InvalidInput",
+        None,
+    ),
+    (
+        "atoms-with-top-of-one-atom",
+        "from reedylab.semilattice import atoms_with_top\natoms_with_top(1)\n",
+        "InvalidInput",
+        None,
+    ),
+    (
+        "free-semilattice-on-no-generators",
+        "from reedylab.semilattice import free_on_generators\nfree_on_generators(0)\n",
+        "InvalidInput",
+        None,
+    ),
+    (
+        "semilattices-of-no-elements",
+        "from reedylab.semilattice import enumerate_semilattices\nenumerate_semilattices(0)\n",
+        "InvalidInput",
+        None,
+    ),
+    (
+        "meet-without-a-bottom",
+        "from reedylab.semilattice import atoms_with_top\natoms_with_top(2).meet_of(0, 1)\n",
+        "InvalidInput",
+        None,
+    ),
+    (
+        "lift-to-a-different-codomain",
+        "from reedylab.semilattice import SLatMorphism, chain, interval, lift_through_surjection\n"
+        "I = interval()\n"
+        "lift_through_surjection(I, SLatMorphism.identity(I), SLatMorphism(I, chain(3), (0, 2)))\n",
+        "InvalidInput",
+        None,
+    ),
+    (
+        "projective-lift-through-a-non-surjection",
+        "from reedylab.elegance import projective_lift\n"
+        "from reedylab.semilattice import SLatMorphism, chain, interval\n"
+        "I = interval()\n"
+        "e = SLatMorphism(I, chain(3), (0, 2))\n"
+        "projective_lift(I, e, SLatMorphism(I, chain(3), (0, 2)))\n",
+        "NotSurjective",
+        None,
+    ),
+    (
+        "split-idempotent-of-a-non-endomap",
+        "from reedylab.cubes import split_idempotent\n"
+        "from reedylab.semilattice import SLatMorphism, chain, interval\n"
+        "split_idempotent(SLatMorphism(interval(), chain(3), (0, 2)))\n",
+        "InvalidInput",
+        None,
+    ),
+    (
         "face-out-of-range",
         "from reedylab.cubes import face\nface(3, 2)\n",
         "InvalidInput",
@@ -211,7 +267,7 @@ CASES = [
 @pytest.mark.parametrize("call, error, law", [c[1:] for c in CASES], ids=[c[0] for c in CASES])
 def test_bad_input_raises_a_typed_error_in_optimized_mode(call, error, law):
     code = (
-        "from reedylab.errors import InvalidInput, ViolatedLaw\n"
+        "from reedylab.errors import InvalidInput, NotSurjective, ViolatedLaw\n"
         "try:\n"
         + "".join(f"    {line}\n" for line in call.splitlines())
         + f"except {error} as exc:\n"

@@ -106,3 +106,14 @@ def test_category_layout_stays_in_reedy():
         if path.stem != "reedy"
     }
     assert {stem: names for stem, names in leaks.items() if names} == {}
+
+
+def test_no_assert_statement_in_src():
+    # python -O strips assert, so a check written as one would vanish
+    asserts = [
+        f"{path.stem}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Assert)
+    ]
+    assert asserts == [], f"assert statements in src/: {asserts}"
