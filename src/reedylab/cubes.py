@@ -377,7 +377,7 @@ def dedekind_homs(m: int, n: int, budget: int = DEFAULT_CANDIDATE_BUDGET):
     """Monotone poset maps [1]^m -> [1]^n, lexicographic on vertex values;
     for n = 1 the counts follow the Dedekind number sequence."""
     size = 1 << m
-    if (1 << n) ** min(size, 8) > budget and m > 3:
+    if (1 << n) ** min(size, 8) > budget:
         raise SizeBudget(f"monotone map space for ({m},{n}) exceeds budget")
     return list(monotone_cube_search(m, n, [range(1 << n)] * size))
 

@@ -4,6 +4,13 @@ Core membership has a closed form (the bottom extension is distributive),
 a constructive witness (a retract presentation through the free algebra
 on the underlying set), and a hom-functor characterization (preservation
 of lowering pushouts).  The three are certified to agree at desk scale.
+
+`hom_preserves_lowering_pushout` decides one square, from the four
+hom-sets at its corners.  The elegant-core suite calls it on codiagonal
+squares that live outside any truncated category.  The relative-elegance
+suite sweeps every square of a truncation through the batched
+`kernel.hom_preserved` instead, and calls it only on the first square
+that fails, for its witness.  This module stays numpy-free.
 """
 
 from __future__ import annotations

@@ -1,18 +1,37 @@
 """The numpy side of FinCategory's dense composition table.
 
-The build and the certificate scans that run one block of morphism ids
-at a time.  reedylab.reedy imports this module only inside the
-functions that need it, so importing reedylab stays numpy-free.
+The build, the certificate scans that run one block of morphism ids at
+a time, and the batched lowering-pushout checks.  reedylab.reedy
+imports this module only inside the functions that need it, so
+importing reedylab stays numpy-free.
+
+The lowering-pushout checks share one routine, `pullback_fibres`: the
+pullback of a square of finite-set maps and the fibre of each of its
+pairs, over many squares at once.  By Yoneda, the pushout universal
+property of a square is "every representable y(c) sends it to a
+pullback"; a table row is a map's action on the sum of all y(c), so
+`reedy.verify_pushout_universal` feeds the routine table rows, and
+`presheaf.maps_lowering_pushouts_to_pullbacks` feeds it a presheaf's
+actions.  Lowering maps being epi is the injective half of the same
+statement, checked on the rows directly.  The covariant question, whether
+Hom(A, -) sends each square to a pushout of sets, has its own batched
+route, `hom_preserved`.  It glues its pushouts with `_join`, the
+minimum-label union that the presheaf layer's numpy routes share.
 """
 
 from __future__ import annotations
 
 import bisect
+import itertools
 
 import numpy as np
 
-from .certificates import FAIL, PASS, Check
+from .certificates import FAIL, PASS, Check, verdict
 from .errors import ViolatedLaw
+
+# the most entries a batched square routine takes in at once; larger
+# chunks are no faster and raise the peak memory of a truncation-n4 run
+CHUNK = 1 << 14
 
 
 def fill_composition(cat) -> None:
@@ -148,3 +167,216 @@ def orthogonal_lifting(cat, low: np.ndarray, high: np.ndarray) -> Check:
             }
             return Check("orthogonal-lifting-unique", FAIL, count, witness)
     return Check("orthogonal-lifting-unique", PASS, count)
+
+
+def _join(label: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Merge the classes of u[i] and v[i], for equally shaped node arrays,
+    into a labelling of each node by the least node of its class.
+
+    Minimum-label propagation: each round hooks the larger label of an
+    edge's ends onto the smaller, then jumps pointers until every label
+    is its own.  An edge whose ends share a label keeps sharing one, so
+    each round keeps only the edges still apart."""
+    u, v = u.ravel(), v.ravel()
+    while True:
+        lu, lv = label[u], label[v]
+        apart = lu != lv
+        if not apart.any():
+            return label
+        u, v, lu, lv = u[apart], v[apart], lu[apart], lv[apart]
+        np.minimum.at(label, np.maximum(lu, lv), np.minimum(lu, lv))
+        while True:
+            up = label[label]
+            if (up == label).all():
+                break
+            label = up
+
+
+def _distinct(a: np.ndarray) -> np.ndarray:
+    """The distinct values of a, in increasing order.  np.unique would do,
+    but it imports numpy.ma, about a megabyte."""
+    a = np.sort(a)
+    return a[np.concatenate([a[1:] != a[:-1], [True]])] if len(a) else a
+
+
+def _classes(label: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The classes of a labelling by least connected node: their least
+    nodes in increasing order, and the class of each node."""
+    is_root = label == np.arange(len(label))
+    return np.flatnonzero(is_root), (np.cumsum(is_root, dtype=np.int32) - 1)[label]
+
+
+def _class_values(roots: np.ndarray, node_class: np.ndarray, values: np.ndarray):
+    """A map pushed down to classes, as semilattice.descend does: the
+    least value on each class, and whether the values differ on it."""
+    least = values[roots]
+    off = np.flatnonzero(values != least[node_class])
+    bad = np.zeros(len(roots), bool)
+    bad[node_class[off]] = True
+    np.minimum.at(least, node_class[off], values[off])
+    return least, bad
+
+
+def chunks(sizes, cap: int = CHUNK):
+    """Consecutive ranges of positions whose sizes sum to at most cap,
+    covering every position in order; a position larger than cap makes a
+    range of its own."""
+    start, total = 0, 0
+    for k, size in enumerate(sizes):
+        if total and total + size > cap:
+            yield range(start, k)
+            start, total = k, 0
+        total += size
+    if start < len(sizes):
+        yield range(start, len(sizes))
+
+
+def pullback_fibres(squares):
+    """The pullbacks of squares of finite-set maps, and the fibre of each
+    of their pairs, over all the squares at once.
+
+    A square is four int arrays (E0, E1, F0, F1), the values of maps
+    E0: Y0 -> S, E1: Y1 -> S, F0: Z -> Y0 and F1: Z -> Y1.  Its pullback is
+    the pairs (y0, y1) with E0[y0] == E1[y1], and the fibre of a pair is
+    the z with (F0[z], F1[z]) == (y0, y1).  Returns, per pair in walk order
+    (square, then y0, then y1), its square's position, y0, y1 and the size
+    of its fibre.
+
+    The squares are concatenated with offsets, so that those of two
+    squares never meet.  E0 is matched against E1 by a stable sort and
+    searchsorted; the pair keys then increase in walk order, and each z
+    finds its pair among them by searchsorted too."""
+    E0, E1, F0, F1 = zip(*squares)
+    positions = np.arange(len(squares))
+    n0, n1, nz = ([len(m) for m in maps] for maps in (E0, E1, F0))
+    off0, off1 = np.cumsum(n0) - n0, np.cumsum(n1) - n1
+    e0, e1 = np.concatenate(E0).astype(np.int64), np.concatenate(E1).astype(np.int64)
+    width = 1 + max(e0.max(initial=0), e1.max(initial=0))
+    square0 = np.repeat(positions, n0)
+    key0, key1 = square0 * width + e0, np.repeat(positions, n1) * width + e1
+    order = np.argsort(key1, kind="stable")
+    low = np.searchsorted(key1[order], key0, "left")
+    matches = np.searchsorted(key1[order], key0, "right") - low
+    y0 = np.repeat(np.arange(len(key0)), matches)
+    y1 = order[np.arange(len(y0)) + np.repeat(low - (np.cumsum(matches) - matches), matches)]
+    pair = y0 * len(key1) + y1
+    square_z = np.repeat(positions, nz)
+    z = (np.concatenate(F0) + off0[square_z]) * len(key1) + np.concatenate(F1) + off1[square_z]
+    at = np.searchsorted(pair, z)
+    hit = at < len(pair)
+    hit[hit] = pair[at[hit]] == z[hit]
+    square = square0[y0]
+    return square, y0 - off0[square], y1 - off1[square], np.bincount(at[hit], minlength=len(pair))
+
+
+def lowering_epi_scan(cat, lowering: np.ndarray) -> Check:
+    """lowering-maps-are-epi: for each lowering e: a -> b in morphism
+    order, each c and each pair g < h of Hom(b, c) in
+    itertools.combinations order, the case fails when g e == h e, with
+    witness {"e": e, "g": g, "h": h} (g and h as positions in Hom(b, c)).
+
+    This is the injective half of the universal property: e is epi when
+    every y(c) acts on it injectively.  e's row of the table is its action
+    on the sum of all y(c), and its ids already name c, so each block's
+    rows are checked for repeated ids at once.  The cases are counted,
+    C(|Hom(b, c)|, 2) per c, and walked one by one only in the first row
+    with a repeat.  No cases when no hom-set holds two maps."""
+    id, n, count = "lowering-maps-are-epi", len(cat.objects), 0
+    for (a, b), block in cat.composition.items():
+        ids = cat.refs(a, b)
+        es = np.flatnonzero(lowering[ids.start : ids.stop])
+        if not len(es):
+            continue
+        cases = sum(len(cat.refs(b, c)) * (len(cat.refs(b, c)) - 1) // 2 for c in range(n))
+        rows = np.sort(block[es], axis=1)
+        repeats = (rows[:, 1:] == rows[:, :-1]).any(1)
+        if not repeats.any():
+            count += len(es) * cases
+            continue
+        i = int(repeats.argmax())
+        count += i * cases
+        row = block[es[i]].tolist()
+        for c in range(n):
+            gs = cat.columns(b, c)
+            for g, h in itertools.combinations(range(gs.start, gs.stop), 2):
+                count += 1
+                if row[g] == row[h]:
+                    witness = {"e": cat.ref(ids[es[i]]), "g": g - gs.start, "h": h - gs.start}
+                    return Check(id, FAIL, count, witness)
+    return verdict(id, True, count, may_be_empty=all(len(fs) <= 1 for fs in cat.homs.values()))
+
+
+def hom_preserved(cat, A, squares, budget: int) -> np.ndarray:
+    """Whether Hom(A, -) sends each category-resident lowering pushout
+    square to a pushout of sets, as elegance.hom_preserves_lowering_pushout
+    decides it one square at a time: by square, a boolean array.
+
+    Hom(A, B) is enumerated once per object B.  Post-composing with the
+    squares' maps goes by whole (B, C) blocks: a map A -> C is coded by its
+    values on the join-irreducibles of A, in base |C|, and one lookup per C
+    takes codes to positions in Hom(A, C).  The set pushouts of all the
+    squares of a chunk are glued in one label array, with disjoint node
+    ranges: Hom(A, b0) then Hom(A, b1) per square, joined along the
+    composites with e0 and e1 of each map out of the apex.  A square is
+    preserved when the classes' composites with f0 and f1 agree on each
+    class, and the classes, their composites and Hom(A, p) are equally
+    many."""
+    from .semilattice import enumerate_homs
+
+    gens = list(A.irreducibles)
+    homs, lookup = [], []
+    for B in cat.objects:
+        homs.append(np.array([f.map for f in enumerate_homs(A, B, budget)], np.int64))
+        table = np.full(B.size ** len(gens), -1, np.int64)
+        table[homs[-1][:, gens] @ B.size ** np.arange(len(gens))] = np.arange(len(homs[-1]))
+        lookup.append(table)
+    # post[f]: the position in Hom(A, cod f) of f after each map of Hom(A, dom f)
+    post = {}
+    used = sorted({f for sq in squares for f in sq.refs})
+    for (b, c), ids in itertools.groupby(used, lambda f: (cat.dom(f), cat.cod(f))):
+        ids = list(ids)
+        maps = np.array([cat.mor(f).map for f in ids], np.int64)
+        composite = maps[:, homs[b][:, gens]]
+        post.update(zip(ids, lookup[c][composite @ cat.objects[c].size ** np.arange(len(gens))]))
+
+    preserved = np.zeros(len(squares), bool)
+    sizes = [sum(len(post[f]) for f in sq.refs) for sq in squares]
+    for part in chunks(sizes):
+        refs = [squares[i].refs for i in part]
+        # nodes: Hom(A, b0) then Hom(A, b1), square after square
+        n0 = np.array([len(post[f0]) for _, _, f0, _ in refs])
+        n1 = np.array([len(post[f1]) for _, _, _, f1 in refs])
+        start = np.cumsum(n0 + n1) - n0 - n1
+        u = np.concatenate([start[k] + post[e0] for k, (e0, _, _, _) in enumerate(refs)])
+        v = np.concatenate([start[k] + n0[k] + post[e1] for k, (_, e1, _, _) in enumerate(refs)])
+        label = _join(np.arange(int((n0 + n1).sum())), u, v)
+        # the composites with f0 and f1, in Hom(A, p) offset per square
+        targets = np.array([len(homs[cat.cod(f0)]) for _, _, f0, _ in refs])
+        offset = np.cumsum(targets) - targets
+        values = np.concatenate(
+            [offset[k] + post[f] for k, sq in enumerate(refs) for f in sq[2:]]
+        )
+        roots, node_class = _classes(label)
+        least, ill = _class_values(roots, node_class, values)
+        of_class = np.repeat(np.arange(len(refs)), n0 + n1)[roots]
+        of_value = np.repeat(np.arange(len(refs)), targets)
+        classes = np.bincount(of_class, minlength=len(refs))
+        hits = np.bincount(of_value[_distinct(least)], minlength=len(refs))
+        well_defined = np.bincount(of_class, weights=ill, minlength=len(refs)) == 0
+        preserved[part.start : part.stop] = well_defined & (classes == hits) & (hits == targets)
+    return preserved
+
+
+def hom_preservation_scan(id: str, cat, A, squares, budget: int) -> Check:
+    """The scan over the squares of whether Hom(A, -) preserves each, by
+    hom_preserved; the first failing square gets its witness from
+    elegance.hom_preserves_lowering_pushout, which names the failing
+    side."""
+    from .elegance import hom_preserves_lowering_pushout
+
+    preserved = hom_preserved(cat, A, squares, budget)
+    if preserved.all():
+        return verdict(id, True, len(squares))
+    k = int(preserved.argmin())
+    _, witness = hom_preserves_lowering_pushout(A, squares[k], budget)
+    return Check(id, FAIL, k + 1, {"square": tuple(map(cat.ref, squares[k].refs)), "witness": witness})

@@ -20,13 +20,13 @@ from __future__ import annotations
 
 import itertools
 import random
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .errors import InvalidInput, ViolatedLaw
+from .kernel import _class_values, _classes, _distinct, _join, chunks, pullback_fibres
 from .reedy import FinCategory, LoweringPushoutSquare, ReedyData
 from .semilattice import UnionFind, descend
 
@@ -310,54 +310,6 @@ def _segments(sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return start, owner, np.arange(start[-1], dtype=np.int32) - start[owner]
 
 
-def _join(label: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Merge the classes of u[i] and v[i], for equally shaped node arrays,
-    into a labelling of each node by the least node of its class.
-
-    Minimum-label propagation: each round hooks the larger label of an
-    edge's ends onto the smaller, then jumps pointers until every label
-    is its own.  An edge whose ends share a label keeps sharing one, so
-    each round keeps only the edges still apart."""
-    u, v = u.ravel(), v.ravel()
-    while True:
-        lu, lv = label[u], label[v]
-        apart = lu != lv
-        if not apart.any():
-            return label
-        u, v, lu, lv = u[apart], v[apart], lu[apart], lv[apart]
-        np.minimum.at(label, np.maximum(lu, lv), np.minimum(lu, lv))
-        while True:
-            up = label[label]
-            if (up == label).all():
-                break
-            label = up
-
-
-def _distinct(a: np.ndarray) -> np.ndarray:
-    """The distinct values of a, in increasing order.  np.unique would do,
-    but it imports numpy.ma, about a megabyte."""
-    a = np.sort(a)
-    return a[np.concatenate([a[1:] != a[:-1], [True]])] if len(a) else a
-
-
-def _classes(label: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The classes of a labelling by least connected node: their least
-    nodes in increasing order, and the class of each node."""
-    is_root = label == np.arange(len(label))
-    return np.flatnonzero(is_root), (np.cumsum(is_root, dtype=np.int32) - 1)[label]
-
-
-def _class_values(roots: np.ndarray, node_class: np.ndarray, values: np.ndarray):
-    """A map pushed down to classes, as semilattice.descend does: the
-    least value on each class, and whether the values differ on it."""
-    least = values[roots]
-    off = np.flatnonzero(values != least[node_class])
-    bad = np.zeros(len(roots), bool)
-    bad[node_class[off]] = True
-    np.minimum.at(least, node_class[off], values[off])
-    return least, bad
-
-
 def latching_routes_agree(
     X: FinPresheaf, r: int, data: ReedyData
 ) -> tuple[bool, LatchingData, WeightedLatching]:
@@ -472,20 +424,23 @@ def maps_lowering_pushouts_to_pullbacks(
     X: FinPresheaf, squares: list[LoweringPushoutSquare]
 ):
     """X applied to each base square must yield a pullback of sets: z
-    goes to (z.f0, z.f1) one to one and onto the fibre, the pairs (y0, y1)
-    with y0.e0 = y1.e1.  The fibre's size is a sum over the common
-    restrictions, so it is counted, not listed."""
-    for sq in squares:
-        if sq.refs is None:
-            raise InvalidInput("pushouts-to-pullbacks needs category-resident squares")
-        e0, e1, f0, f1 = (X.action(f).tolist() for f in sq.refs)
-        pairs = set(zip(f0, f1))
-        over = Counter(e1)
-        if not (
-            len(pairs) == len(f0) == sum(over[v] for v in e0)
-            and all(e0[y0] == e1[y1] for y0, y1 in pairs)
-        ):
-            return False, sq.refs
+    goes to (z.f0, z.f1) one to one and onto the pairs (y0, y1) with
+    y0.e0 = y1.e1.  So a square passes when each such pair has a fibre of
+    exactly one z and the pairs number |X_p|.  kernel.pullback_fibres
+    takes the actions of a whole chunk of squares at once.  Returns
+    (True, None), or (False, refs) for the first square that fails."""
+    if any(sq.refs is None for sq in squares):
+        raise InvalidInput("pushouts-to-pullbacks needs category-resident squares")
+    cat = X.base
+    sizes = [sum(X.levels[cat.cod(f)] for f in sq.refs) for sq in squares]
+    for part in chunks(sizes):
+        refs = [squares[i].refs for i in part]
+        square, _, _, fibre = pullback_fibres([[X.action(f) for f in r] for r in refs])
+        pairs = np.bincount(square, minlength=len(refs))
+        split = np.bincount(square, weights=fibre != 1, minlength=len(refs)) > 0
+        bad = split | (pairs != [X.levels[cat.cod(r[2])] for r in refs])
+        if bad.any():
+            return False, refs[int(bad.argmax())]
     return True, None
 
 

@@ -6,15 +6,19 @@ axioms, the cancellation laws, and pre-elegance on them exhaustively.
 Lowering pushouts are computed set-first; the induced join's
 well-definedness, itself one of the certified facts, is checked on every
 pushout and raises ViolatedLaw when it fails.
+
+The universal property of a square is, by Yoneda, the statement that
+every representable y(c) sends it to a pullback, and lowering maps being
+epi is its injective half; both are read off the composition table's
+rows by kernel.pullback_fibres and kernel.lowering_epi_scan.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
-from .certificates import Check, scan
+from .certificates import FAIL, Check, scan, verdict
 from .errors import NotSurjective, SizeBudget, ViolatedLaw
 from .semilattice import (
     DEFAULT_CANDIDATE_BUDGET,
@@ -71,6 +75,12 @@ class FinCategory:
 
     def cod(self, f: int) -> int:
         return self._by_id[f][1]
+
+    def row(self, f: int) -> "numpy.ndarray":
+        """f's row of the table: the ids of g after f for every map g out
+        of f's codomain, in morphism order."""
+        a, b, k = self._by_id[f]
+        return self.composition[(a, b)][k]
 
     def compose(self, f: int, g: int) -> int:
         """g after f; f: a -> b, g: b -> c."""
@@ -341,29 +351,42 @@ def pushout_via_congruence(e0: SLatMorphism, e1: SLatMorphism) -> SLatMorphism:
     return quotient_by_pairs(A, pairs)
 
 
-def verify_pushout_universal(cat: FinCategory, square: LoweringPushoutSquare) -> list:
-    """Exhaustively test the universal property of a category-resident
-    square against all cocones into the category's objects: one entry per
-    commuting cocone, None when it factors uniquely and a witness when it
-    does not.  Composites come from the table."""
-    e0, e1, f0, f1 = square.refs
-    witnesses = []
-    for c in range(len(cat.objects)):
-        g0s, g1s, hs = (cat.refs(cat.cod(s), c) for s in (e0, e1, f0))
-        through = [(cat.compose(f0, h), cat.compose(f1, h)) for h in hs]
-        for g0 in g0s:
-            left = cat.compose(e0, g0)
-            for g1 in g1s:
-                if cat.compose(e1, g1) != left:
-                    continue
-                mediating = through.count((g0, g1))
-                witnesses.append(
-                    None if mediating == 1 else {
-                        "cocone": [list(cat.mor(g0).map), list(cat.mor(g1).map)],
-                        "mediating": mediating,
-                    }
-                )
-    return witnesses
+def verify_pushout_universal(cat: FinCategory, squares: list[LoweringPushoutSquare]) -> Check:
+    """The universal property of category-resident squares against every
+    cocone into the category's objects: a scan over the commuting cocones
+    (g0, g1), square by square in the walk order c, g0, g1, with witness
+    {cocone, mediating} at the first that does not factor uniquely.
+
+    By Yoneda this says that every representable y(c) sends the square to
+    a pullback: the cocones into c are the pullback of y(c)'s actions of e0
+    and e1, and the mediating maps of one are its fibre under the actions
+    of f0 and f1.  The row of e in the table is e's action on the sum of
+    all y(c), and the ids in it already name c, so kernel.pullback_fibres
+    takes the rows of a whole chunk of squares at once."""
+    from .kernel import chunks, pullback_fibres
+
+    def actions(sq):
+        e0, e1, f0, f1 = sq.refs
+        b0, b1 = cat.out_of(cat.cod(e0)), cat.out_of(cat.cod(e1))
+        return cat.row(e0), cat.row(e1), cat.row(f0) - b0.start, cat.row(f1) - b1.start
+
+    id, count = "pushout-universal-property", 0
+    sizes = [sum(len(cat.out_of(cat.cod(f))) for f in sq.refs) for sq in squares]
+    for part in chunks(sizes):
+        square, y0, y1, mediating = pullback_fibres([actions(squares[i]) for i in part])
+        bad = mediating != 1
+        if bad.any():
+            k = int(bad.argmax())
+            e0, e1, _, _ = squares[part[square[k]]].refs
+            g0 = cat.out_of(cat.cod(e0))[y0[k]]
+            g1 = cat.out_of(cat.cod(e1))[y1[k]]
+            witness = {
+                "cocone": [list(cat.mor(g0).map), list(cat.mor(g1).map)],
+                "mediating": int(mediating[k]),
+            }
+            return Check(id, FAIL, count + k + 1, witness)
+        count += len(mediating)
+    return verdict(id, True, count)
 
 
 def reedy_category_on(
@@ -559,17 +582,10 @@ def certify_pre_elegance(
 ) -> list[Check]:
     """Closure under lowering pushouts, lowering maps epi, the set-level
     and congruence-quotient pushouts agreeing, and bounded universality."""
+    from .kernel import lowering_epi_scan
 
     def span(sq):
         return (cat.ref(sq.refs[0]), cat.ref(sq.refs[1]))
-
-    def epis():
-        for e in itertools.chain.from_iterable(data.lowering_out):
-            for c in range(len(cat.objects)):
-                gs = cat.refs(cat.cod(e), c)
-                for g, h in itertools.combinations(gs, 2):
-                    same = cat.compose(e, g) == cat.compose(e, h)
-                    yield {"e": cat.ref(e), "g": g - gs.start, "h": h - gs.start} if same else None
 
     def closure():
         for sq in squares:
@@ -590,18 +606,9 @@ def certify_pre_elegance(
                 agree = not bad and len(set(through)) == sq.carrier.size
             yield None if agree else {"span": span(sq) if sq.refs else None}
 
-    def universal():
-        for sq in squares:
-            yield from verify_pushout_universal(cat, sq)
-
     return [
         scan("lowering-pushout-closure", closure()),
-        # no cases when no hom-set holds two maps
-        scan(
-            "lowering-maps-are-epi",
-            epis(),
-            may_be_empty=all(len(fs) <= 1 for fs in cat.homs.values()),
-        ),
+        lowering_epi_scan(cat, data.lowering),
         scan("set-pushout-matches-congruence-quotient", set_vs_congruence()),
-        scan("pushout-universal-property", universal()),
+        verify_pushout_universal(cat, squares),
     ]

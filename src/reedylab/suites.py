@@ -245,8 +245,8 @@ def _suite_elegant_core(cfg: SuiteConfig) -> list:
 
 
 def _suite_relative_elegance(cfg: SuiteConfig) -> list:
-    from .elegance import hom_preserves_lowering_pushout
     from .cubes import cube
+    from .kernel import hom_preservation_scan
     from .semilattice import chain
 
     N = cfg.max_size if cfg.max_size is not None else 4
@@ -260,13 +260,8 @@ def _suite_relative_elegance(cfg: SuiteConfig) -> list:
     tasks = []
     for name, A in sources:
         def thunk(A=A, name=name):
-            def witnesses():
-                for sq in squares:
-                    ok, witness = hom_preserves_lowering_pushout(A, sq, cfg.budget)
-                    square = tuple(map(cat.ref, sq.refs))
-                    yield None if ok else {"square": square, "witness": witness}
-
-            return [scan(f"hom-preserves-all-lowering-pushouts-{name}", witnesses())]
+            cid = f"hom-preserves-all-lowering-pushouts-{name}"
+            return [hom_preservation_scan(cid, cat, A, squares, cfg.budget)]
 
         tasks.append((name, thunk))
     return tasks

@@ -11,10 +11,15 @@ stored its actions as a dict from morphism to tuple: `representable`,
 `DictPresheaf`s, and the two quotients return the projection's components
 with them.
 
+The pushouts-to-pullbacks criterion is here as it was before it moved
+onto the batched pullback fibres of `kernel.pullback_fibres`: one set of
+(f0, f1) pairs and one Counter per square.
+
 They live here only so that the tests can compare the two routes, class
 by class, report by report and action by action.
 """
 
+from collections import Counter
 from dataclasses import dataclass
 
 from reedylab.errors import InvalidInput, ViolatedLaw
@@ -332,3 +337,21 @@ def verify_cell_square(X, n, data, degrees):
             details.append({"level": s, "reason": "cell-map-not-injective"})
 
     return CellSquareReport(n, commutes, is_pushout, cell_mono, details or None)
+
+
+def maps_lowering_pushouts_to_pullbacks(X, squares):
+    """X applied to each base square must yield a pullback of sets: z
+    goes to (z.f0, z.f1) one to one and onto the fibre, the pairs (y0, y1)
+    with y0.e0 = y1.e1.  (False, refs) of the first square that fails."""
+    for sq in squares:
+        if sq.refs is None:
+            raise InvalidInput("pushouts-to-pullbacks needs category-resident squares")
+        e0, e1, f0, f1 = (X.action(f).tolist() for f in sq.refs)
+        pairs = set(zip(f0, f1))
+        over = Counter(e1)
+        if not (
+            len(pairs) == len(f0) == sum(over[v] for v in e0)
+            and all(e0[y0] == e1[y1] for y0, y1 in pairs)
+        ):
+            return False, sq.refs
+    return True, None

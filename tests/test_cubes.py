@@ -20,7 +20,7 @@ from reedylab.cubes import (
     triangulation_product_bijections,
     vertex_bits,
 )
-from reedylab.errors import NotDistributive, NotIdempotent
+from reedylab.errors import NotDistributive, NotIdempotent, SizeBudget
 from reedylab.semilattice import (
     SLatMorphism,
     all_functions_homs,
@@ -254,6 +254,14 @@ def test_dedekind_counts():
     assert len(dedekind_homs(3, 1)) == 20
     for n in (1, 2, 3):
         assert len(dedekind_homs(0, n)) == 1 << n
+
+
+def test_dedekind_homs_honor_the_budget_at_every_dimension():
+    # 8^8 candidate maps for m = 3 against a budget of 1; the suite's
+    # n = 1 calls need at most 2^8 = 256
+    with pytest.raises(SizeBudget, match=r"monotone map space for \(3,3\) exceeds budget"):
+        dedekind_homs(3, 3, budget=1)
+    assert len(dedekind_homs(3, 1, budget=256)) == 20
 
 
 def test_dedekind_homs_match_a_monotone_filter_in_order():

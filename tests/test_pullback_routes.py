@@ -1,0 +1,208 @@
+"""The batched lowering-pushout checks against their pair-by-pair
+references in reedy_reference and presheaf_reference: the pushout
+universal property, lowering maps being epi, Hom(A, -) preserving the
+squares, and presheaves sending them to pullbacks.  Compared check by
+check on the truncations the suites certify, and on inputs where each
+check fails."""
+
+import dataclasses
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import presheaf_reference
+import reedy_reference as reference
+from reedylab.cubes import cube
+from reedylab.kernel import (
+    chunks,
+    hom_preservation_scan,
+    hom_preserved,
+    lowering_epi_scan,
+    pullback_fibres,
+)
+from reedylab.presheaf import (
+    maps_lowering_pushouts_to_pullbacks,
+    non_reedy_mono_example,
+    representable,
+    seeded_corpus,
+)
+from reedylab.reedy import (
+    LoweringPushoutSquare,
+    truncated_semilattice_category,
+    verify_pushout_universal,
+)
+from reedylab.semilattice import DEFAULT_CANDIDATE_BUDGET, atoms_with_top, chain
+from reedylab.suites import SuiteConfig, run_suite
+
+BUDGET = DEFAULT_CANDIDATE_BUDGET
+
+# the sources of the relative-elegance suite
+SOURCES = [(f"cube-{m}", cube(m)) for m in range(4)] + [
+    (f"chain-{n}", chain(n + 1)) for n in range(1, 4)
+]
+
+
+@pytest.fixture(scope="module")
+def truncations():
+    return {N: truncated_semilattice_category(N) for N in (3, 4)}
+
+
+@pytest.fixture(scope="module")
+def witness_base():
+    return non_reedy_mono_example()
+
+
+def test_pullback_fibres_in_walk_order():
+    # one square whose pullback has a pair with two z, one with none and
+    # one with exactly one, and a second square with no pairs at all
+    first = ([0, 1, 1], [1, 0], [0, 0, 2], [1, 1, 0])
+    second = ([0], [1], [0], [0])
+    square, y0, y1, fibre = pullback_fibres([first, second])
+    assert square.tolist() == [0, 0, 0]
+    assert list(zip(y0.tolist(), y1.tolist())) == [(0, 1), (1, 0), (2, 0)]
+    assert fibre.tolist() == [2, 0, 1]
+
+
+def test_chunks_cover_every_position_in_order():
+    assert [list(r) for r in chunks([3, 3, 5, 1, 1], cap=6)] == [[0, 1], [2, 3], [4]]
+    assert [list(r) for r in chunks([9, 1], cap=6)] == [[0], [1]]
+    assert list(chunks([], cap=6)) == []
+
+
+@pytest.mark.parametrize("N, cocones", [(3, 382), (4, 24011)])
+def test_universal_property_matches_the_reference(truncations, N, cocones):
+    cat, data, squares = truncations[N]
+    check = verify_pushout_universal(cat, squares)
+    assert check == reference.pushout_universal_check(cat, squares)
+    assert (check.status, check.count) == ("pass", cocones)
+
+
+def _pushed_forward(cat, sq, g):
+    """sq with f0 and f1 post-composed with g, a map out of its carrier."""
+    e0, e1, f0, f1 = sq.refs
+    G = cat.mor(g)
+    refs = (e0, e1, cat.compose(f0, g), cat.compose(f1, g))
+    return LoweringPushoutSquare(sq.e0, sq.e1, sq.f0.then(G), sq.f1.then(G), refs)
+
+
+def test_universal_property_fails_past_a_non_iso_like_the_reference(truncations):
+    cat, data, squares = truncations[3]
+    failed = 0
+    for sq in squares[::3]:
+        p = cat.cod(sq.refs[2])
+        for g in cat.out_of(p):
+            if cat.mor(g).is_iso:
+                continue
+            broken = [_pushed_forward(cat, sq, g)]
+            check = verify_pushout_universal(cat, broken)
+            assert check == reference.pushout_universal_check(cat, broken)
+            failed += check.status == "fail"
+    assert failed
+
+
+def test_universal_property_fails_after_squares_that_pass(truncations):
+    # the count runs over the passing squares before the broken one
+    cat, data, squares = truncations[3]
+    sq = squares[-1]
+    g = next(g for g in cat.out_of(cat.cod(sq.refs[2])) if not cat.mor(g).is_iso)
+    mixed = squares[:5] + [_pushed_forward(cat, sq, g)] + squares[5:]
+    check = verify_pushout_universal(cat, mixed)
+    assert check == reference.pushout_universal_check(cat, mixed)
+    assert check.status == "fail"
+
+
+@pytest.mark.parametrize("N, cases", [(3, 396), (4, 40977)])
+def test_epi_check_matches_the_reference(truncations, N, cases):
+    cat, data, squares = truncations[N]
+    check = lowering_epi_scan(cat, data.lowering)
+    assert check == reference.epi_check(cat, data)
+    assert (check.status, check.count) == ("pass", cases)
+
+
+@pytest.mark.parametrize("N", [3, 4])
+def test_epi_check_with_every_map_lowering_matches_the_reference(truncations, N):
+    cat, data, squares = truncations[N]
+    every = dataclasses.replace(
+        data,
+        lowering=np.ones_like(data.lowering),
+        lowering_out=tuple(tuple(cat.out_of(a)) for a in range(len(cat.objects))),
+    )
+    check = lowering_epi_scan(cat, every.lowering)
+    assert check == reference.epi_check(cat, every)
+    assert check.status == "fail"
+
+
+@pytest.mark.parametrize("N", [3, 4])
+def test_hom_preservation_matches_the_reference(truncations, N):
+    cat, data, squares = truncations[N]
+    for name, A in SOURCES:
+        verdicts = [ok for ok, _ in reference.hom_preservation(A, squares, BUDGET)]
+        assert hom_preserved(cat, A, squares, BUDGET).tolist() == verdicts
+        cid = f"hom-preserves-all-lowering-pushouts-{name}"
+        check = hom_preservation_scan(cid, cat, A, squares, BUDGET)
+        assert check == reference.hom_preservation_check(cid, cat, A, squares, BUDGET)
+        assert (check.status, check.count) == ("pass", len(squares))
+
+
+def test_tripod_hom_preservation_fails_like_the_reference(witness_base):
+    # over the quotients of the pinched tripod cover, Hom(tripod, -) fails
+    # to preserve 135 of the 653 lowering pushouts
+    cat, data, squares, X = witness_base
+    tripod = atoms_with_top(3)
+    verdicts = [ok for ok, _ in reference.hom_preservation(tripod, squares, BUDGET)]
+    preserved = hom_preserved(cat, tripod, squares, BUDGET)
+    assert preserved.tolist() == verdicts
+    assert (len(squares), len(squares) - int(preserved.sum())) == (653, 135)
+    cid = "hom-preserves-all-lowering-pushouts-tripod"
+    check = hom_preservation_scan(cid, cat, tripod, squares, BUDGET)
+    assert check == reference.hom_preservation_check(cid, cat, tripod, squares, BUDGET)
+    assert check.status == "fail"
+
+
+def test_pullback_criterion_matches_the_reference(truncations, witness_base):
+    cat, data, squares, X = witness_base
+    result = maps_lowering_pushouts_to_pullbacks(X, squares)
+    assert result == presheaf_reference.maps_lowering_pushouts_to_pullbacks(X, squares)
+    assert result[0] is False
+    cat, data, squares = truncations[3]
+    corpus = seeded_corpus(cat, data, 0, 200) + [representable(cat, r) for r in range(4)]
+    for Y in corpus:
+        assert maps_lowering_pushouts_to_pullbacks(
+            Y, squares
+        ) == presheaf_reference.maps_lowering_pushouts_to_pullbacks(Y, squares)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_pullback_criterion_matches_the_reference_on_corrupted_presheaves(
+    truncations, seed, data
+):
+    """A presheaf of seeded_corpus with one action value moved, which may
+    break a square or functoriality itself."""
+    cat, reedy, squares = truncations[3]
+    X = data.draw(st.sampled_from(seeded_corpus(cat, reedy, seed, 3)))
+    movable = [f for f in cat.morphisms() if X.levels[cat.dom(f)] >= 2 and X.levels[cat.cod(f)]]
+    if movable:
+        f = data.draw(st.sampled_from(movable))
+        x = data.draw(st.integers(0, X.levels[cat.cod(f)] - 1))
+        value = data.draw(st.integers(0, X.levels[cat.dom(f)] - 1))
+        X = presheaf_reference.with_value(X, f, x, value)
+    assert maps_lowering_pushouts_to_pullbacks(
+        X, squares
+    ) == presheaf_reference.maps_lowering_pushouts_to_pullbacks(X, squares)
+
+
+def test_size_4_counts_the_benchmark_does_not_compare():
+    # bench/run.py compares check statuses only; these are the case counts
+    pre = run_suite(SuiteConfig("pre-elegance", max_size=4))
+    counts = {c.id: (c.status, c.count) for c in pre.checks}
+    assert counts["lowering-pushout-closure"] == ("pass", 347)
+    assert counts["lowering-maps-are-epi"] == ("pass", 40977)
+    assert counts["set-pushout-matches-congruence-quotient"] == ("pass", 347)
+    assert counts["pushout-universal-property"] == ("pass", 24011)
+    rel = run_suite(SuiteConfig("relative-elegance", max_size=4))
+    assert [(c.id, c.status, c.count) for c in rel.checks] == [
+        (f"hom-preserves-all-lowering-pushouts-{name}", "pass", 347) for name, _ in SOURCES
+    ]
