@@ -37,7 +37,8 @@ class ViolatedLaw(ReedyLabError):
     degree, so that some skeleton is not a sub-presheaf;
     'skeleton-landing' when a leg of a cell square leaves its
     skeleton; 'pushout-closure' when a lowering pushout leaves the object
-    set; 'forced-lift-step' and 'closed-lift' when a crown map or a
+    set, or when no lowering map out of the apex realizes the kernel the
+    span's two legs join to; 'forced-lift-step' and 'closed-lift' when a crown map or a
     composite of crown maps does not lift step by step to the fence;
     'base-point-independence' when moving a crown map's base point by a
     turn does not move its whole lift by that turn; 'closed-window' when

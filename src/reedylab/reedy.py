@@ -3,9 +3,12 @@
 Builds explicit truncated categories (one object per isomorphism class up
 to a size cap, full hom lists, composition tables) and certifies the Reedy
 axioms, the cancellation laws, and pre-elegance on them exhaustively.
-Lowering pushouts are computed set-first; the induced join's
+lowering_pushout computes a pushout set-first; the induced join's
 well-definedness, itself one of the certified facts, is checked on every
-pushout and raises ViolatedLaw when it fails.
+pushout it builds and raises ViolatedLaw when it fails.  The squares of a
+category are read off its composition table instead: the set pushout's
+kernel on the apex names a lowering map out of it, whose codomain is the
+carrier, so the join is that object's.
 
 The universal property of a square is, by Yoneda, the statement that
 every representable y(c) sends it to a pullback, and lowering maps being
@@ -29,7 +32,6 @@ from .semilattice import (
     canonical_form,
     descend,
     enumerate_homs,
-    find_isomorphism,
     quotient_by_pairs,
     validate_semilattice,
 )
@@ -208,10 +210,20 @@ class FinCategory:
 
 
 def _hom_sets(objects, budget: int) -> dict[tuple[int, int], list[SLatMorphism]]:
-    """Every hom-set, in (a, b) order.  Raises SizeBudget as soon as the
-    composable pairs among the hom-sets enumerated so far exceed the
-    budget; their count only grows, so the rest is never enumerated."""
+    """Every hom-set, in (a, b) order.  Raises SizeBudget before any
+    enumeration when a lower bound on the composable pairs exceeds the
+    budget: Hom(a, b) holds at least the |b| constant maps, so there are
+    at least n (sum of |b|)^2 pairs among n objects.  Otherwise raises it
+    as soon as the composable pairs among the hom-sets enumerated so far
+    exceed the budget; their count only grows, so the rest is never
+    enumerated."""
     n = len(objects)
+    least = n * sum(B.size for B in objects) ** 2
+    if least > budget:
+        raise SizeBudget(
+            f"at least {least} composable pairs among the {n * n} hom-sets "
+            f"exceed budget {budget}"
+        )
     homs: dict[tuple[int, int], list[SLatMorphism]] = {}
     into, out = [0] * n, [0] * n  # maps enumerated so far into / out of each object
     pairs = 0
@@ -389,31 +401,65 @@ def verify_pushout_universal(cat: FinCategory, squares: list[LoweringPushoutSqua
     return verdict(id, True, count)
 
 
+def _kernel(values) -> tuple[int, ...]:
+    """The partition a map induces on its domain: each element labelled by
+    the first-occurrence index of its class."""
+    label: dict = {}
+    return tuple(label.setdefault(v, len(label)) for v in values)
+
+
+def _joined_kernel(e0: SLatMorphism, e1: SLatMorphism) -> tuple[int, ...]:
+    """The kernel on the apex of the set pushout of a span: B0 and B1 glued
+    along e0(x) ~ e1(x), as lowering_pushout glues them."""
+    n0 = e0.cod.size
+    uf = UnionFind(range(n0 + e1.cod.size))
+    for x, y in zip(e0.map, e1.map):
+        uf.union(x, n0 + y)
+    return _kernel(uf.find(x) for x in e0.map)
+
+
+def _through(cat: FinCategory, r: int, e: int) -> int | None:
+    """The map f with f after r equal to e, read off r's row of the
+    table, or None when no column of Hom(cod r, cod e) holds e."""
+    b, p = cat.cod(r), cat.cod(e)
+    hits = (cat.row(r)[cat.columns(b, p)] == e).nonzero()[0]
+    return cat.refs(b, p)[int(hits[0])] if len(hits) else None
+
+
 def reedy_category_on(
     objects, budget: int = DEFAULT_CANDIDATE_BUDGET
 ) -> tuple[FinCategory, ReedyData, list[LoweringPushoutSquare]]:
     """Full subcategory on the given semilattices, with Reedy data and
     every lowering pushout square whose carrier lands back among the
-    objects (one per unordered span of surjections).  Raises SizeBudget
-    when the composable pairs exceed the budget."""
+    objects (one per unordered span of surjections, spans in morphism
+    order per apex).  Raises SizeBudget when the composable pairs exceed
+    the budget.
+
+    Each square is read off the composition table.  The set pushout of a
+    span (r0, r1) is the quotient of the apex a by the join of the two
+    kernels; its cocone map e is the first lowering map out of a, in
+    morphism order, with that kernel, so the carrier is e's codomain.  The
+    legs are the unique maps f0 and f1 with f0 r0 = e = f1 r1, the columns
+    of r0's and r1's rows that hold e; so the choice of e fixes them.  A
+    kernel that no lowering map out of a realizes, or an e missing from
+    either row, raises ViolatedLaw('pushout-closure')."""
     cat = FinCategory.from_objects(objects, budget)
     data = ReedyData.of_category(cat)
     squares: list[LoweringPushoutSquare] = []
     for a in range(len(cat.objects)):
         surjs = data.lowering_out[a]
+        by_kernel: dict = {}
+        for e in surjs:
+            by_kernel.setdefault(_kernel(cat.mor(e).map), e)
         for i, r0 in enumerate(surjs):
             for r1 in surjs[i:]:
-                square = lowering_pushout(cat.mor(r0), cat.mor(r1))
-                p = cat.object_of(square.carrier)
-                if p is None:
+                e = by_kernel.get(_joined_kernel(cat.mor(r0), cat.mor(r1)))
+                f0 = None if e is None else _through(cat, r0, e)
+                f1 = None if e is None else _through(cat, r1, e)
+                if f0 is None or f1 is None:
                     raise ViolatedLaw("pushout-closure", (cat.ref(r0), cat.ref(r1)))
-                iso = find_isomorphism(square.carrier, cat.objects[p])
-                f0 = square.f0.then(iso)
-                f1 = square.f1.then(iso)
-                refs = (r0, r1, cat.find(cat.cod(r0), p, f0), cat.find(cat.cod(r1), p, f1))
-                squares.append(
-                    LoweringPushoutSquare(cat.mor(r0), cat.mor(r1), f0, f1, refs)
-                )
+                refs = (r0, r1, f0, f1)
+                squares.append(LoweringPushoutSquare(*map(cat.mor, refs), refs))
     return cat, data, squares
 
 

@@ -1,10 +1,14 @@
-"""Pair-by-pair reference routes for the lowering-pushout checks.
+"""Pair-by-pair reference routes for the lowering-pushout squares and
+their checks.
 
-These are the walks that `verify_pushout_universal`, the
-`lowering-maps-are-epi` check and the `relative-elegance` sweep made
-before they moved onto the pullback fibres of the composition table: one
-`compose` call per composite, and one hom-set enumeration per corner of
-every square.
+`lowering_pushout_squares` is the per-span route `reedy_category_on` took
+before it read each square off the composition table: build the set
+pushout as a new semilattice, find its object by canonical form, and
+compose both legs with an isomorphism onto that object.  The other walks
+are what `verify_pushout_universal`, the `lowering-maps-are-epi` check
+and the `relative-elegance` sweep made before they moved onto the
+pullback fibres of the composition table: one `compose` call per
+composite, and one hom-set enumeration per corner of every square.
 
 They live here only so that the tests can compare the two routes check
 by check, on passing and on failing inputs.
@@ -14,6 +18,30 @@ import itertools
 
 from reedylab.certificates import scan
 from reedylab.elegance import hom_preserves_lowering_pushout
+from reedylab.errors import ViolatedLaw
+from reedylab.reedy import LoweringPushoutSquare, lowering_pushout
+from reedylab.semilattice import find_isomorphism
+
+
+def lowering_pushout_squares(cat, data) -> list:
+    """One square per unordered span of lowering maps out of each apex, in
+    the walk order of reedy_category_on, each built by lowering_pushout
+    and carried onto its object by find_isomorphism."""
+    squares = []
+    for a in range(len(cat.objects)):
+        surjs = data.lowering_out[a]
+        for i, r0 in enumerate(surjs):
+            for r1 in surjs[i:]:
+                square = lowering_pushout(cat.mor(r0), cat.mor(r1))
+                p = cat.object_of(square.carrier)
+                if p is None:
+                    raise ViolatedLaw("pushout-closure", (cat.ref(r0), cat.ref(r1)))
+                iso = find_isomorphism(square.carrier, cat.objects[p])
+                f0 = square.f0.then(iso)
+                f1 = square.f1.then(iso)
+                refs = (r0, r1, cat.find(cat.cod(r0), p, f0), cat.find(cat.cod(r1), p, f1))
+                squares.append(LoweringPushoutSquare(cat.mor(r0), cat.mor(r1), f0, f1, refs))
+    return squares
 
 
 def verify_pushout_universal(cat, square) -> list:

@@ -1,9 +1,9 @@
-"""The batched lowering-pushout checks against their pair-by-pair
-references in reedy_reference and presheaf_reference: the pushout
-universal property, lowering maps being epi, Hom(A, -) preserving the
-squares, and presheaves sending them to pullbacks.  Compared check by
-check on the truncations the suites certify, and on inputs where each
-check fails."""
+"""The lowering-pushout squares and their batched checks against the
+pair-by-pair references in reedy_reference and presheaf_reference: the
+squares read off the composition table, the pushout universal property,
+lowering maps being epi, Hom(A, -) preserving the squares, and presheaves
+sending them to pullbacks.  Compared check by check on the truncations the
+suites certify, and on inputs where each check fails."""
 
 import dataclasses
 
@@ -46,12 +46,50 @@ SOURCES = [(f"cube-{m}", cube(m)) for m in range(4)] + [
 
 @pytest.fixture(scope="module")
 def truncations():
-    return {N: truncated_semilattice_category(N) for N in (3, 4)}
+    return {N: truncated_semilattice_category(N) for N in (1, 2, 3, 4)}
 
 
 @pytest.fixture(scope="module")
 def witness_base():
     return non_reedy_mono_example()
+
+
+def _kernel(f) -> list:
+    """The partition of its domain that a map induces."""
+    classes: dict = {}
+    for x, v in enumerate(f.map):
+        classes.setdefault(v, []).append(x)
+    return sorted(classes.values())
+
+
+def _assert_same_squares(cat, data, squares):
+    """The same spans in the same order as the per-span reference, onto
+    the same carrier object p, with legs that agree up to an automorphism
+    of p."""
+    expected = reference.lowering_pushout_squares(cat, data)
+    assert [sq.refs[:2] for sq in squares] == [sq.refs[:2] for sq in expected]
+    for sq, ref in zip(squares, expected):
+        r0, r1, f0, f1 = sq.refs
+        _, _, g0, g1 = ref.refs
+        p = cat.cod(g0)
+        assert cat.cod(f0) == cat.cod(f1) == p
+        # f0 r0 has the reference's kernel on the apex
+        assert _kernel(cat.mor(cat.compose(r0, f0))) == _kernel(cat.mor(cat.compose(r0, g0)))
+        assert any(
+            (cat.compose(f0, th), cat.compose(f1, th)) == (g0, g1) for th in cat.isos(p, p)
+        )
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 4])
+def test_squares_match_the_per_span_reference(truncations, N):
+    cat, data, squares = truncations[N]
+    _assert_same_squares(cat, data, squares)
+
+
+def test_witness_base_squares_match_the_per_span_reference(witness_base):
+    cat, data, squares, _ = witness_base
+    assert len(squares) == 653
+    _assert_same_squares(cat, data, squares)
 
 
 def test_pullback_fibres_in_walk_order():

@@ -16,6 +16,7 @@ from reedylab.reedy import (
     lowering_pushout,
     pushout_via_congruence,
     quotient_closure,
+    reedy_category_on,
     truncated_semilattice_category,
     verify_pushout_universal,
 )
@@ -75,7 +76,8 @@ def test_truncated_category_terminal_case():
     assert len(cat.objects) == 1
     assert len(list(cat.morphisms())) == 1
     assert len(squares) == 1
-    with pytest.raises(SizeBudget):
+    # refused by the constant maps alone, before any hom-set is enumerated
+    with pytest.raises(SizeBudget, match="at least 13712468 composable pairs"):
         truncated_semilattice_category(6)
 
 
@@ -104,6 +106,14 @@ def test_pushout_requires_surjections():
     incl = SLatMorphism(interval(), chain(3), (0, 2))
     with pytest.raises(NotSurjective):
         lowering_pushout(incl, SLatMorphism.identity(interval()))
+
+
+def test_pushout_leaving_the_objects_breaks_closure():
+    # the two surjections chain(3) -> interval push out to a point, which
+    # is not an object
+    with pytest.raises(ViolatedLaw) as exc:
+        reedy_category_on([chain(3), interval()])
+    assert (exc.value.law, exc.value.witness) == ("pushout-closure", ((0, 1, 1), (0, 1, 2)))
 
 
 def test_pushout_universal_property(trunc3):
