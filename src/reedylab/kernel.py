@@ -5,23 +5,30 @@ a time, and the batched lowering-pushout checks.  reedylab.reedy
 imports this module only inside the functions that need it, so
 importing reedylab stays numpy-free.
 
-The lowering-pushout checks share one routine, `pullback_fibres`: the
-pullback of a square of finite-set maps and the fibre of each of its
-pairs, over many squares at once.  By Yoneda, the pushout universal
-property of a square is "every representable y(c) sends it to a
-pullback"; a table row is a map's action on the sum of all y(c), so
-`reedy.verify_pushout_universal` feeds the routine table rows, and
-`presheaf.maps_lowering_pushouts_to_pullbacks` feeds it a presheaf's
-actions.  Lowering maps being epi is the injective half of the same
-statement, checked on the rows directly.  The covariant question, whether
+Three checks share one routine, `pullback_fibres`: the pullback of two
+keyed finite sets and the fibre of each of its pairs.  `square_fibres`
+keys it by square, over many squares of finite-set maps at once.  By
+Yoneda, the pushout universal property of a square is "every
+representable y(c) sends it to a pullback"; a table row is a map's action
+on the sum of all y(c), so `reedy.verify_pushout_universal` feeds the
+routine table rows, and `presheaf.maps_lowering_pushouts_to_pullbacks`
+feeds it a presheaf's actions.  Orthogonal lifting is one more hom-set
+pullback: e and m are orthogonal when Hom(b, c) maps one to one onto
+Hom(a, c) x_Hom(a, d) Hom(b, d), so `orthogonal_lifting` matches, per
+Hom(a, b), the lowering rows against the composites of raising maps out
+of a.  Lowering maps being epi is the injective half of the universal
+property, checked on the rows directly.  The covariant question, whether
 Hom(A, -) sends each square to a pushout of sets, has its own batched
 route, `hom_preserved`.  It glues its pushouts with `_join`, the
 minimum-label union that the presheaf layer's numpy routes share.
-"""
 
+The factorization, split and free-action checks of the Reedy axioms
+read whole blocks of the table as well: lowering rows at raising
+columns, Hom(b, a) columns against the identities, and lowering rows at
+the automorphism columns.
+"""
 from __future__ import annotations
 
-import bisect
 import itertools
 
 import numpy as np
@@ -100,73 +107,186 @@ def scan_composable(id: str, cat, bad) -> Check:
 
 
 def orthogonal_lifting(cat, low: np.ndarray, high: np.ndarray) -> Check:
-    """The scan over the commuting squares m u = v e, e lowering and m
-    raising, in the order for e, for m, for u, for v (each in morphism
-    order); a square fails unless exactly one diagonal w has w e = u and
-    m w = v.  Computed one (a, b, c, d) block at a time, for e: a -> b,
-    m: c -> d, u: a -> c, v: b -> d and w: b -> c."""
-    n, table = len(cat.objects), cat.composition
+    """orthogonal-lifting-unique: the scan over the commuting squares
+    m u = v e, e lowering and m raising, in the order for e, for m, for u,
+    for v (each in morphism order), for e: a -> b, m: c -> d, u: a -> c
+    and v: b -> d.  A square fails unless exactly one diagonal w: b -> c
+    has w e = u and m w = v, with witness {e, m, u, v, diagonals}.
 
-    def members(of, a, b):
-        """The positions in Hom(a, b) of the maps in a class."""
-        ids = cat.refs(a, b)
-        return np.flatnonzero(of[ids.start : ids.stop])
+    e and m are orthogonal when w -> (w e, m w) is a bijection from
+    Hom(b, c) onto the pullback Hom(a, c) x_Hom(a, d) Hom(b, d), so this is
+    one more hom-set pullback for pullback_fibres.  Per object x, the
+    triples (g, m, m g) over the raising m and the g: x -> dom m, ordered
+    by (m, g), are built once.  The squares of e are the pairs of an
+    a-triple (u, m, m u) and a column v of e's table row with m u = v e:
+    the ids already name d, so one match covers every (c, d).  The
+    diagonals of such a pair are the b-triples (w, m, m w) with w e = u,
+    w e read off e's row.  Keying both sides by e takes the e rows of one
+    Hom(a, b) together, at most CHUNK entries at a time, and the pair keys
+    then increase in the walk order e, m, u, v.  The table's entries are
+    taken to lie in the hom-sets its layout gives them, as
+    fill_composition builds it."""
+    id, n, table = "orthogonal-lifting-unique", len(cat.objects), cat.composition
+    width = len(cat.morphisms())
+    raising = np.flatnonzero(high)
+    dom_m = cat.domain[raising]
+    # first[x, c] and size[x, c]: where Hom(x, c) starts among the ids, and its size
+    first = np.array([[cat.refs(x, c).start for c in range(n)] for x in range(n)], np.int64)
+    size = np.array([[len(cat.refs(x, c)) for c in range(n)] for x in range(n)], np.int64)
 
-    def position(a, b, ids):
-        """Ids of maps in Hom(a, b) as positions in it."""
-        return ids - cat.refs(a, b).start
+    def triples(x):
+        """The triples out of x: the g, the rank of m among the raising
+        maps, m g, and where each m's triples start, their total last."""
+        sizes = size[x, dom_m]
+        start = np.concatenate([[0], np.cumsum(sizes)])
+        g = np.arange(start[-1]) + np.repeat(first[x, dom_m] - start[:-1], sizes)
+        gm = np.concatenate(
+            [table[(x, c)][:, raising[dom_m == c] - cat.out_of(c).start].T.ravel() for c in range(n)]
+        ).astype(np.int64)
+        return g, np.repeat(np.arange(len(raising)), sizes), gm, start
 
+    out = [triples(x) for x in range(n)]
     count = 0
-    for a in range(n):
-        for b in range(n):
-            es = members(low, a, b)
-            if not len(es):
-                continue
-            # per (c, d) block: its maps m, shape and diagonal counts, and
-            # where its columns start among the squares of each e
-            blocks, starts, squares, bad = [], [0], [], []
-            for c in range(n):
-                for d in range(n):
-                    ms = members(high, c, d)
-                    if not len(ms):
-                        continue
-                    m_cols = cat.columns(c, d).start + ms
-                    um = position(a, d, table[(a, c)][:, m_cols])
-                    ev = position(a, d, table[(a, b)][es, cat.columns(b, d)])
-                    ew = position(a, c, table[(a, b)][es, cat.columns(b, c)])
-                    wm = position(b, d, table[(b, c)][:, m_cols])
-                    shape = (len(es), len(ms), len(um), ev.shape[1])
-                    commutes = (um.T[None, :, :, None] == ev[:, None, None, :]).ravel()
-                    # diagonals[e, m, u, v] counts the w with (w e, m w) = (u, v)
-                    pair = np.arange(len(es) * len(ms)).reshape(len(es), 1, len(ms))
-                    key = (pair * shape[2] + ew[:, :, None]) * shape[3] + wm[None]
-                    diagonals = np.bincount(key.ravel(), minlength=commutes.size)
-                    blocks.append((c, d, ms, shape, diagonals.reshape(shape)))
-                    starts.append(starts[-1] + commutes.size // len(es))
-                    squares.append(commutes.reshape(len(es), -1))
-                    bad.append((commutes & (diagonals != 1)).reshape(len(es), -1))
-            if not blocks:
-                continue
-            # row i holds the squares of the i-th e in the order of the walk
-            squares, bad = np.hstack(squares), np.hstack(bad)
+    for (a, b), block in table.items():
+        fs = cat.refs(a, b)
+        es = np.flatnonzero(low[fs.start : fs.stop])
+        if not len(es):
+            continue
+        u_a, rank_a, mu_a, start_a = out[a]
+        w_b, rank_b, mw_b, _ = out[b]
+        vs = cat.out_of(b)
+        n_t, n_v = len(mu_a), len(vs)
+        # a diagonal's a-triple is start_a[m] plus the position of w e in Hom(a, c)
+        w_col, mw_col = w_b - vs.start, mw_b - vs.start
+        base = start_a[rank_b] - first[a, dom_m[rank_b]]
+        for part in chunks([n_t + n_v + len(w_b)] * len(es), CHUNK):
+            rows = block[es[part.start : part.stop]]
+            i = np.arange(len(rows))[:, None]
+            y0, y1, diagonals = pullback_fibres(
+                (i * width + mu_a).ravel(),
+                (i * width + rows).ravel(),
+                (i * n_t + base + rows[:, w_col]).ravel(),
+                (i * n_v + mw_col).ravel(),
+            )
+            bad = diagonals != 1
             if not bad.any():
-                count += int(squares.sum())
+                count += len(diagonals)
                 continue
             k = int(bad.argmax())
-            count += int(squares.ravel()[: k + 1].sum())
-            i, col = divmod(k, bad.shape[1])
-            at = bisect.bisect_right(starts, col) - 1
-            c, d, ms, shape, diagonals = blocks[at]
-            j, u, v = np.unravel_index(col - starts[at], shape[1:])
+            (row, t), v = divmod(int(y0[k]), n_t), int(y1[k]) % n_v
             witness = {
-                "e": cat.ref(cat.refs(a, b)[es[i]]),
-                "m": cat.ref(cat.refs(c, d)[ms[j]]),
-                "u": cat.ref(cat.refs(a, c)[u]),
-                "v": cat.ref(cat.refs(b, d)[v]),
-                "diagonals": int(diagonals[i, j, u, v]),
+                "e": cat.ref(fs[es[part.start + row]]),
+                "m": cat.ref(int(raising[rank_a[t]])),
+                "u": cat.ref(int(u_a[t])),
+                "v": cat.ref(vs[v]),
+                "diagonals": int(diagonals[k]),
             }
-            return Check("orthogonal-lifting-unique", FAIL, count, witness)
-    return Check("orthogonal-lifting-unique", PASS, count)
+            return Check(id, FAIL, count + k + 1, witness)
+    return Check(id, PASS, count)
+
+
+def factorization_scan(cat, data) -> Check:
+    """factorization-unique-up-to-unique-iso: one case per f in morphism
+    order.  Its factorizations are the (e, m), e in data.lowering_out and
+    m raising, with m e = f, in the order e then m.  The case fails with
+    witness {f, reason} when there are none, and otherwise at the first
+    (e, m) not linked to the first one (e0, m0) by exactly one iso
+    th: cod e0 -> cod e with th e0 = e and m th = m0, with witness
+    {f, fact: [e, m], linking-isos}.
+
+    The factorizations out of an object a are the lowering rows of the
+    blocks out of a at the raising columns, grouped by their entry f by a
+    stable sort; the linking isos are read off the rows of each e0 and of
+    the isos themselves."""
+    id, n, table = "factorization-unique-up-to-unique-iso", len(cat.objects), cat.composition
+    high, isos = data.raising, {}
+    for a in range(n):
+        fs, lows = cat.out_of(a), np.array(data.lowering_out[a], np.int64)
+        fact_e, fact_m, fact_f = [], [], []
+        for b in range(n):
+            es, gs = lows[cat.codomain[lows] == b], cat.out_of(b)
+            ms = np.flatnonzero(high[gs.start : gs.stop])
+            fact_e.append(np.repeat(es, len(ms)))
+            fact_m.append(np.tile(gs.start + ms, len(es)))
+            fact_f.append(table[(a, b)][es - cat.refs(a, b).start][:, ms].ravel())
+        f = np.concatenate(fact_f).astype(np.int64)
+        order = np.argsort(f, kind="stable")
+        f, e, m = f[order], np.concatenate(fact_e)[order], np.concatenate(fact_m)[order]
+        facts = np.bincount(f - fs.start, minlength=len(fs))
+        first = np.repeat(np.cumsum(facts) - facts, facts)
+        e0, m0 = e[first], m[first]
+        linking = np.zeros(len(f), np.int64)
+        pair = cat.codomain[e0] * n + cat.codomain[e]
+        for key in _distinct(pair).tolist():
+            (b0, b), at = divmod(key, n), np.flatnonzero(pair == key)
+            if key not in isos:
+                isos[key] = np.array(cat.isos(b0, b), np.int64)
+            ths = isos[key]
+            # th e0 = e on e0's row; m th = m0 on the rows of the isos
+            through = table[(a, b0)][e0[at] - cat.refs(a, b0).start][:, ths - cat.out_of(b0).start]
+            after = table[(b0, b)][ths - cat.refs(b0, b).start][:, m[at] - cat.out_of(b).start]
+            linking[at] = ((through == e[at, None]) & (after.T == m0[at, None])).sum(1)
+        unlinked = linking != 1
+        failing = (facts == 0) | (np.bincount(f[unlinked] - fs.start, minlength=len(fs)) > 0)
+        if failing.any():
+            k = int(failing.argmax())
+            witness = {"f": cat.ref(fs[k]), "reason": "no factorization"}
+            if facts[k]:
+                j = int(np.flatnonzero(unlinked & (f == fs[k]))[0])
+                witness = {
+                    "f": cat.ref(fs[k]),
+                    "fact": [cat.ref(int(e[j])), cat.ref(int(m[j]))],
+                    "linking-isos": int(linking[j]),
+                }
+            return Check(id, FAIL, fs[k] + 1, witness)
+    return verdict(id, True, len(cat.morphisms()))
+
+
+def free_action_scan(cat, low: np.ndarray) -> Check:
+    """isos-act-freely-on-lowering: for each lowering e: a -> b in
+    morphism order and each automorphism th of b but the identity, in hom
+    order, the case fails when th e = e, with witness {e, theta}.  Read
+    off the lowering rows of each block at the columns of Aut(b).  No
+    cases when no object has an automorphism besides its identity."""
+    id, count = "isos-act-freely-on-lowering", 0
+    auts = [
+        np.array([th for th in cat.isos(b, b) if not cat.is_identity(th)], np.int64)
+        for b in range(len(cat.objects))
+    ]
+    for (a, b), block in cat.composition.items():
+        fs, ths = cat.refs(a, b), auts[b]
+        es = np.flatnonzero(low[fs.start : fs.stop])
+        fixed = block[es][:, ths - cat.out_of(b).start] == (fs.start + es)[:, None]
+        if fixed.any():
+            k = int(fixed.argmax())
+            i, j = divmod(k, len(ths))
+            witness = {"e": cat.ref(fs[es[i]]), "theta": cat.ref(int(ths[j]))}
+            return Check(id, FAIL, count + k + 1, witness)
+        count += fixed.size
+    return verdict(id, True, count, may_be_empty=not any(map(len, auts)))
+
+
+def split_scan(cat, low: np.ndarray, high: np.ndarray) -> Check:
+    """split-epi-lowering-split-mono-raising: for each f: a -> b in
+    morphism order, a case when some s: b -> a has f s = id_b, failing
+    unless f is lowering ({"split-epi": f}), then a case when some r has
+    r f = id_a, failing unless f is raising ({"split-mono": f}).  Read off
+    the Hom(b, a) columns of the blocks, against the identities."""
+    id, count = "split-epi-lowering-split-mono-raising", 0
+    for (a, b), block in cat.composition.items():
+        fs = cat.refs(a, b)
+        epi = (cat.composition[(b, a)][:, cat.columns(a, b)] == cat.identities[b]).any(0)
+        mono = (block[:, cat.columns(b, a)] == cat.identities[a]).any(1)
+        bad_epi = epi & ~low[fs.start : fs.stop]
+        bad = bad_epi | (mono & ~high[fs.start : fs.stop])
+        cases = epi.astype(np.int64) + mono
+        if bad.any():
+            i = int(bad.argmax())
+            count += int(cases[:i].sum()) + (1 if bad_epi[i] else int(cases[i]))
+            witness = {"split-epi" if bad_epi[i] else "split-mono": cat.ref(fs[i])}
+            return Check(id, FAIL, count, witness)
+        count += int(cases.sum())
+    return verdict(id, True, count)
 
 
 def _join(label: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -231,42 +351,54 @@ def chunks(sizes, cap: int = CHUNK):
         yield range(start, len(sizes))
 
 
-def pullback_fibres(squares):
-    """The pullbacks of squares of finite-set maps, and the fibre of each
-    of their pairs, over all the squares at once.
+def pullback_fibres(key0, key1, z0, z1):
+    """The pullback of two keyed finite sets, and the fibre of each of its
+    pairs.
 
-    A square is four int arrays (E0, E1, F0, F1), the values of maps
-    E0: Y0 -> S, E1: Y1 -> S, F0: Z -> Y0 and F1: Z -> Y1.  Its pullback is
-    the pairs (y0, y1) with E0[y0] == E1[y1], and the fibre of a pair is
-    the z with (F0[z], F1[z]) == (y0, y1).  Returns, per pair in walk order
-    (square, then y0, then y1), its square's position, y0, y1 and the size
-    of its fibre.
-
-    The squares are concatenated with offsets, so that those of two
-    squares never meet.  E0 is matched against E1 by a stable sort and
-    searchsorted; the pair keys then increase in walk order, and each z
-    finds its pair among them by searchsorted too."""
-    E0, E1, F0, F1 = zip(*squares)
-    positions = np.arange(len(squares))
-    n0, n1, nz = ([len(m) for m in maps] for maps in (E0, E1, F0))
-    off0, off1 = np.cumsum(n0) - n0, np.cumsum(n1) - n1
-    e0, e1 = np.concatenate(E0).astype(np.int64), np.concatenate(E1).astype(np.int64)
-    width = 1 + max(e0.max(initial=0), e1.max(initial=0))
-    square0 = np.repeat(positions, n0)
-    key0, key1 = square0 * width + e0, np.repeat(positions, n1) * width + e1
+    The pairs are the (y0, y1) with key0[y0] == key1[y1], in increasing
+    order of (y0, y1), and the fibre of a pair is the z with
+    (z0[z], z1[z]) == (y0, y1).  Returns y0, y1 and the size of each pair's
+    fibre.  key0 is matched against key1 by a stable sort and searchsorted,
+    so the pair keys y0 |key1| + y1 come out increasing, and each z finds
+    its pair among them by searchsorted too."""
     order = np.argsort(key1, kind="stable")
     low = np.searchsorted(key1[order], key0, "left")
     matches = np.searchsorted(key1[order], key0, "right") - low
     y0 = np.repeat(np.arange(len(key0)), matches)
     y1 = order[np.arange(len(y0)) + np.repeat(low - (np.cumsum(matches) - matches), matches)]
     pair = y0 * len(key1) + y1
-    square_z = np.repeat(positions, nz)
-    z = (np.concatenate(F0) + off0[square_z]) * len(key1) + np.concatenate(F1) + off1[square_z]
+    z = np.asarray(z0, np.int64) * len(key1) + z1
     at = np.searchsorted(pair, z)
     hit = at < len(pair)
     hit[hit] = pair[at[hit]] == z[hit]
+    return y0, y1, np.bincount(at[hit], minlength=len(pair))
+
+
+def square_fibres(squares):
+    """pullback_fibres over squares of finite-set maps, all at once.
+
+    A square is four int arrays (E0, E1, F0, F1), the values of maps
+    E0: Y0 -> S, E1: Y1 -> S, F0: Z -> Y0 and F1: Z -> Y1.  Its pullback is
+    the pairs (y0, y1) with E0[y0] == E1[y1], and the fibre of a pair is
+    the z with (F0[z], F1[z]) == (y0, y1).  Returns, per pair in walk order
+    (square, then y0, then y1), its square's position, y0, y1 and the size
+    of its fibre.  The squares are keyed by their positions and offset, so
+    that those of two squares never meet."""
+    E0, E1, F0, F1 = zip(*squares)
+    positions = np.arange(len(squares))
+    n0, n1, nz = ([len(m) for m in maps] for maps in (E0, E1, F0))
+    off0, off1 = np.cumsum(n0) - n0, np.cumsum(n1) - n1
+    e0, e1 = np.concatenate(E0).astype(np.int64), np.concatenate(E1).astype(np.int64)
+    width = 1 + max(e0.max(initial=0), e1.max(initial=0))
+    square0, square_z = np.repeat(positions, n0), np.repeat(positions, nz)
+    y0, y1, fibre = pullback_fibres(
+        square0 * width + e0,
+        np.repeat(positions, n1) * width + e1,
+        np.concatenate(F0) + off0[square_z],
+        np.concatenate(F1) + off1[square_z],
+    )
     square = square0[y0]
-    return square, y0 - off0[square], y1 - off1[square], np.bincount(at[hit], minlength=len(pair))
+    return square, y0 - off0[square], y1 - off1[square], fibre
 
 
 def lowering_epi_scan(cat, lowering: np.ndarray) -> Check:

@@ -26,7 +26,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InvalidInput, ViolatedLaw
-from .kernel import _class_values, _classes, _distinct, _join, chunks, pullback_fibres
+from .kernel import _class_values, _classes, _distinct, _join, chunks, square_fibres
 from .reedy import FinCategory, LoweringPushoutSquare, ReedyData
 from .semilattice import UnionFind, descend
 
@@ -426,7 +426,7 @@ def maps_lowering_pushouts_to_pullbacks(
     """X applied to each base square must yield a pullback of sets: z
     goes to (z.f0, z.f1) one to one and onto the pairs (y0, y1) with
     y0.e0 = y1.e1.  So a square passes when each such pair has a fibre of
-    exactly one z and the pairs number |X_p|.  kernel.pullback_fibres
+    exactly one z and the pairs number |X_p|.  kernel.square_fibres
     takes the actions of a whole chunk of squares at once.  Returns
     (True, None), or (False, refs) for the first square that fails."""
     if any(sq.refs is None for sq in squares):
@@ -435,7 +435,7 @@ def maps_lowering_pushouts_to_pullbacks(
     sizes = [sum(X.levels[cat.cod(f)] for f in sq.refs) for sq in squares]
     for part in chunks(sizes):
         refs = [squares[i].refs for i in part]
-        square, _, _, fibre = pullback_fibres([[X.action(f) for f in r] for r in refs])
+        square, _, _, fibre = square_fibres([[X.action(f) for f in r] for r in refs])
         pairs = np.bincount(square, minlength=len(refs))
         split = np.bincount(square, weights=fibre != 1, minlength=len(refs)) > 0
         bad = split | (pairs != [X.levels[cat.cod(r[2])] for r in refs])

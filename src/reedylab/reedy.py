@@ -13,7 +13,8 @@ carrier, so the join is that object's.
 The universal property of a square is, by Yoneda, the statement that
 every representable y(c) sends it to a pullback, and lowering maps being
 epi is its injective half; both are read off the composition table's
-rows by kernel.pullback_fibres and kernel.lowering_epi_scan.
+rows by kernel.square_fibres and kernel.lowering_epi_scan, and the
+Reedy axioms off whole table blocks by the other kernel scans.
 """
 
 from __future__ import annotations
@@ -373,9 +374,9 @@ def verify_pushout_universal(cat: FinCategory, squares: list[LoweringPushoutSqua
     a pullback: the cocones into c are the pullback of y(c)'s actions of e0
     and e1, and the mediating maps of one are its fibre under the actions
     of f0 and f1.  The row of e in the table is e's action on the sum of
-    all y(c), and the ids in it already name c, so kernel.pullback_fibres
+    all y(c), and the ids in it already name c, so kernel.square_fibres
     takes the rows of a whole chunk of squares at once."""
-    from .kernel import chunks, pullback_fibres
+    from .kernel import chunks, square_fibres
 
     def actions(sq):
         e0, e1, f0, f1 = sq.refs
@@ -385,7 +386,7 @@ def verify_pushout_universal(cat: FinCategory, squares: list[LoweringPushoutSqua
     id, count = "pushout-universal-property", 0
     sizes = [sum(len(cat.out_of(cat.cod(f))) for f in sq.refs) for sq in squares]
     for part in chunks(sizes):
-        square, y0, y1, mediating = pullback_fibres([actions(squares[i]) for i in part])
+        square, y0, y1, mediating = square_fibres([actions(squares[i]) for i in part])
         bad = mediating != 1
         if bad.any():
             k = int(bad.argmax())
@@ -510,20 +511,10 @@ def quotient_closure(
 # ---------------------------------------------------------------------------
 
 
-def _factorizations(cat: FinCategory, data: ReedyData, raising: list, f: int):
-    """All (lowering, raising) factorizations of f through category objects,
-    given the raising classification as a list by id."""
-    return [
-        (e, m)
-        for e in data.lowering_out[cat.dom(f)]
-        for m in cat.refs(cat.cod(e), cat.cod(f))
-        if raising[m] and cat.compose(e, m) == f
-    ]
-
-
 def certify_reedy_axioms(cat: FinCategory, data: ReedyData) -> list[Check]:
-    """Orthogonal factorization system plus degree axioms, exhaustively."""
-    from .kernel import orthogonal_lifting, scan_composable
+    """Orthogonal factorization system plus degree axioms, exhaustively;
+    all but the iso and degree walks are table scans in reedylab.kernel."""
+    from .kernel import factorization_scan, free_action_scan, orthogonal_lifting, scan_composable
 
     morphs, degree, ref = cat.morphisms(), data.degree, cat.ref
     low, high = data.lowering, data.raising
@@ -550,74 +541,31 @@ def certify_reedy_axioms(cat: FinCategory, data: ReedyData) -> list[Check]:
             )
             yield {"f": ref(f)} if bad else None
 
-    def factor_exists_unique():
-        for f in morphs:
-            facts = _factorizations(cat, data, raising, f)
-            if not facts:
-                yield {"f": ref(f), "reason": "no factorization"}
-                continue
-            # uniqueness up to unique isomorphism against the canonical one
-            e0, m0 = facts[0]
-            witness = None
-            for e, m in facts:
-                linking = [
-                    th
-                    for th in cat.isos(cat.cod(e0), cat.cod(e))
-                    if cat.compose(e0, th) == e and cat.compose(th, m) == m0
-                ]
-                if len(linking) != 1:
-                    witness = {"f": ref(f), "fact": [ref(e), ref(m)], "linking-isos": len(linking)}
-                    break
-            yield witness
-
-    def free_action():
-        for e in morphs:
-            if not lowering[e]:
-                continue
-            b = cat.cod(e)
-            for th in cat.isos(b, b):
-                if not cat.is_identity(th):
-                    yield {"e": ref(e), "theta": ref(th)} if cat.compose(e, th) == e else None
-
     return [
         scan_composable("classes-closed-under-composition", cat, closed_classes),
         scan("lowering-and-raising-iff-iso", isos_in_both()),
         scan("degree-monotonicity", degrees()),
-        scan("factorization-unique-up-to-unique-iso", factor_exists_unique()),
+        factorization_scan(cat, data),
         orthogonal_lifting(cat, low, high),
-        # no cases when no object has an automorphism besides its identity
-        scan(
-            "isos-act-freely-on-lowering",
-            free_action(),
-            may_be_empty=all(len(cat.isos(b, b)) == 1 for b in range(len(cat.objects))),
-        ),
+        free_action_scan(cat, low),
     ]
 
 
 def certify_cancellation(cat: FinCategory, data: ReedyData) -> list[Check]:
     """gf lowering forces g lowering; gf raising forces f raising; split
-    epis are lowering and split monos raising.  All composable pairs."""
+    epis are lowering and split monos raising.  All composable pairs, by
+    table blocks: kernel.split_scan reads the Hom(b, a) blocks."""
 
-    from .kernel import scan_composable
+    from .kernel import scan_composable, split_scan
 
     low, high = data.lowering, data.raising
-    lowering, raising = low.tolist(), high.tolist()
 
     def cancel(f, g, gf):
         return (low[gf] & ~low[g]) | (high[gf] & ~high[f])
 
-    def split_classes():
-        for f in cat.morphisms():
-            a, b = cat.dom(f), cat.cod(f)
-            back = cat.refs(b, a)
-            if any(cat.compose(s, f) == cat.identities[b] for s in back):
-                yield None if lowering[f] else {"split-epi": cat.ref(f)}
-            if any(cat.compose(f, r) == cat.identities[a] for r in back):
-                yield None if raising[f] else {"split-mono": cat.ref(f)}
-
     return [
         scan_composable("composite-class-cancellation", cat, cancel),
-        scan("split-epi-lowering-split-mono-raising", split_classes()),
+        split_scan(cat, low, high),
     ]
 
 
@@ -634,8 +582,11 @@ def certify_pre_elegance(
         return (cat.ref(sq.refs[0]), cat.ref(sq.refs[1]))
 
     def closure():
+        # the carrier is the object both legs land in
         for sq in squares:
-            closed = cat.object_of(sq.carrier) is not None
+            _, _, f0, f1 = sq.refs
+            p = cat.cod(f0)
+            closed = cat.cod(f1) == p and sq.carrier.join == cat.objects[p].join
             yield None if closed else {"span": span(sq)}
 
     def set_vs_congruence():

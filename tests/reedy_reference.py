@@ -12,11 +12,20 @@ composite, and one hom-set enumeration per corner of every square.
 
 They live here only so that the tests can compare the two routes check
 by check, on passing and on failing inputs.
+
+The Reedy-axiom routes below are what `certify_reedy_axioms` and
+`certify_cancellation` ran before they read whole blocks of the table:
+`orthogonal_lifting_blocks` builds the full u x v product of every
+(a, b, c, d) block, and the other three walk morphism by morphism with
+one `compose` call per composite.
 """
 
+import bisect
 import itertools
 
-from reedylab.certificates import scan
+import numpy as np
+
+from reedylab.certificates import FAIL, PASS, Check, scan
 from reedylab.elegance import hom_preserves_lowering_pushout
 from reedylab.errors import ViolatedLaw
 from reedylab.reedy import LoweringPushoutSquare, lowering_pushout
@@ -111,3 +120,148 @@ def hom_preservation_check(id, cat, A, squares, budget):
             yield None if ok else {"square": tuple(map(cat.ref, sq.refs)), "witness": witness}
 
     return scan(id, witnesses())
+
+
+def orthogonal_lifting_blocks(cat, low, high):
+    """The orthogonal-lifting-unique check one (a, b, c, d) block at a
+    time, for e: a -> b, m: c -> d, u: a -> c, v: b -> d and w: b -> c:
+    the full u x v product of commuting flags and diagonal counts per
+    block, stacked per (a, b) in the walk order e, m, u, v."""
+    n, table = len(cat.objects), cat.composition
+
+    def members(of, a, b):
+        """The positions in Hom(a, b) of the maps in a class."""
+        ids = cat.refs(a, b)
+        return np.flatnonzero(of[ids.start : ids.stop])
+
+    def position(a, b, ids):
+        """Ids of maps in Hom(a, b) as positions in it."""
+        return ids - cat.refs(a, b).start
+
+    count = 0
+    for a in range(n):
+        for b in range(n):
+            es = members(low, a, b)
+            if not len(es):
+                continue
+            # per (c, d) block: its maps m, shape and diagonal counts, and
+            # where its columns start among the squares of each e
+            blocks, starts, squares, bad = [], [0], [], []
+            for c in range(n):
+                for d in range(n):
+                    ms = members(high, c, d)
+                    if not len(ms):
+                        continue
+                    m_cols = cat.columns(c, d).start + ms
+                    um = position(a, d, table[(a, c)][:, m_cols])
+                    ev = position(a, d, table[(a, b)][es, cat.columns(b, d)])
+                    ew = position(a, c, table[(a, b)][es, cat.columns(b, c)])
+                    wm = position(b, d, table[(b, c)][:, m_cols])
+                    shape = (len(es), len(ms), len(um), ev.shape[1])
+                    commutes = (um.T[None, :, :, None] == ev[:, None, None, :]).ravel()
+                    # diagonals[e, m, u, v] counts the w with (w e, m w) = (u, v)
+                    pair = np.arange(len(es) * len(ms)).reshape(len(es), 1, len(ms))
+                    key = (pair * shape[2] + ew[:, :, None]) * shape[3] + wm[None]
+                    diagonals = np.bincount(key.ravel(), minlength=commutes.size)
+                    blocks.append((c, d, ms, shape, diagonals.reshape(shape)))
+                    starts.append(starts[-1] + commutes.size // len(es))
+                    squares.append(commutes.reshape(len(es), -1))
+                    bad.append((commutes & (diagonals != 1)).reshape(len(es), -1))
+            if not blocks:
+                continue
+            # row i holds the squares of the i-th e in the order of the walk
+            squares, bad = np.hstack(squares), np.hstack(bad)
+            if not bad.any():
+                count += int(squares.sum())
+                continue
+            k = int(bad.argmax())
+            count += int(squares.ravel()[: k + 1].sum())
+            i, col = divmod(k, bad.shape[1])
+            at = bisect.bisect_right(starts, col) - 1
+            c, d, ms, shape, diagonals = blocks[at]
+            j, u, v = np.unravel_index(col - starts[at], shape[1:])
+            witness = {
+                "e": cat.ref(cat.refs(a, b)[es[i]]),
+                "m": cat.ref(cat.refs(c, d)[ms[j]]),
+                "u": cat.ref(cat.refs(a, c)[u]),
+                "v": cat.ref(cat.refs(b, d)[v]),
+                "diagonals": int(diagonals[i, j, u, v]),
+            }
+            return Check("orthogonal-lifting-unique", FAIL, count, witness)
+    return Check("orthogonal-lifting-unique", PASS, count)
+
+
+def _factorizations(cat, data, f):
+    """All (lowering, raising) factorizations of f through category objects."""
+    return [
+        (e, m)
+        for e in data.lowering_out[cat.dom(f)]
+        for m in cat.refs(cat.cod(e), cat.cod(f))
+        if data.raising[m] and cat.compose(e, m) == f
+    ]
+
+
+def factorization_check(cat, data):
+    """factorization-unique-up-to-unique-iso, morphism by morphism: each
+    factorization against the first by the isos linking them."""
+
+    def witnesses():
+        for f in cat.morphisms():
+            facts = _factorizations(cat, data, f)
+            if not facts:
+                yield {"f": cat.ref(f), "reason": "no factorization"}
+                continue
+            e0, m0 = facts[0]
+            witness = None
+            for e, m in facts:
+                linking = [
+                    th
+                    for th in cat.isos(cat.cod(e0), cat.cod(e))
+                    if cat.compose(e0, th) == e and cat.compose(th, m) == m0
+                ]
+                if len(linking) != 1:
+                    witness = {
+                        "f": cat.ref(f),
+                        "fact": [cat.ref(e), cat.ref(m)],
+                        "linking-isos": len(linking),
+                    }
+                    break
+            yield witness
+
+    return scan("factorization-unique-up-to-unique-iso", witnesses())
+
+
+def split_check(cat, data):
+    """split-epi-lowering-split-mono-raising, morphism by morphism: a
+    split epi case, then a split mono case, for each f that is one."""
+
+    def witnesses():
+        for f in cat.morphisms():
+            a, b = cat.dom(f), cat.cod(f)
+            back = cat.refs(b, a)
+            if any(cat.compose(s, f) == cat.identities[b] for s in back):
+                yield None if data.lowering[f] else {"split-epi": cat.ref(f)}
+            if any(cat.compose(f, r) == cat.identities[a] for r in back):
+                yield None if data.raising[f] else {"split-mono": cat.ref(f)}
+
+    return scan("split-epi-lowering-split-mono-raising", witnesses())
+
+
+def free_action_check(cat, data):
+    """isos-act-freely-on-lowering, lowering map by lowering map: a case
+    per non-identity automorphism of its codomain."""
+
+    def witnesses():
+        for e in cat.morphisms():
+            if not data.lowering[e]:
+                continue
+            b = cat.cod(e)
+            for th in cat.isos(b, b):
+                if not cat.is_identity(th):
+                    yield {"e": cat.ref(e), "theta": cat.ref(th)} if cat.compose(e, th) == e else None
+
+    return scan(
+        "isos-act-freely-on-lowering",
+        witnesses(),
+        may_be_empty=all(len(cat.isos(b, b)) == 1 for b in range(len(cat.objects))),
+    )

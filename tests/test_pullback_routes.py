@@ -21,6 +21,7 @@ from reedylab.kernel import (
     hom_preserved,
     lowering_epi_scan,
     pullback_fibres,
+    square_fibres,
 )
 from reedylab.presheaf import (
     maps_lowering_pushouts_to_pullbacks,
@@ -97,10 +98,17 @@ def test_pullback_fibres_in_walk_order():
     # one with exactly one, and a second square with no pairs at all
     first = ([0, 1, 1], [1, 0], [0, 0, 2], [1, 1, 0])
     second = ([0], [1], [0], [0])
-    square, y0, y1, fibre = pullback_fibres([first, second])
+    square, y0, y1, fibre = square_fibres([first, second])
     assert square.tolist() == [0, 0, 0]
     assert list(zip(y0.tolist(), y1.tolist())) == [(0, 1), (1, 0), (2, 0)]
     assert fibre.tolist() == [2, 0, 1]
+    # the same keys flat: a key met twice on each side gives four pairs,
+    # and a z naming no pair is in no fibre
+    y0, y1, fibre = pullback_fibres(
+        np.array([5, 7, 5]), np.array([5, 5, 9]), np.array([0, 2, 1, 2]), np.array([1, 0, 2, 0])
+    )
+    assert list(zip(y0.tolist(), y1.tolist())) == [(0, 0), (0, 1), (2, 0), (2, 1)]
+    assert fibre.tolist() == [0, 1, 2, 0]
 
 
 def test_chunks_cover_every_position_in_order():
@@ -236,6 +244,10 @@ def test_size_4_counts_the_benchmark_does_not_compare():
     # bench/run.py compares check statuses only; these are the case counts
     pre = run_suite(SuiteConfig("pre-elegance", max_size=4))
     counts = {c.id: (c.status, c.count) for c in pre.checks}
+    assert counts["factorization-unique-up-to-unique-iso"] == ("pass", 1055)
+    assert counts["orthogonal-lifting-unique"] == ("pass", 31407)
+    assert counts["isos-act-freely-on-lowering"] == ("pass", 48)
+    assert counts["split-epi-lowering-split-mono-raising"] == ("pass", 158)
     assert counts["lowering-pushout-closure"] == ("pass", 347)
     assert counts["lowering-maps-are-epi"] == ("pass", 40977)
     assert counts["set-pushout-matches-congruence-quotient"] == ("pass", 347)

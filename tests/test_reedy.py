@@ -4,12 +4,16 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+import reedy_reference as reference
+from reedylab import kernel
 from reedylab.certificates import scan
 from reedylab.errors import NotSurjective, SizeBudget, ViolatedLaw
 from reedylab.obstruction import map_t, map_u
 from reedylab.reedy import (
+    LoweringPushoutSquare,
     certify_cancellation,
     certify_pre_elegance,
     certify_reedy_axioms,
@@ -114,6 +118,28 @@ def test_pushout_leaving_the_objects_breaks_closure():
     with pytest.raises(ViolatedLaw) as exc:
         reedy_category_on([chain(3), interval()])
     assert (exc.value.law, exc.value.witness) == ("pushout-closure", ((0, 1, 1), (0, 1, 2)))
+
+
+def test_closure_fails_on_a_square_off_its_carrier(trunc3, monkeypatch):
+    # refs whose legs land in two objects, or both in an object other
+    # than the carrier of the square's maps
+    import reedylab.reedy as reedy
+
+    # the universal property reads the legs' rows, which need not be
+    # equally long here
+    monkeypatch.setattr(reedy, "verify_pushout_universal", lambda cat, squares: None)
+    cat, data, squares = trunc3
+    sq = squares[-1]
+    r0, r1, f0, f1 = sq.refs
+    p = cat.cod(f0)
+    q = next(q for q in range(len(cat.objects)) if q != p)
+    g0, g1 = (cat.refs(cat.cod(r), q)[0] for r in (r0, r1))
+    for refs in [(r0, r1, f0, g1), (r0, r1, g0, g1)]:
+        broken = LoweringPushoutSquare(sq.e0, sq.e1, sq.f0, sq.f1, refs)
+        closure = certify_pre_elegance(cat, data, squares[:5] + [broken])[0]
+        assert closure.id == "lowering-pushout-closure"
+        assert (closure.status, closure.count) == ("fail", 6)
+        assert closure.witness == {"span": (cat.ref(r0), cat.ref(r1))}
 
 
 def test_pushout_universal_property(trunc3):
@@ -513,3 +539,141 @@ def test_block_scan_witnesses_on_a_corrupted_table(entry, expected):
         if c.id in expected
     }
     assert scans == expected
+
+
+def _table_scans(cat, data):
+    """The four Reedy checks read off whole table blocks, and the
+    reference routes they replaced, as two lists of Checks."""
+    low, high = data.lowering, data.raising
+    ours = [
+        kernel.factorization_scan(cat, data),
+        kernel.orthogonal_lifting(cat, low, high),
+        kernel.free_action_scan(cat, low),
+        kernel.split_scan(cat, low, high),
+    ]
+    theirs = [
+        reference.factorization_check(cat, data),
+        reference.orthogonal_lifting_blocks(cat, low, high),
+        reference.free_action_check(cat, data),
+        reference.split_check(cat, data),
+    ]
+    return ours, theirs
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 4])
+def test_table_scans_match_the_reference(N):
+    cat, data, squares = truncated_semilattice_category(N)
+    ours, theirs = _table_scans(cat, data)
+    assert ours == theirs
+    assert {c.status for c in ours} == {"pass"}
+
+
+@pytest.mark.parametrize("entry, expected", CORRUPTED_TABLE_SCANS)
+def test_table_scans_match_the_reference_on_a_corrupted_table(entry, expected):
+    cat, data, squares = truncated_semilattice_category(3)
+    key, i, j, h = entry
+    cat.composition[key][i, j] = h
+    ours, theirs = _table_scans(cat, data)
+    assert ours == theirs
+
+
+def test_table_scans_match_the_reference_on_seeded_corrupted_tables():
+    """Two entries overwritten anywhere, one that the free-action check
+    reads (a lowering row at a non-identity automorphism) and one that
+    the split check reads (a composite back into the domain), each with
+    a random map of the right hom-set."""
+    import random
+
+    cat, data, squares = truncated_semilattice_category(3)
+    clean = {key: block.copy() for key, block in cat.composition.items()}
+    pairs = list(composable(cat))
+    free = [
+        (f, g, h)
+        for f, g, h in pairs
+        if data.lowering[f] and cat.dom(g) == cat.cod(g) and cat.mor(g).is_iso
+        and not cat.is_identity(g)
+    ]
+    split = [(f, g, h) for f, g, h in pairs if cat.cod(g) == cat.dom(f)]
+    statuses = []
+    for seed in range(60):
+        rng = random.Random(seed)
+        for key, block in clean.items():
+            cat.composition[key][...] = block
+        for f, g, h in rng.sample(pairs, 2) + [rng.choice(free), rng.choice(split)]:
+            _set_composite(cat, f, g, rng.choice(cat.refs(cat.dom(f), cat.cod(g))))
+        ours, theirs = _table_scans(cat, data)
+        assert ours == theirs
+        statuses.append([c.status for c in ours])
+    # each check fails on some tables and passes on others
+    assert all({s[k] for s in statuses} == {"pass", "fail"} for k in range(4))
+
+
+def _with_flags(cat, data, lowering, raising):
+    low = lowering.tolist()
+    out = tuple(tuple(f for f in cat.out_of(a) if low[f]) for a in range(len(cat.objects)))
+    return dataclasses.replace(data, lowering=lowering, raising=raising, lowering_out=out)
+
+
+def _corrupted_flags(cat, data):
+    """One non-identity iso in neither class, every map lowering, and the
+    raising flags flipped."""
+    iso = next(f for f in cat.morphisms() if cat.mor(f).is_iso and not cat.is_identity(f))
+    low, high = data.lowering.copy(), data.raising.copy()
+    low[iso] = high[iso] = False
+    return {
+        "iso-unmarked": _with_flags(cat, data, low, high),
+        "all-lowering": _with_flags(cat, data, np.ones_like(data.lowering), data.raising),
+        "raising-flipped": _with_flags(cat, data, data.lowering, ~data.raising),
+    }
+
+
+# (status, count, witness) of factorization, lifting, free action and
+# split on the corrupted flags of the size-3 truncation
+CORRUPTED_FLAG_SCANS = {
+    "iso-unmarked": [
+        ("fail", 36, {"f": (2, 2, 6), "reason": "no factorization"}),
+        ("pass", 399, None),
+        ("pass", 1, None),
+        ("fail", 24, {"split-epi": (2, 2, 6)}),
+    ],
+    "all-lowering": [
+        ("fail", 2, {"f": (0, 1, 0), "fact": [(0, 1, 0), (1, 1, 1)], "linking-isos": 0}),
+        (
+            "fail",
+            33,
+            {"e": (0, 1, 0), "m": (0, 1, 0), "u": (0, 0, 0), "v": (1, 1, 1), "diagonals": 0},
+        ),
+        ("fail", 1, {"e": (0, 2, 0), "theta": (2, 2, 6)}),
+        ("pass", 30, None),
+    ],
+    "raising-flipped": [
+        ("fail", 1, {"f": (0, 0, 0), "reason": "no factorization"}),
+        (
+            "fail",
+            146,
+            {"e": (1, 0, 0), "m": (1, 0, 0), "u": (1, 1, 1), "v": (0, 0, 0), "diagonals": 0},
+        ),
+        ("pass", 2, None),
+        ("fail", 2, {"split-mono": (0, 0, 0)}),
+    ],
+}
+
+
+@pytest.mark.parametrize("N", [3, 4])
+def test_table_scans_match_the_reference_on_corrupted_flags(N):
+    cat, data, squares = truncated_semilattice_category(N)
+    for name, corrupted in _corrupted_flags(cat, data).items():
+        ours, theirs = _table_scans(cat, corrupted)
+        assert ours == theirs, name
+        if N == 3:
+            assert [(c.status, c.count, c.witness) for c in ours] == CORRUPTED_FLAG_SCANS[name]
+
+
+def test_lifting_is_the_same_under_a_small_chunk_cap(monkeypatch):
+    # one e row per chunk, so the count and witness run across chunks
+    cat, data, squares = truncated_semilattice_category(4)
+    cases = [data, *_corrupted_flags(cat, data).values()]
+    default = [kernel.orthogonal_lifting(cat, d.lowering, d.raising) for d in cases]
+    monkeypatch.setattr(kernel, "CHUNK", 64)
+    assert [kernel.orthogonal_lifting(cat, d.lowering, d.raising) for d in cases] == default
+    assert [c.status for c in default] == ["pass", "pass", "fail", "fail"]
