@@ -21,7 +21,8 @@ class ViolatedLaw(ReedyLabError):
     'length', 'range', 'unit' or 'functoriality' for a presheaf; 'base',
     'length', 'range' or 'naturality' for a presheaf morphism;
     'square-shape' (legs that do not meet) or 'square-commutativity' for a
-    lowering pushout square; 'span-apex' for a span whose two legs leave
+    lowering pushout square, and 'square-shape' for a category's square
+    of morphism ids; 'span-apex' for a span whose two legs leave
     different apexes; 'length', 'range' or 'monotonicity' for a crown
     map, and 'length' or 'monotonicity' for a monotone map of cubes.
     `witness` is the offending index or morphism tuple.
@@ -38,13 +39,12 @@ class ViolatedLaw(ReedyLabError):
     'skeleton-landing' when a leg of a cell square leaves its
     skeleton; 'pushout-closure' when a lowering pushout leaves the object
     set, or when no lowering map out of the apex realizes the kernel the
-    span's two legs join to; 'forced-lift-step' and 'closed-lift' when a crown map or a
+    span's two legs join to; 'forced-lift-step' when a crown map or a
     composite of crown maps does not lift step by step to the fence;
     'base-point-independence' when moving a crown map's base point by a
     turn does not move its whole lift by that turn; 'closed-window' when
-    the ends of a lift differ by a non-multiple of the turn, so that
-    its winding is not an integer; 'embedding-injectivity' when the
-    embedding of a crown into a cube identifies two vertices; 'top' when
+    the ends of a caller-built lift differ by a non-multiple of the turn,
+    so that its winding is not an integer; 'top' when
     a validated join table has an element outside the join of all;
     'surjectivity' when the pinched tripod cover, the counit from a free
     semilattice or a cube retraction misses an element; 'bijectivity'

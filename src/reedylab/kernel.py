@@ -6,8 +6,8 @@ imports this module only inside the functions that need it, so
 importing reedylab stays numpy-free.
 
 Three checks share one routine, `pullback_fibres`: the pullback of two
-keyed finite sets and the fibre of each of its pairs.  `square_fibres`
-keys it by square, over many squares of finite-set maps at once.  By
+keyed finite sets and the fibre of each of its pairs.  `square_pullbacks`
+keys it by square, over a category's id squares and an action by id.  By
 Yoneda, the pushout universal property of a square is "every
 representable y(c) sends it to a pullback"; a table row is a map's action
 on the sum of all y(c), so `reedy.verify_pushout_universal` feeds the
@@ -33,7 +33,7 @@ import itertools
 
 import numpy as np
 
-from .certificates import FAIL, PASS, Check, verdict
+from .certificates import FAIL, Check, verdict
 from .errors import ViolatedLaw
 
 # the most entries a batched square routine takes in at once; larger
@@ -103,7 +103,7 @@ def scan_composable(id: str, cat, bad) -> Check:
             witness = {"f": cat.ref(fs[i]), "g": cat.ref(gs[j])}
             return Check(id, FAIL, count + k + 1, witness)
         count += block.size
-    return Check(id, PASS, count)
+    return verdict(id, True, count)
 
 
 def orthogonal_lifting(cat, low: np.ndarray, high: np.ndarray) -> Check:
@@ -182,7 +182,7 @@ def orthogonal_lifting(cat, low: np.ndarray, high: np.ndarray) -> Check:
                 "diagonals": int(diagonals[k]),
             }
             return Check(id, FAIL, count + k + 1, witness)
-    return Check(id, PASS, count)
+    return verdict(id, True, count)
 
 
 def factorization_scan(cat, data) -> Check:
@@ -374,31 +374,44 @@ def pullback_fibres(key0, key1, z0, z1):
     return y0, y1, np.bincount(at[hit], minlength=len(pair))
 
 
-def square_fibres(squares):
-    """pullback_fibres over squares of finite-set maps, all at once.
+def square_pullbacks(cat, squares, action):
+    """pullback_fibres over a category's squares, a chunk at a time.
 
-    A square is four int arrays (E0, E1, F0, F1), the values of maps
-    E0: Y0 -> S, E1: Y1 -> S, F0: Z -> Y0 and F1: Z -> Y1.  Its pullback is
-    the pairs (y0, y1) with E0[y0] == E1[y1], and the fibre of a pair is
-    the z with (F0[z], F1[z]) == (y0, y1).  Returns, per pair in walk order
-    (square, then y0, then y1), its square's position, y0, y1 and the size
-    of its fibre.  The squares are keyed by their positions and offset, so
-    that those of two squares never meet."""
-    E0, E1, F0, F1 = zip(*squares)
-    positions = np.arange(len(squares))
-    n0, n1, nz = ([len(m) for m in maps] for maps in (E0, E1, F0))
-    off0, off1 = np.cumsum(n0) - n0, np.cumsum(n1) - n1
-    e0, e1 = np.concatenate(E0).astype(np.int64), np.concatenate(E1).astype(np.int64)
-    width = 1 + max(e0.max(initial=0), e1.max(initial=0))
-    square0, square_z = np.repeat(positions, n0), np.repeat(positions, nz)
-    y0, y1, fibre = pullback_fibres(
-        square0 * width + e0,
-        np.repeat(positions, n1) * width + e1,
-        np.concatenate(F0) + off0[square_z],
-        np.concatenate(F1) + off1[square_z],
-    )
-    square = square0[y0]
-    return square, y0 - off0[square], y1 - off1[square], fibre
+    A square is the ids (e0, e1, f0, f1) of maps with f0 e0 = f1 e1; one
+    whose maps do not meet raises ViolatedLaw('square-shape', its ids),
+    checked for all squares at once.  action(f), for f: a -> b, is an int
+    array from the elements over b to those over a, so a square gives
+    E0: Y0 -> S, E1: Y1 -> S, F0: Z -> Y0 and F1: Z -> Y1, whose pullback
+    is the pairs (y0, y1) with E0[y0] == E1[y1]; the fibre of a pair is
+    the z with (F0[z], F1[z]) == (y0, y1).  Yields, per chunk of at most
+    CHUNK action entries, its range of positions in squares and, per pair
+    in walk order (square, y0, y1), its square's position in the chunk,
+    y0, y1 and the size of its fibre.  A chunk's squares are keyed by
+    position and offset, so that those of two squares never meet."""
+    ids = np.array(squares, np.int64).reshape(-1, 4)
+    dom, cod = cat.domain[ids], cat.codomain[ids]
+    meets = (dom[:, 0] == dom[:, 1]) & (cod[:, :2] == dom[:, 2:]).all(1) & (cod[:, 2] == cod[:, 3])
+    if not meets.all():
+        raise ViolatedLaw("square-shape", tuple(ids[int(meets.argmin())].tolist()))
+    # the length of each map's action is the number of elements over its codomain
+    lengths = np.array([len(action(f)) for f in cat.identities], np.int64)[cod]
+    for part in chunks(lengths.sum(1).tolist()):
+        chunk = ids[part.start : part.stop]
+        E0, E1, F0, F1 = ([action(f) for f in column] for column in chunk.T.tolist())
+        n0, n1, nz = lengths[part.start : part.stop, :3].T
+        positions = np.arange(len(part))
+        off0, off1 = np.cumsum(n0) - n0, np.cumsum(n1) - n1
+        e0, e1 = np.concatenate(E0).astype(np.int64), np.concatenate(E1).astype(np.int64)
+        width = 1 + max(e0.max(initial=0), e1.max(initial=0))
+        square0, square_z = np.repeat(positions, n0), np.repeat(positions, nz)
+        y0, y1, fibre = pullback_fibres(
+            square0 * width + e0,
+            np.repeat(positions, n1) * width + e1,
+            np.concatenate(F0) + off0[square_z],
+            np.concatenate(F1) + off1[square_z],
+        )
+        square = square0[y0]
+        yield part, square, y0 - off0[square], y1 - off1[square], fibre
 
 
 def lowering_epi_scan(cat, lowering: np.ndarray) -> Check:
@@ -464,7 +477,7 @@ def hom_preserved(cat, A, squares, budget: int) -> np.ndarray:
         lookup.append(table)
     # post[f]: the position in Hom(A, cod f) of f after each map of Hom(A, dom f)
     post = {}
-    used = sorted({f for sq in squares for f in sq.refs})
+    used = sorted({f for sq in squares for f in sq})
     for (b, c), ids in itertools.groupby(used, lambda f: (cat.dom(f), cat.cod(f))):
         ids = list(ids)
         maps = np.array([cat.mor(f).map for f in ids], np.int64)
@@ -472,9 +485,9 @@ def hom_preserved(cat, A, squares, budget: int) -> np.ndarray:
         post.update(zip(ids, lookup[c][composite @ cat.objects[c].size ** np.arange(len(gens))]))
 
     preserved = np.zeros(len(squares), bool)
-    sizes = [sum(len(post[f]) for f in sq.refs) for sq in squares]
+    sizes = [sum(len(post[f]) for f in sq) for sq in squares]
     for part in chunks(sizes):
-        refs = [squares[i].refs for i in part]
+        refs = squares[part.start : part.stop]
         # nodes: Hom(A, b0) then Hom(A, b1), square after square
         n0 = np.array([len(post[f0]) for _, _, f0, _ in refs])
         n1 = np.array([len(post[f1]) for _, _, _, f1 in refs])
@@ -505,10 +518,12 @@ def hom_preservation_scan(id: str, cat, A, squares, budget: int) -> Check:
     elegance.hom_preserves_lowering_pushout, which names the failing
     side."""
     from .elegance import hom_preserves_lowering_pushout
+    from .reedy import LoweringPushoutSquare
 
     preserved = hom_preserved(cat, A, squares, budget)
     if preserved.all():
         return verdict(id, True, len(squares))
     k = int(preserved.argmin())
-    _, witness = hom_preserves_lowering_pushout(A, squares[k], budget)
-    return Check(id, FAIL, k + 1, {"square": tuple(map(cat.ref, squares[k].refs)), "witness": witness})
+    square = LoweringPushoutSquare(*map(cat.mor, squares[k]))
+    _, witness = hom_preserves_lowering_pushout(A, square, budget)
+    return Check(id, FAIL, k + 1, {"square": tuple(map(cat.ref, squares[k])), "witness": witness})

@@ -26,8 +26,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InvalidInput, ViolatedLaw
-from .kernel import _class_values, _classes, _distinct, _join, chunks, square_fibres
-from .reedy import FinCategory, LoweringPushoutSquare, ReedyData
+from .kernel import _class_values, _classes, _distinct, _join, square_pullbacks
+from .reedy import FinCategory, ReedyData, Square
 from .semilattice import UnionFind, descend
 
 
@@ -420,27 +420,20 @@ def skeleton(degrees: list[list[int]], n: int) -> tuple[tuple[int, ...], ...]:
 # ---------------------------------------------------------------------------
 
 
-def maps_lowering_pushouts_to_pullbacks(
-    X: FinPresheaf, squares: list[LoweringPushoutSquare]
-):
+def maps_lowering_pushouts_to_pullbacks(X: FinPresheaf, squares: list[Square]):
     """X applied to each base square must yield a pullback of sets: z
     goes to (z.f0, z.f1) one to one and onto the pairs (y0, y1) with
     y0.e0 = y1.e1.  So a square passes when each such pair has a fibre of
-    exactly one z and the pairs number |X_p|.  kernel.square_fibres
+    exactly one z and the pairs number |X_p|.  kernel.square_pullbacks
     takes the actions of a whole chunk of squares at once.  Returns
-    (True, None), or (False, refs) for the first square that fails."""
-    if any(sq.refs is None for sq in squares):
-        raise InvalidInput("pushouts-to-pullbacks needs category-resident squares")
+    (True, None), or (False, square) for the first square that fails."""
     cat = X.base
-    sizes = [sum(X.levels[cat.cod(f)] for f in sq.refs) for sq in squares]
-    for part in chunks(sizes):
-        refs = [squares[i].refs for i in part]
-        square, _, _, fibre = square_fibres([[X.action(f) for f in r] for r in refs])
-        pairs = np.bincount(square, minlength=len(refs))
-        split = np.bincount(square, weights=fibre != 1, minlength=len(refs)) > 0
-        bad = split | (pairs != [X.levels[cat.cod(r[2])] for r in refs])
+    for part, square, _, _, fibre in square_pullbacks(cat, squares, X.action):
+        pairs = np.bincount(square, minlength=len(part))
+        split = np.bincount(square, weights=fibre != 1, minlength=len(part)) > 0
+        bad = split | (pairs != [X.levels[cat.cod(squares[i][2])] for i in part])
         if bad.any():
-            return False, refs[int(bad.argmax())]
+            return False, squares[part[int(bad.argmax())]]
     return True, None
 
 

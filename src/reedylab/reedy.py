@@ -13,7 +13,7 @@ carrier, so the join is that object's.
 The universal property of a square is, by Yoneda, the statement that
 every representable y(c) sends it to a pullback, and lowering maps being
 epi is its injective half; both are read off the composition table's
-rows by kernel.square_fibres and kernel.lowering_epi_scan, and the
+rows by kernel.square_pullbacks and kernel.lowering_epi_scan, and the
 Reedy axioms off whole table blocks by the other kernel scans.
 """
 
@@ -39,6 +39,8 @@ from .semilattice import (
 
 # A morphism reference, as witnesses print it: (dom index, cod index, hom index)
 MorphRef = tuple[int, int, int]
+# A lowering pushout square of a category: the ids of e0, e1, f0 and f1
+Square = tuple[int, int, int, int]
 
 
 @dataclass
@@ -273,13 +275,13 @@ class ReedyData:
 
 @dataclass
 class LoweringPushoutSquare:
-    """A commuting square of surjections universal among its cocones."""
+    """A commuting square of surjections universal among its cocones, for
+    squares outside a category; a category's squares are Square tuples."""
 
     e0: SLatMorphism
     e1: SLatMorphism
     f0: SLatMorphism
     f1: SLatMorphism
-    refs: tuple[int, int, int, int] | None = None  # the ids of e0, e1, f0, f1
 
     def __post_init__(self):
         e0, e1, f0, f1 = self.e0, self.e1, self.f0, self.f1
@@ -364,7 +366,7 @@ def pushout_via_congruence(e0: SLatMorphism, e1: SLatMorphism) -> SLatMorphism:
     return quotient_by_pairs(A, pairs)
 
 
-def verify_pushout_universal(cat: FinCategory, squares: list[LoweringPushoutSquare]) -> Check:
+def verify_pushout_universal(cat: FinCategory, squares: list[Square]) -> Check:
     """The universal property of category-resident squares against every
     cocone into the category's objects: a scan over the commuting cocones
     (g0, g1), square by square in the walk order c, g0, g1, with witness
@@ -373,24 +375,21 @@ def verify_pushout_universal(cat: FinCategory, squares: list[LoweringPushoutSqua
     By Yoneda this says that every representable y(c) sends the square to
     a pullback: the cocones into c are the pullback of y(c)'s actions of e0
     and e1, and the mediating maps of one are its fibre under the actions
-    of f0 and f1.  The row of e in the table is e's action on the sum of
-    all y(c), and the ids in it already name c, so kernel.square_fibres
-    takes the rows of a whole chunk of squares at once."""
-    from .kernel import chunks, square_fibres
+    of f0 and f1.  The row of f: a -> b in the table, as positions among
+    the maps out of a, is f's action on the sum of all y(c), so
+    kernel.square_pullbacks reads the rows of a whole chunk of squares at
+    once."""
+    from .kernel import square_pullbacks
 
-    def actions(sq):
-        e0, e1, f0, f1 = sq.refs
-        b0, b1 = cat.out_of(cat.cod(e0)), cat.out_of(cat.cod(e1))
-        return cat.row(e0), cat.row(e1), cat.row(f0) - b0.start, cat.row(f1) - b1.start
+    def action(f):
+        return cat.row(f) - cat.out_of(cat.dom(f)).start
 
     id, count = "pushout-universal-property", 0
-    sizes = [sum(len(cat.out_of(cat.cod(f))) for f in sq.refs) for sq in squares]
-    for part in chunks(sizes):
-        square, y0, y1, mediating = square_fibres([actions(squares[i]) for i in part])
+    for part, square, y0, y1, mediating in square_pullbacks(cat, squares, action):
         bad = mediating != 1
         if bad.any():
             k = int(bad.argmax())
-            e0, e1, _, _ = squares[part[square[k]]].refs
+            e0, e1, _, _ = squares[part[square[k]]]
             g0 = cat.out_of(cat.cod(e0))[y0[k]]
             g1 = cat.out_of(cat.cod(e1))[y1[k]]
             witness = {
@@ -429,7 +428,7 @@ def _through(cat: FinCategory, r: int, e: int) -> int | None:
 
 def reedy_category_on(
     objects, budget: int = DEFAULT_CANDIDATE_BUDGET
-) -> tuple[FinCategory, ReedyData, list[LoweringPushoutSquare]]:
+) -> tuple[FinCategory, ReedyData, list[Square]]:
     """Full subcategory on the given semilattices, with Reedy data and
     every lowering pushout square whose carrier lands back among the
     objects (one per unordered span of surjections, spans in morphism
@@ -446,7 +445,7 @@ def reedy_category_on(
     either row, raises ViolatedLaw('pushout-closure')."""
     cat = FinCategory.from_objects(objects, budget)
     data = ReedyData.of_category(cat)
-    squares: list[LoweringPushoutSquare] = []
+    squares: list[Square] = []
     for a in range(len(cat.objects)):
         surjs = data.lowering_out[a]
         by_kernel: dict = {}
@@ -459,14 +458,13 @@ def reedy_category_on(
                 f1 = None if e is None else _through(cat, r1, e)
                 if f0 is None or f1 is None:
                     raise ViolatedLaw("pushout-closure", (cat.ref(r0), cat.ref(r1)))
-                refs = (r0, r1, f0, f1)
-                squares.append(LoweringPushoutSquare(*map(cat.mor, refs), refs))
+                squares.append((r0, r1, f0, f1))
     return cat, data, squares
 
 
 def truncated_semilattice_category(
     N: int, budget: int = DEFAULT_CANDIDATE_BUDGET
-) -> tuple[FinCategory, ReedyData, list[LoweringPushoutSquare]]:
+) -> tuple[FinCategory, ReedyData, list[Square]]:
     """Skeleton of the inhabited semilattices of size <= N.
 
     One object per isomorphism class, full homs, composition table, the
@@ -572,36 +570,32 @@ def certify_cancellation(cat: FinCategory, data: ReedyData) -> list[Check]:
 def certify_pre_elegance(
     cat: FinCategory,
     data: ReedyData,
-    squares: list[LoweringPushoutSquare],
+    squares: list[Square],
 ) -> list[Check]:
     """Closure under lowering pushouts, lowering maps epi, the set-level
     and congruence-quotient pushouts agreeing, and bounded universality."""
     from .kernel import lowering_epi_scan
 
-    def span(sq):
-        return (cat.ref(sq.refs[0]), cat.ref(sq.refs[1]))
-
     def closure():
         # the carrier is the object both legs land in
-        for sq in squares:
-            _, _, f0, f1 = sq.refs
-            p = cat.cod(f0)
-            closed = cat.cod(f1) == p and sq.carrier.join == cat.objects[p].join
-            yield None if closed else {"span": span(sq)}
+        for e0, e1, f0, f1 in squares:
+            closed = cat.cod(f0) == cat.cod(f1)
+            yield None if closed else {"span": (cat.ref(e0), cat.ref(e1))}
 
     def set_vs_congruence():
-        for sq in squares:
-            proj = pushout_via_congruence(sq.e0, sq.e1)
-            agree = proj.cod.size == sq.carrier.size
+        for e0, e1, f0, _ in squares:
+            proj = pushout_via_congruence(cat.mor(e0), cat.mor(e1))
+            carrier = cat.objects[cat.cod(f0)].size
+            agree = proj.cod.size == carrier
             if agree:
                 # the two quotients agree as quotients of the apex
                 kernel = [[] for _ in range(proj.cod.size)]
-                for a in range(sq.apex.size):
-                    kernel[proj.map[a]].append(a)
-                left = [sq.f0.map[b] for b in sq.e0.map]
+                for a, b in enumerate(proj.map):
+                    kernel[b].append(a)
+                left = list(map(cat.mor(f0).map.__getitem__, cat.mor(e0).map))
                 through, bad = descend(kernel, left.__getitem__)
-                agree = not bad and len(set(through)) == sq.carrier.size
-            yield None if agree else {"span": span(sq) if sq.refs else None}
+                agree = not bad and len(set(through)) == carrier
+            yield None if agree else {"span": (cat.ref(e0), cat.ref(e1))}
 
     return [
         scan("lowering-pushout-closure", closure()),

@@ -342,16 +342,14 @@ def verify_cell_square(X, n, data, degrees):
 def maps_lowering_pushouts_to_pullbacks(X, squares):
     """X applied to each base square must yield a pullback of sets: z
     goes to (z.f0, z.f1) one to one and onto the fibre, the pairs (y0, y1)
-    with y0.e0 = y1.e1.  (False, refs) of the first square that fails."""
+    with y0.e0 = y1.e1.  (False, square) of the first square that fails."""
     for sq in squares:
-        if sq.refs is None:
-            raise InvalidInput("pushouts-to-pullbacks needs category-resident squares")
-        e0, e1, f0, f1 = (X.action(f).tolist() for f in sq.refs)
+        e0, e1, f0, f1 = (X.action(f).tolist() for f in sq)
         pairs = set(zip(f0, f1))
         over = Counter(e1)
         if not (
             len(pairs) == len(f0) == sum(over[v] for v in e0)
             and all(e0[y0] == e1[y1] for y0, y1 in pairs)
         ):
-            return False, sq.refs
+            return False, sq
     return True, None

@@ -25,7 +25,7 @@ import itertools
 
 import numpy as np
 
-from reedylab.certificates import FAIL, PASS, Check, scan
+from reedylab.certificates import FAIL, Check, scan, verdict
 from reedylab.elegance import hom_preserves_lowering_pushout
 from reedylab.errors import ViolatedLaw
 from reedylab.reedy import LoweringPushoutSquare, lowering_pushout
@@ -35,7 +35,7 @@ from reedylab.semilattice import find_isomorphism
 def lowering_pushout_squares(cat, data) -> list:
     """One square per unordered span of lowering maps out of each apex, in
     the walk order of reedy_category_on, each built by lowering_pushout
-    and carried onto its object by find_isomorphism."""
+    and carried onto its object by find_isomorphism: the ids of its maps."""
     squares = []
     for a in range(len(cat.objects)):
         surjs = data.lowering_out[a]
@@ -46,10 +46,9 @@ def lowering_pushout_squares(cat, data) -> list:
                 if p is None:
                     raise ViolatedLaw("pushout-closure", (cat.ref(r0), cat.ref(r1)))
                 iso = find_isomorphism(square.carrier, cat.objects[p])
-                f0 = square.f0.then(iso)
-                f1 = square.f1.then(iso)
-                refs = (r0, r1, cat.find(cat.cod(r0), p, f0), cat.find(cat.cod(r1), p, f1))
-                squares.append(LoweringPushoutSquare(cat.mor(r0), cat.mor(r1), f0, f1, refs))
+                f0 = cat.find(cat.cod(r0), p, square.f0.then(iso))
+                f1 = cat.find(cat.cod(r1), p, square.f1.then(iso))
+                squares.append((r0, r1, f0, f1))
     return squares
 
 
@@ -58,7 +57,7 @@ def verify_pushout_universal(cat, square) -> list:
     square into the category's objects, in the walk order c, g0, g1: None
     when it factors uniquely through the square's carrier and a witness
     when it does not."""
-    e0, e1, f0, f1 = square.refs
+    e0, e1, f0, f1 = square
     witnesses = []
     for c in range(len(cat.objects)):
         g0s, g1s, hs = (cat.refs(cat.cod(s), c) for s in (e0, e1, f0))
@@ -106,9 +105,14 @@ def epi_check(cat, data):
     )
 
 
-def hom_preservation(A, squares, budget):
+def square_maps(cat, square):
+    """A category's square of ids as the LoweringPushoutSquare of its maps."""
+    return LoweringPushoutSquare(*map(cat.mor, square))
+
+
+def hom_preservation(cat, A, squares, budget):
     """hom_preserves_lowering_pushout on each square: (verdict, witness)."""
-    return [hom_preserves_lowering_pushout(A, sq, budget) for sq in squares]
+    return [hom_preserves_lowering_pushout(A, square_maps(cat, sq), budget) for sq in squares]
 
 
 def hom_preservation_check(id, cat, A, squares, budget):
@@ -116,8 +120,8 @@ def hom_preservation_check(id, cat, A, squares, budget):
 
     def witnesses():
         for sq in squares:
-            ok, witness = hom_preserves_lowering_pushout(A, sq, budget)
-            yield None if ok else {"square": tuple(map(cat.ref, sq.refs)), "witness": witness}
+            ok, witness = hom_preserves_lowering_pushout(A, square_maps(cat, sq), budget)
+            yield None if ok else {"square": tuple(map(cat.ref, sq)), "witness": witness}
 
     return scan(id, witnesses())
 
@@ -188,7 +192,7 @@ def orthogonal_lifting_blocks(cat, low, high):
                 "diagonals": int(diagonals[i, j, u, v]),
             }
             return Check("orthogonal-lifting-unique", FAIL, count, witness)
-    return Check("orthogonal-lifting-unique", PASS, count)
+    return verdict("orthogonal-lifting-unique", True, count)
 
 
 def _factorizations(cat, data, f):

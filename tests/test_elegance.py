@@ -8,7 +8,7 @@ from reedylab.elegance import (
     projective_lift,
 )
 from reedylab.obstruction import map_t
-from reedylab.reedy import lowering_pushout, truncated_semilattice_category
+from reedylab.reedy import LoweringPushoutSquare, lowering_pushout, truncated_semilattice_category
 from reedylab.semilattice import (
     SLatMorphism,
     all_semilattices_upto,
@@ -86,8 +86,9 @@ def test_relative_elegance_cubes_and_chains_size_4():
     sources = [cube(m) for m in range(4)] + [chain(n + 1) for n in range(1, 4)]
     for A in sources:
         for sq in squares:
-            ok, witness = hom_preserves_lowering_pushout(A, sq)
-            assert ok, (A.size, sq.refs, witness)
+            square = LoweringPushoutSquare(*map(cat.mor, sq))
+            ok, witness = hom_preserves_lowering_pushout(A, square)
+            assert ok, (A.size, sq, witness)
 
 
 def test_small_truncations_are_elegant():
@@ -98,8 +99,9 @@ def test_small_truncations_are_elegant():
         cat, data, squares = truncated_semilattice_category(N)
         for A in cat.objects:
             for sq in squares:
-                ok, witness = hom_preserves_lowering_pushout(A, sq)
-                assert ok, (N, A.size, sq.refs, witness)
+                square = LoweringPushoutSquare(*map(cat.mor, sq))
+                ok, witness = hom_preserves_lowering_pushout(A, square)
+                assert ok, (N, A.size, sq, witness)
 
 
 def test_projective_lift_through_t():

@@ -6,6 +6,7 @@ sending them to pullbacks.  Compared check by check on the truncations the
 suites certify, and on inputs where each check fails."""
 
 import dataclasses
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -21,19 +22,16 @@ from reedylab.kernel import (
     hom_preserved,
     lowering_epi_scan,
     pullback_fibres,
-    square_fibres,
+    square_pullbacks,
 )
 from reedylab.presheaf import (
+    coproduct_presheaf,
     maps_lowering_pushouts_to_pullbacks,
     non_reedy_mono_example,
     representable,
     seeded_corpus,
 )
-from reedylab.reedy import (
-    LoweringPushoutSquare,
-    truncated_semilattice_category,
-    verify_pushout_universal,
-)
+from reedylab.reedy import truncated_semilattice_category, verify_pushout_universal
 from reedylab.semilattice import DEFAULT_CANDIDATE_BUDGET, atoms_with_top, chain
 from reedylab.suites import SuiteConfig, run_suite
 
@@ -68,10 +66,8 @@ def _assert_same_squares(cat, data, squares):
     the same carrier object p, with legs that agree up to an automorphism
     of p."""
     expected = reference.lowering_pushout_squares(cat, data)
-    assert [sq.refs[:2] for sq in squares] == [sq.refs[:2] for sq in expected]
-    for sq, ref in zip(squares, expected):
-        r0, r1, f0, f1 = sq.refs
-        _, _, g0, g1 = ref.refs
+    assert [sq[:2] for sq in squares] == [sq[:2] for sq in expected]
+    for (r0, r1, f0, f1), (_, _, g0, g1) in zip(squares, expected):
         p = cat.cod(g0)
         assert cat.cod(f0) == cat.cod(f1) == p
         # f0 r0 has the reference's kernel on the apex
@@ -95,10 +91,21 @@ def test_witness_base_squares_match_the_per_span_reference(witness_base):
 
 def test_pullback_fibres_in_walk_order():
     # one square whose pullback has a pair with two z, one with none and
-    # one with exactly one, and a second square with no pairs at all
-    first = ([0, 1, 1], [1, 0], [0, 0, 2], [1, 1, 0])
-    second = ([0], [1], [0], [0])
-    square, y0, y1, fibre = square_fibres([first, second])
+    # one with exactly one, and a second square with no pairs at all, as
+    # the actions of maps 0-3 and 4-7 between objects with the element
+    # counts below; maps 8-15 are their identities
+    levels = [2, 3, 2, 3, 2, 1, 1, 1]
+    ends = [(0, 1), (0, 2), (1, 3), (2, 3), (4, 5), (4, 6), (5, 7), (6, 7)]
+    actions = [[0, 1, 1], [1, 0], [0, 0, 2], [1, 1, 0], [0], [1], [0], [0]]
+    actions += [list(range(n)) for n in levels]
+    cat = SimpleNamespace(
+        domain=np.array([a for a, _ in ends] + list(range(8))),
+        codomain=np.array([b for _, b in ends] + list(range(8))),
+        identities=list(range(8, 16)),
+    )
+    squares = [(0, 1, 2, 3), (4, 5, 6, 7)]
+    [(part, square, y0, y1, fibre)] = square_pullbacks(cat, squares, actions.__getitem__)
+    assert part == range(2)
     assert square.tolist() == [0, 0, 0]
     assert list(zip(y0.tolist(), y1.tolist())) == [(0, 1), (1, 0), (2, 0)]
     assert fibre.tolist() == [2, 0, 1]
@@ -109,6 +116,16 @@ def test_pullback_fibres_in_walk_order():
     )
     assert list(zip(y0.tolist(), y1.tolist())) == [(0, 0), (0, 1), (2, 0), (2, 1)]
     assert fibre.tolist() == [0, 1, 2, 0]
+
+
+def test_sum_of_representables_acts_by_table_rows(truncations):
+    # the identity verify_pushout_universal rests on: a table row, as
+    # positions among the maps out of its domain, is a map's action on
+    # the sum of all representables
+    cat, data, squares = truncations[3]
+    Y = coproduct_presheaf([representable(cat, c) for c in range(len(cat.objects))])
+    for f in cat.morphisms():
+        assert Y.action(f).tolist() == (cat.row(f) - cat.out_of(cat.dom(f)).start).tolist()
 
 
 def test_chunks_cover_every_position_in_order():
@@ -127,17 +144,15 @@ def test_universal_property_matches_the_reference(truncations, N, cocones):
 
 def _pushed_forward(cat, sq, g):
     """sq with f0 and f1 post-composed with g, a map out of its carrier."""
-    e0, e1, f0, f1 = sq.refs
-    G = cat.mor(g)
-    refs = (e0, e1, cat.compose(f0, g), cat.compose(f1, g))
-    return LoweringPushoutSquare(sq.e0, sq.e1, sq.f0.then(G), sq.f1.then(G), refs)
+    e0, e1, f0, f1 = sq
+    return (e0, e1, cat.compose(f0, g), cat.compose(f1, g))
 
 
 def test_universal_property_fails_past_a_non_iso_like_the_reference(truncations):
     cat, data, squares = truncations[3]
     failed = 0
     for sq in squares[::3]:
-        p = cat.cod(sq.refs[2])
+        p = cat.cod(sq[2])
         for g in cat.out_of(p):
             if cat.mor(g).is_iso:
                 continue
@@ -152,7 +167,7 @@ def test_universal_property_fails_after_squares_that_pass(truncations):
     # the count runs over the passing squares before the broken one
     cat, data, squares = truncations[3]
     sq = squares[-1]
-    g = next(g for g in cat.out_of(cat.cod(sq.refs[2])) if not cat.mor(g).is_iso)
+    g = next(g for g in cat.out_of(cat.cod(sq[2])) if not cat.mor(g).is_iso)
     mixed = squares[:5] + [_pushed_forward(cat, sq, g)] + squares[5:]
     check = verify_pushout_universal(cat, mixed)
     assert check == reference.pushout_universal_check(cat, mixed)
@@ -184,7 +199,7 @@ def test_epi_check_with_every_map_lowering_matches_the_reference(truncations, N)
 def test_hom_preservation_matches_the_reference(truncations, N):
     cat, data, squares = truncations[N]
     for name, A in SOURCES:
-        verdicts = [ok for ok, _ in reference.hom_preservation(A, squares, BUDGET)]
+        verdicts = [ok for ok, _ in reference.hom_preservation(cat, A, squares, BUDGET)]
         assert hom_preserved(cat, A, squares, BUDGET).tolist() == verdicts
         cid = f"hom-preserves-all-lowering-pushouts-{name}"
         check = hom_preservation_scan(cid, cat, A, squares, BUDGET)
@@ -197,7 +212,7 @@ def test_tripod_hom_preservation_fails_like_the_reference(witness_base):
     # to preserve 135 of the 653 lowering pushouts
     cat, data, squares, X = witness_base
     tripod = atoms_with_top(3)
-    verdicts = [ok for ok, _ in reference.hom_preservation(tripod, squares, BUDGET)]
+    verdicts = [ok for ok, _ in reference.hom_preservation(cat, tripod, squares, BUDGET)]
     preserved = hom_preserved(cat, tripod, squares, BUDGET)
     assert preserved.tolist() == verdicts
     assert (len(squares), len(squares) - int(preserved.sum())) == (653, 135)

@@ -9,11 +9,12 @@ import pytest
 
 import reedy_reference as reference
 from reedylab import kernel
-from reedylab.certificates import scan
+from reedylab.certificates import FAIL, NO_CASES, Check, scan
 from reedylab.errors import NotSurjective, SizeBudget, ViolatedLaw
 from reedylab.obstruction import map_t, map_u
+from reedylab.presheaf import maps_lowering_pushouts_to_pullbacks, representable
 from reedylab.reedy import (
-    LoweringPushoutSquare,
+    FinCategory,
     certify_cancellation,
     certify_pre_elegance,
     certify_reedy_axioms,
@@ -120,26 +121,35 @@ def test_pushout_leaving_the_objects_breaks_closure():
     assert (exc.value.law, exc.value.witness) == ("pushout-closure", ((0, 1, 1), (0, 1, 2)))
 
 
-def test_closure_fails_on_a_square_off_its_carrier(trunc3, monkeypatch):
-    # refs whose legs land in two objects, or both in an object other
-    # than the carrier of the square's maps
-    import reedylab.reedy as reedy
-
-    # the universal property reads the legs' rows, which need not be
-    # equally long here
-    monkeypatch.setattr(reedy, "verify_pushout_universal", lambda cat, squares: None)
-    cat, data, squares = trunc3
-    sq = squares[-1]
-    r0, r1, f0, f1 = sq.refs
-    p = cat.cod(f0)
-    q = next(q for q in range(len(cat.objects)) if q != p)
+def _off_carrier(cat, squares):
+    """The last square with its legs moved: f1 into another object q, so
+    that the legs do not meet, then both legs into q."""
+    r0, r1, f0, f1 = squares[-1]
+    q = next(q for q in range(len(cat.objects)) if q != cat.cod(f0))
     g0, g1 = (cat.refs(cat.cod(r), q)[0] for r in (r0, r1))
-    for refs in [(r0, r1, f0, g1), (r0, r1, g0, g1)]:
-        broken = LoweringPushoutSquare(sq.e0, sq.e1, sq.f0, sq.f1, refs)
-        closure = certify_pre_elegance(cat, data, squares[:5] + [broken])[0]
-        assert closure.id == "lowering-pushout-closure"
-        assert (closure.status, closure.count) == ("fail", 6)
-        assert closure.witness == {"span": (cat.ref(r0), cat.ref(r1))}
+    return (r0, r1, f0, g1), (r0, r1, g0, g1)
+
+
+def test_closure_fails_on_a_square_off_its_carrier(trunc3):
+    # a square's carrier is where its legs land, so legs that land in two
+    # objects are no square; legs that both land in q make a square onto
+    # q, closed but not a pushout
+    cat, data, squares = trunc3
+    apart, elsewhere = _off_carrier(cat, squares)
+    with pytest.raises(ViolatedLaw) as exc:
+        certify_pre_elegance(cat, data, squares[:5] + [apart])
+    assert (exc.value.law, exc.value.witness) == ("square-shape", apart)
+    checks = certify_pre_elegance(cat, data, squares[:5] + [elsewhere])
+    assert _status(checks, "lowering-pushout-closure") == "pass"
+    assert _status(checks, "pushout-universal-property") == "fail"
+
+
+def test_pullback_criterion_refuses_a_square_whose_legs_do_not_meet(trunc3):
+    cat, data, squares = trunc3
+    apart, _ = _off_carrier(cat, squares)
+    with pytest.raises(ViolatedLaw) as exc:
+        maps_lowering_pushouts_to_pullbacks(representable(cat, 0), squares[:5] + [apart])
+    assert (exc.value.law, exc.value.witness) == ("square-shape", apart)
 
 
 def test_pushout_universal_property(trunc3):
@@ -152,13 +162,14 @@ def test_pushout_universal_property(trunc3):
 def test_congruence_route_matches_set_route_up_to_size_4():
     cat, data, squares = truncated_semilattice_category(4)
     assert len(squares) == 347
-    for sq in squares:
-        proj = pushout_via_congruence(sq.e0, sq.e1)
-        assert proj.cod.size == sq.carrier.size
+    for e0, e1, f0, _ in squares:
+        e0, f0 = cat.mor(e0), cat.mor(f0)
+        proj = pushout_via_congruence(e0, cat.mor(e1))
+        assert proj.cod.size == f0.cod.size
         # same quotient of the apex
         pairing = {}
-        for a in range(sq.apex.size):
-            pairing.setdefault(proj.map[a], set()).add(sq.f0.map[sq.e0.map[a]])
+        for a in range(e0.dom.size):
+            pairing.setdefault(proj.map[a], set()).add(f0.map[e0.map[a]])
         assert all(len(v) == 1 for v in pairing.values())
 
 
@@ -330,10 +341,9 @@ def test_pushout_universal_property_reads_the_table():
     # a square with two composites to tell apart and a second map g1
     # next to f1 in Hom(b1, p)
     e0, e1, f0, f1 = next(
-        sq.refs
+        sq
         for sq in squares
-        if (sq.refs[0], sq.refs[2]) != (sq.refs[1], sq.refs[3])
-        and len(cat.refs(cat.cod(sq.refs[1]), cat.cod(sq.refs[3]))) > 1
+        if (sq[0], sq[2]) != (sq[1], sq[3]) and len(cat.refs(cat.cod(sq[1]), cat.cod(sq[3]))) > 1
     )
     g1 = next(g for g in cat.refs(cat.cod(e1), cat.cod(f1)) if g != f1)
     # e0 then f0 now equals e1 then g1, so (f0, g1) looks like a cocone
@@ -667,6 +677,17 @@ def test_table_scans_match_the_reference_on_corrupted_flags(N):
         assert ours == theirs, name
         if N == 3:
             assert [(c.status, c.count, c.witness) for c in ours] == CORRUPTED_FLAG_SCANS[name]
+
+
+def test_scans_over_no_cases_fail_with_no_cases():
+    # no lowering map leaves no lifting square, and no object no pair
+    cat, data, squares = truncated_semilattice_category(3)
+    none = np.zeros_like(data.lowering)
+    empty = Check("orthogonal-lifting-unique", FAIL, 0, NO_CASES)
+    assert kernel.orthogonal_lifting(cat, none, data.raising) == empty
+    assert reference.orthogonal_lifting_blocks(cat, none, data.raising) == empty
+    check = kernel.scan_composable("c", FinCategory.from_objects([]), lambda f, g, gf: f == g)
+    assert check == Check("c", FAIL, 0, NO_CASES)
 
 
 def test_lifting_is_the_same_under_a_small_chunk_cap(monkeypatch):
