@@ -23,6 +23,7 @@ from .semilattice import (
     enumerate_homs,
     is_distributive_lattice,
     lift_through_surjection,
+    sub_semilattice,
     validate_semilattice,
 )
 
@@ -75,12 +76,9 @@ def split_idempotent(f: SLatMorphism) -> tuple[SLatMorphism, SLatMorphism]:
     if f.then(f).map != f.map:
         raise NotIdempotent("f is not idempotent")
     A = f.dom
-    fixed = tuple(x for x in range(A.size) if f.map[x] == x)
-    pos = {v: i for i, v in enumerate(fixed)}
-    table = tuple(tuple(pos[A.join[x][y]] for y in fixed) for x in fixed)
-    B = validate_semilattice(table, tuple(A.label(v) for v in fixed))
-    retraction = SLatMorphism(A, B, tuple(pos[f.map[x]] for x in range(A.size)))
-    section = SLatMorphism(B, A, fixed)
+    B, section = sub_semilattice(A, (x for x in range(A.size) if f.map[x] == x))
+    pos = {v: i for i, v in enumerate(section.map)}
+    retraction = SLatMorphism(A, B, tuple(pos[v] for v in f.map))
     if section.then(retraction).map != tuple(range(B.size)):
         raise ViolatedLaw("splitting", section.map)
     if retraction.then(section).map != f.map:
@@ -237,6 +235,26 @@ class TruncatedSimplicialSet:
         }
 
 
+def _simplicial_set(levels, key, act) -> TruncatedSimplicialSet:
+    """The truncated simplicial set on levels[0..maxdim] whose i-th face
+    (step -1) and degeneracy (step +1) at level m send x to the element
+    of level m + step keyed act(m, i, step)(x), where key(y) is y's key."""
+    maxdim = len(levels) - 1
+    index = [{key(y): k for k, y in enumerate(lv)} for lv in levels]
+
+    def tables(m: int, step: int) -> list[list[int]]:
+        if not 0 <= m + step <= maxdim:
+            return []
+        return [
+            [index[m + step][to(x)] for x in levels[m]]
+            for to in (act(m, i, step) for i in range(m + 1))
+        ]
+
+    faces = [tables(m, -1) for m in range(maxdim + 1)]
+    degeneracies = [tables(m, 1) for m in range(maxdim + 1)]
+    return TruncatedSimplicialSet(maxdim, levels, faces, degeneracies)
+
+
 def triangulate(
     A: FiniteSemilattice,
     maxdim: int,
@@ -246,23 +264,12 @@ def triangulate(
     (equivalently the monotone maps, chains being join-generated), with
     faces and degeneracies acting by precomposition."""
     levels = [enumerate_homs(chain(m + 1), A, budget) for m in range(maxdim + 1)]
-    index = [{f.map: k for k, f in enumerate(lv)} for lv in levels]
-    faces: list[list[list[int]]] = []
-    degeneracies: list[list[list[int]]] = []
-    for m in range(maxdim + 1):
-        frow = []
-        if m >= 1:
-            for i in range(m + 1):
-                d = face(i, m)
-                frow.append([index[m - 1][d.then(f).map] for f in levels[m]])
-        faces.append(frow)
-        srow = []
-        if m + 1 <= maxdim:
-            for i in range(m + 1):
-                s = degeneracy(i, m)
-                srow.append([index[m + 1][s.then(f).map] for f in levels[m]])
-        degeneracies.append(srow)
-    return TruncatedSimplicialSet(maxdim, levels, faces, degeneracies)
+
+    def precompose(m: int, i: int, step: int):
+        s = face(i, m) if step < 0 else degeneracy(i, m)
+        return lambda f: s.then(f).map
+
+    return _simplicial_set(levels, lambda f: f.map, precompose)
 
 
 def product_simplicial(
@@ -275,36 +282,12 @@ def product_simplicial(
         list(itertools.product(*(range(len(p.levels[m])) for p in parts)))
         for m in range(maxdim + 1)
     ]
-    index = [{t: k for k, t in enumerate(lv)} for lv in levels]
-    faces = []
-    degeneracies = []
-    for m in range(maxdim + 1):
-        frow = []
-        if m >= 1:
-            for i in range(m + 1):
-                frow.append(
-                    [
-                        index[m - 1][
-                            tuple(p.faces[m][i][t[j]] for j, p in enumerate(parts))
-                        ]
-                        for t in levels[m]
-                    ]
-                )
-        faces.append(frow)
-        srow = []
-        if m + 1 <= maxdim:
-            for i in range(m + 1):
-                srow.append(
-                    [
-                        index[m + 1][
-                            tuple(p.degeneracies[m][i][t[j]] for j, p in enumerate(parts))
-                        ]
-                        for t in levels[m]
-                    ]
-                )
-        degeneracies.append(srow)
-    out = TruncatedSimplicialSet(maxdim, [list(l) for l in levels], faces, degeneracies)
-    return out
+
+    def componentwise(m: int, i: int, step: int):
+        tables = [(p.faces if step < 0 else p.degeneracies)[m][i] for p in parts]
+        return lambda t: tuple(table[x] for table, x in zip(tables, t))
+
+    return _simplicial_set(levels, lambda t: t, componentwise)
 
 
 def simplicial_isomorphic(
@@ -313,22 +296,16 @@ def simplicial_isomorphic(
     """Check that given levelwise bijections commute with all actions."""
     maxdim = min(X.maxdim, Y.maxdim)
     for m in range(maxdim + 1):
-        if len(X.levels[m]) != len(Y.levels[m]):
+        size = len(Y.levels[m])
+        if len(X.levels[m]) != size or sorted(bijections[m]) != list(range(size)):
             return False
-        b = bijections[m]
-        if sorted(b) != list(range(len(Y.levels[m]))):
-            return False
-        if m >= 1:
-            for i in range(m + 1):
-                for x in range(len(X.levels[m])):
-                    if bijections[m - 1][X.faces[m][i][x]] != Y.faces[m][i][b[x]]:
-                        return False
-        if m + 1 <= maxdim:
-            for i in range(m + 1):
-                for x in range(len(X.levels[m])):
-                    if bijections[m + 1][X.degeneracies[m][i][x]] != Y.degeneracies[m][i][b[x]]:
-                        return False
-    return True
+    return all(
+        bijections[m + step][xs[x]] == ys[y]
+        for m in range(maxdim + 1)
+        for step, xt, yt in ((-1, X.faces, Y.faces), (1, X.degeneracies, Y.degeneracies))
+        for xs, ys in zip(xt[m], yt[m])
+        for x, y in enumerate(bijections[m])
+    )
 
 
 def triangulation_product_bijections(

@@ -47,10 +47,9 @@ class ViolatedLaw(ReedyLabError):
     so that its winding is not an integer; 'top' when
     a validated join table has an element outside the join of all;
     'surjectivity' when the pinched tripod cover, the counit from a free
-    semilattice or a cube retraction misses an element; 'bijectivity'
-    when a found isomorphism is not a bijection; 'splitting' when a split
-    idempotent or a cube retract does not compose back to the identity or
-    to the idempotent; 'lift-existence' when the identity of a
+    semilattice or a cube retraction misses an element; 'splitting' when
+    a split idempotent or a cube retract does not compose back to the
+    identity or to the idempotent; 'lift-existence' when the identity of a
     distributive lattice does not lift through its cube retraction;
     'factorization' when a factorization of the 3-cube endomap u through
     a distributive middle does not compose back to u.  A suite

@@ -26,7 +26,7 @@ from .semilattice import (
     enumerate_homs,
     image_factorize,
     is_distributive_lattice,
-    validate_semilattice,
+    sub_semilattice,
 )
 
 # ---------------------------------------------------------------------------
@@ -83,15 +83,6 @@ def join_closed_subsets_containing(A: FiniteSemilattice, seed: set[int]):
             if all(A.join[x][y] in S for x in S for y in S):
                 out.append(tuple(sorted(S)))
     return out
-
-
-def sub_semilattice(A: FiniteSemilattice, elems) -> tuple[FiniteSemilattice, SLatMorphism]:
-    """The sub-semilattice on a join-closed subset, with its inclusion."""
-    elems = tuple(sorted(elems))
-    pos = {v: i for i, v in enumerate(elems)}
-    table = tuple(tuple(pos[A.join[x][y]] for y in elems) for x in elems)
-    S = validate_semilattice(table, tuple(A.label(v) for v in elems))
-    return S, SLatMorphism(S, A, elems)
 
 
 def certify_no_reedy_factorization_of_u(
@@ -240,14 +231,6 @@ class CrownMap:
     n: int
     values: tuple[int, ...]
     lift: tuple[int, ...]
-
-    @property
-    def dom(self) -> CrownPoset:
-        return CrownPoset(self.m)
-
-    @property
-    def cod(self) -> CrownPoset:
-        return CrownPoset(self.n)
 
 
 def _lift_values(m: int, n: int, values, base: int) -> tuple[int, ...]:

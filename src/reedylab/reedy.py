@@ -573,7 +573,9 @@ def certify_pre_elegance(
     squares: list[Square],
 ) -> list[Check]:
     """Closure under lowering pushouts, lowering maps epi, the set-level
-    and congruence-quotient pushouts agreeing, and bounded universality."""
+    and congruence-quotient pushouts agreeing, and bounded universality.
+    A failed closure check is returned alone, as a raised law would be:
+    a square whose legs land in two objects has no pushout to check."""
     from .kernel import lowering_epi_scan
 
     def closure():
@@ -597,8 +599,11 @@ def certify_pre_elegance(
                 agree = not bad and len(set(through)) == carrier
             yield None if agree else {"span": (cat.ref(e0), cat.ref(e1))}
 
+    closed = scan("lowering-pushout-closure", closure())
+    if closed.status == FAIL:
+        return [closed]
     return [
-        scan("lowering-pushout-closure", closure()),
+        closed,
         lowering_epi_scan(cat, data.lowering),
         scan("set-pushout-matches-congruence-quotient", set_vs_congruence()),
         verify_pushout_universal(cat, squares),

@@ -642,18 +642,20 @@ def lift_through_surjection(
 # ---------------------------------------------------------------------------
 
 
+def sub_semilattice(A: FiniteSemilattice, elems) -> tuple[FiniteSemilattice, SLatMorphism]:
+    """The sub-semilattice on a join-closed subset, with its inclusion."""
+    elems = tuple(sorted(elems))
+    pos = {v: i for i, v in enumerate(elems)}
+    table = tuple(tuple(pos[A.join[x][y]] for y in elems) for x in elems)
+    S = validate_semilattice(table, tuple(A.label(v) for v in elems))
+    return S, SLatMorphism(S, A, elems)
+
+
 def image_factorize(f: SLatMorphism) -> tuple[SLatMorphism, SLatMorphism]:
     """Factor f as a surjection onto its image followed by an injection."""
-    img = f.image()
-    pos = {v: i for i, v in enumerate(img)}
-    table = tuple(
-        tuple(pos[f.cod.join[x][y]] for y in img) for x in img
-    )
-    labels = tuple(f.cod.label(v) for v in img)
-    I = validate_semilattice(table, labels)
-    surj = SLatMorphism(f.dom, I, tuple(pos[v] for v in f.map))
-    mono = SLatMorphism(I, f.cod, img)
-    return surj, mono
+    I, mono = sub_semilattice(f.cod, f.image())
+    pos = {v: i for i, v in enumerate(mono.map)}
+    return SLatMorphism(f.dom, I, tuple(pos[v] for v in f.map)), mono
 
 
 @dataclass(frozen=True)
@@ -811,61 +813,20 @@ def are_isomorphic(A: FiniteSemilattice, B: FiniteSemilattice) -> bool:
 def find_isomorphism(
     A: FiniteSemilattice, B: FiniteSemilattice
 ) -> SLatMorphism | None:
-    """Search for a join-table-preserving bijection A -> B.
+    """The first isomorphism A -> B that the generator search finds, or
+    None.
 
     Independent of the canonical form machinery; used to cross-check it and
-    to produce explicit isos.  Color classes only prune the search.
+    to produce explicit isos.  An iso keeps color classes and is determined
+    by its values on the join-irreducibles, so each irreducible of A draws
+    its candidates from its color class in B.
     """
-    if A.size != B.size:
+    ca, cb = _color_classes(A), _color_classes(B)
+    if [len(c) for c in ca] != [len(c) for c in cb]:
         return None
-    ca = _color_classes(A)
-    cb = _color_classes(B)
-    if sorted(len(c) for c in ca) != sorted(len(c) for c in cb):
-        return None
-    n = A.size
-    # match classes in canonical order; sizes must agree classwise
-    if len(ca) != len(cb) or any(len(x) != len(y) for x, y in zip(ca, cb)):
-        return None
-    order = [x for c in ca for x in c]
-
-    assign: dict[int, int] = {}
-
-    def rec(k: int) -> tuple[int, ...] | None:
-        if k == n:
-            m = tuple(assign[x] for x in range(n))
-            for a in range(n):
-                for b in range(a, n):
-                    if m[A.join[a][b]] != B.join[m[a]][m[b]]:
-                        return None
-            return m
-        x = order[k]
-        # candidates: same class position
-        ci = next(i for i, c in enumerate(ca) if x in c)
-        for y in cb[ci]:
-            if y in assign.values():
-                continue
-            assign[x] = y
-            ok = True
-            for x2 in list(assign):
-                jx = A.join[x][x2]
-                if jx in assign:
-                    if assign[jx] != B.join[assign[x]][assign[x2]]:
-                        ok = False
-                        break
-            if ok:
-                res = rec(k + 1)
-                if res is not None:
-                    return res
-            del assign[x]
-        return None
-
-    m = rec(0)
-    if m is None:
-        return None
-    f = SLatMorphism(A, B, m)
-    if not f.is_iso:
-        raise ViolatedLaw("bijectivity", m)
-    return f
+    cls = {x: i for i, c in enumerate(ca) for x in c}
+    candidates = [cb[cls[g]] for g in _generators(A)]
+    return next((f for f in _generator_homs(A, B, candidates) if f.is_iso), None)
 
 
 def enumerate_semilattices(n: int, cap: int = 6) -> list[FiniteSemilattice]:

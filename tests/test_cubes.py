@@ -213,21 +213,40 @@ def test_nondegenerate_equals_injective():
             assert nondeg == injective
 
 
-def test_triangulation_product_comparison():
+def _product_comparison(n):
     tri1 = triangulate(interval(), 3)
-    for n in (2, 3):
-        tri = triangulate(cube(n), 3)
-        prod = product_simplicial([tri1] * n)
-        projections = [
-            SLatMorphism(
-                cube(n), interval(), tuple((v >> i) & 1 for v in range(1 << n))
-            )
-            for i in range(n)
-        ]
-        bij = triangulation_product_bijections(
-            [interval()] * n, prod, tri, projections
+    tri = triangulate(cube(n), 3)
+    prod = product_simplicial([tri1] * n)
+    projections = [
+        SLatMorphism(
+            cube(n), interval(), tuple((v >> i) & 1 for v in range(1 << n))
         )
-        assert simplicial_isomorphic(tri, prod, bij)
+        for i in range(n)
+    ]
+    bij = triangulation_product_bijections(
+        [interval()] * n, prod, tri, projections
+    )
+    return tri, prod, bij
+
+
+def test_triangulation_product_comparison():
+    for n in (2, 3):
+        assert simplicial_isomorphic(*_product_comparison(n))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("entry", ["face", "degeneracy", "bijection"])
+def test_product_comparison_fails_on_one_corrupted_entry(n, entry):
+    tri, prod, bij = _product_comparison(n)
+    if entry == "face":
+        row = prod.faces[2][1]
+        row[0] = (row[0] + 1) % len(prod.levels[1])
+    elif entry == "degeneracy":
+        row = prod.degeneracies[1][0]
+        row[0] = (row[0] + 1) % len(prod.levels[2])
+    else:
+        bij[2][0] = bij[2][1]
+    assert not simplicial_isomorphic(tri, prod, bij)
 
 
 def test_monotone_equals_join_preserving_from_chains():

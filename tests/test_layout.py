@@ -8,22 +8,25 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "reedylab"
 
-# entry points called from outside src/ (the console script)
-ENTRY_POINTS = {"cli.main"}
+# entry points called from outside src/
+ENTRY_POINTS = {
+    "cli.main",  # the console script
+    "presheaf.FinPresheaf.validate",  # the functor-law check for caller-built presheaves
+}
 
 
 def _definitions(tree: ast.Module):
     """Module-level functions and classes, and non-dunder methods of those
-    classes, as (qualified name, bare name, is a method) triples."""
+    classes, as (qualified name, bare name, class or None) triples."""
     defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
     for node in tree.body:
         if not isinstance(node, defs):
             continue
-        yield node.name, node.name, False
+        yield node.name, node.name, None
         if isinstance(node, ast.ClassDef):
             for item in node.body:
                 if isinstance(item, defs) and not item.name.startswith("__"):
-                    yield f"{node.name}.{item.name}", item.name, True
+                    yield f"{node.name}.{item.name}", item.name, node.name
 
 
 def _uses(source: str) -> tuple[Counter, Counter]:
@@ -43,18 +46,134 @@ def _uses(source: str) -> tuple[Counter, Counter]:
     return uses, bare
 
 
+def _annotated_class(annotation, classes):
+    """The src class an annotation names, `C`, `"C"` or `C | None`, or
+    that the elements of a `list[C]` or `tuple[C, ...]` belong to."""
+    if isinstance(annotation, ast.Subscript) and getattr(annotation.value, "id", "") in (
+        "list",
+        "tuple",
+    ):
+        inner = annotation.slice
+        return _annotated_class(inner.elts[0] if isinstance(inner, ast.Tuple) else inner, classes)
+    if isinstance(annotation, ast.BinOp):
+        sides = (_annotated_class(a, classes) for a in (annotation.left, annotation.right))
+        return next((c for c in sides if c), None)
+    if isinstance(annotation, ast.Constant) and isinstance(annotation.value, str):
+        return annotation.value if annotation.value in classes else None
+    if isinstance(annotation, ast.Name) and annotation.id in classes:
+        return annotation.id
+    return None
+
+
+class _Members:
+    """The members of the src classes, and the class an expression's value
+    belongs to where its syntax says so: `self` in a method, a class name,
+    a constructor call, an annotated parameter or return value, an
+    annotated field, or a local name assigned one of these; a loop
+    variable takes the class of the elements of its annotated list."""
+
+    def __init__(self, trees):
+        self.kind = {}  # member name -> classes with a member of that name
+        self.types = {}  # (class, member) -> the class of its value
+        self.returns = {}  # module-level function -> the class it returns
+        self.classes = {
+            node.name for tree in trees for node in tree.body if isinstance(node, ast.ClassDef)
+        }
+        for tree in trees:
+            for node in tree.body:
+                if isinstance(node, ast.FunctionDef):
+                    self.returns[node.name] = _annotated_class(node.returns, self.classes)
+                if isinstance(node, ast.ClassDef):
+                    for item in ast.walk(node):
+                        self._member(node.name, item)
+
+    def _member(self, cls, item):
+        if isinstance(item, ast.FunctionDef):
+            name, kind = item.name, _annotated_class(item.returns, self.classes)
+        elif isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+            name, kind = item.target.id, _annotated_class(item.annotation, self.classes)
+        elif isinstance(item, ast.Attribute) and isinstance(item.ctx, ast.Store):
+            name, kind = item.attr, None
+        else:
+            return
+        self.kind.setdefault(name, set()).add(cls)
+        self.types.setdefault((cls, name), kind)
+
+    def type_of(self, expr, env):
+        if isinstance(expr, ast.Name):
+            return env.get(expr.id) or (expr.id if expr.id in self.classes else None)
+        if isinstance(expr, ast.Call) and isinstance(expr.func, ast.Name):
+            name = expr.func.id
+            return name if name in self.classes else self.returns.get(name)
+        inner = expr.func if isinstance(expr, ast.Call) else expr
+        if isinstance(inner, ast.Attribute):
+            return self.types.get((self.type_of(inner.value, env), inner.attr))
+        return None
+
+    def uses(self, tree) -> Counter:
+        """(class, member) for each attribute read whose receiver's class
+        is known, or, where it is not, whose member name only one class
+        has."""
+        uses = Counter()
+        functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+        def visit(node, env, cls):
+            if isinstance(node, ast.ClassDef):
+                cls = node.name
+            if isinstance(node, functions):
+                env = dict(env)
+                args = node.args
+                for a in [*args.posonlyargs, *args.args, *args.kwonlyargs]:
+                    env[a.arg] = _annotated_class(a.annotation, self.classes)
+                static = any(getattr(d, "id", None) == "staticmethod" for d in node.decorator_list)
+                if cls and args.args and not static:
+                    env[args.args[0].arg] = cls
+                for stmt in ast.walk(node):
+                    self._bind(stmt, env)
+            load = isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+            if load and node.attr in self.kind:
+                owner = self.type_of(node.value, env)
+                owners = self.kind[node.attr]
+                if owner is None and len(owners) == 1:
+                    owner = next(iter(owners))
+                uses[owner, node.attr] += 1
+            for child in ast.iter_child_nodes(node):
+                visit(child, env, None if isinstance(node, functions) else cls)
+
+        visit(tree, {}, None)
+        return uses
+
+    def _bind(self, stmt, env):
+        if isinstance(stmt, ast.Assign):
+            for target in stmt.targets:
+                pairs = [(target, stmt.value)]
+                if isinstance(target, ast.Tuple) and isinstance(stmt.value, ast.Tuple):
+                    pairs = zip(target.elts, stmt.value.elts)
+                for name, value in pairs:
+                    if isinstance(name, ast.Name):
+                        env[name.id] = self.type_of(value, env)
+        elif isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+            env[stmt.target.id] = _annotated_class(stmt.annotation, self.classes)
+        elif isinstance(stmt, (ast.For, ast.comprehension)) and isinstance(stmt.target, ast.Name):
+            env[stmt.target.id] = self.type_of(stmt.iter, env)
+
+
 def test_every_definition_has_a_caller_in_src():
+    """A module-level definition needs a bare use of its name; a method
+    needs a read of that attribute on a value of its class, so a method
+    is not kept alive by a call to another class's method of that name."""
     modules = sorted(SRC.glob("*.py"))
-    uses, bare = Counter(), Counter()
-    for path in modules:
-        module_uses, module_bare = _uses(path.read_text())
-        uses += module_uses
-        bare += module_bare
+    trees = [ast.parse(path.read_text()) for path in modules]
+    members = _Members(trees)
+    bare, uses = Counter(), Counter()
+    for path, tree in zip(modules, trees):
+        bare += _uses(path.read_text())[1]
+        uses += members.uses(tree)
     unused = [
         qualname
-        for path in modules
-        for qualname, name, method in _definitions(ast.parse(path.read_text()))
-        if (uses if method else bare)[name] == 0
+        for path, tree in zip(modules, trees)
+        for qualname, name, cls in _definitions(tree)
+        if (uses[cls, name] if cls else bare[name]) == 0
         and f"{path.stem}.{qualname}" not in ENTRY_POINTS
     ]
     assert unused == [], f"definitions with no caller in src/: {unused}"

@@ -364,12 +364,21 @@ def test_non_isomorphic_pairs():
 
 
 def test_canonical_form_agrees_with_bijection_search():
-    objs = all_semilattices_upto(4) + [diamond(3), pinched_tripod_cover()[0]]
+    # every class of size <= 5 and a relabelled copy of each
+    rnd = random.Random(0)
+    classes = all_semilattices_upto(5)
+    objs = classes + [A.relabel(tuple(rnd.sample(range(A.size), A.size))) for A in classes]
     for A in objs:
         for B in objs:
-            same = canonical_form(A) == canonical_form(B)
-            found = find_isomorphism(A, B) is not None
-            assert same == found
+            iso = find_isomorphism(A, B)
+            assert (canonical_form(A) == canonical_form(B)) == (iso is not None)
+            if iso is not None:
+                assert sorted(iso.map) == list(range(B.size))
+                assert all(
+                    iso.map[A.join[x][y]] == B.join[iso.map[x]][iso.map[y]]
+                    for x in range(A.size)
+                    for y in range(A.size)
+                )
 
 
 def test_enumerate_semilattices_counts():
