@@ -30,10 +30,8 @@ class ViolatedLaw(ReedyLabError):
     Certified facts that the constructions rely on raise it too:
     'well-definedness' when a map induced on a quotient is not constant on
     a class (latching maps, automorphism and presheaf quotients, the join
-    of a lowering pushout or a semilattice quotient); 'pushout-leg-reach'
-    when a class of a lowering pushout misses one of its surjective legs;
-    'degree-drop' when postcomposition raises a map's degree;
-    'ez-existence' when an element has no EZ decomposition;
+    of a semilattice quotient); 'degree-drop' when postcomposition raises
+    a map's degree; 'ez-existence' when an element has no EZ decomposition;
     'sub-presheaf-closure' when a restriction raises an element's EZ
     degree, so that some skeleton is not a sub-presheaf;
     'skeleton-landing' when a leg of a cell square leaves its
@@ -46,15 +44,9 @@ class ViolatedLaw(ReedyLabError):
     the ends of a caller-built lift differ by a non-multiple of the turn,
     so that its winding is not an integer; 'top' when
     a validated join table has an element outside the join of all;
-    'surjectivity' when the pinched tripod cover, the counit from a free
-    semilattice or a cube retraction misses an element; 'splitting' when
-    a split idempotent or a cube retract does not compose back to the
-    identity or to the idempotent; 'lift-existence' when the identity of a
-    distributive lattice does not lift through its cube retraction;
-    'factorization' when a factorization of the 3-cube endomap u through
-    a distributive middle does not compose back to u.  A suite
-    reports any of them as one failed check whose witness is {"law",
-    "witness"}.
+    'lift-existence' when the identity of a distributive lattice does not
+    lift through its cube retraction.  A suite reports any of them as one
+    failed check whose witness is {"law", "witness"}.
     """
 
     def __init__(self, law: str, witness: tuple):
@@ -76,7 +68,8 @@ class CandidateSpaceExceeded(ReedyLabError):
 
 
 class NotSurjective(ReedyLabError):
-    """A lowering pushout was requested for a non-surjective span leg."""
+    """A map that must be a surjection is not: a leg of a lowering span,
+    or the map a projective lift goes through."""
 
 
 class NotIdempotent(ReedyLabError):

@@ -3,12 +3,13 @@
 Builds explicit truncated categories (one object per isomorphism class up
 to a size cap, full hom lists, composition tables) and certifies the Reedy
 axioms, the cancellation laws, and pre-elegance on them exhaustively.
-lowering_pushout computes a pushout set-first; the induced join's
-well-definedness, itself one of the certified facts, is checked on every
-pushout it builds and raises ViolatedLaw when it fails.  The squares of a
-category are read off its composition table instead: the set pushout's
-kernel on the apex names a lowering map out of it, whose codomain is the
-carrier, so the join is that object's.
+The squares of a category are read off its composition table: the set
+pushout's kernel on the apex names a lowering map out of it, whose
+codomain is the carrier, so the join is that object's.
+pushout_via_congruence is the independent route that the certificate
+compares them with: the apex modulo the join of the two kernel
+congruences, whose induced join raises ViolatedLaw('well-definedness')
+if it is not constant on a class pair.
 
 The universal property of a square is, by Yoneda, the statement that
 every representable y(c) sends it to a pullback, and lowering maps being
@@ -34,7 +35,6 @@ from .semilattice import (
     descend,
     enumerate_homs,
     quotient_by_pairs,
-    validate_semilattice,
 )
 
 # A morphism reference, as witnesses print it: (dom index, cod index, hom index)
@@ -302,55 +302,6 @@ class LoweringPushoutSquare:
         return self.f0.cod
 
 
-def lowering_pushout(e0: SLatMorphism, e1: SLatMorphism) -> LoweringPushoutSquare:
-    """Pushout of a span of surjections, computed on underlying sets.
-
-    The carrier is the set pushout of the legs; the join is induced from
-    same-leg representatives.  That it is well defined is exactly the fact
-    that forgetting to sets preserves surjective pushouts; a class pair on
-    which it is not raises ViolatedLaw('well-definedness', (i, j)).
-    """
-    if not e0.is_surjective or not e1.is_surjective:
-        raise NotSurjective("lowering pushout needs surjective legs")
-    if e0.dom.join != e1.dom.join:
-        raise ViolatedLaw("span-apex", ())
-    A, B0, B1 = e0.dom, e0.cod, e1.cod
-    n0, n1 = B0.size, B1.size
-    uf = UnionFind(range(n0 + n1))
-    for a in range(A.size):
-        uf.union(e0.map[a], n0 + e1.map[a])
-    classes, cls = uf.partition()
-    k = len(classes)
-    members0 = [[x for x in c if x < n0] for c in classes]
-    members1 = [[x - n0 for x in c if x >= n0] for c in classes]
-    for i in range(k):
-        if not (members0[i] and members1[i]):
-            raise ViolatedLaw("pushout-leg-reach", (i,))
-    # per class pair (i, j), the joins of its same-leg members as union keys
-    joins = [
-        [B0.join[x][y] for x in members0[i] for y in members0[j]]
-        + [n0 + B1.join[u][v] for u in members1[i] for v in members1[j]]
-        for i in range(k)
-        for j in range(k)
-    ]
-    flat, bad = descend(joins, cls.__getitem__)
-    if bad:
-        raise ViolatedLaw("well-definedness", divmod(bad[0], k))
-    table = [flat[i * k : (i + 1) * k] for i in range(k)]
-    labels = tuple(
-        "{"
-        + ",".join(
-            [B0.label(x) for x in members0[i]] + [B1.label(y) + "'" for y in members1[i]]
-        )
-        + "}"
-        for i in range(k)
-    )
-    P = validate_semilattice(table, labels)
-    f0 = SLatMorphism(B0, P, tuple(cls[x] for x in range(n0)))
-    f1 = SLatMorphism(B1, P, tuple(cls[n0 + y] for y in range(n1)))
-    return LoweringPushoutSquare(e0, e1, f0, f1)
-
-
 def pushout_via_congruence(e0: SLatMorphism, e1: SLatMorphism) -> SLatMorphism:
     """Independent pushout route: quotient of the apex by the join of the
     two kernel congruences.  Returns the projection from the apex."""
@@ -410,7 +361,7 @@ def _kernel(values) -> tuple[int, ...]:
 
 def _joined_kernel(e0: SLatMorphism, e1: SLatMorphism) -> tuple[int, ...]:
     """The kernel on the apex of the set pushout of a span: B0 and B1 glued
-    along e0(x) ~ e1(x), as lowering_pushout glues them."""
+    along e0(x) ~ e1(x)."""
     n0 = e0.cod.size
     uf = UnionFind(range(n0 + e1.cod.size))
     for x, y in zip(e0.map, e1.map):

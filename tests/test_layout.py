@@ -48,13 +48,19 @@ def _uses(source: str) -> tuple[Counter, Counter]:
 
 def _annotated_class(annotation, classes):
     """The src class an annotation names, `C`, `"C"` or `C | None`, or
-    that the elements of a `list[C]` or `tuple[C, ...]` belong to."""
+    that the elements of a `list[C]` or `tuple[C, ...]` belong to; for a
+    fixed `tuple[A, B, C]`, the tuple of what each element names."""
     if isinstance(annotation, ast.Subscript) and getattr(annotation.value, "id", "") in (
         "list",
         "tuple",
     ):
         inner = annotation.slice
-        return _annotated_class(inner.elts[0] if isinstance(inner, ast.Tuple) else inner, classes)
+        if not isinstance(inner, ast.Tuple):
+            return _annotated_class(inner, classes)
+        last = inner.elts[-1]
+        if isinstance(last, ast.Constant) and last.value is Ellipsis:
+            return _annotated_class(inner.elts[0], classes)
+        return tuple(_annotated_class(e, classes) for e in inner.elts)
     if isinstance(annotation, ast.BinOp):
         sides = (_annotated_class(a, classes) for a in (annotation.left, annotation.right))
         return next((c for c in sides if c), None)
@@ -70,7 +76,10 @@ class _Members:
     belongs to where its syntax says so: `self` in a method, a class name,
     a constructor call, an annotated parameter or return value, an
     annotated field, or a local name assigned one of these; a loop
-    variable takes the class of the elements of its annotated list."""
+    variable takes the class of the elements of its annotated list, and
+    names unpacked from a fixed tuple take the classes of its elements.
+    The receiver of an attribute read that is an imported module, or an
+    attribute of one, belongs to no class."""
 
     def __init__(self, trees):
         self.kind = {}  # member name -> classes with a member of that name
@@ -112,10 +121,21 @@ class _Members:
 
     def uses(self, tree) -> Counter:
         """(class, member) for each attribute read whose receiver's class
-        is known, or, where it is not, whose member name only one class
-        has."""
+        is known, or, where it is not and the receiver is not a module,
+        whose member name only one class has."""
         uses = Counter()
         functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+        modules = {
+            alias.asname or alias.name.split(".")[0]
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Import)
+            for alias in node.names
+        }
+
+        def in_module(expr):
+            while isinstance(expr, ast.Attribute):
+                expr = expr.value
+            return isinstance(expr, ast.Name) and expr.id in modules
 
         def visit(node, env, cls):
             if isinstance(node, ast.ClassDef):
@@ -134,7 +154,7 @@ class _Members:
             if load and node.attr in self.kind:
                 owner = self.type_of(node.value, env)
                 owners = self.kind[node.attr]
-                if owner is None and len(owners) == 1:
+                if owner is None and len(owners) == 1 and not in_module(node.value):
                     owner = next(iter(owners))
                 uses[owner, node.attr] += 1
             for child in ast.iter_child_nodes(node):
@@ -145,13 +165,21 @@ class _Members:
 
     def _bind(self, stmt, env):
         if isinstance(stmt, ast.Assign):
+            value = stmt.value
             for target in stmt.targets:
-                pairs = [(target, stmt.value)]
-                if isinstance(target, ast.Tuple) and isinstance(stmt.value, ast.Tuple):
-                    pairs = zip(target.elts, stmt.value.elts)
-                for name, value in pairs:
+                if not isinstance(target, ast.Tuple):
+                    pairs = [(target, self.type_of(value, env))]
+                else:
+                    if isinstance(value, ast.Tuple):
+                        kinds = tuple(self.type_of(v, env) for v in value.elts)
+                    else:
+                        kinds = self.type_of(value, env)
+                    if not (isinstance(kinds, tuple) and len(kinds) == len(target.elts)):
+                        kinds = (None,) * len(target.elts)
+                    pairs = zip(target.elts, kinds)
+                for name, kind in pairs:
                     if isinstance(name, ast.Name):
-                        env[name.id] = self.type_of(value, env)
+                        env[name.id] = kind
         elif isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
             env[stmt.target.id] = _annotated_class(stmt.annotation, self.classes)
         elif isinstance(stmt, (ast.For, ast.comprehension)) and isinstance(stmt.target, ast.Name):
@@ -177,6 +205,35 @@ def test_every_definition_has_a_caller_in_src():
         and f"{path.stem}.{qualname}" not in ENTRY_POINTS
     ]
     assert unused == [], f"definitions with no caller in src/: {unused}"
+
+
+def test_members_skip_module_receivers_and_type_unpacked_tuples():
+    # a module attribute is not a call of the one class method of its name
+    poset = ast.parse(
+        "import itertools\n"
+        "class FinPoset:\n"
+        "    def chain(self): ...\n"
+        "def flat(xs):\n"
+        "    return itertools.chain.from_iterable(xs)\n"
+    )
+    assert _Members([poset]).uses(poset)["FinPoset", "chain"] == 0
+    # each name unpacked from a fixed tuple takes its element's class; a
+    # tuple[C, ...] stays homogeneous
+    category = ast.parse(
+        "class FinCategory:\n"
+        "    size: int\n"
+        "class ReedyData:\n"
+        "    size: int\n"
+        "def build() -> tuple[FinCategory, ReedyData, list[int]]: ...\n"
+        "def objects() -> tuple[FinCategory, ...]: ...\n"
+        "def run():\n"
+        "    cat, data, squares = build()\n"
+        "    for c in objects():\n"
+        "        c.size\n"
+        "    return cat.size, data.size, squares.size\n"
+    )
+    uses = _Members([category]).uses(category)
+    assert (uses["FinCategory", "size"], uses["ReedyData", "size"], uses[None, "size"]) == (2, 1, 1)
 
 
 def _unread_parameters(tree: ast.Module):

@@ -77,6 +77,38 @@ def test_u_factorization_certificate():
     assert by_id["only-distributive-superset-is-the-cube"].count == 8
 
 
+def test_every_counted_u_factorization_composes_to_u(monkeypatch):
+    import reedylab.obstruction as obstruction
+
+    # each middle map e is built while its mono m is the current map of
+    # the enumeration, so the pairs (e, m) are recorded as they are made
+    real_homs, real_morphism = obstruction.enumerate_homs, obstruction.SLatMorphism
+    current, pairs = [], []
+
+    class Homs(list):
+        def __iter__(self):
+            for m in list.__iter__(self):
+                current[:] = [m]
+                yield m
+            current.clear()
+
+    def homs(A, B, budget):
+        return Homs(real_homs(A, B, budget))
+
+    def morphism(dom, cod, values):
+        f = real_morphism(dom, cod, values)
+        if current and cod.join == current[0].dom.join:
+            pairs.append((f, current[0]))
+        return f
+
+    monkeypatch.setattr(obstruction, "enumerate_homs", homs)
+    monkeypatch.setattr(obstruction, "SLatMorphism", morphism)
+    by_id = _passing(certify_no_reedy_factorization_of_u())
+    u = map_u()
+    assert pairs and all(e.then(m).map == u.map for e, m in pairs)
+    assert by_id["all-injective-factorizations-pass-through-the-cube"].status == "pass"
+
+
 def test_t_is_surjective_join_preserving():
     t = map_t()
     assert t.is_surjective and t.cod.size == 3

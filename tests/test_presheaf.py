@@ -88,6 +88,27 @@ def test_validate_rejects_corrupted_action(trunc3):
     assert err.value.law == "functoriality"
 
 
+def test_validate_catches_every_single_corrupted_action_entry(trunc3):
+    # every in-range change of one entry of one action of a representable:
+    # at an identity the unit law fails, elsewhere functoriality does (the
+    # point maps out of the one-element object see every entry)
+    cat, data, squares = trunc3
+    corruptions = 0
+    for b in range(len(cat.objects)):
+        yo = representable(cat, b)
+        for f in cat.morphisms():
+            want = "unit" if cat.is_identity(f) else "functoriality"
+            for x, value in enumerate(yo.action(f).tolist()):
+                for other in range(yo.levels[cat.dom(f)]):
+                    if other == value:
+                        continue
+                    with pytest.raises(ViolatedLaw) as err:
+                        with_value(yo, f, x, other).validate()
+                    assert err.value.law == want, (b, cat.ref(f), x, other)
+                    corruptions += 1
+    assert corruptions == 7528
+
+
 def test_validate_rejects_corrupted_action_in_optimized_mode():
     code = (
         "from reedylab.errors import ViolatedLaw\n"

@@ -478,6 +478,7 @@ def test_projective_iff_bottomed_distributive():
 def test_pinched_cover_has_no_section():
     A, e = pinched_tripod_cover()
     T = e.cod
+    assert e.is_surjective
     assert lift_through_surjection(T, e, SLatMorphism.identity(T)) is None
 
 
