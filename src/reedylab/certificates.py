@@ -76,14 +76,14 @@ def verdict(id: str, ok, count: int, witness=None, *, may_be_empty: bool = False
     return Check(id, PASS if ok else FAIL, count, None if ok else witness)
 
 
-def scan(id: str, witnesses, *, may_be_empty: bool = False) -> Check:
+def scan(id: str, witnesses) -> Check:
     """One check over a sequence of cases, each given as None when it
     passes or as its witness when it fails.  Stops at the first failure;
     the count is the number of cases examined, that failure included.
-    Zero cases fail as in verdict."""
+    Zero cases fail with witness NO_CASES, as in verdict."""
     count = 0
     for witness in witnesses:
         count += 1
         if witness is not None:
             return Check(id, FAIL, count, witness)
-    return verdict(id, True, count, may_be_empty=may_be_empty)
+    return verdict(id, True, count)

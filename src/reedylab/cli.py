@@ -4,24 +4,36 @@ obstruction reports, and DOT export."""
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
 from .errors import InvalidInput, ReedyLabError, UnknownSuite
-from .suites import SUITES, SuiteConfig, run_suite
+from .suites import SUITES, SuiteConfig, run_suite, suite_options
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 
 
-def _add_suite_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--max-size", type=int, default=None, dest="max_size")
-    p.add_argument("--cube-dim", type=int, default=3, dest="cube_dim")
-    p.add_argument("--max-free-size", type=int, default=2**12, dest="free_cap")
-    p.add_argument("--budget", type=int, default=None)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--corpus-count", type=int, default=200, dest="corpus_count")
+# the flag of each SuiteConfig option, in the order a usage line lists them
+FLAGS = {
+    "max_size": "--max-size",
+    "cube_dim": "--cube-dim",
+    "free_cap": "--max-free-size",
+    "budget": "--budget",
+    "seed": "--seed",
+    "corpus_count": "--corpus-count",
+}
+
+
+def _add_suite_flags(p: argparse.ArgumentParser, options) -> None:
+    """The flags of the given SuiteConfig options, each defaulting to its
+    field's default, and --out and --format."""
+    defaults = {f.name: f.default for f in dataclasses.fields(SuiteConfig)}
+    for name, flag in FLAGS.items():
+        if name in options:
+            p.add_argument(flag, type=int, default=defaults[name], dest=name)
     p.add_argument("--out", type=str, default=None)
     p.add_argument(
         "--format", type=str, choices=("json", "markdown"), default="json"
@@ -39,19 +51,7 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _config_from(args, suite: str) -> SuiteConfig:
-    kwargs = dict(
-        suite=suite,
-        max_size=args.max_size,
-        cube_dim=args.cube_dim,
-        free_cap=args.free_cap,
-        seed=args.seed,
-        corpus_count=args.corpus_count,
-        out=args.out,
-        fmt=args.format,
-    )
-    if args.budget is not None:
-        kwargs["budget"] = args.budget
-    return SuiteConfig(**kwargs)
+    return SuiteConfig(suite, **{k: v for k, v in vars(args).items() if k in FLAGS})
 
 
 def _at_least(low: int, **flags) -> None:
@@ -66,10 +66,10 @@ def _exit_code(*certs) -> int:
     return EXIT_PASS if all(c.passed for c in certs) else EXIT_FAIL
 
 
-def _run_one(cfg: SuiteConfig) -> int:
-    cert = run_suite(cfg)
-    text = cert.markdown() if cfg.fmt == "markdown" else cert.json_text()
-    _emit(text, cfg.out)
+def _run_one(args) -> int:
+    cert = run_suite(_config_from(args, args.command))
+    text = cert.markdown() if args.format == "markdown" else cert.json_text()
+    _emit(text, args.out)
     return _exit_code(cert)
 
 
@@ -85,10 +85,10 @@ def main(argv=None) -> int:
 
     for name in sorted(SUITES):
         sp = sub.add_parser(name, help=f"run the {name} suite")
-        _add_suite_flags(sp)
+        _add_suite_flags(sp, suite_options(name))
 
     sp = sub.add_parser("all", help="run every registered suite")
-    _add_suite_flags(sp)
+    _add_suite_flags(sp, {option for name in SUITES for option in suite_options(name)})
 
     sp = sub.add_parser("export-dot", help="Hasse diagram DOT export")
     sp.add_argument("--input", type=str, required=True)
@@ -115,7 +115,7 @@ def main(argv=None) -> int:
 
     try:
         if args.command in SUITES:
-            return _run_one(_config_from(args, args.command))
+            return _run_one(args)
         if args.command == "all":
             certs = [run_suite(_config_from(args, name)) for name in SUITES]
             if args.format == "markdown":

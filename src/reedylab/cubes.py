@@ -28,10 +28,10 @@ from .semilattice import (
 )
 
 
-def cube(n: int, max_dim: int = 6) -> FiniteSemilattice:
-    """The n-cube: bitmasks 0..2^n-1 under bitwise or."""
-    if n > max_dim:
-        raise SizeBudget(f"cube dimension {n} exceeds cap {max_dim}")
+def cube(n: int) -> FiniteSemilattice:
+    """The n-cube: bitmasks 0..2^n-1 under bitwise or, for n at most 6."""
+    if n > 6:
+        raise SizeBudget(f"cube dimension {n} exceeds cap 6")
     size = 1 << n
     table = tuple(tuple(i | j for j in range(size)) for i in range(size))
     labels = tuple(format(v, f"0{n}b")[::-1] if n else "()" for v in range(size))
@@ -86,7 +86,6 @@ def split_idempotent(f: SLatMorphism) -> tuple[SLatMorphism, SLatMorphism]:
 
 def retract_of_cube(
     A: FiniteSemilattice,
-    max_dim: int = 6,
     budget: int = DEFAULT_CANDIDATE_BUDGET,
 ) -> tuple[SLatMorphism, SLatMorphism]:
     """Exhibit a distributive lattice as a retract of the cube on its
@@ -98,8 +97,6 @@ def retract_of_cube(
     if not dist:
         raise NotDistributive(f"retract-of-cube needs distributivity ({dist.reason})")
     n = A.size
-    if n > max_dim:
-        raise SizeBudget(f"cube dimension {n} exceeds cap {max_dim}")
     C = cube(n)
     bot = A.bottom
     retr_map = []
@@ -156,7 +153,7 @@ def certify_idempotent_completion(
         for A in all_semilattices_upto(size_cap):
             if not is_distributive_lattice(A):
                 continue
-            s, r = retract_of_cube(A, max_dim=max(size_cap, 4), budget=budget)
+            s, r = retract_of_cube(A, budget)
             yield None if s.then(r).map == tuple(range(A.size)) else {"size": A.size}
 
     return [

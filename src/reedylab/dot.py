@@ -7,8 +7,8 @@ from .obstruction import CrownPoset
 from .semilattice import FiniteSemilattice, enumerate_homs
 
 
-def semilattice_dot(A: FiniteSemilattice, name: str = "semilattice") -> str:
-    lines = [f'digraph "{name}" {{', "  rankdir=BT;"]
+def semilattice_dot(A: FiniteSemilattice) -> str:
+    lines = ['digraph "semilattice" {', "  rankdir=BT;"]
     for x in range(A.size):
         lines.append(f'  n{x} [label="{A.label(x)}"];')
     for x, y in A.covers:
@@ -17,8 +17,8 @@ def semilattice_dot(A: FiniteSemilattice, name: str = "semilattice") -> str:
     return "\n".join(lines) + "\n"
 
 
-def crown_dot(C: CrownPoset, name: str = "crown") -> str:
-    lines = [f'digraph "{name}" {{', "  rankdir=BT;"]
+def crown_dot(C: CrownPoset) -> str:
+    lines = ['digraph "crown" {', "  rankdir=BT;"]
     for i in range(C.size):
         lines.append(f'  n{i} [label="{i}"];')
     for i in range(0, C.size, 2):
@@ -28,10 +28,10 @@ def crown_dot(C: CrownPoset, name: str = "crown") -> str:
     return "\n".join(lines) + "\n"
 
 
-def category_dot(objects: list[FiniteSemilattice], name: str = "category") -> str:
+def category_dot(objects: list[FiniteSemilattice]) -> str:
     """The full subcategory on the objects: objects as nodes, edges
     labeled by hom-set cardinality."""
-    lines = [f'digraph "{name}" {{']
+    lines = ['digraph "category" {']
     for i, O in enumerate(objects):
         lines.append(f'  n{i} [label="#{i} (size {O.size})"];')
     for a, A in enumerate(objects):

@@ -17,10 +17,11 @@ stays numpy-free.
 
 from __future__ import annotations
 
-from .errors import NotSurjective, SizeBudget
+from .errors import NotSurjective
 from .reedy import LoweringPushoutSquare
 from .semilattice import (
     DEFAULT_CANDIDATE_BUDGET,
+    FREE_SIZE_CAP,
     FiniteSemilattice,
     SLatMorphism,
     UnionFind,
@@ -34,12 +35,11 @@ from .semilattice import (
 
 
 def counit_from_free(
-    A: FiniteSemilattice, max_free_size: int = 2**12
+    A: FiniteSemilattice, max_free_size: int = FREE_SIZE_CAP
 ) -> SLatMorphism:
     """The surjection from the free semilattice on A's underlying set,
-    sending a nonempty subset to its join."""
-    if 2**A.size - 1 > max_free_size:
-        raise SizeBudget(f"free algebra on {A.size} elements exceeds cap")
+    sending a nonempty subset to its join; SizeBudget when that free
+    semilattice has more than max_free_size elements."""
     F, unit = free_on_generators(A.size, max_free_size)
     # elements of F are generated by the unit; extend by joins
     gen_of = {unit[i]: i for i in range(A.size)}
@@ -67,7 +67,7 @@ def projective_lift(
 def is_perfectly_presentable(
     A: FiniteSemilattice,
     budget: int = DEFAULT_CANDIDATE_BUDGET,
-    max_free_size: int = 2**12,
+    max_free_size: int = FREE_SIZE_CAP,
 ) -> tuple[bool, tuple[SLatMorphism, SLatMorphism] | None]:
     """Search for a section of the counit from the free algebra.
 

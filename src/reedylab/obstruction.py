@@ -318,11 +318,11 @@ def compose_crown(f: CrownMap, g: CrownMap) -> CrownMap:
     return crown_map(f.m, g.n, tuple(g.values[v] for v in f.values))
 
 
-def enumerate_crown_maps(m: int, n: int, cap: int = 6) -> list[CrownMap]:
+def enumerate_crown_maps(m: int, n: int) -> list[CrownMap]:
     """All monotone maps C_m -> C_n, lexicographic on values, each lifted
-    from the base point values[0]."""
-    if m > cap or n > cap:
-        raise SizeBudget(f"crown enumeration capped at {cap}")
+    from the base point values[0]; m and n are at most 6."""
+    if m > 6 or n > 6:
+        raise SizeBudget("crown enumeration capped at 6")
     Cm, Cn = CrownPoset(m), CrownPoset(n)
     leq = [[Cn.leq(a, b) for b in range(Cn.size)] for a in range(Cn.size)]
     below = [[j for j in range(k) if Cm.leq(j, k)] for k in range(Cm.size)]

@@ -789,17 +789,11 @@ def enumerate_presheaves(cat: FinCategory, max_level: int):
     return out
 
 
-def seeded_corpus(
-    cat: FinCategory,
-    data: ReedyData,
-    seed: int,
-    count: int,
-    max_parts: int = 2,
-    max_glue: int = 3,
-) -> list[FinPresheaf]:
+def seeded_corpus(cat: FinCategory, data: ReedyData, seed: int, count: int) -> list[FinPresheaf]:
     """A fixed designed family (representables, automorphism quotients,
     terminal, empty, span pushouts) followed by `count` reproducible
-    random quotients of small coproducts of representables."""
+    random quotients of coproducts of one or two representables, each
+    glued at up to three pairs of elements."""
     rng = random.Random(seed)
     n_obj = len(cat.objects)
     corpus: list[FinPresheaf] = []
@@ -817,10 +811,10 @@ def seeded_corpus(
     for _ in range(count):
         parts = [
             representable(cat, rng.randrange(n_obj))
-            for _ in range(rng.randint(1, max_parts))
+            for _ in range(rng.randint(1, 2))
         ]
         X = coproduct_presheaf(parts)
-        n_glue = rng.randint(0, max_glue)
+        n_glue = rng.randint(0, 3)
         pairs = []
         for _ in range(n_glue):
             candidates = [r for r in range(n_obj) if X.levels[r] >= 2]
@@ -837,14 +831,14 @@ def seeded_corpus(
     return corpus
 
 
-def _some_spans(cat: FinCategory, data: ReedyData, limit: int = 6):
-    """A few strictly lowering spans, preferring distinct legs."""
+def _some_spans(cat: FinCategory, data: ReedyData):
+    """The first six strictly lowering spans, from the last object back."""
     out = []
     for r in range(len(cat.objects) - 1, -1, -1):
         lows = strictly_lowering_out_of(cat, data, r)
         for i, e0 in enumerate(lows):
             for e1 in lows[i:]:
                 out.append((e0, e1))
-                if len(out) >= limit:
+                if len(out) == 6:
                     return out
     return out

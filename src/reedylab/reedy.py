@@ -32,7 +32,6 @@ from .semilattice import (
     UnionFind,
     all_semilattices_upto,
     canonical_form,
-    descend,
     enumerate_homs,
     quotient_by_pairs,
 )
@@ -427,9 +426,7 @@ def truncated_semilattice_category(
     return reedy_category_on(all_semilattices_upto(N), budget)
 
 
-def quotient_closure(
-    seeds, cap: int = 6, budget: int = DEFAULT_CANDIDATE_BUDGET
-) -> list[FiniteSemilattice]:
+def quotient_closure(seeds) -> list[FiniteSemilattice]:
     """Close a set of semilattices under quotient objects (hence under
     lowering pushouts, which are joint quotients of the span apex).
 
@@ -445,12 +442,12 @@ def quotient_closure(
     for A in list(out.values()):
         for k in range(1, A.size + 1):
             if k not in candidates_by_size:
-                candidates_by_size[k] = enumerate_semilattices(k, cap)
+                candidates_by_size[k] = enumerate_semilattices(k)
             for B in candidates_by_size[k]:
                 key = (B.size, B.join)
                 if key in out:
                     continue
-                if enumerate_surjections(A, B, budget):
+                if enumerate_surjections(A, B):
                     out[key] = B
     return [out[k] for k in sorted(out)]
 
@@ -539,15 +536,9 @@ def certify_pre_elegance(
         for e0, e1, f0, _ in squares:
             proj = pushout_via_congruence(cat.mor(e0), cat.mor(e1))
             carrier = cat.objects[cat.cod(f0)].size
-            agree = proj.cod.size == carrier
-            if agree:
-                # the two quotients agree as quotients of the apex
-                kernel = [[] for _ in range(proj.cod.size)]
-                for a, b in enumerate(proj.map):
-                    kernel[b].append(a)
-                left = list(map(cat.mor(f0).map.__getitem__, cat.mor(e0).map))
-                through, bad = descend(kernel, left.__getitem__)
-                agree = not bad and len(set(through)) == carrier
+            # the two quotients agree as quotients of the apex
+            left = map(cat.mor(f0).map.__getitem__, cat.mor(e0).map)
+            agree = proj.cod.size == carrier and _kernel(proj.map) == _kernel(left)
             yield None if agree else {"span": (cat.ref(e0), cat.ref(e1))}
 
     closed = scan("lowering-pushout-closure", closure())

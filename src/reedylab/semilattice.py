@@ -23,6 +23,10 @@ from .errors import (
 JoinTable = tuple[tuple[int, ...], ...]
 
 DEFAULT_CANDIDATE_BUDGET = 10**7
+# the default cap on the size of a free semilattice, 2^k - 1 on k generators
+FREE_SIZE_CAP = 2**12
+# the most functions all_functions_homs filters
+BRUTE_FORCE_CAP = 10**6
 
 
 class UnionFind:
@@ -455,7 +459,7 @@ def adjoin_bottom(A: FiniteSemilattice) -> tuple[FiniteSemilattice, SLatMorphism
 
 
 def free_on_generators(
-    k: int, max_size: int = 2**12
+    k: int, max_size: int = FREE_SIZE_CAP
 ) -> tuple[FiniteSemilattice, tuple[int, ...]]:
     """Free semilattice on k generators: nonempty subsets under union.
 
@@ -541,13 +545,9 @@ def _generator_homs(A: FiniteSemilattice, B: FiniteSemilattice, candidates):
             yield f
 
 
-def all_functions_homs(
-    A: FiniteSemilattice,
-    B: FiniteSemilattice,
-    budget: int = 10**6,
-) -> list[SLatMorphism]:
+def all_functions_homs(A: FiniteSemilattice, B: FiniteSemilattice) -> list[SLatMorphism]:
     """Literal brute force: filter every function A -> B."""
-    if B.size**A.size > budget:
+    if B.size**A.size > BRUTE_FORCE_CAP:
         raise CandidateSpaceExceeded(f"{B.size}^{A.size} functions")
     out = []
     for m in itertools.product(range(B.size), repeat=A.size):
@@ -827,16 +827,16 @@ def find_isomorphism(
     return next((f for f in _generator_homs(A, B, candidates) if f.is_iso), None)
 
 
-def enumerate_semilattices(n: int, cap: int = 6) -> list[FiniteSemilattice]:
-    """All inhabited join-semilattices of size n, one per iso class.
+def enumerate_semilattices(n: int) -> list[FiniteSemilattice]:
+    """All inhabited join-semilattices of size n <= 6, one per iso class.
 
     Enumerates partial orders compatible with the integer order (every
     class has a linear extension, so all classes appear), keeps those in
     which every pair has a least upper bound, and dedupes by canonical
     form.  Sorted by canonical join table.
     """
-    if n > cap:
-        raise SizeBudget(f"semilattice enumeration capped at size {cap}")
+    if n > 6:
+        raise SizeBudget("semilattice enumeration capped at size 6")
     if n < 1:
         raise InvalidInput(f"semilattices need n >= 1 elements, got {n}")
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
@@ -883,9 +883,9 @@ def enumerate_semilattices(n: int, cap: int = 6) -> list[FiniteSemilattice]:
     return [seen[cf] for cf in sorted(seen)]
 
 
-def all_semilattices_upto(n: int, cap: int = 6) -> list[FiniteSemilattice]:
+def all_semilattices_upto(n: int) -> list[FiniteSemilattice]:
     """Representatives of every iso class of size 1..n, smallest first."""
     out = []
     for k in range(1, n + 1):
-        out.extend(enumerate_semilattices(k, cap))
+        out.extend(enumerate_semilattices(k))
     return out

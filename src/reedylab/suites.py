@@ -2,11 +2,14 @@
 
 Each suite assembles the checks of module-level certifiers plus its own
 into a single deterministic Certificate, which only run_suite builds.
+A suite's factory takes the SuiteConfig options it reads as keyword
+parameters, so its signature is the list of options the suite accepts.
 Budget overruns become skipped checks; nothing is silently truncated.
 """
 
 from __future__ import annotations
 
+import inspect
 import math
 import time
 from dataclasses import dataclass
@@ -19,7 +22,7 @@ from .errors import (
     UnknownSuite,
     ViolatedLaw,
 )
-from .semilattice import DEFAULT_CANDIDATE_BUDGET
+from .semilattice import DEFAULT_CANDIDATE_BUDGET, FREE_SIZE_CAP
 
 # the ceiling of --cube-dim: the cube suites are sized for cubes of
 # dimension at most 3
@@ -31,12 +34,10 @@ class SuiteConfig:
     suite: str
     max_size: int | None = None
     cube_dim: int = MAX_CUBE_DIM
-    free_cap: int = 2**12
+    free_cap: int = FREE_SIZE_CAP
     budget: int = DEFAULT_CANDIDATE_BUDGET
     seed: int = 0
     corpus_count: int = 200
-    out: str | None = None
-    fmt: str = "json"
 
     def __post_init__(self):
         for name, value, low in (
@@ -52,8 +53,6 @@ class SuiteConfig:
             raise InvalidInput(
                 f"cube_dim must be at most {MAX_CUBE_DIM}, got {self.cube_dim}"
             )
-        if self.fmt not in ("json", "markdown"):
-            raise InvalidInput(f"format must be json or markdown, got {self.fmt!r}")
 
     def echo(self) -> dict:
         return {
@@ -83,13 +82,13 @@ def _guard(cid: str, thunk) -> list[Check]:
 # ---------------------------------------------------------------------------
 
 
-def _suite_hom_counts(cfg: SuiteConfig) -> list:
+def _suite_hom_counts(*, cube_dim: int, budget: int) -> list:
     from .cubes import cube, cube_hom_count, dedekind_homs
-    from .semilattice import all_functions_homs, backtrack_homs, enumerate_homs
+    from .semilattice import BRUTE_FORCE_CAP, all_functions_homs, backtrack_homs, enumerate_homs
 
     tasks = []
-    for m in range(1, cfg.cube_dim + 1):
-        for n in range(1, cfg.cube_dim + 1):
+    for m in range(1, cube_dim + 1):
+        for n in range(1, cube_dim + 1):
             def thunk(m=m, n=n):
                 formula, enumerated = cube_hom_count(m, n)
                 checks = [
@@ -105,11 +104,11 @@ def _suite_hom_counts(cfg: SuiteConfig) -> list:
                 checks.append(
                     verdict(
                         f"elementwise-backtracking-agrees-{m}-{n}",
-                        pruned == [f.map for f in enumerate_homs(A, B, cfg.budget)],
+                        pruned == [f.map for f in enumerate_homs(A, B, budget)],
                         len(pruned),
                     )
                 )
-                if B.size**A.size <= 10**6:
+                if B.size**A.size <= BRUTE_FORCE_CAP:
                     literal = all_functions_homs(A, B)
                     checks.append(
                         verdict(
@@ -126,7 +125,7 @@ def _suite_hom_counts(cfg: SuiteConfig) -> list:
         expected = {1: 3, 2: 6, 3: 20}
         checks = []
         for n, want in expected.items():
-            got = len(dedekind_homs(n, 1, cfg.budget))
+            got = len(dedekind_homs(n, 1, budget))
             checks.append(
                 verdict(
                     f"monotone-count-into-interval-{n}",
@@ -141,31 +140,25 @@ def _suite_hom_counts(cfg: SuiteConfig) -> list:
     return tasks
 
 
-def _truncation(cfg: SuiteConfig, default: int):
-    from .reedy import truncated_semilattice_category
+def _suite_reedy_axioms(*, max_size: int = 3, budget: int) -> list:
+    from .reedy import certify_cancellation, certify_reedy_axioms, truncated_semilattice_category
 
-    N = cfg.max_size if cfg.max_size is not None else default
-    return truncated_semilattice_category(N, cfg.budget)
-
-
-def _suite_reedy_axioms(cfg: SuiteConfig) -> list:
-    from .reedy import certify_cancellation, certify_reedy_axioms
-
-    cat, data, squares = _truncation(cfg, 3)
+    cat, data, squares = truncated_semilattice_category(max_size, budget)
     return [
         ("axioms", lambda: certify_reedy_axioms(cat, data)),
         ("cancellation", lambda: certify_cancellation(cat, data)),
     ]
 
 
-def _suite_pre_elegance(cfg: SuiteConfig) -> list:
+def _suite_pre_elegance(*, max_size: int = 3, budget: int) -> list:
     from .reedy import (
         certify_cancellation,
         certify_pre_elegance,
         certify_reedy_axioms,
+        truncated_semilattice_category,
     )
 
-    cat, data, squares = _truncation(cfg, 3)
+    cat, data, squares = truncated_semilattice_category(max_size, budget)
     return [
         ("axioms", lambda: certify_reedy_axioms(cat, data)),
         ("cancellation", lambda: certify_cancellation(cat, data)),
@@ -173,7 +166,7 @@ def _suite_pre_elegance(cfg: SuiteConfig) -> list:
     ]
 
 
-def _suite_elegant_core(cfg: SuiteConfig) -> list:
+def _suite_elegant_core(*, max_size: int = 4, free_cap: int, budget: int) -> list:
     from .elegance import (
         codiagonal_square,
         counit_from_free,
@@ -190,16 +183,14 @@ def _suite_elegant_core(cfg: SuiteConfig) -> list:
     )
     from .cubes import cube
 
-    N = cfg.max_size if cfg.max_size is not None else 4
-
     def run():
-        classes = all_semilattices_upto(N)
+        classes = all_semilattices_upto(max_size)
         verdicts = []
         for A in classes:
             closed = in_elegant_core(A)
-            retract = is_perfectly_presentable(A, cfg.budget, cfg.free_cap)[0]
+            retract = is_perfectly_presentable(A, budget, free_cap)[0]
             hom_ok, _ = hom_preserves_lowering_pushout(
-                A, codiagonal_square(counit_from_free(A, cfg.free_cap)), cfg.budget
+                A, codiagonal_square(counit_from_free(A, free_cap)), budget
             )
             verdicts.append((A, closed, retract, hom_ok))
         checks = [
@@ -244,15 +235,15 @@ def _suite_elegant_core(cfg: SuiteConfig) -> list:
     return [("elegant-core", run)]
 
 
-def _suite_relative_elegance(cfg: SuiteConfig) -> list:
+def _suite_relative_elegance(*, max_size: int = 4, cube_dim: int, budget: int) -> list:
     from .cubes import cube
     from .kernel import hom_preservation_scan
+    from .reedy import truncated_semilattice_category
     from .semilattice import chain
 
-    N = cfg.max_size if cfg.max_size is not None else 4
-    cat, data, squares = _truncation(cfg, N)
+    cat, data, squares = truncated_semilattice_category(max_size, budget)
     sources = []
-    for m in range(0, cfg.cube_dim + 1):
+    for m in range(0, cube_dim + 1):
         sources.append((f"cube-{m}", cube(m)))
     for n in range(1, 4):
         sources.append((f"chain-{n}", chain(n + 1)))
@@ -261,25 +252,24 @@ def _suite_relative_elegance(cfg: SuiteConfig) -> list:
     for name, A in sources:
         def thunk(A=A, name=name):
             cid = f"hom-preserves-all-lowering-pushouts-{name}"
-            return [hom_preservation_scan(cid, cat, A, squares, cfg.budget)]
+            return [hom_preservation_scan(cid, cat, A, squares, budget)]
 
         tasks.append((name, thunk))
     return tasks
 
 
-def _corpus(cfg: SuiteConfig):
+def _corpus(max_size: int, budget: int, seed: int, corpus_count: int):
     from .presheaf import enumerate_presheaves, seeded_corpus
     from .reedy import truncated_semilattice_category
 
-    cat2, data2, squares2 = truncated_semilattice_category(2, cfg.budget)
+    cat2, data2, squares2 = truncated_semilattice_category(2, budget)
     exhaustive = enumerate_presheaves(cat2, 2)
-    N = cfg.max_size if cfg.max_size is not None else 3
-    cat3, data3, squares3 = truncated_semilattice_category(N, cfg.budget)
-    seeded = seeded_corpus(cat3, data3, cfg.seed, cfg.corpus_count)
+    cat3, data3, squares3 = truncated_semilattice_category(max_size, budget)
+    seeded = seeded_corpus(cat3, data3, seed, corpus_count)
     return (
         (cat2, data2, squares2, exhaustive),
         (cat3, data3, squares3, seeded),
-        f"seeded-size{N}",
+        f"seeded-size{max_size}",
     )
 
 
@@ -296,7 +286,9 @@ def _triple(X, data, squares):
     return a, b, c
 
 
-def _suite_presheaf_ez(cfg: SuiteConfig) -> list:
+def _suite_presheaf_ez(
+    *, max_size: int = 3, budget: int, seed: int, corpus_count: int
+) -> list:
     from .presheaf import (
         autquo,
         is_reedy_mono,
@@ -308,7 +300,7 @@ def _suite_presheaf_ez(cfg: SuiteConfig) -> list:
 
     def run():
         (cat2, data2, squares2, exhaustive), (cat3, data3, squares3, seeded), seeded_tag = (
-            _corpus(cfg)
+            _corpus(max_size, budget, seed, corpus_count)
         )
         free2 = next(
             (
@@ -422,7 +414,9 @@ def _subgroups(cat, r, auts):
     return out
 
 
-def _suite_cell_presentation(cfg: SuiteConfig) -> list:
+def _suite_cell_presentation(
+    *, max_size: int = 3, budget: int, seed: int, corpus_count: int
+) -> list:
     from .presheaf import (
         ez_degrees,
         is_reedy_mono,
@@ -434,7 +428,7 @@ def _suite_cell_presentation(cfg: SuiteConfig) -> list:
 
     def run():
         (cat2, data2, squares2, exhaustive), (cat3, data3, squares3, seeded), seeded_tag = (
-            _corpus(cfg)
+            _corpus(max_size, budget, seed, corpus_count)
         )
 
         def cell_squares(monos, data):
@@ -513,19 +507,18 @@ def _suite_cell_presentation(cfg: SuiteConfig) -> list:
     return [("cell-presentation", run)]
 
 
-def _suite_idempotent_completion(cfg: SuiteConfig) -> list:
+def _suite_idempotent_completion(*, max_size: int = 4, cube_dim: int, budget: int) -> list:
     from .cubes import certify_idempotent_completion
 
-    N = cfg.max_size if cfg.max_size is not None else 4
     return [
         (
             "idempotent-completion",
-            lambda: certify_idempotent_completion(cfg.cube_dim, N, cfg.budget),
+            lambda: certify_idempotent_completion(cube_dim, max_size, budget),
         )
     ]
 
 
-def _suite_triangulation(cfg: SuiteConfig) -> list:
+def _suite_triangulation(*, cube_dim: int, budget: int) -> list:
     from .cubes import (
         cube,
         monotone_maps_agree_with_homs,
@@ -538,11 +531,10 @@ def _suite_triangulation(cfg: SuiteConfig) -> list:
 
     def run():
         checks = []
-        dim = cfg.cube_dim
-        tri1 = triangulate(interval(), dim, cfg.budget)
-        for n in range(1, dim + 1):
+        tri1 = triangulate(interval(), cube_dim, budget)
+        for n in range(1, cube_dim + 1):
             C = cube(n)
-            tri = triangulate(C, dim, cfg.budget)
+            tri = triangulate(C, cube_dim, budget)
             nondeg = len(tri.nondegenerate(n))
             checks.append(
                 verdict(
@@ -556,7 +548,7 @@ def _suite_triangulation(cfg: SuiteConfig) -> list:
             prod = product_simplicial([tri1] * n)
             projs = _cube_projections(n)
             bij = triangulation_product_bijections(
-                [interval()] * n, prod, tri, projs, cfg.budget
+                [interval()] * n, prod, tri, projs, budget
             )
             ok = simplicial_isomorphic(tri, prod, bij)
             checks.append(
@@ -569,13 +561,14 @@ def _suite_triangulation(cfg: SuiteConfig) -> list:
             )
         # out of a chain, monotone equals join-preserving
         agree = all(
-            monotone_maps_agree_with_homs(cube(n), k, cfg.budget)
-            for n in range(1, dim + 1)
+            monotone_maps_agree_with_homs(cube(n), k, budget)
+            for n in range(1, cube_dim + 1)
             for k in range(1, 5)
         )
         checks.append(
             verdict(
-                "chain-monotone-equals-join-preserving", agree, 4 * dim, may_be_empty=dim == 0
+                "chain-monotone-equals-join-preserving", agree, 4 * cube_dim,
+                may_be_empty=cube_dim == 0,
             )
         )
         return checks
@@ -597,19 +590,19 @@ def _cube_projections(n: int):
     ]
 
 
-def _suite_obstruction_u(cfg: SuiteConfig) -> list:
+def _suite_obstruction_u(*, budget: int) -> list:
     from .obstruction import certify_no_reedy_factorization_of_u, verify_u_image
 
     return [
         ("u-image", verify_u_image),
         (
             "u-factorization",
-            lambda: certify_no_reedy_factorization_of_u(cfg.budget),
+            lambda: certify_no_reedy_factorization_of_u(budget),
         ),
     ]
 
 
-def _suite_crown_winding(cfg: SuiteConfig) -> list:
+def _suite_crown_winding() -> list:
     from .obstruction import (
         certify_wind_properties,
         fold_map,
@@ -648,7 +641,7 @@ def _suite_crown_winding(cfg: SuiteConfig) -> list:
     ]
 
 
-def _suite_sieve_chain(cfg: SuiteConfig) -> list:
+def _suite_sieve_chain() -> list:
     from .obstruction import certify_sieve_chain_nonstabilization
 
     return [("sieve-chain", certify_sieve_chain_nonstabilization)]
@@ -670,17 +663,28 @@ SUITES = {
 }
 
 
+def suite_options(suite: str) -> list[str]:
+    """The SuiteConfig options a suite reads: its factory's parameters."""
+    return list(inspect.signature(SUITES[suite]).parameters)
+
+
 def run_suite(cfg: SuiteConfig) -> Certificate:
     if cfg.suite not in SUITES:
         raise UnknownSuite(
             f"unknown suite {cfg.suite!r}; known: {', '.join(sorted(SUITES))}"
         )
     start = time.perf_counter()
+    # a None max_size leaves the factory's own default size
+    options = {
+        name: getattr(cfg, name)
+        for name in suite_options(cfg.suite)
+        if getattr(cfg, name) is not None
+    }
 
     def run_tasks():
         # a suite factory may overrun while building its inputs, so it is
         # guarded as a whole, and each of its tasks on its own
-        tasks = SUITES[cfg.suite](cfg)
+        tasks = SUITES[cfg.suite](**options)
         return [check for cid, thunk in tasks for check in _guard(cid, thunk)]
 
     checks = _guard(cfg.suite, run_tasks)

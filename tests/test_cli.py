@@ -1,12 +1,14 @@
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from reedylab.certificates import PASS, Certificate, Check
 from reedylab.cli import main
 from reedylab.cubes import cube
 from reedylab.dot import crown_dot, semilattice_dot
@@ -65,6 +67,75 @@ def test_cli_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["definitely-not-a-command"])
     assert exc.value.code == 2
+
+
+# the options each suite subcommand accepts besides --out and --format
+SUITE_FLAGS = {
+    "hom-counts": {"--cube-dim", "--budget"},
+    "triangulation": {"--cube-dim", "--budget"},
+    "reedy-axioms": {"--max-size", "--budget"},
+    "pre-elegance": {"--max-size", "--budget"},
+    "elegant-core": {"--max-size", "--max-free-size", "--budget"},
+    "relative-elegance": {"--max-size", "--cube-dim", "--budget"},
+    "idempotent-completion": {"--max-size", "--cube-dim", "--budget"},
+    "presheaf-ez": {"--max-size", "--budget", "--seed", "--corpus-count"},
+    "cell-presentation": {"--max-size", "--budget", "--seed", "--corpus-count"},
+    "obstruction-u": {"--budget"},
+    "crown-winding": set(),
+    "sieve-chain": set(),
+}
+ALL_FLAGS = set().union(*SUITE_FLAGS.values())
+
+
+def _accepted_flags(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    usage = capsys.readouterr().out.split("\n\n")[0]
+    return set(re.findall(r"--[a-z-]+", usage)) - {"--help", "--out", "--format"}
+
+
+def test_each_suite_accepts_exactly_the_options_it_reads(capsys):
+    assert {name: _accepted_flags(name, capsys) for name in SUITES} == SUITE_FLAGS
+    assert len(ALL_FLAGS) == 6 and _accepted_flags("all", capsys) == ALL_FLAGS
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sieve-chain", "--budget", "1"],
+        ["crown-winding", "--seed", "3"],
+        ["hom-counts", "--max-size", "4"],
+        ["reedy-axioms", "--cube-dim", "2"],
+        ["obstruction-u", "--corpus-count", "5"],
+        ["relative-elegance", "--max-free-size", "100"],
+    ],
+)
+def test_an_option_the_suite_does_not_read_exits_two(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+
+
+def test_all_passes_every_option_to_every_suite(monkeypatch, capsys):
+    import reedylab.cli as cli
+
+    configs = []
+
+    def record(cfg):
+        configs.append(cfg)
+        return Certificate(cfg.suite, [Check("c", PASS, 1)], cfg.echo())
+
+    monkeypatch.setattr(cli, "run_suite", record)
+    argv = ["--max-size", "2", "--cube-dim", "1", "--max-free-size", "100"]
+    argv += ["--budget", "1000", "--seed", "3", "--corpus-count", "5"]
+    assert main(["all", *argv]) == 0
+    assert len(json.loads(capsys.readouterr().out)) == len(SUITES)
+    assert [cfg.suite for cfg in configs] == list(SUITES)
+    assert {
+        (cfg.max_size, cfg.cube_dim, cfg.free_cap, cfg.budget, cfg.seed, cfg.corpus_count)
+        for cfg in configs
+    } == {(2, 1, 100, 1000, 3, 5)}
 
 
 def test_cli_cube_and_obstruct(capsys):
@@ -199,11 +270,17 @@ def test_triangulation_honors_the_budget(capsys):
     assert "exceed budget 20" in blob["checks"][0]["witness"]
 
 
-def test_budget_overrun_becomes_skipped(monkeypatch):
-    cert = run_suite(SuiteConfig(suite="sieve-chain", budget=1))
-    # the exhaustive steps run under explicit small caps; a microscopic
-    # budget must surface as skips or passes, never a crash
-    assert all(c.status in ("pass", "skipped") for c in cert.checks)
+def test_budget_overrun_becomes_skipped():
+    # the u-image task reads no budget; the factorization search overruns
+    # a microscopic one and becomes one skipped check, not a crash
+    cert = run_suite(SuiteConfig(suite="obstruction-u", budget=1))
+    assert [(c.id, c.status) for c in cert.checks] == [
+        ("image-has-five-elements", "pass"),
+        ("image-is-the-diamond", "pass"),
+        ("image-not-distributive", "pass"),
+        ("u-factorization", "skipped"),
+    ]
+    assert "exceed budget 1" in cert.checks[-1].witness
 
 
 def test_factory_overrun_becomes_one_skipped_check(capsys):
@@ -241,7 +318,7 @@ def test_presheaf_ez_below_size_three_is_skipped(size, capsys):
     "argv",
     [
         ["hom-counts", "--cube-dim", "-1"],
-        ["hom-counts", "--max-size", "0"],
+        ["reedy-axioms", "--max-size", "0"],
         ["hom-counts", "--budget", "0"],
         ["presheaf-ez", "--corpus-count", "-1"],
         ["cube", "homcount", "--m", "-1", "--n", "1"],
@@ -437,8 +514,8 @@ def test_unforced_composite_lift_step_is_a_failed_check(monkeypatch):
 
     real = obstruction.enumerate_crown_maps
 
-    def with_a_non_monotone_map(m, n, cap=6):
-        maps = real(m, n, cap)
+    def with_a_non_monotone_map(m, n):
+        maps = real(m, n)
         if (m, n) == (3, 3):
             ident = obstruction.identity_crown(3)
             maps.append(obstruction.CrownMap(3, 3, (0, 2, 0, 2, 0, 2), ident.lift))

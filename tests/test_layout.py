@@ -74,17 +74,22 @@ def _annotated_class(annotation, classes):
 class _Members:
     """The members of the src classes, and the class an expression's value
     belongs to where its syntax says so: `self` in a method, a class name,
-    a constructor call, an annotated parameter or return value, an
-    annotated field, or a local name assigned one of these; a loop
-    variable takes the class of the elements of its annotated list, and
-    names unpacked from a fixed tuple take the classes of its elements.
-    The receiver of an attribute read that is an imported module, or an
-    attribute of one, belongs to no class."""
+    a constructor call, an annotated parameter or return value, a method's
+    result, an annotated field, a subscript of a list, or a local name
+    assigned one of these; a loop variable takes the class of the elements
+    of its annotated list, names unpacked from a fixed tuple take the
+    classes of its elements, and `except C as e` gives e the class C.  A
+    parameter of a module-level function with no annotation takes the
+    class that all its callers pass, where every caller's argument has a
+    known class and it is the same one.  Any other value, an imported
+    module among them, belongs to no class."""
 
     def __init__(self, trees):
         self.kind = {}  # member name -> classes with a member of that name
         self.types = {}  # (class, member) -> the class of its value
         self.returns = {}  # module-level function -> the class it returns
+        self.signatures = {}  # module-level function -> its parameters
+        self.passed = {}  # (function, parameter) -> the class its callers pass; set below
         self.classes = {
             node.name for tree in trees for node in tree.body if isinstance(node, ast.ClassDef)
         }
@@ -92,9 +97,19 @@ class _Members:
             for node in tree.body:
                 if isinstance(node, ast.FunctionDef):
                     self.returns[node.name] = _annotated_class(node.returns, self.classes)
+                    self.signatures[node.name] = node.args
                 if isinstance(node, ast.ClassDef):
                     for item in ast.walk(node):
                         self._member(node.name, item)
+        passed = {}
+        for tree in trees:
+            for (function, param), kind in self._arguments(tree):
+                passed.setdefault((function, param), set()).add(kind)
+        self.passed = {
+            key: next(iter(kinds))
+            for key, kinds in passed.items()
+            if len(kinds) == 1 and None not in kinds
+        }
 
     def _member(self, cls, item):
         if isinstance(item, ast.FunctionDef):
@@ -114,28 +129,17 @@ class _Members:
         if isinstance(expr, ast.Call) and isinstance(expr.func, ast.Name):
             name = expr.func.id
             return name if name in self.classes else self.returns.get(name)
+        if isinstance(expr, ast.Subscript):
+            kind = self.type_of(expr.value, env)
+            return None if isinstance(kind, tuple) else kind
         inner = expr.func if isinstance(expr, ast.Call) else expr
         if isinstance(inner, ast.Attribute):
             return self.types.get((self.type_of(inner.value, env), inner.attr))
         return None
 
-    def uses(self, tree) -> Counter:
-        """(class, member) for each attribute read whose receiver's class
-        is known, or, where it is not and the receiver is not a module,
-        whose member name only one class has."""
-        uses = Counter()
+    def _walk(self, tree):
+        """Each node of the tree with the classes of the names in scope."""
         functions = (ast.FunctionDef, ast.AsyncFunctionDef)
-        modules = {
-            alias.asname or alias.name.split(".")[0]
-            for node in ast.walk(tree)
-            if isinstance(node, ast.Import)
-            for alias in node.names
-        }
-
-        def in_module(expr):
-            while isinstance(expr, ast.Attribute):
-                expr = expr.value
-            return isinstance(expr, ast.Name) and expr.id in modules
 
         def visit(node, env, cls):
             if isinstance(node, ast.ClassDef):
@@ -143,25 +147,52 @@ class _Members:
             if isinstance(node, functions):
                 env = dict(env)
                 args = node.args
-                for a in [*args.posonlyargs, *args.args, *args.kwonlyargs]:
-                    env[a.arg] = _annotated_class(a.annotation, self.classes)
+                for a in [*args.posonlyargs, *args.args, args.vararg, *args.kwonlyargs]:
+                    if a is not None:
+                        kind = _annotated_class(a.annotation, self.classes)
+                        env[a.arg] = kind or (None if cls else self.passed.get((node.name, a.arg)))
                 static = any(getattr(d, "id", None) == "staticmethod" for d in node.decorator_list)
                 if cls and args.args and not static:
                     env[args.args[0].arg] = cls
                 for stmt in ast.walk(node):
                     self._bind(stmt, env)
-            load = isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
-            if load and node.attr in self.kind:
-                owner = self.type_of(node.value, env)
-                owners = self.kind[node.attr]
-                if owner is None and len(owners) == 1 and not in_module(node.value):
-                    owner = next(iter(owners))
-                uses[owner, node.attr] += 1
+            yield node, env
             for child in ast.iter_child_nodes(node):
-                visit(child, env, None if isinstance(node, functions) else cls)
+                yield from visit(child, env, None if isinstance(node, functions) else cls)
 
-        visit(tree, {}, None)
-        return uses
+        return visit(tree, {}, None)
+
+    def _arguments(self, tree):
+        """((function, parameter), class of the argument) for each argument
+        of each call of a module-level function by its bare name, up to
+        the first starred one."""
+        for node, env in self._walk(tree):
+            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)):
+                continue
+            name = node.func.id
+            if name not in self.signatures:
+                continue
+            args = self.signatures[name]
+            positional = [*args.posonlyargs, *args.args]
+            for i, value in enumerate(node.args):
+                param = positional[i] if i < len(positional) else args.vararg
+                if isinstance(value, ast.Starred) or param is None:
+                    break
+                yield (name, param.arg), self.type_of(value, env)
+            for keyword in node.keywords:
+                if keyword.arg:
+                    yield (name, keyword.arg), self.type_of(keyword.value, env)
+
+    def uses(self, tree) -> Counter:
+        """(class, member) for each attribute read of a member name, with
+        the class of its receiver, or None where that is not known."""
+        return Counter(
+            (self.type_of(node.value, env), node.attr)
+            for node, env in self._walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)
+            and node.attr in self.kind
+        )
 
     def _bind(self, stmt, env):
         if isinstance(stmt, ast.Assign):
@@ -184,6 +215,8 @@ class _Members:
             env[stmt.target.id] = _annotated_class(stmt.annotation, self.classes)
         elif isinstance(stmt, (ast.For, ast.comprehension)) and isinstance(stmt.target, ast.Name):
             env[stmt.target.id] = self.type_of(stmt.iter, env)
+        elif isinstance(stmt, ast.ExceptHandler) and stmt.name:
+            env[stmt.name] = self.type_of(stmt.type, env)
 
 
 def test_every_definition_has_a_caller_in_src():
@@ -236,18 +269,51 @@ def test_members_skip_module_receivers_and_type_unpacked_tuples():
     assert (uses["FinCategory", "size"], uses["ReedyData", "size"], uses[None, "size"]) == (2, 1, 1)
 
 
+def test_members_type_callers_subscripts_and_handlers():
+    program = ast.parse(
+        "class Certificate:\n"
+        "    def passed(self): ...\n"
+        "class ViolatedLaw(Exception):\n"
+        "    def __init__(self, law):\n"
+        "        self.law = law\n"
+        "class FinCategory:\n"
+        "    certificates: list[Certificate]\n"
+        "    def is_identity(self, f): ...\n"
+        "def make() -> Certificate: ...\n"
+        "def exit_code(*certs):\n"
+        "    return all(c.passed for c in certs)\n"
+        "def read(cat):\n"
+        "    return cat.is_identity(0), cat.certificates[0].passed\n"
+        "def untyped(x):\n"
+        "    return x.passed\n"
+        "def run(cat: FinCategory, y):\n"
+        "    exit_code(make())\n"
+        "    read(cat)\n"
+        "    untyped(cat)\n"
+        "    untyped(y)\n"
+        "    try:\n"
+        "        pass\n"
+        "    except ViolatedLaw as exc:\n"
+        "        return exc.law\n"
+    )
+    uses = _Members([program]).uses(program)
+    # a parameter takes the one class its callers pass; untyped's callers
+    # pass a FinCategory and a value of no known class
+    assert (uses["Certificate", "passed"], uses[None, "passed"]) == (2, 1)
+    assert uses["FinCategory", "is_identity"] == 1
+    assert uses["ViolatedLaw", "law"] == 1
+
+
 def _unread_parameters(tree: ast.Module):
     """(function, parameter) for each parameter of a def or lambda that
-    its body, nested functions included, never reads.  `self` and the
-    parameter of the `_suite_*` factories, which run_suite calls with a
-    config, are left out."""
+    its body, nested functions included, never reads, `self` left out.
+    A suite factory's parameters are the options its suite accepts, so
+    this holds each suite to the options it reads."""
     functions = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
     for node in ast.walk(tree):
         if not isinstance(node, functions):
             continue
         name = getattr(node, "name", "<lambda>")
-        if name.startswith("_suite_"):
-            continue
         args = node.args
         params = [*args.posonlyargs, *args.args, args.vararg, *args.kwonlyargs, args.kwarg]
         body = node.body if isinstance(node.body, list) else [node.body]

@@ -145,6 +145,24 @@ def test_closure_fails_on_a_square_off_its_carrier(trunc3):
     assert _status(checks, "pushout-universal-property") == "fail"
 
 
+def test_set_pushout_check_fails_on_a_swapped_leg(trunc3):
+    # the fourth square with f0 swapped for another map of its hom-set:
+    # f0 e0 no longer has the congruence quotient's kernel on the apex
+    cat, data, squares = trunc3
+    e0, e1, f0, f1 = squares[3]
+    g0 = next(g for g in cat.refs(cat.cod(e0), cat.cod(f0)) if g != f0)
+    swapped = squares[:3] + [(e0, e1, g0, f1)] + squares[4:]
+    checks = certify_pre_elegance(cat, data, swapped)
+    (check,) = [c for c in checks if c.id == "set-pushout-matches-congruence-quotient"]
+    assert check.to_json() == {
+        "id": "set-pushout-matches-congruence-quotient",
+        "status": "fail",
+        "count": 4,
+        "witness": {"span": ((1, 1, 1), (1, 1, 1))},
+    }
+    assert _status(certify_pre_elegance(cat, data, squares), check.id) == "pass"
+
+
 def test_pullback_criterion_refuses_a_square_whose_legs_do_not_meet(trunc3):
     cat, data, squares = trunc3
     apart, _ = _off_carrier(cat, squares)

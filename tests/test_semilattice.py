@@ -66,6 +66,24 @@ def test_validate_rejects_broken_tables():
         )
 
 
+def test_every_single_cell_corruption_names_its_law():
+    # each join-table cell of every class of size <= 4, set in turn to
+    # every other element: a diagonal cell breaks idempotence there, any
+    # other cell commutativity with its transposed cell
+    for A in all_semilattices_upto(4):
+        for x in range(A.size):
+            for y in range(A.size):
+                for v in range(A.size):
+                    if v == A.join[x][y]:
+                        continue
+                    table = [list(row) for row in A.join]
+                    table[x][y] = v
+                    with pytest.raises(ViolatedLaw) as exc:
+                        validate_semilattice(table)
+                    law = ("idempotence", (x,)) if x == y else ("commutativity", (min(x, y), max(x, y)))
+                    assert (exc.value.law, exc.value.witness) == law
+
+
 def test_join_preservation_checked():
     I = interval()
     with pytest.raises(ViolatedLaw):
