@@ -20,7 +20,6 @@ EXIT_USAGE = 2
 FLAGS = {
     "max_size": "--max-size",
     "cube_dim": "--cube-dim",
-    "free_cap": "--max-free-size",
     "budget": "--budget",
     "seed": "--seed",
     "corpus_count": "--corpus-count",

@@ -34,8 +34,7 @@ def cube(n: int) -> FiniteSemilattice:
         raise SizeBudget(f"cube dimension {n} exceeds cap 6")
     size = 1 << n
     table = tuple(tuple(i | j for j in range(size)) for i in range(size))
-    labels = tuple(format(v, f"0{n}b")[::-1] if n else "()" for v in range(size))
-    return validate_semilattice(table, labels)
+    return validate_semilattice(table)
 
 
 def cube_vertex(bits) -> int:
@@ -72,7 +71,7 @@ def split_idempotent(f: SLatMorphism) -> tuple[SLatMorphism, SLatMorphism]:
     the section is its inclusion and the retraction sends x to the
     position of f(x).  Raises InvalidInput unless f is an endomap, and
     NotIdempotent unless f f = f."""
-    if f.dom.join != f.cod.join:
+    if f.dom != f.cod:
         raise InvalidInput("only an endomap can be an idempotent to split")
     if f.then(f).map != f.map:
         raise NotIdempotent("f is not idempotent")

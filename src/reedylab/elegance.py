@@ -21,7 +21,6 @@ from .errors import NotSurjective
 from .reedy import LoweringPushoutSquare
 from .semilattice import (
     DEFAULT_CANDIDATE_BUDGET,
-    FREE_SIZE_CAP,
     FiniteSemilattice,
     SLatMorphism,
     UnionFind,
@@ -34,13 +33,11 @@ from .semilattice import (
 )
 
 
-def counit_from_free(
-    A: FiniteSemilattice, max_free_size: int = FREE_SIZE_CAP
-) -> SLatMorphism:
+def counit_from_free(A: FiniteSemilattice) -> SLatMorphism:
     """The surjection from the free semilattice on A's underlying set,
     sending a nonempty subset to its join; SizeBudget when that free
-    semilattice has more than max_free_size elements."""
-    F, unit = free_on_generators(A.size, max_free_size)
+    semilattice has more than FREE_SIZE_CAP elements."""
+    F, unit = free_on_generators(A.size)
     # elements of F are generated by the unit; extend by joins
     gen_of = {unit[i]: i for i in range(A.size)}
     values = []
@@ -67,13 +64,12 @@ def projective_lift(
 def is_perfectly_presentable(
     A: FiniteSemilattice,
     budget: int = DEFAULT_CANDIDATE_BUDGET,
-    max_free_size: int = FREE_SIZE_CAP,
 ) -> tuple[bool, tuple[SLatMorphism, SLatMorphism] | None]:
     """Search for a section of the counit from the free algebra.
 
     Success exhibits A as a retract of a finitely-generated free algebra;
     the returned pair is (section, retraction)."""
-    eps = counit_from_free(A, max_free_size)
+    eps = counit_from_free(A)
     section = projective_lift(A, eps, SLatMorphism.identity(A), budget)
     if section is None:
         return False, None

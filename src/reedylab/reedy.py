@@ -286,7 +286,7 @@ class LoweringPushoutSquare:
         e0, e1, f0, f1 = self.e0, self.e1, self.f0, self.f1
         shared = ((e0.dom, e1.dom), (e0.cod, f0.dom), (e1.cod, f1.dom), (f0.cod, f1.cod))
         for k, (A, B) in enumerate(shared):
-            if A.join != B.join:
+            if A != B:
                 raise ViolatedLaw("square-shape", (k,))
         for x, (v0, v1) in enumerate(zip(e0.map, e1.map)):
             if f0.map[v0] != f1.map[v1]:
@@ -432,11 +432,11 @@ def quotient_closure(seeds) -> list[FiniteSemilattice]:
 
     Returns one canonical representative per isomorphism class, sorted
     by (size, canonical form)."""
-    from .semilattice import canonicalize, enumerate_semilattices, enumerate_surjections
+    from .semilattice import canonical_form, enumerate_semilattices, enumerate_surjections
 
     out: dict = {}
     for A in seeds:
-        C = canonicalize(A)
+        C = FiniteSemilattice(canonical_form(A))
         out[(C.size, C.join)] = C
     candidates_by_size: dict[int, list[FiniteSemilattice]] = {}
     for A in list(out.values()):

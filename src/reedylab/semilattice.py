@@ -1,9 +1,9 @@
 """Finite join-semilattices and their morphisms.
 
-Elements are dense integer indices 0..size-1; the join table is the whole
-structure and labels are metadata only.  Meets are never stored: they are
-derived as joins of common lower bounds, which is valid exactly when a
-bottom element exists.
+Elements are dense integer indices 0..size-1, and the join table is the
+whole structure: equality and hashing are the table's.  Meets are never
+stored: they are derived as joins of common lower bounds, which is valid
+exactly when a bottom element exists.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from .errors import (
 JoinTable = tuple[tuple[int, ...], ...]
 
 DEFAULT_CANDIDATE_BUDGET = 10**7
-# the default cap on the size of a free semilattice, 2^k - 1 on k generators
+# the cap on the size of a free semilattice, 2^k - 1 on k generators
 FREE_SIZE_CAP = 2**12
 # the most functions all_functions_homs filters
 BRUTE_FORCE_CAP = 10**6
@@ -82,7 +82,6 @@ class FiniteSemilattice:
     """A finite set with an associative, commutative, idempotent join."""
 
     join: JoinTable
-    labels: tuple[str, ...] | None = None
 
     @property
     def size(self) -> int:
@@ -161,32 +160,8 @@ class FiniteSemilattice:
                 out.append(x)
         return tuple(out)
 
-    def label(self, x: int) -> str:
-        if self.labels is not None:
-            return self.labels[x]
-        return str(x)
 
-    def relabel(self, perm: tuple[int, ...]) -> "FiniteSemilattice":
-        """Transport the structure along perm, where perm[new] = old."""
-        inv = [0] * self.size
-        for new, old in enumerate(perm):
-            inv[old] = new
-        table = tuple(
-            tuple(inv[self.join[perm[i]][perm[j]]] for j in range(self.size))
-            for i in range(self.size)
-        )
-        labels = None
-        if self.labels is not None:
-            labels = tuple(self.labels[perm[i]] for i in range(self.size))
-        return FiniteSemilattice(table, labels)
-
-    @staticmethod
-    def from_json(data: dict) -> "FiniteSemilattice":
-        labels = tuple(data["labels"]) if "labels" in data else None
-        return validate_semilattice(data["join"], labels)
-
-
-def validate_semilattice(table, labels=None) -> FiniteSemilattice:
+def validate_semilattice(table) -> FiniteSemilattice:
     """Check the semilattice laws and return the validated value.
 
     Raises ViolatedLaw with the offending witness, or EmptyCarrier for an
@@ -214,8 +189,7 @@ def validate_semilattice(table, labels=None) -> FiniteSemilattice:
             for z in range(n):
                 if rows[rows[x][y]][z] != rows[x][rows[y][z]]:
                     raise ViolatedLaw("associativity", (x, y, z))
-    lab = tuple(labels) if labels is not None else None
-    A = FiniteSemilattice(rows, lab)
+    A = FiniteSemilattice(rows)
     for x in range(n):
         if not A.leq(x, A.top):
             raise ViolatedLaw("top", (x,))
@@ -249,7 +223,7 @@ class SLatMorphism:
     def then(self, other: "SLatMorphism") -> "SLatMorphism":
         """other composed after self (self first).  Raises ViolatedLaw
         'composability' unless self's codomain is other's domain."""
-        if self.cod.join != other.dom.join:
+        if self.cod != other.dom:
             raise ViolatedLaw("composability", (self.cod.size, other.dom.size))
         return SLatMorphism(self.dom, other.cod, tuple(other.map[v] for v in self.map))
 
@@ -380,7 +354,7 @@ def chain(n: int) -> FiniteSemilattice:
     if n < 1:
         raise InvalidInput(f"a chain needs n >= 1, got {n}")
     table = [[max(i, j) for j in range(n)] for i in range(n)]
-    return validate_semilattice(table, tuple(str(i) for i in range(n)))
+    return validate_semilattice(table)
 
 
 def interval() -> FiniteSemilattice:
@@ -402,8 +376,7 @@ def atoms_with_top(k: int) -> FiniteSemilattice:
         table[i][i] = i
         table[i][top] = top
         table[top][i] = top
-    labels = tuple(f"a{i}" for i in range(k)) + ("top",)
-    return validate_semilattice(table, labels)
+    return validate_semilattice(table)
 
 
 def diamond(k: int) -> FiniteSemilattice:
@@ -432,7 +405,7 @@ def pinched_tripod_cover() -> tuple[FiniteSemilattice, "SLatMorphism"]:
             ups = [z for z in range(5) if leq(x, z) and leq(y, z)]
             least = [u for u in ups if all(leq(u, v) for v in ups)]
             table[x][y] = least[0]
-    A = validate_semilattice(table, ("a", "b", "c", "t", "t2"))
+    A = validate_semilattice(table)
     # surjective: the map hits all four elements of the tripod
     return A, SLatMorphism(A, atoms_with_top(3), (0, 1, 2, 3, 3))
 
@@ -452,22 +425,19 @@ def adjoin_bottom(A: FiniteSemilattice) -> tuple[FiniteSemilattice, SLatMorphism
     for i in range(n):
         for j in range(n):
             table[i + 1][j + 1] = A.join[i][j] + 1
-    labels = ("bot",) + tuple(A.label(i) for i in range(n))
-    B = validate_semilattice(table, labels)
+    B = validate_semilattice(table)
     incl = SLatMorphism(A, B, tuple(i + 1 for i in range(n)))
     return B, incl
 
 
-def free_on_generators(
-    k: int, max_size: int = FREE_SIZE_CAP
-) -> tuple[FiniteSemilattice, tuple[int, ...]]:
+def free_on_generators(k: int) -> tuple[FiniteSemilattice, tuple[int, ...]]:
     """Free semilattice on k generators: nonempty subsets under union.
 
     Returns the algebra and the unit (index of {i} for each generator i).
     """
     if k < 1:
         raise InvalidInput(f"a free semilattice needs k >= 1 generators, got {k}")
-    if 2**k - 1 > max_size:
+    if 2**k - 1 > FREE_SIZE_CAP:
         raise SizeBudget(f"free semilattice has {2**k - 1} elements")
     subsets = sorted(
         (frozenset(s) for r in range(1, k + 1) for s in itertools.combinations(range(k), r)),
@@ -478,8 +448,7 @@ def free_on_generators(
         [index[s | t] for t in subsets]
         for s in subsets
     ]
-    labels = tuple("{" + ",".join(map(str, sorted(s))) + "}" for s in subsets)
-    F = validate_semilattice(table, labels)
+    F = validate_semilattice(table)
     unit = tuple(index[frozenset([i])] for i in range(k))
     return F, unit
 
@@ -620,7 +589,7 @@ def lift_through_surjection(
     join extension is a morphism; the composite equation then holds
     automatically.  Raises InvalidInput unless e and f share a codomain.
     """
-    if e.cod.join != f.cod.join:
+    if e.cod != f.cod:
         raise InvalidInput("a lift needs e and f to share a codomain")
     gens = _generators(A)
     fibres = [[v for v in range(e.dom.size) if e.map[v] == f.map[g]] for g in gens]
@@ -645,7 +614,7 @@ def sub_semilattice(A: FiniteSemilattice, elems) -> tuple[FiniteSemilattice, SLa
     elems = tuple(sorted(elems))
     pos = {v: i for i, v in enumerate(elems)}
     table = tuple(tuple(pos[A.join[x][y]] for y in elems) for x in elems)
-    S = validate_semilattice(table, tuple(A.label(v) for v in elems))
+    S = validate_semilattice(table)
     return S, SLatMorphism(S, A, elems)
 
 
@@ -660,7 +629,6 @@ def image_factorize(f: SLatMorphism) -> tuple[SLatMorphism, SLatMorphism]:
 class DistributivityVerdict:
     ok: bool
     reason: str  # 'distributive' | 'no-bottom' | 'violation'
-    witness: tuple[int, int, int] | None = None
 
     def __bool__(self) -> bool:
         return self.ok
@@ -682,7 +650,7 @@ def is_distributive_lattice(A: FiniteSemilattice) -> DistributivityVerdict:
                 lhs = meet[x][A.join[y][z]]
                 rhs = A.join[meet[x][y]][meet[x][z]]
                 if lhs != rhs:
-                    return DistributivityVerdict(False, "violation", (x, y, z))
+                    return DistributivityVerdict(False, "violation")
     return DistributivityVerdict(True, "distributive")
 
 
@@ -711,10 +679,7 @@ def quotient_by_pairs(A: FiniteSemilattice, pairs) -> SLatMorphism:
     if bad:
         raise ViolatedLaw("well-definedness", divmod(bad[0], k))
     table = [flat[i * k : (i + 1) * k] for i in range(k)]
-    labels = tuple(
-        "{" + ",".join(A.label(x) for x in members[i]) + "}" for i in range(k)
-    )
-    Q = validate_semilattice(table, labels)
+    Q = validate_semilattice(table)
     return SLatMorphism(A, Q, tuple(cls[x] for x in range(n)))
 
 
@@ -769,21 +734,12 @@ def _class_respecting_perms(classes: list[list[int]]):
 
 
 def canonical_form(A: FiniteSemilattice) -> JoinTable:
-    """Join table invariant under any relabeling of elements."""
-    return _canonical(A)[0]
-
-
-def canonical_perm(A: FiniteSemilattice) -> tuple[int, ...]:
-    """A permutation (new -> old) realizing the canonical form."""
-    return _canonical(A)[1]
-
-
-def _canonical(A: FiniteSemilattice) -> tuple[JoinTable, tuple[int, ...]]:
-    classes = _color_classes(A)
-    best = None
-    best_perm = None
+    """Join table invariant under any relabeling of elements: the least
+    of A's tables relabelled by a class-respecting permutation, itself the
+    join table of a semilattice isomorphic to A."""
     n = A.size
-    for perm in _class_respecting_perms(classes):
+    best = None
+    for perm in _class_respecting_perms(_color_classes(A)):
         inv = [0] * n
         for new, old in enumerate(perm):
             inv[old] = new
@@ -792,14 +748,7 @@ def _canonical(A: FiniteSemilattice) -> tuple[JoinTable, tuple[int, ...]]:
         )
         if best is None or table < best:
             best = table
-            best_perm = perm
-    return best, best_perm
-
-
-def canonicalize(A: FiniteSemilattice) -> FiniteSemilattice:
-    """Canonical representative of A's isomorphism class."""
-    perm = canonical_perm(A)
-    return A.relabel(perm)
+    return best
 
 
 def are_isomorphic(A: FiniteSemilattice, B: FiniteSemilattice) -> bool:

@@ -22,7 +22,7 @@ from .errors import (
     UnknownSuite,
     ViolatedLaw,
 )
-from .semilattice import DEFAULT_CANDIDATE_BUDGET, FREE_SIZE_CAP
+from .semilattice import DEFAULT_CANDIDATE_BUDGET
 
 # the ceiling of --cube-dim: the cube suites are sized for cubes of
 # dimension at most 3
@@ -34,7 +34,6 @@ class SuiteConfig:
     suite: str
     max_size: int | None = None
     cube_dim: int = MAX_CUBE_DIM
-    free_cap: int = FREE_SIZE_CAP
     budget: int = DEFAULT_CANDIDATE_BUDGET
     seed: int = 0
     corpus_count: int = 200
@@ -43,7 +42,6 @@ class SuiteConfig:
         for name, value, low in (
             ("max_size", self.max_size, 1),
             ("cube_dim", self.cube_dim, 0),
-            ("free_cap", self.free_cap, 1),
             ("budget", self.budget, 1),
             ("corpus_count", self.corpus_count, 0),
         ):
@@ -53,17 +51,6 @@ class SuiteConfig:
             raise InvalidInput(
                 f"cube_dim must be at most {MAX_CUBE_DIM}, got {self.cube_dim}"
             )
-
-    def echo(self) -> dict:
-        return {
-            "suite": self.suite,
-            "max_size": self.max_size,
-            "cube_dim": self.cube_dim,
-            "free_cap": self.free_cap,
-            "budget": self.budget,
-            "seed": self.seed,
-            "corpus_count": self.corpus_count,
-        }
 
 
 def _guard(cid: str, thunk) -> list[Check]:
@@ -166,7 +153,7 @@ def _suite_pre_elegance(*, max_size: int = 3, budget: int) -> list:
     ]
 
 
-def _suite_elegant_core(*, max_size: int = 4, free_cap: int, budget: int) -> list:
+def _suite_elegant_core(*, max_size: int = 4, budget: int) -> list:
     from .elegance import (
         codiagonal_square,
         counit_from_free,
@@ -188,9 +175,9 @@ def _suite_elegant_core(*, max_size: int = 4, free_cap: int, budget: int) -> lis
         verdicts = []
         for A in classes:
             closed = in_elegant_core(A)
-            retract = is_perfectly_presentable(A, budget, free_cap)[0]
+            retract = is_perfectly_presentable(A, budget)[0]
             hom_ok, _ = hom_preserves_lowering_pushout(
-                A, codiagonal_square(counit_from_free(A, free_cap)), budget
+                A, codiagonal_square(counit_from_free(A)), budget
             )
             verdicts.append((A, closed, retract, hom_ok))
         checks = [
@@ -663,9 +650,11 @@ SUITES = {
 }
 
 
-def suite_options(suite: str) -> list[str]:
-    """The SuiteConfig options a suite reads: its factory's parameters."""
-    return list(inspect.signature(SUITES[suite]).parameters)
+def suite_options(suite: str) -> dict:
+    """The SuiteConfig options a suite reads, its factory's parameters,
+    each with its default there (Parameter.empty where it has none)."""
+    params = inspect.signature(SUITES[suite]).parameters
+    return {name: param.default for name, param in params.items()}
 
 
 def run_suite(cfg: SuiteConfig) -> Certificate:
@@ -674,12 +663,11 @@ def run_suite(cfg: SuiteConfig) -> Certificate:
             f"unknown suite {cfg.suite!r}; known: {', '.join(sorted(SUITES))}"
         )
     start = time.perf_counter()
-    # a None max_size leaves the factory's own default size
-    options = {
-        name: getattr(cfg, name)
-        for name in suite_options(cfg.suite)
-        if getattr(cfg, name) is not None
-    }
+    # the options the factory reads, a None max_size taking its default
+    options = {}
+    for name, default in suite_options(cfg.suite).items():
+        value = getattr(cfg, name)
+        options[name] = default if value is None else value
 
     def run_tasks():
         # a suite factory may overrun while building its inputs, so it is
@@ -688,6 +676,6 @@ def run_suite(cfg: SuiteConfig) -> Certificate:
         return [check for cid, thunk in tasks for check in _guard(cid, thunk)]
 
     checks = _guard(cfg.suite, run_tasks)
-    cert = Certificate(cfg.suite, checks, cfg.echo())
+    cert = Certificate(cfg.suite, checks, {"suite": cfg.suite, **options})
     cert.duration = time.perf_counter() - start
     return cert

@@ -16,7 +16,7 @@ onto the batched pullback fibres of `kernel.pullback_fibres`: one set of
 (f0, f1) pairs and one Counter per square.
 
 They live here only so that the tests can compare the two routes, class
-by class, report by report and action by action.
+by class, verdict by verdict and action by action.
 """
 
 from collections import Counter
@@ -225,7 +225,6 @@ def verify_cell_square(X, n, data, degrees):
     commutes = True
     is_pushout = True
     cell_mono = True
-    details = []
     for s in range(len(cat.objects)):
         # upper-right corner: all maps into degree-n objects, X elements
         ur_keys = [
@@ -294,24 +293,20 @@ def verify_cell_square(X, n, data, degrees):
 
         ul_sk, sk_bad = descend(ul_classes, ul_to_sk)
         ul_ur, ur_bad = descend(ul_classes, ul_to_ur)
-        for _ in set(sk_bad) | set(ur_bad):
+        if sk_bad or ur_bad:
             commutes = False
-            details.append({"level": s, "reason": "left-map-ill-defined"})
         if not skn_set.issuperset(ul_sk):
             raise ViolatedLaw("skeleton-landing", (n, s, "left"))
 
         ur_sknext, bad = descend(ur_classes, lambda node: acts[node[0]][node[1]])
-        for _ in bad:
+        if bad:
             commutes = False
-            details.append({"level": s, "reason": "right-map-ill-defined"})
         if not sknext_set.issuperset(ur_sknext):
             raise ViolatedLaw("skeleton-landing", (n, s, "right"))
 
         # (a) commutation
-        for ci in range(len(ul_classes)):
-            if ur_sknext[ul_ur[ci]] != ul_sk[ci]:
-                commutes = False
-                details.append({"level": s, "class": ci, "reason": "square"})
+        if any(ur_sknext[ul_ur[ci]] != ul_sk[ci] for ci in range(len(ul_classes))):
+            commutes = False
 
         # (b) pushout: sk_{n+1} at s is the set pushout of the span
         keys = [("sk", x) for x in skn[s]] + [
@@ -324,19 +319,14 @@ def verify_cell_square(X, n, data, degrees):
             po.classes(),
             lambda node: node[1] if node[0] == "sk" else ur_sknext[node[1]],
         )
-        if bad:
+        if bad or len(set(vals)) != len(vals) or set(vals) != sknext_set:
             is_pushout = False
-            details.append({"level": s, "reason": "pushout-map-ill-defined"})
-        elif len(set(vals)) != len(vals) or set(vals) != sknext_set:
-            is_pushout = False
-            details.append({"level": s, "reason": "not-a-pushout"})
 
         # (c) cell map injectivity
         if len(set(ul_ur)) != len(ul_classes):
             cell_mono = False
-            details.append({"level": s, "reason": "cell-map-not-injective"})
 
-    return CellSquareReport(n, commutes, is_pushout, cell_mono, details or None)
+    return CellSquareReport(commutes, is_pushout, cell_mono)
 
 
 def maps_lowering_pushouts_to_pullbacks(X, squares):

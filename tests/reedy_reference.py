@@ -50,7 +50,7 @@ def lowering_pushout(e0: SLatMorphism, e1: SLatMorphism) -> LoweringPushoutSquar
     """
     if not e0.is_surjective or not e1.is_surjective:
         raise NotSurjective("lowering pushout needs surjective legs")
-    if e0.dom.join != e1.dom.join:
+    if e0.dom != e1.dom:
         raise ViolatedLaw("span-apex", ())
     A, B0, B1 = e0.dom, e0.cod, e1.cod
     n0, n1 = B0.size, B1.size
@@ -75,15 +75,7 @@ def lowering_pushout(e0: SLatMorphism, e1: SLatMorphism) -> LoweringPushoutSquar
     if bad:
         raise ViolatedLaw("well-definedness", divmod(bad[0], k))
     table = [flat[i * k : (i + 1) * k] for i in range(k)]
-    labels = tuple(
-        "{"
-        + ",".join(
-            [B0.label(x) for x in members0[i]] + [B1.label(y) + "'" for y in members1[i]]
-        )
-        + "}"
-        for i in range(k)
-    )
-    P = validate_semilattice(table, labels)
+    P = validate_semilattice(table)
     f0 = SLatMorphism(B0, P, tuple(cls[x] for x in range(n0)))
     f1 = SLatMorphism(B1, P, tuple(cls[n0 + y] for y in range(n1)))
     return LoweringPushoutSquare(e0, e1, f0, f1)

@@ -75,7 +75,7 @@ SUITE_FLAGS = {
     "triangulation": {"--cube-dim", "--budget"},
     "reedy-axioms": {"--max-size", "--budget"},
     "pre-elegance": {"--max-size", "--budget"},
-    "elegant-core": {"--max-size", "--max-free-size", "--budget"},
+    "elegant-core": {"--max-size", "--budget"},
     "relative-elegance": {"--max-size", "--cube-dim", "--budget"},
     "idempotent-completion": {"--max-size", "--cube-dim", "--budget"},
     "presheaf-ez": {"--max-size", "--budget", "--seed", "--corpus-count"},
@@ -97,7 +97,7 @@ def _accepted_flags(command, capsys):
 
 def test_each_suite_accepts_exactly_the_options_it_reads(capsys):
     assert {name: _accepted_flags(name, capsys) for name in SUITES} == SUITE_FLAGS
-    assert len(ALL_FLAGS) == 6 and _accepted_flags("all", capsys) == ALL_FLAGS
+    assert len(ALL_FLAGS) == 5 and _accepted_flags("all", capsys) == ALL_FLAGS
 
 
 @pytest.mark.parametrize(
@@ -108,7 +108,7 @@ def test_each_suite_accepts_exactly_the_options_it_reads(capsys):
         ["hom-counts", "--max-size", "4"],
         ["reedy-axioms", "--cube-dim", "2"],
         ["obstruction-u", "--corpus-count", "5"],
-        ["relative-elegance", "--max-free-size", "100"],
+        ["elegant-core", "--cube-dim", "2"],
     ],
 )
 def test_an_option_the_suite_does_not_read_exits_two(argv):
@@ -124,18 +124,18 @@ def test_all_passes_every_option_to_every_suite(monkeypatch, capsys):
 
     def record(cfg):
         configs.append(cfg)
-        return Certificate(cfg.suite, [Check("c", PASS, 1)], cfg.echo())
+        return Certificate(cfg.suite, [Check("c", PASS, 1)])
 
     monkeypatch.setattr(cli, "run_suite", record)
-    argv = ["--max-size", "2", "--cube-dim", "1", "--max-free-size", "100"]
+    argv = ["--max-size", "2", "--cube-dim", "1"]
     argv += ["--budget", "1000", "--seed", "3", "--corpus-count", "5"]
     assert main(["all", *argv]) == 0
     assert len(json.loads(capsys.readouterr().out)) == len(SUITES)
     assert [cfg.suite for cfg in configs] == list(SUITES)
     assert {
-        (cfg.max_size, cfg.cube_dim, cfg.free_cap, cfg.budget, cfg.seed, cfg.corpus_count)
+        (cfg.max_size, cfg.cube_dim, cfg.budget, cfg.seed, cfg.corpus_count)
         for cfg in configs
-    } == {(2, 1, 100, 1000, 3, 5)}
+    } == {(2, 1, 1000, 3, 5)}
 
 
 def test_cli_cube_and_obstruct(capsys):
@@ -206,6 +206,10 @@ def test_cli_export_category_dot_needs_only_hom_set_sizes(tmp_path, capsys):
         json.dumps({"crown": 1}),
         json.dumps({"join": 5}),
         json.dumps({"join": [[0, 1], [1, 1]], "labels": 3}),
+        json.dumps({"join": [[0, 1], [1, 1]], "labels": ["a"]}),
+        json.dumps({"join": [[0, 1], [1, 1]], "labels": [1, None]}),
+        json.dumps({"join": [[0, 1], [1, 1]], "labels": "ab"}),
+        json.dumps({"objects": 3}),
     ],
     ids=[
         "missing-file",
@@ -216,6 +220,10 @@ def test_cli_export_category_dot_needs_only_hom_set_sizes(tmp_path, capsys):
         "crown-too-small",
         "join-not-a-table",
         "labels-not-a-list",
+        "labels-too-short",
+        "labels-not-strings",
+        "labels-a-string",
+        "objects-not-a-list",
     ],
 )
 def test_cli_export_dot_bad_input_exits_two(content, tmp_path, capsys):
@@ -239,9 +247,24 @@ def test_cli_all_json_is_one_array(monkeypatch, capsys):
     assert all(c["status"] == "pass" for cert in blob for c in cert["checks"])
 
 
+def test_cli_export_dot_labels(tmp_path, capsys):
+    # one label per element, with quote and backslash escaped
+    src = tmp_path / "chain.json"
+    src.write_text(json.dumps({"join": [[0, 1], [1, 1]], "labels": ["bot", 'a "b" \\ c']}))
+    assert main(["export-dot", "--input", str(src)]) == 0
+    assert capsys.readouterr().out == (
+        'digraph "semilattice" {\n'
+        "  rankdir=BT;\n"
+        '  n0 [label="bot"];\n'
+        '  n1 [label="a \\"b\\" \\\\ c"];\n'
+        "  n0 -> n1;\n"
+        "}\n"
+    )
+
+
 def test_dot_shapes_directly():
-    assert semilattice_dot(chain(1)).count("->") == 0
-    dot = semilattice_dot(cube(2))
+    assert semilattice_dot(chain(1), ["0"]).count("->") == 0
+    dot = semilattice_dot(cube(2), ["00", "10", "01", "11"])
     assert dot.count("->") == 4
     assert crown_dot(CrownPoset(4)).count("->") == 8
 
@@ -254,9 +277,16 @@ def test_suite_output_file(tmp_path):
 
 
 def test_certificates_echo_config():
+    # the suite name and exactly the options its factory reads, as run
     cert = run_suite(SuiteConfig(suite="sieve-chain", seed=5))
-    assert cert.config["seed"] == 5
-    assert cert.config["suite"] == "sieve-chain"
+    assert cert.config == {"suite": "sieve-chain"}
+    cert = run_suite(SuiteConfig(suite="idempotent-completion", cube_dim=1, budget=10**6))
+    assert cert.config == {
+        "suite": "idempotent-completion",
+        "max_size": 4,
+        "cube_dim": 1,
+        "budget": 10**6,
+    }
 
 
 def test_triangulation_honors_the_budget(capsys):

@@ -337,6 +337,41 @@ def test_every_parameter_is_read():
     assert unread == [], f"parameters that no body reads: {unread}"
 
 
+def _dataclass_fields(tree: ast.Module):
+    """(class, field) for each annotated field of each @dataclass class."""
+    for node in tree.body:
+        if not isinstance(node, ast.ClassDef):
+            continue
+        decorators = [getattr(d, "func", d) for d in node.decorator_list]
+        if any(getattr(d, "id", None) == "dataclass" for d in decorators):
+            for item in node.body:
+                if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                    yield node.name, item.target.id
+
+
+# run_suite reads SuiteConfig's fields by getattr, by the names of the
+# options each suite factory takes
+READ_BY_NAME = {"SuiteConfig"}
+
+
+def test_every_dataclass_field_is_read():
+    """A field of a src dataclass needs a read of that attribute on a value
+    of its class in src, as a method needs a caller."""
+    modules = sorted(SRC.glob("*.py"))
+    trees = [ast.parse(path.read_text()) for path in modules]
+    members = _Members(trees)
+    uses = Counter()
+    for tree in trees:
+        uses += members.uses(tree)
+    unread = [
+        f"{path.stem}.{cls}.{name}"
+        for path, tree in zip(modules, trees)
+        for cls, name in _dataclass_fields(tree)
+        if uses[cls, name] == 0 and cls not in READ_BY_NAME
+    ]
+    assert unread == [], f"dataclass fields that src never reads: {unread}"
+
+
 # FinCategory's private layout, and the tuple key that only witnesses use
 LAYOUT_NAMES = {"_first", "_column", "_by_id", "_rows", "MorphRef"}
 
