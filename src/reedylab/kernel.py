@@ -159,7 +159,7 @@ def orthogonal_lifting(cat, low: np.ndarray, high: np.ndarray) -> Check:
         # a diagonal's a-triple is start_a[m] plus the position of w e in Hom(a, c)
         w_col, mw_col = w_b - vs.start, mw_b - vs.start
         base = start_a[rank_b] - first[a, dom_m[rank_b]]
-        for part in chunks([n_t + n_v + len(w_b)] * len(es), CHUNK):
+        for part in chunks([n_t + n_v + len(w_b)] * len(es)):
             rows = block[es[part.start : part.stop]]
             i = np.arange(len(rows))[:, None]
             y0, y1, diagonals = pullback_fibres(
@@ -337,10 +337,11 @@ def _class_values(roots: np.ndarray, node_class: np.ndarray, values: np.ndarray)
     return least, bad
 
 
-def chunks(sizes, cap: int = CHUNK):
+def chunks(sizes, cap: int | None = None):
     """Consecutive ranges of positions whose sizes sum to at most cap,
-    covering every position in order; a position larger than cap makes a
-    range of its own."""
+    CHUNK as it is at the call when cap is None, covering every position
+    in order; a position larger than cap makes a range of its own."""
+    cap = CHUNK if cap is None else cap
     start, total = 0, 0
     for k, size in enumerate(sizes):
         if total and total + size > cap:

@@ -14,6 +14,16 @@ the set of elements of degree below n, a filter on the degrees rather
 than a presheaf of its own; that each skeleton is a sub-presheaf is
 checked once per presheaf, as the fact that no restriction raises a
 degree.
+
+Latching by weights and the cell squares are weighted colimits, and
+colimits commute with coproducts, so both take a whole corpus of
+presheaves on one base and run it one chunk at a time (kernel.chunks
+over the presheaves' action entries).  The nodes of a chunk are numbered
+part-major, so each presheaf's nodes and classes are one run in the order
+the presheaf alone gives them, and one numpy pass per chunk serves every
+presheaf in it.  Each returns, per presheaf and per object or degree,
+the result or the ViolatedLaw it breaks; the suites replay these in
+their walk order, presheaf first.
 """
 
 from __future__ import annotations
@@ -26,7 +36,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InvalidInput, ViolatedLaw
-from .kernel import _class_values, _classes, _distinct, _join, square_pullbacks
+from .kernel import _class_values, _classes, _distinct, _join, chunks, square_pullbacks
 from .reedy import FinCategory, ReedyData, Square
 from .semilattice import UnionFind, descend
 
@@ -242,7 +252,7 @@ class WeightedLatching:
     least node."""
 
     lo: int  # the id of the first map out of r
-    first_node: list[int]
+    first_node: np.ndarray
     node_class: np.ndarray
     latch: list[int]  # class -> element of X_r
 
@@ -252,26 +262,87 @@ class WeightedLatching:
 
 
 def latching_object_via_weights(
-    X: FinPresheaf, r: int, data: ReedyData
-) -> WeightedLatching:
+    corpus: list[FinPresheaf], data: ReedyData
+) -> list[list[WeightedLatching | ViolatedLaw]]:
     """Independent route: weight by all maps out of r of degree below
     deg(r) (not only lowering ones) and glue along every morphism,
-    (g f, x) ~ (f, x g).
+    (g f, x) ~ (f, x g).  Returns, for each presheaf of the corpus (all on
+    one base) and each object r, the latching object or the ViolatedLaw
+    that it breaks, in that presheaf's own coordinates.
 
-    The gluing of the weight maps into b is one gather from the rows of
-    composition[(r, b)] and the actions of the maps out of b.  Raises
-    ViolatedLaw 'degree-drop' at the first (f, g) of the walk (f in the
-    weight, then g out of its codomain, in morphism order) whose
-    composite leaves the weight."""
-    cat, levels, values, start = X.base, np.array(X.levels, np.int64), X.values, X.start
+    The corpus runs one chunk at a time, side by side: the nodes of a
+    chunk's presheaves are numbered part-major, so each presheaf's nodes,
+    and so its classes, are one run in its own order, and one join per
+    (chunk, r) and block b glues them all.  The gluing of the weight maps
+    into b is one gather from the rows of composition[(r, b)] and the
+    actions of the maps out of b.  'degree-drop' names the first (f, g) of
+    the walk (f in the weight, then g out of its codomain, in morphism
+    order) whose composite leaves the weight; it depends on the base
+    alone, so every presheaf breaks it at r or none does."""
+    if not corpus:
+        return []
+    cat, out = corpus[0].base, [[] for _ in corpus]
+    n_maps = len(cat.domain)
+    plans = [_weight_plan(cat, r, data) for r in range(len(cat.objects))]
+    for part in chunks([len(X.values) for X in corpus]):
+        chunk = _Chunk.of(cat, corpus[part.start : part.stop])
+        n_parts = len(part)
+        # the entries of the maps out of each object b, in every part: entry
+        # e sends x2[e] along the map of segment seg[e] (part p[e], the map
+        # seg[e] - p[e] |out of b| places out of b) to y[e]
+        entries = [chunk.entries(cat.out_of(b)) for b in range(len(cat.objects))]
+        for r, (lo, in_weight, drop, blocks) in enumerate(plans):
+            if drop:
+                for k in part:
+                    out[k].append(ViolatedLaw("degree-drop", drop))
+                continue
+            weight = np.flatnonzero(in_weight)  # positions out of r
+            node_start, owner, index = _segments(chunk.levels[:, cat.codomain[weight + lo]].ravel())
+            first_node = np.full((n_parts, len(in_weight)), -1, np.int32)
+            first_node[:, weight] = node_start[:-1].reshape(n_parts, len(weight))
+            label = np.arange(node_start[-1], dtype=np.int32)
+            for b, fs, gf in blocks:
+                # (g f, x2) ~ (f, y) for the weight maps f into b, a row per
+                # entry
+                p, seg, x2, y = entries[b]
+                by_segment = first_node[:, gf].transpose(0, 2, 1).reshape(-1, len(fs))
+                label = _join(
+                    label, by_segment[seg] + x2[:, None], first_node[:, fs][p] + y[:, None]
+                )
+            roots, node_class = _classes(label)
+            # the latching map: the value x.f on the class of each node (f, x)
+            at, w = np.divmod(owner, max(len(weight), 1))
+            latch, bad = _class_values(
+                roots, node_class, chunk.values[chunk.start[at * n_maps + lo + weight[w]] + index]
+            )
+            node_bound = node_start[np.arange(n_parts + 1) * len(weight)]
+            class_bound = np.searchsorted(roots, node_bound)
+            for p, k in enumerate(part):
+                (v0, v1), (c0, c1) = node_bound[p : p + 2], class_bound[p : p + 2]
+                if bad[c0:c1].any():
+                    root = roots[c0 + bad[c0:c1].argmax()]
+                    f = cat.ref(lo + weight[w[root]])
+                    out[k].append(ViolatedLaw("well-definedness", (r, (f, int(index[root])))))
+                    continue
+                # the outcomes of a whole corpus are held at once, so each
+                # is kept in the smallest integer type that holds it
+                local = np.where(first_node[p] < 0, -1, first_node[p] - v0).astype(np.int32)
+                classes = (node_class[v0:v1] - c0).astype(np.min_scalar_type(c1 - c0))
+                out[k].append(WeightedLatching(lo, local, classes, latch[c0:c1].tolist()))
+    return out
+
+
+def _weight_plan(cat: FinCategory, r: int, data: ReedyData):
+    """What latching by weights at r reads of the base alone: the id of the
+    first map out of r, which maps out of r are in the weight, the first
+    (f, g) whose composite leaves the weight (None when none does), and
+    per object b that a weight map reaches, b, the positions out of r of
+    the weight maps f into b, and those of their composites g f, a row
+    per f and a column per map g out of b."""
     out = cat.out_of(r)
     lo = out.start
     in_weight = cat.image_size[lo : out.stop] < data.degree[r]
-    weight = np.flatnonzero(in_weight)  # positions out of r
-    node_start, owner, index = _segments(levels[cat.codomain[weight + lo]])
-    first_node = np.full(len(in_weight), -1, np.int32)
-    first_node[weight] = node_start[:-1]
-    label = np.arange(node_start[-1], dtype=np.int32)
+    blocks = []
     for b in range(len(cat.objects)):
         cols, gs = cat.columns(r, b), cat.out_of(b)
         fs = np.flatnonzero(in_weight[cols])
@@ -281,21 +352,38 @@ def latching_object_via_weights(
         outside = ~in_weight[gf]
         if outside.any():
             i, j = divmod(int(outside.argmax()), gf.shape[1])
-            raise ViolatedLaw("degree-drop", (cat.ref(lo + cols.start + fs[i]), cat.ref(gs[j])))
-        # the actions of the maps g out of b, end to end: entry p sends x2[p]
-        # along its g[p]
-        _, g, x2 = _segments(levels[cat.codomain[gs.start : gs.stop]])
-        y = values[start[gs.start] : start[gs.stop]]
-        f_node = first_node[fs + cols.start][:, None]
-        label = _join(label, first_node[gf[:, g]] + x2, f_node + y)
-    roots, node_class = _classes(label)
-    # the latching map: the value x.f on the class of each node (f, x)
-    latch, bad = _class_values(roots, node_class, values[start[weight + lo][owner] + index])
-    if bad.any():
-        root = roots[bad.argmax()]
-        f = cat.ref(lo + weight[owner[root]])
-        raise ViolatedLaw("well-definedness", (r, (f, int(index[root]))))
-    return WeightedLatching(lo, first_node.tolist(), node_class, latch.tolist())
+            return lo, in_weight, (cat.ref(lo + cols.start + fs[i]), cat.ref(gs[j])), blocks
+        blocks.append((b, fs + cols.start, gf))
+    return lo, in_weight, None, blocks
+
+
+@dataclass
+class _Chunk:
+    """Presheaves on one base side by side, part-major.  levels[p] is the
+    levels of part p, values holds every part's values end to end, and
+    part p's action of the map with id i is values[start[p M + i] :
+    start[p M + i + 1]], for the base's M maps."""
+
+    base: FinCategory
+    levels: np.ndarray
+    values: np.ndarray
+    start: np.ndarray
+
+    @classmethod
+    def of(cls, cat: FinCategory, parts: list[FinPresheaf]) -> _Chunk:
+        levels = np.array([X.levels for X in parts], np.int64).reshape(len(parts), -1)
+        values = np.concatenate([X.values for X in parts])
+        return cls(cat, levels, values, _segments(levels[:, cat.codomain].ravel())[0])
+
+    def entries(self, ids: range):
+        """The action entries of the maps with the given ids, in every
+        part, part-major, then by map, then by element: each one's part,
+        its segment p |ids| + (its map's position in ids), its element x
+        and the value at x."""
+        n_maps = len(self.base.domain)
+        _, seg, x = _segments(self.levels[:, self.base.codomain[ids.start : ids.stop]].ravel())
+        part, k = np.divmod(seg, len(ids))
+        return part, seg, x, self.values[self.start[part * n_maps + ids.start + k] + x]
 
 
 def _segments(sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -309,19 +397,21 @@ def _segments(sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def latching_routes_agree(
-    X: FinPresheaf, r: int, data: ReedyData
-) -> tuple[bool, LatchingData, WeightedLatching]:
-    """Natural bijection over X_r between the two latching computations."""
+    X: FinPresheaf, r: int, data: ReedyData, weighted: WeightedLatching | ViolatedLaw
+) -> bool:
+    """Natural bijection over X_r between the two latching computations:
+    latching_object, and the outcome at (X, r) of latching by weights,
+    raised when it is a ViolatedLaw."""
     A = latching_object(X, r, data)
-    B = latching_object_via_weights(X, r, data)
+    if isinstance(weighted, ViolatedLaw):
+        raise weighted
+    B = weighted
     if len(A.classes) != len(B.latch):
-        return False, A, B
+        return False
     mapping, bad = descend(A.classes, B.class_of)
     if bad or len(set(mapping)) != len(B.latch):
-        return False, A, B
-    if any(A.latch[ci] != B.latch[cj] for ci, cj in enumerate(mapping)):
-        return False, A, B
-    return True, A, B
+        return False
+    return all(A.latch[ci] == B.latch[cj] for ci, cj in enumerate(mapping))
 
 
 def is_reedy_mono(X: FinPresheaf, data: ReedyData) -> bool:
@@ -448,97 +538,158 @@ class CellSquareReport:
 
 
 def verify_cell_square(
-    X: FinPresheaf, n: int, data: ReedyData, degrees: list[list[int]]
-) -> CellSquareReport:
-    """Certify the degree-n cell attachment, given the EZ degrees of X.
+    corpus: list[FinPresheaf], data: ReedyData, degrees: list[list[list[int]]]
+) -> list[dict[int, CellSquareReport | ViolatedLaw]]:
+    """Certify the cell attachments of each presheaf of a corpus (all on
+    one base), given the EZ degrees of each.  Returns, for each presheaf
+    and each degree n in increasing order, the report of its degree-n cell
+    square or the ViolatedLaw that it breaks.
 
-    Builds the two weighted-colimit corners over the groupoid of degree-n
-    objects, the cell map between them, and checks levelwise that the
-    square onto the skeleta commutes, is a pushout of sets, and has an
-    injective cell map whenever X is Reedy monomorphic.  Raises ViolatedLaw
+    A square builds the two weighted-colimit corners over the groupoid of
+    degree-n objects, the cell map between them, and checks levelwise that
+    the square onto the skeleta commutes, is a pushout of sets, and has an
+    injective cell map whenever X is Reedy monomorphic.  It breaks
     'skeleton-landing' at the first level where the left map leaves sk_n
-    or, failing that, the right map leaves sk_{n+1}.
+    or, failing that, the right map leaves sk_{n+1}, and the
+    'well-definedness' of the first latching object at a degree-n object
+    whose latching map is ill defined.
 
-    Every level s is done at once, on integer node keys ordered as the
-    level's pairs are: level first, then (in the upper-left corner) the
-    boundary nodes (g, x) before the representable nodes (g, c), then g
-    in morphism order, then x or c.  A class is named by its least node,
-    and classes are numbered in that order, within each level.
+    Colimits commute with coproducts, so the corpus runs one chunk at a
+    time, side by side, with one join per (chunk, n) and gluing.  Every
+    level of every part is done at once, on integer node keys ordered as
+    the pairs are: part first, then level, then (in the upper-left
+    corner) the boundary nodes (g, x) before the representable nodes
+    (g, c), then g in morphism order, then x or c.  A class is named by
+    its least node, and classes are numbered in that order, so each
+    part's classes are one run in the order of the part alone, and the
+    counts per level become counts per (part, level).
     """
-    cat, levels, values, start = X.base, np.array(X.levels, np.int64), X.values, X.start
-    n_obj, dom, cod = len(cat.objects), cat.domain, cat.codomain
-    objs_n = [r for r in range(n_obj) if data.degree[r] == n]
-    L = {r: latching_object(X, r, data) for r in objs_n}
-    n_classes = np.zeros(n_obj, np.int64)
-    n_classes[objs_n] = [len(L[r].latch) for r in objs_n]
-    latch_start = _segments(n_classes)[0]
-    latch = np.array([v for r in objs_n for v in L[r].latch], np.int32)
+    if not corpus:
+        return []
+    cat, out = corpus[0].base, [{} for _ in corpus]
+    plans = [_gluing_plan(cat, data, n) for n in sorted(set(data.degree))]
+    for part in chunks([len(X.values) for X in corpus]):
+        for n, objs_n, gluings in plans:
+            live, latching = [], []
+            for k in part:
+                try:
+                    latching.append({r: latching_object(corpus[k], r, data) for r in objs_n})
+                    live.append(k)
+                except ViolatedLaw as exc:
+                    out[k][n] = exc
+            if not live:
+                continue
+            chunk = _Chunk.of(cat, [corpus[k] for k in live])
+            d = [degrees[k] for k in live]
+            reports = _cell_squares(chunk, n, objs_n, gluings, latching, d)
+            for k, report in zip(live, reports):
+                out[k][n] = report
+    return out
 
-    # upper-right corner: node ur[g] + x is (g, x), for g into a degree-n
-    # object and x in X there; ur_value is its image x.g in X
+
+def _gluing_plan(cat: FinCategory, data: ReedyData, n: int):
+    """What the degree-n cell squares read of the base alone: n, the
+    degree-n objects, and per degree-n object r the maps g into r in
+    morphism order, which of them have degree below n, and per
+    isomorphism th out of r its codomain, th and the composites th g."""
+    objs_n = [r for r in range(len(cat.objects)) if data.degree[r] == n]
+    gluings = []
+    for r in objs_n:
+        isos = [(r2, th) for r2 in objs_n for th in cat.isos(r, r2)]
+        cols = [th - cat.out_of(r).start for _, th in isos]
+        into = np.flatnonzero(cat.codomain == r)
+        then = np.vstack([cat.composition[(s, r)][:, cols] for s in range(len(cat.objects))])
+        isos = [(r2, th, then[:, j]) for j, (r2, th) in enumerate(isos)]
+        gluings.append((r, into, cat.image_size[into] < n, isos))
+    return n, objs_n, gluings
+
+
+def _cell_squares(
+    chunk: _Chunk, n: int, objs_n: list[int], gluings: list, L: list[dict], degrees: list
+) -> list[CellSquareReport | ViolatedLaw]:
+    """The degree-n cell square of each part of a chunk, given the base's
+    gluing plan, each part's latching objects at the degree-n objects
+    objs_n and its EZ degrees."""
+    cat, levels, values, start = chunk.base, chunk.levels, chunk.values, chunk.start
+    n_parts, (n_obj, n_maps) = len(levels), (len(cat.objects), len(cat.domain))
+    dom, cod = cat.domain, cat.codomain
+    n_classes = np.zeros((n_parts, n_obj), np.int64)
+    n_classes[:, objs_n] = [[len(Lp[r].latch) for r in objs_n] for Lp in L]
+    latch_start = _segments(n_classes.ravel())[0]  # at part * n_obj + r
+    latch = np.array([v for Lp in L for r in objs_n for v in Lp[r].latch], np.int32)
+
+    # upper-right corner: node ur[p, g] + x is (g, x) of part p, for g into
+    # a degree-n object and x in X there; ur_value is its image x.g in X
     in_n = np.zeros(n_obj, bool)
     in_n[objs_n] = True
     G = np.flatnonzero(in_n[cod])
-    ur_start, owner, ur_x = _segments(levels[cod[G]])
-    ur_g = G[owner]
-    ur_value = values[start[ur_g] + ur_x]
-    ur = np.full(len(cod), -1, np.int32)
-    ur[G] = ur_start[:-1]
-    del owner, ur_x  # node-sized arrays are freed before the joins
+    ur_start, owner, ur_x = _segments(levels[:, cod[G]].ravel())
+    ur_part, k = np.divmod(owner, len(G))
+    ur_g = G[k]
+    ur_value = values[start[ur_part * n_maps + ur_g] + ur_x]
+    ur = np.full((n_parts, n_maps), -1, np.int32)
+    ur[:, G] = ur_start[:-1].reshape(n_parts, len(G))
+    del owner, k, ur_x  # node-sized arrays are freed before the joins
 
-    # upper-left corner: boundary nodes bd[g] + x for g of degree below n,
-    # representable nodes yo[g] + c for the latching classes c at cod g;
-    # ul_elem is the upper-right node (g, x), or (g, latch of c), each names
+    # upper-left corner: boundary nodes bd[p, g] + x for g of degree below
+    # n, representable nodes yo[p, g] + c for the latching classes c at
+    # cod g; ul_elem is the upper-right node (g, x), or (g, latch of c),
+    # each names
     low = G[cat.image_size[G] < n]
     seg_g = np.concatenate([low, G])
     seg_yo = np.arange(len(seg_g)) >= len(low)
     order = np.argsort(dom[seg_g] * 2 + seg_yo, kind="stable")
-    sizes = np.where(seg_yo, n_classes[cod[seg_g]], levels[cod[seg_g]])
-    starts, owner, ul_elem = _segments(sizes[order])
-    seg_first = np.empty(len(seg_g), np.int32)
-    seg_first[order] = starts[:-1]
-    bd = np.full(len(cod), -1, np.int32)
-    bd[low] = seg_first[: len(low)]
-    yo = np.full(len(cod), -1, np.int32)
-    yo[G] = seg_first[len(low) :]
-    on_yo = seg_yo[order][owner]
-    ul_g = seg_g[order][owner]
-    ul_elem[on_yo] = latch[latch_start[cod[ul_g[on_yo]]] + ul_elem[on_yo]]
-    ul_elem += ur[ul_g]
-    del owner, on_yo, ul_g
+    sizes = np.where(seg_yo, n_classes[:, cod[seg_g]], levels[:, cod[seg_g]])
+    starts, owner, ul_elem = _segments(sizes[:, order].ravel())
+    seg_first = np.empty((n_parts, len(seg_g)), np.int32)
+    seg_first[:, order] = starts[:-1].reshape(n_parts, len(seg_g))
+    bd = np.full((n_parts, n_maps), -1, np.int32)
+    bd[:, low] = seg_first[:, : len(low)]
+    yo = np.full((n_parts, n_maps), -1, np.int32)
+    yo[:, G] = seg_first[:, len(low) :]
+    ul_part, k = np.divmod(owner, len(seg_g))
+    on_yo, ul_g = seg_yo[order][k], seg_g[order][k]
+    c_at = latch_start[ul_part[on_yo] * n_obj + cod[ul_g[on_yo]]]
+    ul_elem[on_yo] = latch[c_at + ul_elem[on_yo]]
+    ul_elem += ur[ul_part, ul_g]
+    del owner, k, on_yo, ul_g, ul_part, c_at
 
+    def nodes(first, p, maps, x):
+        """The nodes first[p[e], g] + x[e], a row per e and a column per
+        map g: a gather of rows, so that each part's row is read once."""
+        return first[:, maps][p] + x[:, None]
+
+    # at each degree-n object, the elements and the latching classes of
+    # every part, end to end: each one's part and its index in the part
+    elements = {r: _segments(levels[:, r])[1:] for r in objs_n}
+    classes = {r: _segments(n_classes[:, r])[1:] for r in objs_n}
     ur_label = np.arange(len(ur_value), dtype=np.int32)
     ul_label = np.arange(len(ul_elem), dtype=np.int32)
-    for r in objs_n:
-        # the maps g into r, in morphism order, and their composites with
-        # the isomorphisms th out of r
-        isos = [(r2, th) for r2 in objs_n for th in cat.isos(r, r2)]
-        cols = [th - cat.out_of(r).start for _, th in isos]
-        into = np.flatnonzero(cod == r)
-        then = np.vstack([cat.composition[(s, r)][:, cols] for s in range(n_obj)])
-        g_low = cat.image_size[into] < n
-        for k, (r2, th) in enumerate(isos):
-            tg = then[:, k]
-            y = values[start[th] : start[th + 1]]
-            x2 = np.arange(len(y), dtype=np.int32)
-            ur_label = _join(ur_label, ur[tg][:, None] + x2, ur[into][:, None] + y)
+    for r, into, g_low, isos in gluings:
+        for r2, th, tg in isos:
+            # th's action in every part: part p sends x2 to y
+            p, x2 = elements[r2]
+            y = values[start[p * n_maps + th] + x2]
+            ur_label = _join(ur_label, nodes(ur, p, tg, x2), nodes(ur, p, into, y))
             ul_label = _join(
-                ul_label, bd[tg[g_low]][:, None] + x2, bd[into[g_low]][:, None] + y
+                ul_label, nodes(bd, p, tg[g_low], x2), nodes(bd, p, into[g_low], y)
             )
-            moved = np.array(_iso_on_latching(cat, th, L[r], L[r2]), np.int32)
-            c2 = np.arange(len(moved), dtype=np.int32)
-            ul_label = _join(ul_label, yo[tg][:, None] + c2, yo[into][:, None] + moved)
+            p, c2 = classes[r2]
+            moved = [_iso_on_latching(cat, th, Lp[r], Lp[r2]) for Lp in L]
+            moved = np.fromiter(itertools.chain.from_iterable(moved), np.int32, len(c2))
+            ul_label = _join(ul_label, nodes(yo, p, tg, c2), nodes(yo, p, into, moved))
         # glue the two weighted pieces along the boundary-weighted latching
         g = into[g_low]
-        c = np.arange(n_classes[r], dtype=np.int32)
-        ul_label = _join(
-            ul_label, yo[g][:, None] + c, bd[g][:, None] + latch[latch_start[r] + c]
-        )
+        p, c = classes[r]
+        c_latch = latch[latch_start[p * n_obj + r] + c]
+        ul_label = _join(ul_label, nodes(yo, p, g, c), nodes(bd, p, g, c_latch))
 
     ur_roots, ur_class = _classes(ur_label)
     ul_roots, ul_class = _classes(ul_label)
     del ur_label, ul_label
-    ur_level, ul_level = dom[ur_g[ur_roots]], dom[ur_g[ul_elem[ul_roots]]]
+    # each class's part and level, as the key part * n_obj + level
+    ur_key = ur_part[ur_roots] * n_obj + dom[ur_g[ur_roots]]
+    ul_key = ur_part[ul_elem[ul_roots]] * n_obj + dom[ur_g[ul_elem[ul_roots]]]
 
     # the four maps of the square on classes, and where they are ill defined
     ur_sknext, right_bad = _class_values(ur_roots, ur_class, ur_value)
@@ -547,15 +698,19 @@ def verify_cell_square(
     square = ur_sknext[ul_ur] != ul_sk
 
     # sk_{n+1} is the set pushout of sk_n and the upper-right classes along
-    # the upper-left ones that land in sk_n (one that does not raises
-    # below): the nodes are the elements of sk_n, all levels end to end,
-    # then the upper-right classes
-    x_start, x_level, x_local = _segments(levels)
-    x_degree = np.fromiter(itertools.chain.from_iterable(degrees), np.int64, len(x_level))
+    # the upper-left ones that land in sk_n (one that does not breaks
+    # skeleton-landing below): the nodes are the elements of sk_n, all
+    # parts and levels end to end, then the upper-right classes
+    x_start, x_key, x_local = _segments(levels.ravel())
+    x_degree = np.fromiter(
+        itertools.chain.from_iterable(itertools.chain.from_iterable(degrees)),
+        np.int64,
+        len(x_key),
+    )
     in_sk = x_degree < n
     sk_node = np.cumsum(in_sk) - 1
     n_sk = int(in_sk.sum())
-    ul_x = x_start[ul_level] + ul_sk
+    ul_x = x_start[ul_key] + ul_sk
     lands = in_sk[ul_x]
     po_roots, po_class = _classes(
         _join(np.arange(n_sk + len(ur_roots)), sk_node[ul_x[lands]], n_sk + ul_ur[lands])
@@ -563,28 +718,43 @@ def verify_cell_square(
     po_values, po_bad = _class_values(
         po_roots, po_class, np.concatenate([x_local[in_sk], ur_sknext])
     )
-    po_level = np.concatenate([x_level[in_sk], ur_level])[po_roots]
+    po_key = np.concatenate([x_key[in_sk], ur_key])[po_roots].astype(np.int64)
 
-    def per_level(levels):
-        return np.bincount(levels, minlength=n_obj)
+    def per_level(keys):
+        return np.bincount(keys, minlength=n_parts * n_obj).reshape(n_parts, n_obj)
 
-    left_off = per_level(ul_level[~lands])
-    right_off = per_level(ur_level[x_degree[x_start[ur_level] + ur_sknext] > n])
-    off = np.flatnonzero(left_off | right_off)
-    if len(off):
-        s = int(off[0])
-        raise ViolatedLaw("skeleton-landing", (n, s, "left" if left_off[s] else "right"))
+    def any_per_part(keys, flags):
+        return np.bincount(keys // n_obj, weights=flags, minlength=n_parts) > 0
+
+    left_off = per_level(ul_key[~lands])
+    right_off = per_level(ur_key[x_degree[x_start[ur_key] + ur_sknext] > n])
     # a pushout when the classes take distinct values, which fill sk_{n+1}
-    distinct = _distinct(po_level * len(x_level) + po_values) // max(len(x_level), 1)
-    pushout_off = (per_level(po_level) != per_level(distinct)) | (
-        per_level(distinct) != per_level(x_level[x_degree <= n])
+    width = max(len(x_key), 1)
+    distinct = _distinct(po_key * width + po_values) // width
+    pushout_off = (per_level(po_key) != per_level(distinct)) | (
+        per_level(distinct) != per_level(x_key[x_degree <= n])
     )
-    mono_off = per_level(ul_level) != per_level(ur_level[_distinct(ul_ur)])
-    return CellSquareReport(
-        not (sk_bad.any() or ur_bad.any() or right_bad.any() or square.any()),
-        not (po_bad.any() or pushout_off.any()),
-        not mono_off.any(),
+    mono_off = per_level(ul_key) != per_level(ur_key[_distinct(ul_ur)])
+    not_commuting = any_per_part(ul_key, sk_bad | ur_bad | square) | any_per_part(
+        ur_key, right_bad
     )
+    ill = any_per_part(po_key, po_bad)
+    reports = []
+    for p in range(n_parts):
+        off = np.flatnonzero(left_off[p] | right_off[p])
+        if len(off):
+            s = int(off[0])
+            side = "left" if left_off[p, s] else "right"
+            reports.append(ViolatedLaw("skeleton-landing", (n, s, side)))
+        else:
+            reports.append(
+                CellSquareReport(
+                    not not_commuting[p],
+                    not (ill[p] or pushout_off[p].any()),
+                    not mono_off[p].any(),
+                )
+            )
+    return reports
 
 
 def _iso_on_latching(cat, th: int, Lr: LatchingData, Lr2: LatchingData):

@@ -13,6 +13,7 @@ import inspect
 import math
 import time
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from .certificates import FAIL, SKIPPED, Certificate, Check, scan, verdict
 from .errors import (
@@ -23,6 +24,9 @@ from .errors import (
     ViolatedLaw,
 )
 from .semilattice import DEFAULT_CANDIDATE_BUDGET
+
+if TYPE_CHECKING:  # the presheaf layer loads numpy, so suites import it lazily
+    from .presheaf import CellSquareReport
 
 # the ceiling of --cube-dim: the cube suites are sized for cubes of
 # dimension at most 3
@@ -260,6 +264,16 @@ def _corpus(max_size: int, budget: int, seed: int, corpus_count: int):
     )
 
 
+def _cell_report(outcome) -> CellSquareReport:
+    """The outcome of one cell square of a batched verify_cell_square: its
+    report, or the ViolatedLaw it recorded, raised here, so that a walk
+    over the outcomes, presheaf first and then degree, stops where the
+    walk that certified one square at a time stopped."""
+    if isinstance(outcome, ViolatedLaw):
+        raise outcome
+    return outcome
+
+
 def _triple(X, data, squares):
     from .presheaf import (
         has_unique_ez,
@@ -280,6 +294,7 @@ def _suite_presheaf_ez(
         autquo,
         is_reedy_mono,
         latching_object,
+        latching_object_via_weights,
         latching_routes_agree,
         non_reedy_mono_example,
         representable,
@@ -314,9 +329,10 @@ def _suite_presheaf_ez(
 
         def routes():
             for corpus, data in ((exhaustive, data2), (seeded, data3)):
-                for X in corpus:
-                    for r in range(len(X.base.objects)):
-                        ok, _, _ = latching_routes_agree(X, r, data)
+                weighted = latching_object_via_weights(corpus, data)
+                for X, outcomes in zip(corpus, weighted):
+                    for r, B in enumerate(outcomes):
+                        ok = latching_routes_agree(X, r, data, B)
                         yield None if ok else {"levels": list(X.levels), "object": r}
 
         def autquos():
@@ -419,9 +435,11 @@ def _suite_cell_presentation(
         )
 
         def cell_squares(monos, data):
-            for i, X, degrees in monos:
-                for n in sorted(set(data.degree)):
-                    rep = verify_cell_square(X, n, data, degrees)
+            corpus, degrees = [X for _, X, _ in monos], [d for _, _, d in monos]
+            outcomes = verify_cell_square(corpus, data, degrees)
+            for (i, _, _), by_degree in zip(monos, outcomes):
+                for n, rep in by_degree.items():
+                    rep = _cell_report(rep)
                     report = [rep.commutes, rep.is_pushout, rep.cell_mono]
                     witness = {"index": i, "degree": n, "report": report}
                     yield None if all(report) else witness
@@ -449,10 +467,8 @@ def _suite_cell_presentation(
         # expected failure pattern on the non-mono witness
         cat5, data5, squares5, X = non_reedy_mono_example()
         degrees = ez_degrees(X, data5)
-        reports = {
-            n: verify_cell_square(X, n, data5, degrees)
-            for n in sorted(set(data5.degree))
-        }
+        (outcomes,) = verify_cell_square([X], data5, [degrees])
+        reports = {n: _cell_report(rep) for n, rep in outcomes.items()}
         commute_ok = all(r.commutes for r in reports.values())
         latch_fail_degrees = {
             data5.degree[r]

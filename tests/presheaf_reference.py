@@ -3,7 +3,9 @@
 These are the union-find bodies that `latching_object_via_weights` and
 `verify_cell_square` had before they moved to integer node keys.  A node
 is a (morphism id, x) tuple and every gluing is one `UnionFind.union`
-call.
+call.  They take one presheaf and one object or degree, and raise the
+laws that the numpy routes, which take a whole corpus, return as
+outcomes.
 
 The presheaf constructors are here too, as they were when a presheaf
 stored its actions as a dict from morphism to tuple: `representable`,

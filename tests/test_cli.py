@@ -420,9 +420,11 @@ def test_cell_square_failure_is_not_a_skeleton_chain_failure(monkeypatch):
 
     real = presheaf.verify_cell_square
 
-    def failing_at_degree_two(X, n, data, degrees):
-        rep = real(X, n, data, degrees)
-        return dataclasses.replace(rep, cell_mono=False) if n == 2 else rep
+    def failing_at_degree_two(corpus, data, degrees):
+        return [
+            {n: dataclasses.replace(rep, cell_mono=False) if n == 2 else rep for n, rep in by.items()}
+            for by in real(corpus, data, degrees)
+        ]
 
     monkeypatch.setattr(presheaf, "verify_cell_square", failing_at_degree_two)
     cert = run_suite(SuiteConfig(suite="cell-presentation", corpus_count=5))
@@ -432,6 +434,59 @@ def test_cell_square_failure_is_not_a_skeleton_chain_failure(monkeypatch):
         assert square.status == "fail" and square.witness["degree"] == 2
         chain = checks[f"skeleton-chain-unions-{tag}"]
         assert chain.status == "pass" and chain.witness is None
+
+
+def _stubbed_cell_squares(monkeypatch, fail_at, raise_at):
+    """verify_cell_square with, in every corpus of at least four
+    presheaves, a failed cell report at (presheaf, degree position)
+    fail_at and a skeleton-landing law at raise_at, degrees by their
+    position in increasing order."""
+    import reedylab.presheaf as presheaf
+    from reedylab.errors import ViolatedLaw
+
+    real = presheaf.verify_cell_square
+
+    def stubbed(corpus, data, degrees):
+        outcomes = real(corpus, data, degrees)
+        if len(corpus) >= 4:
+            degs = sorted(set(data.degree))
+            (i, d), (j, e) = fail_at, raise_at
+            outcomes[i][degs[d]] = dataclasses.replace(outcomes[i][degs[d]], commutes=False)
+            outcomes[j][degs[e]] = ViolatedLaw("skeleton-landing", (degs[e], 0, "left"))
+        return outcomes
+
+    monkeypatch.setattr(presheaf, "verify_cell_square", stubbed)
+    return run_suite(SuiteConfig(suite="cell-presentation", corpus_count=5))
+
+
+def test_cell_square_outcomes_replay_in_walk_order(monkeypatch):
+    # presheaf 1 fails its report at its second degree and presheaf 3
+    # breaks a law at its first: presheaf by presheaf, then degree by
+    # degree, the walk stops at the report, after 1 * 2 + 2 squares of
+    # the size-2 base's two degrees
+    cert = _stubbed_cell_squares(monkeypatch, fail_at=(1, 1), raise_at=(3, 0))
+    square = {c.id: c for c in cert.checks}["cell-squares-certify-exhaustive-size2"]
+    assert square.status == "fail" and square.count == 4
+    assert square.witness == {"index": 1, "degree": 2, "report": [False, True, True]}
+
+
+def test_an_earlier_presheaf_law_stops_the_walk_before_a_later_report(monkeypatch):
+    # presheaf 1 breaks a law at its second degree, presheaf 3 fails its
+    # report at its first: the law is reached first and ends the task
+    cert = _stubbed_cell_squares(monkeypatch, fail_at=(3, 0), raise_at=(1, 1))
+    assert [(c.id, c.status) for c in cert.checks] == [("cell-presentation", "fail")]
+    assert cert.checks[0].witness == {"law": "skeleton-landing", "witness": (2, 0, "left")}
+
+
+@pytest.mark.parametrize("suite", ["presheaf-ez", "cell-presentation"])
+def test_presheaf_suites_are_the_same_under_a_small_chunk_cap(monkeypatch, suite):
+    # a seeded presheaf has more than 64 action entries, so each gets a
+    # chunk of its own, and the outcomes run across chunks
+    from reedylab import kernel
+
+    default = run_suite(SuiteConfig(suite=suite)).json_text(False)
+    monkeypatch.setattr(kernel, "CHUNK", 64)
+    assert run_suite(SuiteConfig(suite=suite)).json_text(False) == default
 
 
 def test_autquo_failure_reports_the_first_failing_subgroup(monkeypatch):

@@ -138,10 +138,9 @@ def test_ill_defined_latching_map_raises_in_optimized_mode():
         "cat, data, _ = truncated_semilattice_category(3)\n"
         "V = free_pair_object(cat)\n"
         "bad = _corrupt_one_action(representable(cat, V))\n"
-        "try:\n"
-        "    latching_object_via_weights(bad, V, data)\n"
-        "except ViolatedLaw as exc:\n"
-        "    raise SystemExit(exc.law != 'well-definedness')\n"
+        "outcome = latching_object_via_weights([bad], data)[0][V]\n"
+        "if isinstance(outcome, ViolatedLaw):\n"
+        "    raise SystemExit(outcome.law != 'well-definedness')\n"
         "raise SystemExit(1)\n"
     )
     here = Path(__file__).resolve().parent
@@ -223,10 +222,9 @@ def test_latching_two_routes_agree(trunc3):
     cat, data, squares = trunc3
     rnd = random.Random(2)
     corpus = seeded_corpus(cat, data, seed=9, count=25)
-    for X in corpus:
+    for X, weighted in zip(corpus, latching_object_via_weights(corpus, data)):
         for r in range(4):
-            ok, A, B = latching_routes_agree(X, r, data)
-            assert ok
+            assert latching_routes_agree(X, r, data, weighted[r])
 
 
 def test_via_weights_uses_more_generators(trunc3):
@@ -234,7 +232,7 @@ def test_via_weights_uses_more_generators(trunc3):
     V = free_pair_object(cat)
     yo = representable(cat, V)
     A = latching_object(yo, V, data)
-    B = latching_object_via_weights(yo, V, data)
+    B = latching_object_via_weights([yo], data)[0][V]
     assert len(A.classes) == len(B.latch)
     # one node per (weight map, element)
     assert len(B.node_class) > sum(len(c) for c in A.classes)
@@ -363,16 +361,16 @@ def test_cell_squares_on_representable(trunc3):
     cat, data, squares = trunc3
     V = free_pair_object(cat)
     yo = representable(cat, V)
-    degrees = ez_degrees(yo, data)
-    for n in (1, 2, 3):
-        rep = verify_cell_square(yo, n, data, degrees)
+    (reports,) = verify_cell_square([yo], data, [ez_degrees(yo, data)])
+    assert list(reports) == [1, 2, 3]
+    for rep in reports.values():
         assert rep.commutes and rep.is_pushout and rep.cell_mono
 
 
 def test_cell_square_with_empty_degree_part(trunc3):
     cat, data, squares = trunc3
     E = empty_presheaf(cat)
-    rep = verify_cell_square(E, 3, data, ez_degrees(E, data))
+    rep = verify_cell_square([E], data, [ez_degrees(E, data)])[0][3]
     assert rep.commutes and rep.is_pushout and rep.cell_mono
 
 
@@ -382,9 +380,7 @@ def test_cell_square_failure_pattern_on_witness():
     # EZ uniqueness breaks across degrees
     cat, data, squares, X = non_reedy_mono_example()
     degrees = ez_degrees(X, data)
-    reports = {
-        n: verify_cell_square(X, n, data, degrees) for n in sorted(set(data.degree))
-    }
+    (reports,) = verify_cell_square([X], data, [degrees])
     assert all(r.commutes for r in reports.values())
     latch_fail = {
         data.degree[r]

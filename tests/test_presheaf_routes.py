@@ -13,6 +13,8 @@ from hypothesis import strategies as st
 import presheaf_reference as reference
 import reedylab.presheaf as presheaf
 from reedylab.errors import ViolatedLaw
+from reedylab import kernel
+from reedylab.kernel import chunks
 from reedylab.presheaf import (
     FinPresheaf,
     enumerate_presheaves,
@@ -54,52 +56,88 @@ def outcome(fn, *args):
     try:
         return fn(*args)
     except ViolatedLaw as exc:
-        return ("violated", exc.law, exc.witness)
+        return violated(exc)
 
 
-def same_latching(X, r, data):
-    W = outcome(latching_object_via_weights, X, r, data)
+def violated(exc):
+    return ("violated", exc.law, exc.witness)
+
+
+def summary(result):
+    """A batched route's outcome in comparable form: the law and witness of
+    a ViolatedLaw, a WeightedLatching's lists, or a report as it is."""
+    if isinstance(result, ViolatedLaw):
+        return violated(result)
+    if isinstance(result, presheaf.WeightedLatching):
+        return (result.lo, result.first_node.tolist(), result.node_class.tolist(), result.latch)
+    return result
+
+
+def same_latching(X, r, data, W):
+    """W, the outcome of latching by weights at (X, r) within a corpus,
+    against the reference run on X alone."""
     R = outcome(reference.latching_object_via_weights, X, r, data)
-    if isinstance(R, tuple):
-        return W == R
+    if isinstance(R, tuple) or isinstance(W, ViolatedLaw):
+        return summary(W) == R
     return (weighted_classes(X, r, W), W.latch) == (R.classes, R.latch)
 
 
-def same_cell_squares(X, data, degrees):
-    return all(
-        outcome(verify_cell_square, X, n, data, degrees)
-        == outcome(reference.verify_cell_square, X, n, data, degrees)
-        for n in sorted(set(data.degree))
+def same_cell_squares(X, data, degrees, reports):
+    """reports, the outcomes of the cell squares of X within a corpus, by
+    degree, against the reference run on X alone."""
+    return list(reports) == sorted(set(data.degree)) and all(
+        summary(rep) == outcome(reference.verify_cell_square, X, n, data, degrees)
+        for n, rep in reports.items()
     )
+
+
+def parts_per_chunk(corpus):
+    return [len(part) for part in chunks([len(X.values) for X in corpus])]
 
 
 @pytest.mark.parametrize("name", ["exhaustive-size2", "seeded-size3", "non-mono-witness"])
 def test_latching_by_weights_matches_the_reference(corpora, name):
+    # the whole corpus at once, so that one chunk holds many presheaves
     corpus, data = corpora[name]
-    for X in corpus:
-        for r in range(len(X.base.objects)):
-            assert same_latching(X, r, data)
+    assert name == "non-mono-witness" or max(parts_per_chunk(corpus)) > 1
+    outcomes = latching_object_via_weights(corpus, data)
+    assert len(outcomes) == len(corpus)
+    for X, weighted in zip(corpus, outcomes):
+        assert len(weighted) == len(X.base.objects)
+        for r, W in enumerate(weighted):
+            assert same_latching(X, r, data, W)
 
 
 @pytest.mark.parametrize("name", ["exhaustive-size2", "seeded-size3", "non-mono-witness"])
 def test_cell_squares_match_the_reference(corpora, name):
     corpus, data = corpora[name]
-    reports = 0
-    for X in corpus:
-        degrees = ez_degrees(X, data)
-        assert same_cell_squares(X, data, degrees)
-        reports += len(set(data.degree))
-    assert reports
+    degrees = [ez_degrees(X, data) for X in corpus]
+    outcomes = verify_cell_square(corpus, data, degrees)
+    assert len(outcomes) == len(corpus)
+    for X, d, reports in zip(corpus, degrees, outcomes):
+        assert same_cell_squares(X, data, d, reports)
+    assert sum(map(len, outcomes))
 
 
 def test_the_witness_has_failed_squares(corpora):
     # so that the comparison above covers failed verdicts, not only passes
     (X,), data = corpora["non-mono-witness"]
-    degrees = ez_degrees(X, data)
-    reports = [verify_cell_square(X, n, data, degrees) for n in sorted(set(data.degree))]
-    assert all(rep.commutes for rep in reports)
-    assert not all(rep.is_pushout for rep in reports)
-    assert not all(rep.cell_mono for rep in reports)
+    (reports,) = verify_cell_square([X], data, [ez_degrees(X, data)])
+    assert all(rep.commutes for rep in reports.values())
+    assert not all(rep.is_pushout for rep in reports.values())
+    assert not all(rep.cell_mono for rep in reports.values())
+
+
+def test_an_empty_corpus_has_no_outcomes(corpora):
+    _, data = corpora["seeded-size3"]
+    assert latching_object_via_weights([], data) == []
+    assert verify_cell_square([], data, []) == []
+
+
+@pytest.fixture(scope="module")
+def seeded_degrees(corpora):
+    corpus, data = corpora["seeded-size3"]
+    return [ez_degrees(X, data) for X in corpus]
 
 
 @settings(
@@ -109,10 +147,12 @@ def test_the_witness_has_failed_squares(corpora):
     database=None,
 )
 @given(seed=st.integers(0, 2**32 - 1), data=st.data())
-def test_routes_match_the_reference_on_corrupted_presheaves(corpora, seed, data):
+def test_routes_match_the_reference_on_corrupted_presheaves(corpora, seeded_degrees, seed, data):
     """A random presheaf of seeded_corpus, with one action value and one
     EZ degree possibly moved, so the ill-defined maps, the failed squares
-    and the skeleton-landing laws are compared as well."""
+    and the skeleton-landing laws are compared as well.  It runs in one
+    chunk among four uncorrupted presheaves of the seeded corpus, at a
+    drawn place, and their outcomes are those they have without it."""
     base, reedy = corpora["seeded-size3"]
     cat = base[0].base
     X = data.draw(st.sampled_from(seeded_corpus(cat, reedy, seed, 3)[-3:]))
@@ -128,9 +168,52 @@ def test_routes_match_the_reference_on_corrupted_presheaves(corpora, seed, data)
         s = data.draw(st.sampled_from([s for s, n in enumerate(X.levels) if n]))
         x = data.draw(st.integers(0, X.levels[s] - 1))
         degrees[s][x] = data.draw(st.integers(1, max(reedy.degree) + 1))
-    for r in range(len(cat.objects)):
-        assert same_latching(X, r, reedy)
-    assert same_cell_squares(X, reedy, degrees)
+    i = data.draw(st.integers(0, len(base) - 4))
+    at = data.draw(st.integers(0, 4))
+    neighbours = base[i : i + 4]
+    corpus = [*neighbours[:at], X, *neighbours[at:]]
+    assert parts_per_chunk(corpus) == [5]
+
+    def without_x(outcomes):
+        return [
+            list(map(summary, o)) if isinstance(o, list) else {n: summary(v) for n, v in o.items()}
+            for o in outcomes[:at] + outcomes[at + 1 :]
+        ]
+
+    weighted = latching_object_via_weights(corpus, reedy)
+    for r, W in enumerate(weighted[at]):
+        assert same_latching(X, r, reedy, W)
+    alone = latching_object_via_weights(neighbours, reedy)
+    assert without_x(weighted) == without_x(alone[:at] + [None] + alone[at:])
+
+    neighbour_degrees = seeded_degrees[i : i + 4]
+    reports = verify_cell_square(
+        corpus, reedy, [*neighbour_degrees[:at], degrees, *neighbour_degrees[at:]]
+    )
+    assert same_cell_squares(X, reedy, degrees, reports[at])
+    alone = verify_cell_square(neighbours, reedy, neighbour_degrees)
+    assert without_x(reports) == without_x(alone[:at] + [None] + alone[at:])
+
+
+def test_outcomes_keep_their_presheaf_in_a_corpus(corpora, monkeypatch):
+    # the witness's failed squares and latching maps that are not
+    # injective, run first in one chunk with two representables on its
+    # base, are those it has alone, and so are theirs
+    (X,), data = corpora["non-mono-witness"]
+    cat = X.base
+    corpus = [X, presheaf.representable(cat, 0), presheaf.representable(cat, 1)]
+    monkeypatch.setattr(kernel, "CHUNK", 1 << 16)
+    assert parts_per_chunk(corpus) == [3]
+    degrees = [ez_degrees(Y, data) for Y in corpus]
+    together = verify_cell_square(corpus, data, degrees)
+    alone = [verify_cell_square([Y], data, [d])[0] for Y, d in zip(corpus, degrees)]
+    assert together == alone
+    assert together[0] != together[2]
+    weighted = latching_object_via_weights(corpus, data)
+    for Y, outcomes in zip(corpus, weighted):
+        (expected,) = latching_object_via_weights([Y], data)
+        assert list(map(summary, outcomes)) == list(map(summary, expected))
+    assert list(map(summary, weighted[0])) != list(map(summary, weighted[2]))
 
 
 CONSTRUCTORS = ("representable", "coproduct_presheaf", "quotient_presheaf", "autquo")
