@@ -42,10 +42,11 @@ MorphRef = tuple[int, int, int]
 Square = tuple[int, int, int, int]
 
 
-@dataclass
+@dataclass(eq=False)
 class FinCategory:
     """An explicit finite category of semilattices with a dense integer
-    composition table.
+    composition table.  It equals only itself and hashes by identity, so
+    the suites can key the inputs they build over it.
 
     Inside the library a morphism is its id, its position in morphism
     order ((a, b, k) lexicographic, for the k-th map of Hom(a, b)), so the

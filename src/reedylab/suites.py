@@ -5,10 +5,23 @@ into a single deterministic Certificate, which only run_suite builds.
 A suite's factory takes the SuiteConfig options it reads as keyword
 parameters, so its signature is the list of options the suite accepts.
 Budget overruns become skipped checks; nothing is silently truncated.
+
+The suites share their inputs through one memo, _built: the truncated
+categories, the exhaustive and seeded presheaf corpora and the non-mono
+witness are built once per process and handed to every suite that reads
+them.  It holds at most MEMO_SIZE builds, least recently used first out,
+which covers every input `reedylab all` builds.  Its key is the builder
+function, as the suite looks it up at the call, and the builder's
+arguments, so a replaced builder (a test's monkeypatch) misses it and is
+called.  An exception is not stored: an over-budget build raises on every
+call and still becomes its skipped check.  The library builders in
+reedy.py and presheaf.py stay uncached, as callers may change the tables
+they return in place; the suites only read theirs.
 """
 
 from __future__ import annotations
 
+import functools
 import inspect
 import math
 import time
@@ -31,6 +44,16 @@ if TYPE_CHECKING:  # the presheaf layer loads numpy, so suites import it lazily
 # the ceiling of --cube-dim: the cube suites are sized for cubes of
 # dimension at most 3
 MAX_CUBE_DIM = 3
+
+# the most suite inputs the memo holds; `reedylab all` builds six
+MEMO_SIZE = 8
+
+
+@functools.lru_cache(maxsize=MEMO_SIZE)
+def _built(builder, *args):
+    """builder(*args), built once per process while it stays among the
+    MEMO_SIZE most recent builds; see the module docstring."""
+    return builder(*args)
 
 
 @dataclass
@@ -134,7 +157,7 @@ def _suite_hom_counts(*, cube_dim: int, budget: int) -> list:
 def _suite_reedy_axioms(*, max_size: int = 3, budget: int) -> list:
     from .reedy import certify_cancellation, certify_reedy_axioms, truncated_semilattice_category
 
-    cat, data, squares = truncated_semilattice_category(max_size, budget)
+    cat, data, squares = _built(truncated_semilattice_category, max_size, budget)
     return [
         ("axioms", lambda: certify_reedy_axioms(cat, data)),
         ("cancellation", lambda: certify_cancellation(cat, data)),
@@ -149,7 +172,7 @@ def _suite_pre_elegance(*, max_size: int = 3, budget: int) -> list:
         truncated_semilattice_category,
     )
 
-    cat, data, squares = truncated_semilattice_category(max_size, budget)
+    cat, data, squares = _built(truncated_semilattice_category, max_size, budget)
     return [
         ("axioms", lambda: certify_reedy_axioms(cat, data)),
         ("cancellation", lambda: certify_cancellation(cat, data)),
@@ -232,7 +255,7 @@ def _suite_relative_elegance(*, max_size: int = 4, cube_dim: int, budget: int) -
     from .reedy import truncated_semilattice_category
     from .semilattice import chain
 
-    cat, data, squares = truncated_semilattice_category(max_size, budget)
+    cat, data, squares = _built(truncated_semilattice_category, max_size, budget)
     sources = []
     for m in range(0, cube_dim + 1):
         sources.append((f"cube-{m}", cube(m)))
@@ -253,10 +276,10 @@ def _corpus(max_size: int, budget: int, seed: int, corpus_count: int):
     from .presheaf import enumerate_presheaves, seeded_corpus
     from .reedy import truncated_semilattice_category
 
-    cat2, data2, squares2 = truncated_semilattice_category(2, budget)
-    exhaustive = enumerate_presheaves(cat2, 2)
-    cat3, data3, squares3 = truncated_semilattice_category(max_size, budget)
-    seeded = seeded_corpus(cat3, data3, seed, corpus_count)
+    cat2, data2, squares2 = _built(truncated_semilattice_category, 2, budget)
+    exhaustive = _built(enumerate_presheaves, cat2, 2)
+    cat3, data3, squares3 = _built(truncated_semilattice_category, max_size, budget)
+    seeded = _built(seeded_corpus, cat3, data3, seed, corpus_count)
     return (
         (cat2, data2, squares2, exhaustive),
         (cat3, data3, squares3, seeded),
@@ -389,7 +412,7 @@ def _suite_presheaf_ez(
 
         # the false branch, demonstrated over a base containing a
         # non-projective object with its minimal cover
-        cat5, data5, squares5, X = non_reedy_mono_example()
+        cat5, data5, squares5, X = _built(non_reedy_mono_example)
         a, b, c = _triple(X, data5, squares5)
         checks.append(
             verdict(
@@ -465,7 +488,7 @@ def _suite_cell_presentation(
             )
 
         # expected failure pattern on the non-mono witness
-        cat5, data5, squares5, X = non_reedy_mono_example()
+        cat5, data5, squares5, X = _built(non_reedy_mono_example)
         degrees = ez_degrees(X, data5)
         (outcomes,) = verify_cell_square([X], data5, [degrees])
         reports = {n: _cell_report(rep) for n, rep in outcomes.items()}

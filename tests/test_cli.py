@@ -14,7 +14,7 @@ from reedylab.cubes import cube
 from reedylab.dot import crown_dot, semilattice_dot
 from reedylab.obstruction import CrownPoset
 from reedylab.semilattice import all_semilattices_upto, chain
-from reedylab.suites import SUITES, SuiteConfig, run_suite
+from reedylab.suites import SUITES, SuiteConfig, _built, run_suite
 
 
 def test_every_suite_registered():
@@ -314,13 +314,17 @@ def test_budget_overrun_becomes_skipped():
 
 
 def test_factory_overrun_becomes_one_skipped_check(capsys):
-    # the truncated category is built by the suite factory, before any task
-    assert main(["reedy-axioms", "--budget", "10"]) == 1
-    blob = json.loads(capsys.readouterr().out)
-    assert [(c["id"], c["status"]) for c in blob["checks"]] == [
-        ("reedy-axioms", "skipped")
-    ]
-    assert "exceed budget 10" in blob["checks"][0]["witness"]
+    # the truncated category is built by the suite factory, before any
+    # task; the memo stores no failed build, so every run overruns again
+    _built.cache_clear()
+    for _ in range(2):
+        assert main(["reedy-axioms", "--budget", "10"]) == 1
+        blob = json.loads(capsys.readouterr().out)
+        assert [(c["id"], c["status"]) for c in blob["checks"]] == [
+            ("reedy-axioms", "skipped")
+        ]
+        assert "exceed budget 10" in blob["checks"][0]["witness"]
+    assert _built.cache_info().currsize == 0
 
 
 def test_oversized_truncation_is_skipped_by_its_pair_count(capsys):
@@ -546,9 +550,14 @@ def test_ill_defined_latching_map_is_a_failed_check(monkeypatch):
         )
         return [with_value(yo, f, 0, (yo.action(f)[0] + 1) % yo.levels[cat.dom(f)])]
 
+    # a clean run first, so the memo holds the real corpus when the
+    # patched builder is looked up, and again once the patch is undone
+    clean = run_suite(SuiteConfig(suite="presheaf-ez")).json_text(False)
     monkeypatch.setattr(presheaf, "seeded_corpus", corrupted_corpus)
     cert = run_suite(SuiteConfig(suite="presheaf-ez"))
     _law_failure(cert, "presheaf-ez", "well-definedness")
+    monkeypatch.undo()
+    assert run_suite(SuiteConfig(suite="presheaf-ez")).json_text(False) == clean
 
 
 def test_ill_defined_lowering_pushout_join_is_a_failed_check(monkeypatch):
@@ -628,3 +637,55 @@ def test_seeded_corpus_label_follows_max_size(monkeypatch):
         "skeleton-chain-unions-seeded-size4",
     } <= ids
     assert not any("seeded-size3" in cid for cid in ids)
+
+
+# ---------------------------------------------------------------------------
+# the suite input memo
+# ---------------------------------------------------------------------------
+
+
+def _counted(monkeypatch, module, name, counts):
+    real = getattr(module, name)
+
+    def counting(*args):
+        counts[name] = counts.get(name, 0) + 1
+        return real(*args)
+
+    monkeypatch.setattr(module, name, counting)
+
+
+def test_presheaf_suites_build_each_input_once(monkeypatch):
+    import reedylab.presheaf as presheaf
+    import reedylab.reedy as reedy
+
+    counts = {}
+    _counted(monkeypatch, reedy, "reedy_category_on", counts)
+    _counted(monkeypatch, presheaf, "seeded_corpus", counts)
+    _counted(monkeypatch, presheaf, "non_reedy_mono_example", counts)
+    _built.cache_clear()
+    for suite in ("presheaf-ez", "cell-presentation"):
+        run_suite(SuiteConfig(suite=suite))
+    # the size-2 and size-3 truncations and the witness's base category
+    assert counts == {"reedy_category_on": 3, "seeded_corpus": 1, "non_reedy_mono_example": 1}
+
+
+def test_truncation_suites_build_the_truncation_once(monkeypatch):
+    import reedylab.reedy as reedy
+
+    counts = {}
+    _counted(monkeypatch, reedy, "reedy_category_on", counts)
+    _built.cache_clear()
+    for suite in ("reedy-axioms", "pre-elegance", "relative-elegance"):
+        assert run_suite(SuiteConfig(suite=suite, max_size=4)).passed
+    assert counts == {"reedy_category_on": 1}
+
+
+def test_suites_leave_their_shared_inputs_as_they_found_them():
+    # every suite twice over one warm memo: a suite that wrote into an
+    # input it shares would change a later certificate
+    _built.cache_clear()
+    first = [run_suite(SuiteConfig(suite=name)).json_text(False) for name in SUITES]
+    built = _built.cache_info().misses
+    second = [run_suite(SuiteConfig(suite=name)).json_text(False) for name in SUITES]
+    assert _built.cache_info().misses == built
+    assert second == first
