@@ -148,7 +148,8 @@ def _cube_command(args) -> int:
         from .cubes import cube_hom_count
 
         _at_least(0, m=args.m, n=args.n)
-        formula, enumerated = cube_hom_count(args.m, args.n)
+        formula, homs = cube_hom_count(args.m, args.n)
+        enumerated = len(homs)
         _emit(
             json.dumps(
                 {

@@ -19,10 +19,12 @@ from .semilattice import (
     MonotoneAssignments,
     SLatMorphism,
     all_semilattices_upto,
+    are_isomorphic,
     chain,
     enumerate_homs,
     is_distributive_lattice,
     lift_through_surjection,
+    monotone_maps,
     sub_semilattice,
     validate_semilattice,
 )
@@ -50,15 +52,17 @@ def vertex_bits(v: int, n: int) -> tuple[int, ...]:
     return tuple((v >> i) & 1 for i in range(n))
 
 
-def cube_hom_count(m: int, n: int) -> tuple[int, int]:
+def cube_hom_count(
+    m: int, n: int, budget: int = DEFAULT_CANDIDATE_BUDGET
+) -> tuple[int, list[SLatMorphism]]:
     """Hom cardinality two ways: the closed form (sum over bottoms b of
-    |up-set of b|^m) and the table-level enumeration."""
+    |up-set of b|^m), and Hom(cube m, cube n) by the table-level
+    enumeration, returned whole for the caller to count and compare."""
     formula = 0
     for b in range(1 << n):
         ups = 1 << (n - bin(b).count("1"))
         formula += ups**m
-    enumerated = len(enumerate_homs(cube(m), cube(n)))
-    return formula, enumerated
+    return formula, enumerate_homs(cube(m), cube(n), budget)
 
 
 # ---------------------------------------------------------------------------
@@ -132,8 +136,6 @@ def certify_idempotent_completion(
             yield None if ok else {"dim": n, "map": list(f.map)}
 
     def connection_example():
-        from .semilattice import are_isomorphic
-
         C2 = cube(2)
         f = SLatMorphism(
             C2, C2, tuple(cube_vertex((x, x | y)) for (x, y) in
@@ -301,29 +303,23 @@ def simplicial_isomorphic(
 
 
 def triangulation_product_bijections(
-    A_parts: list[FiniteSemilattice],
+    parts: list[TruncatedSimplicialSet],
     tri_product: TruncatedSimplicialSet,
     tri_whole: TruncatedSimplicialSet,
     projections: list[SLatMorphism],
-    budget: int = DEFAULT_CANDIDATE_BUDGET,
 ):
     """Bijections level m: maps into a product correspond to tuples of
-    maps into the factors, by postcomposition with the projections."""
+    maps into the factors, by postcomposition with the projections; the
+    maps into each factor are the levels of its triangulation."""
     bijections = []
     for m in range(tri_whole.maxdim + 1):
         # index maps into each factor at this level
-        part_levels = [
-            {f.map: k for k, f in enumerate(enumerate_homs(chain(m + 1), A, budget))}
-            for A in A_parts
-        ]
+        part_levels = [{f.map: k for k, f in enumerate(p.levels[m])} for p in parts]
         prod_index = {t: k for k, t in enumerate(tri_product.levels[m])}
-        b = []
-        for f in tri_whole.levels[m]:
-            t = tuple(
-                part_levels[j][f.then(p).map] for j, p in enumerate(projections)
-            )
-            b.append(prod_index[t])
-        bijections.append(b)
+        bijections.append([
+            prod_index[tuple(index[f.then(p).map] for index, p in zip(part_levels, projections))]
+            for f in tri_whole.levels[m]
+        ])
     return bijections
 
 
@@ -352,13 +348,13 @@ def dedekind_homs(m: int, n: int, budget: int = DEFAULT_CANDIDATE_BUDGET):
 
 
 def monotone_maps_agree_with_homs(
-    A: FiniteSemilattice, k: int, budget: int = DEFAULT_CANDIDATE_BUDGET
+    A: FiniteSemilattice,
+    k: int,
+    homs: list[SLatMorphism],
+    budget: int = DEFAULT_CANDIDATE_BUDGET,
 ) -> bool:
-    """Certified sub-fact: out of a chain, monotone equals join-preserving."""
+    """Certified sub-fact: out of a chain, monotone equals join-preserving,
+    given homs, the join-preserving maps from the k-chain into A."""
     P = FinPoset.chain(k)
     Q = FinPoset.of_semilattice(A)
-    from .semilattice import monotone_maps
-
-    mono = set(monotone_maps(P, Q, budget))
-    homs = {f.map for f in enumerate_homs(chain(k), A, budget)}
-    return mono == homs
+    return set(monotone_maps(P, Q, budget)) == {f.map for f in homs}

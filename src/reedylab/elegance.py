@@ -5,8 +5,8 @@ a constructive witness (a retract presentation through the free algebra
 on the underlying set), and a hom-functor characterization (preservation
 of lowering pushouts).  The three are certified to agree at desk scale.
 
-`hom_preserves_lowering_pushout` decides one square, from the four
-hom-sets at its corners.  The elegant-core suite calls it on codiagonal
+`hom_preserves_lowering_pushout` decides one square, from the hom-sets
+into its distinct corners.  The elegant-core suite calls it on codiagonal
 squares, which live outside any truncated category and need no pushout
 built: the pushout of a surjection with itself is its codomain, with
 identity legs.  The relative-elegance suite sweeps every square of a
@@ -95,11 +95,11 @@ def hom_preserves_lowering_pushout(
     corresponding cocone leg; preservation means it is a bijection.
     Returns (verdict, witness), the witness naming the failing side.
     """
-    D = square.apex
-    homs_d = enumerate_homs(A, D, budget)
-    homs_0 = enumerate_homs(A, square.e0.cod, budget)
-    homs_1 = enumerate_homs(A, square.e1.cod, budget)
-    homs_p = enumerate_homs(A, square.carrier, budget)
+    # one enumeration per distinct object: a codiagonal square's three
+    # corners other than its apex are one object
+    corners = (square.apex, square.e0.cod, square.e1.cod, square.carrier)
+    homs = {B: enumerate_homs(A, B, budget) for B in dict.fromkeys(corners)}
+    homs_d, homs_0, homs_1, homs_p = (homs[B] for B in corners)
     idx0 = {f.map: i for i, f in enumerate(homs_0)}
     idx1 = {f.map: i for i, f in enumerate(homs_1)}
     n0, n1 = len(homs_0), len(homs_1)

@@ -55,6 +55,14 @@ class ViolatedLaw(ReedyLabError):
         super().__init__(f"violated {law} at {witness}")
 
 
+def outcome_value(outcome):
+    """A result held as a value, or the ViolatedLaw its computation broke,
+    raised here: a walk over held outcomes stops where the law is read."""
+    if isinstance(outcome, ViolatedLaw):
+        raise outcome
+    return outcome
+
+
 class EmptyCarrier(ReedyLabError):
     """Semilattices must be inhabited."""
 

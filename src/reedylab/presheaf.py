@@ -23,7 +23,9 @@ part-major, so each presheaf's nodes and classes are one run in the order
 the presheaf alone gives them, and one numpy pass per chunk serves every
 presheaf in it.  Each returns, per presheaf and per object or degree,
 the result or the ViolatedLaw it breaks; the suites replay these in
-their walk order, presheaf first.
+their walk order, presheaf first.  The plain latching objects are held
+the same way (latching_objects), computed once per presheaf and read by
+the Reedy-mono verdict, the route comparison and the cell squares.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import InvalidInput, ViolatedLaw
+from .errors import InvalidInput, ViolatedLaw, outcome_value
 from .kernel import _class_values, _classes, _distinct, _join, chunks, square_pullbacks
 from .reedy import FinCategory, ReedyData, Square
 from .semilattice import UnionFind, descend
@@ -241,6 +243,18 @@ def latching_object(X: FinPresheaf, r: int, data: ReedyData) -> LatchingData:
     return LatchingData(classes, node_class, latch, injective)
 
 
+def latching_objects(X: FinPresheaf, data: ReedyData) -> list[LatchingData | ViolatedLaw]:
+    """latching_object at each object r of the base, in order, each the
+    latching object or the ViolatedLaw that it breaks."""
+    out = []
+    for r in range(len(X.base.objects)):
+        try:
+            out.append(latching_object(X, r, data))
+        except ViolatedLaw as exc:
+            out.append(exc)
+    return out
+
+
 @dataclass
 class WeightedLatching:
     """The latching object by weights, on integer node keys.
@@ -397,15 +411,13 @@ def _segments(sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def latching_routes_agree(
-    X: FinPresheaf, r: int, data: ReedyData, weighted: WeightedLatching | ViolatedLaw
+    plain: LatchingData | ViolatedLaw, weighted: WeightedLatching | ViolatedLaw
 ) -> bool:
-    """Natural bijection over X_r between the two latching computations:
-    latching_object, and the outcome at (X, r) of latching by weights,
-    raised when it is a ViolatedLaw."""
-    A = latching_object(X, r, data)
-    if isinstance(weighted, ViolatedLaw):
-        raise weighted
-    B = weighted
+    """Natural bijection over X_r between the two latching computations at
+    one (X, r): the outcomes of latching_object and of latching by
+    weights, each raised when it is a ViolatedLaw, the plain one first."""
+    A: LatchingData = outcome_value(plain)
+    B: WeightedLatching = outcome_value(weighted)
     if len(A.classes) != len(B.latch):
         return False
     mapping, bad = descend(A.classes, B.class_of)
@@ -414,11 +426,10 @@ def latching_routes_agree(
     return all(A.latch[ci] == B.latch[cj] for ci, cj in enumerate(mapping))
 
 
-def is_reedy_mono(X: FinPresheaf, data: ReedyData) -> bool:
-    return all(
-        latching_object(X, r, data).injective
-        for r in range(len(X.base.objects))
-    )
+def is_reedy_mono(latching: list[LatchingData | ViolatedLaw]) -> bool:
+    """Every latching map injective, given a presheaf's latching_objects:
+    read up to the first that is not, a ViolatedLaw raised where read."""
+    return all(outcome_value(L).injective for L in latching)
 
 
 # ---------------------------------------------------------------------------
@@ -538,12 +549,16 @@ class CellSquareReport:
 
 
 def verify_cell_square(
-    corpus: list[FinPresheaf], data: ReedyData, degrees: list[list[list[int]]]
+    corpus: list[FinPresheaf],
+    data: ReedyData,
+    degrees: list[list[list[int]]],
+    latching: list[list[LatchingData | ViolatedLaw]],
 ) -> list[dict[int, CellSquareReport | ViolatedLaw]]:
     """Certify the cell attachments of each presheaf of a corpus (all on
-    one base), given the EZ degrees of each.  Returns, for each presheaf
-    and each degree n in increasing order, the report of its degree-n cell
-    square or the ViolatedLaw that it breaks.
+    one base), given the EZ degrees and the latching objects
+    (latching_objects) of each.  Returns, for each presheaf and each
+    degree n in increasing order, the report of its degree-n cell square
+    or the ViolatedLaw that it breaks.
 
     A square builds the two weighted-colimit corners over the groupoid of
     degree-n objects, the cell map between them, and checks levelwise that
@@ -570,10 +585,10 @@ def verify_cell_square(
     plans = [_gluing_plan(cat, data, n) for n in sorted(set(data.degree))]
     for part in chunks([len(X.values) for X in corpus]):
         for n, objs_n, gluings in plans:
-            live, latching = [], []
+            live, L = [], []
             for k in part:
                 try:
-                    latching.append({r: latching_object(corpus[k], r, data) for r in objs_n})
+                    L.append({r: outcome_value(latching[k][r]) for r in objs_n})
                     live.append(k)
                 except ViolatedLaw as exc:
                     out[k][n] = exc
@@ -581,7 +596,7 @@ def verify_cell_square(
                 continue
             chunk = _Chunk.of(cat, [corpus[k] for k in live])
             d = [degrees[k] for k in live]
-            reports = _cell_squares(chunk, n, objs_n, gluings, latching, d)
+            reports = _cell_squares(chunk, n, objs_n, gluings, L, d)
             for k, report in zip(live, reports):
                 out[k][n] = report
     return out
@@ -759,12 +774,7 @@ def _cell_squares(
 
 def _iso_on_latching(cat, th: int, Lr: LatchingData, Lr2: LatchingData):
     """Map latching classes along precomposition with an iso r -> r2."""
-    out = []
-    for c2 in range(len(Lr2.classes)):
-        e2, x2 = Lr2.classes[c2][0]
-        e = cat.compose(th, e2)
-        out.append(Lr.node_class[(e, x2)])
-    return out
+    return [Lr.node_class[(cat.compose(th, e2), x2)] for (e2, x2), *_ in Lr2.classes]
 
 
 def skeleton_chain_report(

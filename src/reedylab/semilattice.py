@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 from .errors import (
     CandidateSpaceExceeded,
@@ -469,25 +469,14 @@ def enumerate_homs(
     so candidates are assigned only there (for a cube this specializes to
     the free parametrization: a bottom image plus generator images above
     it).  Each extension is verified against the full join table, which
-    makes the enumeration exact for arbitrary A.  The 1024 most recent
-    hom-sets are cached; every call returns a fresh list.
+    makes the enumeration exact for arbitrary A.
     """
-    return list(_enumerate_homs_cached(A, B, budget))
-
-
-@lru_cache(maxsize=1024)
-def _enumerate_homs_cached(
-    A: FiniteSemilattice,
-    B: FiniteSemilattice,
-    budget: int,
-) -> tuple[SLatMorphism, ...]:
     gens = _generators(A)
     if B.size ** len(gens) > budget:
         raise CandidateSpaceExceeded(
             f"{B.size}^{len(gens)} generator assignments exceed budget {budget}"
         )
-    homs = _generator_homs(A, B, [range(B.size)] * len(gens))
-    return tuple(sorted(homs, key=lambda f: f.map))
+    return sorted(_generator_homs(A, B, [range(B.size)] * len(gens)), key=lambda f: f.map)
 
 
 def _generators(A: FiniteSemilattice) -> list[int]:

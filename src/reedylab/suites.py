@@ -14,19 +14,21 @@ which covers every input `reedylab all` builds.  Its key is the builder
 function, as the suite looks it up at the call, and the builder's
 arguments, so a replaced builder (a test's monkeypatch) misses it and is
 called.  An exception is not stored: an over-budget build raises on every
-call and still becomes its skipped check.  The library builders in
-reedy.py and presheaf.py stay uncached, as callers may change the tables
-they return in place; the suites only read theirs.
+call and still becomes its skipped check.  It is the one cache in the
+package.  The library builders in reedy.py and presheaf.py stay
+uncached, as callers may change the tables they return in place; the
+suites only read theirs.  Every other result, a hom-set or a latching
+object, is computed once where a suite uses it and handed on as a value.
 """
 
 from __future__ import annotations
 
 import functools
 import inspect
+import itertools
 import math
 import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from .certificates import FAIL, SKIPPED, Certificate, Check, scan, verdict
 from .errors import (
@@ -35,11 +37,9 @@ from .errors import (
     SizeBudget,
     UnknownSuite,
     ViolatedLaw,
+    outcome_value,
 )
 from .semilattice import DEFAULT_CANDIDATE_BUDGET
-
-if TYPE_CHECKING:  # the presheaf layer loads numpy, so suites import it lazily
-    from .presheaf import CellSquareReport
 
 # the ceiling of --cube-dim: the cube suites are sized for cubes of
 # dimension at most 3
@@ -98,13 +98,14 @@ def _guard(cid: str, thunk) -> list[Check]:
 
 def _suite_hom_counts(*, cube_dim: int, budget: int) -> list:
     from .cubes import cube, cube_hom_count, dedekind_homs
-    from .semilattice import BRUTE_FORCE_CAP, all_functions_homs, backtrack_homs, enumerate_homs
+    from .semilattice import BRUTE_FORCE_CAP, all_functions_homs, backtrack_homs
 
     tasks = []
     for m in range(1, cube_dim + 1):
         for n in range(1, cube_dim + 1):
             def thunk(m=m, n=n):
-                formula, enumerated = cube_hom_count(m, n)
+                formula, homs = cube_hom_count(m, n, budget)
+                enumerated = len(homs)
                 checks = [
                     verdict(
                         f"formula-matches-enumeration-{m}-{n}",
@@ -118,7 +119,7 @@ def _suite_hom_counts(*, cube_dim: int, budget: int) -> list:
                 checks.append(
                     verdict(
                         f"elementwise-backtracking-agrees-{m}-{n}",
-                        pruned == [f.map for f in enumerate_homs(A, B, budget)],
+                        pruned == [f.map for f in homs],
                         len(pruned),
                     )
                 )
@@ -256,11 +257,8 @@ def _suite_relative_elegance(*, max_size: int = 4, cube_dim: int, budget: int) -
     from .semilattice import chain
 
     cat, data, squares = _built(truncated_semilattice_category, max_size, budget)
-    sources = []
-    for m in range(0, cube_dim + 1):
-        sources.append((f"cube-{m}", cube(m)))
-    for n in range(1, 4):
-        sources.append((f"chain-{n}", chain(n + 1)))
+    sources = [(f"cube-{m}", cube(m)) for m in range(cube_dim + 1)]
+    sources += [(f"chain-{n}", chain(n + 1)) for n in range(1, 4)]
 
     tasks = []
     for name, A in sources:
@@ -287,24 +285,14 @@ def _corpus(max_size: int, budget: int, seed: int, corpus_count: int):
     )
 
 
-def _cell_report(outcome) -> CellSquareReport:
-    """The outcome of one cell square of a batched verify_cell_square: its
-    report, or the ViolatedLaw it recorded, raised here, so that a walk
-    over the outcomes, presheaf first and then degree, stops where the
-    walk that certified one square at a time stopped."""
-    if isinstance(outcome, ViolatedLaw):
-        raise outcome
-    return outcome
-
-
-def _triple(X, data, squares):
+def _triple(X, latching, data, squares):
     from .presheaf import (
         has_unique_ez,
         is_reedy_mono,
         maps_lowering_pushouts_to_pullbacks,
     )
 
-    a = is_reedy_mono(X, data)
+    a = is_reedy_mono(latching)
     b = has_unique_ez(X, data)[0]
     c = maps_lowering_pushouts_to_pullbacks(X, squares)[0]
     return a, b, c
@@ -318,6 +306,7 @@ def _suite_presheaf_ez(
         is_reedy_mono,
         latching_object,
         latching_object_via_weights,
+        latching_objects,
         latching_routes_agree,
         non_reedy_mono_example,
         representable,
@@ -342,35 +331,40 @@ def _suite_presheaf_ez(
             )
         checks = []
         verdicts = []  # one per presheaf the triple sweeps reached
+        # the plain latching objects of every presheaf, read by the triple
+        # sweeps and by the route comparison
+        corpora = [
+            (corpus, [latching_objects(X, data) for X in corpus], data)
+            for corpus, data in ((exhaustive, data2), (seeded, data3))
+        ]
 
-        def sweep(corpus, data, squares):
-            for i, X in enumerate(corpus):
-                a, b, c = _triple(X, data, squares)
+        def sweep(corpus, latching, data, squares):
+            for i, (X, L) in enumerate(zip(corpus, latching)):
+                a, b, c = _triple(X, L, data, squares)
                 verdicts.append(a)
                 witness = {"index": i, "levels": list(X.levels), "triple": [a, b, c]}
                 yield None if a == b == c else witness
 
         def routes():
-            for corpus, data in ((exhaustive, data2), (seeded, data3)):
+            for corpus, latching, data in corpora:
                 weighted = latching_object_via_weights(corpus, data)
-                for X, outcomes in zip(corpus, weighted):
-                    for r, B in enumerate(outcomes):
-                        ok = latching_routes_agree(X, r, data, B)
+                for X, plain, outcomes in zip(corpus, latching, weighted):
+                    for r, (A, B) in enumerate(zip(plain, outcomes)):
+                        ok = latching_routes_agree(A, B)
                         yield None if ok else {"levels": list(X.levels), "object": r}
 
         def autquos():
             for r in range(len(cat3.objects)):
                 for H in _subgroups(cat3, r, cat3.isos(r, r)):
                     Q, _ = autquo(cat3, r, H)
-                    ok = is_reedy_mono(Q, data3)
+                    ok = is_reedy_mono(latching_objects(Q, data3))
                     yield None if ok else {"object": r, "subgroup": len(H)}
 
-        for tag, corpus, data, squares in (
-            ("exhaustive-size2", exhaustive, data2, squares2),
-            (seeded_tag, seeded, data3, squares3),
+        for tag, (corpus, latching, data), squares in zip(
+            ("exhaustive-size2", seeded_tag), corpora, (squares2, squares3)
         ):
             checks.append(
-                scan(f"triple-criteria-agree-{tag}", sweep(corpus, data, squares))
+                scan(f"triple-criteria-agree-{tag}", sweep(corpus, latching, data, squares))
             )
         checks.append(
             verdict(
@@ -413,7 +407,7 @@ def _suite_presheaf_ez(
         # the false branch, demonstrated over a base containing a
         # non-projective object with its minimal cover
         cat5, data5, squares5, X = _built(non_reedy_mono_example)
-        a, b, c = _triple(X, data5, squares5)
+        a, b, c = _triple(X, latching_objects(X, data5), data5, squares5)
         checks.append(
             verdict(
                 "non-mono-witness-all-three-criteria-false",
@@ -428,25 +422,20 @@ def _suite_presheaf_ez(
 
 
 def _subgroups(cat, r, auts):
-    import itertools as it
-
     from .presheaf import subgroup_closure_ok
 
-    out = []
-    for k in range(1, len(auts) + 1):
-        for subset in it.combinations(auts, k):
-            if subgroup_closure_ok(cat, r, list(subset)):
-                out.append(list(subset))
-    return out
+    subsets = (list(s) for k in range(1, len(auts) + 1) for s in itertools.combinations(auts, k))
+    return [H for H in subsets if subgroup_closure_ok(cat, r, H)]
 
 
 def _suite_cell_presentation(
     *, max_size: int = 3, budget: int, seed: int, corpus_count: int
 ) -> list:
     from .presheaf import (
+        CellSquareReport,
         ez_degrees,
         is_reedy_mono,
-        latching_object,
+        latching_objects,
         non_reedy_mono_example,
         skeleton_chain_report,
         verify_cell_square,
@@ -458,17 +447,17 @@ def _suite_cell_presentation(
         )
 
         def cell_squares(monos, data):
-            corpus, degrees = [X for _, X, _ in monos], [d for _, _, d in monos]
-            outcomes = verify_cell_square(corpus, data, degrees)
-            for (i, _, _), by_degree in zip(monos, outcomes):
-                for n, rep in by_degree.items():
-                    rep = _cell_report(rep)
+            corpus, degrees, latching = ([m[k] for m in monos] for k in (1, 2, 3))
+            outcomes = verify_cell_square(corpus, data, degrees, latching)
+            for (i, _, _, _), by_degree in zip(monos, outcomes):
+                for n, outcome in by_degree.items():
+                    rep: CellSquareReport = outcome_value(outcome)
                     report = [rep.commutes, rep.is_pushout, rep.cell_mono]
                     witness = {"index": i, "degree": n, "report": report}
                     yield None if all(report) else witness
 
         def skeleton_chains(monos, data):
-            for i, X, degrees in monos:
+            for i, X, degrees, _ in monos:
                 ok, sizes = skeleton_chain_report(X, data, degrees)
                 yield None if ok else {"index": i, "sizes": sizes}
 
@@ -477,11 +466,11 @@ def _suite_cell_presentation(
             ("exhaustive-size2", exhaustive, data2),
             (seeded_tag, seeded, data3),
         ):
-            monos = [
-                (i, X, ez_degrees(X, data))
-                for i, X in enumerate(corpus)
-                if is_reedy_mono(X, data)
-            ]
+            monos = []  # (index, presheaf, EZ degrees, latching objects)
+            for i, X in enumerate(corpus):
+                latching = latching_objects(X, data)
+                if is_reedy_mono(latching):
+                    monos.append((i, X, ez_degrees(X, data), latching))
             checks.append(scan(f"cell-squares-certify-{tag}", cell_squares(monos, data)))
             checks.append(
                 scan(f"skeleton-chain-unions-{tag}", skeleton_chains(monos, data))
@@ -490,13 +479,12 @@ def _suite_cell_presentation(
         # expected failure pattern on the non-mono witness
         cat5, data5, squares5, X = _built(non_reedy_mono_example)
         degrees = ez_degrees(X, data5)
-        (outcomes,) = verify_cell_square([X], data5, [degrees])
-        reports = {n: _cell_report(rep) for n, rep in outcomes.items()}
+        latching = latching_objects(X, data5)
+        (outcomes,) = verify_cell_square([X], data5, [degrees], [latching])
+        reports = {n: outcome_value(rep) for n, rep in outcomes.items()}
         commute_ok = all(r.commutes for r in reports.values())
         latch_fail_degrees = {
-            data5.degree[r]
-            for r in range(len(cat5.objects))
-            if not latching_object(X, r, data5).injective
+            data5.degree[r] for r, L in enumerate(latching) if not outcome_value(L).injective
         }
         mono_fail_degrees = {n for n, r in reports.items() if not r.cell_mono}
         checks.append(
@@ -546,6 +534,7 @@ def _suite_idempotent_completion(*, max_size: int = 4, cube_dim: int, budget: in
 
 def _suite_triangulation(*, cube_dim: int, budget: int) -> list:
     from .cubes import (
+        TruncatedSimplicialSet,
         cube,
         monotone_maps_agree_with_homs,
         product_simplicial,
@@ -553,14 +542,24 @@ def _suite_triangulation(*, cube_dim: int, budget: int) -> list:
         triangulate,
         triangulation_product_bijections,
     )
-    from .semilattice import interval
+    from .semilattice import chain, enumerate_homs, interval
 
     def run():
         checks = []
         tri1 = triangulate(interval(), cube_dim, budget)
+        # tris[n - 1] triangulates cube n, its level m being Hom(chain(m + 1),
+        # cube n); cube 1 is the interval
+        tris: list[TruncatedSimplicialSet] = [tri1]
+        tris += [triangulate(cube(n), cube_dim, budget) for n in range(2, cube_dim + 1)]
+
+        def homs_from_chain(k, n):
+            """Hom(chain(k), cube n), off its triangulation where that reaches it."""
+            if k - 1 <= cube_dim:
+                return tris[n - 1].levels[k - 1]
+            return enumerate_homs(chain(k), cube(n), budget)
+
         for n in range(1, cube_dim + 1):
-            C = cube(n)
-            tri = triangulate(C, cube_dim, budget)
+            tri = tris[n - 1]
             nondeg = len(tri.nondegenerate(n))
             checks.append(
                 verdict(
@@ -573,9 +572,7 @@ def _suite_triangulation(*, cube_dim: int, budget: int) -> list:
             # levelwise comparison with the n-fold product of the interval
             prod = product_simplicial([tri1] * n)
             projs = _cube_projections(n)
-            bij = triangulation_product_bijections(
-                [interval()] * n, prod, tri, projs, budget
-            )
+            bij = triangulation_product_bijections([tri1] * n, prod, tri, projs)
             ok = simplicial_isomorphic(tri, prod, bij)
             checks.append(
                 verdict(
@@ -587,7 +584,7 @@ def _suite_triangulation(*, cube_dim: int, budget: int) -> list:
             )
         # out of a chain, monotone equals join-preserving
         agree = all(
-            monotone_maps_agree_with_homs(cube(n), k, budget)
+            monotone_maps_agree_with_homs(cube(n), k, homs_from_chain(k, n), budget)
             for n in range(1, cube_dim + 1)
             for k in range(1, 5)
         )
@@ -608,12 +605,8 @@ def _cube_projections(n: int):
     from .cubes import cube
     from .semilattice import SLatMorphism, interval
 
-    C = cube(n)
-    I = interval()
-    return [
-        SLatMorphism(C, I, tuple((v >> i) & 1 for v in range(1 << n)))
-        for i in range(n)
-    ]
+    C, I = cube(n), interval()
+    return [SLatMorphism(C, I, tuple((v >> i) & 1 for v in range(1 << n))) for i in range(n)]
 
 
 def _suite_obstruction_u(*, budget: int) -> list:

@@ -424,10 +424,10 @@ def test_cell_square_failure_is_not_a_skeleton_chain_failure(monkeypatch):
 
     real = presheaf.verify_cell_square
 
-    def failing_at_degree_two(corpus, data, degrees):
+    def failing_at_degree_two(corpus, data, degrees, latching):
         return [
             {n: dataclasses.replace(rep, cell_mono=False) if n == 2 else rep for n, rep in by.items()}
-            for by in real(corpus, data, degrees)
+            for by in real(corpus, data, degrees, latching)
         ]
 
     monkeypatch.setattr(presheaf, "verify_cell_square", failing_at_degree_two)
@@ -450,8 +450,8 @@ def _stubbed_cell_squares(monkeypatch, fail_at, raise_at):
 
     real = presheaf.verify_cell_square
 
-    def stubbed(corpus, data, degrees):
-        outcomes = real(corpus, data, degrees)
+    def stubbed(corpus, data, degrees, latching):
+        outcomes = real(corpus, data, degrees, latching)
         if len(corpus) >= 4:
             degs = sorted(set(data.degree))
             (i, d), (j, e) = fail_at, raise_at
@@ -497,17 +497,25 @@ def test_autquo_failure_reports_the_first_failing_subgroup(monkeypatch):
     import reedylab.presheaf as presheaf
 
     real_autquo, real_mono = presheaf.autquo, presheaf.is_reedy_mono
+    real_latching = presheaf.latching_objects
     made = []  # (quotient, object, subgroup order), one per autquo call
+    latching_of = {}  # id of a list of latching objects -> (list, its presheaf)
 
     def recording_autquo(cat, r, H):
         Q, proj = real_autquo(cat, r, H)
         made.append((Q, r, len(H)))
         return Q, proj
 
-    def failing_from_the_second_autquo(X, data):
+    def recording_latching(X, data):
+        latching = real_latching(X, data)
+        latching_of[id(latching)] = (latching, X)
+        return latching
+
+    def failing_from_the_second_autquo(latching):
+        _, X = latching_of[id(latching)]
         if any(X is Q for Q, _, _ in made[1:]):
             return False
-        return real_mono(X, data)
+        return real_mono(latching)
 
     # a corpus without automorphism quotients, so every autquo call is
     # one case of the check
@@ -515,6 +523,7 @@ def test_autquo_failure_reports_the_first_failing_subgroup(monkeypatch):
         presheaf, "seeded_corpus", lambda cat, data, seed, count: [presheaf.representable(cat, 0)]
     )
     monkeypatch.setattr(presheaf, "autquo", recording_autquo)
+    monkeypatch.setattr(presheaf, "latching_objects", recording_latching)
     monkeypatch.setattr(presheaf, "is_reedy_mono", failing_from_the_second_autquo)
     cert = run_suite(SuiteConfig(suite="presheaf-ez"))
     (check,) = [c for c in cert.checks if c.id == "autquos-reedy-monomorphic"]
@@ -689,3 +698,67 @@ def test_suites_leave_their_shared_inputs_as_they_found_them():
     second = [run_suite(SuiteConfig(suite=name)).json_text(False) for name in SUITES]
     assert _built.cache_info().misses == built
     assert second == first
+
+
+# ---------------------------------------------------------------------------
+# each hom-set and each latching object once per suite run
+# ---------------------------------------------------------------------------
+
+# the suites of the cubes-obstructions benchmark workload, and those of
+# them that enumerate no hom-set
+CUBE_SUITES = (
+    "hom-counts",
+    "obstruction-u",
+    "crown-winding",
+    "sieve-chain",
+    "idempotent-completion",
+    "triangulation",
+    "elegant-core",
+)
+NO_HOM_SETS = {"crown-winding", "sieve-chain"}
+
+
+@pytest.mark.parametrize("suite", CUBE_SUITES)
+def test_no_hom_set_is_enumerated_twice_in_a_suite_run(monkeypatch, suite):
+    import importlib
+    import pkgutil
+
+    import reedylab
+    from reedylab import semilattice
+
+    real, calls = semilattice.enumerate_homs, {}
+
+    def counting(A, B, budget=semilattice.DEFAULT_CANDIDATE_BUDGET):
+        calls[A, B] = calls.get((A, B), 0) + 1
+        return real(A, B, budget)
+
+    # every module that binds the function by name, the package included
+    modules = [reedylab] + [
+        importlib.import_module(f"reedylab.{info.name}")
+        for info in pkgutil.iter_modules(reedylab.__path__)
+    ]
+    for module in modules:
+        if getattr(module, "enumerate_homs", None) is real:
+            monkeypatch.setattr(module, "enumerate_homs", counting)
+    assert run_suite(SuiteConfig(suite=suite)).passed
+    repeated = [(A.size, B.size, n) for (A, B), n in calls.items() if n > 1]
+    assert repeated == []
+    assert bool(calls) == (suite not in NO_HOM_SETS)
+
+
+@pytest.mark.parametrize("suite", ["presheaf-ez", "cell-presentation"])
+def test_no_latching_object_is_computed_twice_in_a_suite_run(monkeypatch, suite):
+    import reedylab.presheaf as presheaf
+
+    real, calls = presheaf.latching_object, {}
+    held = []  # every presheaf seen, kept alive so that no two share an id
+
+    def counting(X, r, data):
+        held.append(X)
+        calls[id(X), r] = calls.get((id(X), r), 0) + 1
+        return real(X, r, data)
+
+    monkeypatch.setattr(presheaf, "latching_object", counting)
+    run_suite(SuiteConfig(suite=suite))
+    repeated = [(r, n) for (_, r), n in calls.items() if n > 1]
+    assert calls and repeated == []

@@ -394,3 +394,56 @@ def test_no_assert_statement_in_src():
         if isinstance(node, ast.Assert)
     ]
     assert asserts == [], f"assert statements in src/: {asserts}"
+
+
+# functools' memoizing decorators; cached_property lives and dies with its
+# instance, so it is not among them
+CACHES = {"lru_cache", "cache"}
+
+
+def _caches(tree: ast.Module):
+    """Each use of a functools cache in a module, an import of it by name
+    or a read of it off functools, as the function that it decorates or
+    else its line."""
+    decorated = {
+        id(sub): node.name
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for decorator in node.decorator_list
+        for sub in ast.walk(decorator)
+    }
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "functools":
+            if CACHES & {alias.name for alias in node.names}:
+                yield f"line {node.lineno}"
+        elif (
+            isinstance(node, ast.Attribute)
+            and node.attr in CACHES
+            and getattr(node.value, "id", None) == "functools"
+        ):
+            yield decorated.get(id(node), f"line {node.lineno}")
+
+
+def test_caches_are_found_as_imports_decorators_and_calls():
+    program = ast.parse(
+        "import functools\n"
+        "from functools import cached_property, lru_cache\n"
+        "@functools.cache\n"
+        "def f(): ...\n"
+        "@functools.lru_cache(maxsize=8)\n"
+        "def g(): ...\n"
+        "h = functools.lru_cache(None)(f)\n"
+    )
+    assert list(_caches(program)) == ["line 2", "f", "g", "line 7"]
+
+
+def test_the_suite_memo_is_the_one_cache_in_src():
+    # a cache is explicit and bounded: the suites share their inputs
+    # through suites._built, and every other result is computed where it
+    # is used and handed on as a value
+    caches = [
+        f"{path.stem}.{where}"
+        for path in sorted(SRC.glob("*.py"))
+        for where in _caches(ast.parse(path.read_text()))
+    ]
+    assert caches == ["suites._built"]

@@ -19,6 +19,7 @@ from reedylab.presheaf import (
     is_reedy_mono,
     latching_object,
     latching_object_via_weights,
+    latching_objects,
     latching_routes_agree,
     maps_lowering_pushouts_to_pullbacks,
     non_reedy_mono_example,
@@ -224,7 +225,33 @@ def test_latching_two_routes_agree(trunc3):
     corpus = seeded_corpus(cat, data, seed=9, count=25)
     for X, weighted in zip(corpus, latching_object_via_weights(corpus, data)):
         for r in range(4):
-            assert latching_routes_agree(X, r, data, weighted[r])
+            assert latching_routes_agree(latching_object(X, r, data), weighted[r])
+
+
+def test_latching_laws_are_held_and_raised_where_read(trunc3):
+    # yo(1) with one value of a lowering action moved: the plain latching
+    # maps at objects 2 and 3 are ill defined, and that is held as a value
+    cat, data, squares = trunc3
+    yo = representable(cat, 1)
+    f = cat.refs(1, 0)[0]
+
+    def moved(x):
+        return with_value(yo, f, x, (yo.action(f)[x] + 1) % yo.levels[1])
+
+    latching = latching_objects(moved(0), data)
+    assert [L.law for L in latching[2:]] == ["well-definedness"] * 2
+    with pytest.raises(ViolatedLaw) as err:
+        is_reedy_mono(latching)
+    assert err.value is latching[2]
+    # the plain outcome is raised before the weighted one is read
+    weighted = latching_object_via_weights([moved(0)], data)[0][2]
+    with pytest.raises(ViolatedLaw) as err:
+        latching_routes_agree(latching[2], weighted)
+    assert err.value is latching[2]
+    # a latching map that is not injective comes first, so no law is read
+    latching = latching_objects(moved(1), data)
+    assert not latching[1].injective and isinstance(latching[2], ViolatedLaw)
+    assert is_reedy_mono(latching) is False
 
 
 def test_via_weights_uses_more_generators(trunc3):
@@ -272,7 +299,7 @@ def test_terminal_presheaf_collapses(trunc2):
     T = terminal_presheaf(cat)
     assert ez_decompositions(T, data)[1][0] == [(cat.refs(1, 0)[0], 0)]
     assert ez_degrees(T, data)[1][0] == 1
-    assert is_reedy_mono(T, data)
+    assert is_reedy_mono(latching_objects(T, data))
 
 
 def test_unique_ez_on_representables_and_autquos(trunc3):
@@ -294,13 +321,13 @@ def test_no_failing_presheaf_on_small_truncations(trunc3):
     # levels <= 1 is exhaustively checkable directly
     cat, data, squares = trunc3
     for X in enumerate_presheaves(cat, 1):
-        assert is_reedy_mono(X, data)
+        assert is_reedy_mono(latching_objects(X, data))
         assert has_unique_ez(X, data)[0]
 
 
 def test_failing_presheaf_exists_beyond_size_four():
     cat, data, squares, X = non_reedy_mono_example()
-    a = is_reedy_mono(X, data)
+    a = is_reedy_mono(latching_objects(X, data))
     b, witness = has_unique_ez(X, data)
     c, sq = maps_lowering_pushouts_to_pullbacks(X, squares)
     assert (a, b, c) == (False, False, False)
@@ -361,7 +388,9 @@ def test_cell_squares_on_representable(trunc3):
     cat, data, squares = trunc3
     V = free_pair_object(cat)
     yo = representable(cat, V)
-    (reports,) = verify_cell_square([yo], data, [ez_degrees(yo, data)])
+    (reports,) = verify_cell_square(
+        [yo], data, [ez_degrees(yo, data)], [latching_objects(yo, data)]
+    )
     assert list(reports) == [1, 2, 3]
     for rep in reports.values():
         assert rep.commutes and rep.is_pushout and rep.cell_mono
@@ -370,7 +399,7 @@ def test_cell_squares_on_representable(trunc3):
 def test_cell_square_with_empty_degree_part(trunc3):
     cat, data, squares = trunc3
     E = empty_presheaf(cat)
-    rep = verify_cell_square([E], data, [ez_degrees(E, data)])[0][3]
+    rep = verify_cell_square([E], data, [ez_degrees(E, data)], [latching_objects(E, data)])[0][3]
     assert rep.commutes and rep.is_pushout and rep.cell_mono
 
 
@@ -380,7 +409,7 @@ def test_cell_square_failure_pattern_on_witness():
     # EZ uniqueness breaks across degrees
     cat, data, squares, X = non_reedy_mono_example()
     degrees = ez_degrees(X, data)
-    (reports,) = verify_cell_square([X], data, [degrees])
+    (reports,) = verify_cell_square([X], data, [degrees], [latching_objects(X, data)])
     assert all(r.commutes for r in reports.values())
     latch_fail = {
         data.degree[r]
@@ -411,7 +440,7 @@ def test_triple_equivalence_on_seeded_corpus(trunc3):
     cat, data, squares = trunc3
     corpus = seeded_corpus(cat, data, seed=0, count=60)
     for X in corpus:
-        a = is_reedy_mono(X, data)
+        a = is_reedy_mono(latching_objects(X, data))
         b = has_unique_ez(X, data)[0]
         c = maps_lowering_pushouts_to_pullbacks(X, squares)[0]
         assert a == b == c
@@ -428,7 +457,7 @@ def test_exhaustive_size2_corpus(trunc2):
     assert len(corpus) == 6
     for X in corpus:
         X.validate()
-        assert is_reedy_mono(X, data)
+        assert is_reedy_mono(latching_objects(X, data))
 
 
 def test_quotient_presheaf_congruence_closure(trunc3):

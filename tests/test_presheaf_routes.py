@@ -20,6 +20,7 @@ from reedylab.presheaf import (
     enumerate_presheaves,
     ez_degrees,
     latching_object_via_weights,
+    latching_objects,
     non_reedy_mono_example,
     seeded_corpus,
     verify_cell_square,
@@ -61,6 +62,12 @@ def weighted_classes(X, r, W):
             for x in range(X.levels[X.base.cod(f)]):
                 classes[W.node_class[W.first_node[p] + x]].append((f, x))
     return classes
+
+
+def latching(corpus, data):
+    """The plain latching objects of each presheaf, as verify_cell_square
+    takes them."""
+    return [latching_objects(X, data) for X in corpus]
 
 
 def outcome(fn, *args):
@@ -124,7 +131,7 @@ def test_latching_by_weights_matches_the_reference(corpora, name):
 def test_cell_squares_match_the_reference(corpora, name):
     corpus, data = corpora[name]
     degrees = [ez_degrees(X, data) for X in corpus]
-    outcomes = verify_cell_square(corpus, data, degrees)
+    outcomes = verify_cell_square(corpus, data, degrees, latching(corpus, data))
     assert len(outcomes) == len(corpus)
     for X, d, reports in zip(corpus, degrees, outcomes):
         assert same_cell_squares(X, data, d, reports)
@@ -134,7 +141,7 @@ def test_cell_squares_match_the_reference(corpora, name):
 def test_the_witness_has_failed_squares(corpora):
     # so that the comparison above covers failed verdicts, not only passes
     (X,), data = corpora["non-mono-witness"]
-    (reports,) = verify_cell_square([X], data, [ez_degrees(X, data)])
+    (reports,) = verify_cell_square([X], data, [ez_degrees(X, data)], latching([X], data))
     assert all(rep.commutes for rep in reports.values())
     assert not all(rep.is_pushout for rep in reports.values())
     assert not all(rep.cell_mono for rep in reports.values())
@@ -143,7 +150,7 @@ def test_the_witness_has_failed_squares(corpora):
 def test_an_empty_corpus_has_no_outcomes(corpora):
     _, data = corpora["seeded-size3"]
     assert latching_object_via_weights([], data) == []
-    assert verify_cell_square([], data, []) == []
+    assert verify_cell_square([], data, [], []) == []
 
 
 @pytest.fixture(scope="module")
@@ -203,10 +210,13 @@ def test_routes_match_the_reference_on_corrupted_presheaves(corpora, seeded_degr
 
     neighbour_degrees = seeded_degrees[i : i + 4]
     reports = verify_cell_square(
-        corpus, reedy, [*neighbour_degrees[:at], degrees, *neighbour_degrees[at:]]
+        corpus,
+        reedy,
+        [*neighbour_degrees[:at], degrees, *neighbour_degrees[at:]],
+        latching(corpus, reedy),
     )
     assert same_cell_squares(X, reedy, degrees, reports[at])
-    alone = verify_cell_square(neighbours, reedy, neighbour_degrees)
+    alone = verify_cell_square(neighbours, reedy, neighbour_degrees, latching(neighbours, reedy))
     assert without_x(reports) == without_x(alone[:at] + [None] + alone[at:])
 
 
@@ -220,8 +230,11 @@ def test_outcomes_keep_their_presheaf_in_a_corpus(corpora, monkeypatch):
     monkeypatch.setattr(kernel, "CHUNK", 1 << 16)
     assert parts_per_chunk(corpus) == [3]
     degrees = [ez_degrees(Y, data) for Y in corpus]
-    together = verify_cell_square(corpus, data, degrees)
-    alone = [verify_cell_square([Y], data, [d])[0] for Y, d in zip(corpus, degrees)]
+    together = verify_cell_square(corpus, data, degrees, latching(corpus, data))
+    alone = [
+        verify_cell_square([Y], data, [d], latching([Y], data))[0]
+        for Y, d in zip(corpus, degrees)
+    ]
     assert together == alone
     assert together[0] != together[2]
     weighted = latching_object_via_weights(corpus, data)

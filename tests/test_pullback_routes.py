@@ -43,9 +43,18 @@ SOURCES = [(f"cube-{m}", cube(m)) for m in range(4)] + [
 ]
 
 
+class Truncations(dict):
+    """The truncated categories by size.  A falsifying example prints them
+    as their name: printed in full, the four run to some 13,000 lines and
+    half a minute before hypothesis reports the failure."""
+
+    def _repr_pretty_(self, printer, cycle):
+        printer.text("truncations")
+
+
 @pytest.fixture(scope="module")
 def truncations():
-    return {N: truncated_semilattice_category(N) for N in (1, 2, 3, 4)}
+    return Truncations({N: truncated_semilattice_category(N) for N in (1, 2, 3, 4)})
 
 
 @pytest.fixture(scope="module")

@@ -460,14 +460,14 @@ def test_injective_iff_distributive():
     for A in objs:
         injective = True
         for B in objs:
+            to_a = enumerate_homs(B, A)
             for C in objs:
+                from_c = enumerate_homs(C, A)
                 for m in enumerate_homs(B, C):
                     if not m.is_injective:
                         continue
-                    for f in enumerate_homs(B, A):
-                        extensions = [
-                            g for g in enumerate_homs(C, A) if m.then(g).map == f.map
-                        ]
+                    for f in to_a:
+                        extensions = [g for g in from_c if m.then(g).map == f.map]
                         if not extensions:
                             injective = False
                             break
@@ -486,23 +486,12 @@ def test_projective_iff_bottomed_distributive():
     # so at domain cap 4 the equivalence is false
     objs = all_semilattices_upto(4)
     domains = all_semilattices_upto(5)
+    covers = [e for R in domains for S in objs for e in enumerate_surjections(R, S) if not e.is_iso]
     for A in objs:
-        projective = True
-        for R in domains:
-            for S in objs:
-                for e in enumerate_surjections(R, S):
-                    if e.is_iso:
-                        continue
-                    for f in enumerate_homs(A, S):
-                        if lift_through_surjection(A, e, f) is None:
-                            projective = False
-                            break
-                    if not projective:
-                        break
-                if not projective:
-                    break
-            if not projective:
-                break
+        homs = {S: enumerate_homs(A, S) for S in objs}
+        projective = all(
+            lift_through_surjection(A, e, f) is not None for e in covers for f in homs[e.cod]
+        )
         B, _ = adjoin_bottom(A)
         assert projective == bool(is_distributive_lattice(B)), A.join
 
