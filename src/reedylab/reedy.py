@@ -433,7 +433,7 @@ def quotient_closure(seeds) -> list[FiniteSemilattice]:
 
     Returns one canonical representative per isomorphism class, sorted
     by (size, canonical form)."""
-    from .semilattice import canonical_form, enumerate_semilattices, enumerate_surjections
+    from .semilattice import _generator_homs, _generators, canonical_form, enumerate_semilattices
 
     out: dict = {}
     for A in seeds:
@@ -448,7 +448,8 @@ def quotient_closure(seeds) -> list[FiniteSemilattice]:
                 key = (B.size, B.join)
                 if key in out:
                     continue
-                if enumerate_surjections(A, B):
+                candidates = [range(B.size)] * len(_generators(A))
+                if any(f.is_surjective for f in _generator_homs(A, B, candidates)):
                     out[key] = B
     return [out[k] for k in sorted(out)]
 

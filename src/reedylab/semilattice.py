@@ -198,7 +198,11 @@ def validate_semilattice(table) -> FiniteSemilattice:
 
 @dataclass(frozen=True)
 class SLatMorphism:
-    """A join-preserving function between finite semilattices."""
+    """A join-preserving function between finite semilattices, validated
+    once, where it enters the system: the public constructor raises
+    ViolatedLaw 'length', 'range' or 'join-preservation'; hom enumeration,
+    which tests its own maps, `then`, `inverse` and `identity` skip it
+    through `_trusted`."""
 
     dom: FiniteSemilattice
     cod: FiniteSemilattice
@@ -217,6 +221,17 @@ class SLatMorphism:
                 if j != self.cod.join[self.map[x]][self.map[y]]:
                     raise ViolatedLaw("join-preservation", (x, y))
 
+    @classmethod
+    def _trusted(cls, dom, cod, map: tuple[int, ...]) -> "SLatMorphism":
+        """A morphism whose map tuple is already known to preserve joins."""
+        f = object.__new__(cls)
+        # attribute by attribute, as __init__ does, keeps the instance's
+        # dict as small as a constructed one (__dict__.update doubles it)
+        object.__setattr__(f, "dom", dom)
+        object.__setattr__(f, "cod", cod)
+        object.__setattr__(f, "map", map)
+        return f
+
     def __call__(self, x: int) -> int:
         return self.map[x]
 
@@ -225,7 +240,7 @@ class SLatMorphism:
         'composability' unless self's codomain is other's domain."""
         if self.cod != other.dom:
             raise ViolatedLaw("composability", (self.cod.size, other.dom.size))
-        return SLatMorphism(self.dom, other.cod, tuple(other.map[v] for v in self.map))
+        return SLatMorphism._trusted(self.dom, other.cod, tuple(other.map[v] for v in self.map))
 
     @property
     def is_surjective(self) -> bool:
@@ -249,11 +264,11 @@ class SLatMorphism:
         inv = [0] * self.cod.size
         for x, v in enumerate(self.map):
             inv[v] = x
-        return SLatMorphism(self.cod, self.dom, tuple(inv))
+        return SLatMorphism._trusted(self.cod, self.dom, tuple(inv))
 
     @staticmethod
     def identity(A: FiniteSemilattice) -> "SLatMorphism":
-        return SLatMorphism(A, A, tuple(range(A.size)))
+        return SLatMorphism._trusted(A, A, tuple(range(A.size)))
 
 
 @dataclass(frozen=True)
@@ -299,19 +314,23 @@ class MonotoneAssignments:
     assignment of vals[k] from candidates[k] such that vals[j] <= vals[k]
     for each j in below[k] and vals[k] <= vals[j] for each j in above[k],
     read from the order matrix leq; every such j is below k, since values
-    are assigned in index order.  `nodes` counts the partial assignments
-    accepted, full ones included, over every iteration so far.
+    are assigned in index order.  A given tests[k] prunes, once vals[k] is
+    set, the assignments on which it is false: hom enumeration validates
+    its morphisms there.  `nodes` counts the partial assignments accepted,
+    full ones included, over every iteration so far.
     """
 
-    def __init__(self, leq, below, above, candidates):
+    def __init__(self, leq, below, above, candidates, tests=None):
         self.leq = leq
         self.below = below
         self.above = above
         self.candidates = candidates
+        self.tests = tests or [None] * len(candidates)
         self.nodes = 0
 
     def __iter__(self):
         leq, below, above, candidates = self.leq, self.below, self.above, self.candidates
+        tests = self.tests
         n = len(candidates)
         vals = [0] * n
 
@@ -326,10 +345,12 @@ class MonotoneAssignments:
             for j in above[k]:
                 u = vals[j]
                 ok = [v for v in ok if leq[v][u]]
+            test = tests[k]
             for v in ok:
-                self.nodes += 1
                 vals[k] = v
-                yield from rec(k + 1)
+                if test is None or test(vals):
+                    self.nodes += 1
+                    yield from rec(k + 1)
 
         return rec(0)
 
@@ -468,8 +489,8 @@ def enumerate_homs(
     A morphism is determined by its values on the join-irreducibles of A,
     so candidates are assigned only there (for a cube this specializes to
     the free parametrization: a bottom image plus generator images above
-    it).  Each extension is verified against the full join table, which
-    makes the enumeration exact for arbitrary A.
+    it).  `_generator_homs` validates each once, on the joins that can
+    fail, which makes the enumeration exact for arbitrary A.
     """
     gens = _generators(A)
     if B.size ** len(gens) > budget:
@@ -487,38 +508,60 @@ def _generators(A: FiniteSemilattice) -> list[int]:
 def _generator_homs(A: FiniteSemilattice, B: FiniteSemilattice, candidates):
     """The morphisms A -> B whose value on the k-th of `_generators(A)` is
     drawn from candidates[k], in generator order: each monotone assignment
-    is extended by joins and kept when the SLatMorphism constructor finds
-    that the extension preserves joins."""
+    that preserves joins on the open pairs of A, tested inside the search,
+    is extended by joins.  That test is where an enumerated morphism is
+    validated; the morphisms yielded skip the constructor's check."""
     gens = _generators(A)
     below = [[j for j in range(k) if A.leq(gens[j], g)] for k, g in enumerate(gens)]
     gens_below = [[k for k, g in enumerate(gens) if A.leq(g, x)] for x in range(A.size)]
-    for vals in MonotoneAssignments(B.order, below, [()] * len(gens), candidates):
-        m = tuple(B.join_all(vals[k] for k in ks) for ks in gens_below)
-        try:
-            f = SLatMorphism(A, B, m)
-        except ViolatedLaw as exc:
-            if exc.law != "join-preservation":
-                raise
-        else:
-            yield f
+    join = B.join
+
+    def value(vals, ks):
+        """m(x) = the join of vals[k] over ks = gens_below[x]."""
+        v = vals[ks[0]]
+        for k in ks:
+            v = join[v][vals[k]]
+        return v
+
+    def test(group):
+        return lambda vals: all(
+            value(vals, c) == join[value(vals, a)][value(vals, b)] for a, b, c in group
+        )
+
+    # m(x) v m(y) is the join over gens_below[x] | gens_below[y], a subset of
+    # gens_below[x v y].  Where the two sets are equal, m(x v y) = m(x) v m(y)
+    # holds for every assignment.  Only the other, open, pairs can fail, and
+    # each is tested as soon as the last generator below x v y is assigned,
+    # so every leaf preserves every join.  A distributive lattice such as a
+    # cube has no open pair: an irreducible below x v y is below x or y.
+    groups = [[] for _ in gens]
+    for x, y in itertools.combinations(range(A.size), 2):
+        kx, ky, kj = gens_below[x], gens_below[y], gens_below[A.join[x][y]]
+        if len(kj) > len({*kx, *ky}):
+            groups[kj[-1]].append((kx, ky, kj))
+    tests = [test(g) if g else None for g in groups]
+    for vals in MonotoneAssignments(B.order, below, [()] * len(gens), candidates, tests):
+        m = []  # value(vals, ks) inlined: the leaf is the hot loop
+        for ks in gens_below:
+            v = vals[ks[0]]
+            for k in ks:
+                v = join[v][vals[k]]
+            m.append(v)
+        yield SLatMorphism._trusted(A, B, tuple(m))
 
 
-def all_functions_homs(A: FiniteSemilattice, B: FiniteSemilattice) -> list[SLatMorphism]:
-    """Literal brute force: filter every function A -> B."""
+def all_functions_homs(A: FiniteSemilattice, B: FiniteSemilattice) -> list[tuple[int, ...]]:
+    """Literal brute force: filter every function A -> B, as map tuples."""
     if B.size**A.size > BRUTE_FORCE_CAP:
         raise CandidateSpaceExceeded(f"{B.size}^{A.size} functions")
-    out = []
+    pairs = [(x, y, A.join[x][y]) for x in range(A.size) for y in range(x, A.size)]
+    join, out = B.join, []
     for m in itertools.product(range(B.size), repeat=A.size):
-        ok = True
-        for x in range(A.size):
-            for y in range(x, A.size):
-                if m[A.join[x][y]] != B.join[m[x]][m[y]]:
-                    ok = False
-                    break
-            if not ok:
+        for x, y, j in pairs:
+            if m[j] != join[m[x]][m[y]]:
                 break
-        if ok:
-            out.append(SLatMorphism(A, B, m))
+        else:
+            out.append(m)
     return out
 
 
@@ -559,10 +602,6 @@ def backtrack_homs(
 
     rec(0)
     return out
-
-
-def enumerate_surjections(A, B, budget=DEFAULT_CANDIDATE_BUDGET):
-    return [f for f in enumerate_homs(A, B, budget) if f.is_surjective]
 
 
 def lift_through_surjection(

@@ -128,7 +128,7 @@ def _suite_hom_counts(*, cube_dim: int, budget: int) -> list:
                     checks.append(
                         verdict(
                             f"literal-filtration-agrees-{m}-{n}",
-                            [f.map for f in literal] == pruned,
+                            literal == pruned,
                             len(literal),
                         )
                     )

@@ -15,6 +15,9 @@ composite, and one hom-set enumeration per corner of every square.
 They live here only so that the tests can compare the two routes check
 by check, on passing and on failing inputs.
 
+`enumerate_surjections` is the whole hom-set filter that
+`quotient_closure` ran before it stopped at the first surjection.
+
 The Reedy-axiom routes below are what `certify_reedy_axioms` and
 `certify_cancellation` ran before they read whole blocks of the table:
 `orthogonal_lifting_blocks` builds the full u x v product of every
@@ -35,9 +38,14 @@ from reedylab.semilattice import (
     SLatMorphism,
     UnionFind,
     descend,
+    enumerate_homs,
     find_isomorphism,
     validate_semilattice,
 )
+
+
+def enumerate_surjections(A, B):
+    return [f for f in enumerate_homs(A, B) if f.is_surjective]
 
 
 def lowering_pushout(e0: SLatMorphism, e1: SLatMorphism) -> LoweringPushoutSquare:

@@ -108,7 +108,7 @@ def test_idempotent_counts_oracle():
     for n, expect in ((1, 3), (2, 16)):
         C = cube(n)
         endos = all_functions_homs(C, C)
-        idem = [f for f in endos if f.then(f).map == f.map]
+        idem = [m for m in endos if tuple(m[v] for v in m) == m]
         assert len(idem) == expect
     C = cube(3)
     idem = [f for f in enumerate_homs(C, C) if f.then(f).map == f.map]

@@ -6,10 +6,12 @@ from pathlib import Path
 
 import pytest
 
+import reedy_reference as reference
 from reedylab.cubes import cube
 from reedylab.dot import _semilattice_document
 from reedylab.errors import CandidateSpaceExceeded, EmptyCarrier, SizeBudget, ViolatedLaw
 from reedylab.semilattice import (
+    FinPoset,
     FiniteSemilattice,
     SLatMorphism,
     UnionFind,
@@ -25,13 +27,13 @@ from reedylab.semilattice import (
     diamond,
     enumerate_homs,
     enumerate_semilattices,
-    enumerate_surjections,
     find_isomorphism,
     free_on_generators,
     image_factorize,
     interval,
     is_distributive_lattice,
     lift_through_surjection,
+    monotone_maps,
     pinched_tripod_cover,
     quotient_by_pairs,
     validate_semilattice,
@@ -102,16 +104,23 @@ def test_morphism_rejects_bad_length_and_range():
 
 
 def test_morphism_checks_survive_optimized_mode():
+    # the constructor raises, and enumeration rejects the non-homs of a
+    # non-distributive domain, with asserts stripped
     code = (
         "from reedylab.errors import ViolatedLaw\n"
-        "from reedylab.semilattice import SLatMorphism, interval\n"
+        "from reedylab.semilattice import (\n"
+        "    SLatMorphism, backtrack_homs, chain, diamond, enumerate_homs, interval,\n"
+        ")\n"
+        "I, D, C = interval(), diamond(3), chain(3)\n"
         "laws = []\n"
-        "for bad in ((0, 1, 1), (0, 2)):\n"
+        "for A, B, bad in ((I, I, (0, 1, 1)), (I, I, (0, 2)), (D, C, (0, 0, 0, 1, 1))):\n"
         "    try:\n"
-        "        SLatMorphism(interval(), interval(), bad)\n"
+        "        SLatMorphism(A, B, bad)\n"
         "    except ViolatedLaw as exc:\n"
         "        laws.append(exc.law)\n"
-        "raise SystemExit(laws != ['length', 'range'])\n"
+        "homs = [f.map for f in enumerate_homs(D, C)]\n"
+        "ok = laws == ['length', 'range', 'join-preservation'] and homs == backtrack_homs(D, C)\n"
+        "raise SystemExit(not ok)\n"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
     assert subprocess.run([sys.executable, "-O", "-c", code], env=env).returncode == 0
@@ -126,7 +135,7 @@ def test_interval_endomorphisms_against_brute_force():
     I = interval()
     oracle = all_functions_homs(I, I)
     assert len(oracle) == 3
-    assert [f.map for f in enumerate_homs(I, I)] == [f.map for f in oracle]
+    assert [f.map for f in enumerate_homs(I, I)] == oracle
 
 
 def test_square_to_interval_against_brute_force():
@@ -134,7 +143,7 @@ def test_square_to_interval_against_brute_force():
     oracle = all_functions_homs(P, interval())
     assert len(oracle) == 5
     got = enumerate_homs(P, interval())
-    assert [f.map for f in got] == [f.map for f in oracle]
+    assert [f.map for f in got] == oracle
 
 
 def test_free_domain_hom_counts():
@@ -144,15 +153,57 @@ def test_free_domain_hom_counts():
 
 
 def test_enumeration_matches_brute_force_on_all_small_pairs():
-    objs = all_semilattices_upto(3) + [cube(2), atoms_with_top(3)]
-    for A in objs:
-        for B in objs:
-            if B.size**A.size > 10**6:
-                continue
-            lhs = [f.map for f in enumerate_homs(A, B)]
-            rhs = [f.map for f in all_functions_homs(A, B)]
-            assert lhs == rhs
-            assert lhs == backtrack_homs(A, B)
+    # every ordered pair of classes of size <= 4, and size-5 domains into
+    # codomains of size <= 3; each enumerated map also passes the public
+    # constructor, which enumeration skips
+    small = all_semilattices_upto(4)
+    pairs = [(A, B) for A in small for B in small]
+    pairs += [(A, B) for A in enumerate_semilattices(5) for B in all_semilattices_upto(3)]
+    for A, B in pairs:
+        homs = enumerate_homs(A, B)
+        lhs = [f.map for f in homs]
+        assert lhs == all_functions_homs(A, B)
+        assert lhs == backtrack_homs(A, B)
+        assert homs == [SLatMorphism(A, B, m) for m in lhs]
+
+
+def pentagon() -> FiniteSemilattice:
+    """0 < a < b < 1 and 0 < c < 1: the smallest non-modular lattice."""
+    order = {(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 4), (2, 4), (3, 4)}
+    ups = [{z for z in range(5) if z == x or (x, z) in order} for x in range(5)]
+    # the least common upper bound is the one with the most elements above it
+    least = [[max(ups[x] & ups[y], key=lambda z: len(ups[z])) for y in range(5)] for x in range(5)]
+    return validate_semilattice(least)
+
+
+def test_open_pairs_exist_exactly_off_distributive_domains():
+    # a leaf of the hom search is a monotone assignment on the irreducibles;
+    # with no open pair every leaf is a hom, otherwise some are rejected
+    def leaves(A, B):
+        gens = A.irreducibles
+        P = FinPoset(tuple(tuple(A.leq(g, h) for h in gens) for g in gens))
+        return len(monotone_maps(P, FinPoset.of_semilattice(B)))
+
+    P5 = pentagon()
+    for B in (chain(3), diamond(3), P5):
+        for n in range(4):
+            assert len(enumerate_homs(cube(n), B)) == leaves(cube(n), B)
+        for A in (diamond(3), P5):
+            assert len(enumerate_homs(A, B)) < leaves(A, B)
+
+
+def test_morphisms_are_validated_once(monkeypatch):
+    validated = []
+    check = SLatMorphism.__post_init__
+    monkeypatch.setattr(SLatMorphism, "__post_init__", lambda f: (validated.append(f), check(f)))
+    C = cube(3)
+    homs = enumerate_homs(C, C)
+    iso = next(f for f in homs if f.is_iso and f.map != tuple(range(8)))
+    assert iso.then(homs[100]).map == tuple(homs[100].map[v] for v in iso.map)
+    assert iso.inverse().then(iso) == SLatMorphism.identity(C)
+    assert validated == []
+    SLatMorphism(C, C, homs[100].map)
+    assert len(validated) == 1
 
 
 def test_enumeration_is_sorted_and_duplicate_free():
@@ -486,7 +537,13 @@ def test_projective_iff_bottomed_distributive():
     # so at domain cap 4 the equivalence is false
     objs = all_semilattices_upto(4)
     domains = all_semilattices_upto(5)
-    covers = [e for R in domains for S in objs for e in enumerate_surjections(R, S) if not e.is_iso]
+    covers = [
+        e
+        for R in domains
+        for S in objs
+        for e in reference.enumerate_surjections(R, S)
+        if not e.is_iso
+    ]
     for A in objs:
         homs = {S: enumerate_homs(A, S) for S in objs}
         projective = all(
@@ -510,13 +567,13 @@ def test_pinched_cover_is_the_minimal_nonsplit_cover():
     A5, _ = pinched_tripod_cover()
     T = atoms_with_top(3)
     for A in all_semilattices_upto(4):
-        for e in enumerate_surjections(A, T):
+        for e in reference.enumerate_surjections(A, T):
             assert lift_through_surjection(T, e, SLatMorphism.identity(T))
     nonsplit = []
     for A in enumerate_semilattices(5):
         if any(
             lift_through_surjection(T, e, SLatMorphism.identity(T)) is None
-            for e in enumerate_surjections(A, T)
+            for e in reference.enumerate_surjections(A, T)
         ):
             nonsplit.append(A)
     assert len(nonsplit) == 1 and are_isomorphic(nonsplit[0], A5)
