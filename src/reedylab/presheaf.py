@@ -1,9 +1,9 @@
 """Finite presheaves over a finite Reedy category.
 
-Carries the cellular machinery: latching objects by two independent
-routes, Reedy-monomorphism predicates three ways, EZ decompositions,
-skeleta and cell pushout squares.  Everything is elementwise and
-exhaustively checkable.
+Carries the cellular machinery: latching objects by two weights through
+one routine, Reedy-monomorphism predicates three ways, EZ
+decompositions, skeleta and cell pushout squares.  Everything is
+elementwise and exhaustively checkable.
 
 A presheaf is its levels and one int array of every action, end to end
 in morphism-id order; the constructors build that array by gathers.
@@ -15,17 +15,18 @@ than a presheaf of its own; that each skeleton is a sub-presheaf is
 checked once per presheaf, as the fact that no restriction raises a
 degree.
 
-Latching by weights and the cell squares are weighted colimits, and
-colimits commute with coproducts, so both take a whole corpus of
-presheaves on one base and run it one chunk at a time (kernel.chunks
-over the presheaves' action entries).  The nodes of a chunk are numbered
-part-major, so each presheaf's nodes and classes are one run in the order
-the presheaf alone gives them, and one numpy pass per chunk serves every
-presheaf in it.  Each returns, per presheaf and per object or degree,
-the result or the ViolatedLaw it breaks; the suites replay these in
-their walk order, presheaf first.  The plain latching objects are held
-the same way (latching_objects), computed once per presheaf and read by
-the Reedy-mono verdict, the route comparison and the cell squares.
+Latching objects and the cell squares are weighted colimits, and the two
+latching routes are one routine with two weights (latching_objects and
+latching_object_via_weights).  Colimits commute with coproducts, so each
+takes a whole corpus of presheaves on one base and runs it one chunk at
+a time (kernel.chunks over the presheaves' action entries).  The nodes of
+a chunk are numbered part-major, so each presheaf's nodes and classes
+are one run in the order the presheaf alone gives them, and one numpy
+pass per chunk serves every presheaf in it.  Each returns, per presheaf
+and per object or degree, the result or the ViolatedLaw it breaks; the
+suites replay these in their walk order, presheaf first.  A corpus's
+latching objects are computed once and read by the Reedy-mono verdict,
+the route comparison and the cell squares.
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ import numpy as np
 from .errors import InvalidInput, ViolatedLaw, outcome_value
 from .kernel import _class_values, _classes, _distinct, _join, chunks, square_pullbacks
 from .reedy import FinCategory, ReedyData, Square
-from .semilattice import UnionFind, descend
 
 
 @dataclass(eq=False)
@@ -213,51 +213,8 @@ def strictly_lowering_out_of(cat: FinCategory, data: ReedyData, r: int) -> list[
 
 
 @dataclass
-class LatchingData:
-    classes: list[list]
-    node_class: dict
-    latch: list[int]  # class -> element of X_r
-    injective: bool
-
-
-def latching_object(X: FinPresheaf, r: int, data: ReedyData) -> LatchingData:
-    """Latching object from strictly lowering maps only: pairs (e, x)
-    modulo (f e, x) ~ (e, x f) over lowering f, with the latching map
-    sending a class to the restriction x e."""
-    cat = X.base
-    lows = strictly_lowering_out_of(cat, data, r)
-    keys = [(e, x) for e in lows for x in range(X.levels[cat.cod(e)])]
-    uf = UnionFind(keys)
-    for e in lows:
-        for f in data.lowering_out[cat.cod(e)]:
-            fe = cat.compose(e, f)
-            for x2, y in enumerate(X.action(f).tolist()):
-                uf.union((fe, x2), (e, y))
-    classes, node_class = uf.partition()
-    acts = {e: X.action(e).tolist() for e in lows}
-    latch, bad = descend(classes, lambda node: acts[node[0]][node[1]])
-    if bad:
-        e, x = classes[bad[0]][0]
-        raise ViolatedLaw("well-definedness", (r, (cat.ref(e), x)))
-    injective = len(set(latch)) == len(latch)
-    return LatchingData(classes, node_class, latch, injective)
-
-
-def latching_objects(X: FinPresheaf, data: ReedyData) -> list[LatchingData | ViolatedLaw]:
-    """latching_object at each object r of the base, in order, each the
-    latching object or the ViolatedLaw that it breaks."""
-    out = []
-    for r in range(len(X.base.objects)):
-        try:
-            out.append(latching_object(X, r, data))
-        except ViolatedLaw as exc:
-            out.append(exc)
-    return out
-
-
-@dataclass
 class WeightedLatching:
-    """The latching object by weights, on integer node keys.
+    """A latching object at r, a weighted colimit, on integer node keys.
 
     first_node[p] is the node of (f, 0) when the p-th map f out of r (the
     map with id lo + p) is in the weight, and -1 otherwise; the node of
@@ -270,50 +227,80 @@ class WeightedLatching:
     node_class: np.ndarray
     latch: list[int]  # class -> element of X_r
 
-    def class_of(self, key: tuple[int, int]) -> int:
-        f, x = key
-        return int(self.node_class[self.first_node[f - self.lo] + x])
+    @property
+    def injective(self) -> bool:
+        return len(set(self.latch)) == len(self.latch)
+
+    def pairs(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The pair (f, x) of each node v: the position p of f out of r, and x."""
+        weight = np.flatnonzero(self.first_node >= 0)
+        p = weight[np.searchsorted(self.first_node[weight], v, "right") - 1]
+        return p, v - self.first_node[p]
+
+
+def latching_objects(
+    corpus: list[FinPresheaf], data: ReedyData
+) -> list[list[WeightedLatching | ViolatedLaw]]:
+    """Latching by the lowering weight: the strictly lowering maps e out
+    of r, glued along the lowering maps f, (f e, x) ~ (e, x f)."""
+    if not corpus:
+        return []
+    cat = corpus[0].base
+    degree = np.array(data.degree)
+    weight = data.lowering & (degree[cat.codomain] < degree[cat.domain])
+    return _latching(corpus, weight, [np.array(ids, np.int64) for ids in data.lowering_out])
 
 
 def latching_object_via_weights(
     corpus: list[FinPresheaf], data: ReedyData
 ) -> list[list[WeightedLatching | ViolatedLaw]]:
-    """Independent route: weight by all maps out of r of degree below
-    deg(r) (not only lowering ones) and glue along every morphism,
-    (g f, x) ~ (f, x g).  Returns, for each presheaf of the corpus (all on
-    one base) and each object r, the latching object or the ViolatedLaw
-    that it breaks, in that presheaf's own coordinates.
+    """Latching by the degree weight: all maps out of r of degree below
+    deg(r), not only lowering ones, glued along every morphism."""
+    if not corpus:
+        return []
+    cat = corpus[0].base
+    weight = cat.image_size < np.array(data.degree)[cat.domain]
+    gluing = [np.arange(out.start, out.stop) for out in map(cat.out_of, range(len(cat.objects)))]
+    return _latching(corpus, weight, gluing)
+
+
+def _latching(
+    corpus: list[FinPresheaf], weight: np.ndarray, gluing: list[np.ndarray]
+) -> list[list[WeightedLatching | ViolatedLaw]]:
+    """The latching objects of a corpus (all on one base) by a weight: the
+    maps f out of r with weight[f], glued along the maps g out of each b
+    in gluing[b], (g f, x) ~ (f, x g).  Returns, for each presheaf and each
+    object r, the latching object or the ViolatedLaw that it breaks, in
+    that presheaf's own coordinates.
 
     The corpus runs one chunk at a time, side by side: the nodes of a
     chunk's presheaves are numbered part-major, so each presheaf's nodes,
     and so its classes, are one run in its own order, and one join per
     (chunk, r) and block b glues them all.  The gluing of the weight maps
     into b is one gather from the rows of composition[(r, b)] and the
-    actions of the maps out of b.  'degree-drop' names the first (f, g) of
-    the walk (f in the weight, then g out of its codomain, in morphism
-    order) whose composite leaves the weight; it depends on the base
-    alone, so every presheaf breaks it at r or none does."""
-    if not corpus:
-        return []
+    actions of the gluing maps.  'degree-drop' names the first (f, g) of
+    the walk (f in the weight, then g a gluing map out of its codomain, in
+    morphism order) whose composite leaves the weight; it depends on the
+    base alone, so every presheaf breaks it at r or none does."""
     cat, out = corpus[0].base, [[] for _ in corpus]
     n_maps = len(cat.domain)
-    plans = [_weight_plan(cat, r, data) for r in range(len(cat.objects))]
+    plans = [_weight_plan(cat, r, weight, gluing) for r in range(len(cat.objects))]
     for part in chunks([len(X.values) for X in corpus]):
         chunk = _Chunk.of(cat, corpus[part.start : part.stop])
         n_parts = len(part)
-        # the entries of the maps out of each object b, in every part: entry
+        # the entries of the gluing maps out of each b, in every part: entry
         # e sends x2[e] along the map of segment seg[e] (part p[e], the map
-        # seg[e] - p[e] |out of b| places out of b) to y[e]
-        entries = [chunk.entries(cat.out_of(b)) for b in range(len(cat.objects))]
+        # seg[e] - p[e] |gluing[b]| places into gluing[b]) to y[e]
+        entries = [chunk.entries(ids) for ids in gluing]
         for r, (lo, in_weight, drop, blocks) in enumerate(plans):
             if drop:
                 for k in part:
                     out[k].append(ViolatedLaw("degree-drop", drop))
                 continue
-            weight = np.flatnonzero(in_weight)  # positions out of r
-            node_start, owner, index = _segments(chunk.levels[:, cat.codomain[weight + lo]].ravel())
+            maps = np.flatnonzero(in_weight)  # the weight maps, as positions out of r
+            node_start, owner, index = _segments(chunk.levels[:, cat.codomain[maps + lo]].ravel())
             first_node = np.full((n_parts, len(in_weight)), -1, np.int32)
-            first_node[:, weight] = node_start[:-1].reshape(n_parts, len(weight))
+            first_node[:, maps] = node_start[:-1].reshape(n_parts, len(maps))
             label = np.arange(node_start[-1], dtype=np.int32)
             for b, fs, gf in blocks:
                 # (g f, x2) ~ (f, y) for the weight maps f into b, a row per
@@ -325,17 +312,17 @@ def latching_object_via_weights(
                 )
             roots, node_class = _classes(label)
             # the latching map: the value x.f on the class of each node (f, x)
-            at, w = np.divmod(owner, max(len(weight), 1))
+            at, w = np.divmod(owner, max(len(maps), 1))
             latch, bad = _class_values(
-                roots, node_class, chunk.values[chunk.start[at * n_maps + lo + weight[w]] + index]
+                roots, node_class, chunk.values[chunk.start[at * n_maps + lo + maps[w]] + index]
             )
-            node_bound = node_start[np.arange(n_parts + 1) * len(weight)]
+            node_bound = node_start[np.arange(n_parts + 1) * len(maps)]
             class_bound = np.searchsorted(roots, node_bound)
             for p, k in enumerate(part):
                 (v0, v1), (c0, c1) = node_bound[p : p + 2], class_bound[p : p + 2]
                 if bad[c0:c1].any():
                     root = roots[c0 + bad[c0:c1].argmax()]
-                    f = cat.ref(lo + weight[w[root]])
+                    f = cat.ref(lo + maps[w[root]])
                     out[k].append(ViolatedLaw("well-definedness", (r, (f, int(index[root])))))
                     continue
                 # the outcomes of a whole corpus are held at once, so each
@@ -346,23 +333,24 @@ def latching_object_via_weights(
     return out
 
 
-def _weight_plan(cat: FinCategory, r: int, data: ReedyData):
-    """What latching by weights at r reads of the base alone: the id of the
-    first map out of r, which maps out of r are in the weight, the first
-    (f, g) whose composite leaves the weight (None when none does), and
-    per object b that a weight map reaches, b, the positions out of r of
-    the weight maps f into b, and those of their composites g f, a row
-    per f and a column per map g out of b."""
+def _weight_plan(cat: FinCategory, r: int, weight: np.ndarray, gluing: list[np.ndarray]):
+    """What latching by a weight at r reads of the base alone: the id of
+    the first map out of r, which maps out of r are in the weight, the
+    first (f, g) whose composite leaves the weight (None when none does),
+    and per object b that a weight map reaches, b, the positions out of r
+    of the weight maps f into b, and those of their composites g f, a row
+    per f and a column per gluing map g out of b."""
     out = cat.out_of(r)
     lo = out.start
-    in_weight = cat.image_size[lo : out.stop] < data.degree[r]
+    in_weight = weight[lo : out.stop]
     blocks = []
-    for b in range(len(cat.objects)):
-        cols, gs = cat.columns(r, b), cat.out_of(b)
+    for b, gs in enumerate(gluing):
+        cols = cat.columns(r, b)
         fs = np.flatnonzero(in_weight[cols])
         if not len(fs):
             continue
-        gf = cat.composition[(r, b)][fs] - lo  # row per f, column per g out of b
+        # row per f, column per gluing map g
+        gf = cat.composition[(r, b)][fs][:, gs - cat.out_of(b).start] - lo
         outside = ~in_weight[gf]
         if outside.any():
             i, j = divmod(int(outside.argmax()), gf.shape[1])
@@ -389,15 +377,15 @@ class _Chunk:
         values = np.concatenate([X.values for X in parts])
         return cls(cat, levels, values, _segments(levels[:, cat.codomain].ravel())[0])
 
-    def entries(self, ids: range):
+    def entries(self, ids: np.ndarray):
         """The action entries of the maps with the given ids, in every
         part, part-major, then by map, then by element: each one's part,
         its segment p |ids| + (its map's position in ids), its element x
         and the value at x."""
         n_maps = len(self.base.domain)
-        _, seg, x = _segments(self.levels[:, self.base.codomain[ids.start : ids.stop]].ravel())
+        _, seg, x = _segments(self.levels[:, self.base.codomain[ids]].ravel())
         part, k = np.divmod(seg, len(ids))
-        return part, seg, x, self.values[self.start[part * n_maps + ids.start + k] + x]
+        return part, seg, x, self.values[self.start[part * n_maps + ids[k]] + x]
 
 
 def _segments(sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -411,22 +399,29 @@ def _segments(sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def latching_routes_agree(
-    plain: LatchingData | ViolatedLaw, weighted: WeightedLatching | ViolatedLaw
+    by_lowering: WeightedLatching | ViolatedLaw, by_degree: WeightedLatching | ViolatedLaw
 ) -> bool:
-    """Natural bijection over X_r between the two latching computations at
-    one (X, r): the outcomes of latching_object and of latching by
-    weights, each raised when it is a ViolatedLaw, the plain one first."""
-    A: LatchingData = outcome_value(plain)
-    B: WeightedLatching = outcome_value(weighted)
-    if len(A.classes) != len(B.latch):
+    """Natural bijection over X_r between the latching objects at one
+    (X, r) by the two weights: the outcomes of latching_objects and of
+    latching_object_via_weights, each raised when it is a ViolatedLaw, the
+    lowering one first.  Both index the maps out of r from one lo, so the
+    node (p, x) of A is the node B.first_node[p] + x of B."""
+    A: WeightedLatching = outcome_value(by_lowering)
+    B: WeightedLatching = outcome_value(by_degree)
+    p, x = A.pairs(np.arange(len(A.node_class)))
+    if len(A.latch) != len(B.latch) or (B.first_node[p] < 0).any():
         return False
-    mapping, bad = descend(A.classes, B.class_of)
-    if bad or len(set(mapping)) != len(B.latch):
+    # the class in B of each node of A must be one per class of A
+    image = B.node_class[B.first_node[p] + x]
+    mapping = np.zeros(len(A.latch), np.int64)
+    mapping[A.node_class] = image
+    if (mapping[A.node_class] != image).any():
         return False
-    return all(A.latch[ci] == B.latch[cj] for ci, cj in enumerate(mapping))
+    mapping = mapping.tolist()
+    return len(set(mapping)) == len(B.latch) and A.latch == [B.latch[c] for c in mapping]
 
 
-def is_reedy_mono(latching: list[LatchingData | ViolatedLaw]) -> bool:
+def is_reedy_mono(latching: list[WeightedLatching | ViolatedLaw]) -> bool:
     """Every latching map injective, given a presheaf's latching_objects:
     read up to the first that is not, a ViolatedLaw raised where read."""
     return all(outcome_value(L).injective for L in latching)
@@ -552,7 +547,7 @@ def verify_cell_square(
     corpus: list[FinPresheaf],
     data: ReedyData,
     degrees: list[list[list[int]]],
-    latching: list[list[LatchingData | ViolatedLaw]],
+    latching: list[list[WeightedLatching | ViolatedLaw]],
 ) -> list[dict[int, CellSquareReport | ViolatedLaw]]:
     """Certify the cell attachments of each presheaf of a corpus (all on
     one base), given the EZ degrees and the latching objects
@@ -690,8 +685,7 @@ def _cell_squares(
                 ul_label, nodes(bd, p, tg[g_low], x2), nodes(bd, p, into[g_low], y)
             )
             p, c2 = classes[r2]
-            moved = [_iso_on_latching(cat, th, Lp[r], Lp[r2]) for Lp in L]
-            moved = np.fromiter(itertools.chain.from_iterable(moved), np.int32, len(c2))
+            moved = np.concatenate([_iso_on_latching(cat, th, Lp[r], Lp[r2]) for Lp in L])
             ul_label = _join(ul_label, nodes(yo, p, tg, c2), nodes(yo, p, into, moved))
         # glue the two weighted pieces along the boundary-weighted latching
         g = into[g_low]
@@ -772,9 +766,15 @@ def _cell_squares(
     return reports
 
 
-def _iso_on_latching(cat, th: int, Lr: LatchingData, Lr2: LatchingData):
-    """Map latching classes along precomposition with an iso r -> r2."""
-    return [Lr.node_class[(cat.compose(th, e2), x2)] for (e2, x2), *_ in Lr2.classes]
+def _iso_on_latching(cat, th: int, Lr: WeightedLatching, Lr2: WeightedLatching) -> np.ndarray:
+    """Map latching classes along precomposition with an iso th: r -> r2:
+    a class of Lr2, by its least node (e2, x2), to that of (th then e2, x2)."""
+    # classes are numbered by least node: the running maximum of the
+    # classes first reaches c at the least node of c
+    least = np.searchsorted(np.maximum.accumulate(Lr2.node_class), np.arange(len(Lr2.latch)))
+    p, x = Lr2.pairs(least)
+    then = cat.row(th) - Lr.lo  # the position out of r of th then e2, by e2
+    return Lr.node_class[Lr.first_node[then[p]] + x]
 
 
 def skeleton_chain_report(

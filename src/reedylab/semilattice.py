@@ -575,7 +575,13 @@ def backtrack_homs(
     element in index order, pruning as soon as an already-decidable
     instance of f(x v y) = f(x) v f(y) fails.  Returns raw map tuples.
     """
-    n = A.size
+    n, join = A.size, B.join
+    # the pairs x <= y decided at k: the last of x, y and x v y assigned is k
+    decided: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
+    for x in range(n):
+        for y in range(x, n):
+            j = A.join[x][y]
+            decided[max(y, j)].append((x, y, j))
     out: list[tuple[int, ...]] = []
     vals: list[int] = []
 
@@ -585,18 +591,7 @@ def backtrack_homs(
             return
         for v in range(B.size):
             vals.append(v)
-            # every pair whose join became decidable with this assignment
-            ok = True
-            for x in range(k + 1):
-                for y in range(x, k + 1):
-                    j = A.join[x][y]
-                    if j <= k and (j == k or x == k or y == k):
-                        if vals[j] != B.join[vals[x]][vals[y]]:
-                            ok = False
-                            break
-                if not ok:
-                    break
-            if ok:
+            if all(vals[j] == join[vals[x]][vals[y]] for x, y, j in decided[k]):
                 rec(k + 1)
             vals.pop()
 

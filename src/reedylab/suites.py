@@ -302,9 +302,9 @@ def _suite_presheaf_ez(
     *, max_size: int = 3, budget: int, seed: int, corpus_count: int
 ) -> list:
     from .presheaf import (
+        WeightedLatching,
         autquo,
         is_reedy_mono,
-        latching_object,
         latching_object_via_weights,
         latching_objects,
         latching_routes_agree,
@@ -331,10 +331,10 @@ def _suite_presheaf_ez(
             )
         checks = []
         verdicts = []  # one per presheaf the triple sweeps reached
-        # the plain latching objects of every presheaf, read by the triple
-        # sweeps and by the route comparison
+        # the latching objects by the lowering weight of every presheaf,
+        # read by the triple sweeps and by the route comparison
         corpora = [
-            (corpus, [latching_objects(X, data) for X in corpus], data)
+            (corpus, latching_objects(corpus, data), data)
             for corpus, data in ((exhaustive, data2), (seeded, data3))
         ]
 
@@ -348,17 +348,18 @@ def _suite_presheaf_ez(
         def routes():
             for corpus, latching, data in corpora:
                 weighted = latching_object_via_weights(corpus, data)
-                for X, plain, outcomes in zip(corpus, latching, weighted):
-                    for r, (A, B) in enumerate(zip(plain, outcomes)):
+                for X, by_lowering, by_degree in zip(corpus, latching, weighted):
+                    for r, (A, B) in enumerate(zip(by_lowering, by_degree)):
                         ok = latching_routes_agree(A, B)
                         yield None if ok else {"levels": list(X.levels), "object": r}
 
         def autquos():
-            for r in range(len(cat3.objects)):
-                for H in _subgroups(cat3, r, cat3.isos(r, r)):
-                    Q, _ = autquo(cat3, r, H)
-                    ok = is_reedy_mono(latching_objects(Q, data3))
-                    yield None if ok else {"object": r, "subgroup": len(H)}
+            cases = [
+                (r, H) for r in range(len(cat3.objects)) for H in _subgroups(cat3, r, cat3.isos(r, r))
+            ]
+            quotients = [autquo(cat3, r, H)[0] for r, H in cases]
+            for (r, H), L in zip(cases, latching_objects(quotients, data3)):
+                yield None if is_reedy_mono(L) else {"object": r, "subgroup": len(H)}
 
         for tag, (corpus, latching, data), squares in zip(
             ("exhaustive-size2", seeded_tag), corpora, (squares2, squares3)
@@ -386,18 +387,18 @@ def _suite_presheaf_ez(
             )
         )
 
-        # two latching routes agree everywhere on the corpus
+        # the two weights' latching objects agree everywhere on the corpus
         checks.append(scan("latching-two-routes-agree", routes()))
 
         # representable latching at the free two-generator object
         yo = representable(cat3, free2)
-        L = latching_object(yo, free2, data3)
+        L: WeightedLatching = outcome_value(latching_objects([yo], data3)[0][free2])
         checks.append(
             verdict(
                 "representable-latching-size-and-injectivity",
-                len(L.classes) == 7 and L.injective,
-                len(L.classes),
-                {"size": len(L.classes), "injective": L.injective},
+                len(L.latch) == 7 and L.injective,
+                len(L.latch),
+                {"size": len(L.latch), "injective": L.injective},
             )
         )
 
@@ -407,7 +408,7 @@ def _suite_presheaf_ez(
         # the false branch, demonstrated over a base containing a
         # non-projective object with its minimal cover
         cat5, data5, squares5, X = _built(non_reedy_mono_example)
-        a, b, c = _triple(X, latching_objects(X, data5), data5, squares5)
+        a, b, c = _triple(X, latching_objects([X], data5)[0], data5, squares5)
         checks.append(
             verdict(
                 "non-mono-witness-all-three-criteria-false",
@@ -467,8 +468,7 @@ def _suite_cell_presentation(
             (seeded_tag, seeded, data3),
         ):
             monos = []  # (index, presheaf, EZ degrees, latching objects)
-            for i, X in enumerate(corpus):
-                latching = latching_objects(X, data)
+            for i, (X, latching) in enumerate(zip(corpus, latching_objects(corpus, data))):
                 if is_reedy_mono(latching):
                     monos.append((i, X, ez_degrees(X, data), latching))
             checks.append(scan(f"cell-squares-certify-{tag}", cell_squares(monos, data)))
@@ -479,7 +479,7 @@ def _suite_cell_presentation(
         # expected failure pattern on the non-mono witness
         cat5, data5, squares5, X = _built(non_reedy_mono_example)
         degrees = ez_degrees(X, data5)
-        latching = latching_objects(X, data5)
+        (latching,) = latching_objects([X], data5)
         (outcomes,) = verify_cell_square([X], data5, [degrees], [latching])
         reports = {n: outcome_value(rep) for n, rep in outcomes.items()}
         commute_ok = all(r.commutes for r in reports.values())

@@ -1,6 +1,7 @@
 """Tuple-keyed reference routes for the presheaf layer's numpy routes.
 
-These are the union-find bodies that `latching_object_via_weights` and
+These are the union-find bodies that the latching objects by both
+weights (`latching_objects` and `latching_object_via_weights`) and
 `verify_cell_square` had before they moved to integer node keys.  A node
 is a (morphism id, x) tuple and every gluing is one `UnionFind.union`
 call.  They take one presheaf and one object or degree, and raise the
@@ -28,9 +29,8 @@ from reedylab.errors import InvalidInput, ViolatedLaw
 from reedylab.presheaf import (
     CellSquareReport,
     FinPresheaf,
-    LatchingData,
-    latching_object,
     skeleton,
+    strictly_lowering_out_of,
     subgroup_closure_ok,
 )
 from reedylab.semilattice import UnionFind, descend
@@ -175,6 +175,14 @@ def morphism_degree(cat, f):
     return len(cat.mor(f).image())
 
 
+@dataclass
+class LatchingData:
+    classes: list[list]
+    node_class: dict
+    latch: list[int]  # class -> element of X_r
+    injective: bool
+
+
 def latching_data(X, r, uf):
     """The latching classes of (f, x) nodes and the map x.f out of them."""
     classes, node_class = uf.partition()
@@ -185,6 +193,22 @@ def latching_data(X, r, uf):
         raise ViolatedLaw("well-definedness", (r, (X.base.ref(f), x)))
     injective = len(set(latch)) == len(latch)
     return LatchingData(classes, node_class, latch, injective)
+
+
+def latching_object(X, r, data):
+    """The lowering weight: pairs (e, x) for the strictly lowering e out of
+    r, modulo (f e, x) ~ (e, x f) over lowering f, one union per (e, f, x),
+    with the latching map sending a class to the restriction x e."""
+    cat = X.base
+    lows = strictly_lowering_out_of(cat, data, r)
+    keys = [(e, x) for e in lows for x in range(X.levels[cat.cod(e)])]
+    uf = UnionFind(keys)
+    for e in lows:
+        for f in data.lowering_out[cat.cod(e)]:
+            fe = cat.compose(e, f)
+            for x2, y in enumerate(X.action(f).tolist()):
+                uf.union((fe, x2), (e, y))
+    return latching_data(X, r, uf)
 
 
 def latching_object_via_weights(X, r, data):

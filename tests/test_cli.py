@@ -499,17 +499,18 @@ def test_autquo_failure_reports_the_first_failing_subgroup(monkeypatch):
     real_autquo, real_mono = presheaf.autquo, presheaf.is_reedy_mono
     real_latching = presheaf.latching_objects
     made = []  # (quotient, object, subgroup order), one per autquo call
-    latching_of = {}  # id of a list of latching objects -> (list, its presheaf)
+    latching_of = {}  # id of a presheaf's latching objects -> (them, the presheaf)
 
     def recording_autquo(cat, r, H):
         Q, proj = real_autquo(cat, r, H)
         made.append((Q, r, len(H)))
         return Q, proj
 
-    def recording_latching(X, data):
-        latching = real_latching(X, data)
-        latching_of[id(latching)] = (latching, X)
-        return latching
+    def recording_latching(corpus, data):
+        outcomes = real_latching(corpus, data)
+        for X, latching in zip(corpus, outcomes):
+            latching_of[id(latching)] = (latching, X)
+        return outcomes
 
     def failing_from_the_second_autquo(latching):
         _, X = latching_of[id(latching)]
@@ -750,15 +751,19 @@ def test_no_hom_set_is_enumerated_twice_in_a_suite_run(monkeypatch, suite):
 def test_no_latching_object_is_computed_twice_in_a_suite_run(monkeypatch, suite):
     import reedylab.presheaf as presheaf
 
-    real, calls = presheaf.latching_object, {}
+    real, calls = presheaf.latching_objects, {}
     held = []  # every presheaf seen, kept alive so that no two share an id
 
-    def counting(X, r, data):
-        held.append(X)
-        calls[id(X), r] = calls.get((id(X), r), 0) + 1
-        return real(X, r, data)
+    def counting(corpus, data):
+        outcomes = real(corpus, data)
+        # one (presheaf, r) outcome per object of the base
+        for X, latching in zip(corpus, outcomes):
+            held.append(X)
+            for r in range(len(latching)):
+                calls[id(X), r] = calls.get((id(X), r), 0) + 1
+        return outcomes
 
-    monkeypatch.setattr(presheaf, "latching_object", counting)
+    monkeypatch.setattr(presheaf, "latching_objects", counting)
     run_suite(SuiteConfig(suite=suite))
     repeated = [(r, n) for (_, r), n in calls.items() if n > 1]
     assert calls and repeated == []

@@ -2,8 +2,10 @@ import os
 import random
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from presheaf_reference import with_value
@@ -17,7 +19,6 @@ from reedylab.presheaf import (
     ez_degrees,
     has_unique_ez,
     is_reedy_mono,
-    latching_object,
     latching_object_via_weights,
     latching_objects,
     latching_routes_agree,
@@ -194,8 +195,8 @@ def test_representable_of_terminal_object(trunc3):
 def test_latching_interval_representable(trunc2):
     cat, data, squares = trunc2
     yo = representable(cat, 1)
-    L = latching_object(yo, 1, data)
-    assert len(L.classes) == 2 and L.injective
+    L = latching_objects([yo], data)[0][1]
+    assert len(L.latch) == 2 and L.injective
     # the two constants
     assert sorted(L.latch) == [0, 2]
 
@@ -204,8 +205,8 @@ def test_latching_free_pair_representable(trunc3):
     cat, data, squares = trunc3
     V = free_pair_object(cat)
     yo = representable(cat, V)
-    L = latching_object(yo, V, data)
-    assert len(L.classes) == 7 and L.injective
+    L = latching_objects([yo], data)[0][V]
+    assert len(L.latch) == 7 and L.injective
     noninjective = {
         k for k, f in enumerate(cat.homs[(V, V)]) if not f.is_injective
     }
@@ -216,20 +217,46 @@ def test_latching_at_minimal_degree_is_empty(trunc3):
     cat, data, squares = trunc3
     one = next(i for i, O in enumerate(cat.objects) if O.size == 1)
     yo = representable(cat, one)
-    assert latching_object(yo, one, data).classes == []
+    assert latching_objects([yo], data)[0][one].latch == []
 
 
 def test_latching_two_routes_agree(trunc3):
     cat, data, squares = trunc3
     rnd = random.Random(2)
     corpus = seeded_corpus(cat, data, seed=9, count=25)
-    for X, weighted in zip(corpus, latching_object_via_weights(corpus, data)):
+    by_lowering = latching_objects(corpus, data)
+    for L, weighted in zip(by_lowering, latching_object_via_weights(corpus, data)):
         for r in range(4):
-            assert latching_routes_agree(latching_object(X, r, data), weighted[r])
+            assert latching_routes_agree(L[r], weighted[r])
+
+
+def test_routes_disagree_where_the_latching_objects_differ(trunc3):
+    cat, data, squares = trunc3
+    V = free_pair_object(cat)
+    yo = representable(cat, V)
+    A = latching_objects([yo], data)[0][V]
+    B = latching_object_via_weights([yo], data)[0][V]
+    assert latching_routes_agree(A, B)
+
+    def relabelled(L, old, new):
+        return replace(L, node_class=np.where(L.node_class == old, new, L.node_class))
+
+    # classes 0 and 1 of the degree weight swapped: still a bijection,
+    # but not over X_r
+    swapped = B.node_class.copy()
+    swapped[B.node_class == 0], swapped[B.node_class == 1] = 1, 0
+    assert not latching_routes_agree(A, replace(B, node_class=swapped))
+    # two classes of B merged: no bijection
+    assert not latching_routes_agree(A, relabelled(B, 1, 0))
+    # two classes of the lowering weight merged: one meets two of B
+    assert not latching_routes_agree(relabelled(A, 1, 0), B)
+    # a node of the lowering weight outside the degree weight
+    outside = replace(B, first_node=np.where(A.first_node >= 0, -1, B.first_node))
+    assert not latching_routes_agree(A, outside)
 
 
 def test_latching_laws_are_held_and_raised_where_read(trunc3):
-    # yo(1) with one value of a lowering action moved: the plain latching
+    # yo(1) with one value of a lowering action moved: the latching
     # maps at objects 2 and 3 are ill defined, and that is held as a value
     cat, data, squares = trunc3
     yo = representable(cat, 1)
@@ -238,18 +265,18 @@ def test_latching_laws_are_held_and_raised_where_read(trunc3):
     def moved(x):
         return with_value(yo, f, x, (yo.action(f)[x] + 1) % yo.levels[1])
 
-    latching = latching_objects(moved(0), data)
+    (latching,) = latching_objects([moved(0)], data)
     assert [L.law for L in latching[2:]] == ["well-definedness"] * 2
     with pytest.raises(ViolatedLaw) as err:
         is_reedy_mono(latching)
     assert err.value is latching[2]
-    # the plain outcome is raised before the weighted one is read
+    # the lowering weight's outcome is raised before the other is read
     weighted = latching_object_via_weights([moved(0)], data)[0][2]
     with pytest.raises(ViolatedLaw) as err:
         latching_routes_agree(latching[2], weighted)
     assert err.value is latching[2]
     # a latching map that is not injective comes first, so no law is read
-    latching = latching_objects(moved(1), data)
+    (latching,) = latching_objects([moved(1)], data)
     assert not latching[1].injective and isinstance(latching[2], ViolatedLaw)
     assert is_reedy_mono(latching) is False
 
@@ -258,11 +285,11 @@ def test_via_weights_uses_more_generators(trunc3):
     cat, data, squares = trunc3
     V = free_pair_object(cat)
     yo = representable(cat, V)
-    A = latching_object(yo, V, data)
+    A = latching_objects([yo], data)[0][V]
     B = latching_object_via_weights([yo], data)[0][V]
-    assert len(A.classes) == len(B.latch)
+    assert len(A.latch) == len(B.latch)
     # one node per (weight map, element)
-    assert len(B.node_class) > sum(len(c) for c in A.classes)
+    assert len(B.node_class) > len(A.node_class)
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +326,7 @@ def test_terminal_presheaf_collapses(trunc2):
     T = terminal_presheaf(cat)
     assert ez_decompositions(T, data)[1][0] == [(cat.refs(1, 0)[0], 0)]
     assert ez_degrees(T, data)[1][0] == 1
-    assert is_reedy_mono(latching_objects(T, data))
+    assert is_reedy_mono(latching_objects([T], data)[0])
 
 
 def test_unique_ez_on_representables_and_autquos(trunc3):
@@ -320,14 +347,15 @@ def test_no_failing_presheaf_on_small_truncations(trunc3):
     # the truncation is elegant and every presheaf is Reedy monomorphic;
     # levels <= 1 is exhaustively checkable directly
     cat, data, squares = trunc3
-    for X in enumerate_presheaves(cat, 1):
-        assert is_reedy_mono(latching_objects(X, data))
+    corpus = enumerate_presheaves(cat, 1)
+    for X, latching in zip(corpus, latching_objects(corpus, data)):
+        assert is_reedy_mono(latching)
         assert has_unique_ez(X, data)[0]
 
 
 def test_failing_presheaf_exists_beyond_size_four():
     cat, data, squares, X = non_reedy_mono_example()
-    a = is_reedy_mono(latching_objects(X, data))
+    a = is_reedy_mono(latching_objects([X], data)[0])
     b, witness = has_unique_ez(X, data)
     c, sq = maps_lowering_pushouts_to_pullbacks(X, squares)
     assert (a, b, c) == (False, False, False)
@@ -388,9 +416,8 @@ def test_cell_squares_on_representable(trunc3):
     cat, data, squares = trunc3
     V = free_pair_object(cat)
     yo = representable(cat, V)
-    (reports,) = verify_cell_square(
-        [yo], data, [ez_degrees(yo, data)], [latching_objects(yo, data)]
-    )
+    degrees = ez_degrees(yo, data)
+    (reports,) = verify_cell_square([yo], data, [degrees], latching_objects([yo], data))
     assert list(reports) == [1, 2, 3]
     for rep in reports.values():
         assert rep.commutes and rep.is_pushout and rep.cell_mono
@@ -399,7 +426,7 @@ def test_cell_squares_on_representable(trunc3):
 def test_cell_square_with_empty_degree_part(trunc3):
     cat, data, squares = trunc3
     E = empty_presheaf(cat)
-    rep = verify_cell_square([E], data, [ez_degrees(E, data)], [latching_objects(E, data)])[0][3]
+    rep = verify_cell_square([E], data, [ez_degrees(E, data)], latching_objects([E], data))[0][3]
     assert rep.commutes and rep.is_pushout and rep.cell_mono
 
 
@@ -409,13 +436,10 @@ def test_cell_square_failure_pattern_on_witness():
     # EZ uniqueness breaks across degrees
     cat, data, squares, X = non_reedy_mono_example()
     degrees = ez_degrees(X, data)
-    (reports,) = verify_cell_square([X], data, [degrees], [latching_objects(X, data)])
+    (latching,) = latching_objects([X], data)
+    (reports,) = verify_cell_square([X], data, [degrees], [latching])
     assert all(r.commutes for r in reports.values())
-    latch_fail = {
-        data.degree[r]
-        for r in range(len(cat.objects))
-        if not latching_object(X, r, data).injective
-    }
+    latch_fail = {data.degree[r] for r, L in enumerate(latching) if not L.injective}
     assert latch_fail == {5}
     assert not reports[5].cell_mono
     assert not reports[4].is_pushout
@@ -439,8 +463,8 @@ def test_representables_send_pushouts_to_pullbacks(trunc3):
 def test_triple_equivalence_on_seeded_corpus(trunc3):
     cat, data, squares = trunc3
     corpus = seeded_corpus(cat, data, seed=0, count=60)
-    for X in corpus:
-        a = is_reedy_mono(latching_objects(X, data))
+    for X, latching in zip(corpus, latching_objects(corpus, data)):
+        a = is_reedy_mono(latching)
         b = has_unique_ez(X, data)[0]
         c = maps_lowering_pushouts_to_pullbacks(X, squares)[0]
         assert a == b == c
@@ -455,9 +479,9 @@ def test_exhaustive_size2_corpus(trunc2):
     cat, data, squares = trunc2
     corpus = enumerate_presheaves(cat, 2)
     assert len(corpus) == 6
-    for X in corpus:
+    for X, latching in zip(corpus, latching_objects(corpus, data)):
         X.validate()
-        assert is_reedy_mono(latching_objects(X, data))
+        assert is_reedy_mono(latching)
 
 
 def test_quotient_presheaf_congruence_closure(trunc3):

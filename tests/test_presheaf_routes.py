@@ -1,5 +1,5 @@
 """The numpy routes of the presheaf layer against their tuple-keyed
-references in presheaf_reference: latching by weights class by class,
+references in presheaf_reference: latching by both weights class by class,
 cell squares verdict by verdict, and the constructors action by action, on
 the corpora the suites certify, on the non-mono witness, and on corrupted
 inputs drawn by hypothesis."""
@@ -64,10 +64,11 @@ def weighted_classes(X, r, W):
     return classes
 
 
-def latching(corpus, data):
-    """The plain latching objects of each presheaf, as verify_cell_square
-    takes them."""
-    return [latching_objects(X, data) for X in corpus]
+# the two weights: each corpus routine and its tuple-keyed reference
+WEIGHTS = {
+    "lowering": (latching_objects, reference.latching_object),
+    "degree": (latching_object_via_weights, reference.latching_object_via_weights),
+}
 
 
 def outcome(fn, *args):
@@ -92,10 +93,10 @@ def summary(result):
     return result
 
 
-def same_latching(X, r, data, W):
-    """W, the outcome of latching by weights at (X, r) within a corpus,
-    against the reference run on X alone."""
-    R = outcome(reference.latching_object_via_weights, X, r, data)
+def same_latching(X, r, data, W, weight):
+    """W, the outcome of latching by the named weight at (X, r) within a
+    corpus, against the reference run on X alone."""
+    R = outcome(WEIGHTS[weight][1], X, r, data)
     if isinstance(R, tuple) or isinstance(W, ViolatedLaw):
         return summary(W) == R
     return (weighted_classes(X, r, W), W.latch) == (R.classes, R.latch)
@@ -114,24 +115,32 @@ def parts_per_chunk(corpus):
     return [len(part) for part in chunks([len(X.values) for X in corpus])]
 
 
-@pytest.mark.parametrize("name", ["exhaustive-size2", "seeded-size3", "non-mono-witness"])
-def test_latching_by_weights_matches_the_reference(corpora, name):
+# the degree weight keeps the ids the test had before it took both weights
+@pytest.mark.parametrize(
+    "weight, name",
+    [
+        pytest.param(weight, name, id=name if weight == "degree" else f"{weight}-{name}")
+        for weight in WEIGHTS
+        for name in ("exhaustive-size2", "seeded-size3", "non-mono-witness")
+    ],
+)
+def test_latching_by_weights_matches_the_reference(corpora, weight, name):
     # the whole corpus at once, so that one chunk holds many presheaves
     corpus, data = corpora[name]
     assert name == "non-mono-witness" or max(parts_per_chunk(corpus)) > 1
-    outcomes = latching_object_via_weights(corpus, data)
+    outcomes = WEIGHTS[weight][0](corpus, data)
     assert len(outcomes) == len(corpus)
     for X, weighted in zip(corpus, outcomes):
         assert len(weighted) == len(X.base.objects)
         for r, W in enumerate(weighted):
-            assert same_latching(X, r, data, W)
+            assert same_latching(X, r, data, W, weight)
 
 
 @pytest.mark.parametrize("name", ["exhaustive-size2", "seeded-size3", "non-mono-witness"])
 def test_cell_squares_match_the_reference(corpora, name):
     corpus, data = corpora[name]
     degrees = [ez_degrees(X, data) for X in corpus]
-    outcomes = verify_cell_square(corpus, data, degrees, latching(corpus, data))
+    outcomes = verify_cell_square(corpus, data, degrees, latching_objects(corpus, data))
     assert len(outcomes) == len(corpus)
     for X, d, reports in zip(corpus, degrees, outcomes):
         assert same_cell_squares(X, data, d, reports)
@@ -141,7 +150,7 @@ def test_cell_squares_match_the_reference(corpora, name):
 def test_the_witness_has_failed_squares(corpora):
     # so that the comparison above covers failed verdicts, not only passes
     (X,), data = corpora["non-mono-witness"]
-    (reports,) = verify_cell_square([X], data, [ez_degrees(X, data)], latching([X], data))
+    (reports,) = verify_cell_square([X], data, [ez_degrees(X, data)], latching_objects([X], data))
     assert all(rep.commutes for rep in reports.values())
     assert not all(rep.is_pushout for rep in reports.values())
     assert not all(rep.cell_mono for rep in reports.values())
@@ -149,7 +158,7 @@ def test_the_witness_has_failed_squares(corpora):
 
 def test_an_empty_corpus_has_no_outcomes(corpora):
     _, data = corpora["seeded-size3"]
-    assert latching_object_via_weights([], data) == []
+    assert latching_objects([], data) == latching_object_via_weights([], data) == []
     assert verify_cell_square([], data, [], []) == []
 
 
@@ -174,7 +183,9 @@ def test_routes_match_the_reference_on_corrupted_presheaves(corpora, seeded_degr
     EZ degree possibly moved, so the ill-defined maps, the failed squares
     and the skeleton-landing laws are compared as well.  It runs in one
     chunk among four uncorrupted presheaves of the seeded corpus, at a
-    drawn place, and their outcomes are those they have without it."""
+    drawn place, and their outcomes are those they have without it.  Both
+    weights are checked on every example, so the cell squares, which read
+    the lowering weight, run once per example."""
     base, reedy = corpora["seeded-size3"]
     cat = base[0].base
     X = data.draw(st.sampled_from(seeded_corpus(cat, reedy, seed, 3)[-3:]))
@@ -202,21 +213,25 @@ def test_routes_match_the_reference_on_corrupted_presheaves(corpora, seeded_degr
             for o in outcomes[:at] + outcomes[at + 1 :]
         ]
 
-    weighted = latching_object_via_weights(corpus, reedy)
-    for r, W in enumerate(weighted[at]):
-        assert same_latching(X, r, reedy, W)
-    alone = latching_object_via_weights(neighbours, reedy)
-    assert without_x(weighted) == without_x(alone[:at] + [None] + alone[at:])
+    latching = {}
+    for weight, (route, _) in WEIGHTS.items():
+        latching[weight] = route(corpus, reedy)
+        for r, W in enumerate(latching[weight][at]):
+            assert same_latching(X, r, reedy, W, weight), weight
+        alone = route(neighbours, reedy)
+        assert without_x(latching[weight]) == without_x(alone[:at] + [None] + alone[at:]), weight
 
     neighbour_degrees = seeded_degrees[i : i + 4]
     reports = verify_cell_square(
         corpus,
         reedy,
         [*neighbour_degrees[:at], degrees, *neighbour_degrees[at:]],
-        latching(corpus, reedy),
+        latching["lowering"],
     )
     assert same_cell_squares(X, reedy, degrees, reports[at])
-    alone = verify_cell_square(neighbours, reedy, neighbour_degrees, latching(neighbours, reedy))
+    alone = verify_cell_square(
+        neighbours, reedy, neighbour_degrees, latching_objects(neighbours, reedy)
+    )
     assert without_x(reports) == without_x(alone[:at] + [None] + alone[at:])
 
 
@@ -230,18 +245,19 @@ def test_outcomes_keep_their_presheaf_in_a_corpus(corpora, monkeypatch):
     monkeypatch.setattr(kernel, "CHUNK", 1 << 16)
     assert parts_per_chunk(corpus) == [3]
     degrees = [ez_degrees(Y, data) for Y in corpus]
-    together = verify_cell_square(corpus, data, degrees, latching(corpus, data))
+    together = verify_cell_square(corpus, data, degrees, latching_objects(corpus, data))
     alone = [
-        verify_cell_square([Y], data, [d], latching([Y], data))[0]
+        verify_cell_square([Y], data, [d], latching_objects([Y], data))[0]
         for Y, d in zip(corpus, degrees)
     ]
     assert together == alone
     assert together[0] != together[2]
-    weighted = latching_object_via_weights(corpus, data)
-    for Y, outcomes in zip(corpus, weighted):
-        (expected,) = latching_object_via_weights([Y], data)
-        assert list(map(summary, outcomes)) == list(map(summary, expected))
-    assert list(map(summary, weighted[0])) != list(map(summary, weighted[2]))
+    for weight, (route, _) in WEIGHTS.items():
+        latching = route(corpus, data)
+        for Y, outcomes in zip(corpus, latching):
+            (expected,) = route([Y], data)
+            assert list(map(summary, outcomes)) == list(map(summary, expected)), weight
+        assert list(map(summary, latching[0])) != list(map(summary, latching[2])), weight
 
 
 CONSTRUCTORS = ("representable", "coproduct_presheaf", "quotient_presheaf", "autquo")
