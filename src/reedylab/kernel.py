@@ -12,7 +12,8 @@ Yoneda, the pushout universal property of a square is "every
 representable y(c) sends it to a pullback"; a table row is a map's action
 on the sum of all y(c), so `reedy.verify_pushout_universal` feeds the
 routine table rows, and `presheaf.maps_lowering_pushouts_to_pullbacks`
-feeds it a presheaf's actions.  Orthogonal lifting is one more hom-set
+feeds it the actions of a chunk of presheaves side by side, their
+coproduct, once per chunk.  Orthogonal lifting is one more hom-set
 pullback: e and m are orthogonal when Hom(b, c) maps one to one onto
 Hom(a, c) x_Hom(a, d) Hom(b, d), so `orthogonal_lifting` matches, per
 Hom(a, b), the lowering rows against the composites of raising maps out

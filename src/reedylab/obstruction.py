@@ -473,7 +473,10 @@ def certify_wind_properties() -> list[Check]:
 
 @dataclass(frozen=True)
 class MonotoneCubeMap:
-    """A monotone (not necessarily join-preserving) map of cube posets."""
+    """A monotone (not necessarily join-preserving) map of cube posets.
+    The constructor raises ViolatedLaw 'length' or 'monotonicity';
+    compose_extensions, whose composites are monotone already, skips it
+    through `_trusted`."""
 
     m: int
     n: int
@@ -489,6 +492,15 @@ class MonotoneCubeMap:
                     a, b = self.values[v], self.values[w]
                     if a | b != b:
                         raise ViolatedLaw("monotonicity", (v, w))
+
+    @classmethod
+    def _trusted(cls, m: int, n: int, values: tuple[int, ...]) -> "MonotoneCubeMap":
+        """A map whose values are already known to be monotone."""
+        f = object.__new__(cls)
+        object.__setattr__(f, "m", m)
+        object.__setattr__(f, "n", n)
+        object.__setattr__(f, "values", values)
+        return f
 
 
 def crown_embedding(n: int) -> tuple[int, ...]:
@@ -528,7 +540,8 @@ def crown_extension(f: CrownMap) -> MonotoneCubeMap:
 def compose_extensions(f: MonotoneCubeMap, g: MonotoneCubeMap) -> MonotoneCubeMap:
     if f.n != g.m:
         raise InvalidInput(f"cannot compose [1]^{f.m} -> [1]^{f.n} with [1]^{g.m} -> [1]^{g.n}")
-    return MonotoneCubeMap(f.m, g.n, tuple(g.values[v] for v in f.values))
+    # a composite of monotone maps is monotone
+    return MonotoneCubeMap._trusted(f.m, g.n, tuple(g.values[v] for v in f.values))
 
 
 def verify_extension_pullback(f: CrownMap) -> list[Check]:

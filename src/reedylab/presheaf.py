@@ -3,30 +3,34 @@
 Carries the cellular machinery: latching objects by two weights through
 one routine, Reedy-monomorphism predicates three ways, EZ
 decompositions, skeleta and cell pushout squares.  Everything is
-elementwise and exhaustively checkable.
+exhaustively checkable.
 
 A presheaf is its levels and one int array of every action, end to end
 in morphism-id order; the constructors build that array by gathers.
 
-A presheaf's EZ data is one table, computed once: every element's EZ
-decompositions, and from them its EZ degree.  The skeleton sk_n is then
-the set of elements of degree below n, a filter on the degrees rather
-than a presheaf of its own; that each skeleton is a sub-presheaf is
-checked once per presheaf, as the fact that no restriction raises a
-degree.
+A presheaf's EZ data is one table: every element's EZ decompositions,
+from which its EZ degree and whether its decompositions are all
+isomorphic are read.  The skeleton sk_n is then the set of
+elements of degree below n, a filter on the degrees rather than a
+presheaf of its own; that each skeleton is a sub-presheaf is checked
+once per presheaf, as the fact that no restriction raises a degree.
 
-Latching objects and the cell squares are weighted colimits, and the two
-latching routes are one routine with two weights (latching_objects and
-latching_object_via_weights).  Colimits commute with coproducts, so each
-takes a whole corpus of presheaves on one base and runs it one chunk at
-a time (kernel.chunks over the presheaves' action entries).  The nodes of
-a chunk are numbered part-major, so each presheaf's nodes and classes
-are one run in the order the presheaf alone gives them, and one numpy
-pass per chunk serves every presheaf in it.  Each returns, per presheaf
-and per object or degree, the result or the ViolatedLaw it breaks; the
-suites replay these in their walk order, presheaf first.  A corpus's
-latching objects are computed once and read by the Reedy-mono verdict,
-the route comparison and the cell squares.
+Every verdict on a presheaf is computed for a whole corpus of presheaves
+on one base at once, one chunk at a time (kernel.chunks over the
+presheaves' action entries): the latching objects by both weights
+(latching_objects and latching_object_via_weights, one routine with two
+weights) and the comparison of the two, the EZ table (ez_degrees and
+has_unique_ez), the pushouts-to-pullbacks criterion and the cell
+squares.  Colimits commute with coproducts, and coproducts of sets are
+disjoint and stable under pullback, so a chunk's presheaves side by side
+are one presheaf, their coproduct.  Their elements and nodes are
+numbered part-major, so each presheaf's elements, nodes and classes are
+one run in the order the presheaf alone gives them, and one numpy pass
+per chunk serves every presheaf in it.  Each routine returns, per
+presheaf (and per object or degree), the result or the ViolatedLaw it
+breaks; the suites replay these in their walk order, presheaf first.  A
+corpus's latching objects are computed once and read by the Reedy-mono
+verdict, the route comparison and the cell squares.
 """
 
 from __future__ import annotations
@@ -216,13 +220,12 @@ def strictly_lowering_out_of(cat: FinCategory, data: ReedyData, r: int) -> list[
 class WeightedLatching:
     """A latching object at r, a weighted colimit, on integer node keys.
 
-    first_node[p] is the node of (f, 0) when the p-th map f out of r (the
-    map with id lo + p) is in the weight, and -1 otherwise; the node of
+    first_node[p] is the node of (f, 0) when the p-th map f out of r, in
+    morphism order, is in the weight, and -1 otherwise; the node of
     (f, x) is first_node[p] + x, so nodes sort as the pairs do.
     node_class[v] is the class of node v, the classes ordered by their
     least node."""
 
-    lo: int  # the id of the first map out of r
     first_node: np.ndarray
     node_class: np.ndarray
     latch: list[int]  # class -> element of X_r
@@ -231,11 +234,44 @@ class WeightedLatching:
     def injective(self) -> bool:
         return len(set(self.latch)) == len(self.latch)
 
-    def pairs(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The pair (f, x) of each node v: the position p of f out of r, and x."""
-        weight = np.flatnonzero(self.first_node >= 0)
-        p = weight[np.searchsorted(self.first_node[weight], v, "right") - 1]
-        return p, v - self.first_node[p]
+
+@dataclass
+class _Stacked:
+    """Latching objects side by side as one, for one pass over them all.
+    Their first_node arrays are end to end, an entry of latching object
+    owner[i] at position p[i] out of its r, each node offset by the nodes
+    of the latching objects before it (-1 kept); node_class is the class
+    of every node, offset by the classes before it; class_start[k] is the
+    first class of latching object k (the total last), and latch holds
+    the latching values of every class."""
+
+    first: np.ndarray
+    owner: np.ndarray
+    p: np.ndarray
+    node_class: np.ndarray
+    class_start: np.ndarray
+    latch: np.ndarray
+
+    @classmethod
+    def of(cls, Ls: list[WeightedLatching]) -> _Stacked:
+        _, owner, p = _segments(np.array([len(L.first_node) for L in Ls], np.int64))
+        n_nodes = np.array([len(L.node_class) for L in Ls], np.int64)
+        node_start = _segments(n_nodes)[0]
+        class_start = _segments(np.array([len(L.latch) for L in Ls], np.int64))[0]
+        first = np.concatenate([L.first_node for L in Ls]).astype(np.int64)
+        first = np.where(first < 0, -1, first + node_start[owner])
+        node_class = np.concatenate([L.node_class for L in Ls]).astype(np.int64)
+        node_class += np.repeat(class_start[:-1], n_nodes)
+        latch = np.fromiter(itertools.chain.from_iterable(L.latch for L in Ls), np.int64)
+        return cls(first, owner, p, node_class, class_start, latch)
+
+    def pairs(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The pair (f, x) of each node v: its latching object, the
+        position p of f out of r, and x.  Nodes sort as the pairs do, so
+        v lies in the last weight map whose first node is at most v."""
+        weight = np.flatnonzero(self.first >= 0)
+        i = weight[np.searchsorted(self.first[weight], v, "right") - 1]
+        return self.owner[i], self.p[i], v - self.first[i]
 
 
 def latching_objects(
@@ -329,7 +365,7 @@ def _latching(
                 # is kept in the smallest integer type that holds it
                 local = np.where(first_node[p] < 0, -1, first_node[p] - v0).astype(np.int32)
                 classes = (node_class[v0:v1] - c0).astype(np.min_scalar_type(c1 - c0))
-                out[k].append(WeightedLatching(lo, local, classes, latch[c0:c1].tolist()))
+                out[k].append(WeightedLatching(local, classes, latch[c0:c1].tolist()))
     return out
 
 
@@ -387,6 +423,20 @@ class _Chunk:
         part, k = np.divmod(seg, len(ids))
         return part, seg, x, self.values[self.start[part * n_maps + ids[k]] + x]
 
+    def coproduct(self) -> FinPresheaf:
+        """The levelwise disjoint union of the parts: at each object a
+        part's elements follow those of the parts before it."""
+        cat, levels = self.base, self.levels
+        if len(levels) == 1:
+            return FinPresheaf(cat, tuple(levels[0].tolist()), self.values.astype(np.int32))
+        offset = np.cumsum(levels, 0) - levels
+        _, owner, _ = _segments(levels[:, cat.codomain].ravel())
+        part, f = np.divmod(owner, len(cat.domain))
+        # part-major entries, reordered map-major; the sort keeps each
+        # map's entries part after part
+        values = (self.values + offset[part, cat.domain[f]])[np.argsort(f, kind="stable")]
+        return FinPresheaf(cat, tuple(levels.sum(0).tolist()), values.astype(np.int32))
+
 
 def _segments(sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Number the items of consecutive segments of the given sizes: the
@@ -399,26 +449,67 @@ def _segments(sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def latching_routes_agree(
-    by_lowering: WeightedLatching | ViolatedLaw, by_degree: WeightedLatching | ViolatedLaw
-) -> bool:
-    """Natural bijection over X_r between the latching objects at one
-    (X, r) by the two weights: the outcomes of latching_objects and of
-    latching_object_via_weights, each raised when it is a ViolatedLaw, the
-    lowering one first.  Both index the maps out of r from one lo, so the
-    node (p, x) of A is the node B.first_node[p] + x of B."""
-    A: WeightedLatching = outcome_value(by_lowering)
-    B: WeightedLatching = outcome_value(by_degree)
-    p, x = A.pairs(np.arange(len(A.node_class)))
-    if len(A.latch) != len(B.latch) or (B.first_node[p] < 0).any():
-        return False
-    # the class in B of each node of A must be one per class of A
-    image = B.node_class[B.first_node[p] + x]
-    mapping = np.zeros(len(A.latch), np.int64)
+    by_lowering: list[list[WeightedLatching | ViolatedLaw]],
+    by_degree: list[list[WeightedLatching | ViolatedLaw]],
+) -> list[list[bool | ViolatedLaw]]:
+    """Whether the latching objects of a corpus by the two weights, the
+    outcomes of latching_objects and of latching_object_via_weights, are
+    in natural bijection over X_r.  Returns, for each presheaf and each
+    object r, the verdict, or the ViolatedLaw of an outcome that is one,
+    the lowering one first.
+
+    Every (X, r) where both are values is compared in one pass per chunk
+    of them (kernel.chunks over their nodes), on their node arrays side by
+    side.  Both index the maps out of r in morphism order, so the node
+    (p, x) of A is the node B.first_node[p] + x of B.  A and B agree when
+    they have equally many classes, every node of A is one of B, the
+    B-classes of the nodes of each A-class are one, which makes a map on
+    classes, and that map is one to one and keeps the latching values."""
+    out = [list(As) for As in by_lowering]
+    compared = []  # (A, B, presheaf, r) where both are values
+    for k, (As, Bs) in enumerate(zip(by_lowering, by_degree)):
+        for r, (A, B) in enumerate(zip(As, Bs)):
+            if isinstance(B, ViolatedLaw) and not isinstance(A, ViolatedLaw):
+                out[k][r] = B
+            elif not isinstance(A, ViolatedLaw):
+                compared.append((A, B, k, r))
+    for part in chunks([len(A.node_class) + len(B.node_class) for A, B, _, _ in compared]):
+        As, Bs, ks, rs = zip(*compared[part.start : part.stop])
+        for k, r, ok in zip(ks, rs, _routes_agree(As, Bs).tolist()):
+            out[k][r] = ok
+    return out
+
+
+def _routes_agree(As: list[WeightedLatching], Bs: list[WeightedLatching]) -> np.ndarray:
+    """latching_routes_agree on pairs of values, side by side."""
+    A, B, n = _Stacked.of(As), _Stacked.of(Bs), len(As)
+
+    def any_of(owner, flags):
+        return np.bincount(owner, weights=flags, minlength=n) > 0
+
+    a_classes, b_classes = np.diff(A.class_start), np.diff(B.class_start)
+    # the B-class of each node of A, -1 where B leaves out its map
+    k, p, x = A.pairs(np.arange(len(A.node_class)))
+    first = B.first[np.searchsorted(B.owner, k) + p]
+    outside = first < 0
+    image = np.full(len(first), -1)
+    image[~outside] = B.node_class[first[~outside] + x[~outside]]
+    # each class of A to the B-class of its last node, which the others
+    # must share; a class without nodes goes to its object's first B-class
+    class_owner = np.repeat(np.arange(n), a_classes)
+    mapping = B.class_start[class_owner]
     mapping[A.node_class] = image
-    if (mapping[A.node_class] != image).any():
-        return False
-    mapping = mapping.tolist()
-    return len(set(mapping)) == len(B.latch) and A.latch == [B.latch[c] for c in mapping]
+    split = mapping[A.node_class] != image
+    inside = (mapping >= B.class_start[class_owner]) & (mapping < B.class_start[class_owner + 1])
+    kept = np.zeros(len(mapping), bool)
+    kept[inside] = A.latch[inside] == B.latch[mapping[inside]]
+    hit = np.repeat(np.arange(n), b_classes)[_distinct(mapping[inside])]
+    return (
+        (a_classes == b_classes)
+        & (np.bincount(hit, minlength=n) == b_classes)
+        & ~any_of(k, outside | split)
+        & ~any_of(class_owner, ~kept)
+    )
 
 
 def is_reedy_mono(latching: list[WeightedLatching | ViolatedLaw]) -> bool:
@@ -432,75 +523,156 @@ def is_reedy_mono(latching: list[WeightedLatching | ViolatedLaw]) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def nondegenerate(X: FinPresheaf, data: ReedyData) -> list[np.ndarray]:
-    """The nondegenerate elements of each level, as a mask: those outside
-    the image of every strictly lowering map out of it."""
-    masks = [np.ones(n, bool) for n in X.levels]
-    for r, mask in enumerate(masks):
-        for e in strictly_lowering_out_of(X.base, data, r):
-            mask[X.action(e)] = False
-    return masks
+def ez_degrees(
+    corpus: list[FinPresheaf], data: ReedyData
+) -> list[list[list[int]] | ViolatedLaw]:
+    """The EZ degrees of each presheaf of a corpus (all on one base): entry
+    [r][x] is the EZ degree of x in X_r, the least degree of the middle
+    object of its EZ decompositions.
+
+    A presheaf's outcome is instead the ViolatedLaw 'ez-existence' at its
+    first element (r, x) without a decomposition, or else
+    'sub-presheaf-closure' at its first action entry (f, x) whose
+    restriction raises the degree of x, which is when some skeleton is
+    not a sub-presheaf."""
+    degree, out = np.array(data.degree, np.int64), []
+    for chunk, element, e, _ in _ez_tables(corpus, data):
+        cat, levels = chunk.base, chunk.levels
+        (n_parts, n_obj), n_maps = levels.shape, len(cat.domain)
+        x_start, x_key, x_local = _segments(levels.ravel())
+        no_decomposition = np.bincount(element, minlength=len(x_key)) == 0
+        missing = _first_per_part(x_key // n_obj, no_decomposition, n_parts)
+        # the least degree of a middle object, past every degree where
+        # there is none; a run of the sorted elements is one element
+        x_degree = np.full(len(x_key), degree.max(initial=0) + 1)
+        runs = np.flatnonzero(np.concatenate([[True], element[1:] != element[:-1]]))
+        if len(element):
+            x_degree[element[runs]] = np.minimum.reduceat(degree[cat.codomain[e]], runs)
+        # x.f against x, at every action entry (f, x) of every part; the
+        # entries of map f in part p are segment p M + f
+        _, seg, x = _segments(levels[:, cat.codomain].ravel())
+        at = np.arange(n_parts)[:, None] * n_obj
+        dom_start, cod_start = (x_start[(at + ends).ravel()] for ends in (cat.domain, cat.codomain))
+        raised = x_degree[dom_start[seg] + chunk.values] > x_degree[cod_start[seg] + x]
+        closure = _first_per_part(seg // n_maps, raised, n_parts)
+        x_degree, bounds = x_degree.tolist(), x_start.tolist()
+        for p, (i, j) in enumerate(zip(missing.tolist(), closure.tolist())):
+            if i >= 0:
+                out.append(ViolatedLaw("ez-existence", (int(x_key[i] % n_obj), int(x_local[i]))))
+            elif j >= 0:
+                f = cat.ref(int(seg[j] % n_maps))
+                out.append(ViolatedLaw("sub-presheaf-closure", (f, int(x[j]))))
+            else:
+                row = bounds[p * n_obj : (p + 1) * n_obj + 1]
+                out.append([x_degree[lo:hi] for lo, hi in zip(row, row[1:])])
+    return out
 
 
-def ez_decompositions(X: FinPresheaf, data: ReedyData) -> list[list[list]]:
-    """The EZ table of X: entry [r][x] lists the pairs (lowering e out of
-    r, nondegenerate y) with y.e = x, in morphism order of e, then y."""
-    nondeg = [np.flatnonzero(mask) for mask in nondegenerate(X, data)]
-    table = [[[] for _ in range(n)] for n in X.levels]
-    for r, decs in enumerate(table):
-        for e in data.lowering_out[r]:
-            ys = nondeg[X.base.cod(e)]
-            for y, x in zip(ys.tolist(), X.action(e)[ys].tolist()):
-                decs[x].append((e, y))
-    return table
+def has_unique_ez(corpus: list[FinPresheaf], data: ReedyData) -> list[tuple]:
+    """For each presheaf of a corpus (all on one base), (True, None) when
+    all EZ decompositions of each element are isomorphic, and otherwise
+    (False, ((r, x), d0, d1)): the first pair of decompositions (e, y) of
+    an element x of X_r that no isomorphism links, elements in order and
+    each one's pairs in itertools.combinations order.
+
+    (e0, y0) and (e1, y1) are isomorphic when an iso th has th e0 = e1 and
+    y1.th = y0.  Lowering maps are epi, so at most one th has th e0 = e1,
+    and _iso_links reads it off the base once; each pair of
+    decompositions is then one lookup and one gather.  Every pair is
+    compared, not only those with an element's first decomposition: on a
+    functor the two agree, as isomorphism is an equivalence, but a
+    caller's values need not form one."""
+    if not corpus:
+        return []
+    keys, ths = _iso_links(corpus[0].base, data)
+    out = []
+    for chunk, element, e, y in _ez_tables(corpus, data):
+        cat, levels, values = chunk.base, chunk.levels, chunk.values
+        (n_parts, n_obj), n_maps = levels.shape, len(cat.domain)
+        _, x_key, x_local = _segments(levels.ravel())
+        # each decomposition on the left of those of its element after it
+        count = np.bincount(element, minlength=len(x_key))
+        later = (np.cumsum(count) - 1)[element] - np.arange(len(element))
+        left = np.repeat(np.arange(len(element)), later)
+        right = left + 1 + np.arange(len(left)) - np.repeat(np.cumsum(later) - later, later)
+        key = e[left] * n_maps + e[right]
+        at = np.minimum(np.searchsorted(keys, key), len(keys) - 1)
+        linked = keys[at] == key if len(keys) else np.zeros(len(key), bool)
+        part = x_key[element[left]] // n_obj
+        # th's action takes y1 to y0
+        th_at = chunk.start[part[linked] * n_maps + ths[at[linked]]]
+        linked[linked] = values[th_at + y[right[linked]]] == y[left[linked]]
+        for k in _first_per_part(part, ~linked, n_parts).tolist():
+            if k < 0:
+                out.append((True, None))
+                continue
+            i = element[left[k]]
+            pair = [(int(e[d]), int(y[d])) for d in (left[k], right[k])]
+            out.append((False, ((int(x_key[i] % n_obj), int(x_local[i])), *pair)))
+    return out
 
 
-def ez_degrees(X: FinPresheaf, data: ReedyData) -> list[list[int]]:
-    """Entry [r][x] is the EZ degree of x in X_r: the least degree of the
-    middle object of its EZ decompositions.
+def _ez_tables(corpus: list[FinPresheaf], data: ReedyData):
+    """The EZ table of a corpus (all on one base), one chunk at a time.
 
-    Raises ViolatedLaw 'ez-existence' at the first element without a
-    decomposition, and 'sub-presheaf-closure' when a restriction raises
-    an element's degree, which is when some skeleton is not a
-    sub-presheaf."""
-    cat, degrees = X.base, []
-    for r, level in enumerate(ez_decompositions(X, data)):
-        for x, decs in enumerate(level):
-            if not decs:
-                raise ViolatedLaw("ez-existence", (r, x))
-        degrees.append([min(data.degree[cat.cod(e)] for e, _ in decs) for decs in level])
-    x_start = _segments(np.array(X.levels, np.int64))[0]
-    degree = np.fromiter(itertools.chain.from_iterable(degrees), np.int64, x_start[-1])
-    _, owner, x = _layout(cat, X.levels)
-    raised = (
-        degree[x_start[cat.domain][owner] + X.values]
-        > degree[x_start[cat.codomain][owner] + x]
-    )
-    if raised.any():
-        p = raised.argmax()
-        raise ViolatedLaw("sub-presheaf-closure", (cat.ref(owner[p]), int(x[p])))
-    return degrees
-
-
-def ez_isomorphic(X: FinPresheaf, d0: tuple[int, int], d1: tuple[int, int]) -> bool:
-    """Two decompositions match when an isomorphism links them."""
-    cat = X.base
-    (e0, y0), (e1, y1) = d0, d1
-    for th in cat.isos(cat.cod(e0), cat.cod(e1)):
-        if cat.compose(e0, th) == e1 and X.action(th)[y1] == y0:
-            return True
-    return False
+    A decomposition of x in X_r is a pair (e, y) of a lowering map e out
+    of r and a nondegenerate y with y.e = x, so it is one action entry of
+    e; an element is nondegenerate outside the images of the strictly
+    lowering maps out of its object, which are lowering maps too.  So one
+    gather of the lowering maps' entries gives both.  Yields each chunk
+    and its decompositions, sorted by element y.e (parts, then levels,
+    end to end), and for one element in morphism order of e, then y: each
+    one's element, e and y."""
+    if not corpus:
+        return
+    cat = corpus[0].base
+    degree = np.array(data.degree, np.int64)
+    lowering = np.array([e for out in data.lowering_out for e in out], np.int64)
+    for part in chunks([len(X.values) for X in corpus]):
+        chunk = _Chunk.of(cat, corpus[part.start : part.stop])
+        n_obj = chunk.levels.shape[1]
+        x_start = _segments(chunk.levels.ravel())[0]
+        p, seg, y, x = chunk.entries(lowering)
+        e = lowering[seg % len(lowering)]
+        element = x_start[p * n_obj + cat.domain[e]] + x
+        nondegenerate = np.ones(x_start[-1], bool)
+        nondegenerate[element[degree[cat.codomain[e]] < degree[cat.domain[e]]]] = False
+        keep = nondegenerate[x_start[p * n_obj + cat.codomain[e]] + y]
+        order = np.argsort(element[keep], kind="stable")
+        yield chunk, element[keep][order], e[keep][order], y[keep][order]
 
 
-def has_unique_ez(X: FinPresheaf, data: ReedyData):
-    """True when all EZ decompositions of every element are isomorphic;
-    otherwise (False, witness pair)."""
-    for r, level in enumerate(ez_decompositions(X, data)):
-        for x, decs in enumerate(level):
-            for d0, d1 in itertools.combinations(decs, 2):
-                if not ez_isomorphic(X, d0, d1):
-                    return False, ((r, x), d0, d1)
-    return True, None
+def _iso_links(cat: FinCategory, data: ReedyData) -> tuple[np.ndarray, np.ndarray]:
+    """The isos th with th e0 = e1, for lowering maps e0 and e1 out of one
+    object: the keys e0 M + e1, for the base's M maps, in increasing
+    order, and the th of each.  An iso after a lowering map is one, so
+    these are th e0 for every th out of the codomain of each e0."""
+    sizes = np.array([O.size for O in cat.objects], np.int64)
+    iso = (cat.image_size == sizes[cat.domain]) & (cat.image_size == sizes[cat.codomain])
+    n_maps, keys, ths = len(cat.domain), [np.zeros(0, np.int64)], [np.zeros(0, np.int64)]
+    for r, lows in enumerate(data.lowering_out):
+        lows = np.array(lows, np.int64)
+        for b in _distinct(cat.codomain[lows]).tolist():
+            e0, out = lows[cat.codomain[lows] == b], cat.out_of(b)
+            isos = out.start + np.flatnonzero(iso[out.start : out.stop])
+            then = cat.composition[(r, b)][e0 - cat.refs(r, b).start][:, isos - out.start]
+            keys.append((e0[:, None] * n_maps + then).ravel())
+            ths.append(np.broadcast_to(isos, then.shape).ravel())
+    keys, ths = np.concatenate(keys), np.concatenate(ths)
+    order = np.argsort(keys, kind="stable")
+    return keys[order], ths[order]
+
+
+def _first_per_part(part: np.ndarray, flags: np.ndarray, n_parts: int) -> np.ndarray:
+    """The first position where flags holds, for each part, and -1 where
+    none does, given the part of each position in increasing order."""
+    first = np.full(n_parts, -1)
+    at = np.flatnonzero(flags)
+    if len(at):
+        q = part[at]
+        new = np.concatenate([[True], q[1:] != q[:-1]])
+        first[q[new]] = at[new]
+    return first
 
 
 def skeleton(degrees: list[list[int]], n: int) -> tuple[tuple[int, ...], ...]:
@@ -514,21 +686,44 @@ def skeleton(degrees: list[list[int]], n: int) -> tuple[tuple[int, ...], ...]:
 # ---------------------------------------------------------------------------
 
 
-def maps_lowering_pushouts_to_pullbacks(X: FinPresheaf, squares: list[Square]):
-    """X applied to each base square must yield a pullback of sets: z
-    goes to (z.f0, z.f1) one to one and onto the pairs (y0, y1) with
-    y0.e0 = y1.e1.  So a square passes when each such pair has a fibre of
-    exactly one z and the pairs number |X_p|.  kernel.square_pullbacks
-    takes the actions of a whole chunk of squares at once.  Returns
-    (True, None), or (False, square) for the first square that fails."""
-    cat = X.base
-    for part, square, _, _, fibre in square_pullbacks(cat, squares, X.action):
-        pairs = np.bincount(square, minlength=len(part))
-        split = np.bincount(square, weights=fibre != 1, minlength=len(part)) > 0
-        bad = split | (pairs != [X.levels[cat.cod(squares[i][2])] for i in part])
-        if bad.any():
-            return False, squares[part[int(bad.argmax())]]
-    return True, None
+def maps_lowering_pushouts_to_pullbacks(
+    corpus: list[FinPresheaf], squares: list[Square]
+) -> list[tuple]:
+    """For each presheaf X of a corpus (all on one base), whether X sends
+    each base square to a pullback of sets: z goes to (z.f0, z.f1) one to
+    one and onto the pairs (y0, y1) with y0.e0 = y1.e1.  So a square
+    passes when each such pair has a fibre of exactly one z and the pairs
+    number |X_p|.  Returns, per presheaf, (True, None) or (False, square)
+    for the first square that fails.
+
+    Coproducts of sets are disjoint and stable under pullback, so a
+    chunk's presheaves are checked at once as their coproduct, one
+    kernel.square_pullbacks call per chunk: each pair is the part of its
+    y0, and no pair or fibre crosses parts.  A square whose maps do not
+    meet raises ViolatedLaw('square-shape') there."""
+    if not corpus:
+        return []
+    cat, out = corpus[0].base, []
+    ids = np.array(squares, np.int64).reshape(-1, 4)
+    b0, p_obj = cat.codomain[ids[:, 0]], cat.codomain[ids[:, 2]]
+    for part in chunks([len(X.values) for X in corpus]):
+        chunk = _Chunk.of(cat, corpus[part.start : part.stop])
+        n_parts, levels = len(part), chunk.levels
+        # the part of each element of the coproduct, level after level
+        level_start, owner, _ = _segments(levels.T.ravel())
+        part_of, first = owner % n_parts, np.full(n_parts, -1)
+        for sq, square, y0, _, fibre in square_pullbacks(cat, squares, chunk.coproduct().action):
+            key = square * n_parts + part_of[level_start[b0[sq.start + square] * n_parts] + y0]
+            size = len(sq) * n_parts
+            pairs = np.bincount(key, minlength=size).reshape(len(sq), n_parts)
+            split = np.bincount(key, weights=fibre != 1, minlength=size).reshape(len(sq), n_parts)
+            bad = (split > 0) | (pairs != levels[:, p_obj[sq.start : sq.stop]].T)
+            new = bad.any(0) & (first < 0)
+            first[new] = sq.start + bad.argmax(0)[new]
+            if (first >= 0).all():
+                break
+        out += [(True, None) if k < 0 else (False, squares[k]) for k in first.tolist()]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -673,6 +868,7 @@ def _cell_squares(
     # every part, end to end: each one's part and its index in the part
     elements = {r: _segments(levels[:, r])[1:] for r in objs_n}
     classes = {r: _segments(n_classes[:, r])[1:] for r in objs_n}
+    moves = _iso_moves(cat, L, gluings)
     ur_label = np.arange(len(ur_value), dtype=np.int32)
     ul_label = np.arange(len(ul_elem), dtype=np.int32)
     for r, into, g_low, isos in gluings:
@@ -685,8 +881,7 @@ def _cell_squares(
                 ul_label, nodes(bd, p, tg[g_low], x2), nodes(bd, p, into[g_low], y)
             )
             p, c2 = classes[r2]
-            moved = np.concatenate([_iso_on_latching(cat, th, Lp[r], Lp[r2]) for Lp in L])
-            ul_label = _join(ul_label, nodes(yo, p, tg, c2), nodes(yo, p, into, moved))
+            ul_label = _join(ul_label, nodes(yo, p, tg, c2), nodes(yo, p, into, moves[th]))
         # glue the two weighted pieces along the boundary-weighted latching
         g = into[g_low]
         p, c = classes[r]
@@ -766,15 +961,29 @@ def _cell_squares(
     return reports
 
 
-def _iso_on_latching(cat, th: int, Lr: WeightedLatching, Lr2: WeightedLatching) -> np.ndarray:
-    """Map latching classes along precomposition with an iso th: r -> r2:
-    a class of Lr2, by its least node (e2, x2), to that of (th then e2, x2)."""
+def _iso_moves(cat: FinCategory, L: list[dict], gluings: list) -> dict[int, np.ndarray]:
+    """Latching classes moved along precomposition with each iso
+    th: r -> r2 of a gluing plan, in every part of a chunk at once, given
+    each part's latching objects at the degree-n objects: a class of r2,
+    by its least node (e2, x2), goes to the class of (th then e2, x2) at
+    r in its part.  Keyed by th, the classes of r2 part after part, each
+    named as a class of its part."""
+    stacked = {r: _Stacked.of([Lp[r] for Lp in L]) for r, *_ in gluings}
     # classes are numbered by least node: the running maximum of the
     # classes first reaches c at the least node of c
-    least = np.searchsorted(np.maximum.accumulate(Lr2.node_class), np.arange(len(Lr2.latch)))
-    p, x = Lr2.pairs(least)
-    then = cat.row(th) - Lr.lo  # the position out of r of th then e2, by e2
-    return Lr.node_class[Lr.first_node[then[p]] + x]
+    least = {
+        r: S.pairs(np.searchsorted(np.maximum.accumulate(S.node_class), np.arange(len(S.latch))))
+        for r, S in stacked.items()
+    }
+    moves = {}
+    for r, _, _, isos in gluings:
+        at_r, out = stacked[r], cat.out_of(r)
+        for r2, th, _ in isos:
+            k, e2, x2 = least[r2]
+            then = cat.row(th) - out.start  # th then e2, by e2
+            node = at_r.first[k * len(out) + then[e2]] + x2
+            moves[th] = at_r.node_class[node] - at_r.class_start[k]
+    return moves
 
 
 def skeleton_chain_report(
@@ -808,17 +1017,7 @@ def coproduct_presheaf(parts: list[FinPresheaf]) -> FinPresheaf:
     part's elements follow those of the parts before it."""
     if not parts:
         raise InvalidInput("a coproduct of presheaves needs at least one part")
-    cat = parts[0].base
-    offsets = np.cumsum(
-        [(0,) * len(cat.objects), *(p.levels for p in parts)], axis=0, dtype=np.int32
-    )
-    start = _layout(cat, offsets[-1])[0]
-    values = np.empty(start[-1], np.int32)
-    for part, offset in zip(parts, offsets):
-        _, owner, x = _layout(cat, part.levels)
-        at = (start[:-1] + offset[cat.codomain])[owner] + x
-        values[at] = part.values + offset[cat.domain][owner]
-    return FinPresheaf(cat, tuple(offsets[-1].tolist()), values)
+    return _Chunk.of(parts[0].base, parts).coproduct()
 
 
 def quotient_presheaf(
@@ -947,9 +1146,9 @@ def seeded_corpus(cat: FinCategory, data: ReedyData, seed: int, count: int) -> l
     glued at up to three pairs of elements."""
     rng = random.Random(seed)
     n_obj = len(cat.objects)
-    corpus: list[FinPresheaf] = []
-    for r in range(n_obj):
-        corpus.append(representable(cat, r))
+    # each representable is built once; the draws below index this list
+    representables = [representable(cat, r) for r in range(n_obj)]
+    corpus: list[FinPresheaf] = list(representables)
     for r in range(n_obj):
         auts = cat.isos(r, r)
         if len(auts) > 1:
@@ -960,10 +1159,7 @@ def seeded_corpus(cat: FinCategory, data: ReedyData, seed: int, count: int) -> l
     for sq_e0, sq_e1 in _some_spans(cat, data):
         corpus.append(span_pushout_of_representables(cat, sq_e0, sq_e1))
     for _ in range(count):
-        parts = [
-            representable(cat, rng.randrange(n_obj))
-            for _ in range(rng.randint(1, 2))
-        ]
+        parts = [representables[rng.randrange(n_obj)] for _ in range(rng.randint(1, 2))]
         X = coproduct_presheaf(parts)
         n_glue = rng.randint(0, 3)
         pairs = []

@@ -285,17 +285,21 @@ def _corpus(max_size: int, budget: int, seed: int, corpus_count: int):
     )
 
 
-def _triple(X, latching, data, squares):
+def _triples(corpus, latching, data, squares):
+    """The three Reedy-mono criteria of each presheaf of a corpus, given
+    its latching objects, in walk order: the latching maps are injective,
+    EZ decompositions are unique, and lowering pushouts go to pullbacks.
+    The last two are computed for the whole corpus at the first step."""
     from .presheaf import (
         has_unique_ez,
         is_reedy_mono,
         maps_lowering_pushouts_to_pullbacks,
     )
 
-    a = is_reedy_mono(latching)
-    b = has_unique_ez(X, data)[0]
-    c = maps_lowering_pushouts_to_pullbacks(X, squares)[0]
-    return a, b, c
+    unique = has_unique_ez(corpus, data)
+    pullbacks = maps_lowering_pushouts_to_pullbacks(corpus, squares)
+    for L, (b, _), (c, _) in zip(latching, unique, pullbacks):
+        yield is_reedy_mono(L), b, c
 
 
 def _suite_presheaf_ez(
@@ -339,8 +343,8 @@ def _suite_presheaf_ez(
         ]
 
         def sweep(corpus, latching, data, squares):
-            for i, (X, L) in enumerate(zip(corpus, latching)):
-                a, b, c = _triple(X, L, data, squares)
+            triples = _triples(corpus, latching, data, squares)
+            for i, (X, (a, b, c)) in enumerate(zip(corpus, triples)):
                 verdicts.append(a)
                 witness = {"index": i, "levels": list(X.levels), "triple": [a, b, c]}
                 yield None if a == b == c else witness
@@ -348,9 +352,9 @@ def _suite_presheaf_ez(
         def routes():
             for corpus, latching, data in corpora:
                 weighted = latching_object_via_weights(corpus, data)
-                for X, by_lowering, by_degree in zip(corpus, latching, weighted):
-                    for r, (A, B) in enumerate(zip(by_lowering, by_degree)):
-                        ok = latching_routes_agree(A, B)
+                for X, agree in zip(corpus, latching_routes_agree(latching, weighted)):
+                    for r, ok in enumerate(agree):
+                        ok = outcome_value(ok)
                         yield None if ok else {"levels": list(X.levels), "object": r}
 
         def autquos():
@@ -408,7 +412,7 @@ def _suite_presheaf_ez(
         # the false branch, demonstrated over a base containing a
         # non-projective object with its minimal cover
         cat5, data5, squares5, X = _built(non_reedy_mono_example)
-        a, b, c = _triple(X, latching_objects([X], data5)[0], data5, squares5)
+        ((a, b, c),) = _triples([X], latching_objects([X], data5), data5, squares5)
         checks.append(
             verdict(
                 "non-mono-witness-all-three-criteria-false",
@@ -468,9 +472,10 @@ def _suite_cell_presentation(
             (seeded_tag, seeded, data3),
         ):
             monos = []  # (index, presheaf, EZ degrees, latching objects)
-            for i, (X, latching) in enumerate(zip(corpus, latching_objects(corpus, data))):
-                if is_reedy_mono(latching):
-                    monos.append((i, X, ez_degrees(X, data), latching))
+            latching = latching_objects(corpus, data)
+            for i, (X, L, degrees) in enumerate(zip(corpus, latching, ez_degrees(corpus, data))):
+                if is_reedy_mono(L):
+                    monos.append((i, X, outcome_value(degrees), L))
             checks.append(scan(f"cell-squares-certify-{tag}", cell_squares(monos, data)))
             checks.append(
                 scan(f"skeleton-chain-unions-{tag}", skeleton_chains(monos, data))
@@ -478,7 +483,7 @@ def _suite_cell_presentation(
 
         # expected failure pattern on the non-mono witness
         cat5, data5, squares5, X = _built(non_reedy_mono_example)
-        degrees = ez_degrees(X, data5)
+        degrees = outcome_value(ez_degrees([X], data5)[0])
         (latching,) = latching_objects([X], data5)
         (outcomes,) = verify_cell_square([X], data5, [degrees], [latching])
         reports = {n: outcome_value(rep) for n, rep in outcomes.items()}

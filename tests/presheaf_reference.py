@@ -14,21 +14,37 @@ stored its actions as a dict from morphism to tuple: `representable`,
 `DictPresheaf`s, and the two quotients return the projection's components
 with them.
 
-The pushouts-to-pullbacks criterion is here as it was before it moved
-onto the batched pullback fibres of `kernel.pullback_fibres`: one set of
-(f0, f1) pairs and one Counter per square.
+The pushouts-to-pullbacks criterion is here twice: as it was before it
+moved onto the batched pullback fibres of `kernel.pullback_fibres`, one
+set of (f0, f1) pairs and one Counter per square, and as it was before
+it took a whole corpus, one `kernel.square_pullbacks` pass per presheaf.
+
+The other per-presheaf routes that now take a whole corpus are here as
+they were: the EZ table as Python lists (`nondegenerate`,
+`ez_decompositions`, `ez_degrees`, `ez_isomorphic`, `has_unique_ez`),
+the comparison of the two latching weights at one (X, r), the move of
+one presheaf's latching classes along one iso, and the seeded corpus
+with a fresh representable built for every draw.
 
 They live here only so that the tests can compare the two routes, class
 by class, verdict by verdict and action by action.
 """
 
+import itertools
+import random
 from collections import Counter
 from dataclasses import dataclass
 
-from reedylab.errors import InvalidInput, ViolatedLaw
+import numpy as np
+
+from reedylab import presheaf
+from reedylab.errors import InvalidInput, ViolatedLaw, outcome_value
+from reedylab.kernel import square_pullbacks
 from reedylab.presheaf import (
     CellSquareReport,
     FinPresheaf,
+    _layout,
+    _segments,
     skeleton,
     strictly_lowering_out_of,
     subgroup_closure_ok,
@@ -369,3 +385,158 @@ def maps_lowering_pushouts_to_pullbacks(X, squares):
         ):
             return False, sq
     return True, None
+
+
+def pullbacks_by_presheaf(X, squares):
+    """The criterion on one presheaf: one kernel.square_pullbacks pass on
+    its own actions, (True, None) or (False, square) of the first square
+    that fails."""
+    cat = X.base
+    for part, square, _, _, fibre in square_pullbacks(cat, squares, X.action):
+        pairs = np.bincount(square, minlength=len(part))
+        split = np.bincount(square, weights=fibre != 1, minlength=len(part)) > 0
+        bad = split | (pairs != [X.levels[cat.cod(squares[i][2])] for i in part])
+        if bad.any():
+            return False, squares[part[int(bad.argmax())]]
+    return True, None
+
+
+def nondegenerate(X, data):
+    """The nondegenerate elements of each level, as a mask: those outside
+    the image of every strictly lowering map out of it."""
+    masks = [np.ones(n, bool) for n in X.levels]
+    for r, mask in enumerate(masks):
+        for e in strictly_lowering_out_of(X.base, data, r):
+            mask[X.action(e)] = False
+    return masks
+
+
+def ez_decompositions(X, data):
+    """The EZ table of X: entry [r][x] lists the pairs (lowering e out of
+    r, nondegenerate y) with y.e = x, in morphism order of e, then y."""
+    nondeg = [np.flatnonzero(mask) for mask in nondegenerate(X, data)]
+    table = [[[] for _ in range(n)] for n in X.levels]
+    for r, decs in enumerate(table):
+        for e in data.lowering_out[r]:
+            ys = nondeg[X.base.cod(e)]
+            for y, x in zip(ys.tolist(), X.action(e)[ys].tolist()):
+                decs[x].append((e, y))
+    return table
+
+
+def ez_degrees(X, data):
+    """Entry [r][x] is the EZ degree of x in X_r, the least degree of the
+    middle object of its EZ decompositions.  Raises ViolatedLaw
+    'ez-existence' at the first element without a decomposition, and
+    'sub-presheaf-closure' when a restriction raises an element's
+    degree."""
+    cat, degrees = X.base, []
+    for r, level in enumerate(ez_decompositions(X, data)):
+        for x, decs in enumerate(level):
+            if not decs:
+                raise ViolatedLaw("ez-existence", (r, x))
+        degrees.append([min(data.degree[cat.cod(e)] for e, _ in decs) for decs in level])
+    x_start = _segments(np.array(X.levels, np.int64))[0]
+    degree = np.fromiter(itertools.chain.from_iterable(degrees), np.int64, x_start[-1])
+    _, owner, x = _layout(cat, X.levels)
+    raised = (
+        degree[x_start[cat.domain][owner] + X.values]
+        > degree[x_start[cat.codomain][owner] + x]
+    )
+    if raised.any():
+        p = raised.argmax()
+        raise ViolatedLaw("sub-presheaf-closure", (cat.ref(owner[p]), int(x[p])))
+    return degrees
+
+
+def ez_isomorphic(X, d0, d1):
+    """Two decompositions match when an isomorphism links them."""
+    cat = X.base
+    (e0, y0), (e1, y1) = d0, d1
+    for th in cat.isos(cat.cod(e0), cat.cod(e1)):
+        if cat.compose(e0, th) == e1 and X.action(th)[y1] == y0:
+            return True
+    return False
+
+
+def has_unique_ez(X, data):
+    """True when all EZ decompositions of every element are pairwise
+    isomorphic; otherwise (False, witness pair)."""
+    for r, level in enumerate(ez_decompositions(X, data)):
+        for x, decs in enumerate(level):
+            for d0, d1 in itertools.combinations(decs, 2):
+                if not ez_isomorphic(X, d0, d1):
+                    return False, ((r, x), d0, d1)
+    return True, None
+
+
+def _pairs(L, v):
+    """The pair (f, x) of each node v of a WeightedLatching: the position
+    p of f out of r, and x."""
+    weight = np.flatnonzero(L.first_node >= 0)
+    p = weight[np.searchsorted(L.first_node[weight], v, "right") - 1]
+    return p, v - L.first_node[p]
+
+
+def latching_routes_agree(by_lowering, by_degree):
+    """Natural bijection over X_r between the latching objects at one
+    (X, r) by the two weights, each outcome raised when it is a
+    ViolatedLaw, the lowering one first."""
+    A, B = outcome_value(by_lowering), outcome_value(by_degree)
+    p, x = _pairs(A, np.arange(len(A.node_class)))
+    if len(A.latch) != len(B.latch) or (B.first_node[p] < 0).any():
+        return False
+    # the class in B of each node of A must be one per class of A
+    image = B.node_class[B.first_node[p] + x]
+    mapping = np.zeros(len(A.latch), np.int64)
+    mapping[A.node_class] = image
+    if (mapping[A.node_class] != image).any():
+        return False
+    mapping = mapping.tolist()
+    return len(set(mapping)) == len(B.latch) and A.latch == [B.latch[c] for c in mapping]
+
+
+def iso_on_weighted_latching(cat, th, Lr, Lr2):
+    """One presheaf's latching classes moved along precomposition with an
+    iso th: r -> r2: a class of Lr2, by its least node (e2, x2), to that
+    of (th then e2, x2) in Lr."""
+    least = np.searchsorted(np.maximum.accumulate(Lr2.node_class), np.arange(len(Lr2.latch)))
+    p, x = _pairs(Lr2, least)
+    then = cat.row(th) - cat.out_of(cat.dom(th)).start
+    return Lr.node_class[Lr.first_node[then[p]] + x]
+
+
+def seeded_corpus(cat, data, seed, count):
+    """presheaf.seeded_corpus with a fresh representable built for every
+    draw, as it was built before it built each representable once."""
+    rng = random.Random(seed)
+    n_obj = len(cat.objects)
+    corpus = [presheaf.representable(cat, r) for r in range(n_obj)]
+    for r in range(n_obj):
+        auts = cat.isos(r, r)
+        if len(auts) > 1:
+            corpus.append(presheaf.autquo(cat, r, auts)[0])
+    corpus.append(presheaf.terminal_presheaf(cat))
+    corpus.append(presheaf.empty_presheaf(cat))
+    for e0, e1 in presheaf._some_spans(cat, data):
+        corpus.append(presheaf.span_pushout_of_representables(cat, e0, e1))
+    for _ in range(count):
+        parts = [
+            presheaf.representable(cat, rng.randrange(n_obj))
+            for _ in range(rng.randint(1, 2))
+        ]
+        X = presheaf.coproduct_presheaf(parts)
+        pairs = []
+        for _ in range(rng.randint(0, 3)):
+            candidates = [r for r in range(n_obj) if X.levels[r] >= 2]
+            if not candidates:
+                break
+            r = rng.choice(candidates)
+            i = rng.randrange(X.levels[r])
+            j = rng.randrange(X.levels[r])
+            if i != j:
+                pairs.append((r, i, j))
+        if pairs:
+            X, _ = presheaf.quotient_presheaf(X, pairs)
+        corpus.append(X)
+    return corpus

@@ -590,13 +590,16 @@ def test_ill_defined_lowering_pushout_join_is_a_failed_check(monkeypatch):
 
 
 def test_missing_ez_decomposition_is_a_failed_check(monkeypatch):
-    import numpy as np
-
     import reedylab.presheaf as presheaf
 
-    monkeypatch.setattr(
-        presheaf, "nondegenerate", lambda X, data: [np.zeros(n, bool) for n in X.levels]
-    )
+    real = presheaf._ez_tables
+
+    def undecomposed(corpus, data):
+        # every chunk's EZ table without its decompositions
+        for chunk, element, e, y in real(corpus, data):
+            yield chunk, element[:0], e[:0], y[:0]
+
+    monkeypatch.setattr(presheaf, "_ez_tables", undecomposed)
     cert = run_suite(SuiteConfig(suite="cell-presentation", corpus_count=0))
     _law_failure(cert, "cell-presentation", "ez-existence")
 
@@ -606,11 +609,33 @@ def test_verdict_coverage_counts_the_presheaves_reached(monkeypatch):
 
     # the EZ criterion disagrees on every presheaf, so each triple sweep
     # stops at index 0 and only two verdicts are gathered
-    monkeypatch.setattr(presheaf, "has_unique_ez", lambda X, data: (None, None))
+    monkeypatch.setattr(presheaf, "has_unique_ez", lambda corpus, data: [(None, None)] * len(corpus))
     cert = run_suite(SuiteConfig(suite="presheaf-ez", corpus_count=5))
     check = next(c for c in cert.checks if c.id == "both-verdicts-occur-in-corpus")
     assert (check.status, check.count) == ("fail", 2)
     assert check.witness["verdicts-seen"] == ["True"]
+
+
+def test_presheaf_verdicts_run_once_per_corpus_chunk(monkeypatch):
+    import reedylab.presheaf as presheaf
+    from reedylab.kernel import chunks
+    from reedylab.suites import _corpus
+
+    real, calls = presheaf.square_pullbacks, []
+
+    def counting(cat, squares, action):
+        calls.append(len(squares))
+        return real(cat, squares, action)
+
+    monkeypatch.setattr(presheaf, "square_pullbacks", counting)
+    cfg = SuiteConfig(suite="presheaf-ez")
+    checks = {c.id: c for c in run_suite(cfg).checks}
+    assert checks["triple-criteria-agree-seeded-size3"].count == 213
+    # one call per chunk of the exhaustive and the seeded corpora, and one
+    # for the non-mono witness, where there were 220 calls, one per presheaf
+    corpora = [entry[3] for entry in _corpus(3, cfg.budget, cfg.seed, cfg.corpus_count)[:2]]
+    expected = sum(len(list(chunks([len(X.values) for X in corpus]))) for corpus in corpora)
+    assert len(calls) == expected + 1 < 20
 
 
 def test_unforced_composite_lift_step_is_a_failed_check(monkeypatch):

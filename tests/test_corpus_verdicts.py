@@ -1,0 +1,263 @@
+"""The corpus routines behind the presheaf verdicts against their
+per-presheaf references in presheaf_reference: the pushouts-to-pullbacks
+criterion, the EZ table (EZ degrees and unique EZ), the comparison of the
+two latching weights, and the latching classes the cell squares move
+along each iso.  Compared presheaf by presheaf, every held ViolatedLaw by
+its law and witness, on the corpora the suites certify (the exhaustive
+size-2 corpus and the seeded size-3 and size-4 corpora), on the non-mono
+witness, on every single moved action value of a representable, and on
+presheaves with one action value moved, drawn by hypothesis and run
+among uncorrupted neighbours."""
+
+from collections import Counter
+
+import numpy as np
+import pytest
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
+
+import presheaf_reference as reference
+import reedylab.presheaf as presheaf
+from reedylab import kernel
+from reedylab.errors import ViolatedLaw
+from reedylab.kernel import chunks
+from reedylab.presheaf import (
+    enumerate_presheaves,
+    ez_degrees,
+    has_unique_ez,
+    latching_object_via_weights,
+    latching_objects,
+    latching_routes_agree,
+    maps_lowering_pushouts_to_pullbacks,
+    non_reedy_mono_example,
+    representable,
+    seeded_corpus,
+)
+from reedylab.reedy import truncated_semilattice_category
+
+NAMES = ("exhaustive-size2", "seeded-size3", "seeded-size4", "non-mono-witness")
+
+
+class Corpora(dict):
+    """The corpora by name, printed as their name in a falsifying example
+    (in full they run to megabytes)."""
+
+    def _repr_pretty_(self, printer, cycle):
+        printer.text("corpora")
+
+
+@pytest.fixture(scope="module")
+def corpora():
+    cat2, data2, squares2 = truncated_semilattice_category(2)
+    cat3, data3, squares3 = truncated_semilattice_category(3)
+    cat4, data4, squares4 = truncated_semilattice_category(4)
+    _, data5, squares5, X = non_reedy_mono_example()
+    return Corpora(
+        {
+            "exhaustive-size2": (enumerate_presheaves(cat2, 2), data2, squares2),
+            "seeded-size3": (seeded_corpus(cat3, data3, 0, 200), data3, squares3),
+            "seeded-size4": (seeded_corpus(cat4, data4, 0, 200), data4, squares4),
+            "non-mono-witness": ([X], data5, squares5),
+        }
+    )
+
+
+@pytest.fixture(scope="module")
+def moved_values(corpora):
+    """yo(1) on the size-3 truncation with one value of one action moved,
+    every such change in turn: functors no longer, they break the EZ
+    laws, unique EZ and the pullback criterion in every way the corpus
+    routines report."""
+    seeded, data, squares = corpora["seeded-size3"]
+    cat = seeded[0].base
+    yo = representable(cat, 1)
+    corpus = [
+        reference.with_value(yo, f, x, other)
+        for f in cat.morphisms()
+        if not cat.is_identity(f)
+        for x, value in enumerate(yo.action(f).tolist())
+        for other in range(yo.levels[cat.dom(f)])
+        if other != value
+    ]
+    return corpus, data, squares
+
+
+def outcome(fn, *args):
+    """The result of fn, or the law and witness of the ViolatedLaw it raises."""
+    try:
+        return fn(*args)
+    except ViolatedLaw as exc:
+        return ("violated", exc.law, exc.witness)
+
+
+def summary(result):
+    """A held outcome in the form outcome() gives it."""
+    if isinstance(result, ViolatedLaw):
+        return ("violated", result.law, result.witness)
+    return result
+
+
+def parts_per_chunk(corpus):
+    return [len(part) for part in chunks([len(X.values) for X in corpus])]
+
+
+def same_verdicts(corpus, data, squares):
+    """Each corpus routine on the whole corpus against its per-presheaf
+    reference on each presheaf alone; the Counter-based pullback reference
+    too, where it is quick."""
+    pullbacks = maps_lowering_pushouts_to_pullbacks(corpus, squares)
+    degrees = ez_degrees(corpus, data)
+    unique = has_unique_ez(corpus, data)
+    assert len(pullbacks) == len(degrees) == len(unique) == len(corpus)
+    for X, c, d, b in zip(corpus, pullbacks, degrees, unique):
+        assert c == reference.pullbacks_by_presheaf(X, squares)
+        if len(X.values) < 20000:
+            assert c == reference.maps_lowering_pushouts_to_pullbacks(X, squares)
+        assert summary(d) == outcome(reference.ez_degrees, X, data)
+        assert b == reference.has_unique_ez(X, data)
+    return pullbacks, degrees, unique
+
+
+def same_route_verdicts(corpus, data):
+    by_lowering = latching_objects(corpus, data)
+    by_degree = latching_object_via_weights(corpus, data)
+    verdicts = latching_routes_agree(by_lowering, by_degree)
+    assert len(verdicts) == len(corpus)
+    for As, Bs, agree in zip(by_lowering, by_degree, verdicts):
+        assert len(agree) == len(As)
+        for A, B, ok in zip(As, Bs, agree):
+            assert summary(ok) == outcome(reference.latching_routes_agree, A, B)
+            # a law is held as the very outcome that broke it
+            assert not isinstance(ok, ViolatedLaw) or ok is A or ok is B
+    return verdicts
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_verdicts_match_the_references(corpora, name):
+    corpus, data, squares = corpora[name]
+    if name.startswith("seeded-size3"):
+        assert max(parts_per_chunk(corpus)) > 1
+    pullbacks, degrees, unique = same_verdicts(corpus, data, squares)
+    # the witness fails both criteria; the others pass everywhere
+    failing = name == "non-mono-witness"
+    assert {ok for ok, _ in pullbacks} == {ok for ok, _ in unique} == {not failing}
+    assert not any(isinstance(d, ViolatedLaw) for d in degrees)
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_route_verdicts_match_the_reference(corpora, name):
+    corpus, data, _ = corpora[name]
+    # the degree weight takes seconds on the whole size-4 corpus: its
+    # designed family and the first random presheaves are compared
+    verdicts = same_route_verdicts(corpus[:40], data)
+    assert all(ok is True for agree in verdicts for ok in agree)
+
+
+def test_moved_values_match_the_references(moved_values):
+    corpus, data, squares = moved_values
+    assert len(corpus) == 614 and max(parts_per_chunk(corpus)) > 1
+    pullbacks, degrees, unique = same_verdicts(corpus, data, squares)
+    # every branch is reached, so each was compared
+    laws = Counter(d.law for d in degrees if isinstance(d, ViolatedLaw))
+    assert set(laws) == {"ez-existence", "sub-presheaf-closure"}
+    assert {ok for ok, _ in pullbacks} == {ok for ok, _ in unique} == {True, False}
+    verdicts = same_route_verdicts(corpus, data)
+    seen = {summary(ok)[1] if isinstance(ok, ViolatedLaw) else ok for v in verdicts for ok in v}
+    assert seen == {True, "well-definedness"}
+
+
+def test_pullback_verdicts_keep_their_presheaf_in_a_chunk(corpora, monkeypatch):
+    # a presheaf that fails does not hide the first failing square of
+    # another in the same chunk, nor fail one that passes
+    (X,), data, squares = corpora["non-mono-witness"]
+    cat = X.base
+    corpus = [X, representable(cat, 0), X]
+    monkeypatch.setattr(kernel, "CHUNK", 1 << 17)
+    assert parts_per_chunk(corpus) == [3]
+    outcomes = maps_lowering_pushouts_to_pullbacks(corpus, squares)
+    assert outcomes == [reference.pullbacks_by_presheaf(Y, squares) for Y in corpus]
+    assert outcomes[0] == outcomes[2] != outcomes[1]
+
+
+@pytest.mark.parametrize("name", ["seeded-size3", "seeded-size4"])
+def test_seeded_corpus_is_the_fresh_build(corpora, name, monkeypatch):
+    """The seeded corpus, which builds each representable once, against
+    the build with a fresh representable for every draw."""
+    corpus, data, _ = corpora[name]
+    cat = corpus[0].base
+    fresh = reference.seeded_corpus(cat, data, 0, 200)
+    assert len(fresh) == len(corpus)
+    for X, Y in zip(corpus, fresh):
+        assert (X.levels, X.values.tolist()) == (Y.levels, Y.values.tolist())
+    real, calls = presheaf.representable, []
+
+    def counting(cat, r):
+        calls.append(r)
+        return real(cat, r)
+
+    monkeypatch.setattr(presheaf, "representable", counting)
+    seeded_corpus(cat, data, 0, 200)
+    # once per object, once per automorphism quotient, and twice per span
+    # pushout of the designed family
+    autquos = sum(len(cat.isos(r, r)) > 1 for r in range(len(cat.objects)))
+    spans = len(presheaf._some_spans(cat, data))
+    assert len(calls) == len(cat.objects) + autquos + 2 * spans
+
+
+@pytest.mark.parametrize("name", ["seeded-size3", "seeded-size4", "non-mono-witness"])
+def test_iso_moves_match_the_per_presheaf_moves(corpora, name):
+    """The classes the cell squares move along each iso th: r -> r2 of
+    the degree-n objects, for a whole chunk at once, against the moves of
+    each presheaf alone."""
+    corpus, data, _ = corpora[name]
+    cat = corpus[0].base
+    latching = latching_objects(corpus, data)
+    isos = 0
+    for part in chunks([len(X.values) for X in corpus]):
+        for n in sorted(set(data.degree)):
+            _, objs_n, gluings = presheaf._gluing_plan(cat, data, n)
+            L = [{r: latching[k][r] for r in objs_n} for k in part]
+            moves = presheaf._iso_moves(cat, L, gluings)
+            for r, _, _, plan in gluings:
+                for r2, th, _ in plan:
+                    expected = [reference.iso_on_weighted_latching(cat, th, Lp[r], Lp[r2]) for Lp in L]
+                    assert moves[th].tolist() == np.concatenate(expected).tolist()
+                    isos += 1
+    assert isos
+
+
+# no shrink phase: shrinking a failure reruns the references on every
+# candidate before the failure is reported
+@settings(
+    max_examples=60,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    phases=tuple(p for p in Phase if p is not Phase.shrink),
+)
+@given(seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_verdicts_match_the_references_on_corrupted_presheaves(corpora, seed, data):
+    """A presheaf of seeded_corpus with one action value moved, run in one
+    chunk among four uncorrupted presheaves of the seeded corpus, at a
+    drawn place: its verdicts are its references', and theirs are those
+    they have without it."""
+    base, reedy, squares = corpora["seeded-size3"]
+    cat = base[0].base
+    X = data.draw(st.sampled_from(seeded_corpus(cat, reedy, seed, 3)[-3:]))
+    movable = [f for f in cat.morphisms() if X.levels[cat.dom(f)] >= 2 and X.levels[cat.cod(f)]]
+    if movable:
+        f = data.draw(st.sampled_from(movable))
+        x = data.draw(st.integers(0, X.levels[cat.cod(f)] - 1))
+        X = reference.with_value(X, f, x, data.draw(st.integers(0, X.levels[cat.dom(f)] - 1)))
+    i = data.draw(st.integers(0, len(base) - 4))
+    at = data.draw(st.integers(0, 4))
+    neighbours = base[i : i + 4]
+    corpus = [*neighbours[:at], X, *neighbours[at:]]
+    assert parts_per_chunk(corpus) == [5]
+    together = same_verdicts(corpus, reedy, squares)
+    alone = same_verdicts(neighbours, reedy, squares)
+    for held, own in zip(together, alone):
+        assert list(map(summary, held[:at] + held[at + 1 :])) == list(map(summary, own))
+    verdicts = [list(map(summary, v)) for v in same_route_verdicts(corpus, reedy)]
+    own = [list(map(summary, v)) for v in same_route_verdicts(neighbours, reedy)]
+    assert verdicts[:at] + verdicts[at + 1 :] == own

@@ -8,6 +8,7 @@ from reedylab.errors import InvalidInput, SizeBudget, ViolatedLaw
 from reedylab.obstruction import (
     CrownMap,
     CrownPoset,
+    MonotoneCubeMap,
     certify_no_reedy_factorization_of_u,
     certify_sieve_chain_nonstabilization,
     certify_wind_properties,
@@ -363,6 +364,23 @@ def test_extension_semifunctor_pointwise():
     lhs = crown_extension(compose_crown(f, identity_crown(3)))
     rhs = compose_extensions(crown_extension(f), crown_extension(identity_crown(3)))
     assert lhs.values == rhs.values
+
+
+def test_composites_of_extensions_are_validated_once(monkeypatch):
+    validated = []
+    check = MonotoneCubeMap.__post_init__
+    monkeypatch.setattr(
+        MonotoneCubeMap, "__post_init__", lambda f: (validated.append(f), check(f))
+    )
+    f, g = crown_extension(fold_map(6, 3)), crown_extension(identity_crown(3))
+    assert len(validated) == 2
+    composite = compose_extensions(f, g)
+    assert composite == MonotoneCubeMap(6, 3, tuple(g.values[v] for v in f.values))
+    # the composite skipped the check; the public constructor still ran it
+    assert len(validated) == 3
+    with pytest.raises(ViolatedLaw) as err:
+        MonotoneCubeMap(1, 1, (1, 0))
+    assert err.value.law == "monotonicity"
 
 
 def test_extension_pullback_certificates():

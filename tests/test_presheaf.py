@@ -8,14 +8,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from presheaf_reference import with_value
+from presheaf_reference import ez_decompositions, nondegenerate, with_value
 from reedylab.presheaf import (
     PresheafMorphism,
     autquo,
     coproduct_presheaf,
     empty_presheaf,
     enumerate_presheaves,
-    ez_decompositions,
     ez_degrees,
     has_unique_ez,
     is_reedy_mono,
@@ -24,7 +23,6 @@ from reedylab.presheaf import (
     latching_routes_agree,
     maps_lowering_pushouts_to_pullbacks,
     non_reedy_mono_example,
-    nondegenerate,
     quotient_presheaf,
     representable,
     seeded_corpus,
@@ -35,7 +33,7 @@ from reedylab.presheaf import (
     terminal_presheaf,
     verify_cell_square,
 )
-from reedylab.errors import ViolatedLaw
+from reedylab.errors import ViolatedLaw, outcome_value
 from reedylab.reedy import truncated_semilattice_category
 from reedylab.semilattice import image_factorize
 
@@ -225,9 +223,9 @@ def test_latching_two_routes_agree(trunc3):
     rnd = random.Random(2)
     corpus = seeded_corpus(cat, data, seed=9, count=25)
     by_lowering = latching_objects(corpus, data)
-    for L, weighted in zip(by_lowering, latching_object_via_weights(corpus, data)):
-        for r in range(4):
-            assert latching_routes_agree(L[r], weighted[r])
+    agree = latching_routes_agree(by_lowering, latching_object_via_weights(corpus, data))
+    assert [len(verdicts) for verdicts in agree] == [4] * len(corpus)
+    assert all(ok is True for verdicts in agree for ok in verdicts)
 
 
 def test_routes_disagree_where_the_latching_objects_differ(trunc3):
@@ -236,7 +234,11 @@ def test_routes_disagree_where_the_latching_objects_differ(trunc3):
     yo = representable(cat, V)
     A = latching_objects([yo], data)[0][V]
     B = latching_object_via_weights([yo], data)[0][V]
-    assert latching_routes_agree(A, B)
+
+    def agree(A, B):
+        return latching_routes_agree([[A]], [[B]])[0][0]
+
+    assert agree(A, B)
 
     def relabelled(L, old, new):
         return replace(L, node_class=np.where(L.node_class == old, new, L.node_class))
@@ -245,14 +247,16 @@ def test_routes_disagree_where_the_latching_objects_differ(trunc3):
     # but not over X_r
     swapped = B.node_class.copy()
     swapped[B.node_class == 0], swapped[B.node_class == 1] = 1, 0
-    assert not latching_routes_agree(A, replace(B, node_class=swapped))
+    assert agree(A, replace(B, node_class=swapped)) is False
     # two classes of B merged: no bijection
-    assert not latching_routes_agree(A, relabelled(B, 1, 0))
+    assert agree(A, relabelled(B, 1, 0)) is False
     # two classes of the lowering weight merged: one meets two of B
-    assert not latching_routes_agree(relabelled(A, 1, 0), B)
+    assert agree(relabelled(A, 1, 0), B) is False
     # a node of the lowering weight outside the degree weight
     outside = replace(B, first_node=np.where(A.first_node >= 0, -1, B.first_node))
-    assert not latching_routes_agree(A, outside)
+    assert agree(A, outside) is False
+    # side by side, each pair keeps its own verdict
+    assert latching_routes_agree([[A, A], [A]], [[B, outside], [B]]) == [[True, False], [True]]
 
 
 def test_latching_laws_are_held_and_raised_where_read(trunc3):
@@ -271,9 +275,9 @@ def test_latching_laws_are_held_and_raised_where_read(trunc3):
         is_reedy_mono(latching)
     assert err.value is latching[2]
     # the lowering weight's outcome is raised before the other is read
-    weighted = latching_object_via_weights([moved(0)], data)[0][2]
+    (agree,) = latching_routes_agree([latching], latching_object_via_weights([moved(0)], data))
     with pytest.raises(ViolatedLaw) as err:
-        latching_routes_agree(latching[2], weighted)
+        outcome_value(agree[2])
     assert err.value is latching[2]
     # a latching map that is not injective comes first, so no law is read
     (latching,) = latching_objects([moved(1)], data)
@@ -307,14 +311,14 @@ def test_nondegenerate_elements_decompose_trivially(trunc3):
     assert nondegenerate(yo, data)[V][idx]
     decs = ez_decompositions(yo, data)[V][idx]
     assert decs and all(cat.mor(e).is_iso for e, _ in decs)
-    assert ez_degrees(yo, data)[V][idx] == 3
+    assert ez_degrees([yo], data)[0][V][idx] == 3
 
 
 def test_representable_ez_is_reedy_factorization(trunc3):
     cat, data, squares = trunc3
     V = free_pair_object(cat)
     yo = representable(cat, V)
-    degrees = ez_degrees(yo, data)
+    (degrees,) = ez_degrees([yo], data)
     for s in range(4):
         for k, f in enumerate(cat.homs[(s, V)]):
             surj, mono = image_factorize(f)
@@ -325,21 +329,20 @@ def test_terminal_presheaf_collapses(trunc2):
     cat, data, squares = trunc2
     T = terminal_presheaf(cat)
     assert ez_decompositions(T, data)[1][0] == [(cat.refs(1, 0)[0], 0)]
-    assert ez_degrees(T, data)[1][0] == 1
+    assert ez_degrees([T], data)[0][1][0] == 1
     assert is_reedy_mono(latching_objects([T], data)[0])
 
 
 def test_unique_ez_on_representables_and_autquos(trunc3):
     cat, data, squares = trunc3
     V = free_pair_object(cat)
-    for X in (
+    corpus = [
         representable(cat, V),
         autquo(cat, V, cat.isos(V, V))[0],
         terminal_presheaf(cat),
         empty_presheaf(cat),
-    ):
-        ok, witness = has_unique_ez(X, data)
-        assert ok
+    ]
+    assert has_unique_ez(corpus, data) == [(True, None)] * 4
 
 
 def test_no_failing_presheaf_on_small_truncations(trunc3):
@@ -348,16 +351,17 @@ def test_no_failing_presheaf_on_small_truncations(trunc3):
     # levels <= 1 is exhaustively checkable directly
     cat, data, squares = trunc3
     corpus = enumerate_presheaves(cat, 1)
-    for X, latching in zip(corpus, latching_objects(corpus, data)):
+    unique = has_unique_ez(corpus, data)
+    for latching, (ok, _) in zip(latching_objects(corpus, data), unique):
         assert is_reedy_mono(latching)
-        assert has_unique_ez(X, data)[0]
+        assert ok
 
 
 def test_failing_presheaf_exists_beyond_size_four():
     cat, data, squares, X = non_reedy_mono_example()
     a = is_reedy_mono(latching_objects([X], data)[0])
-    b, witness = has_unique_ez(X, data)
-    c, sq = maps_lowering_pushouts_to_pullbacks(X, squares)
+    ((b, witness),) = has_unique_ez([X], data)
+    ((c, sq),) = maps_lowering_pushouts_to_pullbacks([X], squares)
     assert (a, b, c) == (False, False, False)
     # the witness pair shares an element but no linking isomorphism
     (r, x), d0, d1 = witness
@@ -373,7 +377,7 @@ def test_skeleton_chain_of_representable(trunc3):
     cat, data, squares = trunc3
     V = free_pair_object(cat)
     yo = representable(cat, V)
-    degrees = ez_degrees(yo, data)
+    (degrees,) = ez_degrees([yo], data)
     assert len(skeleton(degrees, 2)[V]) == 3  # the three constants
     assert len(skeleton(degrees, 3)[V]) == 7  # the non-injective endomorphisms
     ok, sizes = skeleton_chain_report(yo, data, degrees)
@@ -382,7 +386,7 @@ def test_skeleton_chain_of_representable(trunc3):
 
 def test_skeleton_zero_and_one_are_empty(trunc3):
     cat, data, squares = trunc3
-    degrees = ez_degrees(representable(cat, 1), data)
+    (degrees,) = ez_degrees([representable(cat, 1)], data)
     for n in (0, 1):
         assert skeleton(degrees, n) == ((),) * len(cat.objects)
 
@@ -395,29 +399,34 @@ def test_restriction_raising_an_ez_degree_breaks_closure(trunc3, monkeypatch):
     yo = representable(cat, V)
     ident = cat.identities[V] - cat.refs(V, V).start
     const = next(k for k, f in enumerate(cat.homs[(V, V)]) if len(f.image()) == 1)
-    real = presheaf.ez_decompositions
+    real = presheaf._ez_tables
+    # the elements of yo(V) at V, in the chunk of yo(V) alone
+    at_V = sum(yo.levels[:V])
 
-    def identity_of_degree_one(X, data):
+    def identity_of_degree_one(corpus, data):
         # the identity takes the decompositions of a constant, so its
         # restriction along a map into V with more than one value in its
         # image raises its degree
-        table = real(X, data)
-        table[V][ident] = table[V][const]
-        return table
+        for chunk, element, e, y in real(corpus, data):
+            own, taken = element == at_V + ident, element == at_V + const
+            element = np.concatenate([element[~own], np.full(taken.sum(), at_V + ident)])
+            e, y = (np.concatenate([a[~own], a[taken]]) for a in (e, y))
+            order = np.argsort(element, kind="stable")
+            yield chunk, element[order], e[order], y[order]
 
-    monkeypatch.setattr(presheaf, "ez_decompositions", identity_of_degree_one)
-    with pytest.raises(ViolatedLaw) as exc:
-        ez_degrees(yo, data)
-    assert exc.value.law == "sub-presheaf-closure"
-    assert exc.value.witness[1] == ident
+    monkeypatch.setattr(presheaf, "_ez_tables", identity_of_degree_one)
+    (degrees,) = ez_degrees([yo], data)
+    assert isinstance(degrees, ViolatedLaw)
+    assert degrees.law == "sub-presheaf-closure"
+    assert degrees.witness[1] == ident
 
 
 def test_cell_squares_on_representable(trunc3):
     cat, data, squares = trunc3
     V = free_pair_object(cat)
     yo = representable(cat, V)
-    degrees = ez_degrees(yo, data)
-    (reports,) = verify_cell_square([yo], data, [degrees], latching_objects([yo], data))
+    degrees = ez_degrees([yo], data)
+    (reports,) = verify_cell_square([yo], data, degrees, latching_objects([yo], data))
     assert list(reports) == [1, 2, 3]
     for rep in reports.values():
         assert rep.commutes and rep.is_pushout and rep.cell_mono
@@ -426,7 +435,7 @@ def test_cell_squares_on_representable(trunc3):
 def test_cell_square_with_empty_degree_part(trunc3):
     cat, data, squares = trunc3
     E = empty_presheaf(cat)
-    rep = verify_cell_square([E], data, [ez_degrees(E, data)], latching_objects([E], data))[0][3]
+    rep = verify_cell_square([E], data, ez_degrees([E], data), latching_objects([E], data))[0][3]
     assert rep.commutes and rep.is_pushout and rep.cell_mono
 
 
@@ -435,7 +444,7 @@ def test_cell_square_failure_pattern_on_witness():
     # the degree of the latching failure; the pushout property fails where
     # EZ uniqueness breaks across degrees
     cat, data, squares, X = non_reedy_mono_example()
-    degrees = ez_degrees(X, data)
+    (degrees,) = ez_degrees([X], data)
     (latching,) = latching_objects([X], data)
     (reports,) = verify_cell_square([X], data, [degrees], [latching])
     assert all(r.commutes for r in reports.values())
@@ -455,19 +464,17 @@ def test_cell_square_failure_pattern_on_witness():
 
 def test_representables_send_pushouts_to_pullbacks(trunc3):
     cat, data, squares = trunc3
-    for r in range(4):
-        ok, w = maps_lowering_pushouts_to_pullbacks(representable(cat, r), squares)
-        assert ok
+    corpus = [representable(cat, r) for r in range(4)]
+    assert maps_lowering_pushouts_to_pullbacks(corpus, squares) == [(True, None)] * 4
 
 
 def test_triple_equivalence_on_seeded_corpus(trunc3):
     cat, data, squares = trunc3
     corpus = seeded_corpus(cat, data, seed=0, count=60)
-    for X, latching in zip(corpus, latching_objects(corpus, data)):
-        a = is_reedy_mono(latching)
-        b = has_unique_ez(X, data)[0]
-        c = maps_lowering_pushouts_to_pullbacks(X, squares)[0]
-        assert a == b == c
+    unique = has_unique_ez(corpus, data)
+    pullbacks = maps_lowering_pushouts_to_pullbacks(corpus, squares)
+    for latching, (b, _), (c, _) in zip(latching_objects(corpus, data), unique, pullbacks):
+        assert is_reedy_mono(latching) == b == c
 
 
 # ---------------------------------------------------------------------------

@@ -166,7 +166,7 @@ def test_pullback_criterion_refuses_a_square_whose_legs_do_not_meet(trunc3):
     cat, data, squares = trunc3
     apart, _ = _off_carrier(cat, squares)
     with pytest.raises(ViolatedLaw) as exc:
-        maps_lowering_pushouts_to_pullbacks(representable(cat, 0), squares[:5] + [apart])
+        maps_lowering_pushouts_to_pullbacks([representable(cat, 0)], squares[:5] + [apart])
     assert (exc.value.law, exc.value.witness) == ("square-shape", apart)
 
 
