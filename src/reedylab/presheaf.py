@@ -15,22 +15,23 @@ elements of degree below n, a filter on the degrees rather than a
 presheaf of its own; that each skeleton is a sub-presheaf is checked
 once per presheaf, as the fact that no restriction raises a degree.
 
-Every verdict on a presheaf is computed for a whole corpus of presheaves
-on one base at once, one chunk at a time (kernel.chunks over the
-presheaves' action entries): the latching objects by both weights
-(latching_objects and latching_object_via_weights, one routine with two
-weights) and the comparison of the two, the EZ table (ez_degrees and
-has_unique_ez), the pushouts-to-pullbacks criterion and the cell
-squares.  Colimits commute with coproducts, and coproducts of sets are
-disjoint and stable under pullback, so a chunk's presheaves side by side
-are one presheaf, their coproduct.  Their elements and nodes are
-numbered part-major, so each presheaf's elements, nodes and classes are
-one run in the order the presheaf alone gives them, and one numpy pass
-per chunk serves every presheaf in it.  Each routine returns, per
-presheaf (and per object or degree), the result or the ViolatedLaw it
-breaks; the suites replay these in their walk order, presheaf first.  A
-corpus's latching objects are computed once and read by the Reedy-mono
-verdict, the route comparison and the cell squares.
+A corpus, presheaves on one base, is laid out once, where it is built:
+Corpus.of cuts it with kernel.chunks over the presheaves' action entries
+and places each chunk's presheaves side by side in one array, and each
+member's values is its view into that array.  Colimits commute with
+coproducts, and coproducts of sets are disjoint and stable under
+pullback, so a chunk is one presheaf, their coproduct.  Its elements and
+nodes are numbered part-major, so each presheaf's elements, nodes and
+classes are one run in the order the presheaf alone gives them.  Every
+verdict takes a Corpus and makes one numpy pass per chunk: the latching
+objects by both weights (latching_objects and
+latching_object_via_weights, one routine with two weights), the EZ table
+(ez_degrees and has_unique_ez), the pushouts-to-pullbacks criterion and
+the cell squares.  Each returns, per presheaf (and per object or
+degree), the result or the ViolatedLaw it breaks; the suites replay
+these in their walk order, presheaf first.  A corpus's latching objects
+are computed once and read by the Reedy-mono verdict, the route
+comparison and the cell squares.
 """
 
 from __future__ import annotations
@@ -275,54 +276,46 @@ class _Stacked:
 
 
 def latching_objects(
-    corpus: list[FinPresheaf], data: ReedyData
+    corpus: Corpus, data: ReedyData
 ) -> list[list[WeightedLatching | ViolatedLaw]]:
     """Latching by the lowering weight: the strictly lowering maps e out
     of r, glued along the lowering maps f, (f e, x) ~ (e, x f)."""
-    if not corpus:
-        return []
-    cat = corpus[0].base
-    degree = np.array(data.degree)
+    cat, degree = corpus.base, np.array(data.degree)
     weight = data.lowering & (degree[cat.codomain] < degree[cat.domain])
     return _latching(corpus, weight, [np.array(ids, np.int64) for ids in data.lowering_out])
 
 
 def latching_object_via_weights(
-    corpus: list[FinPresheaf], data: ReedyData
+    corpus: Corpus, data: ReedyData
 ) -> list[list[WeightedLatching | ViolatedLaw]]:
     """Latching by the degree weight: all maps out of r of degree below
     deg(r), not only lowering ones, glued along every morphism."""
-    if not corpus:
-        return []
-    cat = corpus[0].base
+    cat = corpus.base
     weight = cat.image_size < np.array(data.degree)[cat.domain]
     gluing = [np.arange(out.start, out.stop) for out in map(cat.out_of, range(len(cat.objects)))]
     return _latching(corpus, weight, gluing)
 
 
 def _latching(
-    corpus: list[FinPresheaf], weight: np.ndarray, gluing: list[np.ndarray]
+    corpus: Corpus, weight: np.ndarray, gluing: list[np.ndarray]
 ) -> list[list[WeightedLatching | ViolatedLaw]]:
-    """The latching objects of a corpus (all on one base) by a weight: the
-    maps f out of r with weight[f], glued along the maps g out of each b
-    in gluing[b], (g f, x) ~ (f, x g).  Returns, for each presheaf and each
-    object r, the latching object or the ViolatedLaw that it breaks, in
-    that presheaf's own coordinates.
+    """The latching objects of a corpus by a weight: the maps f out of r
+    with weight[f], glued along the maps g out of each b in gluing[b],
+    (g f, x) ~ (f, x g).  Returns, for each presheaf and each object r,
+    the latching object or the ViolatedLaw that it breaks, in that
+    presheaf's own coordinates.
 
-    The corpus runs one chunk at a time, side by side: the nodes of a
-    chunk's presheaves are numbered part-major, so each presheaf's nodes,
-    and so its classes, are one run in its own order, and one join per
-    (chunk, r) and block b glues them all.  The gluing of the weight maps
-    into b is one gather from the rows of composition[(r, b)] and the
-    actions of the gluing maps.  'degree-drop' names the first (f, g) of
-    the walk (f in the weight, then g a gluing map out of its codomain, in
-    morphism order) whose composite leaves the weight; it depends on the
-    base alone, so every presheaf breaks it at r or none does."""
-    cat, out = corpus[0].base, [[] for _ in corpus]
+    One join per (chunk, r) and block b glues the nodes of every presheaf
+    of the chunk.  The gluing of the weight maps into b is one gather from
+    the rows of composition[(r, b)] and the actions of the gluing maps.
+    'degree-drop' names the first (f, g) of the walk (f in the weight,
+    then g a gluing map out of its codomain, in morphism order) whose
+    composite leaves the weight; it depends on the base alone, so every
+    presheaf breaks it at r or none does."""
+    cat, out = corpus.base, [[] for _ in corpus]
     n_maps = len(cat.domain)
     plans = [_weight_plan(cat, r, weight, gluing) for r in range(len(cat.objects))]
-    for part in chunks([len(X.values) for X in corpus]):
-        chunk = _Chunk.of(cat, corpus[part.start : part.stop])
+    for part, chunk in corpus.chunks:
         n_parts = len(part)
         # the entries of the gluing maps out of each b, in every part: entry
         # e sends x2[e] along the map of segment seg[e] (part p[e], the map
@@ -409,6 +402,9 @@ class _Chunk:
 
     @classmethod
     def of(cls, cat: FinCategory, parts: list[FinPresheaf]) -> _Chunk:
+        """Raises InvalidInput when a part is on another base."""
+        if any(X.base is not cat for X in parts):
+            raise InvalidInput("presheaves side by side must share one base")
         levels = np.array([X.levels for X in parts], np.int64).reshape(len(parts), -1)
         values = np.concatenate([X.values for X in parts])
         return cls(cat, levels, values, _segments(levels[:, cat.codomain].ravel())[0])
@@ -436,6 +432,40 @@ class _Chunk:
         # map's entries part after part
         values = (self.values + offset[part, cat.domain[f]])[np.argsort(f, kind="stable")]
         return FinPresheaf(cat, tuple(levels.sum(0).tolist()), values.astype(np.int32))
+
+
+@dataclass(eq=False)
+class Corpus:
+    """Presheaves on one base, laid out once: chunks pairs each range of
+    consecutive presheaves that kernel.chunks cuts, over their action
+    entries, with the _Chunk that holds them side by side.  An empty
+    corpus has its base and no chunks."""
+
+    base: FinCategory
+    presheaves: list[FinPresheaf]
+    chunks: list[tuple[range, _Chunk]]
+
+    @classmethod
+    def of(cls, base: FinCategory, presheaves: list[FinPresheaf]) -> Corpus:
+        """Lay the presheaves out, each chunk once.  Each presheaf's values
+        becomes its view into its chunk, the same entries, so the corpus
+        holds each entry once and the arrays the presheaves came with are
+        freed chunk by chunk; a presheaf laid out again views its latest
+        chunk.  Raises InvalidInput when a presheaf is on another base."""
+        laid_out, n_maps = [], len(base.domain)
+        for part in chunks([len(X.values) for X in presheaves]):
+            chunk = _Chunk.of(base, presheaves[part.start : part.stop])
+            # part p's values run from start[p M] to start[(p + 1) M]
+            for k, values in zip(part, np.split(chunk.values, chunk.start[n_maps::n_maps])):
+                presheaves[k].values = values
+            laid_out.append((part, chunk))
+        return cls(base, presheaves, laid_out)
+
+    def __len__(self) -> int:
+        return len(self.presheaves)
+
+    def __iter__(self):
+        return iter(self.presheaves)
 
 
 def _segments(sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -523,12 +553,10 @@ def is_reedy_mono(latching: list[WeightedLatching | ViolatedLaw]) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def ez_degrees(
-    corpus: list[FinPresheaf], data: ReedyData
-) -> list[list[list[int]] | ViolatedLaw]:
-    """The EZ degrees of each presheaf of a corpus (all on one base): entry
-    [r][x] is the EZ degree of x in X_r, the least degree of the middle
-    object of its EZ decompositions.
+def ez_degrees(corpus: Corpus, data: ReedyData) -> list[list[list[int]] | ViolatedLaw]:
+    """The EZ degrees of each presheaf of a corpus: entry [r][x] is the
+    EZ degree of x in X_r, the least degree of the middle object of its
+    EZ decompositions.
 
     A presheaf's outcome is instead the ViolatedLaw 'ez-existence' at its
     first element (r, x) without a decomposition, or else
@@ -568,12 +596,12 @@ def ez_degrees(
     return out
 
 
-def has_unique_ez(corpus: list[FinPresheaf], data: ReedyData) -> list[tuple]:
-    """For each presheaf of a corpus (all on one base), (True, None) when
-    all EZ decompositions of each element are isomorphic, and otherwise
-    (False, ((r, x), d0, d1)): the first pair of decompositions (e, y) of
-    an element x of X_r that no isomorphism links, elements in order and
-    each one's pairs in itertools.combinations order.
+def has_unique_ez(corpus: Corpus, data: ReedyData) -> list[tuple]:
+    """For each presheaf of a corpus, (True, None) when all EZ
+    decompositions of each element are isomorphic, and otherwise (False,
+    ((r, x), d0, d1)): the first pair of decompositions (e, y) of an
+    element x of X_r that no isomorphism links, elements in order and each
+    one's pairs in itertools.combinations order.
 
     (e0, y0) and (e1, y1) are isomorphic when an iso th has th e0 = e1 and
     y1.th = y0.  Lowering maps are epi, so at most one th has th e0 = e1,
@@ -582,10 +610,7 @@ def has_unique_ez(corpus: list[FinPresheaf], data: ReedyData) -> list[tuple]:
     compared, not only those with an element's first decomposition: on a
     functor the two agree, as isomorphism is an equivalence, but a
     caller's values need not form one."""
-    if not corpus:
-        return []
-    keys, ths = _iso_links(corpus[0].base, data)
-    out = []
+    (keys, ths), out = _iso_links(corpus.base, data), []
     for chunk, element, e, y in _ez_tables(corpus, data):
         cat, levels, values = chunk.base, chunk.levels, chunk.values
         (n_parts, n_obj), n_maps = levels.shape, len(cat.domain)
@@ -612,8 +637,8 @@ def has_unique_ez(corpus: list[FinPresheaf], data: ReedyData) -> list[tuple]:
     return out
 
 
-def _ez_tables(corpus: list[FinPresheaf], data: ReedyData):
-    """The EZ table of a corpus (all on one base), one chunk at a time.
+def _ez_tables(corpus: Corpus, data: ReedyData):
+    """The EZ table of a corpus, chunk by chunk.
 
     A decomposition of x in X_r is a pair (e, y) of a lowering map e out
     of r and a nondegenerate y with y.e = x, so it is one action entry of
@@ -623,13 +648,9 @@ def _ez_tables(corpus: list[FinPresheaf], data: ReedyData):
     and its decompositions, sorted by element y.e (parts, then levels,
     end to end), and for one element in morphism order of e, then y: each
     one's element, e and y."""
-    if not corpus:
-        return
-    cat = corpus[0].base
-    degree = np.array(data.degree, np.int64)
+    cat, degree = corpus.base, np.array(data.degree, np.int64)
     lowering = np.array([e for out in data.lowering_out for e in out], np.int64)
-    for part in chunks([len(X.values) for X in corpus]):
-        chunk = _Chunk.of(cat, corpus[part.start : part.stop])
+    for _, chunk in corpus.chunks:
         n_obj = chunk.levels.shape[1]
         x_start = _segments(chunk.levels.ravel())[0]
         p, seg, y, x = chunk.entries(lowering)
@@ -686,28 +707,22 @@ def skeleton(degrees: list[list[int]], n: int) -> tuple[tuple[int, ...], ...]:
 # ---------------------------------------------------------------------------
 
 
-def maps_lowering_pushouts_to_pullbacks(
-    corpus: list[FinPresheaf], squares: list[Square]
-) -> list[tuple]:
-    """For each presheaf X of a corpus (all on one base), whether X sends
-    each base square to a pullback of sets: z goes to (z.f0, z.f1) one to
-    one and onto the pairs (y0, y1) with y0.e0 = y1.e1.  So a square
-    passes when each such pair has a fibre of exactly one z and the pairs
-    number |X_p|.  Returns, per presheaf, (True, None) or (False, square)
-    for the first square that fails.
+def maps_lowering_pushouts_to_pullbacks(corpus: Corpus, squares: list[Square]) -> list[tuple]:
+    """For each presheaf X of a corpus, whether X sends each base square
+    to a pullback of sets: z goes to (z.f0, z.f1) one to one and onto the
+    pairs (y0, y1) with y0.e0 = y1.e1.  So a square passes when each such
+    pair has a fibre of exactly one z and the pairs number |X_p|.
+    Returns, per presheaf, (True, None) or (False, square) for the first
+    square that fails.
 
-    Coproducts of sets are disjoint and stable under pullback, so a
-    chunk's presheaves are checked at once as their coproduct, one
+    A chunk is checked as the coproduct of its presheaves, one
     kernel.square_pullbacks call per chunk: each pair is the part of its
     y0, and no pair or fibre crosses parts.  A square whose maps do not
     meet raises ViolatedLaw('square-shape') there."""
-    if not corpus:
-        return []
-    cat, out = corpus[0].base, []
+    cat, out = corpus.base, []
     ids = np.array(squares, np.int64).reshape(-1, 4)
     b0, p_obj = cat.codomain[ids[:, 0]], cat.codomain[ids[:, 2]]
-    for part in chunks([len(X.values) for X in corpus]):
-        chunk = _Chunk.of(cat, corpus[part.start : part.stop])
+    for part, chunk in corpus.chunks:
         n_parts, levels = len(part), chunk.levels
         # the part of each element of the coproduct, level after level
         level_start, owner, _ = _segments(levels.T.ravel())
@@ -739,16 +754,15 @@ class CellSquareReport:
 
 
 def verify_cell_square(
-    corpus: list[FinPresheaf],
+    corpus: Corpus,
     data: ReedyData,
-    degrees: list[list[list[int]]],
+    degrees: list[list[list[int]] | ViolatedLaw],
     latching: list[list[WeightedLatching | ViolatedLaw]],
 ) -> list[dict[int, CellSquareReport | ViolatedLaw]]:
-    """Certify the cell attachments of each presheaf of a corpus (all on
-    one base), given the EZ degrees and the latching objects
-    (latching_objects) of each.  Returns, for each presheaf and each
-    degree n in increasing order, the report of its degree-n cell square
-    or the ViolatedLaw that it breaks.
+    """Certify the cell attachments of each presheaf of a corpus, given
+    the outcomes of ez_degrees and of latching_objects on it.  Returns,
+    for each presheaf and each degree n in increasing order, the report
+    of its degree-n cell square or the ViolatedLaw that it breaks.
 
     A square builds the two weighted-colimit corners over the groupoid of
     degree-n objects, the cell map between them, and checks levelwise that
@@ -757,38 +771,39 @@ def verify_cell_square(
     'skeleton-landing' at the first level where the left map leaves sk_n
     or, failing that, the right map leaves sk_{n+1}, and the
     'well-definedness' of the first latching object at a degree-n object
-    whose latching map is ill defined.
+    whose latching map is ill defined.  A presheaf whose latching object
+    at a degree-n object, or whose EZ degrees, is a held law keeps that
+    law, the latching one first, in place of its degree-n report.
 
-    Colimits commute with coproducts, so the corpus runs one chunk at a
-    time, side by side, with one join per (chunk, n) and gluing.  Every
-    level of every part is done at once, on integer node keys ordered as
-    the pairs are: part first, then level, then (in the upper-left
-    corner) the boundary nodes (g, x) before the representable nodes
-    (g, c), then g in morphism order, then x or c.  A class is named by
-    its least node, and classes are numbered in that order, so each
-    part's classes are one run in the order of the part alone, and the
-    counts per level become counts per (part, level).
+    There is one join per (chunk, n) and gluing.  Every level of every
+    part is done at once, on integer node keys ordered as the pairs are:
+    part first, then level, then (in the upper-left corner) the boundary
+    nodes (g, x) before the representable nodes (g, c), then g in
+    morphism order, then x or c.  A class is named by its least node,
+    and classes are numbered in that order, so each part's classes are
+    one run in the order of the part alone, and the counts per level
+    become counts per (part, level).
     """
-    if not corpus:
-        return []
-    cat, out = corpus[0].base, [{} for _ in corpus]
+    cat, out = corpus.base, [{} for _ in corpus]
     plans = [_gluing_plan(cat, data, n) for n in sorted(set(data.degree))]
-    for part in chunks([len(X.values) for X in corpus]):
+    # a presheaf that keeps a law runs with no latching classes and every
+    # element of degree 0: parts do not meet, and its report is dropped
+    empty = [WeightedLatching(np.full(m, -1), np.arange(0), []) for m in np.bincount(cat.domain)]
+    for part, chunk in corpus.chunks:
         for n, objs_n, gluings in plans:
-            live, L = [], []
-            for k in part:
+            L, d = [], []
+            for k, levels in zip(part, chunk.levels.tolist()):
                 try:
-                    L.append({r: outcome_value(latching[k][r]) for r in objs_n})
-                    live.append(k)
+                    Lk = {r: outcome_value(latching[k][r]) for r in objs_n}
+                    dk = outcome_value(degrees[k])
                 except ViolatedLaw as exc:
                     out[k][n] = exc
-            if not live:
-                continue
-            chunk = _Chunk.of(cat, [corpus[k] for k in live])
-            d = [degrees[k] for k in live]
+                    Lk, dk = empty, [[0] * m for m in levels]
+                L.append(Lk)
+                d.append(dk)
             reports = _cell_squares(chunk, n, objs_n, gluings, L, d)
-            for k, report in zip(live, reports):
-                out[k][n] = report
+            for k, report in zip(part, reports):
+                out[k].setdefault(n, report)
     return out
 
 
@@ -1111,11 +1126,11 @@ def non_reedy_mono_example() -> tuple[FinCategory, ReedyData, list, FinPresheaf]
     return cat, data, squares, X
 
 
-def enumerate_presheaves(cat: FinCategory, max_level: int):
-    """Exhaustive functor enumeration; practical only for very small
-    categories such as the size-2 truncation.  The candidates of one
-    levels tuple, every assignment of the actions of the maps that are
-    not identities, are one array with a row each, and their
+def enumerate_presheaves(cat: FinCategory, max_level: int) -> Corpus:
+    """Exhaustive functor enumeration, as a Corpus; practical only for
+    very small categories such as the size-2 truncation.  The candidates
+    of one levels tuple, every assignment of the actions of the maps that
+    are not identities, are one array with a row each, and their
     functoriality is checked all at once."""
     free = np.ones(len(cat.domain), bool)
     free[list(cat.identities)] = False
@@ -1136,14 +1151,14 @@ def enumerate_presheaves(cat: FinCategory, max_level: int):
         for _, _, _, bad in _functoriality(cat, levels, values):
             ok &= ~bad.any((1, 2))
         out += [FinPresheaf(cat, levels, row) for row in values[ok]]
-    return out
+    return Corpus.of(cat, out)
 
 
-def seeded_corpus(cat: FinCategory, data: ReedyData, seed: int, count: int) -> list[FinPresheaf]:
-    """A fixed designed family (representables, automorphism quotients,
-    terminal, empty, span pushouts) followed by `count` reproducible
-    random quotients of coproducts of one or two representables, each
-    glued at up to three pairs of elements."""
+def seeded_corpus(cat: FinCategory, data: ReedyData, seed: int, count: int) -> Corpus:
+    """The Corpus of a fixed designed family (representables,
+    automorphism quotients, terminal, empty, span pushouts) followed by
+    `count` reproducible random quotients of coproducts of one or two
+    representables, each glued at up to three pairs of elements."""
     rng = random.Random(seed)
     n_obj = len(cat.objects)
     # each representable is built once; the draws below index this list
@@ -1175,7 +1190,7 @@ def seeded_corpus(cat: FinCategory, data: ReedyData, seed: int, count: int) -> l
         if pairs:
             X, _ = quotient_presheaf(X, pairs)
         corpus.append(X)
-    return corpus
+    return Corpus.of(cat, corpus)
 
 
 def _some_spans(cat: FinCategory, data: ReedyData):

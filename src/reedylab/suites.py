@@ -306,6 +306,7 @@ def _suite_presheaf_ez(
     *, max_size: int = 3, budget: int, seed: int, corpus_count: int
 ) -> list:
     from .presheaf import (
+        Corpus,
         WeightedLatching,
         autquo,
         is_reedy_mono,
@@ -361,7 +362,7 @@ def _suite_presheaf_ez(
             cases = [
                 (r, H) for r in range(len(cat3.objects)) for H in _subgroups(cat3, r, cat3.isos(r, r))
             ]
-            quotients = [autquo(cat3, r, H)[0] for r, H in cases]
+            quotients = Corpus.of(cat3, [autquo(cat3, r, H)[0] for r, H in cases])
             for (r, H), L in zip(cases, latching_objects(quotients, data3)):
                 yield None if is_reedy_mono(L) else {"object": r, "subgroup": len(H)}
 
@@ -395,8 +396,8 @@ def _suite_presheaf_ez(
         checks.append(scan("latching-two-routes-agree", routes()))
 
         # representable latching at the free two-generator object
-        yo = representable(cat3, free2)
-        L: WeightedLatching = outcome_value(latching_objects([yo], data3)[0][free2])
+        yo = Corpus.of(cat3, [representable(cat3, free2)])
+        L: WeightedLatching = outcome_value(latching_objects(yo, data3)[0][free2])
         checks.append(
             verdict(
                 "representable-latching-size-and-injectivity",
@@ -412,7 +413,8 @@ def _suite_presheaf_ez(
         # the false branch, demonstrated over a base containing a
         # non-projective object with its minimal cover
         cat5, data5, squares5, X = _built(non_reedy_mono_example)
-        ((a, b, c),) = _triples([X], latching_objects([X], data5), data5, squares5)
+        witness = Corpus.of(cat5, [X])
+        ((a, b, c),) = _triples(witness, latching_objects(witness, data5), data5, squares5)
         checks.append(
             verdict(
                 "non-mono-witness-all-three-criteria-false",
@@ -438,6 +440,7 @@ def _suite_cell_presentation(
 ) -> list:
     from .presheaf import (
         CellSquareReport,
+        Corpus,
         ez_degrees,
         is_reedy_mono,
         latching_objects,
@@ -451,18 +454,17 @@ def _suite_cell_presentation(
             _corpus(max_size, budget, seed, corpus_count)
         )
 
-        def cell_squares(monos, data):
-            corpus, degrees, latching = ([m[k] for m in monos] for k in (1, 2, 3))
+        def cells(corpus, data, degrees, latching, monos):
             outcomes = verify_cell_square(corpus, data, degrees, latching)
-            for (i, _, _, _), by_degree in zip(monos, outcomes):
-                for n, outcome in by_degree.items():
+            for i, _, _ in monos:
+                for n, outcome in outcomes[i].items():
                     rep: CellSquareReport = outcome_value(outcome)
                     report = [rep.commutes, rep.is_pushout, rep.cell_mono]
                     witness = {"index": i, "degree": n, "report": report}
                     yield None if all(report) else witness
 
         def skeleton_chains(monos, data):
-            for i, X, degrees, _ in monos:
+            for i, X, degrees in monos:
                 ok, sizes = skeleton_chain_report(X, data, degrees)
                 yield None if ok else {"index": i, "sizes": sizes}
 
@@ -471,21 +473,21 @@ def _suite_cell_presentation(
             ("exhaustive-size2", exhaustive, data2),
             (seeded_tag, seeded, data3),
         ):
-            monos = []  # (index, presheaf, EZ degrees, latching objects)
-            latching = latching_objects(corpus, data)
-            for i, (X, L, degrees) in enumerate(zip(corpus, latching, ez_degrees(corpus, data))):
+            monos = []  # (index, presheaf, EZ degrees) of the Reedy monomorphic
+            latching, degrees = latching_objects(corpus, data), ez_degrees(corpus, data)
+            for i, (X, L, d) in enumerate(zip(corpus, latching, degrees)):
                 if is_reedy_mono(L):
-                    monos.append((i, X, outcome_value(degrees), L))
-            checks.append(scan(f"cell-squares-certify-{tag}", cell_squares(monos, data)))
-            checks.append(
-                scan(f"skeleton-chain-unions-{tag}", skeleton_chains(monos, data))
-            )
+                    monos.append((i, X, outcome_value(d)))
+            checks += [
+                scan(f"cell-squares-certify-{tag}", cells(corpus, data, degrees, latching, monos)),
+                scan(f"skeleton-chain-unions-{tag}", skeleton_chains(monos, data)),
+            ]
 
         # expected failure pattern on the non-mono witness
         cat5, data5, squares5, X = _built(non_reedy_mono_example)
-        degrees = outcome_value(ez_degrees([X], data5)[0])
-        (latching,) = latching_objects([X], data5)
-        (outcomes,) = verify_cell_square([X], data5, [degrees], [latching])
+        witness = Corpus.of(cat5, [X])
+        (latching,) = latching_objects(witness, data5)
+        (outcomes,) = verify_cell_square(witness, data5, ez_degrees(witness, data5), [latching])
         reports = {n: outcome_value(rep) for n, rep in outcomes.items()}
         commute_ok = all(r.commutes for r in reports.values())
         latch_fail_degrees = {

@@ -483,14 +483,25 @@ def test_an_earlier_presheaf_law_stops_the_walk_before_a_later_report(monkeypatc
 
 
 @pytest.mark.parametrize("suite", ["presheaf-ez", "cell-presentation"])
-def test_presheaf_suites_are_the_same_under_a_small_chunk_cap(monkeypatch, suite):
-    # a seeded presheaf has more than 64 action entries, so each gets a
-    # chunk of its own, and the outcomes run across chunks
+def test_presheaf_suites_are_the_same_under_a_small_chunk_cap(monkeypatch, request, suite):
+    # a seeded presheaf other than the empty one has more than 64 action
+    # entries, so each gets a chunk of its own, and the outcomes run
+    # across chunks; the memo is emptied so that the corpora are laid out
+    # under the cap, and again afterwards, so that no later test reads them
     from reedylab import kernel
+    from reedylab.suites import _corpus
 
-    default = run_suite(SuiteConfig(suite=suite)).json_text(False)
+    cfg = SuiteConfig(suite=suite)
+    default = run_suite(cfg).json_text(False)
     monkeypatch.setattr(kernel, "CHUNK", 64)
-    assert run_suite(SuiteConfig(suite=suite)).json_text(False) == default
+    _built.cache_clear()
+    request.addfinalizer(_built.cache_clear)
+    assert run_suite(cfg).json_text(False) == default
+    seeded = _corpus(3, cfg.budget, cfg.seed, cfg.corpus_count)[1][3]
+    # the empty presheaf shares the chunk of the presheaf after it
+    assert len(seeded) == 213 and len(seeded.chunks) == 212
+    for part, _ in seeded.chunks:
+        assert sum(len(seeded.presheaves[k].values) > 0 for k in part) == 1
 
 
 def test_autquo_failure_reports_the_first_failing_subgroup(monkeypatch):
@@ -521,7 +532,9 @@ def test_autquo_failure_reports_the_first_failing_subgroup(monkeypatch):
     # a corpus without automorphism quotients, so every autquo call is
     # one case of the check
     monkeypatch.setattr(
-        presheaf, "seeded_corpus", lambda cat, data, seed, count: [presheaf.representable(cat, 0)]
+        presheaf,
+        "seeded_corpus",
+        lambda cat, data, seed, count: presheaf.Corpus.of(cat, [presheaf.representable(cat, 0)]),
     )
     monkeypatch.setattr(presheaf, "autquo", recording_autquo)
     monkeypatch.setattr(presheaf, "latching_objects", recording_latching)
@@ -558,7 +571,8 @@ def test_ill_defined_latching_map_is_a_failed_check(monkeypatch):
         f = next(
             f for f in cat.morphisms() if not cat.is_identity(f) and yo.levels[cat.dom(f)] >= 2
         )
-        return [with_value(yo, f, 0, (yo.action(f)[0] + 1) % yo.levels[cat.dom(f)])]
+        bad = with_value(yo, f, 0, (yo.action(f)[0] + 1) % yo.levels[cat.dom(f)])
+        return presheaf.Corpus.of(cat, [bad])
 
     # a clean run first, so the memo holds the real corpus when the
     # patched builder is looked up, and again once the patch is undone
@@ -618,7 +632,6 @@ def test_verdict_coverage_counts_the_presheaves_reached(monkeypatch):
 
 def test_presheaf_verdicts_run_once_per_corpus_chunk(monkeypatch):
     import reedylab.presheaf as presheaf
-    from reedylab.kernel import chunks
     from reedylab.suites import _corpus
 
     real, calls = presheaf.square_pullbacks, []
@@ -634,8 +647,39 @@ def test_presheaf_verdicts_run_once_per_corpus_chunk(monkeypatch):
     # one call per chunk of the exhaustive and the seeded corpora, and one
     # for the non-mono witness, where there were 220 calls, one per presheaf
     corpora = [entry[3] for entry in _corpus(3, cfg.budget, cfg.seed, cfg.corpus_count)[:2]]
-    expected = sum(len(list(chunks([len(X.values) for X in corpus]))) for corpus in corpora)
+    expected = sum(len(corpus.chunks) for corpus in corpora)
     assert len(calls) == expected + 1 < 20
+
+
+def test_no_corpus_routine_assembles_a_chunk(monkeypatch):
+    # presheaf-ez and then cell-presentation from an empty memo: chunks
+    # are assembled where a corpus is laid out or a coproduct taken, and
+    # every corpus routine reads its corpus's own chunks
+    from collections import Counter
+
+    import numpy as np
+
+    import reedylab.presheaf as presheaf
+    from reedylab.suites import _corpus
+
+    real, callers = presheaf._Chunk.of.__func__, Counter()
+
+    def counting(cls, cat, parts):
+        callers[sys._getframe(1).f_code.co_qualname] += 1
+        return real(cls, cat, parts)
+
+    monkeypatch.setattr(presheaf._Chunk, "of", classmethod(counting))
+    _built.cache_clear()
+    for suite in ("presheaf-ez", "cell-presentation"):
+        run_suite(SuiteConfig(suite=suite))
+    assert set(callers) == {"Corpus.of", "coproduct_presheaf"}
+    # the members of the shared corpora with action entries are views
+    # into their chunks
+    cfg = SuiteConfig(suite="presheaf-ez")
+    for *_, corpus in _corpus(3, cfg.budget, cfg.seed, cfg.corpus_count)[:2]:
+        for part, chunk in corpus.chunks:
+            members = [corpus.presheaves[k].values for k in part]
+            assert all(np.shares_memory(v, chunk.values) for v in members if len(v))
 
 
 def test_unforced_composite_lift_step_is_a_failed_check(monkeypatch):
@@ -659,7 +703,9 @@ def test_seeded_corpus_label_follows_max_size(monkeypatch):
     import reedylab.presheaf as presheaf
 
     monkeypatch.setattr(
-        presheaf, "seeded_corpus", lambda cat, data, seed, count: [presheaf.representable(cat, 0)]
+        presheaf,
+        "seeded_corpus",
+        lambda cat, data, seed, count: presheaf.Corpus.of(cat, [presheaf.representable(cat, 0)]),
     )
     ids = {
         c.id

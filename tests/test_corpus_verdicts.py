@@ -20,8 +20,8 @@ import presheaf_reference as reference
 import reedylab.presheaf as presheaf
 from reedylab import kernel
 from reedylab.errors import ViolatedLaw
-from reedylab.kernel import chunks
 from reedylab.presheaf import (
+    Corpus,
     enumerate_presheaves,
     ez_degrees,
     has_unique_ez,
@@ -51,13 +51,13 @@ def corpora():
     cat2, data2, squares2 = truncated_semilattice_category(2)
     cat3, data3, squares3 = truncated_semilattice_category(3)
     cat4, data4, squares4 = truncated_semilattice_category(4)
-    _, data5, squares5, X = non_reedy_mono_example()
+    cat5, data5, squares5, X = non_reedy_mono_example()
     return Corpora(
         {
             "exhaustive-size2": (enumerate_presheaves(cat2, 2), data2, squares2),
             "seeded-size3": (seeded_corpus(cat3, data3, 0, 200), data3, squares3),
             "seeded-size4": (seeded_corpus(cat4, data4, 0, 200), data4, squares4),
-            "non-mono-witness": ([X], data5, squares5),
+            "non-mono-witness": (Corpus.of(cat5, [X]), data5, squares5),
         }
     )
 
@@ -69,7 +69,7 @@ def moved_values(corpora):
     laws, unique EZ and the pullback criterion in every way the corpus
     routines report."""
     seeded, data, squares = corpora["seeded-size3"]
-    cat = seeded[0].base
+    cat = seeded.base
     yo = representable(cat, 1)
     corpus = [
         reference.with_value(yo, f, x, other)
@@ -79,7 +79,7 @@ def moved_values(corpora):
         for other in range(yo.levels[cat.dom(f)])
         if other != value
     ]
-    return corpus, data, squares
+    return Corpus.of(cat, corpus), data, squares
 
 
 def outcome(fn, *args):
@@ -95,10 +95,6 @@ def summary(result):
     if isinstance(result, ViolatedLaw):
         return ("violated", result.law, result.witness)
     return result
-
-
-def parts_per_chunk(corpus):
-    return [len(part) for part in chunks([len(X.values) for X in corpus])]
 
 
 def same_verdicts(corpus, data, squares):
@@ -136,7 +132,7 @@ def same_route_verdicts(corpus, data):
 def test_verdicts_match_the_references(corpora, name):
     corpus, data, squares = corpora[name]
     if name.startswith("seeded-size3"):
-        assert max(parts_per_chunk(corpus)) > 1
+        assert max(len(part) for part, _ in corpus.chunks) > 1
     pullbacks, degrees, unique = same_verdicts(corpus, data, squares)
     # the witness fails both criteria; the others pass everywhere
     failing = name == "non-mono-witness"
@@ -149,13 +145,13 @@ def test_route_verdicts_match_the_reference(corpora, name):
     corpus, data, _ = corpora[name]
     # the degree weight takes seconds on the whole size-4 corpus: its
     # designed family and the first random presheaves are compared
-    verdicts = same_route_verdicts(corpus[:40], data)
+    verdicts = same_route_verdicts(Corpus.of(corpus.base, corpus.presheaves[:40]), data)
     assert all(ok is True for agree in verdicts for ok in agree)
 
 
 def test_moved_values_match_the_references(moved_values):
     corpus, data, squares = moved_values
-    assert len(corpus) == 614 and max(parts_per_chunk(corpus)) > 1
+    assert len(corpus) == 614 and max(len(part) for part, _ in corpus.chunks) > 1
     pullbacks, degrees, unique = same_verdicts(corpus, data, squares)
     # every branch is reached, so each was compared
     laws = Counter(d.law for d in degrees if isinstance(d, ViolatedLaw))
@@ -171,9 +167,9 @@ def test_pullback_verdicts_keep_their_presheaf_in_a_chunk(corpora, monkeypatch):
     # another in the same chunk, nor fail one that passes
     (X,), data, squares = corpora["non-mono-witness"]
     cat = X.base
-    corpus = [X, representable(cat, 0), X]
     monkeypatch.setattr(kernel, "CHUNK", 1 << 17)
-    assert parts_per_chunk(corpus) == [3]
+    corpus = Corpus.of(cat, [X, representable(cat, 0), X])
+    assert [len(part) for part, _ in corpus.chunks] == [3]
     outcomes = maps_lowering_pushouts_to_pullbacks(corpus, squares)
     assert outcomes == [reference.pullbacks_by_presheaf(Y, squares) for Y in corpus]
     assert outcomes[0] == outcomes[2] != outcomes[1]
@@ -184,7 +180,7 @@ def test_seeded_corpus_is_the_fresh_build(corpora, name, monkeypatch):
     """The seeded corpus, which builds each representable once, against
     the build with a fresh representable for every draw."""
     corpus, data, _ = corpora[name]
-    cat = corpus[0].base
+    cat = corpus.base
     fresh = reference.seeded_corpus(cat, data, 0, 200)
     assert len(fresh) == len(corpus)
     for X, Y in zip(corpus, fresh):
@@ -210,10 +206,10 @@ def test_iso_moves_match_the_per_presheaf_moves(corpora, name):
     the degree-n objects, for a whole chunk at once, against the moves of
     each presheaf alone."""
     corpus, data, _ = corpora[name]
-    cat = corpus[0].base
+    cat = corpus.base
     latching = latching_objects(corpus, data)
     isos = 0
-    for part in chunks([len(X.values) for X in corpus]):
+    for part, _ in corpus.chunks:
         for n in sorted(set(data.degree)):
             _, objs_n, gluings = presheaf._gluing_plan(cat, data, n)
             L = [{r: latching[k][r] for r in objs_n} for k in part]
@@ -242,8 +238,8 @@ def test_verdicts_match_the_references_on_corrupted_presheaves(corpora, seed, da
     drawn place: its verdicts are its references', and theirs are those
     they have without it."""
     base, reedy, squares = corpora["seeded-size3"]
-    cat = base[0].base
-    X = data.draw(st.sampled_from(seeded_corpus(cat, reedy, seed, 3)[-3:]))
+    cat = base.base
+    X = data.draw(st.sampled_from(seeded_corpus(cat, reedy, seed, 3).presheaves[-3:]))
     movable = [f for f in cat.morphisms() if X.levels[cat.dom(f)] >= 2 and X.levels[cat.cod(f)]]
     if movable:
         f = data.draw(st.sampled_from(movable))
@@ -251,9 +247,10 @@ def test_verdicts_match_the_references_on_corrupted_presheaves(corpora, seed, da
         X = reference.with_value(X, f, x, data.draw(st.integers(0, X.levels[cat.dom(f)] - 1)))
     i = data.draw(st.integers(0, len(base) - 4))
     at = data.draw(st.integers(0, 4))
-    neighbours = base[i : i + 4]
-    corpus = [*neighbours[:at], X, *neighbours[at:]]
-    assert parts_per_chunk(corpus) == [5]
+    neighbours = base.presheaves[i : i + 4]
+    corpus = Corpus.of(cat, [*neighbours[:at], X, *neighbours[at:]])
+    neighbours = Corpus.of(cat, neighbours)
+    assert [len(part) for part, _ in corpus.chunks] == [5]
     together = same_verdicts(corpus, reedy, squares)
     alone = same_verdicts(neighbours, reedy, squares)
     for held, own in zip(together, alone):

@@ -33,6 +33,24 @@ CASES = [
         None,
     ),
     (
+        "coproduct-on-two-bases",
+        "from reedylab.presheaf import coproduct_presheaf, representable\n"
+        "from reedylab.reedy import truncated_semilattice_category\n"
+        "cat2, cat3 = (truncated_semilattice_category(n)[0] for n in (2, 3))\n"
+        "coproduct_presheaf([representable(cat2, 1), representable(cat3, 2)])\n",
+        "InvalidInput",
+        None,
+    ),
+    (
+        "corpus-on-two-bases",
+        "from reedylab.presheaf import Corpus, representable\n"
+        "from reedylab.reedy import truncated_semilattice_category\n"
+        "cat2, cat3 = (truncated_semilattice_category(n)[0] for n in (2, 3))\n"
+        "Corpus.of(cat2, [representable(cat2, 1), representable(cat3, 2)])\n",
+        "InvalidInput",
+        None,
+    ),
+    (
         "span-legs-from-different-objects",
         TRUNC3
         + "from reedylab.presheaf import span_pushout_of_representables\n"

@@ -77,12 +77,13 @@ class _Members:
     a constructor call, an annotated parameter or return value, a method's
     result, an annotated field, a subscript of a list, or a local name
     assigned one of these; a loop variable takes the class of the elements
-    of its annotated list, names unpacked from a fixed tuple take the
-    classes of its elements, and `except C as e` gives e the class C.  A
-    parameter of a module-level function with no annotation takes the
-    class that all its callers pass, where every caller's argument has a
-    known class and it is the same one.  Any other value, an imported
-    module among them, belongs to no class."""
+    of its annotated list, names unpacked from a fixed tuple, or in a loop
+    over a list of fixed tuples, take the classes of its elements, and
+    `except C as e` gives e the class C.  A parameter of a module-level
+    function with no annotation takes the class that all its callers
+    pass, where every caller's argument has a known class and it is the
+    same one.  Any other value, an imported module among them, belongs to
+    no class."""
 
     def __init__(self, trees):
         self.kind = {}  # member name -> classes with a member of that name
@@ -198,25 +199,32 @@ class _Members:
         if isinstance(stmt, ast.Assign):
             value = stmt.value
             for target in stmt.targets:
-                if not isinstance(target, ast.Tuple):
-                    pairs = [(target, self.type_of(value, env))]
+                if isinstance(target, ast.Tuple) and isinstance(value, ast.Tuple):
+                    _unpack(target, tuple(self.type_of(v, env) for v in value.elts), env)
                 else:
-                    if isinstance(value, ast.Tuple):
-                        kinds = tuple(self.type_of(v, env) for v in value.elts)
-                    else:
-                        kinds = self.type_of(value, env)
-                    if not (isinstance(kinds, tuple) and len(kinds) == len(target.elts)):
-                        kinds = (None,) * len(target.elts)
-                    pairs = zip(target.elts, kinds)
-                for name, kind in pairs:
-                    if isinstance(name, ast.Name):
-                        env[name.id] = kind
+                    _unpack(target, self.type_of(value, env), env)
         elif isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
             env[stmt.target.id] = _annotated_class(stmt.annotation, self.classes)
-        elif isinstance(stmt, (ast.For, ast.comprehension)) and isinstance(stmt.target, ast.Name):
-            env[stmt.target.id] = self.type_of(stmt.iter, env)
+        elif isinstance(stmt, (ast.For, ast.comprehension)):
+            kind = self.type_of(stmt.iter, env)
+            if isinstance(stmt.target, ast.Name) or isinstance(kind, tuple):
+                _unpack(stmt.target, kind, env)
         elif isinstance(stmt, ast.ExceptHandler) and stmt.name:
             env[stmt.name] = self.type_of(stmt.type, env)
+
+
+def _unpack(target, kind, env):
+    """Bind a name to kind, or the names of a tuple to the elements of a
+    fixed tuple kind of its length, and to no class otherwise."""
+    if not isinstance(target, ast.Tuple):
+        kinds = [(target, kind)]
+    elif isinstance(kind, tuple) and len(kind) == len(target.elts):
+        kinds = zip(target.elts, kind)
+    else:
+        kinds = [(name, None) for name in target.elts]
+    for name, kind in kinds:
+        if isinstance(name, ast.Name):
+            env[name.id] = kind
 
 
 def test_every_definition_has_a_caller_in_src():
@@ -267,6 +275,18 @@ def test_members_skip_module_receivers_and_type_unpacked_tuples():
     )
     uses = _Members([category]).uses(category)
     assert (uses["FinCategory", "size"], uses["ReedyData", "size"], uses[None, "size"]) == (2, 1, 1)
+    # a loop over a list of fixed tuples unpacks each into its classes
+    corpus = ast.parse(
+        "class Chunk:\n"
+        "    def entries(self): ...\n"
+        "class Corpus:\n"
+        "    chunks: list[tuple[range, Chunk]]\n"
+        "def run(corpus: Corpus):\n"
+        "    for part, chunk in corpus.chunks:\n"
+        "        chunk.entries(), part.entries()\n"
+    )
+    uses = _Members([corpus]).uses(corpus)
+    assert (uses["Chunk", "entries"], uses[None, "entries"]) == (1, 1)
 
 
 def test_members_type_callers_subscripts_and_handlers():
@@ -447,3 +467,31 @@ def test_the_suite_memo_is_the_one_cache_in_src():
         for where in _caches(ast.parse(path.read_text()))
     ]
     assert caches == ["suites._built"]
+
+
+def _chunkings(tree: ast.Module):
+    """The qualified name of the function around each call of
+    kernel.chunks or _Chunk.of in a module."""
+    for node in tree.body:
+        defs = node.body if isinstance(node, ast.ClassDef) else [node]
+        for d in defs:
+            if not isinstance(d, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            name = f"{node.name}.{d.name}" if d is not node else d.name
+            for call in ast.walk(d):
+                if not isinstance(call, ast.Call):
+                    continue
+                f = call.func
+                if getattr(f, "id", None) == "chunks" or (
+                    getattr(f, "attr", None) == "of" and getattr(f.value, "id", None) == "_Chunk"
+                ):
+                    yield name
+
+
+def test_a_corpus_is_laid_out_only_where_it_is_built():
+    # Corpus.of cuts a corpus into chunks and assembles each once;
+    # coproduct_presheaf assembles its parts, and latching_routes_agree
+    # cuts latching outcomes, not a corpus; every corpus routine reads
+    # its corpus's chunks
+    tree = ast.parse((SRC / "presheaf.py").read_text())
+    assert set(_chunkings(tree)) == {"Corpus.of", "coproduct_presheaf", "latching_routes_agree"}

@@ -10,6 +10,7 @@ import pytest
 
 from presheaf_reference import ez_decompositions, nondegenerate, with_value
 from reedylab.presheaf import (
+    Corpus,
     PresheafMorphism,
     autquo,
     coproduct_presheaf,
@@ -132,13 +133,13 @@ def test_validate_rejects_corrupted_action_in_optimized_mode():
 def test_ill_defined_latching_map_raises_in_optimized_mode():
     code = (
         "from reedylab.errors import ViolatedLaw\n"
-        "from reedylab.presheaf import latching_object_via_weights, representable\n"
+        "from reedylab.presheaf import Corpus, latching_object_via_weights, representable\n"
         "from reedylab.reedy import truncated_semilattice_category\n"
         "from test_presheaf import _corrupt_one_action, free_pair_object\n"
         "cat, data, _ = truncated_semilattice_category(3)\n"
         "V = free_pair_object(cat)\n"
         "bad = _corrupt_one_action(representable(cat, V))\n"
-        "outcome = latching_object_via_weights([bad], data)[0][V]\n"
+        "outcome = latching_object_via_weights(Corpus.of(cat, [bad]), data)[0][V]\n"
         "if isinstance(outcome, ViolatedLaw):\n"
         "    raise SystemExit(outcome.law != 'well-definedness')\n"
         "raise SystemExit(1)\n"
@@ -193,7 +194,7 @@ def test_representable_of_terminal_object(trunc3):
 def test_latching_interval_representable(trunc2):
     cat, data, squares = trunc2
     yo = representable(cat, 1)
-    L = latching_objects([yo], data)[0][1]
+    L = latching_objects(Corpus.of(cat, [yo]), data)[0][1]
     assert len(L.latch) == 2 and L.injective
     # the two constants
     assert sorted(L.latch) == [0, 2]
@@ -203,7 +204,7 @@ def test_latching_free_pair_representable(trunc3):
     cat, data, squares = trunc3
     V = free_pair_object(cat)
     yo = representable(cat, V)
-    L = latching_objects([yo], data)[0][V]
+    L = latching_objects(Corpus.of(cat, [yo]), data)[0][V]
     assert len(L.latch) == 7 and L.injective
     noninjective = {
         k for k, f in enumerate(cat.homs[(V, V)]) if not f.is_injective
@@ -215,7 +216,7 @@ def test_latching_at_minimal_degree_is_empty(trunc3):
     cat, data, squares = trunc3
     one = next(i for i, O in enumerate(cat.objects) if O.size == 1)
     yo = representable(cat, one)
-    assert latching_objects([yo], data)[0][one].latch == []
+    assert latching_objects(Corpus.of(cat, [yo]), data)[0][one].latch == []
 
 
 def test_latching_two_routes_agree(trunc3):
@@ -232,8 +233,9 @@ def test_routes_disagree_where_the_latching_objects_differ(trunc3):
     cat, data, squares = trunc3
     V = free_pair_object(cat)
     yo = representable(cat, V)
-    A = latching_objects([yo], data)[0][V]
-    B = latching_object_via_weights([yo], data)[0][V]
+    corpus = Corpus.of(cat, [yo])
+    A = latching_objects(corpus, data)[0][V]
+    B = latching_object_via_weights(corpus, data)[0][V]
 
     def agree(A, B):
         return latching_routes_agree([[A]], [[B]])[0][0]
@@ -269,18 +271,19 @@ def test_latching_laws_are_held_and_raised_where_read(trunc3):
     def moved(x):
         return with_value(yo, f, x, (yo.action(f)[x] + 1) % yo.levels[1])
 
-    (latching,) = latching_objects([moved(0)], data)
+    corpus = Corpus.of(cat, [moved(0)])
+    (latching,) = latching_objects(corpus, data)
     assert [L.law for L in latching[2:]] == ["well-definedness"] * 2
     with pytest.raises(ViolatedLaw) as err:
         is_reedy_mono(latching)
     assert err.value is latching[2]
     # the lowering weight's outcome is raised before the other is read
-    (agree,) = latching_routes_agree([latching], latching_object_via_weights([moved(0)], data))
+    (agree,) = latching_routes_agree([latching], latching_object_via_weights(corpus, data))
     with pytest.raises(ViolatedLaw) as err:
         outcome_value(agree[2])
     assert err.value is latching[2]
     # a latching map that is not injective comes first, so no law is read
-    (latching,) = latching_objects([moved(1)], data)
+    (latching,) = latching_objects(Corpus.of(cat, [moved(1)]), data)
     assert not latching[1].injective and isinstance(latching[2], ViolatedLaw)
     assert is_reedy_mono(latching) is False
 
@@ -289,8 +292,9 @@ def test_via_weights_uses_more_generators(trunc3):
     cat, data, squares = trunc3
     V = free_pair_object(cat)
     yo = representable(cat, V)
-    A = latching_objects([yo], data)[0][V]
-    B = latching_object_via_weights([yo], data)[0][V]
+    corpus = Corpus.of(cat, [yo])
+    A = latching_objects(corpus, data)[0][V]
+    B = latching_object_via_weights(corpus, data)[0][V]
     assert len(A.latch) == len(B.latch)
     # one node per (weight map, element)
     assert len(B.node_class) > len(A.node_class)
@@ -311,14 +315,14 @@ def test_nondegenerate_elements_decompose_trivially(trunc3):
     assert nondegenerate(yo, data)[V][idx]
     decs = ez_decompositions(yo, data)[V][idx]
     assert decs and all(cat.mor(e).is_iso for e, _ in decs)
-    assert ez_degrees([yo], data)[0][V][idx] == 3
+    assert ez_degrees(Corpus.of(cat, [yo]), data)[0][V][idx] == 3
 
 
 def test_representable_ez_is_reedy_factorization(trunc3):
     cat, data, squares = trunc3
     V = free_pair_object(cat)
     yo = representable(cat, V)
-    (degrees,) = ez_degrees([yo], data)
+    (degrees,) = ez_degrees(Corpus.of(cat, [yo]), data)
     for s in range(4):
         for k, f in enumerate(cat.homs[(s, V)]):
             surj, mono = image_factorize(f)
@@ -329,19 +333,23 @@ def test_terminal_presheaf_collapses(trunc2):
     cat, data, squares = trunc2
     T = terminal_presheaf(cat)
     assert ez_decompositions(T, data)[1][0] == [(cat.refs(1, 0)[0], 0)]
-    assert ez_degrees([T], data)[0][1][0] == 1
-    assert is_reedy_mono(latching_objects([T], data)[0])
+    corpus = Corpus.of(cat, [T])
+    assert ez_degrees(corpus, data)[0][1][0] == 1
+    assert is_reedy_mono(latching_objects(corpus, data)[0])
 
 
 def test_unique_ez_on_representables_and_autquos(trunc3):
     cat, data, squares = trunc3
     V = free_pair_object(cat)
-    corpus = [
-        representable(cat, V),
-        autquo(cat, V, cat.isos(V, V))[0],
-        terminal_presheaf(cat),
-        empty_presheaf(cat),
-    ]
+    corpus = Corpus.of(
+        cat,
+        [
+            representable(cat, V),
+            autquo(cat, V, cat.isos(V, V))[0],
+            terminal_presheaf(cat),
+            empty_presheaf(cat),
+        ],
+    )
     assert has_unique_ez(corpus, data) == [(True, None)] * 4
 
 
@@ -359,9 +367,10 @@ def test_no_failing_presheaf_on_small_truncations(trunc3):
 
 def test_failing_presheaf_exists_beyond_size_four():
     cat, data, squares, X = non_reedy_mono_example()
-    a = is_reedy_mono(latching_objects([X], data)[0])
-    ((b, witness),) = has_unique_ez([X], data)
-    ((c, sq),) = maps_lowering_pushouts_to_pullbacks([X], squares)
+    corpus = Corpus.of(cat, [X])
+    a = is_reedy_mono(latching_objects(corpus, data)[0])
+    ((b, witness),) = has_unique_ez(corpus, data)
+    ((c, sq),) = maps_lowering_pushouts_to_pullbacks(corpus, squares)
     assert (a, b, c) == (False, False, False)
     # the witness pair shares an element but no linking isomorphism
     (r, x), d0, d1 = witness
@@ -377,7 +386,7 @@ def test_skeleton_chain_of_representable(trunc3):
     cat, data, squares = trunc3
     V = free_pair_object(cat)
     yo = representable(cat, V)
-    (degrees,) = ez_degrees([yo], data)
+    (degrees,) = ez_degrees(Corpus.of(cat, [yo]), data)
     assert len(skeleton(degrees, 2)[V]) == 3  # the three constants
     assert len(skeleton(degrees, 3)[V]) == 7  # the non-injective endomorphisms
     ok, sizes = skeleton_chain_report(yo, data, degrees)
@@ -386,7 +395,7 @@ def test_skeleton_chain_of_representable(trunc3):
 
 def test_skeleton_zero_and_one_are_empty(trunc3):
     cat, data, squares = trunc3
-    (degrees,) = ez_degrees([representable(cat, 1)], data)
+    (degrees,) = ez_degrees(Corpus.of(cat, [representable(cat, 1)]), data)
     for n in (0, 1):
         assert skeleton(degrees, n) == ((),) * len(cat.objects)
 
@@ -415,7 +424,7 @@ def test_restriction_raising_an_ez_degree_breaks_closure(trunc3, monkeypatch):
             yield chunk, element[order], e[order], y[order]
 
     monkeypatch.setattr(presheaf, "_ez_tables", identity_of_degree_one)
-    (degrees,) = ez_degrees([yo], data)
+    (degrees,) = ez_degrees(Corpus.of(cat, [yo]), data)
     assert isinstance(degrees, ViolatedLaw)
     assert degrees.law == "sub-presheaf-closure"
     assert degrees.witness[1] == ident
@@ -425,8 +434,9 @@ def test_cell_squares_on_representable(trunc3):
     cat, data, squares = trunc3
     V = free_pair_object(cat)
     yo = representable(cat, V)
-    degrees = ez_degrees([yo], data)
-    (reports,) = verify_cell_square([yo], data, degrees, latching_objects([yo], data))
+    corpus = Corpus.of(cat, [yo])
+    degrees = ez_degrees(corpus, data)
+    (reports,) = verify_cell_square(corpus, data, degrees, latching_objects(corpus, data))
     assert list(reports) == [1, 2, 3]
     for rep in reports.values():
         assert rep.commutes and rep.is_pushout and rep.cell_mono
@@ -434,8 +444,9 @@ def test_cell_squares_on_representable(trunc3):
 
 def test_cell_square_with_empty_degree_part(trunc3):
     cat, data, squares = trunc3
-    E = empty_presheaf(cat)
-    rep = verify_cell_square([E], data, ez_degrees([E], data), latching_objects([E], data))[0][3]
+    corpus = Corpus.of(cat, [empty_presheaf(cat)])
+    degrees, latching = ez_degrees(corpus, data), latching_objects(corpus, data)
+    rep = verify_cell_square(corpus, data, degrees, latching)[0][3]
     assert rep.commutes and rep.is_pushout and rep.cell_mono
 
 
@@ -444,9 +455,10 @@ def test_cell_square_failure_pattern_on_witness():
     # the degree of the latching failure; the pushout property fails where
     # EZ uniqueness breaks across degrees
     cat, data, squares, X = non_reedy_mono_example()
-    (degrees,) = ez_degrees([X], data)
-    (latching,) = latching_objects([X], data)
-    (reports,) = verify_cell_square([X], data, [degrees], [latching])
+    corpus = Corpus.of(cat, [X])
+    (degrees,) = ez_degrees(corpus, data)
+    (latching,) = latching_objects(corpus, data)
+    (reports,) = verify_cell_square(corpus, data, [degrees], [latching])
     assert all(r.commutes for r in reports.values())
     latch_fail = {data.degree[r] for r, L in enumerate(latching) if not L.injective}
     assert latch_fail == {5}
@@ -464,7 +476,7 @@ def test_cell_square_failure_pattern_on_witness():
 
 def test_representables_send_pushouts_to_pullbacks(trunc3):
     cat, data, squares = trunc3
-    corpus = [representable(cat, r) for r in range(4)]
+    corpus = Corpus.of(cat, [representable(cat, r) for r in range(4)])
     assert maps_lowering_pushouts_to_pullbacks(corpus, squares) == [(True, None)] * 4
 
 

@@ -14,8 +14,8 @@ import presheaf_reference as reference
 import reedylab.presheaf as presheaf
 from reedylab.errors import ViolatedLaw
 from reedylab import kernel
-from reedylab.kernel import chunks
 from reedylab.presheaf import (
+    Corpus,
     FinPresheaf,
     enumerate_presheaves,
     ez_degrees,
@@ -43,12 +43,12 @@ class Corpora(dict):
 def corpora():
     cat2, data2, _ = truncated_semilattice_category(2)
     cat3, data3, _ = truncated_semilattice_category(3)
-    _, data5, _, X = non_reedy_mono_example()
+    cat5, data5, _, X = non_reedy_mono_example()
     return Corpora(
         {
             "exhaustive-size2": (enumerate_presheaves(cat2, 2), data2),
             "seeded-size3": (seeded_corpus(cat3, data3, 0, 200), data3),
-            "non-mono-witness": ([X], data5),
+            "non-mono-witness": (Corpus.of(cat5, [X]), data5),
         }
     )
 
@@ -111,10 +111,6 @@ def same_cell_squares(X, data, degrees, reports):
     )
 
 
-def parts_per_chunk(corpus):
-    return [len(part) for part in chunks([len(X.values) for X in corpus])]
-
-
 # the degree weight keeps the ids the test had before it took both weights
 @pytest.mark.parametrize(
     "weight, name",
@@ -127,7 +123,7 @@ def parts_per_chunk(corpus):
 def test_latching_by_weights_matches_the_reference(corpora, weight, name):
     # the whole corpus at once, so that one chunk holds many presheaves
     corpus, data = corpora[name]
-    assert name == "non-mono-witness" or max(parts_per_chunk(corpus)) > 1
+    assert name == "non-mono-witness" or max(len(part) for part, _ in corpus.chunks) > 1
     outcomes = WEIGHTS[weight][0](corpus, data)
     assert len(outcomes) == len(corpus)
     for X, weighted in zip(corpus, outcomes):
@@ -149,17 +145,20 @@ def test_cell_squares_match_the_reference(corpora, name):
 
 def test_the_witness_has_failed_squares(corpora):
     # so that the comparison above covers failed verdicts, not only passes
-    (X,), data = corpora["non-mono-witness"]
-    (reports,) = verify_cell_square([X], data, ez_degrees([X], data), latching_objects([X], data))
+    corpus, data = corpora["non-mono-witness"]
+    (reports,) = verify_cell_square(
+        corpus, data, ez_degrees(corpus, data), latching_objects(corpus, data)
+    )
     assert all(rep.commutes for rep in reports.values())
     assert not all(rep.is_pushout for rep in reports.values())
     assert not all(rep.cell_mono for rep in reports.values())
 
 
 def test_an_empty_corpus_has_no_outcomes(corpora):
-    _, data = corpora["seeded-size3"]
-    assert latching_objects([], data) == latching_object_via_weights([], data) == []
-    assert verify_cell_square([], data, [], []) == []
+    seeded, data = corpora["seeded-size3"]
+    corpus = Corpus.of(seeded.base, [])
+    assert latching_objects(corpus, data) == latching_object_via_weights(corpus, data) == []
+    assert verify_cell_square(corpus, data, [], []) == []
 
 
 @pytest.fixture(scope="module")
@@ -187,9 +186,9 @@ def test_routes_match_the_reference_on_corrupted_presheaves(corpora, seeded_degr
     weights are checked on every example, so the cell squares, which read
     the lowering weight, run once per example."""
     base, reedy = corpora["seeded-size3"]
-    cat = base[0].base
-    X = data.draw(st.sampled_from(seeded_corpus(cat, reedy, seed, 3)[-3:]))
-    degrees = [list(level) for level in ez_degrees([X], reedy)[0]]
+    cat = base.base
+    X = data.draw(st.sampled_from(seeded_corpus(cat, reedy, seed, 3).presheaves[-3:]))
+    degrees = [list(level) for level in ez_degrees(Corpus.of(cat, [X]), reedy)[0]]
     movable = [
         f for f in cat.morphisms() if X.levels[cat.dom(f)] >= 2 and X.levels[cat.cod(f)]
     ]
@@ -203,9 +202,10 @@ def test_routes_match_the_reference_on_corrupted_presheaves(corpora, seeded_degr
         degrees[s][x] = data.draw(st.integers(1, max(reedy.degree) + 1))
     i = data.draw(st.integers(0, len(base) - 4))
     at = data.draw(st.integers(0, 4))
-    neighbours = base[i : i + 4]
-    corpus = [*neighbours[:at], X, *neighbours[at:]]
-    assert parts_per_chunk(corpus) == [5]
+    neighbours = base.presheaves[i : i + 4]
+    corpus = Corpus.of(cat, [*neighbours[:at], X, *neighbours[at:]])
+    neighbours = Corpus.of(cat, neighbours)
+    assert [len(part) for part, _ in corpus.chunks] == [5]
 
     def without_x(outcomes):
         return [
@@ -241,21 +241,22 @@ def test_outcomes_keep_their_presheaf_in_a_corpus(corpora, monkeypatch):
     # base, are those it has alone, and so are theirs
     (X,), data = corpora["non-mono-witness"]
     cat = X.base
-    corpus = [X, presheaf.representable(cat, 0), presheaf.representable(cat, 1)]
     monkeypatch.setattr(kernel, "CHUNK", 1 << 16)
-    assert parts_per_chunk(corpus) == [3]
+    corpus = Corpus.of(cat, [X, presheaf.representable(cat, 0), presheaf.representable(cat, 1)])
+    assert [len(part) for part, _ in corpus.chunks] == [3]
     degrees = ez_degrees(corpus, data)
     together = verify_cell_square(corpus, data, degrees, latching_objects(corpus, data))
+    singles = [Corpus.of(cat, [Y]) for Y in corpus]
     alone = [
-        verify_cell_square([Y], data, [d], latching_objects([Y], data))[0]
-        for Y, d in zip(corpus, degrees)
+        verify_cell_square(Y, data, [d], latching_objects(Y, data))[0]
+        for Y, d in zip(singles, degrees)
     ]
     assert together == alone
     assert together[0] != together[2]
     for weight, (route, _) in WEIGHTS.items():
         latching = route(corpus, data)
-        for Y, outcomes in zip(corpus, latching):
-            (expected,) = route([Y], data)
+        for Y, outcomes in zip(singles, latching):
+            (expected,) = route(Y, data)
             assert list(map(summary, outcomes)) == list(map(summary, expected)), weight
         assert list(map(summary, latching[0])) != list(map(summary, latching[2])), weight
 
@@ -297,6 +298,21 @@ def checked_constructors(monkeypatch):
 
         monkeypatch.setattr(presheaf, name, both)
     return calls, differ
+
+
+def test_held_ez_degrees_law_takes_the_place_of_the_reports(corpora):
+    # a presheaf whose EZ degrees are a law keeps that law at every
+    # degree, in one chunk with others whose reports are their own
+    seeded, data = corpora["seeded-size3"]
+    corpus = Corpus.of(seeded.base, seeded.presheaves[:3])
+    assert len(corpus.chunks) == 1
+    degrees, latching = ez_degrees(corpus, data), latching_objects(corpus, data)
+    law = ViolatedLaw("ez-existence", (0, 0))
+    held = verify_cell_square(corpus, data, [degrees[0], law, degrees[2]], latching)
+    reports = verify_cell_square(corpus, data, degrees, latching)
+    assert list(held[1]) == sorted(set(data.degree))
+    assert all(outcome is law for outcome in held[1].values())
+    assert (held[0], held[2]) == (reports[0], reports[2])
 
 
 @pytest.mark.parametrize(

@@ -25,6 +25,7 @@ from reedylab.kernel import (
     square_pullbacks,
 )
 from reedylab.presheaf import (
+    Corpus,
     coproduct_presheaf,
     maps_lowering_pushouts_to_pullbacks,
     non_reedy_mono_example,
@@ -233,11 +234,12 @@ def test_tripod_hom_preservation_fails_like_the_reference(witness_base):
 
 def test_pullback_criterion_matches_the_reference(truncations, witness_base):
     cat, data, squares, X = witness_base
-    (result,) = maps_lowering_pushouts_to_pullbacks([X], squares)
+    (result,) = maps_lowering_pushouts_to_pullbacks(Corpus.of(cat, [X]), squares)
     assert result == presheaf_reference.maps_lowering_pushouts_to_pullbacks(X, squares)
     assert result[0] is False
     cat, data, squares = truncations[3]
-    corpus = seeded_corpus(cat, data, 0, 200) + [representable(cat, r) for r in range(4)]
+    seeded = seeded_corpus(cat, data, 0, 200).presheaves
+    corpus = Corpus.of(cat, seeded + [representable(cat, r) for r in range(4)])
     for Y, result in zip(corpus, maps_lowering_pushouts_to_pullbacks(corpus, squares)):
         assert result == presheaf_reference.maps_lowering_pushouts_to_pullbacks(Y, squares)
 
@@ -250,7 +252,7 @@ def test_pullback_criterion_matches_the_reference_on_corrupted_presheaves(
     """A presheaf of seeded_corpus with one action value moved, which may
     break a square or functoriality itself."""
     cat, reedy, squares = truncations[3]
-    X = data.draw(st.sampled_from(seeded_corpus(cat, reedy, seed, 3)))
+    X = data.draw(st.sampled_from(seeded_corpus(cat, reedy, seed, 3).presheaves))
     movable = [f for f in cat.morphisms() if X.levels[cat.dom(f)] >= 2 and X.levels[cat.cod(f)]]
     if movable:
         f = data.draw(st.sampled_from(movable))
@@ -258,7 +260,7 @@ def test_pullback_criterion_matches_the_reference_on_corrupted_presheaves(
         value = data.draw(st.integers(0, X.levels[cat.dom(f)] - 1))
         X = presheaf_reference.with_value(X, f, x, value)
     assert maps_lowering_pushouts_to_pullbacks(
-        [X], squares
+        Corpus.of(cat, [X]), squares
     ) == [presheaf_reference.maps_lowering_pushouts_to_pullbacks(X, squares)]
 
 

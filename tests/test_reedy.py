@@ -12,7 +12,7 @@ from reedylab import kernel
 from reedylab.certificates import FAIL, NO_CASES, Check, scan
 from reedylab.errors import NotSurjective, SizeBudget, ViolatedLaw
 from reedylab.obstruction import map_t, map_u
-from reedylab.presheaf import maps_lowering_pushouts_to_pullbacks, representable
+from reedylab.presheaf import Corpus, maps_lowering_pushouts_to_pullbacks, representable
 from reedylab.reedy import (
     FinCategory,
     certify_cancellation,
@@ -165,8 +165,9 @@ def test_set_pushout_check_fails_on_a_swapped_leg(trunc3):
 def test_pullback_criterion_refuses_a_square_whose_legs_do_not_meet(trunc3):
     cat, data, squares = trunc3
     apart, _ = _off_carrier(cat, squares)
+    corpus = Corpus.of(cat, [representable(cat, 0)])
     with pytest.raises(ViolatedLaw) as exc:
-        maps_lowering_pushouts_to_pullbacks([representable(cat, 0)], squares[:5] + [apart])
+        maps_lowering_pushouts_to_pullbacks(corpus, squares[:5] + [apart])
     assert (exc.value.law, exc.value.witness) == ("square-shape", apart)
 
 
