@@ -290,6 +290,49 @@ def split_scan(cat, low: np.ndarray, high: np.ndarray) -> Check:
     return verdict(id, True, count)
 
 
+def generators(cat):
+    """The generators of a category of semilattices: its non-identity isos
+    and elementary maps, those lowering or raising between objects one
+    size apart, as a mask by id.
+
+    Latching glues along them only, which gives the classes that gluing
+    along every map gives as long as their composites reach every map,
+    and those of the lowering ones every lowering map.  Two breadth-first
+    walks from the identities check both, each round composing the maps it
+    reached last with every generator out of their codomain, through one
+    gather per object b from the table rows of the maps into b at the
+    generator columns.  Returns ViolatedLaw('generation', ref) for the
+    first map that the walk along all generators misses, or else the
+    first lowering map that the walk along the lowering ones misses, so
+    that a caller holds it as an outcome."""
+    n, sizes = len(cat.objects), np.array([O.size for O in cat.objects], np.int64)
+    dom, cod = sizes[cat.domain], sizes[cat.codomain]
+    lowering, raising = cat.image_size == cod, cat.image_size == dom
+    gens = (lowering & raising) | ((lowering | raising) & (np.abs(dom - cod) == 1))
+    gens[list(cat.identities)] = False
+    into = [np.flatnonzero(cat.codomain == b) for b in range(n)]
+    for mask, target in ((gens, np.ones_like(gens)), (gens & lowering, lowering)):
+        # tables[b][i, j]: the i-th map into b, then the j-th generator out of b
+        tables = []
+        for b in range(n):
+            out = cat.out_of(b)
+            cols = np.flatnonzero(mask[out.start : out.stop])
+            tables.append(np.vstack([cat.composition[(a, b)][:, cols] for a in range(n)]))
+        reached = np.zeros_like(gens)
+        reached[list(cat.identities)] = True
+        last = reached.copy()
+        while last.any():
+            new = np.zeros_like(gens)
+            for b in range(n):
+                new[tables[b][last[into[b]]]] = True
+            last = new & ~reached
+            reached |= new
+        missed = target & ~reached
+        if missed.any():
+            return ViolatedLaw("generation", cat.ref(int(missed.argmax())))
+    return gens
+
+
 def _join(label: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Merge the classes of u[i] and v[i], for equally shaped node arrays,
     into a labelling of each node by the least node of its class.

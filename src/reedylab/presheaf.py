@@ -32,6 +32,16 @@ degree), the result or the ViolatedLaw it breaks; the suites replay
 these in their walk order, presheaf first.  A corpus's latching objects
 are computed once and read by the Reedy-mono verdict, the route
 comparison and the cell squares.
+
+Both latching weights glue along generators only: the base's
+non-identity isos and elementary maps (lowering or raising, between
+objects one size apart), and for the lowering weight the lowering ones.
+A weight is closed under post-composition, so on a functor the gluing
+along a composite follows from the gluings along its factors; that the
+generators' composites reach every map, and the lowering generators'
+every lowering map, is checked once per base by FinCategory.generators.
+quotient_presheaf still closes along every map, in one pass that is
+closed because every composite is itself a restriction.
 """
 
 from __future__ import annotations
@@ -63,7 +73,7 @@ class FinPresheaf:
 
     @cached_property
     def start(self) -> np.ndarray:
-        return _layout(self.base, self.levels)[0]
+        return _start(self.base, self.levels)
 
     def action(self, f: int) -> np.ndarray:
         """The action of the map with id f, a view of values."""
@@ -119,6 +129,14 @@ def _layout(cat: FinCategory, levels) -> tuple[np.ndarray, np.ndarray, np.ndarra
     return _segments(np.asarray(levels, np.int64)[cat.codomain])
 
 
+def _start(cat: FinCategory, levels) -> np.ndarray:
+    """The first array of _layout alone: the start of each map's action,
+    and the total, last."""
+    start = np.zeros(len(cat.codomain) + 1, np.int32)
+    np.cumsum(np.asarray(levels, np.int64)[cat.codomain], out=start[1:])
+    return start
+
+
 @dataclass
 class PresheafMorphism:
     dom: FinPresheaf
@@ -144,10 +162,11 @@ class PresheafMorphism:
             raise ViolatedLaw("range", (int(level[bad.argmax()]),))
         comp = comp.astype(np.int32)  # halves the entry-sized gathers below
         # at each entry (f, x) of X: the component at x.f, against the
-        # component at x restricted along f in Y
+        # component at x restricted along f in Y; Y's layout is computed
+        # here, not cached on Y, whose start a corpus holds in its chunk
         _, owner, x = _layout(cat, X.levels)
         bad = comp[x_start[cat.domain][owner] + X.values] != Y.values[
-            Y.start[owner] + comp[x_start[cat.codomain][owner] + x]
+            _start(cat, Y.levels)[owner] + comp[x_start[cat.codomain][owner] + x]
         ]
         if bad.any():
             p = bad.argmax()
@@ -279,41 +298,53 @@ def latching_objects(
     corpus: Corpus, data: ReedyData
 ) -> list[list[WeightedLatching | ViolatedLaw]]:
     """Latching by the lowering weight: the strictly lowering maps e out
-    of r, glued along the lowering maps f, (f e, x) ~ (e, x f)."""
+    of r, glued along the lowering generators f, (f e, x) ~ (e, x f)."""
     cat, degree = corpus.base, np.array(data.degree)
     weight = data.lowering & (degree[cat.codomain] < degree[cat.domain])
-    return _latching(corpus, weight, [np.array(ids, np.int64) for ids in data.lowering_out])
+    return _latching(corpus, weight, data.lowering)
 
 
 def latching_object_via_weights(
     corpus: Corpus, data: ReedyData
 ) -> list[list[WeightedLatching | ViolatedLaw]]:
     """Latching by the degree weight: all maps out of r of degree below
-    deg(r), not only lowering ones, glued along every morphism."""
+    deg(r), not only lowering ones, glued along every generator."""
     cat = corpus.base
     weight = cat.image_size < np.array(data.degree)[cat.domain]
-    gluing = [np.arange(out.start, out.stop) for out in map(cat.out_of, range(len(cat.objects)))]
-    return _latching(corpus, weight, gluing)
+    return _latching(corpus, weight, np.ones(len(cat.domain), bool))
 
 
 def _latching(
-    corpus: Corpus, weight: np.ndarray, gluing: list[np.ndarray]
+    corpus: Corpus, weight: np.ndarray, glued: np.ndarray
 ) -> list[list[WeightedLatching | ViolatedLaw]]:
     """The latching objects of a corpus by a weight: the maps f out of r
-    with weight[f], glued along the maps g out of each b in gluing[b],
-    (g f, x) ~ (f, x g).  Returns, for each presheaf and each object r,
-    the latching object or the ViolatedLaw that it breaks, in that
-    presheaf's own coordinates.
+    with weight[f], glued along the generators g with glued[g] out of each
+    codomain b, (g f, x) ~ (f, x g).  Returns, for each presheaf and each
+    object r, the latching object or the ViolatedLaw that it breaks, in
+    that presheaf's own coordinates.
 
-    One join per (chunk, r) and block b glues the nodes of every presheaf
-    of the chunk.  The gluing of the weight maps into b is one gather from
-    the rows of composition[(r, b)] and the actions of the gluing maps.
-    'degree-drop' names the first (f, g) of the walk (f in the weight,
-    then g a gluing map out of its codomain, in morphism order) whose
-    composite leaves the weight; it depends on the base alone, so every
-    presheaf breaks it at r or none does."""
+    The weights are closed under post-composition, so on a functor the
+    relation along g = g2 g1 follows from those along g1 and g2, and the
+    generators give the classes that every map with glued[g] gives, as
+    kernel.generators checks once per base; a base where they do not
+    generate holds its ViolatedLaw('generation') at every (presheaf, r).
+    One join per (chunk, r) glues the nodes of every presheaf of the
+    chunk, over the edges of every codomain b at once.  The gluing of the
+    weight maps into b is one gather from the rows of composition[(r, b)]
+    and the actions of the gluing maps.  'degree-drop' names the first
+    (f, g) of the walk (f in the weight, then g a gluing map out of its
+    codomain, in morphism order) whose composite leaves the weight; it
+    depends on the base alone, so every presheaf breaks it at r or none
+    does."""
     cat, out = corpus.base, [[] for _ in corpus]
-    n_maps = len(cat.domain)
+    generators = cat.generators
+    if isinstance(generators, ViolatedLaw):
+        return [[ViolatedLaw(generators.law, generators.witness) for _ in cat.objects] for _ in out]
+    n_maps, glued = len(cat.domain), generators & glued
+    gluing = [
+        ids.start + np.flatnonzero(glued[ids.start : ids.stop])
+        for ids in map(cat.out_of, range(len(cat.objects)))
+    ]
     plans = [_weight_plan(cat, r, weight, gluing) for r in range(len(cat.objects))]
     for part, chunk in corpus.chunks:
         n_parts = len(part)
@@ -330,15 +361,16 @@ def _latching(
             node_start, owner, index = _segments(chunk.levels[:, cat.codomain[maps + lo]].ravel())
             first_node = np.full((n_parts, len(in_weight)), -1, np.int32)
             first_node[:, maps] = node_start[:-1].reshape(n_parts, len(maps))
-            label = np.arange(node_start[-1], dtype=np.int32)
+            # (g f, x2) ~ (f, y) for the weight maps f into each b, a row
+            # per entry
+            u, v = [np.zeros(0, np.int32)], [np.zeros(0, np.int32)]
             for b, fs, gf in blocks:
-                # (g f, x2) ~ (f, y) for the weight maps f into b, a row per
-                # entry
                 p, seg, x2, y = entries[b]
                 by_segment = first_node[:, gf].transpose(0, 2, 1).reshape(-1, len(fs))
-                label = _join(
-                    label, by_segment[seg] + x2[:, None], first_node[:, fs][p] + y[:, None]
-                )
+                u.append((by_segment[seg] + x2[:, None]).ravel())
+                v.append((first_node[:, fs][p] + y[:, None]).ravel())
+            label = np.arange(node_start[-1], dtype=np.int32)
+            label = _join(label, np.concatenate(u), np.concatenate(v))
             roots, node_class = _classes(label)
             # the latching map: the value x.f on the class of each node (f, x)
             at, w = np.divmod(owner, max(len(maps), 1))
@@ -347,18 +379,24 @@ def _latching(
             )
             node_bound = node_start[np.arange(n_parts + 1) * len(maps)]
             class_bound = np.searchsorted(roots, node_bound)
+            # every part's nodes and classes in its own coordinates, and
+            # its first class whose latching value is ill defined
+            local = np.where(first_node < 0, -1, first_node - node_bound[:-1, None])
+            classes = node_class - np.repeat(class_bound[:-1], np.diff(node_bound))
+            class_part = np.repeat(np.arange(n_parts), np.diff(class_bound))
+            ill = _first_per_part(class_part, bad, n_parts).tolist()
+            latch, nodes, bounds = latch.tolist(), node_bound.tolist(), class_bound.tolist()
             for p, k in enumerate(part):
-                (v0, v1), (c0, c1) = node_bound[p : p + 2], class_bound[p : p + 2]
-                if bad[c0:c1].any():
-                    root = roots[c0 + bad[c0:c1].argmax()]
+                if ill[p] >= 0:
+                    root = roots[ill[p]]
                     f = cat.ref(lo + maps[w[root]])
                     out[k].append(ViolatedLaw("well-definedness", (r, (f, int(index[root])))))
                     continue
                 # the outcomes of a whole corpus are held at once, so each
                 # is kept in the smallest integer type that holds it
-                local = np.where(first_node[p] < 0, -1, first_node[p] - v0).astype(np.int32)
-                classes = (node_class[v0:v1] - c0).astype(np.min_scalar_type(c1 - c0))
-                out[k].append(WeightedLatching(local, classes, latch[c0:c1].tolist()))
+                (v0, v1), (c0, c1) = nodes[p : p + 2], bounds[p : p + 2]
+                own = classes[v0:v1].astype(np.min_scalar_type(c1 - c0))
+                out[k].append(WeightedLatching(local[p].astype(np.int32), own, latch[c0:c1]))
     return out
 
 
@@ -717,17 +755,21 @@ def maps_lowering_pushouts_to_pullbacks(corpus: Corpus, squares: list[Square]) -
 
     A chunk is checked as the coproduct of its presheaves, one
     kernel.square_pullbacks call per chunk: each pair is the part of its
-    y0, and no pair or fibre crosses parts.  A square whose maps do not
-    meet raises ViolatedLaw('square-shape') there."""
+    y0, and no pair or fibre crosses parts.  The actions it reads, of the
+    identities and the squares' maps, are sliced once per chunk.  A square
+    whose maps do not meet raises ViolatedLaw('square-shape') there."""
     cat, out = corpus.base, []
     ids = np.array(squares, np.int64).reshape(-1, 4)
     b0, p_obj = cat.codomain[ids[:, 0]], cat.codomain[ids[:, 2]]
+    read = _distinct(np.concatenate([np.array(cat.identities, np.int64), ids.ravel()])).tolist()
     for part, chunk in corpus.chunks:
         n_parts, levels = len(part), chunk.levels
         # the part of each element of the coproduct, level after level
         level_start, owner, _ = _segments(levels.T.ravel())
         part_of, first = owner % n_parts, np.full(n_parts, -1)
-        for sq, square, y0, _, fibre in square_pullbacks(cat, squares, chunk.coproduct().action):
+        X = chunk.coproduct()
+        action = {f: X.action(f) for f in read}
+        for sq, square, y0, _, fibre in square_pullbacks(cat, squares, action.__getitem__):
             key = square * n_parts + part_of[level_start[b0[sq.start + square] * n_parts] + y0]
             size = len(sq) * n_parts
             pairs = np.bincount(key, minlength=size).reshape(len(sq), n_parts)
@@ -957,23 +999,19 @@ def _cell_squares(
     not_commuting = any_per_part(ul_key, sk_bad | ur_bad | square) | any_per_part(
         ur_key, right_bad
     )
-    ill = any_per_part(po_key, po_bad)
-    reports = []
-    for p in range(n_parts):
-        off = np.flatnonzero(left_off[p] | right_off[p])
-        if len(off):
-            s = int(off[0])
-            side = "left" if left_off[p, s] else "right"
-            reports.append(ViolatedLaw("skeleton-landing", (n, s, side)))
-        else:
-            reports.append(
-                CellSquareReport(
-                    not not_commuting[p],
-                    not (ill[p] or pushout_off[p].any()),
-                    not mono_off[p].any(),
-                )
-            )
-    return reports
+    not_pushout = any_per_part(po_key, po_bad) | pushout_off.any(1)
+    # each part's first level where a leg leaves its skeleton, if any
+    off = (left_off | right_off) > 0
+    landing, level = off.any(1).tolist(), off.argmax(1)
+    left = left_off[np.arange(n_parts), level].tolist()
+    commutes, pushout = (~not_commuting).tolist(), (~not_pushout).tolist()
+    mono = (~mono_off.any(1)).tolist()
+    return [
+        ViolatedLaw("skeleton-landing", (n, s, "left" if left[p] else "right"))
+        if landing[p]
+        else CellSquareReport(commutes[p], pushout[p], mono[p])
+        for p, s in enumerate(level.tolist())
+    ]
 
 
 def _iso_moves(cat: FinCategory, L: list[dict], gluings: list) -> dict[int, np.ndarray]:

@@ -177,6 +177,15 @@ class FinCategory:
 
         return np.array([len(set(self.mor(f).map)) for f in self.morphisms()], np.int64)
 
+    @cached_property
+    def generators(self) -> "numpy.ndarray | ViolatedLaw":
+        """The non-identity isos and elementary maps, a mask by id, or the
+        ViolatedLaw('generation') of the first map their composites miss:
+        see kernel.generators."""
+        from .kernel import generators
+
+        return generators(self)
+
     def is_identity(self, f: int) -> bool:
         return f == self.identities[self.dom(f)]
 
@@ -441,7 +450,8 @@ def quotient_closure(seeds) -> list[FiniteSemilattice]:
         out[(C.size, C.join)] = C
     candidates_by_size: dict[int, list[FiniteSemilattice]] = {}
     for A in list(out.values()):
-        for k in range(1, A.size + 1):
+        # a quotient of A's own size is A itself
+        for k in range(1, A.size):
             if k not in candidates_by_size:
                 candidates_by_size[k] = enumerate_semilattices(k)
             for B in candidates_by_size[k]:

@@ -7,18 +7,20 @@ parameters, so its signature is the list of options the suite accepts.
 Budget overruns become skipped checks; nothing is silently truncated.
 
 The suites share their inputs through one memo, _built: the truncated
-categories, the exhaustive and seeded presheaf corpora and the non-mono
-witness are built once per process and handed to every suite that reads
-them.  It holds at most MEMO_SIZE builds, least recently used first out,
-which covers every input `reedylab all` builds.  Its key is the builder
+categories, the exhaustive and seeded presheaf corpora, the non-mono
+witness and the latching objects by the lowering weight of those three
+are built once per process and handed to every suite that reads them.
+It holds at most MEMO_SIZE builds, least recently used first out, which
+covers every input `reedylab all` builds.  Its key is the builder
 function, as the suite looks it up at the call, and the builder's
 arguments, so a replaced builder (a test's monkeypatch) misses it and is
 called.  An exception is not stored: an over-budget build raises on every
 call and still becomes its skipped check.  It is the one cache in the
 package.  The library builders in reedy.py and presheaf.py stay
 uncached, as callers may change the tables they return in place; the
-suites only read theirs.  Every other result, a hom-set or a latching
-object, is computed once where a suite uses it and handed on as a value.
+suites only read theirs.  Every other result, a hom-set or another
+latching object, is computed once where a suite uses it and handed on as
+a value.
 """
 
 from __future__ import annotations
@@ -45,8 +47,10 @@ from .semilattice import DEFAULT_CANDIDATE_BUDGET
 # dimension at most 3
 MAX_CUBE_DIM = 3
 
-# the most suite inputs the memo holds; `reedylab all` builds six
-MEMO_SIZE = 8
+# the most suite inputs the memo holds; `reedylab all` builds six, and
+# the presheaf suites share four more: the witness laid out as a corpus
+# and the latching objects of it and of both corpora
+MEMO_SIZE = 10
 
 
 @functools.lru_cache(maxsize=MEMO_SIZE)
@@ -285,6 +289,14 @@ def _corpus(max_size: int, budget: int, seed: int, corpus_count: int):
     )
 
 
+def _witness():
+    """The non-mono witness laid out as a corpus of its own, with its base."""
+    from .presheaf import Corpus, non_reedy_mono_example
+
+    cat5, data5, squares5, X = _built(non_reedy_mono_example)
+    return cat5, data5, squares5, Corpus.of(cat5, [X])
+
+
 def _triples(corpus, latching, data, squares):
     """The three Reedy-mono criteria of each presheaf of a corpus, given
     its latching objects, in walk order: the latching maps are injective,
@@ -313,7 +325,6 @@ def _suite_presheaf_ez(
         latching_object_via_weights,
         latching_objects,
         latching_routes_agree,
-        non_reedy_mono_example,
         representable,
     )
 
@@ -337,9 +348,10 @@ def _suite_presheaf_ez(
         checks = []
         verdicts = []  # one per presheaf the triple sweeps reached
         # the latching objects by the lowering weight of every presheaf,
-        # read by the triple sweeps and by the route comparison
+        # read by the triple sweeps, the route comparison and the cell
+        # squares of cell-presentation
         corpora = [
-            (corpus, latching_objects(corpus, data), data)
+            (corpus, _built(latching_objects, corpus, data), data)
             for corpus, data in ((exhaustive, data2), (seeded, data3))
         ]
 
@@ -412,9 +424,9 @@ def _suite_presheaf_ez(
 
         # the false branch, demonstrated over a base containing a
         # non-projective object with its minimal cover
-        cat5, data5, squares5, X = _built(non_reedy_mono_example)
-        witness = Corpus.of(cat5, [X])
-        ((a, b, c),) = _triples(witness, latching_objects(witness, data5), data5, squares5)
+        cat5, data5, squares5, witness = _built(_witness)
+        latching = _built(latching_objects, witness, data5)
+        ((a, b, c),) = _triples(witness, latching, data5, squares5)
         checks.append(
             verdict(
                 "non-mono-witness-all-three-criteria-false",
@@ -440,11 +452,9 @@ def _suite_cell_presentation(
 ) -> list:
     from .presheaf import (
         CellSquareReport,
-        Corpus,
         ez_degrees,
         is_reedy_mono,
         latching_objects,
-        non_reedy_mono_example,
         skeleton_chain_report,
         verify_cell_square,
     )
@@ -474,7 +484,7 @@ def _suite_cell_presentation(
             (seeded_tag, seeded, data3),
         ):
             monos = []  # (index, presheaf, EZ degrees) of the Reedy monomorphic
-            latching, degrees = latching_objects(corpus, data), ez_degrees(corpus, data)
+            latching, degrees = _built(latching_objects, corpus, data), ez_degrees(corpus, data)
             for i, (X, L, d) in enumerate(zip(corpus, latching, degrees)):
                 if is_reedy_mono(L):
                     monos.append((i, X, outcome_value(d)))
@@ -484,9 +494,8 @@ def _suite_cell_presentation(
             ]
 
         # expected failure pattern on the non-mono witness
-        cat5, data5, squares5, X = _built(non_reedy_mono_example)
-        witness = Corpus.of(cat5, [X])
-        (latching,) = latching_objects(witness, data5)
+        cat5, data5, squares5, witness = _built(_witness)
+        (latching,) = _built(latching_objects, witness, data5)
         (outcomes,) = verify_cell_square(witness, data5, ez_degrees(witness, data5), [latching])
         reports = {n: outcome_value(rep) for n, rep in outcomes.items()}
         commute_ok = all(r.commutes for r in reports.values())

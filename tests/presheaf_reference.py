@@ -6,7 +6,11 @@ weights (`latching_objects` and `latching_object_via_weights`) and
 is a (morphism id, x) tuple and every gluing is one `UnionFind.union`
 call.  They take one presheaf and one object or degree, and raise the
 laws that the numpy routes, which take a whole corpus, return as
-outcomes.
+outcomes.  The two latching routes glue along every map (every lowering
+map, for the lowering weight), where the numpy routes glue along the
+base's generators only; on a functor the two give the same classes.
+Given a gluing set, they glue along it alone, which is the comparison
+for values that are not a functor.
 
 The presheaf constructors are here too, as they were when a presheaf
 stored its actions as a dict from morphism to tuple: `representable`,
@@ -211,25 +215,29 @@ def latching_data(X, r, uf):
     return LatchingData(classes, node_class, latch, injective)
 
 
-def latching_object(X, r, data):
+def latching_object(X, r, data, gluing=None):
     """The lowering weight: pairs (e, x) for the strictly lowering e out of
     r, modulo (f e, x) ~ (e, x f) over lowering f, one union per (e, f, x),
-    with the latching map sending a class to the restriction x e."""
+    with the latching map sending a class to the restriction x e.  Glues
+    along every lowering f, or along those in gluing when it is given."""
     cat = X.base
     lows = strictly_lowering_out_of(cat, data, r)
     keys = [(e, x) for e in lows for x in range(X.levels[cat.cod(e)])]
     uf = UnionFind(keys)
     for e in lows:
         for f in data.lowering_out[cat.cod(e)]:
+            if gluing is not None and f not in gluing:
+                continue
             fe = cat.compose(e, f)
             for x2, y in enumerate(X.action(f).tolist()):
                 uf.union((fe, x2), (e, y))
     return latching_data(X, r, uf)
 
 
-def latching_object_via_weights(X, r, data):
+def latching_object_via_weights(X, r, data, gluing=None):
     """Weight by all maps out of r of degree below deg(r) and glue along
-    every morphism, one union per (f, g, x)."""
+    every morphism, or along those in gluing when it is given, one union
+    per (f, g, x)."""
     cat = X.base
     n = data.degree[r]
     weight = [f for f in cat.out_of(r) if morphism_degree(cat, f) < n]
@@ -239,6 +247,8 @@ def latching_object_via_weights(X, r, data):
     wset = set(weight)
     for f in weight:
         for g in cat.out_of(cat.cod(f)):
+            if gluing is not None and g not in gluing:
+                continue
             gf = cat.compose(f, g)
             if gf not in wset:
                 raise ViolatedLaw("degree-drop", (cat.ref(f), cat.ref(g)))
@@ -257,12 +267,13 @@ def iso_on_latching(cat, th, Lr, Lr2):
     return out
 
 
-def verify_cell_square(X, n, data, degrees):
+def verify_cell_square(X, n, data, degrees, gluing=None):
     """The degree-n cell square, level by level on (id, x) and
-    ("yo" | "bd", id, v) keys."""
+    ("yo" | "bd", id, v) keys, on the latching objects glued along every
+    lowering map or along those in gluing."""
     cat, acts = X.base, actions(X)
     objs_n = [r for r in range(len(cat.objects)) if data.degree[r] == n]
-    L = {r: latching_object(X, r, data) for r in objs_n}
+    L = {r: latching_object(X, r, data, gluing) for r in objs_n}
     skn, sknext = skeleton(degrees, n), skeleton(degrees, n + 1)
     commutes = True
     is_pushout = True

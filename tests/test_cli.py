@@ -750,6 +750,23 @@ def test_presheaf_suites_build_each_input_once(monkeypatch):
     assert counts == {"reedy_category_on": 3, "seeded_corpus": 1, "non_reedy_mono_example": 1}
 
 
+def test_the_generators_are_walked_once_per_base(monkeypatch):
+    from reedylab import kernel
+
+    real, walked = kernel.generators, []
+
+    def counting(cat):
+        walked.append(cat)
+        return real(cat)
+
+    monkeypatch.setattr(kernel, "generators", counting)
+    _built.cache_clear()
+    for suite in ("presheaf-ez", "cell-presentation"):
+        run_suite(SuiteConfig(suite=suite))
+    # the size-2 and size-3 truncations and the witness's base category
+    assert len(walked) == len({id(cat) for cat in walked}) == 3
+
+
 def test_truncation_suites_build_the_truncation_once(monkeypatch):
     import reedylab.reedy as reedy
 

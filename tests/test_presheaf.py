@@ -1,3 +1,4 @@
+import json
 import os
 import random
 import subprocess
@@ -35,8 +36,9 @@ from reedylab.presheaf import (
     verify_cell_square,
 )
 from reedylab.errors import ViolatedLaw, outcome_value
-from reedylab.reedy import truncated_semilattice_category
-from reedylab.semilattice import image_factorize
+from reedylab import presheaf
+from reedylab.reedy import reedy_category_on, truncated_semilattice_category
+from reedylab.semilattice import chain, image_factorize
 
 
 @pytest.fixture(scope="module")
@@ -148,6 +150,83 @@ def test_ill_defined_latching_map_raises_in_optimized_mode():
     paths = [str(here.parent / "src"), str(here)]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
     assert subprocess.run([sys.executable, "-O", "-c", code], env=env).returncode == 0
+
+
+def test_no_presheaf_of_the_seeded_corpus_caches_its_start(trunc3):
+    # validating a quotient's projection computes the quotient's layout
+    # where it reads it: a cached start would duplicate its chunk's
+    cat, data, _ = trunc3
+    corpus = seeded_corpus(cat, data, 0, 200)
+    assert [k for k, X in enumerate(corpus) if "start" in X.__dict__] == []
+
+
+@pytest.mark.parametrize(
+    "N, maps, degree_gluing, lowering_gluing", [(3, 69, 13, 6), (4, 1055, 63, 33)]
+)
+def test_latching_glues_along_the_generators(monkeypatch, N, maps, degree_gluing, lowering_gluing):
+    # the maps each weight glues along, as _latching hands them to the
+    # plan of every object: the non-identity isos and elementary maps,
+    # and for the lowering weight the lowering ones among them
+    cat, data, _ = truncated_semilattice_category(N)
+    real, glued = presheaf._weight_plan, []
+
+    def recording(cat, r, weight, gluing):
+        glued.append(sum(map(len, gluing)))
+        return real(cat, r, weight, gluing)
+
+    monkeypatch.setattr(presheaf, "_weight_plan", recording)
+    corpus = Corpus.of(cat, [representable(cat, len(cat.objects) - 1)])
+    routes = ((latching_object_via_weights, degree_gluing), (latching_objects, lowering_gluing))
+    for route, expected in routes:
+        glued.clear()
+        route(corpus, data)
+        assert glued == [expected] * len(cat.objects)
+    assert len(cat.domain) == maps
+
+
+def size_gap_base():
+    """The full subcategory on chain 1 and chain 3.  With no object of size
+    2 between them, its non-identity maps are neither isos nor elementary,
+    so no generator reaches them."""
+    return reedy_category_on([chain(1), chain(3)])
+
+
+def size_gap_corpus(max_size, budget, seed, corpus_count):
+    """suites._corpus with both corpora the representables of the size-gap
+    base."""
+    cat, data, squares = size_gap_base()
+    corpus = Corpus.of(cat, [representable(cat, r) for r in range(len(cat.objects))])
+    return (cat, data, squares, corpus), (cat, data, squares, corpus), "seeded-size3"
+
+
+def test_a_base_its_generators_do_not_generate_holds_the_generation_law():
+    cat, data, _ = size_gap_base()
+    corpus = Corpus.of(cat, [representable(cat, 1), terminal_presheaf(cat)])
+    # the first map out of chain 1 into chain 3, raising by two sizes
+    held = [[("generation", (0, 1, 0))] * 2] * 2
+    for route in (latching_objects, latching_object_via_weights):
+        outcomes = route(corpus, data)
+        assert [[(L.law, L.witness) for L in Ls] for Ls in outcomes] == held
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
+def test_the_generation_law_is_a_failed_check(flags):
+    code = (
+        "import json\n"
+        "from reedylab import suites\n"
+        "from test_presheaf import size_gap_corpus\n"
+        "suites._corpus = size_gap_corpus\n"
+        "cert = suites.run_suite(suites.SuiteConfig(suite='cell-presentation'))\n"
+        "print(json.dumps([[c.id, c.status, c.witness] for c in cert.checks]))\n"
+    )
+    here = Path(__file__).resolve().parent
+    paths = [str(here.parent / "src"), str(here)]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+    run = subprocess.run(
+        [sys.executable, *flags, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    witness = {"law": "generation", "witness": [0, 1, 0]}
+    assert json.loads(run.stdout) == [["cell-presentation", "fail", witness]]
 
 
 def test_morphism_validate_rejects_corrupted_component(trunc3):

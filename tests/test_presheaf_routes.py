@@ -6,6 +6,7 @@ inputs drawn by hypothesis."""
 
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
@@ -93,20 +94,29 @@ def summary(result):
     return result
 
 
-def same_latching(X, r, data, W, weight):
+def same_latching(X, r, data, W, weight, gluing=None):
     """W, the outcome of latching by the named weight at (X, r) within a
-    corpus, against the reference run on X alone."""
-    R = outcome(WEIGHTS[weight][1], X, r, data)
+    corpus, against the reference run on X alone, glued along every map
+    or along those in gluing."""
+    R = outcome(WEIGHTS[weight][1], X, r, data, gluing)
     if isinstance(R, tuple) or isinstance(W, ViolatedLaw):
         return summary(W) == R
     return (weighted_classes(X, r, W), W.latch) == (R.classes, R.latch)
 
 
-def same_cell_squares(X, data, degrees, reports):
+def generator_gluing(cat, data, weight):
+    """The maps the named weight's route glues along, as a set of ids: the
+    base's generators, and for the lowering weight the lowering ones."""
+    glued = data.lowering if weight == "lowering" else True
+    return set(np.flatnonzero(glued & cat.generators).tolist())
+
+
+def same_cell_squares(X, data, degrees, reports, gluing=None):
     """reports, the outcomes of the cell squares of X within a corpus, by
-    degree, against the reference run on X alone."""
+    degree, against the reference run on X alone, its latching objects
+    glued along every lowering map or along those in gluing."""
     return list(reports) == sorted(set(data.degree)) and all(
-        summary(rep) == outcome(reference.verify_cell_square, X, n, data, degrees)
+        summary(rep) == outcome(reference.verify_cell_square, X, n, data, degrees, gluing)
         for n, rep in reports.items()
     )
 
@@ -141,6 +151,21 @@ def test_cell_squares_match_the_reference(corpora, name):
     for X, d, reports in zip(corpus, degrees, outcomes):
         assert same_cell_squares(X, data, d, reports)
     assert sum(map(len, outcomes))
+
+
+def test_cell_squares_match_the_reference_where_both_legs_leave(corpora):
+    # every EZ degree raised past the top, so that the legs leave their
+    # skeleta at several levels of a square, by differing counts: each
+    # report names the first such level, as the reference does
+    cat, data = corpora["seeded-size3"][0].base, corpora["seeded-size3"][1]
+    corpus = seeded_corpus(cat, data, 0, 20)
+    top = max(data.degree) + 1
+    degrees = [[[top] * n for n in X.levels] for X in corpus]
+    outcomes = verify_cell_square(corpus, data, degrees, latching_objects(corpus, data))
+    for X, d, reports in zip(corpus, degrees, outcomes):
+        assert same_cell_squares(X, data, d, reports)
+    laws = [rep for reports in outcomes for rep in reports.values() if isinstance(rep, ViolatedLaw)]
+    assert {rep.law for rep in laws} == {"skeleton-landing"}
 
 
 def test_the_witness_has_failed_squares(corpora):
@@ -184,7 +209,9 @@ def test_routes_match_the_reference_on_corrupted_presheaves(corpora, seeded_degr
     chunk among four uncorrupted presheaves of the seeded corpus, at a
     drawn place, and their outcomes are those they have without it.  Both
     weights are checked on every example, so the cell squares, which read
-    the lowering weight, run once per example."""
+    the lowering weight, run once per example.  A moved value need not
+    leave a functor, and the routes glue along the generators only, so X
+    is compared with the reference glued along the same generators."""
     base, reedy = corpora["seeded-size3"]
     cat = base.base
     X = data.draw(st.sampled_from(seeded_corpus(cat, reedy, seed, 3).presheaves[-3:]))
@@ -216,8 +243,9 @@ def test_routes_match_the_reference_on_corrupted_presheaves(corpora, seeded_degr
     latching = {}
     for weight, (route, _) in WEIGHTS.items():
         latching[weight] = route(corpus, reedy)
+        gluing = generator_gluing(cat, reedy, weight)
         for r, W in enumerate(latching[weight][at]):
-            assert same_latching(X, r, reedy, W, weight), weight
+            assert same_latching(X, r, reedy, W, weight, gluing), weight
         alone = route(neighbours, reedy)
         assert without_x(latching[weight]) == without_x(alone[:at] + [None] + alone[at:]), weight
 
@@ -228,11 +256,45 @@ def test_routes_match_the_reference_on_corrupted_presheaves(corpora, seeded_degr
         [*neighbour_degrees[:at], degrees, *neighbour_degrees[at:]],
         latching["lowering"],
     )
-    assert same_cell_squares(X, reedy, degrees, reports[at])
+    gluing = generator_gluing(cat, reedy, "lowering")
+    assert same_cell_squares(X, reedy, degrees, reports[at], gluing)
     alone = verify_cell_square(
         neighbours, reedy, neighbour_degrees, latching_objects(neighbours, reedy)
     )
     assert without_x(reports) == without_x(alone[:at] + [None] + alone[at:])
+
+
+def test_a_composite_that_breaks_functoriality_shows_the_cut(corpora):
+    # the top representable with one value moved in the action of a map h
+    # that is no generator: the generators' actions are a functor's, so
+    # only a route that glues along h sees the break.  The routes, which
+    # glue along the generators, give the classes of the reference glued
+    # along them; the all-maps reference finds at some object that the
+    # latching map is ill defined, where the degree weight gives a value
+    corpus, data = corpora["seeded-size3"]
+    cat = corpus.base
+    X = presheaf.representable(cat, len(cat.objects) - 1)
+    h = next(
+        f
+        for f in cat.morphisms()
+        if not (cat.is_identity(f) or cat.generators[f]) and X.levels[cat.dom(f)] >= 2
+    )
+    X = reference.with_value(X, h, 0, (X.action(h)[0] + 1) % X.levels[cat.dom(h)])
+    with pytest.raises(ViolatedLaw) as exc:
+        X.validate()
+    assert exc.value.law == "functoriality"
+    single = Corpus.of(cat, [X])
+    for weight, (route, _) in WEIGHTS.items():
+        (outcomes,) = route(single, data)
+        gluing = generator_gluing(cat, data, weight)
+        assert all(same_latching(X, r, data, W, weight, gluing) for r, W in enumerate(outcomes))
+    (outcomes,) = latching_object_via_weights(single, data)
+    cut = [r for r, W in enumerate(outcomes) if not same_latching(X, r, data, W, "degree")]
+    assert cut
+    for r in cut:
+        assert isinstance(outcomes[r], presheaf.WeightedLatching)
+        with pytest.raises(ViolatedLaw, match="well-definedness"):
+            reference.latching_object_via_weights(X, r, data)
 
 
 def test_outcomes_keep_their_presheaf_in_a_corpus(corpora, monkeypatch):
