@@ -27,11 +27,12 @@ verdict takes a Corpus and makes one numpy pass per chunk: the latching
 objects by both weights (latching_objects and
 latching_object_via_weights, one routine with two weights), the EZ table
 (ez_degrees and has_unique_ez), the pushouts-to-pullbacks criterion and
-the cell squares.  Each returns, per presheaf (and per object or
-degree), the result or the ViolatedLaw it breaks; the suites replay
-these in their walk order, presheaf first.  A corpus's latching objects
-are computed once and read by the Reedy-mono verdict, the route
-comparison and the cell squares.
+the cell squares.  The latching objects stay chunk-wide, one Latching per
+(chunk, object) that holds each part's ViolatedLaw, if any; they are
+computed once, and the injectivity verdict, the route comparison and
+the cell squares read their arrays as they are.  The verdicts return,
+per presheaf (and per object or degree), the result or the ViolatedLaw
+it breaks; the suites replay these in their walk order, presheaf first.
 
 Both latching weights glue along generators only: the base's
 non-identity isos and elementary maps (lowering or raising, between
@@ -237,66 +238,38 @@ def strictly_lowering_out_of(cat: FinCategory, data: ReedyData, r: int) -> list[
 
 
 @dataclass
-class WeightedLatching:
-    """A latching object at r, a weighted colimit, on integer node keys.
-
-    first_node[p] is the node of (f, 0) when the p-th map f out of r, in
-    morphism order, is in the weight, and -1 otherwise; the node of
-    (f, x) is first_node[p] + x, so nodes sort as the pairs do.
-    node_class[v] is the class of node v, the classes ordered by their
-    least node."""
+class Latching:
+    """The latching objects at r of every part of a chunk, by one weight,
+    as one weighted colimit, its nodes numbered part-major, then as the
+    pairs (f, x) sort, f in morphism order out of r: first_node[k, p] is
+    the node of (f, 0) in part k when the p-th map f out of r is in the
+    weight, and -1 otherwise, and that of (f, x) is first_node[k, p] + x.
+    node_class[v] is the class of node v, classes numbered by least node,
+    and class_start[k] the first class of part k, the total last.
+    latch[c] is the value of class c in X_r, and held[k] the ViolatedLaw
+    that part k breaks at r, or None."""
 
     first_node: np.ndarray
     node_class: np.ndarray
-    latch: list[int]  # class -> element of X_r
-
-    @property
-    def injective(self) -> bool:
-        return len(set(self.latch)) == len(self.latch)
-
-
-@dataclass
-class _Stacked:
-    """Latching objects side by side as one, for one pass over them all.
-    Their first_node arrays are end to end, an entry of latching object
-    owner[i] at position p[i] out of its r, each node offset by the nodes
-    of the latching objects before it (-1 kept); node_class is the class
-    of every node, offset by the classes before it; class_start[k] is the
-    first class of latching object k (the total last), and latch holds
-    the latching values of every class."""
-
-    first: np.ndarray
-    owner: np.ndarray
-    p: np.ndarray
-    node_class: np.ndarray
     class_start: np.ndarray
     latch: np.ndarray
-
-    @classmethod
-    def of(cls, Ls: list[WeightedLatching]) -> _Stacked:
-        _, owner, p = _segments(np.array([len(L.first_node) for L in Ls], np.int64))
-        n_nodes = np.array([len(L.node_class) for L in Ls], np.int64)
-        node_start = _segments(n_nodes)[0]
-        class_start = _segments(np.array([len(L.latch) for L in Ls], np.int64))[0]
-        first = np.concatenate([L.first_node for L in Ls]).astype(np.int64)
-        first = np.where(first < 0, -1, first + node_start[owner])
-        node_class = np.concatenate([L.node_class for L in Ls]).astype(np.int64)
-        node_class += np.repeat(class_start[:-1], n_nodes)
-        latch = np.fromiter(itertools.chain.from_iterable(L.latch for L in Ls), np.int64)
-        return cls(first, owner, p, node_class, class_start, latch)
+    held: list[ViolatedLaw | None]
 
     def pairs(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The pair (f, x) of each node v: its latching object, the
-        position p of f out of r, and x.  Nodes sort as the pairs do, so
-        v lies in the last weight map whose first node is at most v."""
-        weight = np.flatnonzero(self.first >= 0)
-        i = weight[np.searchsorted(self.first[weight], v, "right") - 1]
-        return self.owner[i], self.p[i], v - self.first[i]
+        """The pair (f, x) of each node v: its part k, the position p of f
+        out of r, and x.  Nodes sort as the pairs do, so v lies in the
+        last weight map whose first node is at most v."""
+        first = self.first_node.ravel()
+        weight = np.flatnonzero(first >= 0)
+        i = weight[np.searchsorted(first[weight], v, "right") - 1]
+        return (*np.divmod(i, self.first_node.shape[1]), v - first[i])
+
+    def verdicts(self, ok: list[bool]) -> list[bool | ViolatedLaw]:
+        """A verdict per part, each held law in its part's place."""
+        return [v if law is None else law for v, law in zip(ok, self.held)]
 
 
-def latching_objects(
-    corpus: Corpus, data: ReedyData
-) -> list[list[WeightedLatching | ViolatedLaw]]:
+def latching_objects(corpus: Corpus, data: ReedyData) -> list[list[Latching]]:
     """Latching by the lowering weight: the strictly lowering maps e out
     of r, glued along the lowering generators f, (f e, x) ~ (e, x f)."""
     cat, degree = corpus.base, np.array(data.degree)
@@ -304,9 +277,7 @@ def latching_objects(
     return _latching(corpus, weight, data.lowering)
 
 
-def latching_object_via_weights(
-    corpus: Corpus, data: ReedyData
-) -> list[list[WeightedLatching | ViolatedLaw]]:
+def latching_object_via_weights(corpus: Corpus, data: ReedyData) -> list[list[Latching]]:
     """Latching by the degree weight: all maps out of r of degree below
     deg(r), not only lowering ones, glued along every generator."""
     cat = corpus.base
@@ -314,49 +285,40 @@ def latching_object_via_weights(
     return _latching(corpus, weight, np.ones(len(cat.domain), bool))
 
 
-def _latching(
-    corpus: Corpus, weight: np.ndarray, glued: np.ndarray
-) -> list[list[WeightedLatching | ViolatedLaw]]:
+def _latching(corpus: Corpus, weight: np.ndarray, glued: np.ndarray) -> list[list[Latching]]:
     """The latching objects of a corpus by a weight: the maps f out of r
     with weight[f], glued along the generators g with glued[g] out of each
-    codomain b, (g f, x) ~ (f, x g).  Returns, for each presheaf and each
-    object r, the latching object or the ViolatedLaw that it breaks, in
-    that presheaf's own coordinates.
+    codomain b, (g f, x) ~ (f, x g).  Returns the Latching of each chunk
+    at each object r.
 
     The weights are closed under post-composition, so on a functor the
     relation along g = g2 g1 follows from those along g1 and g2, and the
     generators give the classes that every map with glued[g] gives, as
-    kernel.generators checks once per base; a base where they do not
-    generate holds its ViolatedLaw('generation') at every (presheaf, r).
-    One join per (chunk, r) glues the nodes of every presheaf of the
-    chunk, over the edges of every codomain b at once.  The gluing of the
-    weight maps into b is one gather from the rows of composition[(r, b)]
-    and the actions of the gluing maps.  'degree-drop' names the first
-    (f, g) of the walk (f in the weight, then g a gluing map out of its
-    codomain, in morphism order) whose composite leaves the weight; it
-    depends on the base alone, so every presheaf breaks it at r or none
-    does."""
-    cat, out = corpus.base, [[] for _ in corpus]
-    generators = cat.generators
+    kernel.generators checks once per base.  One join per (chunk, r)
+    glues the nodes of every part, over the edges of every codomain b at
+    once.  The gluing of the weight maps into b is one gather from the
+    rows of composition[(r, b)] and the actions of the gluing maps.  A
+    part whose latching map is ill defined holds 'well-definedness' at
+    its first such class.  A law of the base, 'generation' where the
+    generators do not generate or 'degree-drop' at r, leaves r with no
+    weight maps, and every part holds it."""
+    cat, n_obj, n_maps, out = corpus.base, len(corpus.base.objects), len(corpus.base.domain), []
+    generators, base_law = cat.generators, None
     if isinstance(generators, ViolatedLaw):
-        return [[ViolatedLaw(generators.law, generators.witness) for _ in cat.objects] for _ in out]
-    n_maps, glued = len(cat.domain), generators & glued
+        base_law = ViolatedLaw(generators.law, generators.witness)
+        weight = generators = np.zeros(n_maps, bool)
     gluing = [
-        ids.start + np.flatnonzero(glued[ids.start : ids.stop])
-        for ids in map(cat.out_of, range(len(cat.objects)))
+        ids.start + np.flatnonzero((generators & glued)[ids.start : ids.stop])
+        for ids in map(cat.out_of, range(n_obj))
     ]
-    plans = [_weight_plan(cat, r, weight, gluing) for r in range(len(cat.objects))]
+    plans = [_weight_plan(cat, r, weight, gluing) for r in range(n_obj)]
     for part, chunk in corpus.chunks:
-        n_parts = len(part)
+        n_parts, row = len(part), []
         # the entries of the gluing maps out of each b, in every part: entry
         # e sends x2[e] along the map of segment seg[e] (part p[e], the map
         # seg[e] - p[e] |gluing[b]| places into gluing[b]) to y[e]
         entries = [chunk.entries(ids) for ids in gluing]
-        for r, (lo, in_weight, drop, blocks) in enumerate(plans):
-            if drop:
-                for k in part:
-                    out[k].append(ViolatedLaw("degree-drop", drop))
-                continue
+        for r, (lo, in_weight, law, blocks) in enumerate(plans):
             maps = np.flatnonzero(in_weight)  # the weight maps, as positions out of r
             node_start, owner, index = _segments(chunk.levels[:, cat.codomain[maps + lo]].ravel())
             first_node = np.full((n_parts, len(in_weight)), -1, np.int32)
@@ -377,36 +339,29 @@ def _latching(
             latch, bad = _class_values(
                 roots, node_class, chunk.values[chunk.start[at * n_maps + lo + maps[w]] + index]
             )
-            node_bound = node_start[np.arange(n_parts + 1) * len(maps)]
-            class_bound = np.searchsorted(roots, node_bound)
-            # every part's nodes and classes in its own coordinates, and
-            # its first class whose latching value is ill defined
-            local = np.where(first_node < 0, -1, first_node - node_bound[:-1, None])
-            classes = node_class - np.repeat(class_bound[:-1], np.diff(node_bound))
-            class_part = np.repeat(np.arange(n_parts), np.diff(class_bound))
-            ill = _first_per_part(class_part, bad, n_parts).tolist()
-            latch, nodes, bounds = latch.tolist(), node_bound.tolist(), class_bound.tolist()
-            for p, k in enumerate(part):
-                if ill[p] >= 0:
-                    root = roots[ill[p]]
-                    f = cat.ref(lo + maps[w[root]])
-                    out[k].append(ViolatedLaw("well-definedness", (r, (f, int(index[root])))))
-                    continue
-                # the outcomes of a whole corpus are held at once, so each
-                # is kept in the smallest integer type that holds it
-                (v0, v1), (c0, c1) = nodes[p : p + 2], bounds[p : p + 2]
-                own = classes[v0:v1].astype(np.min_scalar_type(c1 - c0))
-                out[k].append(WeightedLatching(local[p].astype(np.int32), own, latch[c0:c1]))
+            class_start = np.searchsorted(roots, node_start[np.arange(n_parts + 1) * len(maps)])
+            ill = _first_per_part(np.repeat(np.arange(n_parts), np.diff(class_start)), bad, n_parts)
+            held = [law or base_law] * n_parts
+            for k in np.flatnonzero(ill >= 0).tolist():
+                f, x = cat.ref(lo + maps[w[roots[ill[k]]]]), int(index[roots[ill[k]]])
+                held[k] = ViolatedLaw("well-definedness", (r, (f, x)))
+            # a corpus's outcomes are held at once, so each array is kept in
+            # the smallest integer type that holds it
+            nodes, classes = np.min_scalar_type(-len(label) - 1), np.min_scalar_type(len(roots))
+            small = [node_class.astype(classes), class_start.astype(classes)]
+            latch = latch.astype(np.min_scalar_type(latch.max(initial=0)))
+            row.append(Latching(first_node.astype(nodes), *small, latch, held))
+        out.append(row)
     return out
 
 
 def _weight_plan(cat: FinCategory, r: int, weight: np.ndarray, gluing: list[np.ndarray]):
     """What latching by a weight at r reads of the base alone: the id of
-    the first map out of r, which maps out of r are in the weight, the
-    first (f, g) whose composite leaves the weight (None when none does),
+    the first map out of r, which maps out of r are in the weight, None,
     and per object b that a weight map reaches, b, the positions out of r
-    of the weight maps f into b, and those of their composites g f, a row
-    per f and a column per gluing map g out of b."""
+    of the weight maps f into b and those of their composites g f, a row
+    per f and a column per gluing map g out of b.  Where some g f leaves
+    the weight: no map, ViolatedLaw('degree-drop') at the first, no b."""
     out = cat.out_of(r)
     lo = out.start
     in_weight = weight[lo : out.stop]
@@ -421,7 +376,8 @@ def _weight_plan(cat: FinCategory, r: int, weight: np.ndarray, gluing: list[np.n
         outside = ~in_weight[gf]
         if outside.any():
             i, j = divmod(int(outside.argmax()), gf.shape[1])
-            return lo, in_weight, (cat.ref(lo + cols.start + fs[i]), cat.ref(gs[j])), blocks
+            drop = (cat.ref(lo + cols.start + fs[i]), cat.ref(gs[j]))
+            return lo, np.zeros(len(in_weight), bool), ViolatedLaw("degree-drop", drop), []
         blocks.append((b, fs + cols.start, gf))
     return lo, in_weight, None, blocks
 
@@ -517,58 +473,49 @@ def _segments(sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def latching_routes_agree(
-    by_lowering: list[list[WeightedLatching | ViolatedLaw]],
-    by_degree: list[list[WeightedLatching | ViolatedLaw]],
+    by_lowering: list[list[Latching]], by_degree: list[list[Latching]]
 ) -> list[list[bool | ViolatedLaw]]:
     """Whether the latching objects of a corpus by the two weights, the
     outcomes of latching_objects and of latching_object_via_weights, are
     in natural bijection over X_r.  Returns, for each presheaf and each
-    object r, the verdict, or the ViolatedLaw of an outcome that is one,
-    the lowering one first.
+    object r, the verdict, or the ViolatedLaw its part holds, the lowering
+    one first.
 
-    Every (X, r) where both are values is compared in one pass per chunk
-    of them (kernel.chunks over their nodes), on their node arrays side by
-    side.  Both index the maps out of r in morphism order, so the node
-    (p, x) of A is the node B.first_node[p] + x of B.  A and B agree when
-    they have equally many classes, every node of A is one of B, the
-    B-classes of the nodes of each A-class are one, which makes a map on
-    classes, and that map is one to one and keeps the latching values."""
-    out = [list(As) for As in by_lowering]
-    compared = []  # (A, B, presheaf, r) where both are values
-    for k, (As, Bs) in enumerate(zip(by_lowering, by_degree)):
-        for r, (A, B) in enumerate(zip(As, Bs)):
-            if isinstance(B, ViolatedLaw) and not isinstance(A, ViolatedLaw):
-                out[k][r] = B
-            elif not isinstance(A, ViolatedLaw):
-                compared.append((A, B, k, r))
-    for part in chunks([len(A.node_class) + len(B.node_class) for A, B, _, _ in compared]):
-        As, Bs, ks, rs = zip(*compared[part.start : part.stop])
-        for k, r, ok in zip(ks, rs, _routes_agree(As, Bs).tolist()):
-            out[k][r] = ok
-    return out
+    Both come from one corpus, so each (chunk, r) is one comparison of
+    all its parts.  Both index the maps out of r in morphism order, so the
+    node (k, p, x) of A is the node B.first_node[k, p] + x of B.  A part
+    agrees when it has equally many classes in A and B, every node of A
+    is one of B, the B-classes of the nodes of each A-class are one, which
+    makes a map on classes, and that map is one to one and keeps the
+    latching values."""
+    return _by_presheaf(
+        [A.verdicts(B.verdicts(_routes_agree(A, B).tolist())) for A, B in zip(As, Bs)]
+        for As, Bs in zip(by_lowering, by_degree)
+    )
 
 
-def _routes_agree(As: list[WeightedLatching], Bs: list[WeightedLatching]) -> np.ndarray:
-    """latching_routes_agree on pairs of values, side by side."""
-    A, B, n = _Stacked.of(As), _Stacked.of(Bs), len(As)
+def _routes_agree(A: Latching, B: Latching) -> np.ndarray:
+    """latching_routes_agree at one (chunk, r), a verdict per part."""
+    n = len(A.held)
 
     def any_of(owner, flags):
         return np.bincount(owner, weights=flags, minlength=n) > 0
 
-    a_classes, b_classes = np.diff(A.class_start), np.diff(B.class_start)
+    b_start = B.class_start.astype(np.int64)
+    a_classes, b_classes = np.diff(A.class_start.astype(np.int64)), np.diff(b_start)
     # the B-class of each node of A, -1 where B leaves out its map
     k, p, x = A.pairs(np.arange(len(A.node_class)))
-    first = B.first[np.searchsorted(B.owner, k) + p]
+    first = B.first_node[k, p].astype(np.int64)
     outside = first < 0
     image = np.full(len(first), -1)
     image[~outside] = B.node_class[first[~outside] + x[~outside]]
     # each class of A to the B-class of its last node, which the others
-    # must share; a class without nodes goes to its object's first B-class
+    # must share; a class without nodes goes to its part's first B-class
     class_owner = np.repeat(np.arange(n), a_classes)
-    mapping = B.class_start[class_owner]
+    mapping = b_start[class_owner]
     mapping[A.node_class] = image
     split = mapping[A.node_class] != image
-    inside = (mapping >= B.class_start[class_owner]) & (mapping < B.class_start[class_owner + 1])
+    inside = (mapping >= b_start[class_owner]) & (mapping < b_start[class_owner + 1])
     kept = np.zeros(len(mapping), bool)
     kept[inside] = A.latch[inside] == B.latch[mapping[inside]]
     hit = np.repeat(np.arange(n), b_classes)[_distinct(mapping[inside])]
@@ -580,10 +527,33 @@ def _routes_agree(As: list[WeightedLatching], Bs: list[WeightedLatching]) -> np.
     )
 
 
-def is_reedy_mono(latching: list[WeightedLatching | ViolatedLaw]) -> bool:
-    """Every latching map injective, given a presheaf's latching_objects:
-    read up to the first that is not, a ViolatedLaw raised where read."""
-    return all(outcome_value(L).injective for L in latching)
+def latching_injective(latching: list[list[Latching]]) -> list[list[bool | ViolatedLaw]]:
+    """Whether each presheaf's latching map at each object r is injective,
+    given the outcomes of latching_objects on a corpus, or the ViolatedLaw
+    its part holds.  Per (chunk, r), a part's map is injective when its
+    classes take distinct values."""
+    verdicts = []
+    for Ls in latching:
+        verdicts.append([])
+        for L in Ls:
+            classes = np.diff(L.class_start.astype(np.int64))
+            width = int(L.latch.max(initial=0)) + 1
+            key = np.repeat(np.arange(len(classes)), classes) * width + L.latch
+            distinct = np.bincount(_distinct(key) // width, minlength=len(classes))
+            verdicts[-1].append(L.verdicts((distinct == classes).tolist()))
+    return _by_presheaf(verdicts)
+
+
+def _by_presheaf(verdicts) -> list[list]:
+    """Verdicts by chunk, then r, then part, as one list per presheaf."""
+    return [list(row) for by_r in verdicts for row in zip(*by_r)]
+
+
+def is_reedy_mono(injective: list[bool | ViolatedLaw]) -> bool:
+    """Every latching map injective, given a presheaf's latching_injective
+    verdicts: read up to the first that is not, a ViolatedLaw raised where
+    read."""
+    return all(outcome_value(v) for v in injective)
 
 
 # ---------------------------------------------------------------------------
@@ -799,7 +769,7 @@ def verify_cell_square(
     corpus: Corpus,
     data: ReedyData,
     degrees: list[list[list[int]] | ViolatedLaw],
-    latching: list[list[WeightedLatching | ViolatedLaw]],
+    latching: list[list[Latching]],
 ) -> list[dict[int, CellSquareReport | ViolatedLaw]]:
     """Certify the cell attachments of each presheaf of a corpus, given
     the outcomes of ez_degrees and of latching_objects on it.  Returns,
@@ -811,39 +781,36 @@ def verify_cell_square(
     the square onto the skeleta commutes, is a pushout of sets, and has an
     injective cell map whenever X is Reedy monomorphic.  It breaks
     'skeleton-landing' at the first level where the left map leaves sk_n
-    or, failing that, the right map leaves sk_{n+1}, and the
-    'well-definedness' of the first latching object at a degree-n object
-    whose latching map is ill defined.  A presheaf whose latching object
-    at a degree-n object, or whose EZ degrees, is a held law keeps that
-    law, the latching one first, in place of its degree-n report.
+    or, failing that, the right map leaves sk_{n+1}.  A presheaf whose
+    latching object at a degree-n object, or whose EZ degrees, holds a
+    law keeps that law, the latching one first, in place of its degree-n
+    report: it runs in its chunk with every element of degree 0, meets no
+    other part in a join, and its report is dropped.
 
-    There is one join per (chunk, n) and gluing.  Every level of every
-    part is done at once, on integer node keys ordered as the pairs are:
-    part first, then level, then (in the upper-left corner) the boundary
-    nodes (g, x) before the representable nodes (g, c), then g in
-    morphism order, then x or c.  A class is named by its least node,
-    and classes are numbered in that order, so each part's classes are
-    one run in the order of the part alone, and the counts per level
-    become counts per (part, level).
+    There is one join per (chunk, n) and gluing, on the chunk's latching
+    outcomes as they are; a (chunk, n) whose parts all hold laws is
+    skipped.  Every level of every part is done at once, on integer node
+    keys ordered as the pairs are: part first, then level, then (in the
+    upper-left corner) the boundary nodes (g, x) before the representable
+    nodes (g, c), then g in morphism order, then x or c.  A class is named
+    by its least node, and classes are numbered in that order, so each
+    part's classes are one run in the order of the part alone, and the
+    counts per level become counts per (part, level).
     """
     cat, out = corpus.base, [{} for _ in corpus]
     plans = [_gluing_plan(cat, data, n) for n in sorted(set(data.degree))]
-    # a presheaf that keeps a law runs with no latching classes and every
-    # element of degree 0: parts do not meet, and its report is dropped
-    empty = [WeightedLatching(np.full(m, -1), np.arange(0), []) for m in np.bincount(cat.domain)]
-    for part, chunk in corpus.chunks:
+    for (part, chunk), Ls in zip(corpus.chunks, latching):
         for n, objs_n, gluings in plans:
-            L, d = [], []
-            for k, levels in zip(part, chunk.levels.tolist()):
-                try:
-                    Lk = {r: outcome_value(latching[k][r]) for r in objs_n}
-                    dk = outcome_value(degrees[k])
-                except ViolatedLaw as exc:
-                    out[k][n] = exc
-                    Lk, dk = empty, [[0] * m for m in levels]
-                L.append(Lk)
-                d.append(dk)
-            reports = _cell_squares(chunk, n, objs_n, gluings, L, d)
+            d = []
+            for p, (k, levels) in enumerate(zip(part, chunk.levels.tolist())):
+                laws = [*(Ls[r].held[p] for r in objs_n), degrees[k]]
+                law = next((v for v in laws if isinstance(v, ViolatedLaw)), None)
+                if law is not None:
+                    out[k][n] = law
+                d.append(degrees[k] if law is None else [[0] * m for m in levels])
+            if all(n in out[k] for k in part):
+                continue
+            reports = _cell_squares(chunk, n, objs_n, gluings, Ls, d)
             for k, report in zip(part, reports):
                 out[k].setdefault(n, report)
     return out
@@ -867,18 +834,19 @@ def _gluing_plan(cat: FinCategory, data: ReedyData, n: int):
 
 
 def _cell_squares(
-    chunk: _Chunk, n: int, objs_n: list[int], gluings: list, L: list[dict], degrees: list
+    chunk: _Chunk, n: int, objs_n: list[int], gluings: list, L: list[Latching], degrees: list
 ) -> list[CellSquareReport | ViolatedLaw]:
     """The degree-n cell square of each part of a chunk, given the base's
-    gluing plan, each part's latching objects at the degree-n objects
-    objs_n and its EZ degrees."""
+    gluing plan, the chunk's latching outcome at each object r, read at
+    the degree-n objects objs_n, and each part's EZ degrees."""
     cat, levels, values, start = chunk.base, chunk.levels, chunk.values, chunk.start
     n_parts, (n_obj, n_maps) = len(levels), (len(cat.objects), len(cat.domain))
     dom, cod = cat.domain, cat.codomain
     n_classes = np.zeros((n_parts, n_obj), np.int64)
-    n_classes[:, objs_n] = [[len(Lp[r].latch) for r in objs_n] for Lp in L]
-    latch_start = _segments(n_classes.ravel())[0]  # at part * n_obj + r
-    latch = np.array([v for Lp in L for r in objs_n for v in Lp[r].latch], np.int32)
+    n_classes[:, objs_n] = np.transpose([np.diff(L[r].class_start) for r in objs_n])
+    # class c of part p at a degree-n object r has value latch[latch_start[r, p] + c]
+    latch_start = _segments(n_classes.T.ravel())[0][:-1].reshape(n_obj, n_parts)
+    latch = np.concatenate([L[r].latch for r in objs_n]).astype(np.int32)
 
     # upper-right corner: node ur[p, g] + x is (g, x) of part p, for g into
     # a degree-n object and x in X there; ur_value is its image x.g in X
@@ -911,7 +879,7 @@ def _cell_squares(
     yo[:, G] = seg_first[:, len(low) :]
     ul_part, k = np.divmod(owner, len(seg_g))
     on_yo, ul_g = seg_yo[order][k], seg_g[order][k]
-    c_at = latch_start[ul_part[on_yo] * n_obj + cod[ul_g[on_yo]]]
+    c_at = latch_start[cod[ul_g[on_yo]], ul_part[on_yo]]
     ul_elem[on_yo] = latch[c_at + ul_elem[on_yo]]
     ul_elem += ur[ul_part, ul_g]
     del owner, k, on_yo, ul_g, ul_part, c_at
@@ -942,8 +910,7 @@ def _cell_squares(
         # glue the two weighted pieces along the boundary-weighted latching
         g = into[g_low]
         p, c = classes[r]
-        c_latch = latch[latch_start[p * n_obj + r] + c]
-        ul_label = _join(ul_label, nodes(yo, p, g, c), nodes(bd, p, g, c_latch))
+        ul_label = _join(ul_label, nodes(yo, p, g, c), nodes(bd, p, g, L[r].latch))
 
     ur_roots, ur_class = _classes(ur_label)
     ul_roots, ul_class = _classes(ul_label)
@@ -1014,27 +981,24 @@ def _cell_squares(
     ]
 
 
-def _iso_moves(cat: FinCategory, L: list[dict], gluings: list) -> dict[int, np.ndarray]:
+def _iso_moves(cat: FinCategory, L: list[Latching], gluings: list) -> dict[int, np.ndarray]:
     """Latching classes moved along precomposition with each iso
     th: r -> r2 of a gluing plan, in every part of a chunk at once, given
-    each part's latching objects at the degree-n objects: a class of r2,
-    by its least node (e2, x2), goes to the class of (th then e2, x2) at
-    r in its part.  Keyed by th, the classes of r2 part after part, each
-    named as a class of its part."""
-    stacked = {r: _Stacked.of([Lp[r] for Lp in L]) for r, *_ in gluings}
+    the chunk's latching outcome at each object: a class of r2, by its
+    least node (e2, x2), goes to the class of (th then e2, x2) at r in its
+    part.  Keyed by th, the classes of r2 part after part, each named as
+    a class of its part."""
     # classes are numbered by least node: the running maximum of the
     # classes first reaches c at the least node of c
-    least = {
-        r: S.pairs(np.searchsorted(np.maximum.accumulate(S.node_class), np.arange(len(S.latch))))
-        for r, S in stacked.items()
-    }
+    peak = {r: np.maximum.accumulate(L[r].node_class) for r, *_ in gluings}
+    least = {r: L[r].pairs(np.searchsorted(m, np.arange(len(L[r].latch)))) for r, m in peak.items()}
     moves = {}
     for r, _, _, isos in gluings:
-        at_r, out = stacked[r], cat.out_of(r)
+        at_r, out = L[r], cat.out_of(r)
         for r2, th, _ in isos:
             k, e2, x2 = least[r2]
             then = cat.row(th) - out.start  # th then e2, by e2
-            node = at_r.first[k * len(out) + then[e2]] + x2
+            node = at_r.first_node[k, then[e2]] + x2
             moves[th] = at_r.node_class[node] - at_r.class_start[k]
     return moves
 

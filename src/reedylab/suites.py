@@ -301,17 +301,19 @@ def _triples(corpus, latching, data, squares):
     """The three Reedy-mono criteria of each presheaf of a corpus, given
     its latching objects, in walk order: the latching maps are injective,
     EZ decompositions are unique, and lowering pushouts go to pullbacks.
-    The last two are computed for the whole corpus at the first step."""
+    All three are computed for the whole corpus at the first step."""
     from .presheaf import (
         has_unique_ez,
         is_reedy_mono,
+        latching_injective,
         maps_lowering_pushouts_to_pullbacks,
     )
 
+    injective = latching_injective(latching)
     unique = has_unique_ez(corpus, data)
     pullbacks = maps_lowering_pushouts_to_pullbacks(corpus, squares)
-    for L, (b, _), (c, _) in zip(latching, unique, pullbacks):
-        yield is_reedy_mono(L), b, c
+    for row, (b, _), (c, _) in zip(injective, unique, pullbacks):
+        yield is_reedy_mono(row), b, c
 
 
 def _suite_presheaf_ez(
@@ -319,9 +321,9 @@ def _suite_presheaf_ez(
 ) -> list:
     from .presheaf import (
         Corpus,
-        WeightedLatching,
         autquo,
         is_reedy_mono,
+        latching_injective,
         latching_object_via_weights,
         latching_objects,
         latching_routes_agree,
@@ -375,8 +377,8 @@ def _suite_presheaf_ez(
                 (r, H) for r in range(len(cat3.objects)) for H in _subgroups(cat3, r, cat3.isos(r, r))
             ]
             quotients = Corpus.of(cat3, [autquo(cat3, r, H)[0] for r, H in cases])
-            for (r, H), L in zip(cases, latching_objects(quotients, data3)):
-                yield None if is_reedy_mono(L) else {"object": r, "subgroup": len(H)}
+            for (r, H), row in zip(cases, latching_injective(latching_objects(quotients, data3))):
+                yield None if is_reedy_mono(row) else {"object": r, "subgroup": len(H)}
 
         for tag, (corpus, latching, data), squares in zip(
             ("exhaustive-size2", seeded_tag), corpora, (squares2, squares3)
@@ -409,13 +411,15 @@ def _suite_presheaf_ez(
 
         # representable latching at the free two-generator object
         yo = Corpus.of(cat3, [representable(cat3, free2)])
-        L: WeightedLatching = outcome_value(latching_objects(yo, data3)[0][free2])
+        latching = latching_objects(yo, data3)
+        injective = outcome_value(latching_injective(latching)[0][free2])
+        size = len(latching[0][free2].latch)
         checks.append(
             verdict(
                 "representable-latching-size-and-injectivity",
-                len(L.latch) == 7 and L.injective,
-                len(L.latch),
-                {"size": len(L.latch), "injective": L.injective},
+                size == 7 and injective,
+                size,
+                {"size": size, "injective": injective},
             )
         )
 
@@ -454,6 +458,7 @@ def _suite_cell_presentation(
         CellSquareReport,
         ez_degrees,
         is_reedy_mono,
+        latching_injective,
         latching_objects,
         skeleton_chain_report,
         verify_cell_square,
@@ -485,8 +490,8 @@ def _suite_cell_presentation(
         ):
             monos = []  # (index, presheaf, EZ degrees) of the Reedy monomorphic
             latching, degrees = _built(latching_objects, corpus, data), ez_degrees(corpus, data)
-            for i, (X, L, d) in enumerate(zip(corpus, latching, degrees)):
-                if is_reedy_mono(L):
+            for i, (X, row, d) in enumerate(zip(corpus, latching_injective(latching), degrees)):
+                if is_reedy_mono(row):
                     monos.append((i, X, outcome_value(d)))
             checks += [
                 scan(f"cell-squares-certify-{tag}", cells(corpus, data, degrees, latching, monos)),
@@ -495,13 +500,12 @@ def _suite_cell_presentation(
 
         # expected failure pattern on the non-mono witness
         cat5, data5, squares5, witness = _built(_witness)
-        (latching,) = _built(latching_objects, witness, data5)
-        (outcomes,) = verify_cell_square(witness, data5, ez_degrees(witness, data5), [latching])
+        latching = _built(latching_objects, witness, data5)
+        (outcomes,) = verify_cell_square(witness, data5, ez_degrees(witness, data5), latching)
         reports = {n: outcome_value(rep) for n, rep in outcomes.items()}
         commute_ok = all(r.commutes for r in reports.values())
-        latch_fail_degrees = {
-            data5.degree[r] for r, L in enumerate(latching) if not outcome_value(L).injective
-        }
+        (row,) = latching_injective(latching)
+        latch_fail_degrees = {data5.degree[r] for r, ok in enumerate(row) if not outcome_value(ok)}
         mono_fail_degrees = {n for n, r in reports.items() if not r.cell_mono}
         checks.append(
             verdict(

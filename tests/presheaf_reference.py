@@ -36,7 +36,7 @@ by class, verdict by verdict and action by action.
 
 import itertools
 import random
-from collections import Counter
+from collections import Counter, namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -481,8 +481,32 @@ def has_unique_ez(X, data):
     return True, None
 
 
+# one presheaf's latching object at r in its own coordinates: first_node[p]
+# is the node of (f, 0) for the p-th map f out of r, -1 outside the weight,
+# node_class[v] the class of node v, and latch the value of each class
+PresheafLatching = namedtuple("PresheafLatching", "first_node node_class latch")
+
+
+def by_presheaf(latching):
+    """The chunk-wide outcomes of a latching route, per presheaf and object
+    r, for the per-presheaf routes here."""
+    return [[_part(L, k) for L in Ls] for Ls in latching for k in range(len(Ls[0].held))]
+
+
+def _part(L, k):
+    """Part k of a Latching: the law it holds, or its PresheafLatching."""
+    if L.held[k] is not None:
+        return L.held[k]
+    c0, c1 = L.class_start[k : k + 2].tolist()
+    # a part's nodes are one run, and its classes are its own
+    v0, v1 = (int((L.node_class < c).sum()) for c in (c0, c1))
+    first = L.first_node[k].astype(np.int64)
+    first = np.where(first < 0, -1, first - v0)
+    return PresheafLatching(first, L.node_class[v0:v1] - c0, L.latch[c0:c1].tolist())
+
+
 def _pairs(L, v):
-    """The pair (f, x) of each node v of a WeightedLatching: the position
+    """The pair (f, x) of each node v of a PresheafLatching: the position
     p of f out of r, and x."""
     weight = np.flatnonzero(L.first_node >= 0)
     p = weight[np.searchsorted(L.first_node[weight], v, "right") - 1]

@@ -508,9 +508,10 @@ def test_autquo_failure_reports_the_first_failing_subgroup(monkeypatch):
     import reedylab.presheaf as presheaf
 
     real_autquo, real_mono = presheaf.autquo, presheaf.is_reedy_mono
-    real_latching = presheaf.latching_objects
+    real_latching, real_injective = presheaf.latching_objects, presheaf.latching_injective
     made = []  # (quotient, object, subgroup order), one per autquo call
-    latching_of = {}  # id of a presheaf's latching objects -> (them, the presheaf)
+    corpus_of = {}  # id of a corpus's latching outcomes -> (them, the corpus)
+    injective_of = {}  # id of a presheaf's injectivity verdicts -> (them, the presheaf)
 
     def recording_autquo(cat, r, H):
         Q, proj = real_autquo(cat, r, H)
@@ -519,15 +520,21 @@ def test_autquo_failure_reports_the_first_failing_subgroup(monkeypatch):
 
     def recording_latching(corpus, data):
         outcomes = real_latching(corpus, data)
-        for X, latching in zip(corpus, outcomes):
-            latching_of[id(latching)] = (latching, X)
+        corpus_of[id(outcomes)] = (outcomes, corpus)
         return outcomes
 
-    def failing_from_the_second_autquo(latching):
-        _, X = latching_of[id(latching)]
+    def recording_injective(latching):
+        verdicts = real_injective(latching)
+        _, corpus = corpus_of[id(latching)]
+        for X, injective in zip(corpus, verdicts):
+            injective_of[id(injective)] = (injective, X)
+        return verdicts
+
+    def failing_from_the_second_autquo(injective):
+        _, X = injective_of[id(injective)]
         if any(X is Q for Q, _, _ in made[1:]):
             return False
-        return real_mono(latching)
+        return real_mono(injective)
 
     # a corpus without automorphism quotients, so every autquo call is
     # one case of the check
@@ -538,6 +545,7 @@ def test_autquo_failure_reports_the_first_failing_subgroup(monkeypatch):
     )
     monkeypatch.setattr(presheaf, "autquo", recording_autquo)
     monkeypatch.setattr(presheaf, "latching_objects", recording_latching)
+    monkeypatch.setattr(presheaf, "latching_injective", recording_injective)
     monkeypatch.setattr(presheaf, "is_reedy_mono", failing_from_the_second_autquo)
     cert = run_suite(SuiteConfig(suite="presheaf-ez"))
     (check,) = [c for c in cert.checks if c.id == "autquos-reedy-monomorphic"]
@@ -844,11 +852,12 @@ def test_no_latching_object_is_computed_twice_in_a_suite_run(monkeypatch, suite)
 
     def counting(corpus, data):
         outcomes = real(corpus, data)
-        # one (presheaf, r) outcome per object of the base
-        for X, latching in zip(corpus, outcomes):
-            held.append(X)
-            for r in range(len(latching)):
-                calls[id(X), r] = calls.get((id(X), r), 0) + 1
+        # one (presheaf, r) outcome per part of a chunk and object of the base
+        for (part, _), Ls in zip(corpus.chunks, outcomes):
+            for X in corpus.presheaves[part.start : part.stop]:
+                held.append(X)
+                for r in range(len(Ls)):
+                    calls[id(X), r] = calls.get((id(X), r), 0) + 1
         return outcomes
 
     monkeypatch.setattr(presheaf, "latching_objects", counting)

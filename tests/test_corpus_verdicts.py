@@ -119,6 +119,7 @@ def same_route_verdicts(corpus, data):
     by_degree = latching_object_via_weights(corpus, data)
     verdicts = latching_routes_agree(by_lowering, by_degree)
     assert len(verdicts) == len(corpus)
+    by_lowering, by_degree = reference.by_presheaf(by_lowering), reference.by_presheaf(by_degree)
     for As, Bs, agree in zip(by_lowering, by_degree, verdicts):
         assert len(agree) == len(As)
         for A, B, ok in zip(As, Bs, agree):
@@ -207,16 +208,15 @@ def test_iso_moves_match_the_per_presheaf_moves(corpora, name):
     each presheaf alone."""
     corpus, data, _ = corpora[name]
     cat = corpus.base
-    latching = latching_objects(corpus, data)
     isos = 0
-    for part, _ in corpus.chunks:
+    for Ls in latching_objects(corpus, data):
+        parts = reference.by_presheaf([Ls])
         for n in sorted(set(data.degree)):
-            _, objs_n, gluings = presheaf._gluing_plan(cat, data, n)
-            L = [{r: latching[k][r] for r in objs_n} for k in part]
-            moves = presheaf._iso_moves(cat, L, gluings)
+            _, _, gluings = presheaf._gluing_plan(cat, data, n)
+            moves = presheaf._iso_moves(cat, Ls, gluings)
             for r, _, _, plan in gluings:
                 for r2, th, _ in plan:
-                    expected = [reference.iso_on_weighted_latching(cat, th, Lp[r], Lp[r2]) for Lp in L]
+                    expected = [reference.iso_on_weighted_latching(cat, th, L[r], L[r2]) for L in parts]
                     assert moves[th].tolist() == np.concatenate(expected).tolist()
                     isos += 1
     assert isos

@@ -489,9 +489,8 @@ def _chunkings(tree: ast.Module):
 
 
 def test_a_corpus_is_laid_out_only_where_it_is_built():
-    # Corpus.of cuts a corpus into chunks and assembles each once;
-    # coproduct_presheaf assembles its parts, and latching_routes_agree
-    # cuts latching outcomes, not a corpus; every corpus routine reads
-    # its corpus's chunks
+    # Corpus.of cuts a corpus into chunks and assembles each once, and
+    # coproduct_presheaf assembles its parts; every corpus routine reads
+    # its corpus's chunks, and the latching outcomes keep them
     tree = ast.parse((SRC / "presheaf.py").read_text())
-    assert set(_chunkings(tree)) == {"Corpus.of", "coproduct_presheaf", "latching_routes_agree"}
+    assert set(_chunkings(tree)) == {"Corpus.of", "coproduct_presheaf"}

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from presheaf_reference import ez_decompositions, nondegenerate, with_value
+from presheaf_reference import by_presheaf, ez_decompositions, nondegenerate, with_value
 from reedylab.presheaf import (
     Corpus,
     PresheafMorphism,
@@ -20,6 +20,7 @@ from reedylab.presheaf import (
     ez_degrees,
     has_unique_ez,
     is_reedy_mono,
+    latching_injective,
     latching_object_via_weights,
     latching_objects,
     latching_routes_agree,
@@ -141,7 +142,7 @@ def test_ill_defined_latching_map_raises_in_optimized_mode():
         "cat, data, _ = truncated_semilattice_category(3)\n"
         "V = free_pair_object(cat)\n"
         "bad = _corrupt_one_action(representable(cat, V))\n"
-        "outcome = latching_object_via_weights(Corpus.of(cat, [bad]), data)[0][V]\n"
+        "outcome = latching_object_via_weights(Corpus.of(cat, [bad]), data)[0][V].held[0]\n"
         "if isinstance(outcome, ViolatedLaw):\n"
         "    raise SystemExit(outcome.law != 'well-definedness')\n"
         "raise SystemExit(1)\n"
@@ -205,7 +206,7 @@ def test_a_base_its_generators_do_not_generate_holds_the_generation_law():
     # the first map out of chain 1 into chain 3, raising by two sizes
     held = [[("generation", (0, 1, 0))] * 2] * 2
     for route in (latching_objects, latching_object_via_weights):
-        outcomes = route(corpus, data)
+        outcomes = by_presheaf(route(corpus, data))
         assert [[(L.law, L.witness) for L in Ls] for Ls in outcomes] == held
 
 
@@ -273,29 +274,29 @@ def test_representable_of_terminal_object(trunc3):
 def test_latching_interval_representable(trunc2):
     cat, data, squares = trunc2
     yo = representable(cat, 1)
-    L = latching_objects(Corpus.of(cat, [yo]), data)[0][1]
-    assert len(L.latch) == 2 and L.injective
+    latching = latching_objects(Corpus.of(cat, [yo]), data)
+    assert len(latching[0][1].latch) == 2 and latching_injective(latching)[0][1] is True
     # the two constants
-    assert sorted(L.latch) == [0, 2]
+    assert sorted(latching[0][1].latch.tolist()) == [0, 2]
 
 
 def test_latching_free_pair_representable(trunc3):
     cat, data, squares = trunc3
     V = free_pair_object(cat)
     yo = representable(cat, V)
-    L = latching_objects(Corpus.of(cat, [yo]), data)[0][V]
-    assert len(L.latch) == 7 and L.injective
+    latching = latching_objects(Corpus.of(cat, [yo]), data)
+    assert len(latching[0][V].latch) == 7 and latching_injective(latching)[0][V] is True
     noninjective = {
         k for k, f in enumerate(cat.homs[(V, V)]) if not f.is_injective
     }
-    assert set(L.latch) == noninjective
+    assert set(latching[0][V].latch.tolist()) == noninjective
 
 
 def test_latching_at_minimal_degree_is_empty(trunc3):
     cat, data, squares = trunc3
     one = next(i for i, O in enumerate(cat.objects) if O.size == 1)
     yo = representable(cat, one)
-    assert latching_objects(Corpus.of(cat, [yo]), data)[0][one].latch == []
+    assert latching_objects(Corpus.of(cat, [yo]), data)[0][one].latch.tolist() == []
 
 
 def test_latching_two_routes_agree(trunc3):
@@ -336,8 +337,15 @@ def test_routes_disagree_where_the_latching_objects_differ(trunc3):
     # a node of the lowering weight outside the degree weight
     outside = replace(B, first_node=np.where(A.first_node >= 0, -1, B.first_node))
     assert agree(A, outside) is False
-    # side by side, each pair keeps its own verdict
-    assert latching_routes_agree([[A, A], [A]], [[B, outside], [B]]) == [[True, False], [True]]
+    # side by side in one chunk, each part keeps its own verdict
+    pair = Corpus.of(cat, [yo, representable(cat, V)])
+    assert len(pair.chunks) == 1
+    A = latching_objects(pair, data)[0][V]
+    B = latching_object_via_weights(pair, data)[0][V]
+    assert latching_routes_agree([[A]], [[B]]) == [[True], [True]]
+    first = B.first_node.copy()
+    first[1][A.first_node[1] >= 0] = -1
+    assert latching_routes_agree([[A]], [[replace(B, first_node=first)]]) == [[True], [False]]
 
 
 def test_latching_laws_are_held_and_raised_where_read(trunc3):
@@ -351,20 +359,23 @@ def test_latching_laws_are_held_and_raised_where_read(trunc3):
         return with_value(yo, f, x, (yo.action(f)[x] + 1) % yo.levels[1])
 
     corpus = Corpus.of(cat, [moved(0)])
-    (latching,) = latching_objects(corpus, data)
-    assert [L.law for L in latching[2:]] == ["well-definedness"] * 2
+    latching = latching_objects(corpus, data)
+    (Ls,) = latching
+    assert [L.held[0].law for L in Ls[2:]] == ["well-definedness"] * 2
+    (injective,) = latching_injective(latching)
+    assert injective[2:] == [L.held[0] for L in Ls[2:]]
     with pytest.raises(ViolatedLaw) as err:
-        is_reedy_mono(latching)
-    assert err.value is latching[2]
+        is_reedy_mono(injective)
+    assert err.value is Ls[2].held[0]
     # the lowering weight's outcome is raised before the other is read
-    (agree,) = latching_routes_agree([latching], latching_object_via_weights(corpus, data))
+    (agree,) = latching_routes_agree(latching, latching_object_via_weights(corpus, data))
     with pytest.raises(ViolatedLaw) as err:
         outcome_value(agree[2])
-    assert err.value is latching[2]
+    assert err.value is Ls[2].held[0]
     # a latching map that is not injective comes first, so no law is read
-    (latching,) = latching_objects(Corpus.of(cat, [moved(1)]), data)
-    assert not latching[1].injective and isinstance(latching[2], ViolatedLaw)
-    assert is_reedy_mono(latching) is False
+    (injective,) = latching_injective(latching_objects(Corpus.of(cat, [moved(1)]), data))
+    assert injective[1] is False and isinstance(injective[2], ViolatedLaw)
+    assert is_reedy_mono(injective) is False
 
 
 def test_via_weights_uses_more_generators(trunc3):
@@ -414,7 +425,7 @@ def test_terminal_presheaf_collapses(trunc2):
     assert ez_decompositions(T, data)[1][0] == [(cat.refs(1, 0)[0], 0)]
     corpus = Corpus.of(cat, [T])
     assert ez_degrees(corpus, data)[0][1][0] == 1
-    assert is_reedy_mono(latching_objects(corpus, data)[0])
+    assert is_reedy_mono(latching_injective(latching_objects(corpus, data))[0])
 
 
 def test_unique_ez_on_representables_and_autquos(trunc3):
@@ -439,15 +450,15 @@ def test_no_failing_presheaf_on_small_truncations(trunc3):
     cat, data, squares = trunc3
     corpus = enumerate_presheaves(cat, 1)
     unique = has_unique_ez(corpus, data)
-    for latching, (ok, _) in zip(latching_objects(corpus, data), unique):
-        assert is_reedy_mono(latching)
+    for injective, (ok, _) in zip(latching_injective(latching_objects(corpus, data)), unique):
+        assert is_reedy_mono(injective)
         assert ok
 
 
 def test_failing_presheaf_exists_beyond_size_four():
     cat, data, squares, X = non_reedy_mono_example()
     corpus = Corpus.of(cat, [X])
-    a = is_reedy_mono(latching_objects(corpus, data)[0])
+    a = is_reedy_mono(latching_injective(latching_objects(corpus, data))[0])
     ((b, witness),) = has_unique_ez(corpus, data)
     ((c, sq),) = maps_lowering_pushouts_to_pullbacks(corpus, squares)
     assert (a, b, c) == (False, False, False)
@@ -536,10 +547,11 @@ def test_cell_square_failure_pattern_on_witness():
     cat, data, squares, X = non_reedy_mono_example()
     corpus = Corpus.of(cat, [X])
     (degrees,) = ez_degrees(corpus, data)
-    (latching,) = latching_objects(corpus, data)
-    (reports,) = verify_cell_square(corpus, data, [degrees], [latching])
+    latching = latching_objects(corpus, data)
+    (reports,) = verify_cell_square(corpus, data, [degrees], latching)
     assert all(r.commutes for r in reports.values())
-    latch_fail = {data.degree[r] for r, L in enumerate(latching) if not L.injective}
+    (injective,) = latching_injective(latching)
+    latch_fail = {data.degree[r] for r, ok in enumerate(injective) if not ok}
     assert latch_fail == {5}
     assert not reports[5].cell_mono
     assert not reports[4].is_pushout
@@ -564,8 +576,9 @@ def test_triple_equivalence_on_seeded_corpus(trunc3):
     corpus = seeded_corpus(cat, data, seed=0, count=60)
     unique = has_unique_ez(corpus, data)
     pullbacks = maps_lowering_pushouts_to_pullbacks(corpus, squares)
-    for latching, (b, _), (c, _) in zip(latching_objects(corpus, data), unique, pullbacks):
-        assert is_reedy_mono(latching) == b == c
+    injective = latching_injective(latching_objects(corpus, data))
+    for row, (b, _), (c, _) in zip(injective, unique, pullbacks):
+        assert is_reedy_mono(row) == b == c
 
 
 # ---------------------------------------------------------------------------
@@ -577,9 +590,9 @@ def test_exhaustive_size2_corpus(trunc2):
     cat, data, squares = trunc2
     corpus = enumerate_presheaves(cat, 2)
     assert len(corpus) == 6
-    for X, latching in zip(corpus, latching_objects(corpus, data)):
+    for X, injective in zip(corpus, latching_injective(latching_objects(corpus, data))):
         X.validate()
-        assert is_reedy_mono(latching)
+        assert is_reedy_mono(injective)
 
 
 def test_quotient_presheaf_congruence_closure(trunc3):

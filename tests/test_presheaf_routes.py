@@ -20,6 +20,7 @@ from reedylab.presheaf import (
     FinPresheaf,
     enumerate_presheaves,
     ez_degrees,
+    latching_injective,
     latching_object_via_weights,
     latching_objects,
     non_reedy_mono_example,
@@ -55,7 +56,7 @@ def corpora():
 
 
 def weighted_classes(X, r, W):
-    """The classes of a WeightedLatching as (id, x) member lists,
+    """The classes of a PresheafLatching as (id, x) member lists,
     in class order and, within a class, in node order."""
     classes = [[] for _ in W.latch]
     for p, f in enumerate(X.base.out_of(r)):
@@ -86,10 +87,10 @@ def violated(exc):
 
 def summary(result):
     """A batched route's outcome in comparable form: the law and witness of
-    a ViolatedLaw, a WeightedLatching's lists, or a report as it is."""
+    a ViolatedLaw, a PresheafLatching's lists, or a report as it is."""
     if isinstance(result, ViolatedLaw):
         return violated(result)
-    if isinstance(result, presheaf.WeightedLatching):
+    if isinstance(result, reference.PresheafLatching):
         return (result.first_node.tolist(), result.node_class.tolist(), result.latch)
     return result
 
@@ -134,7 +135,7 @@ def test_latching_by_weights_matches_the_reference(corpora, weight, name):
     # the whole corpus at once, so that one chunk holds many presheaves
     corpus, data = corpora[name]
     assert name == "non-mono-witness" or max(len(part) for part, _ in corpus.chunks) > 1
-    outcomes = WEIGHTS[weight][0](corpus, data)
+    outcomes = reference.by_presheaf(WEIGHTS[weight][0](corpus, data))
     assert len(outcomes) == len(corpus)
     for X, weighted in zip(corpus, outcomes):
         assert len(weighted) == len(X.base.objects)
@@ -243,11 +244,12 @@ def test_routes_match_the_reference_on_corrupted_presheaves(corpora, seeded_degr
     latching = {}
     for weight, (route, _) in WEIGHTS.items():
         latching[weight] = route(corpus, reedy)
+        together = reference.by_presheaf(latching[weight])
         gluing = generator_gluing(cat, reedy, weight)
-        for r, W in enumerate(latching[weight][at]):
+        for r, W in enumerate(together[at]):
             assert same_latching(X, r, reedy, W, weight, gluing), weight
-        alone = route(neighbours, reedy)
-        assert without_x(latching[weight]) == without_x(alone[:at] + [None] + alone[at:]), weight
+        alone = reference.by_presheaf(route(neighbours, reedy))
+        assert without_x(together) == without_x(alone[:at] + [None] + alone[at:]), weight
 
     neighbour_degrees = seeded_degrees[i : i + 4]
     reports = verify_cell_square(
@@ -285,14 +287,14 @@ def test_a_composite_that_breaks_functoriality_shows_the_cut(corpora):
     assert exc.value.law == "functoriality"
     single = Corpus.of(cat, [X])
     for weight, (route, _) in WEIGHTS.items():
-        (outcomes,) = route(single, data)
+        (outcomes,) = reference.by_presheaf(route(single, data))
         gluing = generator_gluing(cat, data, weight)
         assert all(same_latching(X, r, data, W, weight, gluing) for r, W in enumerate(outcomes))
-    (outcomes,) = latching_object_via_weights(single, data)
+    (outcomes,) = reference.by_presheaf(latching_object_via_weights(single, data))
     cut = [r for r, W in enumerate(outcomes) if not same_latching(X, r, data, W, "degree")]
     assert cut
     for r in cut:
-        assert isinstance(outcomes[r], presheaf.WeightedLatching)
+        assert isinstance(outcomes[r], reference.PresheafLatching)
         with pytest.raises(ViolatedLaw, match="well-definedness"):
             reference.latching_object_via_weights(X, r, data)
 
@@ -316,11 +318,15 @@ def test_outcomes_keep_their_presheaf_in_a_corpus(corpora, monkeypatch):
     assert together == alone
     assert together[0] != together[2]
     for weight, (route, _) in WEIGHTS.items():
-        latching = route(corpus, data)
+        latching = reference.by_presheaf(route(corpus, data))
         for Y, outcomes in zip(singles, latching):
-            (expected,) = route(Y, data)
+            (expected,) = reference.by_presheaf(route(Y, data))
             assert list(map(summary, outcomes)) == list(map(summary, expected)), weight
         assert list(map(summary, latching[0])) != list(map(summary, latching[2])), weight
+    # the injectivity verdicts too, part by part
+    injective = latching_injective(latching_objects(corpus, data))
+    assert injective == [latching_injective(latching_objects(Y, data))[0] for Y in singles]
+    assert not all(injective[0]) and all(injective[1] + injective[2])
 
 
 CONSTRUCTORS = ("representable", "coproduct_presheaf", "quotient_presheaf", "autquo")
