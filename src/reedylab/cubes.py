@@ -8,6 +8,7 @@ between cubes as posets) shares the bitmask representation.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 from .certificates import Check, scan, verdict
@@ -328,23 +329,20 @@ def triangulation_product_bijections(
 # ---------------------------------------------------------------------------
 
 
-def monotone_cube_search(m: int, n: int, candidates) -> MonotoneAssignments:
+def monotone_cube_search(m: int, n: int, candidates, budget=math.inf) -> MonotoneAssignments:
     """The search for monotone maps [1]^m -> [1]^n on bitmasks that send
     vertex v into candidates[v]: in mask order, each vertex goes above
     the values of its lower covers."""
     size = 1 << n
     leq = tuple(tuple(a | b == b for b in range(size)) for a in range(size))
     covers = [[v & ~(1 << i) for i in range(m) if (v >> i) & 1] for v in range(1 << m)]
-    return MonotoneAssignments(leq, covers, [()] * (1 << m), candidates)
+    return MonotoneAssignments(leq, covers, [()] * (1 << m), candidates, budget=budget)
 
 
 def dedekind_homs(m: int, n: int, budget: int = DEFAULT_CANDIDATE_BUDGET):
     """Monotone poset maps [1]^m -> [1]^n, lexicographic on vertex values;
     for n = 1 the counts follow the Dedekind number sequence."""
-    size = 1 << m
-    if (1 << n) ** min(size, 8) > budget:
-        raise SizeBudget(f"monotone map space for ({m},{n}) exceeds budget")
-    return list(monotone_cube_search(m, n, [range(1 << n)] * size))
+    return list(monotone_cube_search(m, n, [range(1 << n)] * (1 << m), budget))
 
 
 def monotone_maps_agree_with_homs(

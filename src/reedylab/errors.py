@@ -72,7 +72,8 @@ class SizeBudget(ReedyLabError):
 
 
 class CandidateSpaceExceeded(ReedyLabError):
-    """An enumeration's candidate space exceeds the configured budget."""
+    """A map search tries more candidates than its budget, or a brute-force
+    filter would try more functions than its cap."""
 
 
 class NotSurjective(ReedyLabError):

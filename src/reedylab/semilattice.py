@@ -9,6 +9,7 @@ exactly when a bottom element exists.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -308,7 +309,8 @@ class FinPoset:
 
 
 class MonotoneAssignments:
-    """The one backtracking search behind every enumeration of maps.
+    """The one backtracking search behind every enumeration of maps, and
+    the one place a search budget is charged.
 
     Iterating yields, as tuples in lexicographic candidate order, every
     assignment of vals[k] from candidates[k] such that vals[j] <= vals[k]
@@ -316,21 +318,23 @@ class MonotoneAssignments:
     read from the order matrix leq; every such j is below k, since values
     are assigned in index order.  A given tests[k] prunes, once vals[k] is
     set, the assignments on which it is false: hom enumeration validates
-    its morphisms there.  `nodes` counts the partial assignments accepted,
-    full ones included, over every iteration so far.
+    its morphisms there.  `nodes` counts the candidates tried, those that
+    pass the order and reach tests[k], over every iteration so far; the
+    search raises CandidateSpaceExceeded once they pass the budget.
     """
 
-    def __init__(self, leq, below, above, candidates, tests=None):
+    def __init__(self, leq, below, above, candidates, tests=None, budget=math.inf):
         self.leq = leq
         self.below = below
         self.above = above
         self.candidates = candidates
         self.tests = tests or [None] * len(candidates)
+        self.budget = budget
         self.nodes = 0
 
     def __iter__(self):
         leq, below, above, candidates = self.leq, self.below, self.above, self.candidates
-        tests = self.tests
+        tests, budget = self.tests, self.budget
         n = len(candidates)
         vals = [0] * n
 
@@ -345,11 +349,13 @@ class MonotoneAssignments:
             for j in above[k]:
                 u = vals[j]
                 ok = [v for v in ok if leq[v][u]]
+            self.nodes += len(ok)
+            if self.nodes > budget:
+                raise CandidateSpaceExceeded(f"{self.nodes} candidates exceed budget {budget}")
             test = tests[k]
             for v in ok:
                 vals[k] = v
                 if test is None or test(vals):
-                    self.nodes += 1
                     yield from rec(k + 1)
 
         return rec(0)
@@ -358,11 +364,9 @@ class MonotoneAssignments:
 def monotone_maps(P: FinPoset, Q: FinPoset, budget: int = DEFAULT_CANDIDATE_BUDGET):
     """All monotone maps P -> Q, lexicographic."""
     n, m = P.size, Q.size
-    if m**n > budget:
-        raise CandidateSpaceExceeded(f"{m}^{n} monotone-map candidates")
     below = [[j for j in range(k) if P.leq[j][k]] for k in range(n)]
     above = [[j for j in range(k) if P.leq[k][j]] for k in range(n)]
-    return list(MonotoneAssignments(Q.leq, below, above, [range(m)] * n))
+    return list(MonotoneAssignments(Q.leq, below, above, [range(m)] * n, budget=budget))
 
 
 # ---------------------------------------------------------------------------
@@ -490,14 +494,12 @@ def enumerate_homs(
     so candidates are assigned only there (for a cube this specializes to
     the free parametrization: a bottom image plus generator images above
     it).  `_generator_homs` validates each once, on the joins that can
-    fail, which makes the enumeration exact for arbitrary A.
+    fail, which makes the enumeration exact for arbitrary A.  Raises
+    CandidateSpaceExceeded once the search has tried more candidate
+    values than the budget, rejected ones included.
     """
-    gens = _generators(A)
-    if B.size ** len(gens) > budget:
-        raise CandidateSpaceExceeded(
-            f"{B.size}^{len(gens)} generator assignments exceed budget {budget}"
-        )
-    return sorted(_generator_homs(A, B, [range(B.size)] * len(gens)), key=lambda f: f.map)
+    candidates = [range(B.size)] * len(_generators(A))
+    return sorted(_generator_homs(A, B, candidates, budget), key=lambda f: f.map)
 
 
 def _generators(A: FiniteSemilattice) -> list[int]:
@@ -505,7 +507,7 @@ def _generators(A: FiniteSemilattice) -> list[int]:
     return sorted(A.irreducibles, key=lambda g: (len(A.down_set(g)), g))
 
 
-def _generator_homs(A: FiniteSemilattice, B: FiniteSemilattice, candidates):
+def _generator_homs(A: FiniteSemilattice, B: FiniteSemilattice, candidates, budget=math.inf):
     """The morphisms A -> B whose value on the k-th of `_generators(A)` is
     drawn from candidates[k], in generator order: each monotone assignment
     that preserves joins on the open pairs of A, tested inside the search,
@@ -540,7 +542,7 @@ def _generator_homs(A: FiniteSemilattice, B: FiniteSemilattice, candidates):
         if len(kj) > len({*kx, *ky}):
             groups[kj[-1]].append((kx, ky, kj))
     tests = [test(g) if g else None for g in groups]
-    for vals in MonotoneAssignments(B.order, below, [()] * len(gens), candidates, tests):
+    for vals in MonotoneAssignments(B.order, below, [()] * len(gens), candidates, tests, budget):
         m = []  # value(vals, ks) inlined: the leaf is the hot loop
         for ks in gens_below:
             v = vals[ks[0]]
@@ -614,14 +616,8 @@ def lift_through_surjection(
     """
     if e.cod != f.cod:
         raise InvalidInput("a lift needs e and f to share a codomain")
-    gens = _generators(A)
-    fibres = [[v for v in range(e.dom.size) if e.map[v] == f.map[g]] for g in gens]
-    space = 1
-    for fibre in fibres:
-        space *= max(1, len(fibre))
-        if space > budget:
-            raise CandidateSpaceExceeded("lift search exceeds budget")
-    for h in _generator_homs(A, e.dom, fibres):
+    fibres = [[v for v in range(e.dom.size) if e.map[v] == f.map[g]] for g in _generators(A)]
+    for h in _generator_homs(A, e.dom, fibres, budget):
         if h.then(e).map == f.map:
             return h
     return None

@@ -290,8 +290,8 @@ def test_certificates_echo_config():
 
 
 def test_triangulation_honors_the_budget(capsys):
-    # the maps from the 4-element chain into the square have 4^3
-    # generator assignments
+    # the search for the maps from the 3-element chain into the square
+    # tries 21 candidates
     assert main(["triangulation", "--budget", "20"]) == 1
     blob = json.loads(capsys.readouterr().out)
     assert [(c["id"], c["status"]) for c in blob["checks"]] == [

@@ -20,7 +20,7 @@ from reedylab.cubes import (
     triangulation_product_bijections,
     vertex_bits,
 )
-from reedylab.errors import NotDistributive, NotIdempotent, SizeBudget
+from reedylab.errors import CandidateSpaceExceeded, NotDistributive, NotIdempotent
 from reedylab.semilattice import (
     SLatMorphism,
     all_functions_homs,
@@ -294,9 +294,9 @@ def test_dedekind_counts():
 
 
 def test_dedekind_homs_honor_the_budget_at_every_dimension():
-    # 8^8 candidate maps for m = 3 against a budget of 1; the suite's
-    # n = 1 calls need at most 2^8 = 256
-    with pytest.raises(SizeBudget, match=r"monotone map space for \(3,3\) exceeds budget"):
+    # the 8 candidates for vertex 0 overrun a budget of 1 at once; the
+    # suite's n = 1 calls try at most 80 candidates, at m = 3
+    with pytest.raises(CandidateSpaceExceeded, match=r"^8 candidates exceed budget 1$"):
         dedekind_homs(3, 3, budget=1)
     assert len(dedekind_homs(3, 1, budget=256)) == 20
 

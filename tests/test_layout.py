@@ -469,23 +469,28 @@ def test_the_suite_memo_is_the_one_cache_in_src():
     assert caches == ["suites._built"]
 
 
-def _chunkings(tree: ast.Module):
-    """The qualified name of the function around each call of
-    kernel.chunks or _Chunk.of in a module."""
+def _functions_around(tree: ast.Module, match):
+    """The qualified name of the module-level function or method around
+    each node of a module that match accepts."""
     for node in tree.body:
         defs = node.body if isinstance(node, ast.ClassDef) else [node]
         for d in defs:
             if not isinstance(d, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
             name = f"{node.name}.{d.name}" if d is not node else d.name
-            for call in ast.walk(d):
-                if not isinstance(call, ast.Call):
-                    continue
-                f = call.func
-                if getattr(f, "id", None) == "chunks" or (
-                    getattr(f, "attr", None) == "of" and getattr(f.value, "id", None) == "_Chunk"
-                ):
+            for sub in ast.walk(d):
+                if match(sub):
                     yield name
+
+
+def _is_chunking(node) -> bool:
+    """A call of kernel.chunks or _Chunk.of."""
+    if not isinstance(node, ast.Call):
+        return False
+    f = node.func
+    return getattr(f, "id", None) == "chunks" or (
+        getattr(f, "attr", None) == "of" and getattr(f.value, "id", None) == "_Chunk"
+    )
 
 
 def test_a_corpus_is_laid_out_only_where_it_is_built():
@@ -493,4 +498,24 @@ def test_a_corpus_is_laid_out_only_where_it_is_built():
     # coproduct_presheaf assembles its parts; every corpus routine reads
     # its corpus's chunks, and the latching outcomes keep them
     tree = ast.parse((SRC / "presheaf.py").read_text())
-    assert set(_chunkings(tree)) == {"Corpus.of", "coproduct_presheaf"}
+    assert set(_functions_around(tree, _is_chunking)) == {"Corpus.of", "coproduct_presheaf"}
+
+
+def _raises_over_budget(node) -> bool:
+    """A raise of CandidateSpaceExceeded, called or bare."""
+    if not isinstance(node, ast.Raise) or node.exc is None:
+        return False
+    exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+    return getattr(exc, "id", None) == "CandidateSpaceExceeded"
+
+
+def test_the_search_budget_is_charged_only_where_the_search_runs():
+    # MonotoneAssignments counts the candidates every map search tries and
+    # is the one place a budget refuses a search; all_functions_homs'
+    # BRUTE_FORCE_CAP bounds a literal filter, not a search
+    raises = sorted(
+        f"{path.stem}.{where}"
+        for path in sorted(SRC.glob("*.py"))
+        for where in _functions_around(ast.parse(path.read_text()), _raises_over_budget)
+    )
+    assert raises == ["semilattice.MonotoneAssignments.__iter__", "semilattice.all_functions_homs"]

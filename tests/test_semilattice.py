@@ -13,6 +13,7 @@ from reedylab.errors import CandidateSpaceExceeded, EmptyCarrier, SizeBudget, Vi
 from reedylab.semilattice import (
     FinPoset,
     FiniteSemilattice,
+    MonotoneAssignments,
     SLatMorphism,
     UnionFind,
     adjoin_bottom,
@@ -217,6 +218,30 @@ def test_candidate_budget():
     F5, _ = free_on_generators(5)
     with pytest.raises(CandidateSpaceExceeded):
         enumerate_homs(F5, F5, budget=10)
+
+
+def test_a_pruned_search_finishes_where_its_candidate_space_is_large():
+    # 31^5 generator assignments, far above the default budget, but the
+    # search keeps only chains of values and tries far fewer candidates;
+    # out of a chain, join-preserving equals monotone
+    F5, _ = free_on_generators(5)
+    homs = enumerate_homs(chain(5), F5)
+    assert len(homs) == 4651
+    monotone = monotone_maps(FinPoset.chain(5), FinPoset.of_semilattice(F5))
+    assert {f.map for f in homs} == set(monotone)
+
+
+def test_rejected_candidates_are_charged_to_the_budget():
+    # 5 candidates at vertex 0, and 5 at vertex 1 under each: 30 tried,
+    # every one at vertex 1 rejected
+    def search(budget):
+        tests = [None, lambda vals: False, None]
+        return MonotoneAssignments(chain(5).order, [()] * 3, [()] * 3, [range(5)] * 3, tests, budget)
+
+    exact = search(30)
+    assert list(exact) == [] and exact.nodes == 30
+    with pytest.raises(CandidateSpaceExceeded, match=r"^30 candidates exceed budget 29$"):
+        list(search(29))
 
 
 # ---------------------------------------------------------------------------
