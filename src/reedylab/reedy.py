@@ -20,6 +20,7 @@ Reedy axioms off whole table blocks by the other kernel scans.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -33,7 +34,9 @@ from .semilattice import (
     all_semilattices_upto,
     canonical_form,
     enumerate_homs,
+    least_above,
     quotient_by_pairs,
+    validate_semilattice,
 )
 
 # A morphism reference, as witnesses print it: (dom index, cod index, hom index)
@@ -440,27 +443,21 @@ def quotient_closure(seeds) -> list[FiniteSemilattice]:
     """Close a set of semilattices under quotient objects (hence under
     lowering pushouts, which are joint quotients of the span apex).
 
+    The quotients of A are its closed subsets M, one per closure operator
+    c (the least element of M above each x), with join c(m v m').
     Returns one canonical representative per isomorphism class, sorted
     by (size, canonical form)."""
-    from .semilattice import _generator_homs, _generators, canonical_form, enumerate_semilattices
-
     out: dict = {}
     for A in seeds:
-        C = FiniteSemilattice(canonical_form(A))
-        out[(C.size, C.join)] = C
-    candidates_by_size: dict[int, list[FiniteSemilattice]] = {}
-    for A in list(out.values()):
-        # a quotient of A's own size is A itself
-        for k in range(1, A.size):
-            if k not in candidates_by_size:
-                candidates_by_size[k] = enumerate_semilattices(k)
-            for B in candidates_by_size[k]:
-                key = (B.size, B.join)
-                if key in out:
+        for r in range(1, A.size + 1):
+            for M in itertools.combinations(range(A.size), r):
+                c = least_above(A, M)
+                if c is None:
                     continue
-                candidates = [range(B.size)] * len(_generators(A))
-                if any(f.is_surjective for f in _generator_homs(A, B, candidates)):
-                    out[key] = B
+                pos = {m: i for i, m in enumerate(M)}
+                Q = validate_semilattice([[pos[c[A.join[x][y]]] for y in M] for x in M])
+                C = FiniteSemilattice(canonical_form(Q))
+                out[(C.size, C.join)] = C
     return [out[k] for k in sorted(out)]
 
 

@@ -795,60 +795,51 @@ def find_isomorphism(
     return next((f for f in _generator_homs(A, B, candidates) if f.is_iso), None)
 
 
-def enumerate_semilattices(n: int) -> list[FiniteSemilattice]:
-    """All inhabited join-semilattices of size n <= 6, one per iso class.
+def least_above(A: FiniteSemilattice, S) -> tuple[int, ...] | None:
+    """For each x of A, the least element of the subset S above x, or None
+    when some x has none.  S is closed when none is missing: x -> c[x] is
+    then the closure operator whose fixed points are S."""
+    leq = A.order
+    out = []
+    for x in range(A.size):
+        above = [s for s in S if leq[x][s]]
+        least = [s for s in above if all(leq[s][t] for t in above)]
+        if not least:
+            return None
+        out.append(least[0])
+    return tuple(out)
 
-    Enumerates partial orders compatible with the integer order (every
-    class has a linear extension, so all classes appear), keeps those in
-    which every pair has a least upper bound, and dedupes by canonical
-    form.  Sorted by canonical join table.
+
+def enumerate_semilattices(n: int) -> list[FiniteSemilattice]:
+    """All inhabited join-semilattices of size n <= 6, one per iso class,
+    sorted by canonical join table.
+
+    Removing a minimal element leaves a sub-semilattice, so each class of
+    size k is a one-point extension of a class L of size k - 1 by a new
+    minimal element x: one per closed up-set U of L, with x v b the least
+    element of U above b.  The classes are grown size by size from the
+    one-element semilattice, the extensions of each size deduplicated by
+    canonical form.
     """
     if n > 6:
         raise SizeBudget("semilattice enumeration capped at size 6")
     if n < 1:
         raise InvalidInput(f"semilattices need n >= 1 elements, got {n}")
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    seen: dict[JoinTable, FiniteSemilattice] = {}
-    for bits in itertools.product((False, True), repeat=len(pairs)):
-        leq = [[i == j for j in range(n)] for i in range(n)]
-        for (i, j), b in zip(pairs, bits):
-            if b:
-                leq[i][j] = True
-        ok = True
-        for i in range(n):
-            for j in range(i + 1, n):
-                if leq[i][j]:
-                    for k in range(j + 1, n):
-                        if leq[j][k] and not leq[i][k]:
-                            ok = False
-                            break
-                if not ok:
-                    break
-            if not ok:
-                break
-        if not ok:
-            continue
-        table = [[0] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(n):
-                ups = [k for k in range(n) if leq[i][k] and leq[j][k]]
-                if not ups:
-                    ok = False
-                    break
-                least = [u for u in ups if all(leq[u][v] for v in ups)]
-                if len(least) != 1:
-                    ok = False
-                    break
-                table[i][j] = least[0]
-            if not ok:
-                break
-        if not ok:
-            continue
-        A = validate_semilattice(table)
-        cf = canonical_form(A)
-        if cf not in seen:
-            seen[cf] = FiniteSemilattice(cf)
-    return [seen[cf] for cf in sorted(seen)]
+    level = [validate_semilattice([[0]])]
+    for k in range(2, n + 1):
+        seen: set[JoinTable] = set()
+        for L in level:
+            for r in range(1, k):
+                for U in itertools.combinations(range(k - 1), r):
+                    if not all(y in U for u in U for y in L.up_set(u)):
+                        continue
+                    c = least_above(L, U)
+                    if c is None:
+                        continue
+                    rows = [row + (c[b],) for b, row in enumerate(L.join)]
+                    seen.add(canonical_form(validate_semilattice([*rows, (*c, k - 1)])))
+        level = [FiniteSemilattice(cf) for cf in sorted(seen)]
+    return level
 
 
 def all_semilattices_upto(n: int) -> list[FiniteSemilattice]:

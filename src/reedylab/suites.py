@@ -9,7 +9,9 @@ Budget overruns become skipped checks; nothing is silently truncated.
 The suites share their inputs through one memo, _built: the truncated
 categories, the exhaustive and seeded presheaf corpora, the non-mono
 witness and the latching objects by the lowering weight of those three
-are built once per process and handed to every suite that reads them.
+are built once per process and handed to every suite that reads them,
+and the Reedy-axiom and cancellation checks of a truncation are run once
+for reedy-axioms and pre-elegance, which both certify them.
 It holds at most MEMO_SIZE builds, least recently used first out, which
 covers every input `reedylab all` builds.  Its key is the builder
 function, as the suite looks it up at the call, and the builder's
@@ -47,10 +49,11 @@ from .semilattice import DEFAULT_CANDIDATE_BUDGET
 # dimension at most 3
 MAX_CUBE_DIM = 3
 
-# the most suite inputs the memo holds; `reedylab all` builds six, and
-# the presheaf suites share four more: the witness laid out as a corpus
-# and the latching objects of it and of both corpora
-MEMO_SIZE = 10
+# the most suite inputs the memo holds; `reedylab all` builds six, the
+# presheaf suites share four more (the witness laid out as a corpus and
+# the latching objects of it and of both corpora), and the truncation
+# suites two: the Reedy-axiom and cancellation checks
+MEMO_SIZE = 12
 
 
 @functools.lru_cache(maxsize=MEMO_SIZE)
@@ -164,23 +167,16 @@ def _suite_reedy_axioms(*, max_size: int = 3, budget: int) -> list:
 
     cat, data, squares = _built(truncated_semilattice_category, max_size, budget)
     return [
-        ("axioms", lambda: certify_reedy_axioms(cat, data)),
-        ("cancellation", lambda: certify_cancellation(cat, data)),
+        ("axioms", lambda: _built(certify_reedy_axioms, cat, data)),
+        ("cancellation", lambda: _built(certify_cancellation, cat, data)),
     ]
 
 
 def _suite_pre_elegance(*, max_size: int = 3, budget: int) -> list:
-    from .reedy import (
-        certify_cancellation,
-        certify_pre_elegance,
-        certify_reedy_axioms,
-        truncated_semilattice_category,
-    )
+    from .reedy import certify_pre_elegance, truncated_semilattice_category
 
     cat, data, squares = _built(truncated_semilattice_category, max_size, budget)
-    return [
-        ("axioms", lambda: certify_reedy_axioms(cat, data)),
-        ("cancellation", lambda: certify_cancellation(cat, data)),
+    return _suite_reedy_axioms(max_size=max_size, budget=budget) + [
         ("pre-elegance", lambda: certify_pre_elegance(cat, data, squares)),
     ]
 

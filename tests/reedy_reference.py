@@ -15,8 +15,11 @@ composite, and one hom-set enumeration per corner of every square.
 They live here only so that the tests can compare the two routes check
 by check, on passing and on failing inputs.
 
-`enumerate_surjections` is the whole hom-set filter that
-`quotient_closure` ran before it stopped at the first surjection.
+`enumerate_surjections` is the whole hom-set filter; `quotient_closure`
+ran it, stopped at the first surjection, against every smaller class
+before it read the quotients off the closed subsets of each seed.
+`enumerate_semilattices` is the relation filter that enumerated the
+classes of one size before they were grown by one-point extensions.
 
 The Reedy-axiom routes below are what `certify_reedy_axioms` and
 `certify_cancellation` ran before they read whole blocks of the table:
@@ -32,11 +35,14 @@ import numpy as np
 
 from reedylab.certificates import FAIL, Check, scan, verdict
 from reedylab.elegance import hom_preserves_lowering_pushout
-from reedylab.errors import NotSurjective, ViolatedLaw
+from reedylab.errors import InvalidInput, NotSurjective, SizeBudget, ViolatedLaw
 from reedylab.reedy import LoweringPushoutSquare
 from reedylab.semilattice import (
+    FiniteSemilattice,
+    JoinTable,
     SLatMorphism,
     UnionFind,
+    canonical_form,
     descend,
     enumerate_homs,
     find_isomorphism,
@@ -46,6 +52,62 @@ from reedylab.semilattice import (
 
 def enumerate_surjections(A, B):
     return [f for f in enumerate_homs(A, B) if f.is_surjective]
+
+
+def enumerate_semilattices(n: int) -> list[FiniteSemilattice]:
+    """All inhabited join-semilattices of size n <= 6, one per iso class.
+
+    Enumerates partial orders compatible with the integer order (every
+    class has a linear extension, so all classes appear), keeps those in
+    which every pair has a least upper bound, and dedupes by canonical
+    form.  Sorted by canonical join table.
+    """
+    if n > 6:
+        raise SizeBudget("semilattice enumeration capped at size 6")
+    if n < 1:
+        raise InvalidInput(f"semilattices need n >= 1 elements, got {n}")
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    seen: dict[JoinTable, FiniteSemilattice] = {}
+    for bits in itertools.product((False, True), repeat=len(pairs)):
+        leq = [[i == j for j in range(n)] for i in range(n)]
+        for (i, j), b in zip(pairs, bits):
+            if b:
+                leq[i][j] = True
+        ok = True
+        for i in range(n):
+            for j in range(i + 1, n):
+                if leq[i][j]:
+                    for k in range(j + 1, n):
+                        if leq[j][k] and not leq[i][k]:
+                            ok = False
+                            break
+                if not ok:
+                    break
+            if not ok:
+                break
+        if not ok:
+            continue
+        table = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(n):
+                ups = [k for k in range(n) if leq[i][k] and leq[j][k]]
+                if not ups:
+                    ok = False
+                    break
+                least = [u for u in ups if all(leq[u][v] for v in ups)]
+                if len(least) != 1:
+                    ok = False
+                    break
+                table[i][j] = least[0]
+            if not ok:
+                break
+        if not ok:
+            continue
+        A = validate_semilattice(table)
+        cf = canonical_form(A)
+        if cf not in seen:
+            seen[cf] = FiniteSemilattice(cf)
+    return [seen[cf] for cf in sorted(seen)]
 
 
 def lowering_pushout(e0: SLatMorphism, e1: SLatMorphism) -> LoweringPushoutSquare:

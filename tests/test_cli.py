@@ -786,6 +786,18 @@ def test_truncation_suites_build_the_truncation_once(monkeypatch):
     assert counts == {"reedy_category_on": 1}
 
 
+def test_truncation_suites_run_the_axiom_checks_once(monkeypatch):
+    import reedylab.reedy as reedy
+
+    counts = {}
+    _counted(monkeypatch, reedy, "certify_reedy_axioms", counts)
+    _counted(monkeypatch, reedy, "certify_cancellation", counts)
+    _built.cache_clear()
+    for suite in ("reedy-axioms", "pre-elegance"):
+        assert run_suite(SuiteConfig(suite=suite)).passed
+    assert counts == {"certify_reedy_axioms": 1, "certify_cancellation": 1}
+
+
 def test_suites_leave_their_shared_inputs_as_they_found_them():
     # every suite twice over one warm memo: a suite that wrote into an
     # input it shares would change a later certificate

@@ -519,3 +519,17 @@ def test_the_search_budget_is_charged_only_where_the_search_runs():
         for where in _functions_around(ast.parse(path.read_text()), _raises_over_budget)
     )
     assert raises == ["semilattice.MonotoneAssignments.__iter__", "semilattice.all_functions_homs"]
+
+
+def test_private_names_are_imported_only_from_kernel():
+    # a module's private names are its own; kernel's are the numpy
+    # helpers that the presheaf layer shares with it
+    imports = sorted(
+        f"{path.stem}: {node.module}.{alias.name}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ImportFrom) and node.module != "kernel"
+        for alias in node.names
+        if alias.name.startswith("_")
+    )
+    assert imports == []

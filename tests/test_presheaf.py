@@ -457,6 +457,8 @@ def test_no_failing_presheaf_on_small_truncations(trunc3):
 
 def test_failing_presheaf_exists_beyond_size_four():
     cat, data, squares, X = non_reedy_mono_example()
+    # the base is the quotient closure of the pinched cover
+    assert (len(cat.objects), len(cat.domain)) == (8, 949)
     corpus = Corpus.of(cat, [X])
     a = is_reedy_mono(latching_injective(latching_objects(corpus, data))[0])
     ((b, witness),) = has_unique_ez(corpus, data)

@@ -27,6 +27,7 @@ from reedylab.reedy import (
 from reedylab.cubes import cube
 from reedylab.semilattice import (
     SLatMorphism,
+    all_semilattices_upto,
     are_isomorphic,
     atoms_with_top,
     chain,
@@ -314,6 +315,18 @@ def test_quotient_closure_contains_all_quotients():
         for B in all_semilattices_upto(A.size):
             if reference.enumerate_surjections(A, B):
                 assert any(are_isomorphic(O, B) for O in objs)
+
+
+def test_quotient_closure_of_the_3_cube():
+    # one class per closure operator of the 3-cube: each is a quotient,
+    # and each class of size <= 6 that the cube maps onto is among them
+    C3 = cube(3)
+    objs = quotient_closure([C3])
+    assert [O.size for O in objs] == [1, 2, 3, 4, 4, 5, 5, 5, 5, 6, 6, 7, 8]
+    assert all(reference.enumerate_surjections(C3, O) for O in objs)
+    for B in all_semilattices_upto(6):
+        if reference.enumerate_surjections(C3, B):
+            assert B in objs
 
 
 def _status(checks, check_id):

@@ -33,6 +33,7 @@ from reedylab.semilattice import (
     image_factorize,
     interval,
     is_distributive_lattice,
+    least_above,
     lift_through_surjection,
     monotone_maps,
     pinched_tripod_cover,
@@ -490,9 +491,29 @@ def test_canonical_form_agrees_with_bijection_search():
 
 
 def test_enumerate_semilattices_counts():
-    assert [len(enumerate_semilattices(n)) for n in range(1, 6)] == [1, 1, 2, 5, 15]
+    assert [len(enumerate_semilattices(n)) for n in range(1, 7)] == [1, 1, 2, 5, 15, 53]
     with pytest.raises(SizeBudget):
         enumerate_semilattices(7)
+
+
+def test_one_point_extensions_give_the_relation_filter_classes():
+    # the same classes in the same order as the filter over every order
+    # relation compatible with the integer order
+    expected = []
+    for n in range(1, 7):
+        classes = reference.enumerate_semilattices(n)
+        assert enumerate_semilattices(n) == classes
+        expected += classes
+    assert all_semilattices_upto(6) == expected
+
+
+def test_least_above_is_none_unless_the_subset_is_closed():
+    D = diamond(3)  # bottom 0, atoms 1-3, top 4
+    assert least_above(D, (0, 4)) == (0, 4, 4, 4, 4)
+    assert least_above(D, (1, 4)) == (1, 1, 4, 4, 4)
+    # two atoms are minimal above the bottom, and nothing is above the top
+    assert least_above(D, (1, 2, 4)) is None
+    assert least_above(D, (0, 1, 2, 3)) is None
 
 
 def test_size_counts_match_bottomed_classes_one_larger():
