@@ -72,7 +72,12 @@ def _run_one(args) -> int:
     return _exit_code(cert)
 
 
-def main(argv=None) -> int:
+def _parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The command-line parser.  Given the name of a command, it holds only
+    that command's subparser, under a metavar listing every command, so
+    that its usage and error lines read as with all of them built; given
+    anything else, it holds every subparser."""
+    commands = [*sorted(SUITES), "all", "export-dot", "cube", "obstruct"]
     parser = argparse.ArgumentParser(
         prog="reedylab",
         description=(
@@ -80,37 +85,48 @@ def main(argv=None) -> int:
             "Reedy structure on finite join-semilattices and its obstructions"
         ),
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    if command in commands:
+        # without a metavar the usage line would list this command alone
+        metavar = "{" + ",".join(commands) + "}"
+        sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+        commands = [command]
+    else:
+        sub = parser.add_subparsers(dest="command", required=True)
 
-    for name in sorted(SUITES):
-        sp = sub.add_parser(name, help=f"run the {name} suite")
-        _add_suite_flags(sp, suite_options(name))
+    for name in commands:
+        if name in SUITES:
+            sp = sub.add_parser(name, help=f"run the {name} suite")
+            _add_suite_flags(sp, suite_options(name))
+        elif name == "all":
+            sp = sub.add_parser("all", help="run every registered suite")
+            _add_suite_flags(sp, {option for suite in SUITES for option in suite_options(suite)})
+        elif name == "export-dot":
+            sp = sub.add_parser("export-dot", help="Hasse diagram DOT export")
+            sp.add_argument("--input", type=str, required=True)
+            sp.add_argument("--out", type=str, default=None)
+        elif name == "cube":
+            cube_p = sub.add_parser("cube", help="cube category utilities")
+            cube_sub = cube_p.add_subparsers(dest="cube_command", required=True)
+            hc = cube_sub.add_parser("homcount")
+            hc.add_argument("--m", type=int, required=True)
+            hc.add_argument("--n", type=int, required=True)
+            hc.add_argument("--out", type=str, default=None)
+            tr = cube_sub.add_parser("triangulate")
+            tr.add_argument("--n", type=int, required=True)
+            tr.add_argument("--dim", type=int, default=None)
+            tr.add_argument("--out", type=str, default=None)
+        else:
+            ob = sub.add_parser("obstruct", help="obstruction certificates")
+            ob_sub = ob.add_subparsers(dest="obstruct_command", required=True)
+            cr = ob_sub.add_parser("crown")
+            cr.add_argument("--m", type=int, required=True)
+            cr.add_argument("--n", type=int, required=True)
+    return parser
 
-    sp = sub.add_parser("all", help="run every registered suite")
-    _add_suite_flags(sp, {option for name in SUITES for option in suite_options(name)})
 
-    sp = sub.add_parser("export-dot", help="Hasse diagram DOT export")
-    sp.add_argument("--input", type=str, required=True)
-    sp.add_argument("--out", type=str, default=None)
-
-    cube_p = sub.add_parser("cube", help="cube category utilities")
-    cube_sub = cube_p.add_subparsers(dest="cube_command", required=True)
-    hc = cube_sub.add_parser("homcount")
-    hc.add_argument("--m", type=int, required=True)
-    hc.add_argument("--n", type=int, required=True)
-    hc.add_argument("--out", type=str, default=None)
-    tr = cube_sub.add_parser("triangulate")
-    tr.add_argument("--n", type=int, required=True)
-    tr.add_argument("--dim", type=int, default=None)
-    tr.add_argument("--out", type=str, default=None)
-
-    ob = sub.add_parser("obstruct", help="obstruction certificates")
-    ob_sub = ob.add_subparsers(dest="obstruct_command", required=True)
-    cr = ob_sub.add_parser("crown")
-    cr.add_argument("--m", type=int, required=True)
-    cr.add_argument("--n", type=int, required=True)
-
-    args = parser.parse_args(argv)
+def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    args = _parser(argv[0] if argv else None).parse_args(argv)
 
     try:
         if args.command in SUITES:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import attrgetter
 
 from .certificates import Check, scan, verdict
 from .cubes import cube, degeneracy, face, monotone_cube_search
@@ -240,16 +241,17 @@ def _lift_values(m: int, n: int, values, base: int) -> tuple[int, ...]:
     within fence distance one; monotone maps always admit exactly one.
     """
     size_n = 2 * n
+    # the step to the one integer within distance one of prev in the
+    # residue class of the target, by (target - prev) mod 2n
+    steps = {0: 0, 1: 1, size_n - 1: -1}
     lift = [base]
+    prev = base
     for i in range(1, 2 * m + 1):
-        target = values[i % (2 * m)]
-        prev = lift[-1]
-        candidates = [
-            c for c in (prev - 1, prev, prev + 1) if c % size_n == target
-        ]
-        if len(candidates) != 1:
+        step = steps.get((values[i % (2 * m)] - prev) % size_n)
+        if step is None:
             raise ViolatedLaw("forced-lift-step", (i,))
-        lift.append(candidates[0])
+        prev += step
+        lift.append(prev)
     return tuple(lift)
 
 
@@ -321,15 +323,31 @@ def compose_crown(f: CrownMap, g: CrownMap) -> CrownMap:
 
 def enumerate_crown_maps(m: int, n: int) -> list[CrownMap]:
     """All monotone maps C_m -> C_n, lexicographic on values, each lifted
-    from the base point values[0]; m and n are at most 6."""
+    from the base point values[0]; m and n are at most 6.
+
+    An even rotation of C_n is an automorphism: it maps monotone maps to
+    monotone maps and adds its offset to the lift.  Each orbit of the n
+    rotations holds exactly one map with values[0] in {0, 1}, so the search
+    finds and lifts only those, and the rest are their rotations."""
     if m > 6 or n > 6:
         raise SizeBudget("crown enumeration capped at 6")
     Cm, Cn = CrownPoset(m), CrownPoset(n)
-    leq = [[Cn.leq(a, b) for b in range(Cn.size)] for a in range(Cn.size)]
+    size = Cn.size
+    leq = [[Cn.leq(a, b) for b in range(size)] for a in range(size)]
     below = [[j for j in range(k) if Cm.leq(j, k)] for k in range(Cm.size)]
     above = [[j for j in range(k) if Cm.leq(k, j)] for k in range(Cm.size)]
-    search = MonotoneAssignments(leq, below, above, [range(Cn.size)] * Cm.size)
-    return [CrownMap(m, n, vals, _lift_values(m, n, vals, vals[0])) for vals in search]
+    search = MonotoneAssignments(leq, below, above, [range(2)] + [range(size)] * (Cm.size - 1))
+    rotations = [(k, [(v + k) % size for v in range(size)]) for k in range(2, size, 2)]
+    maps = []
+    for vals in search:
+        lift = _lift_values(m, n, vals, vals[0])
+        maps.append(CrownMap(m, n, vals, lift))
+        for k, rotate in rotations:
+            # tuples of lists, not of generators, are allocated at their final size
+            values = tuple([rotate[v] for v in vals])
+            maps.append(CrownMap(m, n, values, tuple([x + k for x in lift])))
+    maps.sort(key=attrgetter("values"))
+    return maps
 
 
 def certify_wind_properties() -> list[Check]:
@@ -354,7 +372,27 @@ def certify_wind_properties() -> list[Check]:
         # plus g's steps on f's other edges, which only a non-monotone f
         # has. Maps f with the same flow, other edges and winding share
         # one sum per g, and every pair is still charged.
+        #
+        # An even rotation of C_c adds one offset to every value of g, so
+        # it leaves g's steps, and with them every sum, as they are, and
+        # g's winding is its lift span over 2c. So g's outcome depends
+        # only on its values up to rotation and on its span. Each such
+        # class is decided at its first member in pool order, which is
+        # where the walk over every g would first fail or raise too, and
+        # every g still adds len(fs).
         sizes = [3, 4]
+        firsts = {}  # (b, c) -> the pool index of the first g of each class
+        for b in sizes:
+            for c in sizes:
+                size_c = 2 * c
+                seen = set()
+                firsts[(b, c)] = []
+                for i, g in enumerate(pool[(b, c)]):
+                    k = g.values[0] & -2  # the even offset taking values[0] into {0, 1}
+                    key = (g.lift[-1] - g.lift[0], tuple([(v - k) % size_c for v in g.values]))
+                    if key not in seen:
+                        seen.add(key)
+                        firsts[(b, c)].append(i)
         n_cases = 0
         for a in sizes:
             for b in sizes:
@@ -379,7 +417,9 @@ def certify_wind_properties() -> list[Check]:
                 for c in sizes:
                     size_c = 2 * c
                     step = {(x, (x + d) % size_c): d for x in range(size_c) for d in (-1, 0, 1)}
-                    for g in pool[(b, c)]:
+                    gs = pool[(b, c)]
+                    for i in firsts[(b, c)]:
+                        g = gs[i]
                         gv = g.values
                         if any((gv[x], gv[y]) not in step for x, y in used):
                             raise ViolatedLaw("forced-lift-step", tuple(gv))
@@ -391,7 +431,6 @@ def certify_wind_properties() -> list[Check]:
                             for flow, other, _ in groups
                         ]
                         # every total is 0 mod 2c: forced steps telescope around f's cycle
-                        n_cases += len(fs)
                         wg = winding(g)
                         bad = [
                             first
@@ -399,10 +438,11 @@ def certify_wind_properties() -> list[Check]:
                             if tot // size_c != wg * wf
                         ]
                         if bad:
-                            return False, n_cases, {
+                            return False, n_cases + (i + 1) * len(fs), {
                                 "f": list(fs[bad[0]].values),
                                 "g": list(gv),
                             }
+                    n_cases += len(gs) * len(fs)
         return True, n_cases, None
 
     def symmetry_winds():

@@ -556,7 +556,10 @@ def all_functions_homs(A: FiniteSemilattice, B: FiniteSemilattice) -> list[tuple
     """Literal brute force: filter every function A -> B, as map tuples."""
     if B.size**A.size > BRUTE_FORCE_CAP:
         raise CandidateSpaceExceeded(f"{B.size}^{A.size} functions")
-    pairs = [(x, y, A.join[x][y]) for x in range(A.size) for y in range(x, A.size)]
+    # x v x = x holds in any B, so only pairs x < y are checked, those
+    # with the latest element first
+    pairs = [(x, y, A.join[x][y]) for x, y in itertools.combinations(range(A.size), 2)]
+    pairs.sort(key=max, reverse=True)
     join, out = B.join, []
     for m in itertools.product(range(B.size), repeat=A.size):
         for x, y, j in pairs:
@@ -593,7 +596,10 @@ def backtrack_homs(
             return
         for v in range(B.size):
             vals.append(v)
-            if all(vals[j] == join[vals[x]][vals[y]] for x, y, j in decided[k]):
+            for x, y, j in decided[k]:
+                if vals[j] != join[vals[x]][vals[y]]:
+                    break
+            else:
                 rec(k + 1)
             vals.pop()
 

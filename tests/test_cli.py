@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from reedylab.certificates import PASS, Certificate, Check
-from reedylab.cli import main
+from reedylab.cli import _parser, main
 from reedylab.cubes import cube
 from reedylab.dot import crown_dot, semilattice_dot
 from reedylab.obstruction import CrownPoset
@@ -115,6 +115,33 @@ def test_an_option_the_suite_does_not_read_exits_two(argv):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
+
+
+def _parsed(parse, argv, capsys):
+    """The exit code, standard output and standard error of one parse."""
+    with pytest.raises(SystemExit) as exc:
+        parse(argv)
+    out = capsys.readouterr()
+    return exc.value.code, out.out, out.err
+
+
+COMMANDS = [*sorted(SUITES), "all", "export-dot", "cube", "obstruct"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["--help"], [], ["nope"], ["nope", "--help"]]
+    + [[command, "--help"] for command in COMMANDS]
+    + [["cube", "homcount", "--help"], ["cube", "triangulate", "--help"]]
+    + [["obstruct", "crown", "--help"], ["cube"], ["obstruct", "nope"]]
+    + [[command, "--no-such-flag"] for command in COMMANDS],
+)
+def test_one_command_parser_reads_as_the_full_one(argv, capsys):
+    # main builds only the named command's subparser; help, usage and
+    # error texts and exit codes are those of the parser with every one
+    full = _parsed(_parser().parse_args, argv, capsys)
+    assert _parsed(main, argv, capsys) == full
+    assert full[0] == (0 if "--help" in argv and argv[0] != "nope" else 2)
 
 
 def test_all_passes_every_option_to_every_suite(monkeypatch, capsys):

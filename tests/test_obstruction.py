@@ -3,7 +3,9 @@ import random
 
 import pytest
 
+import crown_reference
 from reedylab.certificates import verdict
+from reedylab.cli import main
 from reedylab.errors import InvalidInput, SizeBudget, ViolatedLaw
 from reedylab.obstruction import (
     CrownMap,
@@ -189,6 +191,22 @@ def test_crown_maps_match_a_monotone_filter_in_order():
         assert [f.values for f in enumerate_crown_maps(m, n)] == literal, (m, n)
 
 
+@pytest.mark.parametrize("m, n", [(m, n) for m in range(3, 6) for n in range(3, 7)])
+def test_crown_maps_by_rotation_class_match_the_plain_search(monkeypatch, capsys, m, n):
+    # the plain search tries every value at position 0 and lifts every map
+    import reedylab.obstruction as obstruction
+
+    plain = crown_reference.enumerate_crown_maps(m, n)
+    got = enumerate_crown_maps(m, n)
+    assert [(f.values, f.lift) for f in got] == [(f.values, f.lift) for f in plain]
+    argv = ["obstruct", "crown", "--m", str(m), "--n", str(n)]
+    assert main(argv) == 0
+    report = capsys.readouterr().out
+    monkeypatch.setattr(obstruction, "enumerate_crown_maps", lambda m, n: plain)
+    assert main(argv) == 0
+    assert capsys.readouterr().out == report
+
+
 def test_enumerated_crown_maps_equal_the_validated_ones(crown_pool):
     # each enumerated map is lifted once, from its first value; crown_map
     # validates the values and lifts them again
@@ -268,17 +286,34 @@ def crown_pool():
     return {pair: enumerate_crown_maps(*pair) for pair in pairs}
 
 
+def _later_members(maps):
+    """The indices of the maps that are not the first of their class under
+    the even rotations of the target crown."""
+    seen, later = set(), []
+    for i, f in enumerate(maps):
+        size = 2 * f.n
+        orbit = min(tuple((v + k) % size for v in f.values) for k in range(0, size, 2))
+        if orbit in seen:
+            later.append(i)
+        seen.add(orbit)
+    return later
+
+
 def _corrupt(pool, kind, seed):
     """A copy of the pool with one map of the composed hom-sets broken.
     A map of (3, 3) is first composed as f, one of the other three sets
     as g, and either is given one or two new values that break
     monotonicity; the lift shift moves the base point, the wrong winding
-    shifts the lift's tail by one turn."""
+    shifts the lift's tail by one turn.  A "later-" kind breaks a map that
+    is not the first of its rotation class, where winding-multiplicative
+    decides every g of a class at the first."""
     rng = random.Random(seed)
     pool = {pair: list(maps) for pair, maps in pool.items()}
+    later = kind.startswith("later-")
+    kind = kind.removeprefix("later-")
     pairs = {"non-monotone-f": [(3, 3)], "non-monotone-g": [(3, 4), (4, 3), (4, 4)]}
     maps = pool[rng.choice(pairs.get(kind, [(3, 3), (3, 4), (4, 3), (4, 4)]))]
-    i = rng.randrange(len(maps))
+    i = rng.choice(_later_members(maps)) if later else rng.randrange(len(maps))
     f = maps[i]
     turn = 2 * f.n * rng.choice((-1, 1))
     if kind in ("non-monotone-f", "non-monotone-g"):
@@ -305,7 +340,15 @@ def _corrupt(pool, kind, seed):
     [("none", 0)]
     + [
         (kind, seed)
-        for kind in ("non-monotone-f", "non-monotone-g", "lift-shift", "wrong-winding")
+        for kind in (
+            "non-monotone-f",
+            "non-monotone-g",
+            "lift-shift",
+            "wrong-winding",
+            "later-non-monotone-g",
+            "later-lift-shift",
+            "later-wrong-winding",
+        )
         for seed in range(3)
     ],
 )
