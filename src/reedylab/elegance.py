@@ -5,27 +5,21 @@ a constructive witness (a retract presentation through the free algebra
 on the underlying set), and a hom-functor characterization (preservation
 of lowering pushouts).  The three are certified to agree at desk scale.
 
-`hom_preserves_lowering_pushout` decides one square, from the hom-sets
-into its distinct corners.  The elegant-core suite calls it on codiagonal
-squares, which live outside any truncated category and need no pushout
-built: the pushout of a surjection with itself is its codomain, with
-identity legs.  The relative-elegance suite sweeps every square of a
-truncation through the batched `kernel.hom_preserved` instead, and calls
-it only on the first square that fails, for its witness.  This module
-stays numpy-free.
+`hom_preserves_lowering_pushout` decides the codiagonal square of a
+surjection e, the pushout of e with itself, which lives outside any
+truncated category: whether Hom(A, e) is onto.  The relative-elegance
+suite sweeps every square of a truncation through the batched
+`kernel.hom_preserved` instead.  This module stays numpy-free.
 """
 
 from __future__ import annotations
 
 from .errors import NotSurjective
-from .reedy import LoweringPushoutSquare
 from .semilattice import (
     DEFAULT_CANDIDATE_BUDGET,
     FiniteSemilattice,
     SLatMorphism,
-    UnionFind,
     adjoin_bottom,
-    descend,
     enumerate_homs,
     free_on_generators,
     is_distributive_lattice,
@@ -76,54 +70,28 @@ def is_perfectly_presentable(
     return True, (section, eps)
 
 
-def codiagonal_square(e: SLatMorphism) -> LoweringPushoutSquare:
-    """The pushout of a surjection with itself: the codomain twice over,
-    with identity legs.  e is epi, so every cocone is some (g, g), and it
-    factors through the identities by g alone."""
-    ident = SLatMorphism.identity(e.cod)
-    return LoweringPushoutSquare(e, e, ident, ident)
-
-
 def hom_preserves_lowering_pushout(
     A: FiniteSemilattice,
-    square: LoweringPushoutSquare,
+    e: SLatMorphism,
     budget: int = DEFAULT_CANDIDATE_BUDGET,
-) -> tuple[bool, object]:
-    """Compare the set pushout of Hom(A, span) with Hom(A, carrier).
+) -> bool:
+    """Whether Hom(A, -) preserves the codiagonal square of the surjection
+    e: the pushout of e with itself, the codomain of e twice over with
+    identity legs (e is epi, so every cocone is some (g, g), and it
+    factors through the identities by g alone).
 
-    The comparison map sends a glued class to the composite with the
-    corresponding cocone leg; preservation means it is a bijection.
-    Returns (verdict, witness), the witness naming the failing side.
+    Hom(A, -) sends the square to e_* = Hom(A, e) pushed out with itself,
+    and the set pushout of a map g with itself is two copies of its
+    codomain glued along g's image: every point outside the image is
+    doubled, and the comparison onto the codomain is the fold.  So the
+    square is preserved exactly when Hom(A, e) is onto, when the
+    composites of e with Hom(A, dom e) are all of Hom(A, cod e).  Each
+    hom-set is enumerated once: for a size-1 class, dom e is cod e.
     """
-    # one enumeration per distinct object: a codiagonal square's three
-    # corners other than its apex are one object
-    corners = (square.apex, square.e0.cod, square.e1.cod, square.carrier)
-    homs = {B: enumerate_homs(A, B, budget) for B in dict.fromkeys(corners)}
-    homs_d, homs_0, homs_1, homs_p = (homs[B] for B in corners)
-    idx0 = {f.map: i for i, f in enumerate(homs_0)}
-    idx1 = {f.map: i for i, f in enumerate(homs_1)}
-    n0, n1 = len(homs_0), len(homs_1)
-
-    def after(g: SLatMorphism, fs: list[SLatMorphism]) -> list[tuple[int, ...]]:
-        """The maps of g after each f, without building the morphisms."""
-        return [tuple(map(g.map.__getitem__, f.map)) for f in fs]
-
-    uf = UnionFind(range(n0 + n1))
-    for h0, h1 in zip(after(square.e0, homs_d), after(square.e1, homs_d)):
-        uf.union(idx0[h0], n0 + idx1[h1])
-    # comparison into Hom(A, carrier)
-    value = after(square.f0, homs_0) + after(square.f1, homs_1)
-    hit, bad = descend(uf.classes(), value.__getitem__)
-    if bad:
-        # ill-defined means the square of homs failed to commute
-        return False, {"reason": "comparison-ill-defined"}
-    if len(set(hit)) != len(hit):
-        dup = [m for m in hit if hit.count(m) > 1][0]
-        return False, {"reason": "not-injective", "element": list(dup)}
-    missing = [f.map for f in homs_p if f.map not in set(hit)]
-    if missing:
-        return False, {"reason": "not-surjective", "element": list(missing[0])}
-    return True, None
+    homs_d = enumerate_homs(A, e.dom, budget)
+    homs_c = homs_d if e.cod == e.dom else enumerate_homs(A, e.cod, budget)
+    hit = {tuple(map(e.map.__getitem__, f.map)) for f in homs_d}
+    return len(hit) == len(homs_c)
 
 
 def in_elegant_core(A: FiniteSemilattice) -> bool:

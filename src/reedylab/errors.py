@@ -20,17 +20,16 @@ class ViolatedLaw(ReedyLabError):
     enumerated maps of its hom-set;
     'length', 'range', 'unit' or 'functoriality' for a presheaf; 'base',
     'length', 'range' or 'naturality' for a presheaf morphism;
-    'square-shape' (legs that do not meet) or 'square-commutativity' for a
-    lowering pushout square, and 'square-shape' for a category's square
-    of morphism ids; 'span-apex' for a span whose two legs leave
+    'square-shape' for a category's square of morphism ids whose maps do
+    not meet; 'span-apex' for a span whose two legs leave
     different apexes; 'length', 'range' or 'monotonicity' for a crown
     map, and 'length' or 'monotonicity' for a monotone map of cubes.
     `witness` is the offending index or morphism tuple.
 
     Certified facts that the constructions rely on raise it too:
     'well-definedness' when a map induced on a quotient is not constant on
-    a class (latching maps, automorphism and presheaf quotients, the join
-    of a semilattice quotient); 'degree-drop' when postcomposition raises
+    a class (latching maps, automorphism and presheaf quotients);
+    'degree-drop' when postcomposition raises
     a map's degree; 'ez-existence' when an element has no EZ decomposition;
     'sub-presheaf-closure' when a restriction raises an element's EZ
     degree, so that some skeleton is not a sub-presheaf;

@@ -20,8 +20,11 @@ Hom(a, b), the lowering rows against the composites of raising maps out
 of a.  Lowering maps being epi is the injective half of the universal
 property, checked on the rows directly.  The covariant question, whether
 Hom(A, -) sends each square to a pushout of sets, has its own batched
-route, `hom_preserved`.  It glues its pushouts with `_join`, the
-minimum-label union that the presheaf layer's numpy routes share.
+route, `hom_preserved`, and `hom_preservation_scan` glues the first
+failing square's pushout again for its witness.  Both glue with `_join`,
+the minimum-label union that is the one union-find of the package:
+`reedy.reedy_category_on` glues its spans with it, and the presheaf
+layer's numpy routes share it.
 
 The factorization, split and free-action checks of the Reedy axioms
 read whole blocks of the table as well: lowering rows at raising
@@ -371,8 +374,8 @@ def _classes(label: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _class_values(roots: np.ndarray, node_class: np.ndarray, values: np.ndarray):
-    """A map pushed down to classes, as semilattice.descend does: the
-    least value on each class, and whether the values differ on it."""
+    """A map pushed down to classes: the least value on each class, and
+    whether the values differ on it."""
     least = values[roots]
     off = np.flatnonzero(values != least[node_class])
     bad = np.zeros(len(roots), bool)
@@ -496,31 +499,24 @@ def lowering_epi_scan(cat, lowering: np.ndarray) -> Check:
     return verdict(id, True, count, may_be_empty=all(len(fs) <= 1 for fs in cat.homs.values()))
 
 
-def hom_preserved(cat, A, squares, budget: int) -> np.ndarray:
-    """Whether Hom(A, -) sends each category-resident lowering pushout
-    square to a pushout of sets, as elegance.hom_preserves_lowering_pushout
-    decides it one square at a time: by square, a boolean array.
+def _post_composition(cat, A, squares, budget: int):
+    """Hom(A, b) for each object b that the squares touch, as an array of
+    maps in hom order, and post[f] for each map f of the squares: the
+    position in Hom(A, cod f) of f after each map of Hom(A, dom f).
 
-    Hom(A, B) is enumerated once per object B.  Post-composing with the
-    squares' maps goes by whole (B, C) blocks: a map A -> C is coded by its
-    values on the join-irreducibles of A, in base |C|, and one lookup per C
-    takes codes to positions in Hom(A, C).  The set pushouts of all the
-    squares of a chunk are glued in one label array, with disjoint node
-    ranges: Hom(A, b0) then Hom(A, b1) per square, joined along the
-    composites with e0 and e1 of each map out of the apex.  A square is
-    preserved when the classes' composites with f0 and f1 agree on each
-    class, and the classes, their composites and Hom(A, p) are equally
-    many."""
+    Hom(A, b) is enumerated once per object.  Post-composing goes by whole
+    (b, c) blocks: a map A -> c is coded by its values on the
+    join-irreducibles of A, in base |c|, and one lookup per c takes codes
+    to positions in Hom(A, c)."""
     from .semilattice import enumerate_homs
 
     gens = list(A.irreducibles)
-    homs, lookup = [], []
-    for B in cat.objects:
-        homs.append(np.array([f.map for f in enumerate_homs(A, B, budget)], np.int64))
-        table = np.full(B.size ** len(gens), -1, np.int64)
-        table[homs[-1][:, gens] @ B.size ** np.arange(len(gens))] = np.arange(len(homs[-1]))
-        lookup.append(table)
-    # post[f]: the position in Hom(A, cod f) of f after each map of Hom(A, dom f)
+    homs, lookup = {}, {}
+    for b in sorted({x for sq in squares for f in sq for x in (cat.dom(f), cat.cod(f))}):
+        B = cat.objects[b]
+        homs[b] = np.array([f.map for f in enumerate_homs(A, B, budget)], np.int64)
+        lookup[b] = np.full(B.size ** len(gens), -1, np.int64)
+        lookup[b][homs[b][:, gens] @ B.size ** np.arange(len(gens))] = np.arange(len(homs[b]))
     post = {}
     used = sorted({f for sq in squares for f in sq})
     for (b, c), ids in itertools.groupby(used, lambda f: (cat.dom(f), cat.cod(f))):
@@ -528,47 +524,76 @@ def hom_preserved(cat, A, squares, budget: int) -> np.ndarray:
         maps = np.array([cat.mor(f).map for f in ids], np.int64)
         composite = maps[:, homs[b][:, gens]]
         post.update(zip(ids, lookup[c][composite @ cat.objects[c].size ** np.arange(len(gens))]))
+    return homs, post
 
+
+def _hom_pushouts(cat, homs, post, refs):
+    """The set pushouts of Hom(A, -) on the squares refs, glued in one
+    label array with disjoint node ranges: Hom(A, b0) then Hom(A, b1) per
+    square, joined along the composites with e0 and e1 of each map of
+    Hom(A, apex).  Returns, by class in root order, its square and the
+    least of its composites with f0 and f1, as a position in Hom(A, p)
+    offset per square, and whether those composites differ on it; and
+    the size of each square's Hom(A, p)."""
+    n0 = np.array([len(post[f0]) for _, _, f0, _ in refs])
+    n1 = np.array([len(post[f1]) for _, _, _, f1 in refs])
+    start = np.cumsum(n0 + n1) - n0 - n1
+    u = np.concatenate([start[k] + post[e0] for k, (e0, _, _, _) in enumerate(refs)])
+    v = np.concatenate([start[k] + n0[k] + post[e1] for k, (_, e1, _, _) in enumerate(refs)])
+    label = _join(np.arange(int((n0 + n1).sum())), u, v)
+    targets = np.array([len(homs[cat.cod(f0)]) for _, _, f0, _ in refs])
+    offset = np.cumsum(targets) - targets
+    values = np.concatenate([offset[k] + post[f] for k, sq in enumerate(refs) for f in sq[2:]])
+    roots, node_class = _classes(label)
+    least, ill = _class_values(roots, node_class, values)
+    of_class = np.repeat(np.arange(len(refs)), n0 + n1)[roots]
+    return of_class, least, ill, targets
+
+
+def hom_preserved(cat, A, squares, budget: int) -> np.ndarray:
+    """Whether Hom(A, -) sends each category-resident lowering pushout
+    square to a pushout of sets: by square, a boolean array.
+
+    A square is preserved when the classes of its glued set pushout
+    (_hom_pushouts) have one composite each with f0 and f1, and the
+    classes, their composites and Hom(A, p) are equally many.  The
+    squares go a chunk at a time into one label array each."""
+    homs, post = _post_composition(cat, A, squares, budget)
     preserved = np.zeros(len(squares), bool)
     sizes = [sum(len(post[f]) for f in sq) for sq in squares]
     for part in chunks(sizes):
-        refs = squares[part.start : part.stop]
-        # nodes: Hom(A, b0) then Hom(A, b1), square after square
-        n0 = np.array([len(post[f0]) for _, _, f0, _ in refs])
-        n1 = np.array([len(post[f1]) for _, _, _, f1 in refs])
-        start = np.cumsum(n0 + n1) - n0 - n1
-        u = np.concatenate([start[k] + post[e0] for k, (e0, _, _, _) in enumerate(refs)])
-        v = np.concatenate([start[k] + n0[k] + post[e1] for k, (_, e1, _, _) in enumerate(refs)])
-        label = _join(np.arange(int((n0 + n1).sum())), u, v)
-        # the composites with f0 and f1, in Hom(A, p) offset per square
-        targets = np.array([len(homs[cat.cod(f0)]) for _, _, f0, _ in refs])
-        offset = np.cumsum(targets) - targets
-        values = np.concatenate(
-            [offset[k] + post[f] for k, sq in enumerate(refs) for f in sq[2:]]
-        )
-        roots, node_class = _classes(label)
-        least, ill = _class_values(roots, node_class, values)
-        of_class = np.repeat(np.arange(len(refs)), n0 + n1)[roots]
-        of_value = np.repeat(np.arange(len(refs)), targets)
-        classes = np.bincount(of_class, minlength=len(refs))
-        hits = np.bincount(of_value[_distinct(least)], minlength=len(refs))
-        well_defined = np.bincount(of_class, weights=ill, minlength=len(refs)) == 0
+        refs, k = squares[part.start : part.stop], len(part)
+        of_class, least, ill, targets = _hom_pushouts(cat, homs, post, refs)
+        of_value = np.repeat(np.arange(k), targets)
+        classes = np.bincount(of_class, minlength=k)
+        hits = np.bincount(of_value[_distinct(least)], minlength=k)
+        well_defined = np.bincount(of_class, weights=ill, minlength=k) == 0
         preserved[part.start : part.stop] = well_defined & (classes == hits) & (hits == targets)
     return preserved
 
 
 def hom_preservation_scan(id: str, cat, A, squares, budget: int) -> Check:
     """The scan over the squares of whether Hom(A, -) preserves each, by
-    hom_preserved; the first failing square gets its witness from
-    elegance.hom_preserves_lowering_pushout, which names the failing
-    side."""
-    from .elegance import hom_preserves_lowering_pushout
-    from .reedy import LoweringPushoutSquare
-
+    hom_preserved.  The first failing square's pushout is glued again on
+    its own for the witness, which names the failing side: a class whose
+    composites with f0 and f1 differ ('comparison-ill-defined'), else the
+    value of the first class, in root order, that another class shares
+    ('not-injective'), else the first map of Hom(A, p) that no class hits
+    ('not-surjective'); the elements are maps of Hom(A, p)."""
     preserved = hom_preserved(cat, A, squares, budget)
     if preserved.all():
         return verdict(id, True, len(squares))
     k = int(preserved.argmin())
-    square = LoweringPushoutSquare(*map(cat.mor, squares[k]))
-    _, witness = hom_preserves_lowering_pushout(A, square, budget)
-    return Check(id, FAIL, k + 1, {"square": tuple(map(cat.ref, squares[k])), "witness": witness})
+    square = squares[k]
+    homs, post = _post_composition(cat, A, [square], budget)
+    _, least, ill, _ = _hom_pushouts(cat, homs, post, [square])
+    maps = homs[cat.cod(square[2])]
+    hits = np.bincount(least, minlength=len(maps))
+    if ill.any():
+        witness = {"reason": "comparison-ill-defined"}
+    elif (hits > 1).any():
+        dup = least[int((hits[least] > 1).argmax())]
+        witness = {"reason": "not-injective", "element": maps[dup].tolist()}
+    else:
+        witness = {"reason": "not-surjective", "element": maps[int(hits.argmin())].tolist()}
+    return Check(id, FAIL, k + 1, {"square": tuple(map(cat.ref, square)), "witness": witness})

@@ -4,12 +4,12 @@ Builds explicit truncated categories (one object per isomorphism class up
 to a size cap, full hom lists, composition tables) and certifies the Reedy
 axioms, the cancellation laws, and pre-elegance on them exhaustively.
 The squares of a category are read off its composition table: the set
-pushout's kernel on the apex names a lowering map out of it, whose
-codomain is the carrier, so the join is that object's.
-pushout_via_congruence is the independent route that the certificate
-compares them with: the apex modulo the join of the two kernel
-congruences, whose induced join raises ViolatedLaw('well-definedness')
-if it is not constant on a class pair.
+pushout's kernel on the apex, glued by kernel._join, names a lowering
+map out of it, whose codomain is the carrier, so the join is that
+object's.  pushout_via_congruence is the independent route that the
+certificate compares them with: the apex modulo the least congruence
+containing both kernels, built from its closed elements by
+semilattice.quotient_by_pairs.
 
 The universal property of a square is, by Yoneda, the statement that
 every representable y(c) sends it to a pullback, and lowering maps being
@@ -30,13 +30,11 @@ from .semilattice import (
     DEFAULT_CANDIDATE_BUDGET,
     FiniteSemilattice,
     SLatMorphism,
-    UnionFind,
     all_semilattices_upto,
     canonical_form,
     enumerate_homs,
-    least_above,
+    quotient_by_closed,
     quotient_by_pairs,
-    validate_semilattice,
 )
 
 # A morphism reference, as witnesses print it: (dom index, cod index, hom index)
@@ -285,35 +283,6 @@ class ReedyData:
         return ReedyData(degree, lowering, raising, lowering_out)
 
 
-@dataclass
-class LoweringPushoutSquare:
-    """A commuting square of surjections universal among its cocones, for
-    squares outside a category; a category's squares are Square tuples."""
-
-    e0: SLatMorphism
-    e1: SLatMorphism
-    f0: SLatMorphism
-    f1: SLatMorphism
-
-    def __post_init__(self):
-        e0, e1, f0, f1 = self.e0, self.e1, self.f0, self.f1
-        shared = ((e0.dom, e1.dom), (e0.cod, f0.dom), (e1.cod, f1.dom), (f0.cod, f1.cod))
-        for k, (A, B) in enumerate(shared):
-            if A != B:
-                raise ViolatedLaw("square-shape", (k,))
-        for x, (v0, v1) in enumerate(zip(e0.map, e1.map)):
-            if f0.map[v0] != f1.map[v1]:
-                raise ViolatedLaw("square-commutativity", (x,))
-
-    @property
-    def apex(self) -> FiniteSemilattice:
-        return self.e0.dom
-
-    @property
-    def carrier(self) -> FiniteSemilattice:
-        return self.f0.cod
-
-
 def pushout_via_congruence(e0: SLatMorphism, e1: SLatMorphism) -> SLatMorphism:
     """Independent pushout route: quotient of the apex by the join of the
     two kernel congruences.  Returns the projection from the apex."""
@@ -366,19 +335,9 @@ def verify_pushout_universal(cat: FinCategory, squares: list[Square]) -> Check:
 
 def _kernel(values) -> tuple[int, ...]:
     """The partition a map induces on its domain: each element labelled by
-    the first-occurrence index of its class."""
-    label: dict = {}
-    return tuple(label.setdefault(v, len(label)) for v in values)
-
-
-def _joined_kernel(e0: SLatMorphism, e1: SLatMorphism) -> tuple[int, ...]:
-    """The kernel on the apex of the set pushout of a span: B0 and B1 glued
-    along e0(x) ~ e1(x)."""
-    n0 = e0.cod.size
-    uf = UnionFind(range(n0 + e1.cod.size))
-    for x, y in zip(e0.map, e1.map):
-        uf.union(x, n0 + y)
-    return _kernel(uf.find(x) for x in e0.map)
+    the least element of its class."""
+    values = tuple(values)
+    return tuple(map(values.index, values))
 
 
 def _through(cat: FinCategory, r: int, e: int) -> int | None:
@@ -401,27 +360,42 @@ def reedy_category_on(
     Each square is read off the composition table.  The set pushout of a
     span (r0, r1) is the quotient of the apex a by the join of the two
     kernels; its cocone map e is the first lowering map out of a, in
-    morphism order, with that kernel, so the carrier is e's codomain.  The
-    legs are the unique maps f0 and f1 with f0 r0 = e = f1 r1, the columns
-    of r0's and r1's rows that hold e; so the choice of e fixes them.  A
-    kernel that no lowering map out of a realizes, or an e missing from
-    either row, raises ViolatedLaw('pushout-closure')."""
+    morphism order, with that kernel, so the carrier is e's codomain.  A
+    kernel labels each x by the least element of its class, and the joins
+    of all the spans out of a are taken in one kernel._join, one run of
+    apex nodes per span, each node joined to its label under either leg.
+    The legs are the unique maps f0 and f1 with f0 r0 = e = f1 r1, the
+    columns of r0's and r1's rows that hold e; so the choice of e fixes
+    them.  A kernel that no lowering map out of a realizes, or an e
+    missing from either row, raises ViolatedLaw('pushout-closure')."""
+    import numpy as np
+
+    from .kernel import _join
+
     cat = FinCategory.from_objects(objects, budget)
     data = ReedyData.of_category(cat)
     squares: list[Square] = []
-    for a in range(len(cat.objects)):
+    for a, A in enumerate(cat.objects):
         surjs = data.lowering_out[a]
+        kernels = [_kernel(cat.mor(e).map) for e in surjs]
         by_kernel: dict = {}
-        for e in surjs:
-            by_kernel.setdefault(_kernel(cat.mor(e).map), e)
-        for i, r0 in enumerate(surjs):
-            for r1 in surjs[i:]:
-                e = by_kernel.get(_joined_kernel(cat.mor(r0), cat.mor(r1)))
-                f0 = None if e is None else _through(cat, r0, e)
-                f1 = None if e is None else _through(cat, r1, e)
-                if f0 is None or f1 is None:
-                    raise ViolatedLaw("pushout-closure", (cat.ref(r0), cat.ref(r1)))
-                squares.append((r0, r1, f0, f1))
+        for e, kernel in zip(surjs, kernels):
+            by_kernel.setdefault(kernel, e)
+        spans = [(i, j) for i in range(len(surjs)) for j in range(i, len(surjs))]
+        start = np.arange(len(spans))[:, None] * A.size
+        nodes = start + np.arange(A.size)
+        least = np.array(kernels, np.int64).reshape(len(surjs), A.size)
+        i, j = np.array(spans, np.int64).reshape(-1, 2).T
+        joined = np.stack([start + least[i], start + least[j]])
+        label = _join(np.arange(nodes.size), np.stack([nodes, nodes]), joined)
+        for (i, j), row in zip(spans, (label.reshape(nodes.shape) - start).tolist()):
+            r0, r1 = surjs[i], surjs[j]
+            e = by_kernel.get(tuple(row))
+            f0 = None if e is None else _through(cat, r0, e)
+            f1 = None if e is None else _through(cat, r1, e)
+            if f0 is None or f1 is None:
+                raise ViolatedLaw("pushout-closure", (cat.ref(r0), cat.ref(r1)))
+            squares.append((r0, r1, f0, f1))
     return cat, data, squares
 
 
@@ -444,20 +418,18 @@ def quotient_closure(seeds) -> list[FiniteSemilattice]:
     lowering pushouts, which are joint quotients of the span apex).
 
     The quotients of A are its closed subsets M, one per closure operator
-    c (the least element of M above each x), with join c(m v m').
+    c (the least element of M above each x), with join c(m v m'), built by
+    semilattice.quotient_by_closed.
     Returns one canonical representative per isomorphism class, sorted
     by (size, canonical form)."""
     out: dict = {}
     for A in seeds:
         for r in range(1, A.size + 1):
             for M in itertools.combinations(range(A.size), r):
-                c = least_above(A, M)
-                if c is None:
-                    continue
-                pos = {m: i for i, m in enumerate(M)}
-                Q = validate_semilattice([[pos[c[A.join[x][y]]] for y in M] for x in M])
-                C = FiniteSemilattice(canonical_form(Q))
-                out[(C.size, C.join)] = C
+                q = quotient_by_closed(A, M)
+                if q is not None:
+                    C = FiniteSemilattice(canonical_form(q.cod))
+                    out[(C.size, C.join)] = C
     return [out[k] for k in sorted(out)]
 
 

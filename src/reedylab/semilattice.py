@@ -30,54 +30,6 @@ FREE_SIZE_CAP = 2**12
 BRUTE_FORCE_CAP = 10**6
 
 
-class UnionFind:
-    """Disjoint sets over comparable keys; a class's root is its least key."""
-
-    def __init__(self, keys):
-        self.parent = {k: k for k in keys}
-
-    def find(self, x):
-        p = self.parent
-        while p[x] != x:
-            p[x] = p[p[x]]
-            x = p[x]
-        return x
-
-    def union(self, x, y) -> bool:
-        """Merge the classes of x and y; True when they were distinct."""
-        rx, ry = self.find(x), self.find(y)
-        if rx == ry:
-            return False
-        self.parent[max(rx, ry)] = min(rx, ry)
-        return True
-
-    def classes(self) -> list[list]:
-        """The classes as sorted key lists, ordered by root."""
-        buckets: dict = {}
-        for k in self.parent:
-            buckets.setdefault(self.find(k), []).append(k)
-        return [sorted(buckets[r]) for r in sorted(buckets)]
-
-    def partition(self) -> tuple[list[list], dict]:
-        """classes() and the index of each key's class in that list."""
-        classes = self.classes()
-        return classes, {k: i for i, cls in enumerate(classes) for k in cls}
-
-
-def descend(classes, value) -> tuple[list, list[int]]:
-    """Push `value` down to a quotient: values[i] is the least value it
-    takes on classes[i], and bad lists, in class order, the indices of the
-    classes on which it is not constant (where the induced map is
-    ill-defined)."""
-    values, bad = [], []
-    for i, cls in enumerate(classes):
-        seen = set(map(value, cls))
-        values.append(min(seen))
-        if len(seen) != 1:
-            bad.append(i)
-    return values, bad
-
-
 @dataclass(frozen=True)
 class FiniteSemilattice:
     """A finite set with an associative, commutative, idempotent join."""
@@ -337,28 +289,41 @@ class MonotoneAssignments:
         tests, budget = self.tests, self.budget
         n = len(candidates)
         vals = [0] * n
-
-        def rec(k: int):
+        # levels[k] iterates over the candidates left for vals[k]; a loop
+        # rather than a recursion, so that no closure refers to itself and
+        # the search's state is freed as soon as it is dropped
+        levels = []
+        while True:
+            k = len(levels)
             if k == n:
                 yield tuple(vals)
+            else:
+                ok = candidates[k]
+                for j in below[k]:
+                    row = leq[vals[j]]
+                    ok = [v for v in ok if row[v]]
+                for j in above[k]:
+                    u = vals[j]
+                    ok = [v for v in ok if leq[v][u]]
+                self.nodes += len(ok)
+                if self.nodes > budget:
+                    raise CandidateSpaceExceeded(f"{self.nodes} candidates exceed budget {budget}")
+                levels.append(iter(ok))
+            # the next assignment: the deepest level with a candidate left
+            # that passes its test
+            while levels:
+                k = len(levels) - 1
+                test = tests[k]
+                for v in levels[k]:
+                    vals[k] = v
+                    if test is None or test(vals):
+                        break
+                else:
+                    levels.pop()
+                    continue
+                break
+            else:
                 return
-            ok = candidates[k]
-            for j in below[k]:
-                row = leq[vals[j]]
-                ok = [v for v in ok if row[v]]
-            for j in above[k]:
-                u = vals[j]
-                ok = [v for v in ok if leq[v][u]]
-            self.nodes += len(ok)
-            if self.nodes > budget:
-                raise CandidateSpaceExceeded(f"{self.nodes} candidates exceed budget {budget}")
-            test = tests[k]
-            for v in ok:
-                vals[k] = v
-                if test is None or test(vals):
-                    yield from rec(k + 1)
-
-        return rec(0)
 
 
 def monotone_maps(P: FinPoset, Q: FinPoset, budget: int = DEFAULT_CANDIDATE_BUDGET):
@@ -587,23 +552,25 @@ def backtrack_homs(
         for y in range(x, n):
             j = A.join[x][y]
             decided[max(y, j)].append((x, y, j))
+    # vals[k] is the value tried at element k, the last one the element
+    # being assigned; a loop rather than a recursion, as in
+    # MonotoneAssignments
     out: list[tuple[int, ...]] = []
-    vals: list[int] = []
-
-    def rec(k: int):
-        if k == n:
-            out.append(tuple(vals))
-            return
-        for v in range(B.size):
-            vals.append(v)
-            for x, y, j in decided[k]:
-                if vals[j] != join[vals[x]][vals[y]]:
-                    break
-            else:
-                rec(k + 1)
+    vals = [-1]
+    while vals:
+        k = len(vals) - 1
+        vals[k] += 1
+        if vals[k] == B.size:
             vals.pop()
-
-    rec(0)
+            continue
+        for x, y, j in decided[k]:
+            if vals[j] != join[vals[x]][vals[y]]:
+                break
+        else:
+            if k + 1 == n:
+                out.append(tuple(vals))
+            else:
+                vals.append(-1)
     return out
 
 
@@ -680,32 +647,33 @@ def is_distributive_lattice(A: FiniteSemilattice) -> DistributivityVerdict:
 
 
 def quotient_by_pairs(A: FiniteSemilattice, pairs) -> SLatMorphism:
-    """Projection onto A modulo the least join-compatible equivalence
-    containing the given pairs (union-find plus join saturation).
-    """
-    n = A.size
-    uf = UnionFind(range(n))
-    for x, y in pairs:
-        uf.union(x, y)
-    changed = True
-    while changed:
-        changed = False
-        for x in range(n):
-            for y in range(n):
-                if uf.find(x) == uf.find(y):
-                    for z in range(n):
-                        if uf.union(A.join[x][z], A.join[y][z]):
-                            changed = True
-    members, cls = uf.partition()
-    k = len(members)
-    # the joins of the members of classes i and j must share one class
-    joins = [[A.join[x][y] for x in mi for y in mj] for mi in members for mj in members]
-    flat, bad = descend(joins, cls.__getitem__)
-    if bad:
-        raise ViolatedLaw("well-definedness", divmod(bad[0], k))
-    table = [flat[i * k : (i + 1) * k] for i in range(k)]
-    Q = validate_semilattice(table)
-    return SLatMorphism(A, Q, tuple(cls[x] for x in range(n)))
+    """Projection onto A modulo the least congruence containing the given
+    pairs.
+
+    A congruence is fixed by its closed elements, the greatest element of
+    each class.  Those of the least one, theta, are the s that separate no
+    pair (x <= s exactly when y <= s): a closed element of theta separates
+    none, and for such an s the congruence {below s, not below s} holds
+    the pairs, hence theta, so s is the greatest of its theta-class.  They
+    are closed under the meets that exist and hold the top, so every x has
+    a least one above it."""
+    pairs = list(pairs)
+    leq = A.order
+    M = [s for s in range(A.size) if all(leq[x][s] == leq[y][s] for x, y in pairs)]
+    return quotient_by_closed(A, M)
+
+
+def quotient_by_closed(A: FiniteSemilattice, M) -> SLatMorphism | None:
+    """The projection of A onto its quotient with closed elements M, the
+    i-th of them its element i: x goes to the least element c(x) of M
+    above it, and the join of m and m' is c(m v m').  None when M is not
+    closed, that is, when some x has no least element of M above it."""
+    c = least_above(A, M)
+    if c is None:
+        return None
+    pos = {m: i for i, m in enumerate(M)}
+    Q = validate_semilattice([[pos[c[A.join[x][y]]] for y in M] for x in M])
+    return SLatMorphism(A, Q, tuple(pos[c[x]] for x in range(A.size)))
 
 
 # ---------------------------------------------------------------------------

@@ -183,7 +183,6 @@ def _suite_pre_elegance(*, max_size: int = 3, budget: int) -> list:
 
 def _suite_elegant_core(*, max_size: int = 4, budget: int) -> list:
     from .elegance import (
-        codiagonal_square,
         counit_from_free,
         hom_preserves_lowering_pushout,
         in_elegant_core,
@@ -204,9 +203,7 @@ def _suite_elegant_core(*, max_size: int = 4, budget: int) -> list:
         for A in classes:
             closed = in_elegant_core(A)
             retract = is_perfectly_presentable(A, budget)[0]
-            hom_ok, _ = hom_preserves_lowering_pushout(
-                A, codiagonal_square(counit_from_free(A)), budget
-            )
+            hom_ok = hom_preserves_lowering_pushout(A, counit_from_free(A), budget)
             verdicts.append((A, closed, retract, hom_ok))
         checks = [
             verdict(

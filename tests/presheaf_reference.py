@@ -41,6 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from reedy_reference import UnionFind, descend
 from reedylab import presheaf
 from reedylab.errors import InvalidInput, ViolatedLaw, outcome_value
 from reedylab.kernel import square_pullbacks
@@ -53,7 +54,6 @@ from reedylab.presheaf import (
     strictly_lowering_out_of,
     subgroup_closure_ok,
 )
-from reedylab.semilattice import UnionFind, descend
 
 
 def actions(X):

@@ -15,6 +15,16 @@ composite, and one hom-set enumeration per corner of every square.
 They live here only so that the tests can compare the two routes check
 by check, on passing and on failing inputs.
 
+The union-find routes are here too.  `UnionFind` and `descend` glued the
+set pushouts and pushed maps down to their classes before
+`kernel._join` became the package's one union-find; the presheaf
+references use them as well.  `quotient_by_pairs` is the congruence
+route that saturated a union-find under joins before it read the least
+congruence off its closed elements.  `hom_preserves_lowering_pushout`
+is the general per-square decision, on a `LoweringPushoutSquare` of four
+validated maps, that decided the codiagonal squares of the elegant-core
+suite and named the failing side of the relative-elegance sweep.
+
 `enumerate_surjections` is the whole hom-set filter; `quotient_closure`
 ran it, stopped at the first surjection, against every smaller class
 before it read the quotients off the closed subsets of each seed.
@@ -30,24 +40,99 @@ one `compose` call per composite.
 
 import bisect
 import itertools
+from dataclasses import dataclass
 
 import numpy as np
 
 from reedylab.certificates import FAIL, Check, scan, verdict
-from reedylab.elegance import hom_preserves_lowering_pushout
 from reedylab.errors import InvalidInput, NotSurjective, SizeBudget, ViolatedLaw
-from reedylab.reedy import LoweringPushoutSquare
 from reedylab.semilattice import (
+    DEFAULT_CANDIDATE_BUDGET,
     FiniteSemilattice,
     JoinTable,
     SLatMorphism,
-    UnionFind,
     canonical_form,
-    descend,
     enumerate_homs,
     find_isomorphism,
     validate_semilattice,
 )
+
+
+class UnionFind:
+    """Disjoint sets over comparable keys; a class's root is its least key."""
+
+    def __init__(self, keys):
+        self.parent = {k: k for k in keys}
+
+    def find(self, x):
+        p = self.parent
+        while p[x] != x:
+            p[x] = p[p[x]]
+            x = p[x]
+        return x
+
+    def union(self, x, y) -> bool:
+        """Merge the classes of x and y; True when they were distinct."""
+        rx, ry = self.find(x), self.find(y)
+        if rx == ry:
+            return False
+        self.parent[max(rx, ry)] = min(rx, ry)
+        return True
+
+    def classes(self) -> list[list]:
+        """The classes as sorted key lists, ordered by root."""
+        buckets: dict = {}
+        for k in self.parent:
+            buckets.setdefault(self.find(k), []).append(k)
+        return [sorted(buckets[r]) for r in sorted(buckets)]
+
+    def partition(self) -> tuple[list[list], dict]:
+        """classes() and the index of each key's class in that list."""
+        classes = self.classes()
+        return classes, {k: i for i, cls in enumerate(classes) for k in cls}
+
+
+def descend(classes, value) -> tuple[list, list[int]]:
+    """Push `value` down to a quotient: values[i] is the least value it
+    takes on classes[i], and bad lists, in class order, the indices of the
+    classes on which it is not constant (where the induced map is
+    ill-defined)."""
+    values, bad = [], []
+    for i, cls in enumerate(classes):
+        seen = set(map(value, cls))
+        values.append(min(seen))
+        if len(seen) != 1:
+            bad.append(i)
+    return values, bad
+
+
+@dataclass
+class LoweringPushoutSquare:
+    """A commuting square of surjections universal among its cocones, for
+    squares outside a category; a category's squares are Square tuples."""
+
+    e0: SLatMorphism
+    e1: SLatMorphism
+    f0: SLatMorphism
+    f1: SLatMorphism
+
+    def __post_init__(self):
+        e0, e1, f0, f1 = self.e0, self.e1, self.f0, self.f1
+        shared = ((e0.dom, e1.dom), (e0.cod, f0.dom), (e1.cod, f1.dom), (f0.cod, f1.cod))
+        for k, (A, B) in enumerate(shared):
+            if A != B:
+                raise ViolatedLaw("square-shape", (k,))
+        for x, (v0, v1) in enumerate(zip(e0.map, e1.map)):
+            if f0.map[v0] != f1.map[v1]:
+                raise ViolatedLaw("square-commutativity", (x,))
+
+    @property
+    def apex(self) -> FiniteSemilattice:
+        return self.e0.dom
+
+    @property
+    def carrier(self) -> FiniteSemilattice:
+        return self.f0.cod
 
 
 def enumerate_surjections(A, B):
@@ -151,6 +236,35 @@ def lowering_pushout(e0: SLatMorphism, e1: SLatMorphism) -> LoweringPushoutSquar
     return LoweringPushoutSquare(e0, e1, f0, f1)
 
 
+def quotient_by_pairs(A: FiniteSemilattice, pairs) -> SLatMorphism:
+    """Projection onto A modulo the least join-compatible equivalence
+    containing the given pairs (union-find plus join saturation).
+    """
+    n = A.size
+    uf = UnionFind(range(n))
+    for x, y in pairs:
+        uf.union(x, y)
+    changed = True
+    while changed:
+        changed = False
+        for x in range(n):
+            for y in range(n):
+                if uf.find(x) == uf.find(y):
+                    for z in range(n):
+                        if uf.union(A.join[x][z], A.join[y][z]):
+                            changed = True
+    members, cls = uf.partition()
+    k = len(members)
+    # the joins of the members of classes i and j must share one class
+    joins = [[A.join[x][y] for x in mi for y in mj] for mi in members for mj in members]
+    flat, bad = descend(joins, cls.__getitem__)
+    if bad:
+        raise ViolatedLaw("well-definedness", divmod(bad[0], k))
+    table = [flat[i * k : (i + 1) * k] for i in range(k)]
+    Q = validate_semilattice(table)
+    return SLatMorphism(A, Q, tuple(cls[x] for x in range(n)))
+
+
 def lowering_pushout_squares(cat, data) -> list:
     """One square per unordered span of lowering maps out of each apex, in
     the walk order of reedy_category_on, each built by lowering_pushout
@@ -229,6 +343,48 @@ def epi_check(cat, data):
         epis(cat, data),
         may_be_empty=all(len(fs) <= 1 for fs in cat.homs.values()),
     )
+
+
+def hom_preserves_lowering_pushout(
+    A: FiniteSemilattice,
+    square: LoweringPushoutSquare,
+    budget: int = DEFAULT_CANDIDATE_BUDGET,
+) -> tuple[bool, object]:
+    """Compare the set pushout of Hom(A, span) with Hom(A, carrier).
+
+    The comparison map sends a glued class to the composite with the
+    corresponding cocone leg; preservation means it is a bijection.
+    Returns (verdict, witness), the witness naming the failing side.
+    """
+    # one enumeration per distinct object: a codiagonal square's three
+    # corners other than its apex are one object
+    corners = (square.apex, square.e0.cod, square.e1.cod, square.carrier)
+    homs = {B: enumerate_homs(A, B, budget) for B in dict.fromkeys(corners)}
+    homs_d, homs_0, homs_1, homs_p = (homs[B] for B in corners)
+    idx0 = {f.map: i for i, f in enumerate(homs_0)}
+    idx1 = {f.map: i for i, f in enumerate(homs_1)}
+    n0, n1 = len(homs_0), len(homs_1)
+
+    def after(g: SLatMorphism, fs: list[SLatMorphism]) -> list[tuple[int, ...]]:
+        """The maps of g after each f, without building the morphisms."""
+        return [tuple(map(g.map.__getitem__, f.map)) for f in fs]
+
+    uf = UnionFind(range(n0 + n1))
+    for h0, h1 in zip(after(square.e0, homs_d), after(square.e1, homs_d)):
+        uf.union(idx0[h0], n0 + idx1[h1])
+    # comparison into Hom(A, carrier)
+    value = after(square.f0, homs_0) + after(square.f1, homs_1)
+    hit, bad = descend(uf.classes(), value.__getitem__)
+    if bad:
+        # ill-defined means the square of homs failed to commute
+        return False, {"reason": "comparison-ill-defined"}
+    if len(set(hit)) != len(hit):
+        dup = [m for m in hit if hit.count(m) > 1][0]
+        return False, {"reason": "not-injective", "element": list(dup)}
+    missing = [f.map for f in homs_p if f.map not in set(hit)]
+    if missing:
+        return False, {"reason": "not-surjective", "element": list(missing[0])}
+    return True, None
 
 
 def square_maps(cat, square):

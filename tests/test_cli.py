@@ -622,20 +622,26 @@ def test_ill_defined_latching_map_is_a_failed_check(monkeypatch):
 def test_ill_defined_lowering_pushout_join_is_a_failed_check(monkeypatch):
     import reedylab.semilattice as semilattice
 
-    real = semilattice.descend
+    real = semilattice.least_above
 
-    # the join induced on a quotient of the apex is well defined on every
-    # span of surjections, so the class check is made to report every
-    # class pair; pre-elegance induces it through quotient_by_pairs, the
-    # congruence route of its set-versus-congruence check
-    def every_class_bad(classes, value):
-        return real(classes, value)[0], list(range(len(classes)))
+    # pre-elegance's set-versus-congruence check reads the congruence
+    # quotient off its closed elements through least_above; sending every
+    # element to the top is no closure onto them, so the quotient's join
+    # table breaks a semilattice law at the first apex of two elements
+    def to_the_top(A, S):
+        return None if real(A, S) is None else (A.top,) * A.size
 
-    monkeypatch.setattr(semilattice, "descend", every_class_bad)
+    # a clean run first, so that the memo holds the truncation, whose
+    # classes are grown through least_above too
+    clean = run_suite(SuiteConfig(suite="pre-elegance")).json_text(False)
+    monkeypatch.setattr(semilattice, "least_above", to_the_top)
     cert = run_suite(SuiteConfig(suite="pre-elegance"))
-    _law_failure(cert, "pre-elegance", "well-definedness")
+    _law_failure(cert, "pre-elegance", "idempotence")
     (check,) = [c for c in cert.checks if c.id == "pre-elegance"]
-    assert check.witness == {"law": "well-definedness", "witness": (0, 0)}
+    assert check.witness == {"law": "idempotence", "witness": (1,)}
+    assert [c.id for c in cert.checks if c.status == "fail"] == ["pre-elegance"]
+    monkeypatch.undo()
+    assert run_suite(SuiteConfig(suite="pre-elegance")).json_text(False) == clean
 
 
 def test_missing_ez_decomposition_is_a_failed_check(monkeypatch):

@@ -1,7 +1,6 @@
 import reedy_reference as reference
 from reedylab.cubes import cube
 from reedylab.elegance import (
-    codiagonal_square,
     counit_from_free,
     hom_preserves_lowering_pushout,
     in_elegant_core,
@@ -9,7 +8,8 @@ from reedylab.elegance import (
     projective_lift,
 )
 from reedylab.obstruction import map_t
-from reedylab.reedy import LoweringPushoutSquare, truncated_semilattice_category
+from reedylab.presheaf import non_reedy_mono_example
+from reedylab.reedy import truncated_semilattice_category
 from reedylab.semilattice import (
     SLatMorphism,
     all_semilattices_upto,
@@ -35,15 +35,47 @@ def test_counit_is_surjective_on_every_class_up_to_size_4():
         assert counit_from_free(A).is_surjective
 
 
+def codiagonal_square(e):
+    """The pushout of e with itself: its codomain twice, identity legs."""
+    ident = SLatMorphism.identity(e.cod)
+    return reference.LoweringPushoutSquare(e, e, ident, ident)
+
+
 def test_codiagonal_square_agrees_with_the_built_pushout():
-    # identity legs against the set pushout of the counit with itself
+    # Hom(A, e) being onto against the general route, on the identity legs
+    # and on the set pushout of the counit with itself
     for A in all_semilattices_upto(4):
         eps = counit_from_free(A)
         built = reference.lowering_pushout(eps, eps)
         assert (
-            hom_preserves_lowering_pushout(A, codiagonal_square(eps))[0]
-            == hom_preserves_lowering_pushout(A, built)[0]
+            hom_preserves_lowering_pushout(A, eps)
+            == reference.hom_preserves_lowering_pushout(A, codiagonal_square(eps))[0]
+            == reference.hom_preserves_lowering_pushout(A, built)[0]
         )
+
+
+def test_codiagonal_decision_matches_the_general_route():
+    # every class of size <= 4 as the source, against the codiagonal
+    # squares of the lowering maps of the N=4 truncation and of the
+    # witness base, where Hom(tripod, -) is not onto for some of them
+    cat4, data4, _ = truncated_semilattice_category(4)
+    base, data, _, _ = non_reedy_mono_example()
+    es = [
+        cat.mor(e)
+        for cat, d in ((cat4, data4), (base, data))
+        for e in cat.morphisms()
+        if d.lowering[e]
+    ]
+    verdicts = [
+        (
+            hom_preserves_lowering_pushout(A, e),
+            reference.hom_preserves_lowering_pushout(A, codiagonal_square(e))[0],
+        )
+        for A in all_semilattices_upto(4)
+        for e in es
+    ]
+    assert [new for new, _ in verdicts] == [old for _, old in verdicts]
+    assert sum(not new for new, _ in verdicts) == 6
 
 
 def test_core_membership_positive():
@@ -59,8 +91,9 @@ def test_core_membership_negative_with_witness():
     tripod = atoms_with_top(3)
     assert not in_elegant_core(tripod)
     assert is_perfectly_presentable(tripod) == (False, None)
-    square = codiagonal_square(counit_from_free(tripod))
-    ok, witness = hom_preserves_lowering_pushout(tripod, square)
+    eps = counit_from_free(tripod)
+    assert not hom_preserves_lowering_pushout(tripod, eps)
+    ok, witness = reference.hom_preserves_lowering_pushout(tripod, codiagonal_square(eps))
     assert not ok and witness is not None
     # the bottom extension is the diamond
     from reedylab.semilattice import adjoin_bottom
@@ -82,9 +115,7 @@ def test_triple_agreement_all_classes_size_4():
     for A in all_semilattices_upto(4):
         closed = in_elegant_core(A)
         retract = is_perfectly_presentable(A)[0]
-        hom_ok, _ = hom_preserves_lowering_pushout(
-            A, codiagonal_square(counit_from_free(A))
-        )
+        hom_ok = hom_preserves_lowering_pushout(A, counit_from_free(A))
         assert closed == retract == hom_ok
 
 
@@ -92,9 +123,9 @@ def test_hom_preservation_examples():
     C, I = cube(2), interval()
     p0, p1 = (SLatMorphism(C, I, tuple((v >> i) & 1 for v in range(4))) for i in (0, 1))
     sq = reference.lowering_pushout(p0, p1)
-    assert hom_preserves_lowering_pushout(chain(1), sq)[0]
-    assert hom_preserves_lowering_pushout(interval(), sq)[0]
-    assert hom_preserves_lowering_pushout(cube(3), sq)[0]
+    assert reference.hom_preserves_lowering_pushout(chain(1), sq)[0]
+    assert reference.hom_preserves_lowering_pushout(interval(), sq)[0]
+    assert reference.hom_preserves_lowering_pushout(cube(3), sq)[0]
 
 
 def test_relative_elegance_cubes_and_chains_size_4():
@@ -102,8 +133,8 @@ def test_relative_elegance_cubes_and_chains_size_4():
     sources = [cube(m) for m in range(4)] + [chain(n + 1) for n in range(1, 4)]
     for A in sources:
         for sq in squares:
-            square = LoweringPushoutSquare(*map(cat.mor, sq))
-            ok, witness = hom_preserves_lowering_pushout(A, square)
+            square = reference.square_maps(cat, sq)
+            ok, witness = reference.hom_preserves_lowering_pushout(A, square)
             assert ok, (A.size, sq, witness)
 
 
@@ -115,8 +146,8 @@ def test_small_truncations_are_elegant():
         cat, data, squares = truncated_semilattice_category(N)
         for A in cat.objects:
             for sq in squares:
-                square = LoweringPushoutSquare(*map(cat.mor, sq))
-                ok, witness = hom_preserves_lowering_pushout(A, square)
+                square = reference.square_maps(cat, sq)
+                ok, witness = reference.hom_preserves_lowering_pushout(A, square)
                 assert ok, (N, A.size, sq, witness)
 
 

@@ -533,3 +533,33 @@ def test_private_names_are_imported_only_from_kernel():
         if alias.name.startswith("_")
     )
     assert imports == []
+
+
+def _follows_pointers(node) -> bool:
+    """A loop that steps a name along its own table, x = p[x], or jumps
+    pointers, p[p[x]] or p[p]: a union-find's find."""
+    if not isinstance(node, ast.While):
+        return False
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Subscript):
+            inner = sub.slice.value if isinstance(sub.slice, ast.Subscript) else sub.slice
+            if ast.unparse(inner) == ast.unparse(sub.value):
+                return True
+        if isinstance(sub, ast.Assign) and isinstance(sub.value, ast.Subscript):
+            if any(ast.unparse(t) == ast.unparse(sub.value.slice) for t in sub.targets):
+                return True
+    return False
+
+
+def test_kernel_join_is_the_one_union_find_in_src():
+    # the set pushouts, the congruences' spans and the presheaf layer's
+    # gluings all go through kernel._join; the Python union-find it
+    # replaced is a reference in tests/, where the rule sees its find
+    finds = sorted(
+        f"{path.stem}.{where}"
+        for path in sorted(SRC.glob("*.py"))
+        for where in set(_functions_around(ast.parse(path.read_text()), _follows_pointers))
+    )
+    assert finds == ["kernel._join"]
+    reference = ast.parse((SRC.parents[1] / "tests" / "reedy_reference.py").read_text())
+    assert "UnionFind.find" in set(_functions_around(reference, _follows_pointers))

@@ -6,6 +6,7 @@ sending them to pullbacks.  Compared check by check on the truncations the
 suites certify, and on inputs where each check fails."""
 
 import dataclasses
+from collections import Counter
 from types import SimpleNamespace
 
 import numpy as np
@@ -230,6 +231,32 @@ def test_tripod_hom_preservation_fails_like_the_reference(witness_base):
     check = hom_preservation_scan(cid, cat, tripod, squares, BUDGET)
     assert check == reference.hom_preservation_check(cid, cat, tripod, squares, BUDGET)
     assert check.status == "fail"
+
+
+def test_each_failing_square_alone_has_the_reference_witness(truncations, witness_base):
+    # the scan glues the first failing square's pushout again for its
+    # witness; run on each failing square alone, every one is that first
+    # square: the 135 of the tripod over the witness base, and the N=3
+    # squares pushed past a non-iso map out of their carrier
+    cat, data, squares, X = witness_base
+    tripod = atoms_with_top(3)
+    cid = "hom-preserves-all-lowering-pushouts-tripod"
+    failing = [sq for sq, ok in zip(squares, hom_preserved(cat, tripod, squares, BUDGET)) if not ok]
+    assert len(failing) == 135
+    reasons = Counter()
+    for sq in failing:
+        check = hom_preservation_scan(cid, cat, tripod, [sq], BUDGET)
+        assert check == reference.hom_preservation_check(cid, cat, tripod, [sq], BUDGET)
+        reasons[check.witness["witness"]["reason"]] += 1
+    cat, data, squares = truncations[3]
+    for sq in squares[::3]:
+        for g in cat.out_of(cat.cod(sq[2])):
+            if not cat.mor(g).is_iso:
+                pushed = [_pushed_forward(cat, sq, g)]
+                check = hom_preservation_scan(cid, cat, tripod, pushed, BUDGET)
+                assert check == reference.hom_preservation_check(cid, cat, tripod, pushed, BUDGET)
+                reasons[check.witness["witness"]["reason"]] += 1
+    assert reasons == {"not-injective": 135 + 66, "not-surjective": 57}
 
 
 def test_pullback_criterion_matches_the_reference(truncations, witness_base):

@@ -343,7 +343,7 @@ def test_bad_lowering_square_raises_in_optimized_mode():
     # a square that does not commute, and one whose legs do not meet
     code = (
         "from reedylab.errors import ViolatedLaw\n"
-        "from reedylab.reedy import LoweringPushoutSquare\n"
+        "from reedy_reference import LoweringPushoutSquare\n"
         "from reedylab.semilattice import SLatMorphism, chain, interval\n"
         "I, C = interval(), chain(3)\n"
         "ident, top = SLatMorphism.identity(I), SLatMorphism(I, I, (1, 1))\n"
@@ -360,7 +360,8 @@ def test_bad_lowering_square_raises_in_optimized_mode():
         "ok = laws == ['square-commutativity', 'square-shape']\n"
         "raise SystemExit(0 if ok else f'laws raised: {laws}')\n"
     )
-    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "src"), str(root / "tests")]))
     assert subprocess.run([sys.executable, "-O", "-c", code], env=env).returncode == 0
 
 

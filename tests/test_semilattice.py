@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import reedy_reference as reference
+from reedy_reference import UnionFind, descend
 from reedylab.cubes import cube
 from reedylab.dot import _semilattice_document
 from reedylab.errors import CandidateSpaceExceeded, EmptyCarrier, SizeBudget, ViolatedLaw
@@ -15,7 +16,6 @@ from reedylab.semilattice import (
     FiniteSemilattice,
     MonotoneAssignments,
     SLatMorphism,
-    UnionFind,
     adjoin_bottom,
     all_functions_homs,
     all_semilattices_upto,
@@ -24,7 +24,6 @@ from reedylab.semilattice import (
     backtrack_homs,
     canonical_form,
     chain,
-    descend,
     diamond,
     enumerate_homs,
     enumerate_semilattices,
@@ -430,6 +429,36 @@ def test_quotient_matches_partition_oracle_on_samples():
             q = quotient_by_pairs(A, [(i, j)])
             oracle = brute_force_smallest_congruence(A, [(i, j)])
             assert q.cod.size == len(oracle)
+
+
+def _partition(f):
+    """The classes of the kernel of f, as sorted lists."""
+    classes: dict = {}
+    for x, v in enumerate(f.map):
+        classes.setdefault(v, []).append(x)
+    return sorted(classes.values())
+
+
+def test_quotient_matches_the_partition_oracle_on_every_pair():
+    # every pair (i, j), i < j, of every class of size <= 4
+    for A in all_semilattices_upto(4):
+        for i in range(A.size):
+            for j in range(i + 1, A.size):
+                q = quotient_by_pairs(A, [(i, j)])
+                oracle = brute_force_smallest_congruence(A, [(i, j)])
+                assert _partition(q) == sorted(sorted(block) for block in oracle), (A.join, i, j)
+
+
+def test_quotient_matches_the_union_find_route():
+    # random pair sets, 20 per class of size <= 6, against the join
+    # saturation of a union-find
+    rnd = random.Random(11)
+    for A in all_semilattices_upto(6):
+        for _ in range(20):
+            pairs = [(rnd.randrange(A.size), rnd.randrange(A.size)) for _ in range(rnd.randrange(1, 4))]
+            q, old = quotient_by_pairs(A, pairs), reference.quotient_by_pairs(A, pairs)
+            assert _partition(q) == _partition(old), (A.join, pairs)
+            assert canonical_form(q.cod) == canonical_form(old.cod)
 
 
 # ---------------------------------------------------------------------------
