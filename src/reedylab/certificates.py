@@ -87,3 +87,20 @@ def scan(id: str, witnesses) -> Check:
         if witness is not None:
             return Check(id, FAIL, count, witness)
     return verdict(id, True, count)
+
+
+def scan_batches(id: str, batches, *, may_be_empty: bool = False) -> Check:
+    """scan over cases that come in batches, each a pair (failed, witness):
+    failed is a boolean array over the batch's cases in walk order, a 2-D
+    block row by row as argmax reads it, and witness(k) builds the
+    witness of the batch's k-th case, called for the first failure only.
+    The count of a failure is the cases of the batches before it plus
+    k + 1.  Zero cases fail as in verdict, unless may_be_empty.  Only
+    .any(), .argmax() and .size are read, so this module needs no numpy."""
+    count = 0
+    for failed, witness in batches:
+        if failed.any():
+            k = int(failed.argmax())
+            return Check(id, FAIL, count + k + 1, witness(k))
+        count += failed.size
+    return verdict(id, True, count, may_be_empty=may_be_empty)

@@ -30,6 +30,12 @@ The factorization, split and free-action checks of the Reedy axioms
 read whole blocks of the table as well: lowering rows at raising
 columns, Hom(b, a) columns against the identities, and lowering rows at
 the automorphism columns.
+
+Every scan here is a generator of batches for certificates.scan_batches:
+per block, object or chunk, the failures as a boolean array in walk
+order and a function that builds the witness of one case.  So the
+first-failure count and the NO_CASES rule are stated once, there, and
+no scan builds a Check.
 """
 from __future__ import annotations
 
@@ -37,7 +43,7 @@ import itertools
 
 import numpy as np
 
-from .certificates import FAIL, Check, verdict
+from .certificates import Check, scan_batches
 from .errors import ViolatedLaw
 
 # the most entries a batched square routine takes in at once; larger
@@ -93,21 +99,23 @@ def fill_composition(cat) -> None:
 
 def scan_composable(id: str, cat, bad) -> Check:
     """scan(id, ...) over the composable pairs (f, g) in the table's walk
-    order, with witness {"f": f, "g": g}, one (a, b) block at a time:
+    order, with witness {"f": f, "g": g}, one (a, b) block a batch:
     bad(f, g, gf) takes the ids of Hom(a, b) as a column, those of the
     maps out of b as a row and the block of composite ids, and gives the
     block's failures as booleans."""
-    count = 0
-    for (a, b), block in cat.composition.items():
-        fs, gs = cat.refs(a, b), cat.out_of(b)
-        failed = bad(np.arange(fs.start, fs.stop)[:, None], np.arange(gs.start, gs.stop), block)
-        if failed.any():
-            k = int(failed.argmax())
-            i, j = divmod(k, block.shape[1])
-            witness = {"f": cat.ref(fs[i]), "g": cat.ref(gs[j])}
-            return Check(id, FAIL, count + k + 1, witness)
-        count += block.size
-    return verdict(id, True, count)
+
+    def batches():
+        for (a, b), block in cat.composition.items():
+            fs, gs = cat.refs(a, b), cat.out_of(b)
+            failed = bad(np.arange(fs.start, fs.stop)[:, None], np.arange(gs.start, gs.stop), block)
+
+            def witness(k):
+                i, j = divmod(k, len(gs))
+                return {"f": cat.ref(fs[i]), "g": cat.ref(gs[j])}
+
+            yield failed, witness
+
+    return scan_batches(id, batches())
 
 
 def orthogonal_lifting(cat, low: np.ndarray, high: np.ndarray) -> Check:
@@ -127,10 +135,10 @@ def orthogonal_lifting(cat, low: np.ndarray, high: np.ndarray) -> Check:
     diagonals of such a pair are the b-triples (w, m, m w) with w e = u,
     w e read off e's row.  Keying both sides by e takes the e rows of one
     Hom(a, b) together, at most CHUNK entries at a time, and the pair keys
-    then increase in the walk order e, m, u, v.  The table's entries are
-    taken to lie in the hom-sets its layout gives them, as
-    fill_composition builds it."""
-    id, n, table = "orthogonal-lifting-unique", len(cat.objects), cat.composition
+    then increase in the walk order e, m, u, v; each chunk is a batch.
+    The table's entries are taken to lie in the hom-sets its layout gives
+    them, as fill_composition builds it."""
+    n, table = len(cat.objects), cat.composition
     width = len(cat.morphisms())
     raising = np.flatnonzero(high)
     dom_m = cat.domain[raising]
@@ -150,43 +158,43 @@ def orthogonal_lifting(cat, low: np.ndarray, high: np.ndarray) -> Check:
         return g, np.repeat(np.arange(len(raising)), sizes), gm, start
 
     out = [triples(x) for x in range(n)]
-    count = 0
-    for (a, b), block in table.items():
-        fs = cat.refs(a, b)
-        es = np.flatnonzero(low[fs.start : fs.stop])
-        if not len(es):
-            continue
-        u_a, rank_a, mu_a, start_a = out[a]
-        w_b, rank_b, mw_b, _ = out[b]
-        vs = cat.out_of(b)
-        n_t, n_v = len(mu_a), len(vs)
-        # a diagonal's a-triple is start_a[m] plus the position of w e in Hom(a, c)
-        w_col, mw_col = w_b - vs.start, mw_b - vs.start
-        base = start_a[rank_b] - first[a, dom_m[rank_b]]
-        for part in chunks([n_t + n_v + len(w_b)] * len(es)):
-            rows = block[es[part.start : part.stop]]
-            i = np.arange(len(rows))[:, None]
-            y0, y1, diagonals = pullback_fibres(
-                (i * width + mu_a).ravel(),
-                (i * width + rows).ravel(),
-                (i * n_t + base + rows[:, w_col]).ravel(),
-                (i * n_v + mw_col).ravel(),
-            )
-            bad = diagonals != 1
-            if not bad.any():
-                count += len(diagonals)
+
+    def batches():
+        for (a, b), block in table.items():
+            fs = cat.refs(a, b)
+            es = np.flatnonzero(low[fs.start : fs.stop])
+            if not len(es):
                 continue
-            k = int(bad.argmax())
-            (row, t), v = divmod(int(y0[k]), n_t), int(y1[k]) % n_v
-            witness = {
-                "e": cat.ref(fs[es[part.start + row]]),
-                "m": cat.ref(int(raising[rank_a[t]])),
-                "u": cat.ref(int(u_a[t])),
-                "v": cat.ref(vs[v]),
-                "diagonals": int(diagonals[k]),
-            }
-            return Check(id, FAIL, count + k + 1, witness)
-    return verdict(id, True, count)
+            u_a, rank_a, mu_a, start_a = out[a]
+            w_b, rank_b, mw_b, _ = out[b]
+            vs = cat.out_of(b)
+            n_t, n_v = len(mu_a), len(vs)
+            # a diagonal's a-triple is start_a[m] plus the position of w e in Hom(a, c)
+            w_col, mw_col = w_b - vs.start, mw_b - vs.start
+            base = start_a[rank_b] - first[a, dom_m[rank_b]]
+            for part in chunks([n_t + n_v + len(w_b)] * len(es)):
+                rows = block[es[part.start : part.stop]]
+                i = np.arange(len(rows))[:, None]
+                y0, y1, diagonals = pullback_fibres(
+                    (i * width + mu_a).ravel(),
+                    (i * width + rows).ravel(),
+                    (i * n_t + base + rows[:, w_col]).ravel(),
+                    (i * n_v + mw_col).ravel(),
+                )
+
+                def witness(k):
+                    (row, t), v = divmod(int(y0[k]), n_t), int(y1[k]) % n_v
+                    return {
+                        "e": cat.ref(fs[es[part.start + row]]),
+                        "m": cat.ref(int(raising[rank_a[t]])),
+                        "u": cat.ref(int(u_a[t])),
+                        "v": cat.ref(vs[v]),
+                        "diagonals": int(diagonals[k]),
+                    }
+
+                yield diagonals != 1, witness
+
+    return scan_batches("orthogonal-lifting-unique", batches())
 
 
 def factorization_scan(cat, data) -> Check:
@@ -201,10 +209,13 @@ def factorization_scan(cat, data) -> Check:
     The factorizations out of an object a are the lowering rows of the
     blocks out of a at the raising columns, grouped by their entry f by a
     stable sort; the linking isos are read off the rows of each e0 and of
-    the isos themselves."""
-    id, n, table = "factorization-unique-up-to-unique-iso", len(cat.objects), cat.composition
+    the isos themselves.  The maps out of one object are a batch; their
+    ids are consecutive, so the count of f is f + 1."""
+    n, table = len(cat.objects), cat.composition
     high, isos = data.raising, {}
-    for a in range(n):
+
+    def batch(a):
+        """The failures among the maps out of a, and their witness."""
         fs, lows = cat.out_of(a), np.array(data.lowering_out[a], np.int64)
         fact_e, fact_m, fact_f = [], [], []
         for b in range(n):
@@ -232,18 +243,20 @@ def factorization_scan(cat, data) -> Check:
             linking[at] = ((through == e[at, None]) & (after.T == m0[at, None])).sum(1)
         unlinked = linking != 1
         failing = (facts == 0) | (np.bincount(f[unlinked] - fs.start, minlength=len(fs)) > 0)
-        if failing.any():
-            k = int(failing.argmax())
-            witness = {"f": cat.ref(fs[k]), "reason": "no factorization"}
-            if facts[k]:
-                j = int(np.flatnonzero(unlinked & (f == fs[k]))[0])
-                witness = {
-                    "f": cat.ref(fs[k]),
-                    "fact": [cat.ref(int(e[j])), cat.ref(int(m[j]))],
-                    "linking-isos": int(linking[j]),
-                }
-            return Check(id, FAIL, fs[k] + 1, witness)
-    return verdict(id, True, len(cat.morphisms()))
+
+        def witness(k):
+            if not facts[k]:
+                return {"f": cat.ref(fs[k]), "reason": "no factorization"}
+            j = int(np.flatnonzero(unlinked & (f == fs[k]))[0])
+            return {
+                "f": cat.ref(fs[k]),
+                "fact": [cat.ref(int(e[j])), cat.ref(int(m[j]))],
+                "linking-isos": int(linking[j]),
+            }
+
+        return failing, witness
+
+    return scan_batches("factorization-unique-up-to-unique-iso", map(batch, range(n)))
 
 
 def free_action_scan(cat, low: np.ndarray) -> Check:
@@ -252,22 +265,24 @@ def free_action_scan(cat, low: np.ndarray) -> Check:
     order, the case fails when th e = e, with witness {e, theta}.  Read
     off the lowering rows of each block at the columns of Aut(b).  No
     cases when no object has an automorphism besides its identity."""
-    id, count = "isos-act-freely-on-lowering", 0
     auts = [
         np.array([th for th in cat.isos(b, b) if not cat.is_identity(th)], np.int64)
         for b in range(len(cat.objects))
     ]
-    for (a, b), block in cat.composition.items():
-        fs, ths = cat.refs(a, b), auts[b]
-        es = np.flatnonzero(low[fs.start : fs.stop])
-        fixed = block[es][:, ths - cat.out_of(b).start] == (fs.start + es)[:, None]
-        if fixed.any():
-            k = int(fixed.argmax())
-            i, j = divmod(k, len(ths))
-            witness = {"e": cat.ref(fs[es[i]]), "theta": cat.ref(int(ths[j]))}
-            return Check(id, FAIL, count + k + 1, witness)
-        count += fixed.size
-    return verdict(id, True, count, may_be_empty=not any(map(len, auts)))
+
+    def batches():
+        for (a, b), block in cat.composition.items():
+            fs, ths = cat.refs(a, b), auts[b]
+            es = np.flatnonzero(low[fs.start : fs.stop])
+
+            def witness(k):
+                i, j = divmod(k, len(ths))
+                return {"e": cat.ref(fs[es[i]]), "theta": cat.ref(int(ths[j]))}
+
+            yield block[es][:, ths - cat.out_of(b).start] == (fs.start + es)[:, None], witness
+
+    empty = not any(map(len, auts))
+    return scan_batches("isos-act-freely-on-lowering", batches(), may_be_empty=empty)
 
 
 def split_scan(cat, low: np.ndarray, high: np.ndarray) -> Check:
@@ -275,22 +290,24 @@ def split_scan(cat, low: np.ndarray, high: np.ndarray) -> Check:
     morphism order, a case when some s: b -> a has f s = id_b, failing
     unless f is lowering ({"split-epi": f}), then a case when some r has
     r f = id_a, failing unless f is raising ({"split-mono": f}).  Read off
-    the Hom(b, a) columns of the blocks, against the identities."""
-    id, count = "split-epi-lowering-split-mono-raising", 0
-    for (a, b), block in cat.composition.items():
-        fs = cat.refs(a, b)
-        epi = (cat.composition[(b, a)][:, cat.columns(a, b)] == cat.identities[b]).any(0)
-        mono = (block[:, cat.columns(b, a)] == cat.identities[a]).any(1)
-        bad_epi = epi & ~low[fs.start : fs.stop]
-        bad = bad_epi | (mono & ~high[fs.start : fs.stop])
-        cases = epi.astype(np.int64) + mono
-        if bad.any():
-            i = int(bad.argmax())
-            count += int(cases[:i].sum()) + (1 if bad_epi[i] else int(cases[i]))
-            witness = {"split-epi" if bad_epi[i] else "split-mono": cat.ref(fs[i])}
-            return Check(id, FAIL, count, witness)
-        count += int(cases.sum())
-    return verdict(id, True, count)
+    the Hom(b, a) columns of the blocks, against the identities, as an
+    [epi, mono] pair of slots per f, kept where each case exists."""
+    flags = np.stack([low, high], 1)
+
+    def batches():
+        for (a, b), block in cat.composition.items():
+            fs = cat.refs(a, b)
+            epi = (cat.composition[(b, a)][:, cat.columns(a, b)] == cat.identities[b]).any(0)
+            mono = (block[:, cat.columns(b, a)] == cat.identities[a]).any(1)
+            cases = np.stack([epi, mono], 1)
+
+            def witness(k):
+                i, slot = divmod(int(np.flatnonzero(cases)[k]), 2)
+                return {("split-epi", "split-mono")[slot]: cat.ref(fs[i])}
+
+            yield ~flags[fs.start : fs.stop][cases], witness
+
+    return scan_batches("split-epi-lowering-split-mono-raising", batches())
 
 
 def generators(cat):
@@ -384,14 +401,13 @@ def _class_values(roots: np.ndarray, node_class: np.ndarray, values: np.ndarray)
     return least, bad
 
 
-def chunks(sizes, cap: int | None = None):
-    """Consecutive ranges of positions whose sizes sum to at most cap,
-    CHUNK as it is at the call when cap is None, covering every position
-    in order; a position larger than cap makes a range of its own."""
-    cap = CHUNK if cap is None else cap
+def chunks(sizes):
+    """Consecutive ranges of positions whose sizes sum to at most CHUNK,
+    as it is at the call, covering every position in order; a position
+    larger than CHUNK makes a range of its own."""
     start, total = 0, 0
     for k, size in enumerate(sizes):
-        if total and total + size > cap:
+        if total and total + size > CHUNK:
             yield range(start, k)
             start, total = k, 0
         total += size
@@ -471,32 +487,38 @@ def lowering_epi_scan(cat, lowering: np.ndarray) -> Check:
     This is the injective half of the universal property: e is epi when
     every y(c) acts on it injectively.  e's row of the table is its action
     on the sum of all y(c), and its ids already name c, so each block's
-    rows are checked for repeated ids at once.  The cases are counted,
-    C(|Hom(b, c)|, 2) per c, and walked one by one only in the first row
-    with a repeat.  No cases when no hom-set holds two maps."""
-    id, n, count = "lowering-maps-are-epi", len(cat.objects), 0
-    for (a, b), block in cat.composition.items():
-        ids = cat.refs(a, b)
-        es = np.flatnonzero(lowering[ids.start : ids.stop])
-        if not len(es):
-            continue
-        cases = sum(len(cat.refs(b, c)) * (len(cat.refs(b, c)) - 1) // 2 for c in range(n))
-        rows = np.sort(block[es], axis=1)
-        repeats = (rows[:, 1:] == rows[:, :-1]).any(1)
-        if not repeats.any():
-            count += len(es) * cases
-            continue
-        i = int(repeats.argmax())
-        count += i * cases
-        row = block[es[i]].tolist()
-        for c in range(n):
-            gs = cat.columns(b, c)
-            for g, h in itertools.combinations(range(gs.start, gs.stop), 2):
-                count += 1
-                if row[g] == row[h]:
-                    witness = {"e": cat.ref(ids[es[i]]), "g": g - gs.start, "h": h - gs.start}
-                    return Check(id, FAIL, count, witness)
-    return verdict(id, True, count, may_be_empty=all(len(fs) <= 1 for fs in cat.homs.values()))
+    rows are checked for repeated ids at once.  A block is a batch of
+    C(|Hom(b, c)|, 2) cases per c and row; a block with no repeated id
+    is all passes, and only one with a repeat compares its pairs.  No
+    cases when no hom-set holds two maps."""
+    n = len(cat.objects)
+    # size[b, c] = |Hom(b, c)|, and cases[b, c] its pairs g < h
+    size = np.array([[len(cat.refs(b, c)) for c in range(n)] for b in range(n)], np.int64)
+    cases = size * (size - 1) // 2
+
+    def batches():
+        for (a, b), block in cat.composition.items():
+            ids = cat.refs(a, b)
+            es = np.flatnonzero(lowering[ids.start : ids.stop])
+            if not len(es):
+                continue
+            rows = block[es]
+            if not (np.diff(np.sort(rows, axis=1), axis=1) == 0).any():
+                yield np.zeros(len(es) * int(cases[b].sum()), bool), None
+                continue
+            # the pairs g < h of each Hom(b, c) in turn, as positions in it,
+            # and the column where it starts among the maps out of b
+            tri = [np.triu_indices(size[b, c], 1) for c in range(n)]
+            g, h = (np.concatenate([t[s] for t in tri]) for s in (0, 1))
+            at = np.repeat([cat.columns(b, c).start for c in range(n)], cases[b])
+
+            def witness(k):
+                i, j = divmod(k, len(g))
+                return {"e": cat.ref(ids[es[i]]), "g": int(g[j]), "h": int(h[j])}
+
+            yield rows[:, at + g] == rows[:, at + h], witness
+
+    return scan_batches("lowering-maps-are-epi", batches(), may_be_empty=not cases.any())
 
 
 def _post_composition(cat, A, squares, budget: int):
@@ -580,20 +602,20 @@ def hom_preservation_scan(id: str, cat, A, squares, budget: int) -> Check:
     value of the first class, in root order, that another class shares
     ('not-injective'), else the first map of Hom(A, p) that no class hits
     ('not-surjective'); the elements are maps of Hom(A, p)."""
-    preserved = hom_preserved(cat, A, squares, budget)
-    if preserved.all():
-        return verdict(id, True, len(squares))
-    k = int(preserved.argmin())
-    square = squares[k]
-    homs, post = _post_composition(cat, A, [square], budget)
-    _, least, ill, _ = _hom_pushouts(cat, homs, post, [square])
-    maps = homs[cat.cod(square[2])]
-    hits = np.bincount(least, minlength=len(maps))
-    if ill.any():
-        witness = {"reason": "comparison-ill-defined"}
-    elif (hits > 1).any():
-        dup = least[int((hits[least] > 1).argmax())]
-        witness = {"reason": "not-injective", "element": maps[dup].tolist()}
-    else:
-        witness = {"reason": "not-surjective", "element": maps[int(hits.argmin())].tolist()}
-    return Check(id, FAIL, k + 1, {"square": tuple(map(cat.ref, square)), "witness": witness})
+
+    def witness(k):
+        square = squares[k]
+        homs, post = _post_composition(cat, A, [square], budget)
+        _, least, ill, _ = _hom_pushouts(cat, homs, post, [square])
+        maps = homs[cat.cod(square[2])]
+        hits = np.bincount(least, minlength=len(maps))
+        if ill.any():
+            side = {"reason": "comparison-ill-defined"}
+        elif (hits > 1).any():
+            dup = least[int((hits[least] > 1).argmax())]
+            side = {"reason": "not-injective", "element": maps[dup].tolist()}
+        else:
+            side = {"reason": "not-surjective", "element": maps[int(hits.argmin())].tolist()}
+        return {"square": tuple(map(cat.ref, square)), "witness": side}
+
+    return scan_batches(id, [(~hom_preserved(cat, A, squares, budget), witness)])

@@ -584,9 +584,10 @@ def compose_extensions(f: MonotoneCubeMap, g: MonotoneCubeMap) -> MonotoneCubeMa
     return MonotoneCubeMap._trusted(f.m, g.n, tuple(g.values[v] for v in f.values))
 
 
-def verify_extension_pullback(f: CrownMap) -> list[Check]:
+def verify_extension_pullback(f: CrownMap, tag: str) -> list[Check]:
     """The extension square is a pullback: the only cube points mapping
-    into the embedded target crown are the embedded source crown points."""
+    into the embedded target crown are the embedded source crown points.
+    The check ids end in -tag."""
     m, n = f.m, f.n
     cm, cn = crown_embedding(m), crown_embedding(n)
     ext = crown_extension(f)
@@ -600,8 +601,8 @@ def verify_extension_pullback(f: CrownMap) -> list[Check]:
         if ext.values[v] in cn_set and v not in cm_set
     ]
     return [
-        verdict("square-commutes", commute, 2 * m),
-        verdict("pullback-exhaustive", not bad, 1 << m, bad and {"point": bad[0]}),
+        verdict(f"square-commutes-{tag}", commute, 2 * m),
+        verdict(f"pullback-exhaustive-{tag}", not bad, 1 << m, bad and {"point": bad[0]}),
     ]
 
 

@@ -15,7 +15,9 @@ The universal property of a square is, by Yoneda, the statement that
 every representable y(c) sends it to a pullback, and lowering maps being
 epi is its injective half; both are read off the composition table's
 rows by kernel.square_pullbacks and kernel.lowering_epi_scan, and the
-Reedy axioms off whole table blocks by the other kernel scans.
+Reedy axioms off whole table blocks by the other kernel scans.  Those
+scans, verify_pushout_universal among them, hand their failures in
+batches to certificates.scan_batches and build no Check themselves.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
-from .certificates import FAIL, Check, scan, verdict
+from .certificates import FAIL, Check, scan, scan_batches
 from .errors import NotSurjective, SizeBudget, ViolatedLaw
 from .semilattice import (
     DEFAULT_CANDIDATE_BUDGET,
@@ -310,27 +312,27 @@ def verify_pushout_universal(cat: FinCategory, squares: list[Square]) -> Check:
     of f0 and f1.  The row of f: a -> b in the table, as positions among
     the maps out of a, is f's action on the sum of all y(c), so
     kernel.square_pullbacks reads the rows of a whole chunk of squares at
-    once."""
+    once, each chunk a batch."""
     from .kernel import square_pullbacks
 
     def action(f):
         return cat.row(f) - cat.out_of(cat.dom(f)).start
 
-    id, count = "pushout-universal-property", 0
-    for part, square, y0, y1, mediating in square_pullbacks(cat, squares, action):
-        bad = mediating != 1
-        if bad.any():
-            k = int(bad.argmax())
-            e0, e1, _, _ = squares[part[square[k]]]
-            g0 = cat.out_of(cat.cod(e0))[y0[k]]
-            g1 = cat.out_of(cat.cod(e1))[y1[k]]
-            witness = {
-                "cocone": [list(cat.mor(g0).map), list(cat.mor(g1).map)],
-                "mediating": int(mediating[k]),
-            }
-            return Check(id, FAIL, count + k + 1, witness)
-        count += len(mediating)
-    return verdict(id, True, count)
+    def batches():
+        for part, square, y0, y1, mediating in square_pullbacks(cat, squares, action):
+
+            def witness(k):
+                e0, e1, _, _ = squares[part[square[k]]]
+                g0 = cat.out_of(cat.cod(e0))[y0[k]]
+                g1 = cat.out_of(cat.cod(e1))[y1[k]]
+                return {
+                    "cocone": [list(cat.mor(g0).map), list(cat.mor(g1).map)],
+                    "mediating": int(mediating[k]),
+                }
+
+            yield mediating != 1, witness
+
+    return scan_batches("pushout-universal-property", batches())
 
 
 def _kernel(values) -> tuple[int, ...]:

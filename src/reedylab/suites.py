@@ -657,14 +657,10 @@ def _suite_crown_winding() -> list:
         return checks
 
     def pullbacks():
-        checks = []
-        for tag, f in (
-            ("fold-6-3", fold_map(6, 3)),
-            ("identity-3", identity_crown(3)),
-        ):
-            for c in verify_extension_pullback(f):
-                checks.append(Check(f"{c.id}-{tag}", c.status, c.count, c.witness))
-        return checks
+        return [
+            *verify_extension_pullback(fold_map(6, 3), "fold-6-3"),
+            *verify_extension_pullback(identity_crown(3), "identity-3"),
+        ]
 
     return [
         ("winding-basics", basics),

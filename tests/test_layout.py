@@ -501,6 +501,34 @@ def test_a_corpus_is_laid_out_only_where_it_is_built():
     assert set(_functions_around(tree, _is_chunking)) == {"Corpus.of", "coproduct_presheaf"}
 
 
+def _builds_check(node) -> bool:
+    """A call of the Check constructor, by its name or off a module."""
+    if not isinstance(node, ast.Call):
+        return False
+    return "Check" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+
+
+def test_checks_are_built_only_where_the_scan_rule_is_stated():
+    # a check stops at its first failing case, counts the cases examined
+    # with it and keeps its witness, and zero cases fail with NO_CASES:
+    # verdict, scan and scan_batches state that rule once, for a result,
+    # for cases one by one and for batched table scans, and _guard turns
+    # a raised budget or law into a check; a scan that built its own
+    # Check would state the rule again, and could drift from it
+    builders, calls = [], 0
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        builders += [f"{path.stem}.{where}" for where in _functions_around(tree, _builds_check)]
+        calls += sum(map(_builds_check, ast.walk(tree)))
+    assert len(builders) == calls, "a Check built outside any function"
+    assert sorted(set(builders)) == [
+        "certificates.scan",
+        "certificates.scan_batches",
+        "certificates.verdict",
+        "suites._guard",
+    ]
+
+
 def _raises_over_budget(node) -> bool:
     """A raise of CandidateSpaceExceeded, called or bare."""
     if not isinstance(node, ast.Raise) or node.exc is None:

@@ -427,8 +427,10 @@ def test_composites_of_extensions_are_validated_once(monkeypatch):
 
 
 def test_extension_pullback_certificates():
-    for f in (fold_map(6, 3), identity_crown(3), fold_map(8, 4)):
-        _passing(verify_extension_pullback(f))
+    crowns = [("fold-6-3", fold_map(6, 3)), ("identity-3", identity_crown(3)), ("8-4", fold_map(8, 4))]
+    for tag, f in crowns:
+        by_id = _passing(verify_extension_pullback(f, tag))
+        assert sorted(by_id) == [f"pullback-exhaustive-{tag}", f"square-commutes-{tag}"]
 
 
 def test_sieve_chain_certificate():

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 import presheaf_reference
 import reedy_reference as reference
+from reedylab import kernel
 from reedylab.cubes import cube
 from reedylab.kernel import (
     chunks,
@@ -139,10 +140,11 @@ def test_sum_of_representables_acts_by_table_rows(truncations):
         assert Y.action(f).tolist() == (cat.row(f) - cat.out_of(cat.dom(f)).start).tolist()
 
 
-def test_chunks_cover_every_position_in_order():
-    assert [list(r) for r in chunks([3, 3, 5, 1, 1], cap=6)] == [[0, 1], [2, 3], [4]]
-    assert [list(r) for r in chunks([9, 1], cap=6)] == [[0], [1]]
-    assert list(chunks([], cap=6)) == []
+def test_chunks_cover_every_position_in_order(monkeypatch):
+    monkeypatch.setattr(kernel, "CHUNK", 6)
+    assert [list(r) for r in chunks([3, 3, 5, 1, 1])] == [[0, 1], [2, 3], [4]]
+    assert [list(r) for r in chunks([9, 1])] == [[0], [1]]
+    assert list(chunks([])) == []
 
 
 @pytest.mark.parametrize("N, cocones", [(3, 382), (4, 24011)])

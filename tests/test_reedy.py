@@ -12,7 +12,12 @@ from reedylab import kernel
 from reedylab.certificates import FAIL, NO_CASES, Check, scan
 from reedylab.errors import NotSurjective, SizeBudget, ViolatedLaw
 from reedylab.obstruction import map_t, map_u
-from reedylab.presheaf import Corpus, maps_lowering_pushouts_to_pullbacks, representable
+from reedylab.presheaf import (
+    Corpus,
+    maps_lowering_pushouts_to_pullbacks,
+    non_reedy_mono_example,
+    representable,
+)
 from reedylab.reedy import (
     FinCategory,
     certify_cancellation,
@@ -26,6 +31,7 @@ from reedylab.reedy import (
 )
 from reedylab.cubes import cube
 from reedylab.semilattice import (
+    DEFAULT_CANDIDATE_BUDGET,
     SLatMorphism,
     all_semilattices_upto,
     are_isomorphic,
@@ -721,11 +727,50 @@ def test_scans_over_no_cases_fail_with_no_cases():
     assert check == Check("c", FAIL, 0, NO_CASES)
 
 
-def test_lifting_is_the_same_under_a_small_chunk_cap(monkeypatch):
-    # one e row per chunk, so the count and witness run across chunks
+def _lifting_checks():
+    """Lifting on the size-4 truncation and its corrupted flags."""
     cat, data, squares = truncated_semilattice_category(4)
     cases = [data, *_corrupted_flags(cat, data).values()]
-    default = [kernel.orthogonal_lifting(cat, d.lowering, d.raising) for d in cases]
+    return lambda: [kernel.orthogonal_lifting(cat, d.lowering, d.raising) for d in cases]
+
+
+def _universal_property_checks():
+    """The universal property on the size-3 squares, and on them with a
+    square pushed past a non-iso map out of its carrier put sixth."""
+    cat, data, squares = truncated_semilattice_category(3)
+    e0, e1, f0, f1 = squares[-1]
+    g = next(g for g in cat.out_of(cat.cod(f0)) if not cat.mor(g).is_iso)
+    mixed = squares[:5] + [(e0, e1, cat.compose(f0, g), cat.compose(f1, g))] + squares[5:]
+    return lambda: [verify_pushout_universal(cat, sq) for sq in (squares, mixed)]
+
+
+def _hom_preservation_checks():
+    """Hom(chain 3, -) on the size-4 squares, and Hom(tripod, -) on the
+    squares over the witness base, which fails at its 291st square."""
+    cat, data, squares = truncated_semilattice_category(4)
+    base, _, base_squares, _ = non_reedy_mono_example()
+    budget = DEFAULT_CANDIDATE_BUDGET
+    return lambda: [
+        kernel.hom_preservation_scan("c", cat, chain(3), squares, budget),
+        kernel.hom_preservation_scan("c", base, atoms_with_top(3), base_squares, budget),
+    ]
+
+
+@pytest.mark.parametrize(
+    "checks, statuses",
+    [
+        (_lifting_checks, ["pass", "pass", "fail", "fail"]),
+        (_universal_property_checks, ["pass", "fail"]),
+        (_hom_preservation_checks, ["pass", "fail"]),
+    ],
+    ids=["orthogonal_lifting", "verify_pushout_universal", "hom_preservation_scan"],
+)
+def test_chunked_scans_are_the_same_under_a_small_chunk_cap(monkeypatch, checks, statuses):
+    # each scan cuts its work by kernel.chunks; at a cap of 64 entries a
+    # chunk holds one lifting row or one universal-property square, so
+    # the counts and witnesses run across chunk boundaries
+    run = checks()
+    default = run()
     monkeypatch.setattr(kernel, "CHUNK", 64)
-    assert [kernel.orthogonal_lifting(cat, d.lowering, d.raising) for d in cases] == default
-    assert [c.status for c in default] == ["pass", "pass", "fail", "fail"]
+    assert run() == default
+    assert [c.status for c in default] == statuses
