@@ -43,12 +43,19 @@ generators' composites reach every map, and the lowering generators'
 every lowering map, is checked once per base by FinCategory.generators.
 quotient_presheaf still closes along every map, in one pass that is
 closed because every composite is itself a restriction.
+
+seeded_corpus draws every random choice first and quotients its draws
+in batches, which kernel.chunks cuts over their action entries: one
+congruence pass per batch, on the coproduct of its draws, checked
+natural there and then.  No class crosses draws, so each draw's quotient
+is one run of the batch's; quotient_presheaf is the one-draw case.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -898,15 +905,22 @@ def _cell_squares(
     ul_label = np.arange(len(ul_elem), dtype=np.int32)
     for r, into, g_low, isos in gluings:
         for r2, th, tg in isos:
-            # th's action in every part: part p sends x2 to y
+            # th's action in every part: part p sends x2 to y.  For th the
+            # identity, tg is into, so only the entries it moves glue, and
+            # it moves no latching class
             p, x2 = elements[r2]
             y = values[start[p * n_maps + th] + x2]
+            identity = th == cat.identities[r]
+            if identity:
+                moved = y != x2
+                p, x2, y = p[moved], x2[moved], y[moved]
             ur_label = _join(ur_label, nodes(ur, p, tg, x2), nodes(ur, p, into, y))
             ul_label = _join(
                 ul_label, nodes(bd, p, tg[g_low], x2), nodes(bd, p, into[g_low], y)
             )
-            p, c2 = classes[r2]
-            ul_label = _join(ul_label, nodes(yo, p, tg, c2), nodes(yo, p, into, moves[th]))
+            if not identity:
+                p, c2 = classes[r2]
+                ul_label = _join(ul_label, nodes(yo, p, tg, c2), nodes(yo, p, into, moves[th]))
         # glue the two weighted pieces along the boundary-weighted latching
         g = into[g_low]
         p, c = classes[r]
@@ -987,7 +1001,8 @@ def _iso_moves(cat: FinCategory, L: list[Latching], gluings: list) -> dict[int, 
     the chunk's latching outcome at each object: a class of r2, by its
     least node (e2, x2), goes to the class of (th then e2, x2) at r in its
     part.  Keyed by th, the classes of r2 part after part, each named as
-    a class of its part."""
+    a class of its part; an identity moves every class to itself and has
+    no key."""
     # classes are numbered by least node: the running maximum of the
     # classes first reaches c at the least node of c
     peak = {r: np.maximum.accumulate(L[r].node_class) for r, *_ in gluings}
@@ -996,6 +1011,8 @@ def _iso_moves(cat: FinCategory, L: list[Latching], gluings: list) -> dict[int, 
     for r, _, _, isos in gluings:
         at_r, out = L[r], cat.out_of(r)
         for r2, th, _ in isos:
+            if th == cat.identities[r]:
+                continue
             k, e2, x2 = least[r2]
             then = cat.row(th) - out.start  # th then e2, by e2
             node = at_r.first_node[k, then[e2]] + x2
@@ -1008,11 +1025,11 @@ def skeleton_chain_report(
 ):
     """sk^0 is empty and the chain of skeleta unions to X, given the EZ
     degrees of X.  The skeleta grow by construction, each keeping the
-    elements below a larger degree."""
+    elements below a larger degree, so their sizes are counted from one
+    pass over the degrees: sk^n holds the elements of each degree below n."""
     maxdeg = max(data.degree) if data.degree else 0
-    sizes = [
-        sum(map(len, skeleton(degrees, n))) for n in range(maxdeg + 2)
-    ]
+    count = Counter(itertools.chain.from_iterable(degrees))
+    sizes = [sum(k for d, k in count.items() if d < n) for n in range(maxdeg + 2)]
     return sizes[0] == 0 and sizes[-1] == X.total_size(), sizes
 
 
@@ -1041,40 +1058,88 @@ def quotient_presheaf(
     X: FinPresheaf, pairs
 ) -> tuple[FinPresheaf, PresheafMorphism]:
     """Quotient by the presheaf congruence generated by the given pairs
-    ((object, i, j) triples), closing under every restriction.
-
-    The elements of X are numbered level by level, and each is labelled
-    by the least element of its class.  The congruence is the equivalence
-    generated by the pairs, then by the restrictions of each element and
-    the least of its class along every map.  That is closed already: the
-    restriction along h of a pair restricted along f is the pair
-    restricted along f h, as X is a functor.  Classes are numbered within
-    each level in the order of their least elements."""
-    cat = X.base
-    x_start, level, _ = _segments(np.array(X.levels, np.int64))
-    _, owner, x = _layout(cat, X.levels)
-    # each entry of the values as two elements: v, which its map
-    # restricts, and the restriction u
-    v = x_start[cat.codomain][owner] + x
-    u = x_start[cat.domain][owner] + X.values
-    del owner, x  # entry-sized arrays are freed before the joins
+    ((object, i, j) triples), closing under every restriction: the
+    one-draw case of _quotients.  Raises ViolatedLaw('naturality') where
+    the projection is not natural, which a functor X never gives."""
     r, i, j = np.asarray(pairs, np.int64).reshape(-1, 3).T
-    label = _join(np.arange(x_start[-1], dtype=np.int32), x_start[r] + i, x_start[r] + j)
-    # the entry of the least element of v's class is label[v] - v entries on
-    label = _join(label, u, u[np.arange(len(u)) + label[v] - v])
+    pairs = np.stack([np.zeros_like(r), r, i, j], 1)
+    levels, values, _, comp = _quotients(X, np.array([X.levels], np.int64), pairs)
+    Q = FinPresheaf(X.base, tuple(levels[0].tolist()), values)
+    comp, bounds = comp.tolist(), [0, *itertools.accumulate(X.levels)]
+    components = tuple(tuple(comp[lo:hi]) for lo, hi in zip(bounds, bounds[1:]))
+    return Q, PresheafMorphism(X, Q, components)
+
+
+def _quotients(X: FinPresheaf, levels: np.ndarray, pairs: np.ndarray):
+    """The quotients of the draws that X is the coproduct of, each by the
+    presheaf congruence that its own pairs generate: levels holds the
+    levels of each draw, a row each in X's order, and pairs the rows
+    (draw, object, i, j), i and j numbered in the draw.  Returns the
+    quotients' levels, a row per draw, their values end to end, draw
+    after draw, where each draw's values start (the total last), and the
+    projection: each element of X's class, numbered in its draw and level.
+
+    The elements of X are numbered level by level, draw after draw, and
+    each is labelled by the least element of its class.  The congruence
+    is the equivalence generated by the pairs, then by the restrictions
+    of each element and the least of its class along every map.  That is
+    closed already: the restriction along h of a pair restricted along f
+    is the pair restricted along f h, as X is a functor.  Pairs and
+    restrictions stay in their draw, so no class crosses draws, and
+    classes, numbered by least element, give each draw's classes at a
+    level as one run in the order its quotient alone gives them.
+
+    The projection is checked here, from this layout, as
+    PresheafMorphism.validate would: every element has one component, by
+    construction; each is a class of its element's draw and level
+    (range); and each entry (f, x) sends the class of x to that of x.f
+    (naturality).  The first draw that fails raises ViolatedLaw at its
+    first failure, as quotienting that draw alone would."""
+    cat, (n_draws, n_obj) = X.base, levels.shape
+    x_start = _segments(np.asarray(X.levels, np.int64))[0]
+    # each element's segment (level * n_draws + draw) and index in it
+    seg_start, seg, in_seg = _segments(levels.T.ravel())
+    start = _start(cat, X.levels)
+    # each entry of the values as two elements: v, which its map
+    # restricts, shift[e] elements on from the entry e, and the restriction u
+    sizes = np.diff(start)
+    shift = np.repeat(x_start[cat.codomain] - start[:-1], sizes)
+    v = np.arange(len(shift), dtype=np.int32) + shift
+    u = np.repeat(x_start[cat.domain], sizes) + X.values
+    d, r, i, j = np.asarray(pairs, np.int64).reshape(-1, 4).T
+    at = seg_start[r * n_draws + d]
+    label = _join(np.arange(x_start[-1], dtype=np.int32), at + i, at + j)
+    # the entry of the least element of v's class is label[v] - shift, and
+    # only the entries whose v is not that element glue anything
+    least = label[v]
+    moved = np.flatnonzero(least != v)
+    label = _join(label, u[moved], u[least[moved] - shift[moved]])
     roots, node_class = _classes(label)
-    class_start = np.searchsorted(roots, x_start)
-    local = (node_class - class_start[level]).astype(np.int32)
-    # the action on a class is the action on its least element, and the
-    # entries of least elements are in the order of the quotient's entries
-    least = label[v] == v
-    Q = FinPresheaf(cat, tuple(np.diff(class_start).tolist()), local[u[least]])
-    del u, v, least
-    local = local.tolist()
-    components = tuple(tuple(local[x_start[s] : x_start[s + 1]]) for s in range(len(X.levels)))
-    proj = PresheafMorphism(X, Q, components)
-    proj.validate()
-    return Q, proj
+    counts = np.bincount(seg[roots], minlength=n_obj * n_draws)
+    class_start = _segments(counts)[0]
+    comp = (node_class - class_start[seg]).astype(np.int32)
+    bad = (comp < 0) | (comp >= counts[seg])
+    if bad.any():
+        raise ViolatedLaw("range", (int(seg[bad.argmax()] // n_draws),))
+    # the action on a class is the action on its least element, so the
+    # projection is natural when each other element restricts as it does
+    least = label[v]
+    own = least == v
+    moved = np.flatnonzero(~own)
+    bad = label[u[moved]] != label[u[least[moved] - shift[moved]]]
+    if bad.any():
+        draw = seg[v[moved[bad]]] % n_draws
+        p = moved[bad][draw == draw.min()][0]
+        f = int(np.searchsorted(start, p, "right")) - 1
+        raise ViolatedLaw("naturality", (cat.ref(f), int(in_seg[v[p]])))
+    # the entries of least elements, map after map, then draw after draw
+    # and class after class, reordered draw after draw
+    values = comp[u[own]]
+    if n_draws > 1:
+        values = values[np.argsort(seg[v[own]] % n_draws, kind="stable")]
+    q_levels = counts.reshape(n_obj, n_draws).T
+    q_start = _segments(q_levels[:, cat.codomain].sum(1))[0]
+    return q_levels, values, q_start, comp
 
 
 def span_pushout_of_representables(cat: FinCategory, e0: int, e1: int) -> FinPresheaf:
@@ -1160,7 +1225,13 @@ def seeded_corpus(cat: FinCategory, data: ReedyData, seed: int, count: int) -> C
     """The Corpus of a fixed designed family (representables,
     automorphism quotients, terminal, empty, span pushouts) followed by
     `count` reproducible random quotients of coproducts of one or two
-    representables, each glued at up to three pairs of elements."""
+    representables, each glued at up to three pairs of elements.
+
+    Every random choice is drawn first, a draw's levels being the sums of
+    its parts' levels.  The draws are then quotiented in batches that
+    kernel.chunks cuts over their action entries: one _quotients pass per
+    batch, on the coproduct of all its parts, each draw's pairs numbered
+    in the draw.  A draw without pairs comes out as its coproduct."""
     rng = random.Random(seed)
     n_obj = len(cat.objects)
     # each representable is built once; the draws below index this list
@@ -1175,23 +1246,28 @@ def seeded_corpus(cat: FinCategory, data: ReedyData, seed: int, count: int) -> C
     corpus.append(empty_presheaf(cat))
     for sq_e0, sq_e1 in _some_spans(cat, data):
         corpus.append(span_pushout_of_representables(cat, sq_e0, sq_e1))
-    for _ in range(count):
-        parts = [representables[rng.randrange(n_obj)] for _ in range(rng.randint(1, 2))]
-        X = coproduct_presheaf(parts)
+    draws, levels, pairs = [], [], []  # per draw; (draw, object, i, j)
+    for k in range(count):
+        draws.append([rng.randrange(n_obj) for _ in range(rng.randint(1, 2))])
+        levels.append([sum(representables[p].levels[r] for p in draws[k]) for r in range(n_obj)])
         n_glue = rng.randint(0, 3)
-        pairs = []
-        for _ in range(n_glue):
-            candidates = [r for r in range(n_obj) if X.levels[r] >= 2]
-            if not candidates:
-                break
+        candidates = [r for r in range(n_obj) if levels[k][r] >= 2]
+        for _ in range(n_glue if candidates else 0):
             r = rng.choice(candidates)
-            i = rng.randrange(X.levels[r])
-            j = rng.randrange(X.levels[r])
+            i = rng.randrange(levels[k][r])
+            j = rng.randrange(levels[k][r])
             if i != j:
-                pairs.append((r, i, j))
-        if pairs:
-            X, _ = quotient_presheaf(X, pairs)
-        corpus.append(X)
+                pairs.append((k, r, i, j))
+    pairs = np.array(pairs, np.int64).reshape(-1, 4)
+    sizes = [sum(len(representables[p].values) for p in parts) for parts in draws]
+    for batch in chunks(sizes):
+        X = coproduct_presheaf([representables[p] for k in batch for p in draws[k]])
+        glued = pairs[(pairs[:, 0] >= batch.start) & (pairs[:, 0] < batch.stop)]
+        q_levels, values, start, _ = _quotients(
+            X, np.array(levels[batch.start : batch.stop], np.int64), glued - [batch.start, 0, 0, 0]
+        )
+        for row, lo, hi in zip(q_levels.tolist(), start, start[1:]):
+            corpus.append(FinPresheaf(cat, tuple(row), values[lo:hi]))
     return Corpus.of(cat, corpus)
 
 

@@ -201,11 +201,94 @@ def test_seeded_corpus_is_the_fresh_build(corpora, name, monkeypatch):
     assert len(calls) == len(cat.objects) + autquos + 2 * spans
 
 
+def _levels_and_values(corpus):
+    return [(X.levels, X.values.tolist()) for X in corpus]
+
+
+@pytest.mark.parametrize("name", ["seeded-size3", "seeded-size4"])
+def test_seeded_draws_in_batches_are_the_draw_by_draw_build(corpora, name, monkeypatch):
+    """The random draws quotiented in batches, against the build that
+    quotients each draw alone, at several seeds and counts, at the default
+    CHUNK and at 64 entries, where every draw is a batch of its own."""
+    corpus, data, _ = corpora[name]
+    cat = corpus.base
+    for seed in (0, 1, 7):
+        for count in (0, 1, 3, 200):
+            fresh = _levels_and_values(reference.seeded_corpus(cat, data, seed, count))
+            assert _levels_and_values(seeded_corpus(cat, data, seed, count)) == fresh
+            with monkeypatch.context() as m:
+                m.setattr(kernel, "CHUNK", 64)
+                assert _levels_and_values(seeded_corpus(cat, data, seed, count)) == fresh
+
+
+def test_seeded_draws_take_one_congruence_pass_per_batch(corpora, monkeypatch):
+    # the designed family takes one pass per automorphism quotient and
+    # span pushout, first; the 200 draws then take at most one per
+    # kernel.chunks batch of their action entries: a handful at the
+    # default CHUNK, and one each at 64 entries, where every draw is a
+    # batch of its own
+    corpus, data, _ = corpora["seeded-size3"]
+    cat = corpus.base
+    real, passes = presheaf._quotients, []
+
+    def counting(X, levels, pairs):
+        passes.append(levels)
+        return real(X, levels, pairs)
+
+    monkeypatch.setattr(presheaf, "_quotients", counting)
+    autquos = sum(len(cat.isos(r, r)) > 1 for r in range(len(cat.objects)))
+    designed = autquos + len(presheaf._some_spans(cat, data))
+    for chunk, most in ((kernel.CHUNK, 10), (64, 200)):
+        monkeypatch.setattr(kernel, "CHUNK", chunk)
+        passes.clear()
+        seeded_corpus(cat, data, 0, 200)
+        assert [len(levels) for levels in passes[:designed]] == [1] * designed
+        sizes = [int(row[cat.codomain].sum()) for levels in passes[designed:] for row in levels]
+        assert len(sizes) == 200
+        assert len(passes) - designed <= len(list(kernel.chunks(sizes))) <= most
+
+
+def test_a_non_functor_draw_fails_naturality_in_its_batch(corpora):
+    """Draws on the top representable with one action value moved, each
+    glued at two elements: where quotienting one alone raises
+    'naturality', so does its batch, with the same witness, numbered in
+    the draw.  The batch puts it after an intact draw and before the
+    failing draw whose witness map comes first, so the first failing draw
+    is reported, not the first failing map."""
+    corpus, data, _ = corpora["seeded-size3"]
+    cat = corpus.base
+    yo = representable(cat, len(cat.objects) - 1)
+    cases = []  # each moved presheaf, the object glued and its law alone
+    for f in cat.morphisms():
+        a, b = cat.dom(f), cat.cod(f)
+        if yo.levels[a] < 2 or not yo.levels[b]:
+            continue
+        bad = reference.with_value(yo, f, 0, (yo.action(f)[0] + 1) % yo.levels[a])
+        for s in (s for s, n in enumerate(yo.levels) if n >= 2):
+            try:
+                presheaf.quotient_presheaf(bad, [(s, 0, 1)])
+            except ViolatedLaw as exc:
+                cases.append((bad, s, (exc.law, exc.witness)))
+    assert {law for _, _, (law, _) in cases} == {"naturality"}
+    first = min(cases, key=lambda case: case[2][1][0])
+    later = 0
+    for bad, s, alone in cases:
+        X = presheaf.coproduct_presheaf([yo, bad, first[0]])
+        levels = np.array([yo.levels, bad.levels, first[0].levels])
+        pairs = np.array([[0, s, 0, 1], [1, s, 0, 1], [2, first[1], 0, 1]])
+        with pytest.raises(ViolatedLaw) as exc:
+            presheaf._quotients(X, levels, pairs)
+        assert (exc.value.law, exc.value.witness) == alone
+        later += alone[1][0] > first[2][1][0]
+    assert later
+
+
 @pytest.mark.parametrize("name", ["seeded-size3", "seeded-size4", "non-mono-witness"])
 def test_iso_moves_match_the_per_presheaf_moves(corpora, name):
     """The classes the cell squares move along each iso th: r -> r2 of
     the degree-n objects, for a whole chunk at once, against the moves of
-    each presheaf alone."""
+    each presheaf alone.  An identity moves every class to itself, so it
+    has no move, and the cell squares glue nothing along it."""
     corpus, data, _ = corpora[name]
     cat = corpus.base
     isos = 0
@@ -217,6 +300,10 @@ def test_iso_moves_match_the_per_presheaf_moves(corpora, name):
             for r, _, _, plan in gluings:
                 for r2, th, _ in plan:
                     expected = [reference.iso_on_weighted_latching(cat, th, L[r], L[r2]) for L in parts]
+                    if cat.is_identity(th):
+                        assert th not in moves
+                        assert all(e.tolist() == list(range(len(e))) for e in expected)
+                        continue
                     assert moves[th].tolist() == np.concatenate(expected).tolist()
                     isos += 1
     assert isos

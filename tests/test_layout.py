@@ -12,6 +12,8 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "reedylab"
 ENTRY_POINTS = {
     "cli.main",  # the console script
     "presheaf.FinPresheaf.validate",  # the functor-law check for caller-built presheaves
+    "presheaf.PresheafMorphism.validate",  # the naturality check for caller-built morphisms
+    "presheaf.skeleton",  # sk_n as a filter, for callers holding EZ degrees
 }
 
 
@@ -494,11 +496,17 @@ def _is_chunking(node) -> bool:
 
 
 def test_a_corpus_is_laid_out_only_where_it_is_built():
-    # Corpus.of cuts a corpus into chunks and assembles each once, and
-    # coproduct_presheaf assembles its parts; every corpus routine reads
-    # its corpus's chunks, and the latching outcomes keep them
+    # Corpus.of cuts a corpus into chunks and assembles each once,
+    # coproduct_presheaf assembles its parts, and seeded_corpus cuts its
+    # random draws into the batches it quotients, before the corpus
+    # exists; every corpus routine reads its corpus's chunks, and the
+    # latching outcomes keep them
     tree = ast.parse((SRC / "presheaf.py").read_text())
-    assert set(_functions_around(tree, _is_chunking)) == {"Corpus.of", "coproduct_presheaf"}
+    assert set(_functions_around(tree, _is_chunking)) == {
+        "Corpus.of",
+        "coproduct_presheaf",
+        "seeded_corpus",
+    }
 
 
 def _builds_check(node) -> bool:

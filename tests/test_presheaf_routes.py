@@ -169,6 +169,32 @@ def test_cell_squares_match_the_reference_where_both_legs_leave(corpora):
     assert {rep.law for rep in laws} == {"skeleton-landing"}
 
 
+def test_cell_squares_match_the_reference_where_an_identity_moves(corpora):
+    # one entry of an identity's action moved, in a presheaf between two
+    # intact copies in one chunk: the cell squares glue along an identity
+    # only the entries it moves, and the reference along every entry
+    seeded, data = corpora["seeded-size3"]
+    cat = seeded.base
+    gluing = generator_gluing(cat, data, "lowering")
+    reports = 0
+    for X in (seeded.presheaves[len(cat.objects) - 1], *seeded.presheaves[-3:]):
+        (degrees,) = ez_degrees(Corpus.of(cat, [X]), data)
+        (intact,) = verify_cell_square(
+            Corpus.of(cat, [X]), data, [degrees], latching_objects(Corpus.of(cat, [X]), data)
+        )
+        for r in (r for r, n in enumerate(X.levels) if n >= 2):
+            Y = reference.with_value(X, cat.identities[r], 0, 1)
+            corpus = Corpus.of(cat, [X, Y, X])
+            outcomes = verify_cell_square(
+                corpus, data, [degrees] * 3, latching_objects(corpus, data)
+            )
+            assert same_cell_squares(Y, data, degrees, outcomes[1], gluing)
+            for k in (0, 2):
+                assert list(map(summary, outcomes[k].values())) == list(map(summary, intact.values()))
+            reports += not isinstance(outcomes[1][data.degree[r]], ViolatedLaw)
+    assert reports
+
+
 def test_the_witness_has_failed_squares(corpora):
     # so that the comparison above covers failed verdicts, not only passes
     corpus, data = corpora["non-mono-witness"]
