@@ -41,14 +41,16 @@ A weight is closed under post-composition, so on a functor the gluing
 along a composite follows from the gluings along its factors; that the
 generators' composites reach every map, and the lowering generators'
 every lowering map, is checked once per base by FinCategory.generators.
-quotient_presheaf still closes along every map, in one pass that is
-closed because every composite is itself a restriction.
+A quotient still closes along every map, in one pass that is closed
+because every composite is itself a restriction.
 
-seeded_corpus draws every random choice first and quotients its draws
-in batches, which kernel.chunks cuts over their action entries: one
-congruence pass per batch, on the coproduct of its draws, checked
-natural there and then.  No class crosses draws, so each draw's quotient
-is one run of the batch's; quotient_presheaf is the one-draw case.
+Every quotient is a draw, its parts and the pairs it glues, and goes
+through quotients: the automorphism quotients, the span pushouts of
+representables and the random draws of seeded_corpus.  quotients cuts
+its draws into batches with kernel.chunks over their action entries and
+makes one congruence pass per batch, on the coproduct of all its parts,
+checked natural there and then.  No class crosses draws, so each draw's
+quotient is one run of the batch's.
 """
 
 from __future__ import annotations
@@ -145,42 +147,6 @@ def _start(cat: FinCategory, levels) -> np.ndarray:
     return start
 
 
-@dataclass
-class PresheafMorphism:
-    dom: FinPresheaf
-    cod: FinPresheaf
-    components: tuple[tuple[int, ...], ...]
-
-    def validate(self) -> None:
-        """Raise ViolatedLaw unless the components form a natural
-        transformation between presheaves on one base."""
-        X, Y, comps = self.dom, self.cod, self.components
-        cat = X.base
-        if Y.base is not cat:
-            raise ViolatedLaw("base", ())
-        if len(comps) != len(X.levels):
-            raise ViolatedLaw("length", ())
-        for r, comp in enumerate(comps):
-            if len(comp) != X.levels[r]:
-                raise ViolatedLaw("length", (r,))
-        x_start, level, _ = _segments(np.array(X.levels, np.int64))
-        comp = np.fromiter(itertools.chain.from_iterable(comps), np.int64, x_start[-1])
-        bad = (comp < 0) | (comp >= np.array(Y.levels, np.int64)[level])
-        if bad.any():
-            raise ViolatedLaw("range", (int(level[bad.argmax()]),))
-        comp = comp.astype(np.int32)  # halves the entry-sized gathers below
-        # at each entry (f, x) of X: the component at x.f, against the
-        # component at x restricted along f in Y; Y's layout is computed
-        # here, not cached on Y, whose start a corpus holds in its chunk
-        _, owner, x = _layout(cat, X.levels)
-        bad = comp[x_start[cat.domain][owner] + X.values] != Y.values[
-            _start(cat, Y.levels)[owner] + comp[x_start[cat.codomain][owner] + x]
-        ]
-        if bad.any():
-            p = bad.argmax()
-            raise ViolatedLaw("naturality", (cat.ref(owner[p]), int(x[p])))
-
-
 # ---------------------------------------------------------------------------
 # representables and automorphism quotients
 # ---------------------------------------------------------------------------
@@ -214,11 +180,9 @@ def subgroup_closure_ok(cat: FinCategory, r: int, H: list[int]) -> bool:
     return True
 
 
-def autquo(
-    cat: FinCategory, r: int, H: list[int]
-) -> tuple[FinPresheaf, PresheafMorphism]:
-    """Quotient of yo(r) by post-composition with a subgroup of Aut(r);
-    returns the quotient and the projection from the representable.
+def autquo(cat: FinCategory, r: int, H: list[int]):
+    """The draw whose quotient is yo(r) by post-composition with a
+    subgroup H of Aut(r): yo(r) and its orbit pairs, for quotients.
     Raises InvalidInput unless H is a subgroup of Aut(r)."""
     if not subgroup_closure_ok(cat, r, H):
         H = [cat.ref(h) for h in H]
@@ -227,7 +191,7 @@ def autquo(
     for s in range(len(cat.objects)):
         gs = cat.refs(s, r)
         orbits += [(s, g - gs.start, cat.compose(g, h) - gs.start) for g in gs for h in H]
-    return quotient_presheaf(representable(cat, r), orbits)
+    return [representable(cat, r)], orbits
 
 
 # ---------------------------------------------------------------------------
@@ -664,7 +628,7 @@ def _ez_tables(corpus: Corpus, data: ReedyData):
     end to end), and for one element in morphism order of e, then y: each
     one's element, e and y."""
     cat, degree = corpus.base, np.array(data.degree, np.int64)
-    lowering = np.array([e for out in data.lowering_out for e in out], np.int64)
+    lowering = np.flatnonzero(data.lowering)
     for _, chunk in corpus.chunks:
         n_obj = chunk.levels.shape[1]
         x_start = _segments(chunk.levels.ravel())[0]
@@ -1054,20 +1018,28 @@ def coproduct_presheaf(parts: list[FinPresheaf]) -> FinPresheaf:
     return _Chunk.of(parts[0].base, parts).coproduct()
 
 
-def quotient_presheaf(
-    X: FinPresheaf, pairs
-) -> tuple[FinPresheaf, PresheafMorphism]:
-    """Quotient by the presheaf congruence generated by the given pairs
-    ((object, i, j) triples), closing under every restriction: the
-    one-draw case of _quotients.  Raises ViolatedLaw('naturality') where
-    the projection is not natural, which a functor X never gives."""
-    r, i, j = np.asarray(pairs, np.int64).reshape(-1, 3).T
-    pairs = np.stack([np.zeros_like(r), r, i, j], 1)
-    levels, values, _, comp = _quotients(X, np.array([X.levels], np.int64), pairs)
-    Q = FinPresheaf(X.base, tuple(levels[0].tolist()), values)
-    comp, bounds = comp.tolist(), [0, *itertools.accumulate(X.levels)]
-    components = tuple(tuple(comp[lo:hi]) for lo, hi in zip(bounds, bounds[1:]))
-    return Q, PresheafMorphism(X, Q, components)
+def quotients(draws) -> list[FinPresheaf]:
+    """The quotient of each draw (parts, pairs), a list of presheaves on
+    one base and (object, i, j) triples numbered in the coproduct of the
+    parts, by the presheaf congruence its pairs generate, closing under
+    every restriction.  kernel.chunks cuts the draws into batches over
+    their action entries, and each batch is one _quotients pass on the
+    coproduct of all its parts.  A draw without pairs comes out as its
+    coproduct.  Raises ViolatedLaw('naturality') where a projection is not
+    natural, which parts that are functors never give."""
+    if not all(parts for parts, _ in draws):
+        raise InvalidInput("a coproduct of presheaves needs at least one part")
+    out, sizes = [], [sum(len(X.values) for X in parts) for parts, _ in draws]
+    for batch in chunks(sizes):
+        parts = [X for k in batch for X in draws[k][0]]
+        first = np.cumsum([0] + [len(draws[k][0]) for k in batch[:-1]])
+        levels = np.add.reduceat(np.array([X.levels for X in parts], np.int64), first)
+        pairs = [(d, *pair) for d, k in enumerate(batch) for pair in draws[k][1]]
+        X = coproduct_presheaf(parts)
+        q_levels, values, start = _quotients(X, levels, np.array(pairs, np.int64))
+        for row, lo, hi in zip(q_levels.tolist(), start, start[1:]):
+            out.append(FinPresheaf(X.base, tuple(row), values[lo:hi]))
+    return out
 
 
 def _quotients(X: FinPresheaf, levels: np.ndarray, pairs: np.ndarray):
@@ -1076,8 +1048,7 @@ def _quotients(X: FinPresheaf, levels: np.ndarray, pairs: np.ndarray):
     levels of each draw, a row each in X's order, and pairs the rows
     (draw, object, i, j), i and j numbered in the draw.  Returns the
     quotients' levels, a row per draw, their values end to end, draw
-    after draw, where each draw's values start (the total last), and the
-    projection: each element of X's class, numbered in its draw and level.
+    after draw, and where each draw's values start (the total last).
 
     The elements of X are numbered level by level, draw after draw, and
     each is labelled by the least element of its class.  The congruence
@@ -1089,11 +1060,11 @@ def _quotients(X: FinPresheaf, levels: np.ndarray, pairs: np.ndarray):
     classes, numbered by least element, give each draw's classes at a
     level as one run in the order its quotient alone gives them.
 
-    The projection is checked here, from this layout, as
-    PresheafMorphism.validate would: every element has one component, by
-    construction; each is a class of its element's draw and level
-    (range); and each entry (f, x) sends the class of x to that of x.f
-    (naturality).  The first draw that fails raises ViolatedLaw at its
+    The projection, each element of X to its class numbered in its draw
+    and level, is checked here, from this layout: every element has one
+    component, by construction; each is a class of its element's draw
+    and level (range); and each entry (f, x) sends the class of x to that
+    of x.f (naturality).  The first draw that fails raises ViolatedLaw at its
     first failure, as quotienting that draw alone would."""
     cat, (n_draws, n_obj) = X.base, levels.shape
     x_start = _segments(np.asarray(X.levels, np.int64))[0]
@@ -1139,27 +1110,26 @@ def _quotients(X: FinPresheaf, levels: np.ndarray, pairs: np.ndarray):
         values = values[np.argsort(seg[v[own]] % n_draws, kind="stable")]
     q_levels = counts.reshape(n_obj, n_draws).T
     q_start = _segments(q_levels[:, cat.codomain].sum(1))[0]
-    return q_levels, values, q_start, comp
+    return q_levels, values, q_start
 
 
-def span_pushout_of_representables(cat: FinCategory, e0: int, e1: int) -> FinPresheaf:
-    """Levelwise pushout yo(B0) + yo(B1) over yo(A) for a span out of A;
-    the two copies are glued along all composites with the span legs.
-    Raises ViolatedLaw 'span-apex' when the legs leave different objects."""
+def span_pushout_of_representables(cat: FinCategory, e0: int, e1: int):
+    """The draw whose quotient is the levelwise pushout yo(B0) + yo(B1)
+    over yo(A) for a span out of A: the two representables, glued along
+    all composites with the span legs, for quotients.  Raises ViolatedLaw
+    'span-apex' when the legs leave different objects."""
     a = cat.dom(e0)
     if cat.dom(e1) != a:
         raise ViolatedLaw("span-apex", (cat.ref(e0), cat.ref(e1)))
     b0, b1 = cat.cod(e0), cat.cod(e1)
     Y0, Y1 = representable(cat, b0), representable(cat, b1)
-    X = coproduct_presheaf([Y0, Y1])
     pairs = []
     for s in range(len(cat.objects)):
         # Y1's elements follow Y0's at each level of the coproduct
         lo0, lo1 = cat.refs(s, b0).start, cat.refs(s, b1).start - Y0.levels[s]
         for f in cat.refs(s, a):
             pairs.append((s, cat.compose(f, e0) - lo0, cat.compose(f, e1) - lo1))
-    Q, _ = quotient_presheaf(X, pairs)
-    return Q
+    return [Y0, Y1], pairs
 
 
 def non_reedy_mono_example() -> tuple[FinCategory, ReedyData, list, FinPresheaf]:
@@ -1189,7 +1159,7 @@ def non_reedy_mono_example() -> tuple[FinCategory, ReedyData, list, FinPresheaf]
     iso_a = find_isomorphism(A5, cat.objects[a5])
     iso_t = find_isomorphism(e.cod, cat.objects[t])
     e_in_cat = cat.find(a5, t, iso_a.inverse().then(e).then(iso_t))
-    X = span_pushout_of_representables(cat, e_in_cat, e_in_cat)
+    (X,) = quotients([span_pushout_of_representables(cat, e_in_cat, e_in_cat)])
     return cat, data, squares, X
 
 
@@ -1228,47 +1198,30 @@ def seeded_corpus(cat: FinCategory, data: ReedyData, seed: int, count: int) -> C
     representables, each glued at up to three pairs of elements.
 
     Every random choice is drawn first, a draw's levels being the sums of
-    its parts' levels.  The draws are then quotiented in batches that
-    kernel.chunks cuts over their action entries: one _quotients pass per
-    batch, on the coproduct of all its parts, each draw's pairs numbered
-    in the draw.  A draw without pairs comes out as its coproduct."""
+    its parts' levels; the designed quotients and the random draws then
+    go through one call of quotients."""
     rng = random.Random(seed)
     n_obj = len(cat.objects)
-    # each representable is built once; the draws below index this list
+    # each representable is built once; the draws below reuse them
     representables = [representable(cat, r) for r in range(n_obj)]
-    corpus: list[FinPresheaf] = list(representables)
-    for r in range(n_obj):
-        auts = cat.isos(r, r)
-        if len(auts) > 1:
-            Q, _ = autquo(cat, r, auts)
-            corpus.append(Q)
-    corpus.append(terminal_presheaf(cat))
-    corpus.append(empty_presheaf(cat))
-    for sq_e0, sq_e1 in _some_spans(cat, data):
-        corpus.append(span_pushout_of_representables(cat, sq_e0, sq_e1))
-    draws, levels, pairs = [], [], []  # per draw; (draw, object, i, j)
-    for k in range(count):
-        draws.append([rng.randrange(n_obj) for _ in range(rng.randint(1, 2))])
-        levels.append([sum(representables[p].levels[r] for p in draws[k]) for r in range(n_obj)])
+    autquos = [autquo(cat, r, cat.isos(r, r)) for r in range(n_obj) if len(cat.isos(r, r)) > 1]
+    draws = autquos + [span_pushout_of_representables(cat, *span) for span in _some_spans(cat, data)]
+    for _ in range(count):
+        parts = [representables[rng.randrange(n_obj)] for _ in range(rng.randint(1, 2))]
+        levels = [sum(X.levels[r] for X in parts) for r in range(n_obj)]
         n_glue = rng.randint(0, 3)
-        candidates = [r for r in range(n_obj) if levels[k][r] >= 2]
+        candidates = [r for r in range(n_obj) if levels[r] >= 2]
+        pairs = []
         for _ in range(n_glue if candidates else 0):
             r = rng.choice(candidates)
-            i = rng.randrange(levels[k][r])
-            j = rng.randrange(levels[k][r])
+            i = rng.randrange(levels[r])
+            j = rng.randrange(levels[r])
             if i != j:
-                pairs.append((k, r, i, j))
-    pairs = np.array(pairs, np.int64).reshape(-1, 4)
-    sizes = [sum(len(representables[p].values) for p in parts) for parts in draws]
-    for batch in chunks(sizes):
-        X = coproduct_presheaf([representables[p] for k in batch for p in draws[k]])
-        glued = pairs[(pairs[:, 0] >= batch.start) & (pairs[:, 0] < batch.stop)]
-        q_levels, values, start, _ = _quotients(
-            X, np.array(levels[batch.start : batch.stop], np.int64), glued - [batch.start, 0, 0, 0]
-        )
-        for row, lo, hi in zip(q_levels.tolist(), start, start[1:]):
-            corpus.append(FinPresheaf(cat, tuple(row), values[lo:hi]))
-    return Corpus.of(cat, corpus)
+                pairs.append((r, i, j))
+        draws.append((parts, pairs))
+    quotiented, n_aut = quotients(draws), len(autquos)
+    designed = [terminal_presheaf(cat), empty_presheaf(cat)]
+    return Corpus.of(cat, representables + quotiented[:n_aut] + designed + quotiented[n_aut:])
 
 
 def _some_spans(cat: FinCategory, data: ReedyData):

@@ -320,6 +320,7 @@ def _suite_presheaf_ez(
         latching_object_via_weights,
         latching_objects,
         latching_routes_agree,
+        quotients,
         representable,
     )
 
@@ -369,8 +370,8 @@ def _suite_presheaf_ez(
             cases = [
                 (r, H) for r in range(len(cat3.objects)) for H in _subgroups(cat3, r, cat3.isos(r, r))
             ]
-            quotients = Corpus.of(cat3, [autquo(cat3, r, H)[0] for r, H in cases])
-            for (r, H), row in zip(cases, latching_injective(latching_objects(quotients, data3))):
+            quotiented = Corpus.of(cat3, quotients([autquo(cat3, r, H) for r, H in cases]))
+            for (r, H), row in zip(cases, latching_injective(latching_objects(quotiented, data3))):
                 yield None if is_reedy_mono(row) else {"object": r, "subgroup": len(H)}
 
         for tag, (corpus, latching, data), squares in zip(

@@ -15,8 +15,8 @@ for values that are not a functor.
 The presheaf constructors are here too, as they were when a presheaf
 stored its actions as a dict from morphism to tuple: `representable`,
 `coproduct_presheaf`, `quotient_presheaf` and `autquo` build and return
-`DictPresheaf`s, and the two quotients return the projection's components
-with them.
+`DictPresheaf`s.  `quotient_presheaf` is the quotient of one presheaf by
+its pairs, and `autquo` that of a representable orbit by orbit.
 
 The pushouts-to-pullbacks criterion is here twice: as it was before it
 moved onto the batched pullback fibres of `kernel.pullback_fibres`, one
@@ -96,7 +96,7 @@ def representable(cat, r):
 
 def autquo(cat, r, H):
     """Quotient of yo(r) by post-composition with a subgroup of Aut(r),
-    orbit by orbit, and the projection's components."""
+    orbit by orbit."""
     if not subgroup_closure_ok(cat, r, H):
         H = [cat.ref(h) for h in H]
         raise InvalidInput(f"not a subgroup of the automorphisms of object {r}: {H}")
@@ -122,10 +122,7 @@ def autquo(cat, r, H):
         if bad:
             raise ViolatedLaw("well-definedness", (cat.ref(f), bad[0]))
         acts[f] = tuple(act)
-    components = tuple(
-        tuple(orbit_of[s][g] for g in range(Y.levels[s])) for s in range(n_obj)
-    )
-    return DictPresheaf(cat, levels, acts), components
+    return DictPresheaf(cat, levels, acts)
 
 
 def coproduct_presheaf(parts):
@@ -152,8 +149,7 @@ def coproduct_presheaf(parts):
 
 def quotient_presheaf(X, pairs):
     """Quotient by the congruence generated by the pairs, closed by
-    rescanning every morphism until nothing merges, and the projection's
-    components."""
+    rescanning every morphism until nothing merges."""
     cat = X.base
     ufs = [UnionFind(range(X.levels[r])) for r in range(len(cat.objects))]
     for (r, i, j) in pairs:
@@ -183,11 +179,7 @@ def quotient_presheaf(X, pairs):
         if bad:
             raise ViolatedLaw("well-definedness", (cat.ref(f), bad[0]))
         acts[f] = tuple(act)
-    components = tuple(
-        tuple(class_of[r][x] for x in range(X.levels[r]))
-        for r in range(len(cat.objects))
-    )
-    return DictPresheaf(cat, levels, acts), components
+    return DictPresheaf(cat, levels, acts)
 
 
 def morphism_degree(cat, f):
@@ -543,35 +535,34 @@ def iso_on_weighted_latching(cat, th, Lr, Lr2):
 
 def seeded_corpus(cat, data, seed, count):
     """presheaf.seeded_corpus with a fresh representable built for every
-    draw, as it was built before it built each representable once."""
+    draw, and each draw quotiented alone, as it was built before it built
+    each representable once and quotiented its draws in batches."""
     rng = random.Random(seed)
     n_obj = len(cat.objects)
     corpus = [presheaf.representable(cat, r) for r in range(n_obj)]
     for r in range(n_obj):
         auts = cat.isos(r, r)
         if len(auts) > 1:
-            corpus.append(presheaf.autquo(cat, r, auts)[0])
+            corpus += presheaf.quotients([presheaf.autquo(cat, r, auts)])
     corpus.append(presheaf.terminal_presheaf(cat))
     corpus.append(presheaf.empty_presheaf(cat))
     for e0, e1 in presheaf._some_spans(cat, data):
-        corpus.append(presheaf.span_pushout_of_representables(cat, e0, e1))
+        corpus += presheaf.quotients([presheaf.span_pushout_of_representables(cat, e0, e1)])
     for _ in range(count):
         parts = [
             presheaf.representable(cat, rng.randrange(n_obj))
             for _ in range(rng.randint(1, 2))
         ]
-        X = presheaf.coproduct_presheaf(parts)
+        levels = [sum(p.levels[r] for p in parts) for r in range(n_obj)]
         pairs = []
         for _ in range(rng.randint(0, 3)):
-            candidates = [r for r in range(n_obj) if X.levels[r] >= 2]
+            candidates = [r for r in range(n_obj) if levels[r] >= 2]
             if not candidates:
                 break
             r = rng.choice(candidates)
-            i = rng.randrange(X.levels[r])
-            j = rng.randrange(X.levels[r])
+            i = rng.randrange(levels[r])
+            j = rng.randrange(levels[r])
             if i != j:
                 pairs.append((r, i, j))
-        if pairs:
-            X, _ = presheaf.quotient_presheaf(X, pairs)
-        corpus.append(X)
+        corpus += presheaf.quotients([(parts, pairs)])
     return corpus

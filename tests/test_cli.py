@@ -534,16 +534,24 @@ def test_presheaf_suites_are_the_same_under_a_small_chunk_cap(monkeypatch, reque
 def test_autquo_failure_reports_the_first_failing_subgroup(monkeypatch):
     import reedylab.presheaf as presheaf
 
-    real_autquo, real_mono = presheaf.autquo, presheaf.is_reedy_mono
+    real_autquo, real_quotients = presheaf.autquo, presheaf.quotients
+    real_mono = presheaf.is_reedy_mono
     real_latching, real_injective = presheaf.latching_objects, presheaf.latching_injective
-    made = []  # (quotient, object, subgroup order), one per autquo call
+    drawn = []  # (draw, object, subgroup order), one per autquo call
+    made = []  # (quotient, object, subgroup order), one per autquo draw quotiented
     corpus_of = {}  # id of a corpus's latching outcomes -> (them, the corpus)
     injective_of = {}  # id of a presheaf's injectivity verdicts -> (them, the presheaf)
 
     def recording_autquo(cat, r, H):
-        Q, proj = real_autquo(cat, r, H)
-        made.append((Q, r, len(H)))
-        return Q, proj
+        draw = real_autquo(cat, r, H)
+        drawn.append((draw, r, len(H)))
+        return draw
+
+    def recording_quotients(draws):
+        quotiented = real_quotients(draws)
+        for d, Q in zip(draws, quotiented):
+            made.extend((Q, r, order) for draw, r, order in drawn if draw is d)
+        return quotiented
 
     def recording_latching(corpus, data):
         outcomes = real_latching(corpus, data)
@@ -571,11 +579,13 @@ def test_autquo_failure_reports_the_first_failing_subgroup(monkeypatch):
         lambda cat, data, seed, count: presheaf.Corpus.of(cat, [presheaf.representable(cat, 0)]),
     )
     monkeypatch.setattr(presheaf, "autquo", recording_autquo)
+    monkeypatch.setattr(presheaf, "quotients", recording_quotients)
     monkeypatch.setattr(presheaf, "latching_objects", recording_latching)
     monkeypatch.setattr(presheaf, "latching_injective", recording_injective)
     monkeypatch.setattr(presheaf, "is_reedy_mono", failing_from_the_second_autquo)
     cert = run_suite(SuiteConfig(suite="presheaf-ez"))
     (check,) = [c for c in cert.checks if c.id == "autquos-reedy-monomorphic"]
+    assert len(made) == len(drawn) > 2
     _, r, order = made[1]
     assert (check.status, check.count) == ("fail", 2)
     assert check.witness == {"object": r, "subgroup": order}

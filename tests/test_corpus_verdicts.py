@@ -34,6 +34,7 @@ from reedylab.presheaf import (
     seeded_corpus,
 )
 from reedylab.reedy import truncated_semilattice_category
+from reedylab.suites import SuiteConfig, run_suite
 
 NAMES = ("exhaustive-size2", "seeded-size3", "seeded-size4", "non-mono-witness")
 
@@ -222,11 +223,10 @@ def test_seeded_draws_in_batches_are_the_draw_by_draw_build(corpora, name, monke
 
 
 def test_seeded_draws_take_one_congruence_pass_per_batch(corpora, monkeypatch):
-    # the designed family takes one pass per automorphism quotient and
-    # span pushout, first; the 200 draws then take at most one per
-    # kernel.chunks batch of their action entries: a handful at the
-    # default CHUNK, and one each at 64 entries, where every draw is a
-    # batch of its own
+    # every quotient of the seeded build, the designed family's included,
+    # goes through one quotients call: at most one pass per kernel.chunks
+    # batch of the draws' action entries, a handful at the default CHUNK,
+    # and one each at 64 entries, where every draw is a batch of its own
     corpus, data, _ = corpora["seeded-size3"]
     cat = corpus.base
     real, passes = presheaf._quotients, []
@@ -237,15 +237,36 @@ def test_seeded_draws_take_one_congruence_pass_per_batch(corpora, monkeypatch):
 
     monkeypatch.setattr(presheaf, "_quotients", counting)
     autquos = sum(len(cat.isos(r, r)) > 1 for r in range(len(cat.objects)))
-    designed = autquos + len(presheaf._some_spans(cat, data))
-    for chunk, most in ((kernel.CHUNK, 10), (64, 200)):
+    n_draws = autquos + len(presheaf._some_spans(cat, data)) + 200
+    # the default CHUNK last, for the suite run below
+    for chunk, most in ((64, n_draws), (kernel.CHUNK, 10)):
         monkeypatch.setattr(kernel, "CHUNK", chunk)
         passes.clear()
         seeded_corpus(cat, data, 0, 200)
-        assert [len(levels) for levels in passes[:designed]] == [1] * designed
-        sizes = [int(row[cat.codomain].sum()) for levels in passes[designed:] for row in levels]
-        assert len(sizes) == 200
-        assert len(passes) - designed <= len(list(kernel.chunks(sizes))) <= most
+        sizes = [int(row[cat.codomain].sum()) for levels in passes for row in levels]
+        assert len(sizes) == n_draws
+        assert len(passes) <= len(list(kernel.chunks(sizes))) <= most
+    # presheaf-ez's autquos check quotients all its subgroups in one pass
+    made, calls = [], []  # the autquo draws; each quotients call's draws and passes
+    real_autquo, real_quotients = presheaf.autquo, presheaf.quotients
+
+    def recording_autquo(cat, r, H):
+        made.append(real_autquo(cat, r, H))
+        return made[-1]
+
+    def recording_quotients(draws):
+        before = len(passes)
+        quotiented = real_quotients(draws)
+        calls.append((draws, len(passes) - before))
+        return quotiented
+
+    monkeypatch.setattr(presheaf, "autquo", recording_autquo)
+    monkeypatch.setattr(presheaf, "quotients", recording_quotients)
+    run_suite(SuiteConfig(suite="presheaf-ez"))
+    ((draws, n),) = [
+        (draws, n) for draws, n in calls if all(any(d is m for m in made) for d in draws)
+    ]
+    assert len(draws) > 1 and n == 1
 
 
 def test_a_non_functor_draw_fails_naturality_in_its_batch(corpora):
@@ -266,18 +287,18 @@ def test_a_non_functor_draw_fails_naturality_in_its_batch(corpora):
         bad = reference.with_value(yo, f, 0, (yo.action(f)[0] + 1) % yo.levels[a])
         for s in (s for s, n in enumerate(yo.levels) if n >= 2):
             try:
-                presheaf.quotient_presheaf(bad, [(s, 0, 1)])
+                presheaf.quotients([([bad], [(s, 0, 1)])])
             except ViolatedLaw as exc:
                 cases.append((bad, s, (exc.law, exc.witness)))
     assert {law for _, _, (law, _) in cases} == {"naturality"}
     first = min(cases, key=lambda case: case[2][1][0])
+    # three draws of yo's size make one batch
+    assert len(list(kernel.chunks([len(yo.values)] * 3))) == 1
     later = 0
     for bad, s, alone in cases:
-        X = presheaf.coproduct_presheaf([yo, bad, first[0]])
-        levels = np.array([yo.levels, bad.levels, first[0].levels])
-        pairs = np.array([[0, s, 0, 1], [1, s, 0, 1], [2, first[1], 0, 1]])
+        draws = [([yo], [(s, 0, 1)]), ([bad], [(s, 0, 1)]), ([first[0]], [(first[1], 0, 1)])]
         with pytest.raises(ViolatedLaw) as exc:
-            presheaf._quotients(X, levels, pairs)
+            presheaf.quotients(draws)
         assert (exc.value.law, exc.value.witness) == alone
         later += alone[1][0] > first[2][1][0]
     assert later

@@ -8,7 +8,8 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src"
 
 TRUNC3 = (
     "from reedylab.reedy import truncated_semilattice_category\n"
@@ -49,6 +50,25 @@ CASES = [
         "Corpus.of(cat2, [representable(cat2, 1), representable(cat3, 2)])\n",
         "InvalidInput",
         None,
+    ),
+    (
+        "quotient-of-a-draw-with-no-parts",
+        TRUNC3
+        + "from reedylab.presheaf import quotients, representable\n"
+        + "quotients([([], []), ([representable(cat, 1)], [])])\n",
+        "InvalidInput",
+        None,
+    ),
+    (
+        "quotient-of-a-non-functor-draw",
+        TRUNC3
+        + "from presheaf_reference import with_value\n"
+        + "from reedylab.presheaf import quotients, representable\n"
+        + "yo, f = representable(cat, 1), cat.refs(0, 1)[1]\n"
+        + "bad = with_value(yo, f, 0, (yo.action(f)[0] + 1) % yo.levels[0])\n"
+        + "quotients([([bad], [(1, 0, 1)])])\n",
+        "ViolatedLaw",
+        "naturality",
     ),
     (
         "span-legs-from-different-objects",
@@ -292,5 +312,5 @@ def test_bad_input_raises_a_typed_error_in_optimized_mode(call, error, law):
         f"    raise SystemExit(getattr(exc, 'law', None) != {law!r})\n"
         "raise SystemExit(1)\n"
     )
-    env = dict(os.environ, PYTHONPATH=str(SRC))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), str(TESTS)]))
     assert subprocess.run([sys.executable, "-O", "-c", code], env=env).returncode == 0

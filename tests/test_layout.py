@@ -12,7 +12,6 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "reedylab"
 ENTRY_POINTS = {
     "cli.main",  # the console script
     "presheaf.FinPresheaf.validate",  # the functor-law check for caller-built presheaves
-    "presheaf.PresheafMorphism.validate",  # the naturality check for caller-built morphisms
     "presheaf.skeleton",  # sk_n as a filter, for callers holding EZ degrees
 }
 
@@ -497,16 +496,33 @@ def _is_chunking(node) -> bool:
 
 def test_a_corpus_is_laid_out_only_where_it_is_built():
     # Corpus.of cuts a corpus into chunks and assembles each once,
-    # coproduct_presheaf assembles its parts, and seeded_corpus cuts its
-    # random draws into the batches it quotients, before the corpus
+    # coproduct_presheaf assembles its parts, and quotients cuts its
+    # draws into the batches it quotients, before any corpus of them
     # exists; every corpus routine reads its corpus's chunks, and the
     # latching outcomes keep them
     tree = ast.parse((SRC / "presheaf.py").read_text())
     assert set(_functions_around(tree, _is_chunking)) == {
         "Corpus.of",
         "coproduct_presheaf",
-        "seeded_corpus",
+        "quotients",
     }
+
+
+def _names_quotient_pass(node) -> bool:
+    """A call or read of presheaf._quotients, by its name or off a module."""
+    return "_quotients" in (getattr(node, "id", None), getattr(node, "attr", None))
+
+
+def test_quotients_is_the_one_quotient_route_in_src():
+    # every presheaf quotient in src is a draw that goes through
+    # presheaf.quotients, which makes one congruence pass per batch; a
+    # second caller of the pass would be a second quotient route
+    callers = sorted(
+        f"{path.stem}.{where}"
+        for path in sorted(SRC.glob("*.py"))
+        for where in _functions_around(ast.parse(path.read_text()), _names_quotient_pass)
+    )
+    assert callers == ["presheaf.quotients"]
 
 
 def _builds_check(node) -> bool:
